@@ -73,7 +73,7 @@ use crate::sync::NodeAccSlab;
 use crate::volume::CommStats;
 use crate::wire::{
     entry_bytes, open_frame, quant_entry_bytes, seal_frame, Channel, DeltaForm, QuantDecoder,
-    RowDecoder, RowEncoder, ValueDecoder, WireState,
+    RowDecoder, RowEncoder, ValueDecoder, WireError, WireState,
 };
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -117,6 +117,16 @@ pub enum ClusterError {
         /// Model layer of the missing payload.
         layer: usize,
     },
+    /// A payload `from` built for `to` cannot be framed
+    /// ([`WireError::PayloadTooLarge`]); retransmission cannot help.
+    Unframeable {
+        /// Sending host.
+        from: usize,
+        /// Intended receiver.
+        to: usize,
+        /// Why sealing failed.
+        source: WireError,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -135,6 +145,12 @@ impl fmt::Display for ClusterError {
                 f,
                 "host {host}: no payload from host {peer} for layer {layer} after max retries"
             ),
+            ClusterError::Unframeable { from, to, source } => {
+                write!(
+                    f,
+                    "host {from}: cannot frame payload for host {to}: {source}"
+                )
+            }
         }
     }
 }
@@ -510,6 +526,15 @@ impl HostCtx {
         self.send_data(to, layer, &payload, value_only, 0)
     }
 
+    /// Seals `payload` for `to`, naming both ends if it cannot be framed.
+    fn seal(&self, to: usize, payload: &Bytes) -> Result<Bytes, ClusterError> {
+        seal_frame(payload).map_err(|source| ClusterError::Unframeable {
+            from: self.host,
+            to,
+            source,
+        })
+    }
+
     /// One delivery attempt: the injector may withhold the frame or flip
     /// one bit of it; what survives goes on the channel sealed.
     fn send_data(
@@ -538,7 +563,7 @@ impl HostCtx {
             counters::bump(counters::INJECTED_DROP);
             return Ok(());
         }
-        let mut frame = seal_frame(payload);
+        let mut frame = self.seal(to, payload)?;
         let mut clean = true;
         if let Some(bit) = plan.flip_bit(self.host, to, layer, seq, attempt, frame.len()) {
             let mut raw = frame.as_slice().to_vec();
@@ -828,7 +853,7 @@ impl HostCtx {
                 seq: STATE_TRANSFER_SEQ,
                 kind: MsgKind::Data { attempt: 0 },
                 value_only: false,
-                payload: seal_frame(&payload),
+                payload: self.seal(to, &payload)?,
             },
         )?;
         Ok(len)

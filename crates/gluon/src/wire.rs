@@ -1023,11 +1023,13 @@ pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"GW2V");
 /// CRC-32 `u32`, all little-endian.
 pub const FRAME_HEADER_BYTES: usize = 12;
 
-/// A received frame that failed validation.
+/// A frame that failed validation on receipt, or a payload that cannot
+/// be framed at all.
 ///
-/// The threaded engine treats any of these as a corrupted delivery: the
-/// receiver NAKs the `(sender, layer)` slot and the sender retransmits
-/// from its resend buffer.
+/// The threaded engine treats a receive-side error as a corrupted
+/// delivery: the receiver NAKs the `(sender, layer)` slot and the sender
+/// retransmits from its resend buffer. [`WireError::PayloadTooLarge`] is
+/// the one send-side case and no retry can heal it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// The buffer is shorter than a frame header, the header's length
@@ -1049,6 +1051,11 @@ pub enum WireError {
         /// Checksum computed over the received payload.
         computed: u32,
     },
+    /// The payload does not fit the header's `u32` length field.
+    PayloadTooLarge {
+        /// Payload size in bytes.
+        len: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -1067,6 +1074,12 @@ impl fmt::Display for WireError {
                     "payload checksum mismatch: header {expected:#010x}, computed {computed:#010x}"
                 )
             }
+            WireError::PayloadTooLarge { len } => {
+                write!(
+                    f,
+                    "payload of {len} bytes exceeds the frame header's u32 length field"
+                )
+            }
         }
     }
 }
@@ -1080,13 +1093,23 @@ impl std::error::Error for WireError {}
 /// comm-volume accounting ([`crate::volume::CommStats`]) keeps counting
 /// the bare payload bytes, so sealed and unsealed runs report identical
 /// volumes.
-pub fn seal_frame(payload: &Bytes) -> Bytes {
+///
+/// Fails with [`WireError::PayloadTooLarge`] for a payload of 4 GiB or
+/// more: a wrapped length field would make a frame every receiver
+/// rejects as `BadLength` until its NAK retries run out.
+pub fn seal_frame(payload: &Bytes) -> Result<Bytes, WireError> {
+    let len = frame_len_field(payload.len())?;
     let mut buf = BytesMut::with_capacity(FRAME_HEADER_BYTES + payload.len());
     buf.put_u32_le(FRAME_MAGIC);
-    buf.put_u32_le(payload.len() as u32);
+    buf.put_u32_le(len);
     buf.put_u32_le(crc32(payload.as_slice()));
     buf.put_slice(payload.as_slice());
-    buf.freeze()
+    Ok(buf.freeze())
+}
+
+/// The header's length field for a payload of `len` bytes.
+fn frame_len_field(len: usize) -> Result<u32, WireError> {
+    u32::try_from(len).map_err(|_| WireError::PayloadTooLarge { len })
 }
 
 /// Validates a sealed frame and returns the payload as a zero-copy slice
@@ -1525,7 +1548,7 @@ mod tests {
         enc.push(5, &[1.5, -2.0]);
         enc.push(9, &[0.25, 4.0]);
         let vo = enc.finish_values();
-        let frame = seal_frame(&vo);
+        let frame = seal_frame(&vo).unwrap();
         // Flip one payload bit; the frame length stays valid.
         let mut bytes = frame.as_slice().to_vec();
         bytes[FRAME_HEADER_BYTES + 3] ^= 0x10;
@@ -1694,7 +1717,7 @@ mod tests {
     #[test]
     fn frame_roundtrip_is_identity_on_payload() {
         let payload = sample_payload();
-        let frame = seal_frame(&payload);
+        let frame = seal_frame(&payload).unwrap();
         assert_eq!(frame.len(), FRAME_HEADER_BYTES + payload.len());
         let opened = open_frame(&frame).unwrap();
         assert_eq!(opened.as_slice(), payload.as_slice());
@@ -1703,13 +1726,30 @@ mod tests {
     #[test]
     fn empty_payload_frames_fine() {
         let payload = RowEncoder::new(4).finish();
-        let opened = open_frame(&seal_frame(&payload)).unwrap();
+        let opened = open_frame(&seal_frame(&payload).unwrap()).unwrap();
         assert!(opened.is_empty());
     }
 
     #[test]
+    fn length_field_boundary_is_a_typed_error_not_a_wrap() {
+        // The check `seal_frame` runs, on the lengths alone: no 4 GiB
+        // payload is allocated.
+        assert_eq!(frame_len_field(0), Ok(0));
+        assert_eq!(frame_len_field(u32::MAX as usize), Ok(u32::MAX));
+        #[cfg(target_pointer_width = "64")]
+        for len in [1usize << 32, (1 << 32) + 12, usize::MAX] {
+            assert_eq!(
+                frame_len_field(len),
+                Err(WireError::PayloadTooLarge { len }),
+                "a wrapped field would claim {} bytes",
+                len as u32
+            );
+        }
+    }
+
+    #[test]
     fn every_single_bit_flip_detected() {
-        let frame = seal_frame(&sample_payload());
+        let frame = seal_frame(&sample_payload()).unwrap();
         for bit in 0..frame.len() * 8 {
             let mut bytes = frame.as_slice().to_vec();
             bytes[bit / 8] ^= 1 << (bit % 8);
@@ -1722,7 +1762,7 @@ mod tests {
 
     #[test]
     fn truncated_and_garbage_frames_rejected() {
-        let frame = seal_frame(&sample_payload());
+        let frame = seal_frame(&sample_payload()).unwrap();
         assert_eq!(
             open_frame(&frame.slice(0..4)).unwrap_err(),
             WireError::BadLength {

@@ -21,6 +21,10 @@ fn encode(dim: usize, entries: &[(u32, Vec<u32>)]) -> Bytes {
     enc.finish()
 }
 
+fn seal(payload: &Bytes) -> Bytes {
+    seal_frame(payload).expect("test payloads are far below 4 GiB")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -38,7 +42,7 @@ proptest! {
             .collect();
         prop_assume!(entries.iter().all(|(_, bits)| bits.len() == dim));
         let payload = encode(dim, &entries);
-        let opened = open_frame(&seal_frame(&payload)).expect("faultless frame must open");
+        let opened = open_frame(&seal(&payload)).expect("faultless frame must open");
         prop_assert_eq!(opened.as_slice(), payload.as_slice());
         let mut dec = RowDecoder::new(opened, dim);
         for (node, bits) in &entries {
@@ -65,7 +69,7 @@ proptest! {
             .map(|(n, bits)| (n, bits.into_iter().take(dim).collect()))
             .collect();
         prop_assume!(entries.iter().all(|(_, bits)| bits.len() == dim));
-        let frame = seal_frame(&encode(dim, &entries));
+        let frame = seal(&encode(dim, &entries));
         let bit = (flip_pick % (frame.len() as u64 * 8)) as usize;
         let mut corrupted = frame.as_slice().to_vec();
         corrupted[bit / 8] ^= 1 << (bit % 8);
@@ -99,7 +103,7 @@ proptest! {
         let ids: Vec<u32> = enc.ids().to_vec();
         let payload = enc.finish_values();
         prop_assert_eq!(payload.len() + 4 * entries.len(), enc.byte_len());
-        let opened = open_frame(&seal_frame(&payload)).expect("faultless frame must open");
+        let opened = open_frame(&seal(&payload)).expect("faultless frame must open");
         let mut dec = ValueDecoder::new(opened, dim, &ids).expect("length matches the cache");
         for (node, bits) in &entries {
             let (got_node, got_row) = dec.next_entry().expect("entry present");
@@ -133,7 +137,7 @@ proptest! {
             enc.push(*node, &row);
         }
         let ids: Vec<u32> = enc.ids().to_vec();
-        let frame = seal_frame(&enc.finish_values());
+        let frame = seal(&enc.finish_values());
         let mut corrupted = frame.as_slice().to_vec();
         let byte = (pick % corrupted.len() as u64) as usize;
         corrupted[byte] = corrupted[byte].wrapping_add(delta);

@@ -1,17 +1,22 @@
-//! Runtime-dispatched SIMD kernels for the dense `f32` hot paths.
+//! Runtime-dispatched SIMD kernels for the dense `f32` hot paths and
+//! the CRC-32 that guards their wire form.
 //!
 //! Every kernel exists twice: a portable scalar reference in [`scalar`]
 //! (the exact 4-way-unrolled code the workspace shipped with, kept
 //! bit-for-bit stable so forced-scalar runs reproduce historical results)
 //! and a hand-written AVX2+FMA implementation in the private `avx2`
-//! module. A process-wide dispatch table is selected once, on first use,
-//! by [`kernels`]:
+//! module. The one integer entry, `crc32_update`, lives in
+//! [`crate::crc32`]: slice-by-8 in the scalar table, PCLMULQDQ folding
+//! in the vector table. A process-wide dispatch table is selected once,
+//! on first use, by [`kernels`]:
 //!
 //! 1. if the `GW2V_FORCE_SCALAR` environment variable is set to `1` or
 //!    `true`, the scalar table is used unconditionally (tests, benches,
 //!    and bit-exact reproduction of pre-SIMD results);
 //! 2. otherwise, on x86/x86_64 hosts where `is_x86_feature_detected!`
-//!    reports both `avx2` and `fma`, the vector table is used;
+//!    reports both `avx2` and `fma`, the vector table is used — with
+//!    its CRC entry swapped back to slice-by-8 if the separate
+//!    `pclmulqdq` / `sse4.1` CPUID bits are missing;
 //! 3. otherwise the scalar table is the portable fallback.
 //!
 //! The public entry points in [`crate::fvec`] route through this table, so
@@ -120,6 +125,14 @@ pub struct Kernels {
     /// FMA) on both backends, so reconstruction is backend-bit-identical
     /// too.
     pub dequantize_rows: DequantizeFn,
+    /// CRC-32 (IEEE) state update behind [`crate::crc32::Crc32::update`]:
+    /// absorbs `bytes` into the raw (pre-inversion) `state` and returns
+    /// the new state. Slice-by-8 in the scalar table, PCLMULQDQ folding
+    /// in the vector table. **Backend-bit-identical by contract** for
+    /// every length and every incoming state — sealed frames,
+    /// checkpoint trailers and fingerprints must not depend on which
+    /// backend wrote them.
+    pub crc32_update: fn(state: u32, bytes: &[u8]) -> u32,
 }
 
 static SCALAR_KERNELS: Kernels = Kernels {
@@ -136,6 +149,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
     gemm_tn: scalar::gemm_tn,
     quantize_rows: scalar::quantize_rows,
     dequantize_rows: scalar::dequantize_rows,
+    crc32_update: scalar::crc32_update,
 };
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -157,10 +171,14 @@ static AVX2_KERNELS: Kernels = Kernels {
     dequantize_rows: |packed, dim, scales, offsets, values| unsafe {
         avx2::dequantize_rows(packed, dim, scales, offsets, values)
     },
+    // SAFETY: needs two CPUID bits the table's avx2+fma test does not
+    // imply; `select` keeps this entry only where `clmul::supported()`
+    // and installs slice-by-8 otherwise.
+    crc32_update: |state, bytes| unsafe { crate::crc32::clmul::update(state, bytes) },
 };
 
 struct Selected {
-    kernels: &'static Kernels,
+    kernels: Kernels,
     name: &'static str,
 }
 
@@ -169,7 +187,7 @@ static SELECTED: OnceLock<Selected> = OnceLock::new();
 fn select() -> Selected {
     if force_scalar() {
         return Selected {
-            kernels: &SCALAR_KERNELS,
+            kernels: SCALAR_KERNELS,
             name: "scalar (forced by GW2V_FORCE_SCALAR)",
         };
     }
@@ -177,14 +195,18 @@ fn select() -> Selected {
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
+            let mut kernels = AVX2_KERNELS;
+            if !crate::crc32::clmul::supported() {
+                kernels.crc32_update = SCALAR_KERNELS.crc32_update;
+            }
             return Selected {
-                kernels: &AVX2_KERNELS,
+                kernels,
                 name: "avx2+fma",
             };
         }
     }
     Selected {
-        kernels: &SCALAR_KERNELS,
+        kernels: SCALAR_KERNELS,
         name: "scalar",
     }
 }
@@ -200,7 +222,7 @@ pub fn force_scalar() -> bool {
 /// The process-wide kernel table (selected once, on first call).
 #[inline]
 pub fn kernels() -> &'static Kernels {
-    SELECTED.get_or_init(select).kernels
+    &SELECTED.get_or_init(select).kernels
 }
 
 /// Human-readable name of the selected backend.
@@ -344,6 +366,13 @@ pub mod scalar {
         for (v, b) in values.iter_mut().zip(src.chunks_exact(4)) {
             *v = f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
         }
+    }
+
+    /// CRC-32 (IEEE) state update, slice-by-8 over compile-time tables;
+    /// the tables and the loop live in [`crate::crc32`].
+    #[inline]
+    pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+        crate::crc32::update_slice8(state, bytes)
     }
 
     /// Per-row affine u8 quantization (see [`crate::simd::Kernels`] for
@@ -1039,6 +1068,29 @@ mod tests {
         assert!(
             name.contains("scalar") || name == "avx2+fma",
             "unexpected backend name {name:?}"
+        );
+    }
+
+    #[test]
+    fn crc_entry_follows_the_detected_features() {
+        // CI runs this under GW2V_FORCE_SCALAR=0 and =1: the forced cell
+        // must carry slice-by-8, the dispatched cell CLMUL wherever the
+        // CPU has it. `select` copies the slice-by-8 entry out of the
+        // scalar table, so identity with that stored pointer tells the
+        // two kernels apart.
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        let expect_clmul = !force_scalar()
+            && std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
+            && crate::crc32::clmul::supported();
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        let expect_clmul = false;
+        let is_slice8 = std::ptr::fn_addr_eq(kernels().crc32_update, SCALAR_KERNELS.crc32_update);
+        assert_eq!(
+            is_slice8,
+            !expect_clmul,
+            "backend {:?} carries the wrong crc32 kernel",
+            backend_name()
         );
     }
 

@@ -174,6 +174,30 @@ fn wire_codec_matches_scalar_bitwise_all_lengths_0_to_512() {
 }
 
 #[test]
+fn crc32_update_matches_scalar_bitwise_all_lengths_0_to_512() {
+    // The checksum is integer arithmetic: the dispatched entry (CLMUL
+    // folding where the CPU has it) must equal the slice-by-8 reference
+    // for every length, slice alignment and incoming state, or frames
+    // sealed by one backend would fail to open under the other.
+    let k = gw2v_util::simd::kernels();
+    let buf: Vec<u8> = (0..512u32 + 3)
+        .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
+        .collect();
+    for n in 0..=512usize {
+        for offset in [0usize, 3] {
+            let data = &buf[offset..offset + n];
+            for state in [0xFFFF_FFFFu32, 0, 0xDEAD_BEEF] {
+                assert_eq!(
+                    (k.crc32_update)(state, data),
+                    scalar::crc32_update(state, data),
+                    "crc32_update n={n} offset={offset} state={state:#010x}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn single_rounding_kernels_match_scalar_bitwise() {
     // scale, sub_into, and add_assign perform exactly one IEEE operation
     // per lane on both backends, so the results must be bit-identical.
@@ -427,6 +451,15 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn prop_crc32_update_matches_scalar_bitwise(
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        state in any::<u32>()
+    ) {
+        let k = gw2v_util::simd::kernels();
+        prop_assert_eq!((k.crc32_update)(state, &data), scalar::crc32_update(state, &data));
     }
 
     #[test]
