@@ -676,7 +676,7 @@ pub fn serve(raw: &[String]) -> CmdResult {
         None => Box::new(BufWriter::new(std::io::stdout())),
     };
     let t0 = std::time::Instant::now();
-    let mut pending: Vec<Query> = Vec::with_capacity(batch);
+    let mut pending: Vec<Query> = Vec::new();
     let mut served = 0usize;
     let flush =
         |pending: &mut Vec<Query>, writer: &mut dyn Write| -> Result<usize, Box<dyn Error>> {

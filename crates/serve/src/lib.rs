@@ -19,15 +19,19 @@
 //!    `gemm_nt` microkernel can stream them, with per-row inverse norms
 //!    precomputed once at load time.
 //! 3. **Query** ([`query`]): similarity and analogy queries are batched
-//!    into a matrix, normalized once, and scored against every shard with
-//!    one GEMM per shard. Ranking uses scores quantized to 1e-6 with
-//!    ascending-id tie-breaks, which makes the served output byte-identical
-//!    across SIMD backends (see [`query::quantize`]).
+//!    into a matrix, normalized once, and scored against every shard in
+//!    256-row tiles, one GEMM per tile, with selection filtered by a
+//!    per-query score threshold while the tile's scores are in cache.
+//!    Ranking uses scores quantized to 1e-6 with ascending-id
+//!    tie-breaks, which makes the served output byte-identical across
+//!    SIMD backends (see [`query::quantize`]).
 //!
 //! Everything is instrumented through gw2v-obs: `serve.queries`,
-//! `serve.batches`, `serve.oov`, and the `serve.query_ns` /
-//! `serve.shard_scan_ns` log-bucketed histograms that the load harness
-//! reads back for p50/p99 reporting.
+//! `serve.batches`, `serve.oov`, the useful-over-attempted pair
+//! `serve.rows_scored` / `serve.scan_candidates`, and the
+//! `serve.query_ns` / `serve.shard_scan_ns` / `serve.rescore_ns`
+//! log-bucketed histograms that the load harness reads back for p50/p99
+//! reporting.
 
 #![deny(missing_docs)]
 

@@ -4,13 +4,26 @@
 //!
 //! A batch of queries becomes one `m × dim` row-major matrix of unit
 //! query vectors (normalization paid once per query, using the store's
-//! precomputed inverse norms where possible). Each shard is then scored
-//! with a single [`gemm_nt`](gw2v_util::fvec::gemm_nt) call — `scores =
-//! Q · Rᵀ`, the same microkernel HogBatch uses for its minibatch scores —
-//! and the raw dot products are turned into cosines by the shard's
-//! per-row inverse norms. Top-k selection runs per query with an
-//! exclusion list (a similarity query never returns its own word, an
-//! analogy never returns its three inputs).
+//! precomputed inverse norms where possible). Each shard is then scanned
+//! in tiles of [`SCAN_TILE`] rows: one
+//! [`gemm_nt`](gw2v_util::fvec::gemm_nt) call — `scores = Q · Rᵀ`, the
+//! same microkernel HogBatch uses for its minibatch scores — fills an
+//! `m × SCAN_TILE` block that never leaves the cache, and each query
+//! selects from its row of the block before the next tile is scored.
+//! Raw dot products become cosines through the shard's per-row inverse
+//! norms. Selection runs per query with an exclusion list (a similarity
+//! query never returns its own word, an analogy never returns its three
+//! inputs).
+//!
+//! Selection is filtered: once a query's pool is full it carries an
+//! `f32` threshold below which no score can enter (see
+//! `reject_below`); the tile is tested eight lanes at a time without a
+//! branch per lane, and only the survivors — a few hundred of 50 000
+//! rows — are excluded, quantized and pushed. [`quantize`] is monotone,
+//! so a skipped score is one the pool would have refused anyway: the
+//! pool is the one a push of every row builds, and the
+//! `serve.scan_candidates / serve.rows_scored` counters report how
+//! little took the exact path.
 //!
 //! # The backend-invariance contract
 //!
@@ -20,7 +33,7 @@
 //! can land on a rounding boundary and straddle it between backends.
 //! Serving therefore runs in two phases:
 //!
-//! 1. **Scan** (dispatched kernels, fast): the per-shard GEMM nominates a
+//! 1. **Scan** (dispatched kernels, fast): the tiled GEMM nominates a
 //!    candidate *pool* of `k + POOL_SLACK` ids per query by approximate
 //!    quantized score.
 //! 2. **Rescore** (fixed-order scalar kernel, tiny): each pool
@@ -42,6 +55,7 @@ use crate::store::ShardedStore;
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec;
 use gw2v_util::simd::scalar;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Reciprocal of the score quantum: scores are ranked and printed at
@@ -53,6 +67,20 @@ pub const SCORE_SCALE: f64 = 1e6;
 /// before the scalar rescore picks the final top-k.
 pub const POOL_SLACK: usize = 16;
 
+/// Rows per scan tile: 64 KB of dim-64 rows and, at a batch of 32, a
+/// 32 KB score block, so rows are scored and selected while both sit in
+/// L1/L2 and the score scratch is `m × SCAN_TILE` floats whatever the
+/// shard size.
+pub const SCAN_TILE: usize = 256;
+
+// The AVX2 `gemm_nt` rounds a `B` row in a group of four differently
+// from one in the `n % 4` tail; whole tiles must leave a shard's tail
+// rows the tail rows, so tiling never changes a score.
+const _: () = assert!(SCAN_TILE.is_multiple_of(4));
+
+/// Scores tested against a pool's threshold at a time.
+const LANES: usize = 8;
+
 /// Quantizes a cosine score to integer micro-units for backend-invariant
 /// ranking. NaN maps to `i64::MIN` so a poisoned row can never outrank a
 /// finite score.
@@ -63,6 +91,23 @@ pub fn quantize(score: f32) -> i64 {
     } else {
         (score as f64 * SCORE_SCALE).round() as i64
     }
+}
+
+/// An `f32` threshold for a pool whose worst member scores `micro`: a
+/// `t` with `quantize(t) < micro`. [`quantize`] is monotone over
+/// non-NaN floats, so every score `s < t` quantizes strictly below the
+/// pool's worst and [`TopK::push`] would refuse it. `i64::MIN` (a pool
+/// holding a NaN row) yields `-∞`, below which nothing compares.
+fn reject_below(micro: i64) -> f32 {
+    if micro == i64::MIN {
+        return f32::NEG_INFINITY;
+    }
+    let mut t = ((micro - 1) as f64 / SCORE_SCALE) as f32;
+    // The f32 rounding above can land back on `micro`'s bucket.
+    while quantize(t) >= micro {
+        t = t.next_down();
+    }
+    t
 }
 
 /// One ranked result: a word id and its quantized cosine score.
@@ -187,7 +232,8 @@ impl Answer {
                     }
                     out.push_str("{\"word\":\"");
                     json_escape_into(vocab.word_of(h.id), &mut out);
-                    out.push_str(&format!("\",\"id\":{},\"score\":{:.6}}}", h.id, h.score()));
+                    write!(out, "\",\"id\":{},\"score\":{:.6}}}", h.id, h.score())
+                        .expect("writing to a String cannot fail");
                 }
                 out.push(']');
             }
@@ -210,7 +256,9 @@ pub fn json_escape_into(s: &str, out: &mut String) {
         match ch {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
+            }
             c => out.push(c),
         }
     }
@@ -222,6 +270,9 @@ pub fn json_escape_into(s: &str, out: &mut String) {
 struct TopK {
     k: usize,
     items: Vec<(i64, u32)>,
+    /// No score below this can enter: `-∞` while the pool has room,
+    /// then [`reject_below`] of its worst member.
+    threshold: f32,
 }
 
 #[inline]
@@ -234,6 +285,7 @@ impl TopK {
         Self {
             k,
             items: Vec::with_capacity(k + 1),
+            threshold: f32::NEG_INFINITY,
         }
     }
 
@@ -248,6 +300,50 @@ impl TopK {
         let pos = self.items.partition_point(|&it| better(it, (micro, id)));
         self.items.insert(pos, (micro, id));
         self.items.truncate(self.k);
+        if self.items.len() == self.k {
+            self.threshold = reject_below(self.items[self.k - 1].0);
+        }
+    }
+
+    /// Offers one query's row of a score tile: `dots[j] * inv[j]` is the
+    /// cosine of row `ids[j]`. Chunks of [`LANES`] scores that all fall
+    /// below the threshold are skipped whole; the rest go through
+    /// [`TopK::offer`]. Returns how many scores took that exact path.
+    fn offer_tile(&mut self, dots: &[f32], inv: &[f32], ids: &[u32], exclude: &[u32]) -> u64 {
+        let (dot_chunks, dot_tail) = dots.as_chunks::<LANES>();
+        let (inv_chunks, inv_tail) = inv.as_chunks::<LANES>();
+        let (id_chunks, id_tail) = ids.as_chunks::<LANES>();
+        let mut candidates = 0;
+        for ((d, w), ids) in dot_chunks.iter().zip(inv_chunks).zip(id_chunks) {
+            let t = self.threshold;
+            // No branch per lane. A NaN score is not below anything, so
+            // it survives to be quantized to `i64::MIN`.
+            let all_below = d
+                .iter()
+                .zip(w)
+                .fold(true, |all, (&d, &w)| all & (d * w < t));
+            if !all_below {
+                candidates += self.offer(d, w, ids, exclude);
+            }
+        }
+        candidates + self.offer(dot_tail, inv_tail, id_tail, exclude)
+    }
+
+    /// The exact path, score by score against the threshold as it
+    /// stands: exclusion list, [`quantize`], [`TopK::push`].
+    fn offer(&mut self, dots: &[f32], inv: &[f32], ids: &[u32], exclude: &[u32]) -> u64 {
+        let mut candidates = 0;
+        for ((&d, &w), &id) in dots.iter().zip(inv).zip(ids) {
+            let score = d * w;
+            if score < self.threshold {
+                continue;
+            }
+            candidates += 1;
+            if !exclude.contains(&id) {
+                self.push(quantize(score), id);
+            }
+        }
+        candidates
     }
 }
 
@@ -255,7 +351,18 @@ impl TopK {
 /// matrix plus the ids its ranking must skip.
 struct Resolved {
     query_index: usize,
-    exclude: Vec<u32>,
+    /// An analogy's three inputs; a similarity query's word, repeated.
+    exclude: [u32; 3],
+}
+
+/// A batch resolved for the scan.
+struct Packed {
+    /// `active.len() × dim` unit query vectors, row-major.
+    qmat: Vec<f32>,
+    /// The queries that resolved, in request order.
+    active: Vec<Resolved>,
+    /// Per request, the error of a query that did not resolve.
+    failures: Vec<Option<String>>,
 }
 
 /// The batched query engine: borrows a store and the vocabulary that
@@ -295,14 +402,15 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Builds the unit query vector for one request, or the per-query
-    /// error that will be reported instead.
-    fn resolve(&self, query: &Query, vec: &mut [f32]) -> Result<Vec<u32>, String> {
+    /// Builds the unit query vector for one request in `vec` (`tmp` is
+    /// scratch of the same length) and returns the ids its ranking must
+    /// skip, or the per-query error that will be reported instead.
+    fn resolve(&self, query: &Query, vec: &mut [f32], tmp: &mut [f32]) -> Result<[u32; 3], String> {
         match query {
             Query::Similar { word } => {
                 let id = self.id_of(word)?;
                 self.unit_into(id, vec);
-                Ok(vec![id])
+                Ok([id; 3])
             }
             Query::Analogy { a, b, c } => {
                 let (ia, ib, ic) = (self.id_of(a)?, self.id_of(b)?, self.id_of(c)?);
@@ -310,15 +418,13 @@ impl<'a> QueryEngine<'a> {
                 // normalized so reported scores are true cosines. Plain
                 // scalar arithmetic only — the query vector feeds the
                 // canonical rescore and must be backend-invariant.
-                let dim = vec.len();
-                let mut tmp = vec![0.0f32; dim];
                 self.unit_into(ib, vec);
-                self.unit_into(ia, &mut tmp);
-                for (v, t) in vec.iter_mut().zip(&tmp) {
+                self.unit_into(ia, tmp);
+                for (v, t) in vec.iter_mut().zip(&*tmp) {
                     *v -= *t;
                 }
-                self.unit_into(ic, &mut tmp);
-                for (v, t) in vec.iter_mut().zip(&tmp) {
+                self.unit_into(ic, tmp);
+                for (v, t) in vec.iter_mut().zip(&*tmp) {
                     *v += *t;
                 }
                 let n = scalar::dot(vec, vec).sqrt();
@@ -328,37 +434,21 @@ impl<'a> QueryEngine<'a> {
                         *v *= inv;
                     }
                 }
-                Ok(vec![ia, ib, ic])
+                Ok([ia, ib, ic])
             }
         }
     }
 
-    /// Answers one query; equivalent to a batch of size one.
-    pub fn answer(&self, query: &Query, k: usize) -> Answer {
-        self.answer_batch(std::slice::from_ref(query), k)
-            .pop()
-            .expect("one answer per query")
-    }
-
-    /// Answers a batch of queries: one GEMM per shard scores every
-    /// resolvable query at once, then each query ranks its own top `k`
-    /// under its exclusion list. Answers come back in request order;
-    /// unknown words produce per-query errors, not a batch failure.
-    pub fn answer_batch(&self, queries: &[Query], k: usize) -> Vec<Answer> {
-        let t_batch = Instant::now();
-        let span = gw2v_obs::span("serve.batch");
+    /// Resolves every query of a batch into a packed `m × dim` matrix.
+    fn pack(&self, queries: &[Query]) -> Packed {
         let dim = self.store.dim();
-        gw2v_obs::add("serve.queries", queries.len() as u64);
-        gw2v_obs::counter("serve.batches").inc();
-
-        // Resolve every query into a packed m_active × dim matrix.
         let mut qmat: Vec<f32> = Vec::with_capacity(queries.len() * dim);
         let mut active: Vec<Resolved> = Vec::with_capacity(queries.len());
         let mut failures: Vec<Option<String>> = vec![None; queries.len()];
-        let mut row = vec![0.0f32; dim];
+        let (mut row, mut tmp) = (vec![0.0f32; dim], vec![0.0f32; dim]);
         for (qi, q) in queries.iter().enumerate() {
             row.fill(0.0);
-            match self.resolve(q, &mut row) {
+            match self.resolve(q, &mut row, &mut tmp) {
                 Ok(exclude) => {
                     qmat.extend_from_slice(&row);
                     active.push(Resolved {
@@ -372,48 +462,89 @@ impl<'a> QueryEngine<'a> {
                 }
             }
         }
-
-        let m = active.len();
-        // The scan keeps a pool wider than k; the canonical rescore
-        // below picks the final k (see the module docs).
-        let pool_k = if k == 0 { 0 } else { k.saturating_add(POOL_SLACK) };
-        let mut tops: Vec<TopK> = (0..m).map(|_| TopK::new(pool_k)).collect();
-        if m > 0 {
-            let max_shard = self
-                .store
-                .shards()
-                .iter()
-                .map(|s| s.len())
-                .max()
-                .unwrap_or(0);
-            let mut scores = vec![0.0f32; m * max_shard];
-            for shard in self.store.shards() {
-                let n = shard.len();
-                if n == 0 {
-                    continue;
-                }
-                let t_scan = Instant::now();
-                let block = &mut scores[..m * n];
-                block.fill(0.0);
-                fvec::gemm_nt(m, n, dim, &qmat, shard.rows().as_slice(), block);
-                let (ids, inv) = (shard.ids(), shard.inv_norms());
-                for (i, top) in tops.iter_mut().enumerate() {
-                    let qrow = &block[i * n..(i + 1) * n];
-                    let exclude = &active[i].exclude;
-                    for j in 0..n {
-                        let id = ids[j];
-                        if exclude.contains(&id) {
-                            continue;
-                        }
-                        top.push(quantize(qrow[j] * inv[j]), id);
-                    }
-                }
-                gw2v_obs::observe("serve.shard_scan_ns", t_scan.elapsed().as_nanos() as u64);
-            }
+        Packed {
+            qmat,
+            active,
+            failures,
         }
+    }
+
+    /// The dispatched scan: nominates each active query's pool of (at
+    /// most) `pool_k` ids, tile by tile (see the module docs).
+    fn scan(&self, qmat: &[f32], active: &[Resolved], pool_k: usize) -> Vec<TopK> {
+        let (m, dim) = (active.len(), self.store.dim());
+        let mut tops: Vec<TopK> = (0..m).map(|_| TopK::new(pool_k)).collect();
+        if m == 0 {
+            return tops;
+        }
+        let mut scores = vec![0.0f32; m * SCAN_TILE];
+        let (mut rows_scored, mut candidates) = (0u64, 0u64);
+        for shard in self.store.shards() {
+            let n = shard.len();
+            if n == 0 {
+                continue;
+            }
+            let t_scan = Instant::now();
+            let (ids, inv, rows) = (shard.ids(), shard.inv_norms(), shard.rows().as_slice());
+            for start in (0..n).step_by(SCAN_TILE) {
+                let end = n.min(start + SCAN_TILE);
+                let len = end - start;
+                let block = &mut scores[..m * len];
+                block.fill(0.0);
+                fvec::gemm_nt(m, len, dim, qmat, &rows[start * dim..end * dim], block);
+                for (i, top) in tops.iter_mut().enumerate() {
+                    candidates += top.offer_tile(
+                        &block[i * len..(i + 1) * len],
+                        &inv[start..end],
+                        &ids[start..end],
+                        &active[i].exclude,
+                    );
+                }
+            }
+            rows_scored += (m * n) as u64;
+            gw2v_obs::observe("serve.shard_scan_ns", t_scan.elapsed().as_nanos() as u64);
+        }
+        gw2v_obs::add("serve.rows_scored", rows_scored);
+        gw2v_obs::add("serve.scan_candidates", candidates);
+        tops
+    }
+
+    /// Answers one query; equivalent to a batch of size one.
+    pub fn answer(&self, query: &Query, k: usize) -> Answer {
+        self.answer_batch(std::slice::from_ref(query), k)
+            .pop()
+            .expect("one answer per query")
+    }
+
+    /// Answers a batch of queries: one GEMM per tile of each shard scores
+    /// every resolvable query at once, then each query ranks its own top
+    /// `k` under its exclusion list. Answers come back in request order;
+    /// unknown words produce per-query errors, not a batch failure.
+    pub fn answer_batch(&self, queries: &[Query], k: usize) -> Vec<Answer> {
+        let t_batch = Instant::now();
+        let span = gw2v_obs::span("serve.batch");
+        let dim = self.store.dim();
+        gw2v_obs::add("serve.queries", queries.len() as u64);
+        gw2v_obs::counter("serve.batches").inc();
+
+        let Packed {
+            qmat,
+            active,
+            failures,
+        } = self.pack(queries);
+        // The scan keeps a pool wider than k; the canonical rescore
+        // below picks the final k (see the module docs). No pool can
+        // hold more than the store, whatever `k` a client sends.
+        let pool_k = if k == 0 {
+            0
+        } else {
+            k.saturating_add(POOL_SLACK).min(self.store.len())
+        };
+        let tops = self.scan(&qmat, &active, pool_k);
 
         // Canonical rescore of each query's pool with the fixed-order
         // scalar kernel, then reassemble in request order.
+        let t_rescore = Instant::now();
         let mut hits: Vec<Option<Vec<Hit>>> = failures.iter().map(|_| None).collect();
         for (i, (resolved, top)) in active.into_iter().zip(tops).enumerate() {
             let q = &qmat[i * dim..(i + 1) * dim];
@@ -435,6 +566,7 @@ impl<'a> QueryEngine<'a> {
                     .collect(),
             );
         }
+        gw2v_obs::observe("serve.rescore_ns", t_rescore.elapsed().as_nanos() as u64);
         let answers: Vec<Answer> = queries
             .iter()
             .zip(hits.into_iter().zip(failures))
@@ -471,10 +603,12 @@ impl<'a> QueryEngine<'a> {
 mod tests {
     use super::*;
     use gw2v_util::fvec::FlatMatrix;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
-    fn store_and_vocab(rows: usize, dim: usize) -> (ShardedStore, Vocabulary) {
+    /// Deterministic pseudo-random rows.
+    fn random_table(rows: usize, dim: usize) -> FlatMatrix {
         let mut t = FlatMatrix::zeros(rows, dim);
-        // Deterministic pseudo-random rows.
         let mut s = 0x243F_6A88_85A3_08D3u64;
         for r in 0..rows {
             for d in 0..dim {
@@ -482,10 +616,17 @@ mod tests {
                 t.row_mut(r)[d] = ((s >> 40) as f32 / (1u64 << 24) as f32) - 0.5;
             }
         }
-        let store = ShardedStore::from_matrix(&t, 4);
+        t
+    }
+
+    fn vocab_of(rows: usize) -> Vocabulary {
         let n = rows as u64;
-        let vocab = Vocabulary::from_counts((0..rows).map(|i| (format!("w{i}"), n - i as u64)), 1);
-        (store, vocab)
+        Vocabulary::from_counts((0..rows).map(|i| (format!("w{i}"), n - i as u64)), 1)
+    }
+
+    fn store_and_vocab(rows: usize, dim: usize) -> (ShardedStore, Vocabulary) {
+        let store = ShardedStore::from_matrix(&random_table(rows, dim), 4);
+        (store, vocab_of(rows))
     }
 
     #[test]
@@ -641,5 +782,285 @@ mod tests {
         );
         let line = err.json_line(&vocab);
         assert!(line.contains("\\\"b\\\\c"), "escaped: {line}");
+    }
+
+    /// `json_line` as it was written with one `format!` per hit and per
+    /// control byte; the `write!` rendering must equal it byte for byte.
+    fn json_line_by_format(a: &Answer, vocab: &Vocabulary) -> String {
+        let escape = |s: &str| -> String {
+            s.chars()
+                .map(|ch| match ch {
+                    '"' => "\\\"".to_owned(),
+                    '\\' => "\\\\".to_owned(),
+                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32),
+                    c => c.to_string(),
+                })
+                .collect()
+        };
+        let words: Vec<String> = a
+            .query
+            .words()
+            .iter()
+            .map(|w| format!("\"{}\"", escape(w)))
+            .collect();
+        let body = match &a.hits {
+            Ok(hits) => {
+                let hits: Vec<String> = hits
+                    .iter()
+                    .map(|h| {
+                        format!(
+                            "{{\"word\":\"{}\",\"id\":{},\"score\":{:.6}}}",
+                            escape(vocab.word_of(h.id)),
+                            h.id,
+                            h.score()
+                        )
+                    })
+                    .collect();
+                format!("\"hits\":[{}]", hits.join(","))
+            }
+            Err(e) => format!("\"error\":\"{}\"", escape(e)),
+        };
+        format!(
+            "{{\"kind\":\"{}\",\"words\":[{}],{body}}}",
+            a.query.kind(),
+            words.join(",")
+        )
+    }
+
+    #[test]
+    fn json_line_bytes_equal_the_format_rendering() {
+        let vocab = Vocabulary::from_counts(
+            [
+                ("plain", 9u64),
+                ("q\"uote\\", 8),
+                ("ctl\u{1}\t\n\u{1f}", 7),
+                ("ünï", 6),
+            ]
+            .into_iter()
+            .map(|(w, c)| (w.to_owned(), c)),
+            1,
+        );
+        let hits: Vec<Hit> = [
+            1_000_000i64,
+            999_999,
+            1,
+            0,
+            -1,
+            -123_456,
+            -1_000_000,
+            i64::MIN,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, score_micro)| Hit {
+            id: (i % 4) as u32,
+            score_micro,
+        })
+        .collect();
+        let answers = [
+            Answer {
+                query: Query::Similar {
+                    word: "ctl\u{1}\t".into(),
+                },
+                hits: Ok(hits.clone()),
+            },
+            Answer {
+                query: Query::Analogy {
+                    a: "q\"uote\\".into(),
+                    b: "ünï".into(),
+                    c: "plain".into(),
+                },
+                hits: Ok(Vec::new()),
+            },
+            Answer {
+                query: Query::Similar {
+                    word: "no\u{0}pe".into(),
+                },
+                hits: Err("unknown word \"no\\u{0}pe\"\u{7}".into()),
+            },
+        ];
+        for a in &answers {
+            assert_eq!(a.json_line(&vocab), json_line_by_format(a, &vocab));
+        }
+        assert!(answers[0].json_line(&vocab).contains("ctl\\u0001\\u0009"));
+    }
+
+    #[test]
+    fn reject_below_never_rejects_a_score_the_pool_would_take() {
+        let mut micros = vec![
+            0,
+            1,
+            -1,
+            999_999,
+            -999_999,
+            1_000_000,
+            -1_000_000,
+            i64::MIN + 1,
+            i64::MAX,
+        ];
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..4000 {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Mostly cosines, some far outside [-1, 1], some anywhere.
+            micros.push(match i % 4 {
+                0 => s as i64,
+                1 => (s >> 20) as i64 - (1 << 43),
+                _ => (s >> 40) as i64 % 1_100_000 - 550_000,
+            });
+        }
+        for micro in micros {
+            let mut t = reject_below(micro);
+            assert!(!t.is_nan(), "micro {micro}");
+            // The threshold and the floats under it quantize below the
+            // pool's worst; by monotonicity so does every `s < t`.
+            for _ in 0..4 {
+                assert!(quantize(t) < micro, "micro {micro}: t {t:e}");
+                t = t.next_down();
+            }
+        }
+        // A pool whose worst is a NaN row rejects nothing: no float
+        // quantizes below `i64::MIN`, and none compares below -∞.
+        assert_eq!(reject_below(i64::MIN), f32::NEG_INFINITY);
+    }
+
+    /// The scan this module shipped with before the tile loop:
+    /// materialise every score of a shard, then push each one.
+    fn scan_materialized(
+        engine: &QueryEngine,
+        qmat: &[f32],
+        active: &[Resolved],
+        pool_k: usize,
+    ) -> Vec<TopK> {
+        let (m, dim) = (active.len(), engine.store.dim());
+        let mut tops: Vec<TopK> = (0..m).map(|_| TopK::new(pool_k)).collect();
+        for shard in engine.store.shards() {
+            let n = shard.len();
+            let mut block = vec![0.0f32; m * n];
+            fvec::gemm_nt(m, n, dim, qmat, shard.rows().as_slice(), &mut block);
+            let (ids, inv) = (shard.ids(), shard.inv_norms());
+            for (i, top) in tops.iter_mut().enumerate() {
+                let qrow = &block[i * n..(i + 1) * n];
+                for j in 0..n {
+                    if !active[i].exclude.contains(&ids[j]) {
+                        top.push(quantize(qrow[j] * inv[j]), ids[j]);
+                    }
+                }
+            }
+        }
+        tops
+    }
+
+    /// Asserts the tiled, threshold-filtered scan nominates exactly the
+    /// pools of the materialise-then-select loop for `queries`.
+    fn assert_scan_matches_oracle(store: &ShardedStore, queries: &[Query], k: usize) {
+        let vocab = vocab_of(store.len());
+        let engine = QueryEngine::new(store, &vocab);
+        let packed = engine.pack(queries);
+        assert!(packed.failures.iter().all(Option::is_none));
+        let pool_k = if k == 0 {
+            0
+        } else {
+            (k + POOL_SLACK).min(store.len())
+        };
+        let got = engine.scan(&packed.qmat, &packed.active, pool_k);
+        let want = scan_materialized(&engine, &packed.qmat, &packed.active, pool_k);
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.items, w.items, "pool of query {i} ({:?})", queries[i]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Over tables with zero rows, NaN rows and duplicated rows
+        /// (exact score ties, across shards too), every k, shard count,
+        /// batch size and exclusion shape.
+        #[test]
+        fn tiled_scan_pool_equals_the_materialised_scan(
+            rows in 3usize..700,
+            dim in 1usize..24,
+            seed in any::<u64>(),
+            n_shards in prop_oneof![Just(1usize), Just(3), Just(8)],
+            batch in prop_oneof![Just(1usize), Just(2), Just(3), Just(32), Just(33)],
+            k_kind in 0usize..5,
+        ) {
+            let mut rng = TestRng::from_seed(seed);
+            let mut t = FlatMatrix::zeros(rows, dim);
+            for r in 0..rows {
+                match rng.below(10) {
+                    0 => {}
+                    1 => t.row_mut(r)[rng.below(dim as u64) as usize] = f32::NAN,
+                    2 | 3 if r > 0 => {
+                        let src = t.row(rng.below(r as u64) as usize).to_vec();
+                        t.row_mut(r).copy_from_slice(&src);
+                    }
+                    _ => {
+                        for v in t.row_mut(r) {
+                            // A coarse grid, so distinct rows tie too.
+                            *v = (rng.below(9) as f32 - 4.0) * 0.25;
+                        }
+                    }
+                }
+            }
+            let store = ShardedStore::from_matrix(&t, n_shards);
+            let word = |rng: &mut TestRng| format!("w{}", rng.below(rows as u64));
+            let queries: Vec<Query> = (0..batch)
+                .map(|i| {
+                    if i % 3 == 1 {
+                        Query::Analogy { a: word(&mut rng), b: word(&mut rng), c: word(&mut rng) }
+                    } else {
+                        Query::Similar { word: word(&mut rng) }
+                    }
+                })
+                .collect();
+            let k = [0, 1, 10, rows, rows + 5][k_kind];
+            assert_scan_matches_oracle(&store, &queries, k);
+        }
+    }
+
+    #[test]
+    fn tile_edges_keep_the_last_row() {
+        // One shard, so shard order is id order: tiles end at rows 255 /
+        // 256 / 257, at a 5-row tail, and at 2 and 2.03 tiles. The last
+        // row is the query's own direction (cosine 1), alone in the
+        // short tail tile — and the first row its runner-up.
+        for rows in [255usize, 256, 257, 261, 512, 519] {
+            let mut t = random_table(rows, 8);
+            let probe: Vec<f32> = t.row(7).iter().map(|x| x * 3.0).collect();
+            t.row_mut(rows - 1).copy_from_slice(&probe);
+            let near: Vec<f32> = t.row(7).iter().map(|x| x + 0.01).collect();
+            t.row_mut(0).copy_from_slice(&near);
+            let store = ShardedStore::from_matrix(&t, 1);
+            let vocab = vocab_of(rows);
+            let engine = QueryEngine::new(&store, &vocab);
+            let q = Query::Similar { word: "w7".into() };
+            for k in [1usize, 10] {
+                let hits = engine.answer(&q, k).hits.unwrap();
+                assert_eq!(hits[0].id as usize, rows - 1, "{rows} rows, k {k}");
+                assert_eq!(hits[0].score_micro, 1_000_000);
+                if k > 1 {
+                    assert_eq!(hits[1].id, 0, "{rows} rows");
+                }
+            }
+            let batch: Vec<Query> = (0..33)
+                .map(|i| Query::Similar {
+                    word: format!("w{i}"),
+                })
+                .collect();
+            assert_scan_matches_oracle(&store, &batch, 10);
+        }
+    }
+
+    #[test]
+    fn pool_is_capped_by_the_store() {
+        let (store, vocab) = store_and_vocab(20, 8);
+        let engine = QueryEngine::new(&store, &vocab);
+        let q = Query::Similar { word: "w4".into() };
+        let all = engine.answer(&q, usize::MAX).hits.unwrap();
+        assert_eq!(all.len(), 19, "every row but the query's own");
+        assert_eq!(all, engine.answer(&q, 19).hits.unwrap());
     }
 }

@@ -16,11 +16,12 @@
 //! Rows are partitioned by a splitmix-style hash of the word id into
 //! `n_shards` shards. Within a shard, rows are stored back-to-back in one
 //! contiguous [`FlatMatrix`] in ascending-id order — exactly the `B[n×k]`
-//! operand shape of [`gemm_nt`](gw2v_util::fvec::gemm_nt), so a scan is
-//! one GEMM per shard with no gather step. Raw (unnormalized) trainer
-//! values are preserved; cosine normalization is amortized into a
-//! per-row inverse norm computed once at load time (`0.0` for zero or
-//! non-finite rows, so they can never win a top-k slot).
+//! operand shape of [`gemm_nt`](gw2v_util::fvec::gemm_nt), so a scan
+//! hands the kernel tiles of a shard with no gather step. Raw
+//! (unnormalized) trainer values are preserved; cosine normalization is
+//! amortized into a per-row inverse norm computed once at load time
+//! (`0.0` for zero or non-finite rows, so they can never win a top-k
+//! slot).
 
 use gw2v_core::checkpoint::{Checkpoint, CheckpointError};
 use gw2v_gluon::liveness::Liveness;
@@ -196,10 +197,12 @@ fn shard_of(id: u32, n_shards: usize) -> usize {
 
 impl ShardedStore {
     /// Builds a store over an already-assembled embedding matrix. Row `r`
-    /// of `table` is word id `r`; values are copied bit-for-bit.
+    /// of `table` is word id `r`; values are copied bit-for-bit. The
+    /// shard count is clamped to `1..=rows`: more shards than rows could
+    /// only add empty ones, and the count comes from a command line.
     pub fn from_matrix(table: &FlatMatrix, n_shards: usize) -> Self {
-        let n_shards = n_shards.max(1);
         let (n_rows, dim) = (table.rows(), table.dim());
+        let n_shards = n_shards.clamp(1, n_rows.max(1));
         let span = gw2v_obs::span("serve.load");
         // Two passes: size each shard, then fill preserving ascending-id
         // order (ids are visited in order, so pushes stay sorted).
@@ -340,11 +343,11 @@ mod tests {
     #[test]
     fn sharding_preserves_every_row_bitwise() {
         let t = table(37, 8);
-        for n_shards in [1, 2, 7, 64] {
+        for n_shards in [1, 2, 7, 64, usize::MAX] {
             let store = ShardedStore::from_matrix(&t, n_shards);
             assert_eq!(store.len(), 37);
             assert_eq!(store.dim(), 8);
-            assert_eq!(store.n_shards(), n_shards);
+            assert_eq!(store.n_shards(), n_shards.min(37), "clamped to the rows");
             let mut seen = 0usize;
             for shard in store.shards() {
                 assert!(shard.ids().windows(2).all(|w| w[0] < w[1]), "ids ascending");

@@ -100,9 +100,14 @@ pub struct Kernels {
     /// Small-matrix GEMM, "NT" shape: `C[m×n] += A[m×k] · B[n×k]ᵀ`.
     /// All matrices row-major; `B` holds `n` rows of length `k`, so each
     /// `C[i][j]` accumulates the dot product of row `i` of `A` with row
-    /// `j` of `B`. This is the HogBatch *score* kernel: `A` = gathered
-    /// input rows, `B` = gathered target rows, `k` = embedding dim
-    /// (register-blocked for the dim ∈ {64, 200} hot sizes).
+    /// `j` of `B`. This is the HogBatch *score* kernel (`A` = gathered
+    /// input rows, `B` = gathered target rows, `k` = embedding dim) and
+    /// the serve scan (`A` = the batch's unit queries, `B` = a tile of
+    /// the table). The vector backend holds a 2×4 block of `C` in
+    /// registers; on both backends an output depends only on its two
+    /// rows and on whether its `B` row falls in the `n % 4` tail, so a
+    /// caller may split `A` anywhere and `B` at multiples of four rows
+    /// without changing a bit.
     pub gemm_nt: GemmFn,
     /// Small-matrix GEMM, "TN" shape: `C[m×n] += A[k×m]ᵀ · B[k×n]`.
     /// All matrices row-major; `C[i][j]` accumulates
@@ -883,13 +888,162 @@ mod avx2 {
         }
     }
 
-    /// `C[m×n] += A[m×k] · B[n×k]ᵀ`, row-major. Blocked one `A` row
-    /// against four `B` rows: each 8-lane `A` load is reused by four FMA
-    /// accumulators, quartering the load traffic of four independent dot
-    /// products. `k` is the embedding dim here, so the inner loop runs
-    /// 8/25 full iterations at the dim ∈ {64, 200} hot sizes.
+    /// Horizontal sums of four accumulators at once, one per lane of the
+    /// result. Each accumulator goes through exactly [`hsum`]'s add tree
+    /// (`lo + hi`, then lanes `0+2`/`1+3`, then `even + odd`, same
+    /// operand order), transposed so the three steps run four-wide:
+    /// lane `r` of the result is bit-equal to `hsum(v_r)`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn hsum4(v0: __m256, v1: __m256, v2: __m256, v3: __m256) -> __m128 {
+        let q0 = _mm_add_ps(_mm256_castps256_ps128(v0), _mm256_extractf128_ps(v0, 1));
+        let q1 = _mm_add_ps(_mm256_castps256_ps128(v1), _mm256_extractf128_ps(v1, 1));
+        let q2 = _mm_add_ps(_mm256_castps256_ps128(v2), _mm256_extractf128_ps(v2, 1));
+        let q3 = _mm_add_ps(_mm256_castps256_ps128(v3), _mm256_extractf128_ps(v3, 1));
+        // (q0[0]+q0[2], q0[1]+q0[3], q1[0]+q1[2], q1[1]+q1[3]), and the
+        // same for q2/q3.
+        let d01 = _mm_add_ps(_mm_movelh_ps(q0, q1), _mm_movehl_ps(q1, q0));
+        let d23 = _mm_add_ps(_mm_movelh_ps(q2, q3), _mm_movehl_ps(q3, q2));
+        _mm_add_ps(
+            _mm_shuffle_ps(d01, d23, 0b10_00_10_00),
+            _mm_shuffle_ps(d01, d23, 0b11_01_11_01),
+        )
+    }
+
+    /// Finishes one `A` row against four `B` rows: folds the `k % 8`
+    /// tail into the four reduced sums with one fused multiply-add per
+    /// element (lane-wise what `f32::mul_add` does) and accumulates them
+    /// into `C[i][j..j + 4]`.
+    ///
+    /// # Safety
+    ///
+    /// `ar` and every `b[r]` must be readable for `k` floats and `cr`
+    /// writable for 4.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn finish_quad(
+        mut sums: __m128,
+        ar: *const f32,
+        b: [*const f32; 4],
+        from: usize,
+        k: usize,
+        cr: *mut f32,
+    ) {
+        // SAFETY: `from..k` is inside all five rows and `cr..cr + 4` is
+        // inside `C`, both by the caller's contract.
+        unsafe {
+            for p in from..k {
+                let bv = _mm_set_ps(*b[3].add(p), *b[2].add(p), *b[1].add(p), *b[0].add(p));
+                sums = _mm_fmadd_ps(_mm_set1_ps(*ar.add(p)), bv, sums);
+            }
+            _mm_storeu_ps(cr, _mm_add_ps(_mm_loadu_ps(cr), sums));
+        }
+    }
+
+    /// `C[m×n] += A[m×k] · B[n×k]ᵀ`, row-major, as a 2×4 register tile:
+    /// four `B` rows in the outer loop, two `A` rows in the inner one,
+    /// eight ymm accumulators, so each `B` load feeds two FMAs, each `A`
+    /// load four, and `B` streams through the cache once per call while
+    /// the (small) `A` stays resident — the serve scan's `B` is a tile
+    /// of the table, HogBatch's a minibatch. An odd last `A` row runs
+    /// the same body one row tall; the `n % 4` last `B` rows are plain
+    /// [`dot`]s. Every output goes through one 8-lane FMA chain in
+    /// increasing `k` and [`hsum`]'s add tree whichever body computes
+    /// it, so a value depends only on its two rows and on whether its
+    /// `B` row sits in a group of four (`j < n − n % 4`) — never on `m`,
+    /// on `i`, or on how a caller splits `A` or splits `B` at multiples
+    /// of four rows.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(b.len(), n * k);
+        debug_assert_eq!(c.len(), m * n);
+        let ap = a.as_ptr();
+        let bp = b.as_ptr();
+        let cp = c.as_mut_ptr();
+        // SAFETY: every pointer offset below is bounded by the three
+        // length equalities asserted above.
+        unsafe {
+            let mut j = 0usize;
+            while j + 4 <= n {
+                let bj = [
+                    bp.add(j * k),
+                    bp.add((j + 1) * k),
+                    bp.add((j + 2) * k),
+                    bp.add((j + 3) * k),
+                ];
+                let mut i = 0usize;
+                while i + 2 <= m {
+                    let a0 = ap.add(i * k);
+                    let a1 = ap.add((i + 1) * k);
+                    let mut acc00 = _mm256_setzero_ps();
+                    let mut acc01 = _mm256_setzero_ps();
+                    let mut acc02 = _mm256_setzero_ps();
+                    let mut acc03 = _mm256_setzero_ps();
+                    let mut acc10 = _mm256_setzero_ps();
+                    let mut acc11 = _mm256_setzero_ps();
+                    let mut acc12 = _mm256_setzero_ps();
+                    let mut acc13 = _mm256_setzero_ps();
+                    let mut p = 0usize;
+                    while p + 8 <= k {
+                        let va0 = _mm256_loadu_ps(a0.add(p));
+                        let va1 = _mm256_loadu_ps(a1.add(p));
+                        let vb = _mm256_loadu_ps(bj[0].add(p));
+                        acc00 = _mm256_fmadd_ps(va0, vb, acc00);
+                        acc10 = _mm256_fmadd_ps(va1, vb, acc10);
+                        let vb = _mm256_loadu_ps(bj[1].add(p));
+                        acc01 = _mm256_fmadd_ps(va0, vb, acc01);
+                        acc11 = _mm256_fmadd_ps(va1, vb, acc11);
+                        let vb = _mm256_loadu_ps(bj[2].add(p));
+                        acc02 = _mm256_fmadd_ps(va0, vb, acc02);
+                        acc12 = _mm256_fmadd_ps(va1, vb, acc12);
+                        let vb = _mm256_loadu_ps(bj[3].add(p));
+                        acc03 = _mm256_fmadd_ps(va0, vb, acc03);
+                        acc13 = _mm256_fmadd_ps(va1, vb, acc13);
+                        p += 8;
+                    }
+                    let s0 = hsum4(acc00, acc01, acc02, acc03);
+                    let s1 = hsum4(acc10, acc11, acc12, acc13);
+                    finish_quad(s0, a0, bj, p, k, cp.add(i * n + j));
+                    finish_quad(s1, a1, bj, p, k, cp.add((i + 1) * n + j));
+                    i += 2;
+                }
+                if i < m {
+                    let ar = ap.add(i * k);
+                    let mut acc0 = _mm256_setzero_ps();
+                    let mut acc1 = _mm256_setzero_ps();
+                    let mut acc2 = _mm256_setzero_ps();
+                    let mut acc3 = _mm256_setzero_ps();
+                    let mut p = 0usize;
+                    while p + 8 <= k {
+                        let va = _mm256_loadu_ps(ar.add(p));
+                        acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[0].add(p)), acc0);
+                        acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[1].add(p)), acc1);
+                        acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[2].add(p)), acc2);
+                        acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[3].add(p)), acc3);
+                        p += 8;
+                    }
+                    let s = hsum4(acc0, acc1, acc2, acc3);
+                    finish_quad(s, ar, bj, p, k, cp.add(i * n + j));
+                }
+                j += 4;
+            }
+            while j < n {
+                let br = &b[j * k..(j + 1) * k];
+                for i in 0..m {
+                    *cp.add(i * n + j) += dot(&a[i * k..(i + 1) * k], br);
+                }
+                j += 1;
+            }
+        }
+    }
+
+    /// The kernel [`gemm_nt`] replaced — one `A` row against four `B`
+    /// rows, four serial [`hsum`]s — kept verbatim as the oracle the
+    /// register-tiled kernel must equal bit for bit.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gemm_nt_1x4(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), n * k);
         debug_assert_eq!(c.len(), m * n);
@@ -1376,6 +1530,55 @@ mod tests {
                 assert!(
                     (x - y).abs() <= 1e-3 * (1.0 + y.abs()),
                     "tn ({m},{n},{k}) elem {i}: {x} vs {y}"
+                );
+            }
+        }
+    }
+
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[test]
+    fn avx2_gemm_nt_is_bit_identical_to_the_1x4_kernel() {
+        if !(std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma"))
+        {
+            return;
+        }
+        // Shapes straddle m % 2, n % 4 and k % 8, plus the HogBatch
+        // minibatch (8, 6, 64) and the serve scan's single-query shard,
+        // full tile and short tail tile.
+        for &(m, n, k) in &[
+            (0usize, 0usize, 0usize),
+            (1, 1, 1),
+            (2, 4, 8),
+            (3, 5, 9),
+            (2, 3, 16),
+            (5, 8, 7),
+            (8, 6, 64),
+            (1, 6250, 64),
+            (32, 256, 64),
+            (33, 257, 67),
+            (6, 21, 200),
+        ] {
+            let a = pattern_mat(m, k, 0.4);
+            let mut b = pattern_mat(n, k, -0.2);
+            // A poisoned second row (in a group of four) and last row
+            // (in the `n % 4` tail when there is one): NaN must land in
+            // the same outputs (payloads may differ).
+            if n >= 4 && k > 0 {
+                b[k] = f32::NAN;
+                b[(n - 1) * k] = f32::INFINITY;
+            }
+            let mut c = pattern_mat(m, n, 1.1);
+            let mut c_ref = c.clone();
+            // SAFETY: avx2 and fma were detected above.
+            unsafe {
+                avx2::gemm_nt(m, n, k, &a, &b, &mut c);
+                avx2::gemm_nt_1x4(m, n, k, &a, &b, &mut c_ref);
+            }
+            for (i, (x, y)) in c.iter().zip(&c_ref).enumerate() {
+                assert!(
+                    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                    "nt ({m},{n},{k}) elem {i}: {x} vs {y}"
                 );
             }
         }

@@ -219,3 +219,92 @@ fn rejoin_counters_are_observable_and_inert_when_off() {
     obs::set_enabled(false);
     obs::reset();
 }
+
+/// The serve scan's counters read, never steer: a batch answered with
+/// metrics on serialises to the bytes of the same batch with metrics
+/// off, and the useful-over-attempted pair reconciles with the scan it
+/// describes (`rows_scored` = resolved queries × rows, a candidate is a
+/// scored row, and the pools alone need `k + POOL_SLACK` of them).
+#[test]
+fn metrics_do_not_perturb_serving() {
+    use graph_word2vec::serve::query::POOL_SLACK;
+    use graph_word2vec::serve::{Query, QueryEngine, ShardedStore};
+    use graph_word2vec::util::fvec::FlatMatrix;
+
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (rows, dim, k) = (1500usize, 16usize, 10usize);
+    let mut table = FlatMatrix::zeros(rows, dim);
+    let mut s = 0x243F_6A88_85A3_08D3u64;
+    for v in table.as_mut_slice() {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *v = ((s >> 40) as f32 / (1u64 << 24) as f32) - 0.5;
+    }
+    let n = rows as u64;
+    let vocab = Vocabulary::from_counts((0..rows).map(|i| (format!("w{i}"), n - i as u64)), 1);
+    let mut batch: Vec<Query> = (0..32)
+        .map(|i| match i % 5 {
+            4 => Query::Analogy {
+                a: format!("w{i}"),
+                b: format!("w{}", i * 7),
+                c: format!("w{}", i * 31),
+            },
+            _ => Query::Similar {
+                word: format!("w{}", i * 13),
+            },
+        })
+        .collect();
+    batch.push(Query::Similar {
+        word: "not-a-word".into(),
+    });
+    let serve = || -> String {
+        let store = ShardedStore::from_matrix(&table, 3);
+        let engine = QueryEngine::new(&store, &vocab);
+        let mut out = String::new();
+        for a in engine.answer_batch(&batch, k) {
+            out.push_str(&a.json_line(&vocab));
+            out.push('\n');
+        }
+        out.push_str(&engine.answer(&batch[0], k).json_line(&vocab));
+        out
+    };
+
+    obs::set_enabled(false);
+    obs::reset();
+    let off = serve();
+    assert!(
+        obs::snapshot().counters.is_empty(),
+        "disabled run must record nothing"
+    );
+
+    obs::set_enabled(true);
+    obs::reset();
+    let on = serve();
+    let snap = obs::snapshot();
+    obs::set_enabled(false);
+    obs::reset();
+
+    assert_eq!(
+        off, on,
+        "served bytes differ between metrics-off and metrics-on"
+    );
+    let resolved = 32 + 1;
+    let scored = snap.counters["serve.rows_scored"];
+    let candidates = snap.counters["serve.scan_candidates"];
+    assert_eq!(scored, (resolved * rows) as u64);
+    assert!(
+        (resolved * (k + POOL_SLACK)) as u64 <= candidates && candidates < scored / 4,
+        "{candidates} candidates of {scored} scored rows"
+    );
+    assert_eq!(snap.counters["serve.oov"], 1);
+    assert_eq!(
+        snap.histograms["serve.rescore_ns"].count, 2,
+        "one per batch"
+    );
+    assert_eq!(
+        snap.histograms["serve.shard_scan_ns"].count,
+        2 * 3,
+        "one per batch × shard"
+    );
+}
