@@ -55,7 +55,7 @@ use gw2v_gluon::cost::CostModel;
 use gw2v_gluon::liveness::Liveness;
 use gw2v_gluon::plan::{AccessSets, SyncConfig, SyncPlan};
 use gw2v_gluon::sync::{assemble_canonical_live, sync_round_degraded, SyncScratch};
-use gw2v_gluon::threaded::REJOIN_CONTROL_BYTES;
+use gw2v_gluon::threaded::{phases_per_round, REJOIN_CONTROL_BYTES};
 use gw2v_gluon::volume::{CommStats, RoundVolume};
 use gw2v_gluon::wire::{entry_bytes, WireMode, WireState, FRAME_HEADER_BYTES};
 use gw2v_gluon::ModelReplica;
@@ -371,19 +371,21 @@ impl DistributedTrainer {
         let pairs_ctr = obs_on.then(|| gw2v_obs::counter("core.pairs"));
         let compute_hist = obs_on.then(|| gw2v_obs::histogram("core.host_compute_ns"));
         let lr_gauge = obs_on.then(|| gw2v_obs::gauge("core.lr"));
-        // One sync scratch for the whole run: after the first round the
-        // reduce/broadcast path recycles its slab and buffers instead of
-        // reallocating per round.
-        let mut sync_scratch = SyncScratch::new();
-        // Per-run wire-protocol state (memo caches / delta shadows /
-        // quant scratch): epoch-scoped, cleared below at every epoch start
-        // so checkpoint-resumed runs (which cut at epoch boundaries) make
+        // One sync scratch per host for the whole run: after the first
+        // round the fold/apply path recycles its slabs and buffers
+        // instead of reallocating per round.
+        let mut sync_scratch: Vec<SyncScratch> = (0..h_count).map(|_| SyncScratch::new()).collect();
+        // Per-host wire-protocol state (memo caches / delta shadows):
+        // epoch-scoped, cleared below at every epoch start so
+        // checkpoint-resumed runs (which cut at epoch boundaries) make
         // identical payload-form decisions.
-        let mut wire = WireState::for_mode(cfg.wire);
+        let mut wire: Vec<WireState> = (0..h_count)
+            .map(|_| WireState::for_mode(cfg.wire))
+            .collect();
         let mut killed = false;
 
         for epoch in start_epoch..p.epochs {
-            wire.begin_epoch();
+            wire.iter_mut().for_each(WireState::begin_epoch);
             // ---- Epoch-boundary re-admission (rejoin=H@E). ----
             if faults_on && !plan.rejoins.is_empty() {
                 let mut someone_rejoined = false;
@@ -608,8 +610,9 @@ impl DistributedTrainer {
                         || plan.reorder_p > 0.0
                         || plan.partition_active(g))
                 {
-                    round_comm += virtual_retransmission_time(plan, g, &live, &volume, &cfg.cost);
-                    round_comm += cfg.cost.partition_stall_time(plan, &live, g);
+                    round_comm +=
+                        virtual_retransmission_time(plan, cfg.plan, g, &live, &volume, &cfg.cost);
+                    round_comm += cfg.cost.partition_stall_time(plan, cfg.plan, &live, g);
                 }
                 compute_time += round_comp;
                 comm_time += round_comm;
@@ -725,13 +728,14 @@ impl DistributedTrainer {
 }
 
 /// Models the transport retransmissions the threaded engine performs for
-/// real: replays the per-message drop/flip coins for the round's two
+/// real: replays the per-message drop/flip coins for each of the round's
 /// phases (the same coins the threaded transport consults, so both
 /// engines inject the same faults) and charges the resends at the
 /// round's average message size under the α–β cost model. Each simulated
 /// fault is also counted through the observability registry.
 fn virtual_retransmission_time(
     plan: &FaultPlan,
+    sync_plan: SyncPlan,
     global_round: usize,
     live: &Liveness,
     volume: &RoundVolume,
@@ -740,10 +744,12 @@ fn virtual_retransmission_time(
     let h_count = live.n_hosts();
     let n_layers = 2usize;
     let mut extra_msgs = 0u64;
-    for phase in 0..2u64 {
+    let phases = phases_per_round(sync_plan);
+    for phase in 0..phases {
         // The threaded engine's per-phase sequence numbers: round g runs
-        // phases 2g+1 (reduce) and 2g+2 (broadcast).
-        let seq = 2 * global_round as u64 + 1 + phase;
+        // phases P·g+1 ..= P·g+P (P = 2: reduce, broadcast; PullModel's
+        // P = 3: reduce, pull-request, pull-response).
+        let seq = phases * global_round as u64 + 1 + phase;
         for from in 0..h_count {
             if !live.is_alive(from) {
                 continue;
@@ -805,7 +811,7 @@ fn virtual_retransmission_time(
         return 0.0;
     }
     let n_alive = live.n_alive() as u64;
-    let delivered = 2 * n_alive * n_alive.saturating_sub(1) * n_layers as u64;
+    let delivered = phases * n_alive * n_alive.saturating_sub(1) * n_layers as u64;
     let avg_bytes = volume.total_bytes() / delivered.max(1);
     cost.transfer_time(extra_msgs * avg_bytes) + extra_msgs as f64 * cost.latency_sec
 }

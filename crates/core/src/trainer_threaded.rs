@@ -48,10 +48,10 @@ use gw2v_corpus::vocab::Vocabulary;
 use gw2v_faults::{counters, FaultPlan, OnPartition};
 use gw2v_gluon::liveness::Liveness;
 use gw2v_gluon::plan::{AccessSets, SyncConfig, SyncPlan};
-use gw2v_gluon::sync::assemble_canonical_live;
+use gw2v_gluon::sync::{assemble_canonical_live, SyncScratch};
 use gw2v_gluon::threaded::{
     phases_per_round, run_cluster_with, sync_round_threaded_degraded, ClusterConfig, ClusterError,
-    HostCtx, ThreadedSyncScratch,
+    HostCtx,
 };
 use gw2v_gluon::volume::CommStats;
 use gw2v_gluon::wire::WireState;
@@ -373,9 +373,9 @@ impl ThreadedTrainer {
                 let mut stats = CommStats::default();
                 let mut pairs = 0u64;
                 let mut scratch = MinibatchScratch::new();
-                let mut sync_scratch = ThreadedSyncScratch::new();
+                let mut sync_scratch = SyncScratch::new();
                 // Per-host wire-protocol state (memo caches / delta
-                // shadows / quant scratch). Holds this host's sender keys
+                // shadows). Holds this host's sender keys
                 // (self→*) and receiver keys (*→self); epoch-scoped via
                 // `begin_epoch` at the loop top, which also covers rejoin
                 // re-entry, so payload-form decisions match the

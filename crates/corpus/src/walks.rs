@@ -1,8 +1,8 @@
 //! Seeded random-walk corpora: DeepWalk and node2vec over a
-//! [`WalkGraph`](crate::graphs::WalkGraph).
+//! [`WalkGraph`].
 //!
 //! The generator turns a graph into plain text — one walk per line,
-//! nodes spelled via [`node_word`](crate::graphs::node_word) — so the
+//! nodes spelled via [`node_word`] — so the
 //! entire existing pipeline (tokenizer → vocabulary → sharded corpus →
 //! any trainer) consumes graphs *unchanged*. node2vec's second-order
 //! bias (Grover & Leskovec 2016) is controlled by the return parameter

@@ -19,7 +19,7 @@
 //! (graph → walks → trainer → model).
 //!
 //! Node pairs are mapped into the model through the shared
-//! [`node_word`](gw2v_corpus::graphs::node_word) spelling; pairs whose
+//! [`node_word`] spelling; pairs whose
 //! nodes never entered the vocabulary (isolated in the train split and
 //! dropped by `min_count`) are counted in
 //! [`LinkPredReport::skipped`] rather than scored.

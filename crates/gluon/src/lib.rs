@@ -24,22 +24,25 @@
 //! inspection pass. All three plans produce bit-identical models — they
 //! differ only in bytes moved — and tests pin that invariant.
 //!
-//! Two engines execute the protocol:
+//! The round is written once, from one host's side (`round.rs`: send
+//! reduce → fold in host-id order → apply at masters → broadcast or
+//! pull → apply), and reaches the payload modes only through the
+//! [`wire::WireState`] encode/decode seam. Two transports drive it
+//! (docs/WIRE.md § engine parity is the contract between them):
 //!
-//! * [`sync::sync_round`] — deterministic sequential engine (hosts
-//!   processed in id order within one thread). Exact and reproducible;
-//!   all scaling experiments use it, paired with [`cost::CostModel`] to
-//!   convert measured bytes into modeled network time (this reproduction
-//!   runs on a single machine — see DESIGN.md §1).
+//! * [`sync::sync_round`] — the simulator: every alive host runs each
+//!   phase in id order within one thread, payloads passing through
+//!   in-process mailboxes. Exact and reproducible; all scaling
+//!   experiments use it, paired with [`cost::CostModel`] to convert
+//!   counted bytes into modeled network time (this reproduction runs on
+//!   a single machine — see DESIGN.md §1).
 //! * [`threaded::run_cluster`] — one OS thread per host exchanging
-//!   serialized [`wire`] buffers over crossbeam channels with barrier
-//!   separation; produces bit-identical results to the sequential engine
-//!   (messages are folded in host-id order).
+//!   CRC-sealed frames over crossbeam channels, a collect and a barrier
+//!   between phases, NAK/resend under a fault plan.
 //!
-//! Both engines take an optional reusable scratch
-//! ([`sync::SyncScratch`] / [`threaded::ThreadedSyncScratch`]) so
-//! steady-state rounds run without heap allocation in the
-//! reduce/broadcast path; results are bit-identical either way.
+//! Every host carries one [`sync::SyncScratch`] and one
+//! [`wire::WireState`] across rounds in either engine, so the
+//! fold/apply path runs without steady-state heap allocation.
 
 #![deny(missing_docs)]
 // Index-driven loops across parallel per-host arrays are clearer than
@@ -50,6 +53,7 @@ pub mod cost;
 pub mod liveness;
 pub mod plan;
 pub mod replica;
+mod round;
 pub mod sync;
 pub mod threaded;
 pub mod volume;
@@ -63,6 +67,5 @@ pub use sync::{sync_round, sync_round_degraded, sync_round_with_scratch, SyncScr
 pub use threaded::{ClusterConfig, ClusterError};
 pub use volume::{CommStats, RoundVolume};
 pub use wire::{
-    open_frame, seal_frame, DeltaForm, DeltaShadow, QuantScratch, WireError, WireMemo, WireMode,
-    WireState,
+    open_frame, seal_frame, DeltaForm, DeltaShadow, WireError, WireMemo, WireMode, WireState,
 };

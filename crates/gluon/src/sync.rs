@@ -1,12 +1,14 @@
-//! The sequential synchronization engine.
+//! The simulator's transport for the sync round.
 //!
-//! Executes one full Gluon synchronization (reduce + broadcast) across
-//! all host replicas, deterministically, within the calling thread:
-//! hosts are visited in id order, nodes in id order, so a given input
-//! always produces the same model — the property the PullModel
-//! inspection replay and all the equivalence tests rely on. The
-//! threaded engine ([`crate::threaded`]) reproduces this order exactly
-//! by folding incoming messages in source-host order.
+//! [`sync_round_degraded`] executes one full Gluon synchronization
+//! across all host replicas, deterministically, within the calling
+//! thread. The protocol itself — what each host sends, folds, applies
+//! and accounts — is the per-host round in `round.rs`, the same code
+//! the threaded cluster ([`crate::threaded`]) runs; this module only
+//! moves payloads: every alive host runs each phase in host-id order
+//! and what it posts is handed straight to the receiving host's fold or
+//! apply. No frames, no fault injector, no clocks (docs/WIRE.md
+//! § engine parity says what the two transports may differ in).
 //!
 //! Semantics (identical across plans — plans only change which payloads
 //! cross the wire, paper §4.4):
@@ -20,14 +22,21 @@
 //! * `canonical = base + combined` replaces the master row and is
 //!   broadcast to mirror replicas (all of them for RepModel plans; each
 //!   host's next-round access set for PullModel).
+//!
+//! The module also keeps what both transports share but the protocol
+//! does not define: the per-host scratch ([`SyncScratch`]) and the
+//! canonical-model assembly ([`assemble_canonical_live`]).
 
 use crate::liveness::Liveness;
 use crate::plan::{AccessSets, SyncConfig, SyncPlan};
 use crate::replica::ModelReplica;
+use crate::round::{HostRound, Post};
+use crate::threaded::ClusterError;
 use crate::volume::{CommStats, RoundVolume};
-use crate::wire::{entry_bytes, quant_entry_bytes, value_bytes, Channel, WireState};
+use crate::wire::{RowEncoder, WireState};
+use bytes::Bytes;
 use gw2v_combiner::{CombineAccumulator, CombinerKind};
-use gw2v_graph::partition::{master_block, master_host};
+use gw2v_graph::partition::master_host;
 use gw2v_util::bitvec::BitVec;
 use gw2v_util::fvec::FlatMatrix;
 
@@ -108,21 +117,33 @@ impl NodeAccSlab {
     }
 }
 
-/// Reusable working memory for [`sync_round_with_scratch`].
-///
-/// Holds the accumulator slab, the updated-nodes bit vector, and the
-/// delta/canonical/combined row buffers a round needs. Constructed empty
-/// and grown on first use; after the first round on a given model shape,
-/// subsequent rounds perform **zero steady-state heap allocation** in the
-/// reduce/broadcast path (the `ModelCombinerPairwise` ablation combiner
-/// is the documented exception — it buffers deltas internally).
+/// One layer's share of a [`SyncScratch`].
+#[derive(Debug)]
+pub(crate) struct LayerScratch {
+    /// Reduce accumulators for the rows this host masters.
+    pub(crate) slab: NodeAccSlab,
+    /// The rows this host reconciled (the RepModelOpt broadcast set).
+    pub(crate) updated: BitVec,
+    /// This round's touched rows by (effective) master, first-touch
+    /// order within each list.
+    pub(crate) touched_by_master: Vec<Vec<u32>>,
+}
+
+/// One host's reusable working memory for a sync round, in either
+/// engine: per layer an accumulator slab, the updated-rows bit vector
+/// and the touched rows sorted by master; the delta and combined row
+/// buffers; and the one encoder every outgoing batch is staged in.
+/// Constructed empty and sized on first use; after the first round on a
+/// given model shape the stage/fold/apply path performs no steady-state
+/// heap allocation (the `ModelCombinerPairwise` ablation combiner is the
+/// documented exception — it buffers deltas internally). What a round
+/// still allocates is the wire's: one buffer per payload.
 #[derive(Debug, Default)]
 pub struct SyncScratch {
-    slab: NodeAccSlab,
-    updated: BitVec,
-    delta: Vec<f32>,
-    canonical: Vec<f32>,
-    combined: Vec<f32>,
+    pub(crate) layers: Vec<LayerScratch>,
+    pub(crate) delta: Vec<f32>,
+    pub(crate) combined: Vec<f32>,
+    pub(crate) staged: RowEncoder,
 }
 
 impl SyncScratch {
@@ -130,13 +151,28 @@ impl SyncScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-/// Resizes a row buffer for the current layer's dimension (no-op at
-/// steady state, where consecutive rounds see the same dims).
-fn fit_row_buf(buf: &mut Vec<f32>, dim: usize) {
-    buf.clear();
-    buf.resize(dim, 0.0);
+    /// Sizes the per-layer state for `replica`'s shape and `n_hosts`
+    /// masters, and clears what the previous round left in it.
+    pub(crate) fn fit(&mut self, replica: &ModelReplica, n_hosts: usize) {
+        let n_nodes = replica.n_nodes();
+        self.layers
+            .resize_with(replica.n_layers(), || LayerScratch {
+                slab: NodeAccSlab::default(),
+                updated: BitVec::new(n_nodes),
+                touched_by_master: Vec::new(),
+            });
+        for layer in &mut self.layers {
+            layer.slab.ensure_nodes(n_nodes);
+            if layer.updated.len() == n_nodes {
+                layer.updated.clear_all();
+            } else {
+                layer.updated = BitVec::new(n_nodes);
+            }
+            layer.touched_by_master.resize_with(n_hosts, Vec::new);
+            layer.touched_by_master.iter_mut().for_each(Vec::clear);
+        }
+    }
 }
 
 /// Runs one synchronization round over all replicas, allocating its
@@ -144,752 +180,201 @@ fn fit_row_buf(buf: &mut Vec<f32>, dim: usize) {
 ///
 /// Thin wrapper around [`sync_round_with_scratch`]; callers that
 /// synchronize repeatedly (the distributed trainer, benchmarks) should
-/// hold a [`SyncScratch`] across rounds instead.
+/// hold their scratches across rounds instead.
 pub fn sync_round(
     replicas: &mut [ModelReplica],
     cfg: &SyncConfig,
     access: Option<&AccessSets>,
     stats: &mut CommStats,
 ) -> RoundVolume {
-    let mut scratch = SyncScratch::new();
+    let mut scratch: Vec<SyncScratch> = replicas.iter().map(|_| SyncScratch::new()).collect();
     sync_round_with_scratch(replicas, cfg, access, stats, &mut scratch)
 }
 
-/// Runs one synchronization round over all replicas, reusing `scratch`.
+/// Runs one synchronization round over all replicas with every host
+/// alive and the classic id+value wire, reusing `scratch` (one per
+/// host).
 ///
 /// `access` must be `Some` when `cfg.plan == PullModel`: for each host
 /// and layer, the set of nodes that host will access in its *next*
 /// compute round. Returns the round's per-host volume; cumulative
 /// counters are added to `stats`. Delta trackers are cleared on return.
-///
-/// The result is bit-for-bit identical whether `scratch` is fresh or
-/// carried over from previous rounds (pinned by tests below): hosts are
-/// still folded in id order and nodes applied in id order; the scratch
-/// only changes *where* the intermediate values live.
+/// The result is bit-for-bit identical whether the scratches are fresh
+/// or carried over from previous rounds (pinned by tests below).
 pub fn sync_round_with_scratch(
     replicas: &mut [ModelReplica],
     cfg: &SyncConfig,
     access: Option<&AccessSets>,
     stats: &mut CommStats,
-    scratch: &mut SyncScratch,
+    scratch: &mut [SyncScratch],
 ) -> RoundVolume {
     let live = Liveness::all(replicas.len());
-    sync_round_degraded(
-        replicas,
-        cfg,
-        access,
-        stats,
-        scratch,
-        &live,
-        &mut WireState::Classic,
-    )
+    let mut wire: Vec<WireState> = replicas.iter().map(|_| WireState::Classic).collect();
+    sync_round_degraded(replicas, cfg, access, stats, scratch, &live, &mut wire)
 }
 
-/// [`sync_round_with_scratch`] under an explicit liveness view.
+/// One payload in flight between two simulated hosts.
+struct Letter {
+    from: usize,
+    to: usize,
+    layer: usize,
+    payload: Bytes,
+    value_only: bool,
+}
+
+/// Everything the simulated hosts own, so each phase call can borrow one
+/// host's share ([`Cluster::host`]) and give it back.
+struct Cluster<'a> {
+    cfg: &'a SyncConfig,
+    live: &'a Liveness,
+    access: Option<&'a AccessSets>,
+    replicas: &'a mut [ModelReplica],
+    wire: &'a mut [WireState],
+    scratch: &'a mut [SyncScratch],
+    stats: &'a mut CommStats,
+    volume: RoundVolume,
+}
+
+impl Cluster<'_> {
+    fn host(&mut self, host: usize) -> HostRound<'_> {
+        HostRound {
+            host,
+            cfg: self.cfg,
+            live: self.live,
+            access: self.access,
+            replica: &mut self.replicas[host],
+            wire: &mut self.wire[host],
+            scratch: &mut self.scratch[host],
+            stats: self.stats,
+            volume: &mut self.volume,
+        }
+    }
+
+    /// Runs one of `host`'s sending phases and returns what it posted.
+    fn send(
+        &mut self,
+        host: usize,
+        phase: impl FnOnce(&mut HostRound<'_>, &mut Post<'_>) -> Result<(), ClusterError>,
+    ) -> Result<Vec<Letter>, ClusterError> {
+        let mut outbox = Vec::new();
+        phase(
+            &mut self.host(host),
+            &mut |to, layer, payload, value_only| {
+                outbox.push(Letter {
+                    from: host,
+                    to,
+                    layer,
+                    payload,
+                    value_only,
+                });
+                Ok(())
+            },
+        )?;
+        Ok(outbox)
+    }
+
+    /// The whole round: every phase of [`HostRound`] for every alive
+    /// host in id order. A sender's payloads go to their receivers as
+    /// soon as it has built them, so only one host's outgoing payloads
+    /// exist at a time.
+    fn run(&mut self) -> Result<(), ClusterError> {
+        let alive: Vec<usize> = (0..self.live.n_hosts())
+            .filter(|&h| self.live.is_alive(h))
+            .collect();
+        for &h in &alive {
+            self.host(h).begin();
+        }
+        // Reduce: receiver r sees senders 0..r, then its own touches,
+        // then senders r+1.. — the host-id fold order.
+        for &sender in &alive {
+            let letters = self.send(sender, |h, post| h.send_reduce(post))?;
+            self.host(sender).fold_own();
+            for l in letters {
+                self.host(l.to)
+                    .fold_reduce(l.from, l.layer, &l.payload, l.value_only)?;
+            }
+        }
+        for &h in &alive {
+            self.host(h).apply_reduce();
+        }
+        // Broadcast, or PullModel's request → answer → response: every
+        // master is canonical by now, so owners answer on the spot.
+        for &sender in &alive {
+            let letters = if self.cfg.plan == SyncPlan::PullModel {
+                let mut responses = Vec::new();
+                for r in self.send(sender, |h, post| h.send_requests(post))? {
+                    responses.extend(self.send(r.to, |h, post| {
+                        h.answer_request(r.from, r.layer, &r.payload, post)
+                    })?);
+                }
+                responses
+            } else {
+                self.send(sender, |h, post| h.send_broadcast(post))?
+            };
+            for l in letters {
+                self.host(l.to)
+                    .apply_broadcast(l.from, l.layer, &l.payload, l.value_only)?;
+            }
+        }
+        for &h in &alive {
+            self.host(h).end();
+        }
+        Ok(())
+    }
+}
+
+/// [`sync_round_with_scratch`] under an explicit liveness view and wire
+/// mode: the simulator's transport for the per-host round both engines
+/// run (`round.rs`; docs/WIRE.md § engine parity).
 ///
-/// Dead hosts contribute no deltas, receive no broadcasts and have their
-/// trackers left untouched; their master blocks are reconciled at the
-/// adopter host ([`Liveness::effective_master`]). Byte accounting covers
-/// only traffic between alive hosts. With an all-alive view this is
-/// exactly [`sync_round_with_scratch`], bit for bit — the BSP
-/// simulator's modeled fault rounds and the faultless path share this
-/// one implementation.
+/// Every alive host runs every phase in host-id order over in-process
+/// mailboxes — real encoded payloads, no frames, no fault injector —
+/// with its own entry of `scratch` and `wire` (one per host, indexed by
+/// host id; a wire state is never shared, see [`WireState`]). Dead hosts
+/// contribute no deltas, receive no broadcasts and have their trackers
+/// left untouched; their master blocks are reconciled at the adopter
+/// host ([`Liveness::effective_master`]). With an all-alive view and
+/// classic states this is exactly [`sync_round_with_scratch`].
 ///
-/// `wire` selects the run's payload mode and carries its cross-round
-/// state ([`crate::wire::WireState`]):
-///
-/// * `Classic` — the classic id+value accounting, untouched.
-/// * `Memo` — payload id lists are derived per
-///   (sender, receiver, layer, channel) exactly as the threaded engine
-///   ships them — including empty lists for every alive ordered pair,
-///   so the two engines' caches make identical hit/miss decisions — and
-///   hits are accounted at [`value_bytes`] per entry instead of
-///   [`entry_bytes`].
-/// * `Delta` — id lists *and* row values are staged the same way and
-///   fed through the shadow ([`crate::wire::DeltaShadow::submit`]), so
-///   byte accounting reflects full payloads on shadow misses and
-///   mask+changed-rows payloads on hits. Lossless: the model is
-///   bit-identical to classic.
-/// * `Quant` — stateless; every wire-crossing row is replaced by its
-///   quantize→dequantize image ([`crate::wire::QuantScratch::qdq_row`])
-///   exactly where the threaded engine's payloads would decode lossily,
-///   and entries are accounted at [`quant_entry_bytes`] each.
+/// `stats` accumulates every host's sends; the returned volume holds
+/// the round's per-host sent and received bytes.
 #[allow(clippy::too_many_arguments)]
 pub fn sync_round_degraded(
     replicas: &mut [ModelReplica],
     cfg: &SyncConfig,
     access: Option<&AccessSets>,
     stats: &mut CommStats,
-    scratch: &mut SyncScratch,
+    scratch: &mut [SyncScratch],
     live: &Liveness,
-    wire: &mut WireState,
+    wire: &mut [WireState],
 ) -> RoundVolume {
     let n_hosts = replicas.len();
     assert!(n_hosts > 0);
     assert_eq!(live.n_hosts(), n_hosts, "liveness view size mismatch");
-    if cfg.plan == SyncPlan::PullModel {
-        assert!(
-            access.is_some(),
-            "PullModel requires inspection access sets"
-        );
-    }
-    // Any liveness change invalidates every cached id list / shadow row
-    // (routing changed); must happen before the first submit of the
-    // round. No-op for the stateless modes.
-    wire.observe_liveness(live);
+    assert_eq!(scratch.len(), n_hosts, "one scratch per host");
+    assert_eq!(wire.len(), n_hosts, "one wire state per host");
     // Observability: an inert guard when metrics are disabled; otherwise it
     // times the whole round and records the byte/message deltas below.
     let mut obs_span = gw2v_obs::span("gluon.sync");
-    let stats_before = gw2v_obs::enabled().then_some(*stats);
-    let n_nodes = replicas[0].n_nodes();
-    let n_layers = replicas[0].n_layers();
-    let mut volume = RoundVolume::new(n_hosts);
+    let before = gw2v_obs::enabled().then_some(*stats);
 
-    let SyncScratch {
-        slab,
-        updated,
-        delta,
-        canonical,
-        combined,
-    } = scratch;
-    slab.ensure_nodes(n_nodes);
-    if updated.len() != n_nodes {
-        *updated = BitVec::new(n_nodes);
-    }
-
-    for layer in 0..n_layers {
-        let dim = replicas[0].layers[layer].dim();
-        let ebytes = entry_bytes(dim) as u64;
-        let vbytes = value_bytes(dim) as u64;
-        let qbytes = quant_entry_bytes(dim) as u64;
-        fit_row_buf(delta, dim);
-        fit_row_buf(canonical, dim);
-        fit_row_buf(combined, dim);
-
-        // ---- Reduce phase: fold per-node deltas in host-id order. ----
-        let sparse = cfg.plan != SyncPlan::RepModelNaive;
-        for (h, replica) in replicas.iter().enumerate() {
-            if !live.is_alive(h) {
-                continue;
-            }
-            // Memo/delta modes stage the per-destination payload (the
-            // exact entry order the threaded engine ships) instead of
-            // accounting inline per entry.
-            let mut stage = match wire {
-                WireState::Memo(m) if sparse => m.take_stage(n_hosts),
-                _ => Vec::new(),
-            };
-            let (mut stage_ids, mut stage_vals) = match wire {
-                WireState::Delta(d) if sparse => d.take_stage(n_hosts),
-                _ => (Vec::new(), Vec::new()),
-            };
-            let tracker = replica.tracker(layer);
-            for &node in tracker.touched_nodes() {
-                tracker.delta_into(node, replica.row(layer, node), delta);
-                let owner = live.effective_master(master_host(n_nodes, n_hosts, node));
-                if owner != h {
-                    if let WireState::Quant(q) = &mut *wire {
-                        // This contribution crosses the wire (every
-                        // plan): the master folds its dequantized image.
-                        q.qdq_row(delta);
-                    }
-                }
-                slab.acc_mut(node, cfg.combiner, dim).push(delta);
-                updated.set(node as usize);
-                if owner != h && sparse {
-                    match wire {
-                        WireState::Classic => {
-                            // Sparse plans: only touched mirrors cross the wire.
-                            volume.record(h, owner, ebytes);
-                            stats.reduce_bytes += ebytes;
-                            stats.reduce_msgs += 1;
-                        }
-                        WireState::Memo(_) => stage[owner].push(node),
-                        WireState::Delta(_) => {
-                            stage_ids[owner].push(node);
-                            stage_vals[owner].extend_from_slice(delta);
-                        }
-                        WireState::Quant(_) => {
-                            volume.record(h, owner, qbytes);
-                            stats.reduce_bytes += qbytes;
-                            stats.reduce_msgs += 1;
-                        }
-                    }
-                }
-            }
-            if sparse {
-                // Submit for *every* alive ordered pair — the threaded
-                // engine ships a payload (possibly empty) to each peer
-                // every phase, so its caches/shadows advance even on
-                // empty lists.
-                match wire {
-                    WireState::Memo(m) => {
-                        for peer in 0..n_hosts {
-                            if peer == h || !live.is_alive(peer) {
-                                continue;
-                            }
-                            let hit = m.submit(h, peer, layer, Channel::Reduce, &stage[peer]);
-                            let per = if hit { vbytes } else { ebytes };
-                            let bytes = stage[peer].len() as u64 * per;
-                            if bytes > 0 {
-                                volume.record(h, peer, bytes);
-                            }
-                            stats.reduce_bytes += bytes;
-                            stats.reduce_msgs += stage[peer].len() as u64;
-                        }
-                        m.put_stage(stage);
-                    }
-                    WireState::Delta(d) => {
-                        for peer in 0..n_hosts {
-                            if peer == h || !live.is_alive(peer) {
-                                continue;
-                            }
-                            let form = d.submit(
-                                h,
-                                peer,
-                                layer,
-                                Channel::Reduce,
-                                &stage_ids[peer],
-                                &stage_vals[peer],
-                                dim,
-                            );
-                            let bytes = form.wire_bytes(stage_ids[peer].len(), dim) as u64;
-                            if bytes > 0 {
-                                volume.record(h, peer, bytes);
-                            }
-                            stats.reduce_bytes += bytes;
-                            stats.reduce_msgs += stage_ids[peer].len() as u64;
-                        }
-                        d.put_stage(stage_ids, stage_vals);
-                    }
-                    WireState::Classic | WireState::Quant(_) => {}
-                }
-            }
-        }
-        if cfg.plan == SyncPlan::RepModelNaive {
-            // Dense reduce: every host ships *all* its mirror rows (even
-            // untouched): block_size(m) rows to every master host m ≠ h,
-            // where m's rows cover every block m effectively masters.
-            let dense_per = match wire {
-                WireState::Quant(_) => qbytes,
-                _ => ebytes,
-            };
-            match wire {
-                WireState::Memo(m_) => {
-                    // Memo mode: the dense id list per destination master is
-                    // identical for every sender, and repeats round after
-                    // round while liveness holds — hits from round two on.
-                    let mut stage = m_.take_stage(n_hosts);
-                    for m in 0..n_hosts {
-                        if !live.is_alive(m) {
-                            continue;
-                        }
-                        for owner in 0..n_hosts {
-                            if live.effective_master(owner) == m {
-                                for node in master_block(n_nodes, n_hosts, owner) {
-                                    stage[m].push(node);
-                                }
-                            }
-                        }
-                    }
-                    for h in 0..n_hosts {
-                        if !live.is_alive(h) {
-                            continue;
-                        }
-                        for m in 0..n_hosts {
-                            if m == h || !live.is_alive(m) {
-                                continue;
-                            }
-                            let hit = m_.submit(h, m, layer, Channel::Reduce, &stage[m]);
-                            let per = if hit { vbytes } else { ebytes };
-                            let bytes = stage[m].len() as u64 * per;
-                            if bytes > 0 {
-                                volume.record(h, m, bytes);
-                            }
-                            stats.reduce_bytes += bytes;
-                            stats.reduce_msgs += stage[m].len() as u64;
-                        }
-                    }
-                    m_.put_stage(stage);
-                }
-                WireState::Delta(d) => {
-                    // Delta mode: the dense id list per destination master
-                    // (as memo), plus per-owner block offsets so each
-                    // sender scatters its touched deltas into the dense
-                    // value image by position. Untouched rows are zero
-                    // deltas, unchanged round over round — exactly what
-                    // the shadow's changed-row mask skips.
-                    let (mut stage_ids, mut stage_vals) = d.take_stage(n_hosts);
-                    let mut block_off = vec![0usize; n_hosts];
-                    for m in 0..n_hosts {
-                        if !live.is_alive(m) {
-                            continue;
-                        }
-                        for owner in 0..n_hosts {
-                            if live.effective_master(owner) == m {
-                                block_off[owner] = stage_ids[m].len();
-                                for node in master_block(n_nodes, n_hosts, owner) {
-                                    stage_ids[m].push(node);
-                                }
-                            }
-                        }
-                    }
-                    for h in 0..n_hosts {
-                        if !live.is_alive(h) {
-                            continue;
-                        }
-                        for m in 0..n_hosts {
-                            stage_vals[m].clear();
-                            stage_vals[m].resize(stage_ids[m].len() * dim, 0.0);
-                        }
-                        let tracker = replicas[h].tracker(layer);
-                        for &node in tracker.touched_nodes() {
-                            let owner = master_host(n_nodes, n_hosts, node);
-                            let m = live.effective_master(owner);
-                            if m == h {
-                                continue;
-                            }
-                            tracker.delta_into(node, replicas[h].row(layer, node), delta);
-                            let start = master_block(n_nodes, n_hosts, owner).start;
-                            let pos = block_off[owner] + (node - start) as usize;
-                            stage_vals[m][pos * dim..(pos + 1) * dim].copy_from_slice(delta);
-                        }
-                        for m in 0..n_hosts {
-                            if m == h || !live.is_alive(m) {
-                                continue;
-                            }
-                            let form = d.submit(
-                                h,
-                                m,
-                                layer,
-                                Channel::Reduce,
-                                &stage_ids[m],
-                                &stage_vals[m],
-                                dim,
-                            );
-                            let bytes = form.wire_bytes(stage_ids[m].len(), dim) as u64;
-                            if bytes > 0 {
-                                volume.record(h, m, bytes);
-                            }
-                            stats.reduce_bytes += bytes;
-                            stats.reduce_msgs += stage_ids[m].len() as u64;
-                        }
-                    }
-                    d.put_stage(stage_ids, stage_vals);
-                }
-                WireState::Classic | WireState::Quant(_) => {
-                    for h in 0..n_hosts {
-                        if !live.is_alive(h) {
-                            continue;
-                        }
-                        for m in 0..n_hosts {
-                            if m == h || !live.is_alive(m) {
-                                continue;
-                            }
-                            let rows: u64 = (0..n_hosts)
-                                .filter(|&owner| live.effective_master(owner) == m)
-                                .map(|owner| master_block(n_nodes, n_hosts, owner).len() as u64)
-                                .sum();
-                            if rows > 0 {
-                                volume.record(h, m, rows * dense_per);
-                                stats.reduce_bytes += rows * dense_per;
-                                stats.reduce_msgs += rows;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- Apply combined deltas at masters; broadcast canonical. ----
-        // Memo/delta modes stage the Opt broadcast payload per master:
-        // the threaded engine builds ONE payload per master per layer
-        // (updated ∩ effectively-owned, node-id order) and ships it to
-        // every peer, so the cache key list is per-sender, not per-pair.
-        let mut bcast_stage = match wire {
-            WireState::Memo(m) if cfg.plan == SyncPlan::RepModelOpt => m.take_stage(n_hosts),
-            _ => Vec::new(),
-        };
-        let (mut bcast_ids, mut bcast_vals) = match wire {
-            WireState::Delta(d) if cfg.plan == SyncPlan::RepModelOpt => d.take_stage(n_hosts),
-            _ => (Vec::new(), Vec::new()),
-        };
-        for node in updated.iter_ones() {
-            let node_u = node as u32;
-            let owner = live.effective_master(master_host(n_nodes, n_hosts, node_u));
-            slab.finish_into(node_u, combined);
-            {
-                let replica = &mut replicas[owner];
-                let (matrix, tracker) = replica.layer_and_tracker_mut(layer);
-                let row = matrix.row_mut(node);
-                if tracker.is_touched(node_u) {
-                    row.copy_from_slice(tracker.base_of(node_u));
-                }
-                (gw2v_util::simd::kernels().add_assign)(row, combined);
-                canonical.copy_from_slice(row);
-            }
-            if cfg.plan == SyncPlan::RepModelOpt {
-                match wire {
-                    WireState::Memo(_) => bcast_stage[owner].push(node_u),
-                    WireState::Delta(_) => {
-                        bcast_ids[owner].push(node_u);
-                        bcast_vals[owner].extend_from_slice(canonical);
-                    }
-                    WireState::Quant(q) => {
-                        // Mirrors receive the dequantized image of the
-                        // canonical row; the master keeps the exact value.
-                        // (Naive's dense broadcast handles this below.)
-                        q.qdq_row(canonical);
-                    }
-                    WireState::Classic => {}
-                }
-            }
-            // RepModel plans overwrite every mirror with the canonical
-            // value (PullModel applies values in its pull pass below).
-            if cfg.plan != SyncPlan::PullModel {
-                let inline_per = match wire {
-                    WireState::Classic => Some(ebytes),
-                    WireState::Quant(_) => Some(qbytes),
-                    _ => None,
-                };
-                for (h, rep) in replicas.iter_mut().enumerate() {
-                    if h == owner || !live.is_alive(h) {
-                        continue;
-                    }
-                    rep.row_mut_untracked(layer, node_u)
-                        .copy_from_slice(canonical);
-                    if cfg.plan == SyncPlan::RepModelOpt {
-                        if let Some(per) = inline_per {
-                            volume.record(owner, h, per);
-                            stats.broadcast_bytes += per;
-                            stats.broadcast_msgs += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if cfg.plan == SyncPlan::RepModelOpt {
-            match wire {
-                WireState::Memo(m_) => {
-                    for sender in 0..n_hosts {
-                        if !live.is_alive(sender) {
-                            continue;
-                        }
-                        for peer in 0..n_hosts {
-                            if peer == sender || !live.is_alive(peer) {
-                                continue;
-                            }
-                            let hit = m_.submit(
-                                sender,
-                                peer,
-                                layer,
-                                Channel::Broadcast,
-                                &bcast_stage[sender],
-                            );
-                            let per = if hit { vbytes } else { ebytes };
-                            let bytes = bcast_stage[sender].len() as u64 * per;
-                            if bytes > 0 {
-                                volume.record(sender, peer, bytes);
-                            }
-                            stats.broadcast_bytes += bytes;
-                            stats.broadcast_msgs += bcast_stage[sender].len() as u64;
-                        }
-                    }
-                    m_.put_stage(bcast_stage);
-                }
-                WireState::Delta(d) => {
-                    for sender in 0..n_hosts {
-                        if !live.is_alive(sender) {
-                            continue;
-                        }
-                        for peer in 0..n_hosts {
-                            if peer == sender || !live.is_alive(peer) {
-                                continue;
-                            }
-                            let form = d.submit(
-                                sender,
-                                peer,
-                                layer,
-                                Channel::Broadcast,
-                                &bcast_ids[sender],
-                                &bcast_vals[sender],
-                                dim,
-                            );
-                            let bytes = form.wire_bytes(bcast_ids[sender].len(), dim) as u64;
-                            if bytes > 0 {
-                                volume.record(sender, peer, bytes);
-                            }
-                            stats.broadcast_bytes += bytes;
-                            stats.broadcast_msgs += bcast_ids[sender].len() as u64;
-                        }
-                    }
-                    d.put_stage(bcast_ids, bcast_vals);
-                }
-                WireState::Classic | WireState::Quant(_) => {}
-            }
-        }
-
-        match cfg.plan {
-            SyncPlan::RepModelNaive => {
-                // Dense broadcast: every master row to every other host.
-                match wire {
-                    WireState::Memo(m_) => {
-                        // Memo mode: same dense id-list derivation as the
-                        // dense reduce above (the threaded engine ships one
-                        // dense payload per master per layer).
-                        let mut stage = m_.take_stage(n_hosts);
-                        for m in 0..n_hosts {
-                            if !live.is_alive(m) {
-                                continue;
-                            }
-                            for owner in 0..n_hosts {
-                                if live.effective_master(owner) == m {
-                                    for node in master_block(n_nodes, n_hosts, owner) {
-                                        stage[m].push(node);
-                                    }
-                                }
-                            }
-                        }
-                        for m in 0..n_hosts {
-                            if !live.is_alive(m) {
-                                continue;
-                            }
-                            for h in 0..n_hosts {
-                                if h == m || !live.is_alive(h) {
-                                    continue;
-                                }
-                                let hit = m_.submit(m, h, layer, Channel::Broadcast, &stage[m]);
-                                let per = if hit { vbytes } else { ebytes };
-                                let bytes = stage[m].len() as u64 * per;
-                                if bytes > 0 {
-                                    volume.record(m, h, bytes);
-                                }
-                                stats.broadcast_bytes += bytes;
-                                stats.broadcast_msgs += stage[m].len() as u64;
-                            }
-                        }
-                        m_.put_stage(stage);
-                    }
-                    WireState::Delta(d) => {
-                        // Same dense id-list derivation as the dense
-                        // reduce; values are the masters' post-apply rows,
-                        // so rows not updated this round are unchanged and
-                        // cost only their mask bit.
-                        let (mut stage_ids, mut stage_vals) = d.take_stage(n_hosts);
-                        for m in 0..n_hosts {
-                            if !live.is_alive(m) {
-                                continue;
-                            }
-                            for owner in 0..n_hosts {
-                                if live.effective_master(owner) == m {
-                                    for node in master_block(n_nodes, n_hosts, owner) {
-                                        stage_ids[m].push(node);
-                                        stage_vals[m]
-                                            .extend_from_slice(replicas[m].row(layer, node));
-                                    }
-                                }
-                            }
-                        }
-                        for m in 0..n_hosts {
-                            if !live.is_alive(m) {
-                                continue;
-                            }
-                            for h in 0..n_hosts {
-                                if h == m || !live.is_alive(h) {
-                                    continue;
-                                }
-                                let form = d.submit(
-                                    m,
-                                    h,
-                                    layer,
-                                    Channel::Broadcast,
-                                    &stage_ids[m],
-                                    &stage_vals[m],
-                                    dim,
-                                );
-                                let bytes = form.wire_bytes(stage_ids[m].len(), dim) as u64;
-                                if bytes > 0 {
-                                    volume.record(m, h, bytes);
-                                }
-                                stats.broadcast_bytes += bytes;
-                                stats.broadcast_msgs += stage_ids[m].len() as u64;
-                            }
-                        }
-                        d.put_stage(stage_ids, stage_vals);
-                    }
-                    WireState::Classic => {
-                        for m in 0..n_hosts {
-                            if !live.is_alive(m) {
-                                continue;
-                            }
-                            let rows: u64 = (0..n_hosts)
-                                .filter(|&owner| live.effective_master(owner) == m)
-                                .map(|owner| master_block(n_nodes, n_hosts, owner).len() as u64)
-                                .sum();
-                            for h in 0..n_hosts {
-                                if h == m || rows == 0 || !live.is_alive(h) {
-                                    continue;
-                                }
-                                volume.record(m, h, rows * ebytes);
-                                stats.broadcast_bytes += rows * ebytes;
-                                stats.broadcast_msgs += rows;
-                            }
-                        }
-                    }
-                    WireState::Quant(q) => {
-                        // The threaded dense broadcast physically
-                        // overwrites *every* mirror row with the decoded
-                        // (lossy) image each round — replicate that here;
-                        // master rows stay exact.
-                        for m in 0..n_hosts {
-                            if !live.is_alive(m) {
-                                continue;
-                            }
-                            let mut rows: u64 = 0;
-                            for owner in 0..n_hosts {
-                                if live.effective_master(owner) != m {
-                                    continue;
-                                }
-                                for node in master_block(n_nodes, n_hosts, owner) {
-                                    rows += 1;
-                                    canonical.copy_from_slice(replicas[m].row(layer, node));
-                                    q.qdq_row(canonical);
-                                    for h in 0..n_hosts {
-                                        if h == m || !live.is_alive(h) {
-                                            continue;
-                                        }
-                                        replicas[h]
-                                            .row_mut_untracked(layer, node)
-                                            .copy_from_slice(canonical);
-                                    }
-                                }
-                            }
-                            for h in 0..n_hosts {
-                                if h == m || rows == 0 || !live.is_alive(h) {
-                                    continue;
-                                }
-                                volume.record(m, h, rows * qbytes);
-                                stats.broadcast_bytes += rows * qbytes;
-                                stats.broadcast_msgs += rows;
-                            }
-                        }
-                    }
-                }
-            }
-            SyncPlan::PullModel => {
-                // Pull pass: each host receives exactly the rows it will
-                // access next round — whether or not they were updated
-                // (paper: "it sends masters that may not have been
-                // updated").
-                let access = access.expect("checked above");
-                for h in 0..n_hosts {
-                    if !live.is_alive(h) {
-                        continue;
-                    }
-                    // Memo/delta modes stage the per-owner request list
-                    // (the exact response payload order: the owner
-                    // answers in request order, which is the access
-                    // set's node-id order).
-                    let mut stage = match wire {
-                        WireState::Memo(m) => m.take_stage(n_hosts),
-                        _ => Vec::new(),
-                    };
-                    let (mut stage_ids, mut stage_vals) = match wire {
-                        WireState::Delta(d) => d.take_stage(n_hosts),
-                        _ => (Vec::new(), Vec::new()),
-                    };
-                    let set = access.get(h, layer);
-                    for node in set.iter_ones() {
-                        let node_u = node as u32;
-                        let owner = live.effective_master(master_host(n_nodes, n_hosts, node_u));
-                        if owner == h {
-                            continue; // local master, no wire
-                        }
-                        canonical.copy_from_slice(replicas[owner].row(layer, node_u));
-                        match wire {
-                            WireState::Classic => {
-                                volume.record(owner, h, ebytes);
-                                stats.broadcast_bytes += ebytes;
-                                stats.broadcast_msgs += 1;
-                            }
-                            WireState::Memo(_) => stage[owner].push(node_u),
-                            WireState::Delta(_) => {
-                                stage_ids[owner].push(node_u);
-                                stage_vals[owner].extend_from_slice(canonical);
-                            }
-                            WireState::Quant(q) => {
-                                // The requester decodes the lossy image.
-                                q.qdq_row(canonical);
-                                volume.record(owner, h, qbytes);
-                                stats.broadcast_bytes += qbytes;
-                                stats.broadcast_msgs += 1;
-                            }
-                        }
-                        replicas[h]
-                            .row_mut_untracked(layer, node_u)
-                            .copy_from_slice(canonical);
-                    }
-                    match wire {
-                        WireState::Memo(m_) => {
-                            for owner in 0..n_hosts {
-                                if owner == h || !live.is_alive(owner) {
-                                    continue;
-                                }
-                                let hit =
-                                    m_.submit(owner, h, layer, Channel::Broadcast, &stage[owner]);
-                                let per = if hit { vbytes } else { ebytes };
-                                let bytes = stage[owner].len() as u64 * per;
-                                if bytes > 0 {
-                                    volume.record(owner, h, bytes);
-                                }
-                                stats.broadcast_bytes += bytes;
-                                stats.broadcast_msgs += stage[owner].len() as u64;
-                            }
-                            m_.put_stage(stage);
-                        }
-                        WireState::Delta(d) => {
-                            for owner in 0..n_hosts {
-                                if owner == h || !live.is_alive(owner) {
-                                    continue;
-                                }
-                                let form = d.submit(
-                                    owner,
-                                    h,
-                                    layer,
-                                    Channel::Broadcast,
-                                    &stage_ids[owner],
-                                    &stage_vals[owner],
-                                    dim,
-                                );
-                                let bytes = form.wire_bytes(stage_ids[owner].len(), dim) as u64;
-                                if bytes > 0 {
-                                    volume.record(owner, h, bytes);
-                                }
-                                stats.broadcast_bytes += bytes;
-                                stats.broadcast_msgs += stage_ids[owner].len() as u64;
-                            }
-                            d.put_stage(stage_ids, stage_vals);
-                        }
-                        WireState::Classic | WireState::Quant(_) => {}
-                    }
-                }
-            }
-            SyncPlan::RepModelOpt => {}
-        }
-
-        // Return this layer's slots and bits for the next layer/round.
-        slab.release_all();
-        updated.clear_all();
-    }
-
-    for (h, replica) in replicas.iter_mut().enumerate() {
-        if live.is_alive(h) {
-            replica.clear_tracking();
-        }
-    }
+    let mut cluster = Cluster {
+        cfg,
+        live,
+        access,
+        replicas,
+        wire,
+        scratch,
+        stats,
+        volume: RoundVolume::new(n_hosts),
+    };
+    cluster
+        .run()
+        .expect("in-process posts cannot fail and every payload was built by its sender");
+    let volume = cluster.volume;
     stats.rounds += 1;
 
-    if let Some(before) = stats_before {
+    if let Some(before) = before {
         let reduce_b = stats.reduce_bytes - before.reduce_bytes;
         let bcast_b = stats.broadcast_bytes - before.broadcast_bytes;
         gw2v_obs::add("gluon.rounds", 1);
@@ -938,7 +423,7 @@ pub fn assemble_canonical_live(replicas: &[ModelReplica], live: &Liveness) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gw2v_combiner::CombinerKind;
+    use crate::wire::entry_bytes;
 
     fn make_replicas(n_hosts: usize, n_nodes: usize, dim: usize) -> Vec<ModelReplica> {
         (0..n_hosts)
@@ -1225,9 +710,9 @@ mod tests {
     #[test]
     fn scratch_reuse_is_bit_identical_across_rounds() {
         use gw2v_util::rng::{Rng64, Xoshiro256};
-        // A single SyncScratch carried across rounds (slots and buffers
-        // recycled, pool warm) must produce exactly the models a fresh
-        // scratch per round does — for every combiner, over enough rounds
+        // Scratches carried across rounds (slots and buffers recycled,
+        // pools warm) must produce exactly the models fresh scratches
+        // per round do — for every combiner, over enough rounds
         // that the pool is actually reused.
         for combiner in [
             CombinerKind::Sum,
@@ -1240,7 +725,7 @@ mod tests {
             let mut fresh_reps = make_replicas(3, 10, 4);
             let mut s1 = CommStats::default();
             let mut s2 = CommStats::default();
-            let mut scratch = SyncScratch::new();
+            let mut scratch: Vec<SyncScratch> = (0..3).map(|_| SyncScratch::new()).collect();
             let mut rng = Xoshiro256::new(99);
             for round in 0..4 {
                 // Identical pseudo-random touches on both replica sets.
@@ -1286,7 +771,8 @@ mod tests {
         let base = 5.0;
         let dead_before = reps[1].layers.clone();
         let mut stats = CommStats::default();
-        let mut scratch = SyncScratch::new();
+        let mut scratch: Vec<SyncScratch> = (0..3).map(|_| SyncScratch::new()).collect();
+        let mut wire: Vec<WireState> = (0..3).map(|_| WireState::Classic).collect();
         let v = sync_round_degraded(
             &mut reps,
             &cfg(SyncPlan::RepModelOpt, CombinerKind::Sum),
@@ -1294,7 +780,7 @@ mod tests {
             &mut stats,
             &mut scratch,
             &live,
-            &mut WireState::Classic,
+            &mut wire,
         );
         assert_eq!(reps[2].row(0, 5)[0], base + 3.0, "adopter holds canonical");
         assert_eq!(reps[0].row(0, 5)[0], base + 3.0, "survivor mirrors it");

@@ -1,13 +1,15 @@
-//! Threaded cluster engine: one OS thread per host.
+//! The cluster's transport for the sync round: one OS thread per host.
 //!
 //! This is the engine a real multi-core/multi-host deployment would use:
 //! hosts run concurrently, exchange serialized [`crate::wire`] buffers
 //! over crossbeam channels, and separate protocol phases with a barrier.
-//! It implements the same reduce/broadcast semantics as the sequential
-//! engine ([`crate::sync::sync_round`]) and produces **bit-identical
-//! models**: incoming deltas are folded in source-host-id order, so the
-//! (order-sensitive) model combiner sees the same sequence either way.
-//! The equivalence is pinned by tests here and in `tests/`.
+//! The protocol itself — what a host sends, folds, applies and accounts
+//! — is the per-host round in `round.rs`, the same code the simulator
+//! ([`crate::sync`]) drives; [`sync_round_threaded_degraded`] is its
+//! phase calls with a collect and a barrier between them, so the engines
+//! agree bit for bit by construction (docs/WIRE.md § engine parity says
+//! what the transports may differ in: framing, faults and clocks). This
+//! module owns everything that is transport.
 //!
 //! # Reliability
 //!
@@ -48,16 +50,14 @@
 //! next alive host adopting the dead host's master block.
 //!
 //! With an inert plan the protocol delivers every frame on the first
-//! attempt and the fold/apply path is unchanged, so faultless runs stay
-//! bit-identical to the sequential engine — `tests/chaos.rs` pins this.
+//! attempt; under any plan recovery is exact (a resent frame carries the
+//! same bytes), so chaos runs stay bit-identical to the simulator —
+//! `tests/chaos.rs` pins this.
 //!
-//! All three plans are supported. `RepModelNaive` and `RepModelOpt` run
-//! two phases per round (reduce, broadcast); `PullModel` runs three
-//! (reduce, pull-request, pull-response): instead of broadcasting, each
-//! host ships per-owner node-id lists from its inspection-derived access
-//! sets and owners respond with exactly the requested canonical rows —
-//! the same rows the sequential engine copies in its pull pass, so the
-//! engines stay bit-identical per replica.
+//! `RepModelNaive` and `RepModelOpt` run two phases per round (reduce,
+//! broadcast); `PullModel` runs three (reduce, pull-request,
+//! pull-response) — [`phases_per_round`], which also numbers the
+//! lockstep sequence the fault plan's coins are drawn at.
 //!
 //! Beyond the phase protocol, the fabric carries **out-of-band state
 //! transfer** for crashed-host re-admission: at an epoch boundary a
@@ -69,17 +69,13 @@
 use crate::liveness::{Liveness, SharedLiveness};
 use crate::plan::{AccessSets, SyncConfig, SyncPlan};
 use crate::replica::ModelReplica;
-use crate::sync::NodeAccSlab;
-use crate::volume::CommStats;
-use crate::wire::{
-    entry_bytes, open_frame, quant_entry_bytes, seal_frame, Channel, DeltaForm, QuantDecoder,
-    RowDecoder, RowEncoder, ValueDecoder, WireError, WireState,
-};
+use crate::round::{HostRound, Post};
+use crate::sync::SyncScratch;
+use crate::volume::{CommStats, RoundVolume};
+use crate::wire::{open_frame, seal_frame, RowDecoder, RowEncoder, WireError, WireState};
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gw2v_faults::{counters, FaultPlan};
-use gw2v_graph::partition::{master_block, master_host};
-use gw2v_util::bitvec::BitVec;
 use gw2v_util::fvec::FlatMatrix;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -127,6 +123,19 @@ pub enum ClusterError {
         /// Why sealing failed.
         source: WireError,
     },
+    /// A payload from `from` passed its frame CRC at `to` but does not
+    /// decode against `to`'s wire state or model shape; the sender built
+    /// those bytes, so retransmission cannot help.
+    BadPayload {
+        /// Sending host.
+        from: usize,
+        /// Receiving host.
+        to: usize,
+        /// Model layer of the payload.
+        layer: usize,
+        /// Why decoding failed.
+        source: WireError,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -151,6 +160,15 @@ impl fmt::Display for ClusterError {
                     "host {from}: cannot frame payload for host {to}: {source}"
                 )
             }
+            ClusterError::BadPayload {
+                from,
+                to,
+                layer,
+                source,
+            } => write!(
+                f,
+                "host {to}: undecodable layer-{layer} payload from host {from}: {source}"
+            ),
         }
     }
 }
@@ -938,8 +956,10 @@ impl HostCtx {
             let (tag, payload) = self.recv_state(from)?;
             debug_assert_eq!(tag, layer, "layer frames follow in order");
             let mut matrix = FlatMatrix::zeros(rows, dim);
-            let mut sink = |node: u32| -> *mut [f32] { matrix.row_mut(node as usize) };
-            RowDecoder::new(payload, dim).decode_into(&mut sink);
+            let mut dec = RowDecoder::new(payload, dim);
+            while let Some((node, row)) = dec.next_entry() {
+                matrix.row_mut(node as usize).copy_from_slice(row);
+            }
             layers.push(matrix);
         }
         self.register_alive();
@@ -1010,41 +1030,18 @@ where
     })
 }
 
-/// Reusable per-host working memory for [`sync_round_threaded_with_scratch`].
-///
-/// Mirrors the sequential engine's [`crate::sync::SyncScratch`]: the
-/// accumulator slab, per-layer updated bit vectors, and the row buffers
-/// are recycled across rounds, so the fold/apply path stops allocating
-/// once warm. What still allocates per round is inherent to the wire:
-/// `RowEncoder` payloads are frozen into shared [`Bytes`] handed to peer
-/// threads, and received messages own their buffers.
-#[derive(Debug, Default)]
-pub struct ThreadedSyncScratch {
-    slab: NodeAccSlab,
-    updated_per_layer: Vec<BitVec>,
-    delta: Vec<f32>,
-    combined: Vec<f32>,
-}
-
-impl ThreadedSyncScratch {
-    /// Creates an empty scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// One synchronization round from a single host's perspective, with
 /// per-round working memory allocated afresh.
 ///
 /// Thin wrapper around [`sync_round_threaded_with_scratch`]; hosts that
-/// synchronize repeatedly should hold a [`ThreadedSyncScratch`] instead.
+/// synchronize repeatedly should hold a [`SyncScratch`] instead.
 pub fn sync_round_threaded(
     ctx: &HostCtx,
     replica: &mut ModelReplica,
     cfg: &SyncConfig,
     stats: &mut CommStats,
 ) -> Result<(), ClusterError> {
-    let mut scratch = ThreadedSyncScratch::new();
+    let mut scratch = SyncScratch::new();
     sync_round_threaded_with_scratch(ctx, replica, cfg, stats, &mut scratch)
 }
 
@@ -1052,7 +1049,7 @@ pub fn sync_round_threaded(
 ///
 /// Each host only consults *its own* row of the set matrix (what it will
 /// touch next round, from its local inspection replay), unlike the
-/// sequential engine where one [`AccessSets`] holds every host's sets.
+/// simulator where one [`AccessSets`] holds every host's sets.
 pub type PullAccess<'a> = Option<&'a AccessSets>;
 
 /// One synchronization round from a single host's perspective, reusing
@@ -1066,7 +1063,7 @@ pub fn sync_round_threaded_with_scratch(
     replica: &mut ModelReplica,
     cfg: &SyncConfig,
     stats: &mut CommStats,
-    scratch: &mut ThreadedSyncScratch,
+    scratch: &mut SyncScratch,
 ) -> Result<(), ClusterError> {
     let live = Liveness::all(ctx.n_hosts);
     sync_round_threaded_degraded(
@@ -1081,35 +1078,25 @@ pub fn sync_round_threaded_with_scratch(
     )
 }
 
-/// [`sync_round_threaded_with_scratch`] under an explicit liveness view:
-/// dead hosts are neither sent to nor expected from, and their master
-/// blocks are handled by their adopters
-/// ([`Liveness::effective_master`]). All alive hosts must call this with
-/// the *same* `live` view for the round — the view is derived from the
-/// shared fault plan, so no agreement protocol is needed.
+/// [`sync_round_threaded_with_scratch`] under an explicit liveness view
+/// and wire mode: the cluster's transport for the per-host round both
+/// engines run (`round.rs`; docs/WIRE.md § engine parity). This function
+/// is the phase calls with a collect and a barrier between them.
 ///
-/// With an all-alive view this is exactly the classic protocol and stays
-/// bit-identical to [`crate::sync::sync_round`].
+/// Dead hosts are neither sent to nor expected from, and their master
+/// blocks are handled by their adopters ([`Liveness::effective_master`]).
+/// All alive hosts must call this with the *same* `live` view for the
+/// round — the view is derived from the shared fault plan, so no
+/// agreement protocol is needed.
 ///
 /// For [`SyncPlan::PullModel`], `access` must carry this host's
 /// inspection-derived sets (see [`PullAccess`]); the replication plans
 /// ignore it.
 ///
-/// `wire` selects the payload mode ([`crate::wire::WireMode`]) and
-/// holds this host's per-mode state: [`WireState::Classic`] ships
-/// id+value rows; [`WireState::Memo`] memoizes id lists and ships
-/// value-only payloads on repeats; [`WireState::Delta`] shadows the
-/// last payload per (host pair, layer, channel) and ships a change mask
-/// plus only the rows whose bits differ; [`WireState::Quant`] ships
-/// rows quantized to one byte per dimension with per-row scale/offset.
-/// Every host must run the same mode; caches and shadows must be
-/// cleared at epoch starts by the caller ([`WireState::begin_epoch`]) —
-/// liveness changes clear them here. Memo and delta are lossless (model
-/// results bit-identical to classic; only bytes moved change, mirroring
-/// [`crate::sync::sync_round_degraded`]'s analytic accounting exactly);
-/// quant is deterministically lossy — the sequential engine replays the
-/// identical quantize→dequantize image, so the two engines stay
-/// bit-identical to *each other*.
+/// `wire` is this host's state for the run's payload mode
+/// ([`crate::wire::WireMode`]). Every host must run the same mode;
+/// caches and shadows must be cleared at epoch starts by the caller
+/// ([`WireState::begin_epoch`]) — liveness changes clear them here.
 #[allow(clippy::too_many_arguments)]
 pub fn sync_round_threaded_degraded(
     ctx: &HostCtx,
@@ -1117,716 +1104,78 @@ pub fn sync_round_threaded_degraded(
     cfg: &SyncConfig,
     access: PullAccess<'_>,
     stats: &mut CommStats,
-    scratch: &mut ThreadedSyncScratch,
+    scratch: &mut SyncScratch,
     live: &Liveness,
     wire: &mut WireState,
 ) -> Result<(), ClusterError> {
-    assert!(
-        cfg.plan != SyncPlan::PullModel || access.is_some(),
-        "PullModel requires inspection-derived access sets"
-    );
-    assert!(live.is_alive(ctx.host), "dead hosts do not sync");
-    // Any liveness change invalidates every cached id list and shadow
-    // payload; all hosts derive the same view from the shared fault
-    // plan, so every cache in the cluster (and the simulator's) clears
-    // on the same round.
-    wire.observe_liveness(live);
     // Inert when metrics are disabled; otherwise times this host's whole
     // round and records its send-side byte deltas below.
     let mut obs_span = gw2v_obs::span("gluon.threaded.sync").host(ctx.host);
-    let stats_before = gw2v_obs::enabled().then_some(*stats);
-    let n_hosts = ctx.n_hosts;
-    let n_nodes = replica.n_nodes();
+    let before = gw2v_obs::enabled().then_some(*stats);
     let n_layers = replica.n_layers();
+    let mut volume = RoundVolume::new(ctx.n_hosts);
+    let mut host = HostRound {
+        host: ctx.host,
+        cfg,
+        live,
+        access,
+        replica,
+        wire,
+        scratch,
+        stats,
+        volume: &mut volume,
+    };
+    let post: &mut Post<'_> =
+        &mut |to, layer, payload, value_only| ctx.ship(to, layer, payload, value_only);
+    host.begin();
 
-    let ThreadedSyncScratch {
-        slab,
-        updated_per_layer,
-        delta,
-        combined,
-    } = scratch;
-    slab.ensure_nodes(n_nodes);
-    if updated_per_layer.len() != n_layers
-        || updated_per_layer
-            .first()
-            .is_some_and(|b| b.len() != n_nodes)
-    {
-        *updated_per_layer = (0..n_layers).map(|_| BitVec::new(n_nodes)).collect();
-    } else {
-        for bv in updated_per_layer.iter_mut() {
-            bv.clear_all();
-        }
-    }
-
-    // ---- Phase 1: ship touched-mirror deltas to (effective) masters. ----
+    // ---- Phase 1: reduce. ----
     ctx.begin_phase();
-    for layer in 0..n_layers {
-        let dim = replica.layers[layer].dim();
-        let mut encoders: HashMap<usize, RowEncoder> = HashMap::new();
-        delta.clear();
-        delta.resize(dim, 0.0);
-        let tracker = replica.tracker(layer);
-        for &node in tracker.touched_nodes() {
-            let owner = live.effective_master(master_host(n_nodes, n_hosts, node));
-            if owner == ctx.host {
-                continue;
-            }
-            tracker.delta_into(node, replica.row(layer, node), delta);
-            encoders
-                .entry(owner)
-                .or_insert_with(|| RowEncoder::new(dim))
-                .push(node, delta);
-        }
-        if cfg.plan == SyncPlan::RepModelNaive {
-            match &mut *wire {
-                WireState::Memo(m_) => {
-                    // Memo-mode dense accounting: the *analytic* dense id
-                    // list per destination master (same derivation as the
-                    // sequential engine) is memoized; physical payloads stay
-                    // touched-only id+value below (their bytes are NOT
-                    // separately accounted — the dense figure covers them).
-                    let mut stage = m_.take_stage(n_hosts);
-                    for m in 0..n_hosts {
-                        if m == ctx.host || !live.is_alive(m) {
-                            continue;
-                        }
-                        for owner in 0..n_hosts {
-                            if live.effective_master(owner) == m {
-                                for node in master_block(n_nodes, n_hosts, owner) {
-                                    stage[m].push(node);
-                                }
-                            }
-                        }
-                    }
-                    for m in 0..n_hosts {
-                        if m == ctx.host || !live.is_alive(m) {
-                            continue;
-                        }
-                        let hit = m_.submit(ctx.host, m, layer, Channel::Reduce, &stage[m]);
-                        let per = if hit {
-                            crate::wire::value_bytes(dim)
-                        } else {
-                            entry_bytes(dim)
-                        } as u64;
-                        stats.reduce_bytes += stage[m].len() as u64 * per;
-                        stats.reduce_msgs += stage[m].len() as u64;
-                    }
-                    m_.put_stage(stage);
-                }
-                WireState::Delta(d) => {
-                    // Delta-mode dense accounting: same dense id list per
-                    // destination as memo, with this host's touched deltas
-                    // scattered by block position into a zero value image
-                    // (untouched rows are zero deltas, unchanged round over
-                    // round — exactly what the changed-row mask skips).
-                    // Physical payloads stay touched-only id+value below;
-                    // the dense figure covers their bytes. The stage is
-                    // built for every alive destination (self included) so
-                    // block offsets match the sequential engine's.
-                    let (mut stage_ids, mut stage_vals) = d.take_stage(n_hosts);
-                    let mut block_off = vec![0usize; n_hosts];
-                    for m in 0..n_hosts {
-                        if !live.is_alive(m) {
-                            continue;
-                        }
-                        for owner in 0..n_hosts {
-                            if live.effective_master(owner) == m {
-                                block_off[owner] = stage_ids[m].len();
-                                for node in master_block(n_nodes, n_hosts, owner) {
-                                    stage_ids[m].push(node);
-                                }
-                            }
-                        }
-                    }
-                    for m in 0..n_hosts {
-                        stage_vals[m].clear();
-                        stage_vals[m].resize(stage_ids[m].len() * dim, 0.0);
-                    }
-                    for (m, enc) in &encoders {
-                        for (i, &node) in enc.ids().iter().enumerate() {
-                            let owner = master_host(n_nodes, n_hosts, node);
-                            let start = master_block(n_nodes, n_hosts, owner).start;
-                            let pos = block_off[owner] + (node - start) as usize;
-                            stage_vals[*m][pos * dim..(pos + 1) * dim]
-                                .copy_from_slice(&enc.values()[i * dim..(i + 1) * dim]);
-                        }
-                    }
-                    for m in 0..n_hosts {
-                        if m == ctx.host || !live.is_alive(m) {
-                            continue;
-                        }
-                        let form = d.submit(
-                            ctx.host,
-                            m,
-                            layer,
-                            Channel::Reduce,
-                            &stage_ids[m],
-                            &stage_vals[m],
-                            dim,
-                        );
-                        stats.reduce_bytes += form.wire_bytes(stage_ids[m].len(), dim) as u64;
-                        stats.reduce_msgs += stage_ids[m].len() as u64;
-                    }
-                    d.put_stage(stage_ids, stage_vals);
-                }
-                WireState::Classic => {
-                    // Dense plan also ships a zero delta for every untouched
-                    // mirror row (redundant traffic, counted but semantically
-                    // inert — the master skips zero-contribution entries is NOT
-                    // the semantics here; instead we simply account the bytes, as
-                    // the sequential engine does analytically).
-                    for m in 0..n_hosts {
-                        if m == ctx.host || !live.is_alive(m) {
-                            continue;
-                        }
-                        let all_rows: u64 = (0..n_hosts)
-                            .filter(|&owner| live.effective_master(owner) == m)
-                            .map(|owner| master_block(n_nodes, n_hosts, owner).len() as u64)
-                            .sum();
-                        let sent_rows = encoders.get(&m).map_or(0, |e| e.count() as u64);
-                        let pad_rows = all_rows - sent_rows;
-                        stats.reduce_bytes += pad_rows * entry_bytes(dim) as u64;
-                        stats.reduce_msgs += pad_rows;
-                    }
-                }
-                WireState::Quant(_) => {
-                    // Quantized dense accounting: every dense row ships at
-                    // the quantized width; physical payloads below are the
-                    // touched rows in quantized form (the dense figure
-                    // covers their bytes, like memo's).
-                    for m in 0..n_hosts {
-                        if m == ctx.host || !live.is_alive(m) {
-                            continue;
-                        }
-                        let all_rows: u64 = (0..n_hosts)
-                            .filter(|&owner| live.effective_master(owner) == m)
-                            .map(|owner| master_block(n_nodes, n_hosts, owner).len() as u64)
-                            .sum();
-                        stats.reduce_bytes += all_rows * quant_entry_bytes(dim) as u64;
-                        stats.reduce_msgs += all_rows;
-                    }
-                }
-            }
-        }
-        for peer in 0..n_hosts {
-            if peer == ctx.host || !live.is_alive(peer) {
-                continue;
-            }
-            let enc = encoders
-                .remove(&peer)
-                .unwrap_or_else(|| RowEncoder::new(dim));
-            if cfg.plan == SyncPlan::RepModelNaive {
-                // Classic mode accounts the touched payload here (the pad
-                // block above tops it up to the dense figure); the other
-                // modes already accounted the full dense figure above.
-                match &mut *wire {
-                    WireState::Classic => {
-                        stats.reduce_bytes += enc.byte_len() as u64;
-                        stats.reduce_msgs += enc.count() as u64;
-                        ctx.ship(peer, layer, enc.finish(), false)?;
-                    }
-                    WireState::Memo(_) | WireState::Delta(_) => {
-                        ctx.ship(peer, layer, enc.finish(), false)?;
-                    }
-                    WireState::Quant(_) => {
-                        ctx.ship(peer, layer, enc.finish_quant(), false)?;
-                    }
-                }
-            } else {
-                stats.reduce_msgs += enc.count() as u64;
-                match &mut *wire {
-                    WireState::Classic => {
-                        stats.reduce_bytes += enc.byte_len() as u64;
-                        ctx.ship(peer, layer, enc.finish(), false)?;
-                    }
-                    WireState::Memo(m_) => {
-                        let hit = m_.submit(ctx.host, peer, layer, Channel::Reduce, enc.ids());
-                        if hit {
-                            stats.reduce_bytes += enc.value_byte_len() as u64;
-                            ctx.ship(peer, layer, enc.finish_values(), true)?;
-                        } else {
-                            stats.reduce_bytes += enc.byte_len() as u64;
-                            ctx.ship(peer, layer, enc.finish(), false)?;
-                        }
-                    }
-                    WireState::Delta(d) => {
-                        let form = d.submit(
-                            ctx.host,
-                            peer,
-                            layer,
-                            Channel::Reduce,
-                            enc.ids(),
-                            enc.values(),
-                            dim,
-                        );
-                        match form {
-                            DeltaForm::Full => {
-                                stats.reduce_bytes += enc.byte_len() as u64;
-                                ctx.ship(peer, layer, enc.finish(), false)?;
-                            }
-                            DeltaForm::Delta { ref mask, .. } => {
-                                let payload = enc.finish_delta(mask);
-                                stats.reduce_bytes += payload.len() as u64;
-                                ctx.ship(peer, layer, payload, true)?;
-                            }
-                        }
-                    }
-                    WireState::Quant(_) => {
-                        let payload = enc.finish_quant();
-                        stats.reduce_bytes += payload.len() as u64;
-                        ctx.ship(peer, layer, payload, false)?;
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- Receive deltas, fold at this host's (effective) masters. ----
+    host.send_reduce(post)?;
     let incoming = ctx.collect_phase(live, n_layers)?;
-    for layer in 0..n_layers {
-        let dim = replica.layers[layer].dim();
-        delta.clear();
-        delta.resize(dim, 0.0);
-        combined.clear();
-        combined.resize(dim, 0.0);
-        // Fold in host-id order so the (order-sensitive) combiner sees
-        // the same sequence as the sequential engine, self included at
-        // its position and dead hosts contributing nothing.
-        for h in 0..n_hosts {
-            if h == ctx.host {
-                let tracker = replica.tracker(layer);
-                for &node in tracker.touched_nodes() {
-                    if live.effective_master(master_host(n_nodes, n_hosts, node)) != ctx.host {
-                        continue;
-                    }
-                    tracker.delta_into(node, replica.row(layer, node), delta);
-                    slab.acc_mut(node, cfg.combiner, dim).push(delta);
-                    updated_per_layer[layer].set(node as usize);
-                }
-            } else if let Some((payload, value_only)) = incoming.get(&(h, layer)) {
-                if *value_only {
-                    match &mut *wire {
-                        WireState::Memo(m_) => {
-                            let ids = m_
-                                .cached(h, ctx.host, layer, Channel::Reduce)
-                                .expect("value-only payload with no cached id list");
-                            let mut dec = ValueDecoder::new(payload.clone(), dim, ids)
-                                .expect("value-only payload length matches cached id list");
-                            while let Some((node, row)) = dec.next_entry() {
-                                slab.acc_mut(node, cfg.combiner, dim).push(row);
-                                updated_per_layer[layer].set(node as usize);
-                            }
-                        }
-                        WireState::Delta(d) => {
-                            let (ids, vals) = d
-                                .apply_delta(h, ctx.host, layer, Channel::Reduce, payload, dim)
-                                .expect("delta payload length matches shadow entry");
-                            for (i, &node) in ids.iter().enumerate() {
-                                slab.acc_mut(node, cfg.combiner, dim)
-                                    .push(&vals[i * dim..(i + 1) * dim]);
-                                updated_per_layer[layer].set(node as usize);
-                            }
-                        }
-                        _ => panic!("compact payload outside memo/delta mode"),
-                    }
-                } else {
-                    match &mut *wire {
-                        WireState::Memo(m_) => {
-                            // Record the decoded id list so a later
-                            // value-only payload on this key can be resolved.
-                            let mut dec = RowDecoder::new(payload.clone(), dim);
-                            let mut ids = Vec::with_capacity(dec.remaining());
-                            while let Some((node, row)) = dec.next_entry() {
-                                ids.push(node);
-                                slab.acc_mut(node, cfg.combiner, dim).push(row);
-                                updated_per_layer[layer].set(node as usize);
-                            }
-                            m_.store(h, ctx.host, layer, Channel::Reduce, ids);
-                        }
-                        WireState::Delta(d) if cfg.plan != SyncPlan::RepModelNaive => {
-                            // Record ids *and* rows so a later delta payload
-                            // on this key can be reconstructed. (The dense
-                            // plan's physical reduce payloads stay classic —
-                            // its shadows track the analytic dense image on
-                            // the sender side only.)
-                            let mut dec = RowDecoder::new(payload.clone(), dim);
-                            let mut ids = Vec::with_capacity(dec.remaining());
-                            let mut vals = Vec::with_capacity(dec.remaining() * dim);
-                            while let Some((node, row)) = dec.next_entry() {
-                                ids.push(node);
-                                vals.extend_from_slice(row);
-                                slab.acc_mut(node, cfg.combiner, dim).push(row);
-                                updated_per_layer[layer].set(node as usize);
-                            }
-                            d.store(h, ctx.host, layer, Channel::Reduce, ids, vals);
-                        }
-                        WireState::Quant(_) => {
-                            let mut dec = QuantDecoder::new(payload.clone(), dim)
-                                .expect("well-formed quantized payload");
-                            while let Some((node, row)) = dec.next_entry() {
-                                slab.acc_mut(node, cfg.combiner, dim).push(row);
-                                updated_per_layer[layer].set(node as usize);
-                            }
-                        }
-                        _ => {
-                            let mut dec = RowDecoder::new(payload.clone(), dim);
-                            while let Some((node, row)) = dec.next_entry() {
-                                slab.acc_mut(node, cfg.combiner, dim).push(row);
-                                updated_per_layer[layer].set(node as usize);
-                            }
-                        }
-                    }
-                }
-            } else {
-                debug_assert!(!live.is_alive(h), "collect_phase guarantees alive peers");
-            }
+    for from in 0..ctx.n_hosts {
+        if from == ctx.host {
+            host.fold_own();
         }
-        // Apply in node-id order (matches the sequential engine, which
-        // walks the updated bit vector in index order).
-        for node in updated_per_layer[layer].iter_ones() {
-            let node_u = node as u32;
-            slab.finish_into(node_u, combined);
-            let (matrix, tracker) = replica.layer_and_tracker_mut(layer);
-            let row = matrix.row_mut(node);
-            if tracker.is_touched(node_u) {
-                row.copy_from_slice(tracker.base_of(node_u));
-            }
-            (gw2v_util::simd::kernels().add_assign)(row, combined);
+        for (layer, payload, value_only) in payloads_from(&incoming, from, n_layers) {
+            host.fold_reduce(from, layer, payload, value_only)?;
         }
-        slab.release_all();
     }
+    host.apply_reduce();
     ctx.barrier_wait_timed();
 
     if cfg.plan == SyncPlan::PullModel {
-        let access = access.expect("checked on entry");
-        // ---- Phase 2: pull requests — per-owner node-id lists. ----
-        // Request lists are control traffic, like NAKs and frame armor:
-        // not accounted in CommStats (the sequential engine's pull pass
-        // has no request side at all).
+        // ---- Phase 2: pull requests. ----
         ctx.begin_phase();
-        for layer in 0..n_layers {
-            let mut encoders: HashMap<usize, RowEncoder> = HashMap::new();
-            for node in access.get(ctx.host, layer).iter_ones() {
-                let node_u = node as u32;
-                let owner = live.effective_master(master_host(n_nodes, n_hosts, node_u));
-                if owner == ctx.host {
-                    continue;
-                }
-                encoders
-                    .entry(owner)
-                    .or_insert_with(|| RowEncoder::new(0))
-                    .push(node_u, &[]);
-            }
-            for peer in 0..n_hosts {
-                if peer == ctx.host || !live.is_alive(peer) {
-                    continue;
-                }
-                let enc = encoders.remove(&peer).unwrap_or_else(|| RowEncoder::new(0));
-                if let WireState::Memo(m_) = &mut *wire {
-                    // The response from `peer` will carry exactly this
-                    // list in this order; cache it now so a value-only
-                    // response resolves without a round trip. (Delta mode
-                    // cannot pre-store: its shadow needs row values, which
-                    // only the first full response carries.)
-                    m_.store(
-                        peer,
-                        ctx.host,
-                        layer,
-                        Channel::Broadcast,
-                        enc.ids().to_vec(),
-                    );
-                }
-                ctx.ship(peer, layer, enc.finish(), false)?;
-            }
-        }
+        host.send_requests(post)?;
         let requests = ctx.collect_phase(live, n_layers)?;
         // The closing barrier proves every owner holds all requests
         // before anyone advances the phase counter (begin_phase drops the
         // resend buffer that NAK recovery would need).
         ctx.barrier_wait_timed();
-
-        // ---- Phase 3: pull responses — canonical rows, request order. ----
+        // ---- Phase 3: pull responses. ----
         ctx.begin_phase();
-        for layer in 0..n_layers {
-            let dim = replica.layers[layer].dim();
-            for peer in 0..n_hosts {
-                if peer == ctx.host || !live.is_alive(peer) {
-                    continue;
-                }
-                let mut enc = RowEncoder::new(dim);
-                if let Some((list, _)) = requests.get(&(peer, layer)) {
-                    let mut dec = RowDecoder::new(list.clone(), 0);
-                    while let Some((node, _)) = dec.next_entry() {
-                        enc.push(node, replica.row(layer, node));
-                    }
-                }
-                // Accounted exactly like the sequential pull pass: the
-                // owner charges one broadcast entry per served row
-                // (compact-sized when the wire mode allows it).
-                stats.broadcast_msgs += enc.count() as u64;
-                match &mut *wire {
-                    WireState::Classic => {
-                        stats.broadcast_bytes += enc.byte_len() as u64;
-                        ctx.ship(peer, layer, enc.finish(), false)?;
-                    }
-                    WireState::Memo(m_) => {
-                        let hit = m_.submit(ctx.host, peer, layer, Channel::Broadcast, enc.ids());
-                        if hit {
-                            stats.broadcast_bytes += enc.value_byte_len() as u64;
-                            ctx.ship(peer, layer, enc.finish_values(), true)?;
-                        } else {
-                            stats.broadcast_bytes += enc.byte_len() as u64;
-                            ctx.ship(peer, layer, enc.finish(), false)?;
-                        }
-                    }
-                    WireState::Delta(d) => {
-                        let form = d.submit(
-                            ctx.host,
-                            peer,
-                            layer,
-                            Channel::Broadcast,
-                            enc.ids(),
-                            enc.values(),
-                            dim,
-                        );
-                        match form {
-                            DeltaForm::Full => {
-                                stats.broadcast_bytes += enc.byte_len() as u64;
-                                ctx.ship(peer, layer, enc.finish(), false)?;
-                            }
-                            DeltaForm::Delta { ref mask, .. } => {
-                                let payload = enc.finish_delta(mask);
-                                stats.broadcast_bytes += payload.len() as u64;
-                                ctx.ship(peer, layer, payload, true)?;
-                            }
-                        }
-                    }
-                    WireState::Quant(_) => {
-                        let payload = enc.finish_quant();
-                        stats.broadcast_bytes += payload.len() as u64;
-                        ctx.ship(peer, layer, payload, false)?;
-                    }
-                }
-            }
-        }
-        let incoming = ctx.collect_phase(live, n_layers)?;
-        for ((h, layer), (payload, value_only)) in incoming {
-            let dim = replica.layers[layer].dim();
-            if value_only {
-                match &mut *wire {
-                    WireState::Memo(m_) => {
-                        let ids = m_
-                            .cached(h, ctx.host, layer, Channel::Broadcast)
-                            .expect("value-only response with no cached request list");
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        ValueDecoder::new(payload, dim, ids)
-                            .expect("value-only response length matches request list")
-                            .decode_into(&mut sink);
-                    }
-                    WireState::Delta(d) => {
-                        let (ids, vals) = d
-                            .apply_delta(h, ctx.host, layer, Channel::Broadcast, &payload, dim)
-                            .expect("delta response length matches shadow entry");
-                        for (i, &node) in ids.iter().enumerate() {
-                            replica
-                                .row_mut_untracked(layer, node)
-                                .copy_from_slice(&vals[i * dim..(i + 1) * dim]);
-                        }
-                    }
-                    _ => panic!("compact payload outside memo/delta mode"),
-                }
-            } else {
-                match &mut *wire {
-                    WireState::Delta(d) => {
-                        let mut dec = RowDecoder::new(payload, dim);
-                        let mut ids = Vec::with_capacity(dec.remaining());
-                        let mut vals = Vec::with_capacity(dec.remaining() * dim);
-                        while let Some((node, row)) = dec.next_entry() {
-                            ids.push(node);
-                            vals.extend_from_slice(row);
-                            replica.row_mut_untracked(layer, node).copy_from_slice(row);
-                        }
-                        d.store(h, ctx.host, layer, Channel::Broadcast, ids, vals);
-                    }
-                    WireState::Quant(_) => {
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        QuantDecoder::new(payload, dim)
-                            .expect("well-formed quantized payload")
-                            .decode_into(&mut sink);
-                    }
-                    _ => {
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        RowDecoder::new(payload, dim).decode_into(&mut sink);
-                    }
-                }
+        for from in 0..ctx.n_hosts {
+            for (layer, request, _) in payloads_from(&requests, from, n_layers) {
+                host.answer_request(from, layer, request, post)?;
             }
         }
     } else {
-        // ---- Phase 2: broadcast canonical values of updated owned rows. ----
+        // ---- Phase 2: broadcast. ----
         ctx.begin_phase();
-        for layer in 0..n_layers {
-            let dim = replica.layers[layer].dim();
-            let mut enc = RowEncoder::new(dim);
-            match cfg.plan {
-                SyncPlan::RepModelOpt => {
-                    for node in updated_per_layer[layer].iter_ones() {
-                        enc.push(node as u32, replica.row(layer, node as u32));
-                    }
-                }
-                SyncPlan::RepModelNaive => {
-                    for owner in 0..n_hosts {
-                        if live.effective_master(owner) != ctx.host {
-                            continue;
-                        }
-                        for node in master_block(n_nodes, n_hosts, owner) {
-                            enc.push(node, replica.row(layer, node));
-                        }
-                    }
-                }
-                SyncPlan::PullModel => unreachable!("handled above"),
-            }
-            // One shared payload per layer wherever the form allows it
-            // (classic id+value, memo value-only, quantized); delta masks
-            // are built per peer — shadows advance in lockstep across
-            // peers, so the masks coincide in practice, but each pair
-            // owns its shadow. In memo mode each peer may instead take
-            // the (also shared) value-only form, decided per peer — all
-            // peers see the same id list, so after the first miss-round
-            // they all hit together.
-            let mut full: Option<Bytes> = None;
-            let mut vo: Option<Bytes> = None;
-            let mut quant: Option<Bytes> = None;
-            for peer in 0..n_hosts {
-                if peer == ctx.host || !live.is_alive(peer) {
-                    continue;
-                }
-                match &mut *wire {
-                    WireState::Classic => {
-                        let payload = full.get_or_insert_with(|| enc.finish()).clone();
-                        stats.broadcast_bytes += payload.len() as u64;
-                        stats.broadcast_msgs += (payload.len() / entry_bytes(dim)) as u64;
-                        ctx.ship(peer, layer, payload, false)?;
-                    }
-                    WireState::Memo(m_) => {
-                        let hit = m_.submit(ctx.host, peer, layer, Channel::Broadcast, enc.ids());
-                        if hit {
-                            let payload = vo.get_or_insert_with(|| enc.finish_values()).clone();
-                            stats.broadcast_bytes += payload.len() as u64;
-                            stats.broadcast_msgs += enc.count() as u64;
-                            ctx.ship(peer, layer, payload, true)?;
-                        } else {
-                            let payload = full.get_or_insert_with(|| enc.finish()).clone();
-                            stats.broadcast_bytes += payload.len() as u64;
-                            stats.broadcast_msgs += (payload.len() / entry_bytes(dim)) as u64;
-                            ctx.ship(peer, layer, payload, false)?;
-                        }
-                    }
-                    WireState::Delta(d) => {
-                        let form = d.submit(
-                            ctx.host,
-                            peer,
-                            layer,
-                            Channel::Broadcast,
-                            enc.ids(),
-                            enc.values(),
-                            dim,
-                        );
-                        stats.broadcast_msgs += enc.count() as u64;
-                        match form {
-                            DeltaForm::Full => {
-                                let payload = full.get_or_insert_with(|| enc.finish()).clone();
-                                stats.broadcast_bytes += payload.len() as u64;
-                                ctx.ship(peer, layer, payload, false)?;
-                            }
-                            DeltaForm::Delta { ref mask, .. } => {
-                                let payload = enc.finish_delta(mask);
-                                stats.broadcast_bytes += payload.len() as u64;
-                                ctx.ship(peer, layer, payload, true)?;
-                            }
-                        }
-                    }
-                    WireState::Quant(_) => {
-                        let payload = quant.get_or_insert_with(|| enc.finish_quant()).clone();
-                        stats.broadcast_bytes += payload.len() as u64;
-                        stats.broadcast_msgs += enc.count() as u64;
-                        ctx.ship(peer, layer, payload, false)?;
-                    }
-                }
-            }
-        }
-        let incoming = ctx.collect_phase(live, n_layers)?;
-        for ((h, layer), (payload, value_only)) in incoming {
-            let dim = replica.layers[layer].dim();
-            if value_only {
-                match &mut *wire {
-                    WireState::Memo(m_) => {
-                        let ids = m_
-                            .cached(h, ctx.host, layer, Channel::Broadcast)
-                            .expect("value-only broadcast with no cached id list");
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        ValueDecoder::new(payload, dim, ids)
-                            .expect("value-only broadcast length matches cached id list")
-                            .decode_into(&mut sink);
-                    }
-                    WireState::Delta(d) => {
-                        let (ids, vals) = d
-                            .apply_delta(h, ctx.host, layer, Channel::Broadcast, &payload, dim)
-                            .expect("delta broadcast length matches shadow entry");
-                        for (i, &node) in ids.iter().enumerate() {
-                            replica
-                                .row_mut_untracked(layer, node)
-                                .copy_from_slice(&vals[i * dim..(i + 1) * dim]);
-                        }
-                    }
-                    _ => panic!("compact payload outside memo/delta mode"),
-                }
-            } else {
-                match &mut *wire {
-                    WireState::Memo(m_) => {
-                        let mut dec = RowDecoder::new(payload, dim);
-                        let mut ids = Vec::with_capacity(dec.remaining());
-                        while let Some((node, row)) = dec.next_entry() {
-                            ids.push(node);
-                            replica.row_mut_untracked(layer, node).copy_from_slice(row);
-                        }
-                        m_.store(h, ctx.host, layer, Channel::Broadcast, ids);
-                    }
-                    WireState::Delta(d) => {
-                        let mut dec = RowDecoder::new(payload, dim);
-                        let mut ids = Vec::with_capacity(dec.remaining());
-                        let mut vals = Vec::with_capacity(dec.remaining() * dim);
-                        while let Some((node, row)) = dec.next_entry() {
-                            ids.push(node);
-                            vals.extend_from_slice(row);
-                            replica.row_mut_untracked(layer, node).copy_from_slice(row);
-                        }
-                        d.store(h, ctx.host, layer, Channel::Broadcast, ids, vals);
-                    }
-                    WireState::Quant(_) => {
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        QuantDecoder::new(payload, dim)
-                            .expect("well-formed quantized payload")
-                            .decode_into(&mut sink);
-                    }
-                    WireState::Classic => {
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        RowDecoder::new(payload, dim).decode_into(&mut sink);
-                    }
-                }
-            }
+        host.send_broadcast(post)?;
+    }
+    let incoming = ctx.collect_phase(live, n_layers)?;
+    for from in 0..ctx.n_hosts {
+        for (layer, payload, value_only) in payloads_from(&incoming, from, n_layers) {
+            host.apply_broadcast(from, layer, payload, value_only)?;
         }
     }
-    replica.clear_tracking();
+    host.end();
     stats.rounds += 1;
     ctx.barrier_wait_timed();
 
-    if let Some(before) = stats_before {
+    if let Some(before) = before {
         let reduce_b = stats.reduce_bytes - before.reduce_bytes;
         let bcast_b = stats.broadcast_bytes - before.broadcast_bytes;
         gw2v_obs::add("gluon.threaded.reduce_bytes", reduce_b);
@@ -1841,6 +1190,20 @@ pub fn sync_round_threaded_degraded(
     }
     drop(obs_span);
     Ok(())
+}
+
+/// The payloads `from` delivered this phase, in layer order (none for a
+/// dead host or for the collecting host itself).
+fn payloads_from(
+    phase: &PhasePayloads,
+    from: usize,
+    n_layers: usize,
+) -> impl Iterator<Item = (usize, &Bytes, bool)> {
+    (0..n_layers).filter_map(move |layer| {
+        phase
+            .get(&(from, layer))
+            .map(|(payload, value_only)| (layer, payload, *value_only))
+    })
 }
 
 #[cfg(test)]
@@ -1897,7 +1260,7 @@ mod tests {
             // tests also referee the recycled-scratch path bitwise.
             let mut replica = fresh_replica(n_nodes, dim, 7);
             let mut stats = CommStats::default();
-            let mut scratch = ThreadedSyncScratch::new();
+            let mut scratch = SyncScratch::new();
             for round in 0..rounds {
                 apply_workload(&mut replica, ctx.host, round, n_nodes);
                 sync_round_threaded_with_scratch(
@@ -2055,7 +1418,7 @@ mod tests {
         let results = run_cluster_with(n_hosts, faults.clone(), ClusterConfig::default(), |ctx| {
             let mut replica = fresh_replica(n_nodes, 4, 7);
             let mut stats = CommStats::default();
-            let mut scratch = ThreadedSyncScratch::new();
+            let mut scratch = SyncScratch::new();
             let mut live = Liveness::all(n_hosts);
             for round in 0..3 {
                 if ctx.plan().crash_round(ctx.host) == Some(round) {
@@ -2206,7 +1569,7 @@ mod tests {
         let results = run_cluster(n_hosts, |ctx| {
             let mut replica = fresh_replica(n_nodes, dim, 7);
             let mut stats = CommStats::default();
-            let mut scratch = ThreadedSyncScratch::new();
+            let mut scratch = SyncScratch::new();
             let live = Liveness::all(n_hosts);
             for round in 0..rounds {
                 apply_workload(&mut replica, ctx.host, round, n_nodes);
@@ -2251,8 +1614,8 @@ mod tests {
             combiner: CombinerKind::ModelCombiner,
         };
         let live = Liveness::all(n_hosts);
-        let mut wire = WireState::for_mode(mode);
-        let mut scratch = crate::sync::SyncScratch::new();
+        let mut wire: Vec<WireState> = (0..n_hosts).map(|_| WireState::for_mode(mode)).collect();
+        let mut scratch: Vec<SyncScratch> = (0..n_hosts).map(|_| SyncScratch::new()).collect();
         let mut replicas: Vec<ModelReplica> = (0..n_hosts)
             .map(|_| fresh_replica(n_nodes, dim, 7))
             .collect();
@@ -2289,7 +1652,7 @@ mod tests {
         let results = run_cluster(n_hosts, |ctx| {
             let mut replica = fresh_replica(n_nodes, dim, 7);
             let mut stats = CommStats::default();
-            let mut scratch = ThreadedSyncScratch::new();
+            let mut scratch = SyncScratch::new();
             let mut wire = WireState::for_mode(mode);
             let live = Liveness::all(n_hosts);
             for round in 0..rounds {
@@ -2351,8 +1714,12 @@ mod tests {
         for plan in [SyncPlan::RepModelNaive, SyncPlan::RepModelOpt] {
             let (classic_model, classic_stats) =
                 run_sequential_wire(3, 12, 4, 3, plan, WireMode::IdValue);
-            let (delta_model, delta_stats) = run_sequential_wire(3, 12, 4, 3, plan, WireMode::Delta);
-            assert_eq!(classic_model, delta_model, "{plan:?} delta must be lossless");
+            let (delta_model, delta_stats) =
+                run_sequential_wire(3, 12, 4, 3, plan, WireMode::Delta);
+            assert_eq!(
+                classic_model, delta_model,
+                "{plan:?} delta must be lossless"
+            );
             assert!(
                 delta_stats.total_bytes() <= classic_stats.total_bytes(),
                 "{plan:?} delta must not cost more than classic"
@@ -2396,8 +1763,10 @@ mod tests {
                 .map(|_| fresh_replica(n_nodes, dim, 7))
                 .collect();
             let mut seq_stats = CommStats::default();
-            let mut seq_scratch = crate::sync::SyncScratch::new();
-            let mut seq_wire = WireState::for_mode(mode);
+            let mut seq_scratch: Vec<SyncScratch> =
+                (0..n_hosts).map(|_| SyncScratch::new()).collect();
+            let mut seq_wire: Vec<WireState> =
+                (0..n_hosts).map(|_| WireState::for_mode(mode)).collect();
             let live = Liveness::all(n_hosts);
             for round in 0..rounds {
                 for (host, replica) in seq_replicas.iter_mut().enumerate() {
@@ -2417,7 +1786,7 @@ mod tests {
             let results = run_cluster(n_hosts, |ctx| {
                 let mut replica = fresh_replica(n_nodes, dim, 7);
                 let mut stats = CommStats::default();
-                let mut scratch = ThreadedSyncScratch::new();
+                let mut scratch = SyncScratch::new();
                 let mut wire = WireState::for_mode(mode);
                 let live = Liveness::all(n_hosts);
                 for round in 0..rounds {

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Byte/message counters for one synchronization round, per host.
+/// Byte counters for one synchronization round, per host.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundVolume {
     /// Bytes sent by each host (reduce payloads it ships to masters plus
@@ -16,8 +16,6 @@ pub struct RoundVolume {
     pub sent: Vec<u64>,
     /// Bytes received by each host.
     pub recv: Vec<u64>,
-    /// Messages sent by each host (one message = one node's row).
-    pub msgs: Vec<u64>,
 }
 
 impl RoundVolume {
@@ -26,7 +24,6 @@ impl RoundVolume {
         Self {
             sent: vec![0; n_hosts],
             recv: vec![0; n_hosts],
-            msgs: vec![0; n_hosts],
         }
     }
 
@@ -35,7 +32,6 @@ impl RoundVolume {
     pub fn record(&mut self, from: usize, to: usize, bytes: u64) {
         self.sent[from] += bytes;
         self.recv[to] += bytes;
-        self.msgs[from] += 1;
     }
 
     /// Total bytes moved this round (each byte counted once).
@@ -98,7 +94,6 @@ mod tests {
         v.record(2, 0, 25);
         assert_eq!(v.sent, vec![100, 50, 25]);
         assert_eq!(v.recv, vec![25, 0, 150]);
-        assert_eq!(v.msgs, vec![1, 1, 1]);
         assert_eq!(v.total_bytes(), 175);
         // Host 2: sent 25 + recv 150 = 175 is the max.
         assert_eq!(v.max_host_bytes(), 175);

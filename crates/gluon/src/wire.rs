@@ -1,9 +1,10 @@
 //! Wire format for synchronization payloads.
 //!
 //! Rows cross the simulated network as serialized buffers, exactly as an
-//! MPI deployment would pack them. Serializing for real (rather than
-//! passing references) keeps the byte accounting honest and lets the
-//! threaded engine ship owned buffers between host threads.
+//! MPI deployment would pack them — in both engines. Serializing for
+//! real (rather than passing references) keeps the byte accounting
+//! honest and lets the threaded engine ship owned buffers between host
+//! threads.
 //!
 //! # Payload modes
 //!
@@ -44,14 +45,25 @@
 //!   Encoded by [`RowEncoder::finish_quant`] through the
 //!   backend-bit-identical `quantize_rows` kernel, decoded by
 //!   [`QuantDecoder`]. **Lossy** (values snap to a per-row 256-point
-//!   grid) but stateless: nothing to invalidate, and the simulator
-//!   replays the exact same quantize→dequantize transform on every
-//!   wire-crossing row so both engines still agree bit-for-bit.
+//!   grid) but stateless: nothing to invalidate.
 //!
 //! Id+value, memo, and delta carry bit-identical `f32` row values — the
 //! mode changes bytes moved, never training results; quant trades a
-//! bounded accuracy delta for the biggest byte cut. The conformance
-//! suite pins engine parity for all four across every fault family.
+//! bounded accuracy delta for the biggest byte cut.
+//!
+//! # The seam
+//!
+//! The sync round (`round.rs`) never looks at the mode. It hands
+//! every outgoing batch to [`WireState::encode`], which picks the form
+//! (full, value-only, mask + changed rows, quantized) and advances the
+//! sender's cache or shadow, and every incoming payload to
+//! [`WireState::decode`], which accepts whatever form arrived, checks it
+//! before indexing anything, advances the receiver's cache or shadow and
+//! yields `(node, row)` pairs in payload order. A payload that passes
+//! its frame CRC but does not fit the receiver's state is a
+//! [`WireError`], never a panic. [`WireState::encode_dense_reduce`] is
+//! the one extra mode-aware entry: RepModelNaive's reduce, whose
+//! accounted payload (every mirror row) is not the one it ships.
 //!
 //! # Format invariants
 //!
@@ -63,14 +75,15 @@
 //!   from the historical interleaved layout. Value-only: `4·dim` bytes
 //!   per entry ([`value_bytes`]), the `f32`s alone in cached-id-list
 //!   order. No header, no padding, no alignment requirement. Keeping
-//!   the two regions contiguous is what lets the codec run as two bulk
-//!   copies (one `memcpy`-shaped id pass, one SIMD value pass) instead
-//!   of `n` interleaved gather/scatter steps.
+//!   the two regions contiguous is what lets the encoder run as two bulk
+//!   passes (the ids, then the whole value region as one little-endian
+//!   copy — a `memcpy` on little-endian targets, no kernel dispatch)
+//!   instead of `n` interleaved gather/scatter steps.
 //! * **Self-describing length** — `buf.len()` must be an exact multiple
-//!   of the entry size; [`RowDecoder`] asserts this and [`ValueDecoder`]
-//!   additionally requires the length to match the cached id list
-//!   exactly, so a truncated, mis-dimensioned, or stale-cache buffer
-//!   fails loudly instead of desynchronizing.
+//!   of the entry size and [`ValueDecoder`] additionally requires the
+//!   length to match the cached id list exactly, so a truncated,
+//!   mis-dimensioned, or stale-cache buffer is a [`WireError`] at the
+//!   seam instead of a desynchronization.
 //! * **Order-preserving** — entries decode in the order they were
 //!   pushed. Determinism of the sync protocol relies on this: receivers
 //!   fold messages in host-id order and entries in push order, and the
@@ -78,12 +91,7 @@
 //!   push order).
 //! * **Bit-exact round-trip** — `f32` bits pass through unchanged
 //!   (including NaN payloads and negative zero), so a serialize →
-//!   deserialize cycle is the identity on rows and the threaded engine
-//!   stays bit-identical to the in-process sequential engine.
-//!
-//! Encoding and decoding of the `f32` blocks goes through the runtime-
-//! dispatched [`gw2v_util::simd`] kernels (`encode_rows`/`decode_rows`);
-//! pure byte movement, so scalar and AVX2 backends are bit-identical.
+//!   deserialize cycle is the identity on rows.
 //!
 //! # Byte accounting and the paper's Table 3
 //!
@@ -94,9 +102,11 @@
 //! * id+value entries count [`entry_bytes`]`(dim)` each — this is the
 //!   figure the paper reports for RepModelNaive / RepModelOpt /
 //!   PullModel;
-//! * memoized value-only entries count [`value_bytes`]`(dim)` each, so
-//!   the analytic simulator and the byte-measuring threaded engine agree
-//!   to the byte in both modes ("analytic == measured");
+//! * compact payloads count the bytes they occupy
+//!   ([`value_bytes`]`(dim)` per memoized entry, [`delta_bytes`] per
+//!   delta payload, [`quant_entry_bytes`]`(dim)` per quantized entry);
+//!   both engines count the payloads [`WireState::encode`] built, so
+//!   they agree to the byte;
 //! * sealed-frame armor ([`seal_frame`]'s 12-byte header) and PullModel
 //!   request id-lists are transport/control traffic the paper does not
 //!   count, and neither do we.
@@ -105,8 +115,61 @@ use crate::liveness::Liveness;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gw2v_util::crc32::crc32;
 use gw2v_util::simd::kernels;
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
+
+/// `values` as little-endian IEEE-754 bytes, bit-preserving (NaN
+/// payloads and `-0.0` survive): a view of their memory on a
+/// little-endian target, a converted copy otherwise.
+fn le_bytes(values: &[f32]) -> Cow<'_, [u8]> {
+    #[cfg(target_endian = "little")]
+    // SAFETY: the view covers exactly the memory of `values`, `u8` has no
+    // alignment or validity requirement, and on a little-endian target
+    // an `f32` slice's memory *is* its wire form.
+    return Cow::Borrowed(unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+    });
+    #[cfg(not(target_endian = "little"))]
+    Cow::Owned(
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect(),
+    )
+}
+
+/// Reads little-endian IEEE-754 bytes from `src` (`4 · values.len()` of
+/// them, at any alignment) into `values`; the exact inverse of
+/// [`le_bytes`].
+fn get_f32s_le(src: &[u8], values: &mut [f32]) {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: the view covers exactly the memory of `values`, which
+        // it borrows mutably for as long as it lives, and every bit
+        // pattern written through it is a valid `f32`.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(
+                values.as_mut_ptr().cast::<u8>(),
+                std::mem::size_of_val(values),
+            )
+        };
+        bytes.copy_from_slice(src);
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        assert_eq!(src.len(), values.len() * 4, "f32 block length mismatch");
+        for (v, b) in values.iter_mut().zip(src.chunks_exact(4)) {
+            *v = f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+        }
+    }
+}
+
+/// The `i`-th little-endian `u32` of an id region.
+fn id_at(ids: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes([ids[4 * i], ids[4 * i + 1], ids[4 * i + 2], ids[4 * i + 3]])
+}
 
 /// Serialized bytes for one `(node, row)` id+value entry at dimension
 /// `dim`.
@@ -191,18 +254,31 @@ impl WireMode {
 
 /// An encoder for a batch of `(node, row)` entries of fixed dimension.
 ///
-/// Ids and values are staged separately so one encoder can serve both
-/// payload layouts: [`finish`](RowEncoder::finish) interleaves them into
-/// an id+value buffer, [`finish_values`](RowEncoder::finish_values)
-/// emits the values alone, and [`ids`](RowEncoder::ids) exposes the id
-/// list for [`WireMemo`] bookkeeping. Both finishers are non-consuming,
-/// so the same staged batch can be shipped in either layout to
-/// different peers.
-#[derive(Debug)]
+/// Ids and values are staged separately so one encoder can serve every
+/// payload layout: [`finish`](RowEncoder::finish) emits id+value,
+/// [`finish_values`](RowEncoder::finish_values) the values alone,
+/// [`finish_delta`](RowEncoder::finish_delta) a mask plus changed rows
+/// and [`finish_quant`](RowEncoder::finish_quant) the quantized form.
+/// The finishers are non-consuming and build a fresh buffer on every
+/// call; [`WireState::encode`] builds each form that does not depend on
+/// the peer at most once per staged batch, so a batch that goes to
+/// several peers is serialized once.
+#[derive(Debug, Default)]
 pub struct RowEncoder {
     dim: usize,
     ids: Vec<u32>,
     values: Vec<f32>,
+    /// Peer-independent forms already built for the staged batch,
+    /// indexed by [`SharedForm`]; emptied by [`push`](RowEncoder::push).
+    built: [OnceCell<Bytes>; 3],
+}
+
+/// The payload forms that are the same bytes for every peer.
+#[derive(Clone, Copy)]
+enum SharedForm {
+    Full,
+    Values,
+    Quant,
 }
 
 impl RowEncoder {
@@ -212,7 +288,17 @@ impl RowEncoder {
             dim,
             ids: Vec::new(),
             values: Vec::new(),
+            built: Default::default(),
         }
+    }
+
+    /// Empties the encoder for a new batch of rows of length `dim`,
+    /// keeping its buffers.
+    pub fn reset(&mut self, dim: usize) {
+        self.dim = dim;
+        self.ids.clear();
+        self.values.clear();
+        self.built = Default::default();
     }
 
     /// Appends one entry.
@@ -220,6 +306,20 @@ impl RowEncoder {
         assert_eq!(row.len(), self.dim, "row dimension mismatch");
         self.ids.push(node);
         self.values.extend_from_slice(row);
+        for form in &mut self.built {
+            form.take();
+        }
+    }
+
+    /// `form` of the staged batch, built on first request.
+    fn shared(&self, form: SharedForm) -> Bytes {
+        self.built[form as usize]
+            .get_or_init(|| match form {
+                SharedForm::Full => self.finish(),
+                SharedForm::Values => self.finish_values(),
+                SharedForm::Quant => self.finish_quant(),
+            })
+            .clone()
     }
 
     /// Entries encoded so far.
@@ -242,28 +342,23 @@ impl RowEncoder {
         &self.ids
     }
 
-    /// Serializes the staged batch as an id+value buffer: the id region
-    /// as one pass, then the whole value region in a single bulk call
-    /// through the SIMD kernel table. Non-consuming: the batch stays
-    /// staged.
+    /// Serializes the staged batch as an id+value buffer: the id
+    /// region, then the whole value region as one bulk copy.
+    /// Non-consuming: the batch stays staged.
     pub fn finish(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.resize(self.byte_len(), 0);
-        let out = buf.as_mut_slice();
-        let ids_end = self.ids.len() * 4;
-        for (i, &node) in self.ids.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&node.to_le_bytes());
+        let mut buf = BytesMut::with_capacity(self.byte_len());
+        for &node in &self.ids {
+            buf.put_u32_le(node);
         }
-        (kernels().encode_rows)(&self.values, &mut out[ids_end..]);
+        buf.put_slice(&le_bytes(&self.values));
         buf.freeze()
     }
 
     /// Serializes the staged batch as a value-only buffer (one bulk
-    /// kernel call over all rows). Non-consuming.
+    /// copy over all rows). Non-consuming.
     pub fn finish_values(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.resize(self.value_byte_len(), 0);
-        (kernels().encode_rows)(&self.values, buf.as_mut_slice());
+        let mut buf = BytesMut::with_capacity(self.value_byte_len());
+        buf.put_slice(&le_bytes(&self.values));
         buf.freeze()
     }
 
@@ -276,21 +371,17 @@ impl RowEncoder {
     /// (one bit per staged entry, LSB-first within each byte, as
     /// produced by [`DeltaShadow::submit`]): the mask bytes first, then
     /// the full `f32` rows of the *set-bit* entries only, in push
-    /// order, bulk-encoded in one kernel call. Non-consuming.
+    /// order. Non-consuming.
     pub fn finish_delta(&self, mask: &[u8]) -> Bytes {
         let n = self.ids.len();
         assert_eq!(mask.len(), mask_bytes(n), "mask length mismatch");
-        let mut changed_vals = Vec::new();
+        let mut buf = BytesMut::new();
+        buf.put_slice(mask);
         for r in 0..n {
             if mask[r / 8] & (1 << (r % 8)) != 0 {
-                changed_vals.extend_from_slice(&self.values[r * self.dim..(r + 1) * self.dim]);
+                buf.put_slice(&le_bytes(&self.values[r * self.dim..(r + 1) * self.dim]));
             }
         }
-        let mut buf = BytesMut::new();
-        buf.resize(mask.len() + changed_vals.len() * 4, 0);
-        let out = buf.as_mut_slice();
-        out[..mask.len()].copy_from_slice(mask);
-        (kernels().encode_rows)(&changed_vals, &mut out[mask.len()..]);
         buf.freeze()
     }
 
@@ -303,12 +394,14 @@ impl RowEncoder {
         let n = self.ids.len();
         let mut scales = vec![0.0f32; n];
         let mut offsets = vec![0.0f32; n];
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(n * quant_entry_bytes(self.dim));
+        for &node in &self.ids {
+            buf.put_u32_le(node);
+        }
+        // The kernel fills the code region in place; scales and offsets
+        // are known only once it has run.
         buf.resize(n * quant_entry_bytes(self.dim), 0);
         let out = buf.as_mut_slice();
-        for (i, &node) in self.ids.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&node.to_le_bytes());
-        }
         (kernels().quantize_rows)(
             &self.values,
             self.dim,
@@ -316,49 +409,40 @@ impl RowEncoder {
             &mut offsets,
             &mut out[n * 12..],
         );
-        (kernels().encode_rows)(&scales, &mut out[n * 4..n * 8]);
-        (kernels().encode_rows)(&offsets, &mut out[n * 8..n * 12]);
+        out[n * 4..n * 8].copy_from_slice(&le_bytes(&scales));
+        out[n * 8..n * 12].copy_from_slice(&le_bytes(&offsets));
         buf.freeze()
     }
 }
 
-/// A destination rows can be decoded straight into (a replica layer, a
-/// raw matrix, …) without staging through an intermediate row buffer.
-pub trait RowSink {
-    /// Mutable storage for `node`'s row; the decoder fills it in place.
-    fn row_mut(&mut self, node: u32) -> &mut [f32];
-}
-
-impl<F> RowSink for F
-where
-    F: FnMut(u32) -> *mut [f32],
-{
-    fn row_mut(&mut self, node: u32) -> &mut [f32] {
-        // SAFETY: callers hand out disjoint rows of storage they
-        // exclusively borrow for the duration of the decode.
-        unsafe { &mut *self(node) }
+/// Serializes a bare node-id list — a PullModel request: control
+/// traffic, the same bytes in every mode (an id+value payload of
+/// dimension 0). The inverse of [`decode_ids`].
+pub fn encode_ids(ids: &[u32]) -> Bytes {
+    let mut buf = BytesMut::with_capacity(ids.len() * 4);
+    for &node in ids {
+        buf.put_u32_le(node);
     }
+    buf.freeze()
 }
 
 /// Iterator decoding an id+value buffer produced by
 /// [`RowEncoder::finish`].
 ///
-/// The struct-of-arrays layout lets construction decode the *entire*
-/// value region with one bulk kernel call; iteration and
-/// [`decode_into`](RowDecoder::decode_into) then only hand out (or
-/// `memcpy`) slices of the already-decoded block — no per-row kernel
-/// dispatch.
+/// Rows are decoded one at a time, straight from the wire bytes into a
+/// single aligned row buffer: the payload is read once and nothing the
+/// size of the payload is allocated.
 pub struct RowDecoder {
-    dim: usize,
     buf: Bytes,
     count: usize,
     next: usize,
-    values: Vec<f32>,
+    row: Vec<f32>,
 }
 
 impl RowDecoder {
-    /// Creates a decoder for rows of length `dim`, bulk-decoding the
-    /// value region up front.
+    /// Creates a decoder for rows of length `dim`. Panics when `buf` is
+    /// not a whole number of [`entry_bytes`] entries: check that first
+    /// for a buffer a peer built ([`WireState::decode`] does).
     pub fn new(buf: Bytes, dim: usize) -> Self {
         assert_eq!(
             buf.len() % entry_bytes(dim),
@@ -367,15 +451,11 @@ impl RowDecoder {
             buf.len(),
             entry_bytes(dim)
         );
-        let count = buf.len() / entry_bytes(dim);
-        let mut values = vec![0.0; count * dim];
-        (kernels().decode_rows)(&buf.as_slice()[count * 4..], &mut values);
         Self {
-            dim,
+            count: buf.len() / entry_bytes(dim),
             buf,
-            count,
             next: 0,
-            values,
+            row: vec![0.0; dim],
         }
     }
 
@@ -386,28 +466,16 @@ impl RowDecoder {
             return None;
         }
         let src = self.buf.as_slice();
-        let off = self.next * 4;
-        let node = u32::from_le_bytes([src[off], src[off + 1], src[off + 2], src[off + 3]]);
-        let row = &self.values[self.next * self.dim..(self.next + 1) * self.dim];
+        let node = id_at(src, self.next);
+        let at = self.count * 4 + self.next * 4 * self.row.len();
+        get_f32s_le(&src[at..at + 4 * self.row.len()], &mut self.row);
         self.next += 1;
-        Some((node, row))
+        Some((node, &self.row))
     }
 
     /// Number of entries remaining.
     pub fn remaining(&self) -> usize {
         self.count - self.next
-    }
-
-    /// Copies every remaining entry directly into `sink`'s row storage.
-    pub fn decode_into<S: RowSink>(&mut self, sink: &mut S) {
-        let src = self.buf.as_slice();
-        while self.next < self.count {
-            let off = self.next * 4;
-            let node = u32::from_le_bytes([src[off], src[off + 1], src[off + 2], src[off + 3]]);
-            sink.row_mut(node)
-                .copy_from_slice(&self.values[self.next * self.dim..(self.next + 1) * self.dim]);
-            self.next += 1;
-        }
     }
 }
 
@@ -416,15 +484,14 @@ impl RowDecoder {
 /// corresponding id from the receiver's cached list.
 #[derive(Debug)]
 pub struct ValueDecoder<'a> {
-    dim: usize,
     ids: &'a [u32],
+    buf: Bytes,
     next: usize,
-    values: Vec<f32>,
+    row: Vec<f32>,
 }
 
 impl<'a> ValueDecoder<'a> {
-    /// Creates a decoder pairing `buf`'s rows with `ids`,
-    /// bulk-decoding the whole payload up front; fails with
+    /// Creates a decoder pairing `buf`'s rows with `ids`; fails with
     /// [`WireError::BadLength`] when the payload does not carry exactly
     /// one row per cached id (a stale or mismatched cache).
     pub fn new(buf: Bytes, dim: usize, ids: &'a [u32]) -> Result<Self, WireError> {
@@ -435,13 +502,11 @@ impl<'a> ValueDecoder<'a> {
                 actual: buf.len(),
             });
         }
-        let mut values = vec![0.0; ids.len() * dim];
-        (kernels().decode_rows)(buf.as_slice(), &mut values);
         Ok(Self {
-            dim,
             ids,
+            buf,
             next: 0,
-            values,
+            row: vec![0.0; dim],
         })
     }
 
@@ -449,18 +514,13 @@ impl<'a> ValueDecoder<'a> {
     /// (valid until the next call).
     pub fn next_entry(&mut self) -> Option<(u32, &[f32])> {
         let node = *self.ids.get(self.next)?;
-        let row = &self.values[self.next * self.dim..(self.next + 1) * self.dim];
+        let at = self.next * 4 * self.row.len();
+        get_f32s_le(
+            &self.buf.as_slice()[at..at + 4 * self.row.len()],
+            &mut self.row,
+        );
         self.next += 1;
-        Some((node, row))
-    }
-
-    /// Copies every remaining entry directly into `sink`'s row storage.
-    pub fn decode_into<S: RowSink>(&mut self, sink: &mut S) {
-        while let Some(&node) = self.ids.get(self.next) {
-            sink.row_mut(node)
-                .copy_from_slice(&self.values[self.next * self.dim..(self.next + 1) * self.dim]);
-            self.next += 1;
-        }
+        Some((node, &self.row))
     }
 }
 
@@ -468,9 +528,9 @@ impl<'a> ValueDecoder<'a> {
 /// [`RowEncoder::finish_quant`].
 ///
 /// Construction dequantizes the *entire* payload with one bulk
-/// `dequantize_rows` kernel call; iteration and
-/// [`decode_into`](QuantDecoder::decode_into) then behave exactly like
-/// [`RowDecoder`] over the reconstructed rows.
+/// `dequantize_rows` kernel call (the backend-bit-identical kernel works
+/// best over many rows); iteration then hands out slices of the
+/// reconstructed block.
 #[derive(Debug)]
 pub struct QuantDecoder {
     dim: usize,
@@ -486,7 +546,7 @@ impl QuantDecoder {
     /// [`quant_entry_bytes`] entries.
     pub fn new(buf: Bytes, dim: usize) -> Result<Self, WireError> {
         let per = quant_entry_bytes(dim);
-        if buf.len() % per != 0 {
+        if !buf.len().is_multiple_of(per) {
             return Err(WireError::BadLength {
                 claimed: buf.len() / per * per,
                 actual: buf.len(),
@@ -496,8 +556,8 @@ impl QuantDecoder {
         let src = buf.as_slice();
         let mut scales = vec![0.0f32; count];
         let mut offsets = vec![0.0f32; count];
-        (kernels().decode_rows)(&src[count * 4..count * 8], &mut scales);
-        (kernels().decode_rows)(&src[count * 8..count * 12], &mut offsets);
+        get_f32s_le(&src[count * 4..count * 8], &mut scales);
+        get_f32s_le(&src[count * 8..count * 12], &mut offsets);
         let mut values = vec![0.0f32; count * dim];
         (kernels().dequantize_rows)(&src[count * 12..], dim, &scales, &offsets, &mut values);
         Ok(Self {
@@ -515,9 +575,7 @@ impl QuantDecoder {
         if self.next >= self.count {
             return None;
         }
-        let src = self.buf.as_slice();
-        let off = self.next * 4;
-        let node = u32::from_le_bytes([src[off], src[off + 1], src[off + 2], src[off + 3]]);
+        let node = id_at(self.buf.as_slice(), self.next);
         let row = &self.values[self.next * self.dim..(self.next + 1) * self.dim];
         self.next += 1;
         Some((node, row))
@@ -526,19 +584,6 @@ impl QuantDecoder {
     /// Number of entries remaining.
     pub fn remaining(&self) -> usize {
         self.count - self.next
-    }
-
-    /// Copies every remaining reconstructed row directly into `sink`'s
-    /// row storage.
-    pub fn decode_into<S: RowSink>(&mut self, sink: &mut S) {
-        let src = self.buf.as_slice();
-        while self.next < self.count {
-            let off = self.next * 4;
-            let node = u32::from_le_bytes([src[off], src[off + 1], src[off + 2], src[off + 3]]);
-            sink.row_mut(node)
-                .copy_from_slice(&self.values[self.next * self.dim..(self.next + 1) * self.dim]);
-            self.next += 1;
-        }
     }
 }
 
@@ -556,6 +601,10 @@ pub enum Channel {
     /// responses).
     Broadcast,
 }
+
+/// What a cache or shadow entry is keyed by: `(sender, receiver, layer,
+/// channel)`.
+type LinkKey = (usize, usize, usize, Channel);
 
 /// Per-(sender, receiver, layer, channel) node-id-list cache driving
 /// [`WireMode::Memo`].
@@ -579,9 +628,8 @@ pub enum Channel {
 /// routing — and therefore every id list — changes with it.
 #[derive(Debug, Default)]
 pub struct WireMemo {
-    cache: HashMap<(usize, usize, usize, Channel), Vec<u32>>,
+    cache: HashMap<LinkKey, Vec<u32>>,
     live: Option<Liveness>,
-    stage: Vec<Vec<u32>>,
 }
 
 impl WireMemo {
@@ -647,27 +695,6 @@ impl WireMemo {
             .get(&(from, to, layer, channel))
             .map(Vec::as_slice)
     }
-
-    /// Borrow-friendly staging: takes `n` cleared scratch id-lists out
-    /// of the memo's pool (callers stage per-destination lists while
-    /// iterating structures that also borrow the memo's owner, then
-    /// [`submit`](WireMemo::submit) and [`put_stage`](WireMemo::put_stage)
-    /// them back).
-    pub fn take_stage(&mut self, n: usize) -> Vec<Vec<u32>> {
-        let mut out = std::mem::take(&mut self.stage);
-        out.resize_with(n, Vec::new);
-        out.truncate(n);
-        for v in &mut out {
-            v.clear();
-        }
-        out
-    }
-
-    /// Returns staging lists taken with [`take_stage`](WireMemo::take_stage)
-    /// so steady-state rounds reuse their allocations.
-    pub fn put_stage(&mut self, stage: Vec<Vec<u32>>) {
-        self.stage = stage;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -728,10 +755,8 @@ impl DeltaForm {
 /// payload.
 #[derive(Debug, Default)]
 pub struct DeltaShadow {
-    cache: HashMap<(usize, usize, usize, Channel), (Vec<u32>, Vec<f32>)>,
+    cache: HashMap<LinkKey, (Vec<u32>, Vec<f32>)>,
     live: Option<Liveness>,
-    stage_ids: Vec<Vec<u32>>,
-    stage_vals: Vec<Vec<f32>>,
 }
 
 impl DeltaShadow {
@@ -764,6 +789,7 @@ impl DeltaShadow {
     /// bits differ from the shadow (updating those shadow rows);
     /// otherwise replaces the whole shadow entry and returns
     /// [`DeltaForm::Full`].
+    #[allow(clippy::too_many_arguments)]
     pub fn submit(
         &mut self,
         from: usize,
@@ -824,12 +850,10 @@ impl DeltaShadow {
     /// Receiver side: reconstructs the full `(ids, rows)` batch from a
     /// delta payload (mask + changed rows) against the shadow,
     /// advancing the shadow to the reconstructed state. Fails with
-    /// [`WireError::BadLength`] when the payload does not carry exactly
-    /// `mask_bytes(n) + popcount · value_bytes(dim)` bytes.
-    ///
-    /// A delta payload with no shadow entry is a protocol bug (the
-    /// sender only ships deltas after a full exchange on the key), so
-    /// that case panics rather than degrading silently.
+    /// [`WireError::NoShadow`] when no full payload has been stored on
+    /// the key and with [`WireError::BadLength`] when the payload does
+    /// not carry exactly `mask_bytes(n) + popcount · value_bytes(dim)`
+    /// bytes; the shadow is untouched in both cases.
     pub fn apply_delta(
         &mut self,
         from: usize,
@@ -840,10 +864,7 @@ impl DeltaShadow {
         dim: usize,
     ) -> Result<(&[u32], &[f32]), WireError> {
         let key = (from, to, layer, channel);
-        let (ids, vals) = self
-            .cache
-            .get_mut(&key)
-            .expect("delta payload with no shadow entry: protocol bug");
+        let (ids, vals) = self.cache.get_mut(&key).ok_or(WireError::NoShadow)?;
         let n = ids.len();
         let mb = mask_bytes(n);
         if payload.len() < mb {
@@ -862,91 +883,15 @@ impl DeltaShadow {
                 actual: payload.len(),
             });
         }
-        let mut changed_vals = vec![0.0f32; changed * dim];
-        (kernels().decode_rows)(&src[mb..], &mut changed_vals);
-        let mut ci = 0;
+        let mut at = mb;
         for r in 0..n {
             if mask[r / 8] & (1 << (r % 8)) != 0 {
-                vals[r * dim..(r + 1) * dim]
-                    .copy_from_slice(&changed_vals[ci * dim..(ci + 1) * dim]);
-                ci += 1;
+                let row = &src[at..at + value_bytes(dim)];
+                get_f32s_le(row, &mut vals[r * dim..(r + 1) * dim]);
+                at += row.len();
             }
         }
         Ok((ids.as_slice(), vals.as_slice()))
-    }
-
-    /// Borrow-friendly staging: takes `n` cleared `(ids, values)`
-    /// scratch pairs out of the shadow's pool (the sequential engine
-    /// stages per-destination batches while iterating structures that
-    /// also borrow the shadow's owner, then
-    /// [`submit`](DeltaShadow::submit)s and
-    /// [`put_stage`](DeltaShadow::put_stage)s them back).
-    pub fn take_stage(&mut self, n: usize) -> (Vec<Vec<u32>>, Vec<Vec<f32>>) {
-        let mut ids = std::mem::take(&mut self.stage_ids);
-        let mut vals = std::mem::take(&mut self.stage_vals);
-        ids.resize_with(n, Vec::new);
-        ids.truncate(n);
-        vals.resize_with(n, Vec::new);
-        vals.truncate(n);
-        for v in &mut ids {
-            v.clear();
-        }
-        for v in &mut vals {
-            v.clear();
-        }
-        (ids, vals)
-    }
-
-    /// Returns staging pairs taken with
-    /// [`take_stage`](DeltaShadow::take_stage) so steady-state rounds
-    /// reuse their allocations.
-    pub fn put_stage(&mut self, ids: Vec<Vec<u32>>, vals: Vec<Vec<f32>>) {
-        self.stage_ids = ids;
-        self.stage_vals = vals;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Quantization scratch (quant mode)
-// ---------------------------------------------------------------------------
-
-/// Reusable buffers for the simulator's quantize→dequantize replay.
-///
-/// [`WireMode::Quant`] is stateless on the wire — nothing to
-/// invalidate — but the sequential engine must apply the exact lossy
-/// transform the threaded engine's payloads apply, on every
-/// wire-crossing row. This scratch recycles the code buffer across
-/// calls.
-#[derive(Debug, Default)]
-pub struct QuantScratch {
-    scale: [f32; 1],
-    offset: [f32; 1],
-    codes: Vec<u8>,
-}
-
-impl QuantScratch {
-    /// Fresh scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Applies the wire transform to one row in place: quantize to u8
-    /// codes, dequantize back. A row that went through this is
-    /// bit-identical to the same row decoded from a
-    /// [`RowEncoder::finish_quant`] payload.
-    pub fn qdq_row(&mut self, row: &mut [f32]) {
-        if row.is_empty() {
-            return;
-        }
-        self.codes.resize(row.len(), 0);
-        (kernels().quantize_rows)(
-            row,
-            row.len(),
-            &mut self.scale,
-            &mut self.offset,
-            &mut self.codes,
-        );
-        (kernels().dequantize_rows)(&self.codes, row.len(), &self.scale, &self.offset, row);
     }
 }
 
@@ -954,8 +899,15 @@ impl QuantScratch {
 // Per-run wire state
 // ---------------------------------------------------------------------------
 
-/// Per-trainer wire-protocol state for the run's [`WireMode`]; both
-/// engines thread one of these through every sync round.
+/// One host's wire-protocol state for the run's [`WireMode`]: its
+/// sender-side entries for every `(self → peer)` key and its
+/// receiver-side entries for every `(peer → self)` key. Each host owns
+/// one in both engines — the keys of two hosts overlap (what one sends
+/// the other receives), so a state is never shared between hosts.
+///
+/// [`encode`](WireState::encode), [`decode`](WireState::decode) and
+/// [`encode_dense_reduce`](WireState::encode_dense_reduce) are the only
+/// code that knows what a mode puts on the wire.
 #[derive(Debug)]
 pub enum WireState {
     /// [`WireMode::IdValue`]: stateless.
@@ -964,9 +916,8 @@ pub enum WireState {
     Memo(WireMemo),
     /// [`WireMode::Delta`]: last-sent row shadows.
     Delta(DeltaShadow),
-    /// [`WireMode::Quant`]: stateless on the wire; scratch for the
-    /// simulator's quantize→dequantize replay.
-    Quant(QuantScratch),
+    /// [`WireMode::Quant`]: stateless.
+    Quant,
 }
 
 impl WireState {
@@ -976,17 +927,7 @@ impl WireState {
             WireMode::IdValue => WireState::Classic,
             WireMode::Memo => WireState::Memo(WireMemo::new()),
             WireMode::Delta => WireState::Delta(DeltaShadow::new()),
-            WireMode::Quant => WireState::Quant(QuantScratch::new()),
-        }
-    }
-
-    /// The mode this state drives.
-    pub fn mode(&self) -> WireMode {
-        match self {
-            WireState::Classic => WireMode::IdValue,
-            WireState::Memo(_) => WireMode::Memo,
-            WireState::Delta(_) => WireMode::Delta,
-            WireState::Quant(_) => WireMode::Quant,
+            WireMode::Quant => WireState::Quant,
         }
     }
 
@@ -996,20 +937,207 @@ impl WireState {
         match self {
             WireState::Memo(m) => m.begin_epoch(),
             WireState::Delta(d) => d.begin_epoch(),
-            WireState::Classic | WireState::Quant(_) => {}
+            WireState::Classic | WireState::Quant => {}
         }
     }
 
     /// Invalidates stateful caches on any alive-set change (no-op for
     /// the stateless modes). Call once per sync round before any
-    /// submit/store.
+    /// encode/decode.
     pub fn observe_liveness(&mut self, live: &Liveness) {
         match self {
             WireState::Memo(m) => m.observe_liveness(live),
             WireState::Delta(d) => d.observe_liveness(live),
-            WireState::Classic | WireState::Quant(_) => {}
+            WireState::Classic | WireState::Quant => {}
         }
     }
+
+    /// Sender side: serializes the batch `from` ships `to` on
+    /// `(layer, channel)` in the form the mode and this state call for,
+    /// advancing the cache or shadow. Returns the payload and its
+    /// `value_only` tag — true for the two compact forms (memoized
+    /// values, delta mask + changed rows) that only the receiver's state
+    /// can expand. A form that is the same bytes for every peer is built
+    /// once per staged batch, however many peers it goes to.
+    pub fn encode(
+        &mut self,
+        from: usize,
+        to: usize,
+        layer: usize,
+        channel: Channel,
+        enc: &RowEncoder,
+    ) -> (Bytes, bool) {
+        match self {
+            WireState::Classic => (enc.shared(SharedForm::Full), false),
+            WireState::Quant => (enc.shared(SharedForm::Quant), false),
+            WireState::Memo(m) => {
+                if m.submit(from, to, layer, channel, enc.ids()) {
+                    (enc.shared(SharedForm::Values), true)
+                } else {
+                    (enc.shared(SharedForm::Full), false)
+                }
+            }
+            WireState::Delta(d) => {
+                match d.submit(from, to, layer, channel, enc.ids(), enc.values(), enc.dim) {
+                    DeltaForm::Full => (enc.shared(SharedForm::Full), false),
+                    DeltaForm::Delta { mask, .. } => (enc.finish_delta(&mask), true),
+                }
+            }
+        }
+    }
+
+    /// RepModelNaive's reduce from `from` to master `to`. The plan
+    /// *accounts* a dense payload — one delta for every row of
+    /// `dense_ids` (all rows `to` masters, ascending), zero for the rows
+    /// absent from `touched` — but ships `touched` alone: a zero delta
+    /// must not reach the combiner (`Avg` divides by the number of
+    /// touching hosts). Advances the cache or shadow with the dense
+    /// image and returns the physical payload (never a compact form, the
+    /// receiver holds no dense state) with the bytes to account.
+    pub fn encode_dense_reduce(
+        &mut self,
+        from: usize,
+        to: usize,
+        layer: usize,
+        dense_ids: &[u32],
+        touched: &RowEncoder,
+    ) -> (Bytes, usize) {
+        let (n, dim) = (dense_ids.len(), touched.dim);
+        match self {
+            WireState::Classic => (touched.finish(), n * entry_bytes(dim)),
+            WireState::Quant => (touched.finish_quant(), n * quant_entry_bytes(dim)),
+            WireState::Memo(m) => {
+                let hit = m.submit(from, to, layer, Channel::Reduce, dense_ids);
+                let per = if hit {
+                    value_bytes(dim)
+                } else {
+                    entry_bytes(dim)
+                };
+                (touched.finish(), n * per)
+            }
+            WireState::Delta(d) => {
+                let mut dense = vec![0.0f32; n * dim];
+                for (i, node) in touched.ids.iter().enumerate() {
+                    let at = dense_ids
+                        .binary_search(node)
+                        .expect("a touched row is one of its master's rows");
+                    dense[at * dim..(at + 1) * dim]
+                        .copy_from_slice(&touched.values[i * dim..(i + 1) * dim]);
+                }
+                let form = d.submit(from, to, layer, Channel::Reduce, dense_ids, &dense, dim);
+                (touched.finish(), form.wire_bytes(n, dim))
+            }
+        }
+    }
+
+    /// Receiver side: expands the payload `from` shipped `to` on
+    /// `(layer, channel)`, whichever form it came in, into `(node, row)`
+    /// pairs handed to `sink` in payload order, and advances the cache
+    /// or shadow exactly as the sender's `encode` did.
+    ///
+    /// Everything is checked before `sink` sees a row or the state
+    /// changes: the length against the form, the form against the mode,
+    /// a compact payload against the cached list or shadow, and every
+    /// node id against `n_nodes` — so `sink` may index by node, and a
+    /// payload that passed its frame CRC but does not fit is a typed
+    /// error that leaves this state as it was.
+    #[allow(clippy::too_many_arguments)]
+    pub fn decode(
+        &mut self,
+        from: usize,
+        to: usize,
+        layer: usize,
+        channel: Channel,
+        payload: &Bytes,
+        value_only: bool,
+        dim: usize,
+        n_nodes: usize,
+        mut sink: impl FnMut(u32, &[f32]),
+    ) -> Result<(), WireError> {
+        match (self, value_only) {
+            (WireState::Memo(m), true) => {
+                let ids = m
+                    .cached(from, to, layer, channel)
+                    .ok_or(WireError::NoCachedIds)?;
+                let mut dec = ValueDecoder::new(payload.clone(), dim, ids)?;
+                while let Some((node, row)) = dec.next_entry() {
+                    sink(node, row);
+                }
+            }
+            (WireState::Delta(d), true) => {
+                let (ids, vals) = d.apply_delta(from, to, layer, channel, payload, dim)?;
+                for (i, &node) in ids.iter().enumerate() {
+                    sink(node, &vals[i * dim..(i + 1) * dim]);
+                }
+            }
+            (WireState::Classic | WireState::Quant, true) => {
+                return Err(WireError::UnexpectedForm);
+            }
+            (WireState::Quant, false) => {
+                let mut dec = QuantDecoder::new(payload.clone(), dim)?;
+                check_ids(&payload.as_slice()[..dec.remaining() * 4], n_nodes)?;
+                while let Some((node, row)) = dec.next_entry() {
+                    sink(node, row);
+                }
+            }
+            (state, false) => {
+                let per = entry_bytes(dim);
+                if !payload.len().is_multiple_of(per) {
+                    return Err(WireError::BadLength {
+                        claimed: payload.len() / per * per,
+                        actual: payload.len(),
+                    });
+                }
+                let n = payload.len() / per;
+                let (id_region, values) = payload.as_slice().split_at(n * 4);
+                check_ids(id_region, n_nodes)?;
+                let ids = || (0..n).map(|i| id_at(id_region, i)).collect();
+                match state {
+                    WireState::Memo(m) => m.store(from, to, layer, channel, ids()),
+                    WireState::Delta(d) => {
+                        let mut rows = vec![0.0f32; n * dim];
+                        get_f32s_le(values, &mut rows);
+                        d.store(from, to, layer, channel, ids(), rows);
+                    }
+                    WireState::Classic | WireState::Quant => {}
+                }
+                let mut dec = RowDecoder::new(payload.clone(), dim);
+                while let Some((node, row)) = dec.next_entry() {
+                    sink(node, row);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Fails unless every little-endian `u32` of the id region `ids` names
+/// one of `n_nodes` rows.
+fn check_ids(ids: &[u8], n_nodes: usize) -> Result<(), WireError> {
+    match (0..ids.len() / 4)
+        .map(|i| id_at(ids, i))
+        .find(|&node| node as usize >= n_nodes)
+    {
+        Some(node) => Err(WireError::NodeOutOfRange { node, n_nodes }),
+        None => Ok(()),
+    }
+}
+
+/// Decodes a bare node-id list ([`encode_ids`]) after checking its
+/// length and every id against `n_nodes`.
+pub fn decode_ids(
+    payload: &Bytes,
+    n_nodes: usize,
+) -> Result<impl Iterator<Item = u32> + '_, WireError> {
+    let src = payload.as_slice();
+    if !src.len().is_multiple_of(4) {
+        return Err(WireError::BadLength {
+            claimed: src.len() / 4 * 4,
+            actual: src.len(),
+        });
+    }
+    check_ids(src, n_nodes)?;
+    Ok((0..src.len() / 4).map(move |i| id_at(src, i)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1023,18 +1151,22 @@ pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"GW2V");
 /// CRC-32 `u32`, all little-endian.
 pub const FRAME_HEADER_BYTES: usize = 12;
 
-/// A frame that failed validation on receipt, or a payload that cannot
-/// be framed at all.
+/// A frame or payload that failed validation on receipt, or a payload
+/// that cannot be framed at all.
 ///
-/// The threaded engine treats a receive-side error as a corrupted
-/// delivery: the receiver NAKs the `(sender, layer)` slot and the sender
-/// retransmits from its resend buffer. [`WireError::PayloadTooLarge`] is
-/// the one send-side case and no retry can heal it.
+/// The threaded engine treats a *frame* error ([`open_frame`]) as a
+/// corrupted delivery: the receiver NAKs the `(sender, layer)` slot and
+/// the sender retransmits from its resend buffer. A *payload* error
+/// ([`WireState::decode`], [`decode_ids`]) comes after the CRC matched —
+/// the sender built those bytes — so like the send-side
+/// [`WireError::PayloadTooLarge`] no retry can heal it and the round
+/// fails with a [`crate::ClusterError`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// The buffer is shorter than a frame header, the header's length
-    /// field disagrees with the actual payload size, or a value-only
-    /// payload does not match its cached id list.
+    /// field disagrees with the actual payload size, a payload is not a
+    /// whole number of entries, or a compact payload does not match its
+    /// cached id list or shadow.
     BadLength {
         /// Bytes the header (or cached id list) claims the payload has
         /// (0 if no header fit).
@@ -1055,6 +1187,21 @@ pub enum WireError {
     PayloadTooLarge {
         /// Payload size in bytes.
         len: usize,
+    },
+    /// A memoized value-only payload arrived on a key with no cached id
+    /// list.
+    NoCachedIds,
+    /// A delta payload arrived on a key with no shadow entry.
+    NoShadow,
+    /// A payload tagged compact (`value_only`) arrived in a mode that
+    /// never ships one.
+    UnexpectedForm,
+    /// A payload names a row the model does not have.
+    NodeOutOfRange {
+        /// The offending node id.
+        node: u32,
+        /// Rows per layer.
+        n_nodes: usize,
     },
 }
 
@@ -1079,6 +1226,14 @@ impl fmt::Display for WireError {
                     f,
                     "payload of {len} bytes exceeds the frame header's u32 length field"
                 )
+            }
+            WireError::NoCachedIds => write!(f, "value-only payload with no cached id list"),
+            WireError::NoShadow => write!(f, "delta payload with no shadow entry"),
+            WireError::UnexpectedForm => {
+                write!(f, "compact payload in a mode that ships none")
+            }
+            WireError::NodeOutOfRange { node, n_nodes } => {
+                write!(f, "payload names node {node} of a {n_nodes}-row model")
             }
         }
     }
@@ -1220,12 +1375,43 @@ mod tests {
     }
 
     #[test]
+    fn f32_blocks_are_little_endian_and_round_trip_bitwise() {
+        // Byte order is pinned on any target …
+        assert_eq!(*le_bytes(&[1.0]), [0x00, 0x00, 0x80, 0x3f]);
+        // … and every bit pattern survives, NaN payloads, −0.0 and
+        // subnormals included, at every length up to a few rows.
+        for n in 0..=512usize {
+            let values: Vec<f32> = (0..n as u32)
+                .map(|i| match i % 4 {
+                    0 => f32::from_bits(0x7fc0_0001u32.wrapping_mul(i + 1) | 0x7f80_0000),
+                    1 => -0.0,
+                    2 => f32::from_bits(i),
+                    _ => f32::from_bits(i.wrapping_mul(2_654_435_761)),
+                })
+                .collect();
+            let bytes = le_bytes(&values);
+            assert_eq!(bytes.len(), n * 4);
+            for (v, b) in values.iter().zip(bytes.chunks_exact(4)) {
+                assert_eq!(b, v.to_bits().to_le_bytes(), "n={n}");
+            }
+            // Decode from an odd offset: the source needs no alignment.
+            let mut shifted = vec![0xAAu8];
+            shifted.extend_from_slice(&bytes);
+            let mut back = vec![0.0f32; n];
+            get_f32s_le(&shifted[1..], &mut back);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&values), "n={n}");
+        }
+    }
+
+    #[test]
     fn nan_survives_roundtrip_bitwise() {
+        let nan = f32::from_bits(0x7fc0_1234);
         let mut enc = RowEncoder::new(1);
-        enc.push(0, &[f32::NAN]);
+        enc.push(0, &[nan]);
         let mut dec = RowDecoder::new(enc.finish(), 1);
         let (_, r) = dec.next_entry().unwrap();
-        assert!(r[0].is_nan());
+        assert_eq!(r[0].to_bits(), nan.to_bits());
     }
 
     #[test]
@@ -1263,26 +1449,6 @@ mod tests {
                 actual: value_bytes(2)
             }
         );
-    }
-
-    #[test]
-    fn decode_into_fills_sink_rows() {
-        let mut enc = RowEncoder::new(3);
-        enc.push(1, &[1.0, 2.0, 3.0]);
-        enc.push(3, &[-1.0, f32::NAN, 0.5]);
-        let mut store = vec![vec![0.0f32; 3]; 4];
-        let mut sink = |node: u32| -> *mut [f32] { store[node as usize].as_mut_slice() };
-        RowDecoder::new(enc.finish(), 3).decode_into(&mut sink);
-        assert_eq!(store[1], &[1.0, 2.0, 3.0]);
-        assert!(store[3][1].is_nan() && store[3][2] == 0.5);
-        // Same rows through the value-only path land identically.
-        let mut store2 = vec![vec![0.0f32; 3]; 4];
-        let mut sink2 = |node: u32| -> *mut [f32] { store2[node as usize].as_mut_slice() };
-        ValueDecoder::new(enc.finish_values(), 3, enc.ids())
-            .unwrap()
-            .decode_into(&mut sink2);
-        assert_eq!(store2[1], store[1]);
-        assert_eq!(store2[3][0], store[3][0]);
     }
 
     #[test]
@@ -1328,24 +1494,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_stage_pool_recycles() {
-        let mut memo = WireMemo::new();
-        let mut stage = memo.take_stage(3);
-        assert_eq!(stage.len(), 3);
-        stage[1].extend_from_slice(&[1, 2, 3]);
-        memo.put_stage(stage);
-        let stage = memo.take_stage(2);
-        assert_eq!(stage.len(), 2);
-        assert!(
-            stage.iter().all(Vec::is_empty),
-            "stage lists come back cleared"
-        );
-        memo.put_stage(stage);
-        let stage = memo.take_stage(4);
-        assert_eq!(stage.len(), 4);
-    }
-
-    #[test]
     fn wire_mode_parse_and_label() {
         assert_eq!(WireMode::parse("id-value"), Some(WireMode::IdValue));
         assert_eq!(WireMode::parse("memo"), Some(WireMode::Memo));
@@ -1359,23 +1507,6 @@ mod tests {
         assert_eq!(WireMode::Memo.label(), "memo");
         assert_eq!(WireMode::Delta.label(), "delta");
         assert_eq!(WireMode::Quant.label(), "quant");
-    }
-
-    #[test]
-    fn wire_state_for_mode_roundtrips_and_dispatches() {
-        for mode in [
-            WireMode::IdValue,
-            WireMode::Memo,
-            WireMode::Delta,
-            WireMode::Quant,
-        ] {
-            let mut st = WireState::for_mode(mode);
-            assert_eq!(st.mode(), mode);
-            // The stateless arms are no-ops; the stateful arms clear.
-            st.begin_epoch();
-            st.observe_liveness(&Liveness::all(2));
-            assert_eq!(st.mode(), mode);
-        }
     }
 
     #[test]
@@ -1580,14 +1711,7 @@ mod tests {
         );
         // Mask claims one changed row but carries no row bytes.
         let err = shadow
-            .apply_delta(
-                0,
-                1,
-                0,
-                Channel::Reduce,
-                &Bytes::from(vec![0b001u8]),
-                2,
-            )
+            .apply_delta(0, 1, 0, Channel::Reduce, &Bytes::from(vec![0b001u8]), 2)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1599,23 +1723,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "protocol bug")]
-    fn delta_without_shadow_entry_panics() {
+    fn delta_without_shadow_entry_is_a_typed_error() {
         let mut shadow = DeltaShadow::new();
-        let _ = shadow.apply_delta(0, 1, 0, Channel::Reduce, &Bytes::from(vec![0u8]), 2);
-    }
-
-    #[test]
-    fn delta_stage_pool_recycles() {
-        let mut shadow = DeltaShadow::new();
-        let (mut ids, mut vals) = shadow.take_stage(3);
-        assert_eq!((ids.len(), vals.len()), (3, 3));
-        ids[1].push(7);
-        vals[1].extend_from_slice(&[1.0, 2.0]);
-        shadow.put_stage(ids, vals);
-        let (ids, vals) = shadow.take_stage(2);
-        assert!(ids.iter().all(Vec::is_empty) && vals.iter().all(Vec::is_empty));
-        shadow.put_stage(ids, vals);
+        let err = shadow
+            .apply_delta(0, 1, 0, Channel::Reduce, &Bytes::from(vec![0u8]), 2)
+            .unwrap_err();
+        assert_eq!(err, WireError::NoShadow);
     }
 
     #[test]
@@ -1658,10 +1771,9 @@ mod tests {
     }
 
     #[test]
-    fn quant_decoder_matches_qdq_row_bitwise() {
-        // The simulator replays the transform with QuantScratch; the
-        // threaded engine decodes real payloads. Both must agree
-        // bit-for-bit or engine parity breaks.
+    fn quant_decoder_matches_the_kernel_pair_bitwise() {
+        // A decoded row is the quantize→dequantize image of the row that
+        // was pushed, whichever engine carried the payload.
         let dim = 7;
         let rows = [
             [0.013f32, -4.2, 3.3, 0.0, -0.0, 17.25, -9.5],
@@ -1672,12 +1784,13 @@ mod tests {
             enc.push(i as u32, row);
         }
         let mut dec = QuantDecoder::new(enc.finish_quant(), dim).unwrap();
-        let mut scratch = QuantScratch::new();
         for row in &rows {
-            let mut replay = *row;
-            scratch.qdq_row(&mut replay);
+            let (mut scale, mut offset, mut codes) = ([0.0f32], [0.0f32], vec![0u8; dim]);
+            (kernels().quantize_rows)(row, dim, &mut scale, &mut offset, &mut codes);
+            let mut image = [0.0f32; 7];
+            (kernels().dequantize_rows)(&codes, dim, &scale, &offset, &mut image);
             let (_, decoded) = dec.next_entry().unwrap();
-            for (a, b) in decoded.iter().zip(replay) {
+            for (a, b) in decoded.iter().zip(image) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -1692,19 +1805,234 @@ mod tests {
         assert!(matches!(err, WireError::BadLength { .. }));
     }
 
-    #[test]
-    fn quant_decode_into_fills_sink_rows() {
+    const MODES: [WireMode; 4] = [
+        WireMode::IdValue,
+        WireMode::Memo,
+        WireMode::Delta,
+        WireMode::Quant,
+    ];
+
+    /// Three rows of dimension 2 at nodes 5, 9 and 11; `salt` moves the
+    /// middle row only.
+    fn batch(salt: f32) -> RowEncoder {
         let mut enc = RowEncoder::new(2);
-        enc.push(1, &[1.0, 3.0]);
-        enc.push(3, &[-2.0, 2.0]);
-        let mut store = vec![vec![0.0f32; 2]; 4];
-        let mut sink = |node: u32| -> *mut [f32] { store[node as usize].as_mut_slice() };
-        QuantDecoder::new(enc.finish_quant(), 2)
-            .unwrap()
-            .decode_into(&mut sink);
-        let mut expect = [1.0f32, 3.0];
-        QuantScratch::new().qdq_row(&mut expect);
-        assert_eq!(store[1], &expect);
+        enc.push(5, &[1.5, -2.0]);
+        enc.push(9, &[0.25 + salt, 4.0]);
+        enc.push(11, &[-8.0, 0.5]);
+        enc
+    }
+
+    fn decode_all(
+        state: &mut WireState,
+        payload: &Bytes,
+        value_only: bool,
+        n_nodes: usize,
+    ) -> Result<Vec<(u32, Vec<f32>)>, WireError> {
+        let mut rows = Vec::new();
+        state.decode(
+            0,
+            1,
+            0,
+            Channel::Reduce,
+            payload,
+            value_only,
+            2,
+            n_nodes,
+            |node, row| rows.push((node, row.to_vec())),
+        )?;
+        Ok(rows)
+    }
+
+    #[test]
+    fn seam_round_trips_every_mode_and_goes_compact_on_repeats() {
+        for mode in MODES {
+            let mut sender = WireState::for_mode(mode);
+            let mut receiver = WireState::for_mode(mode);
+            let mut sizes = Vec::new();
+            for salt in [0.0f32, 1.0, 1.0] {
+                let enc = batch(salt);
+                let (payload, value_only) = sender.encode(0, 1, 0, Channel::Reduce, &enc);
+                sizes.push((payload.len(), value_only));
+                let rows = decode_all(&mut receiver, &payload, value_only, 12).unwrap();
+                let nodes: Vec<u32> = rows.iter().map(|(n, _)| *n).collect();
+                assert_eq!(nodes, enc.ids(), "{mode:?}: payload order");
+                for ((_, got), want) in rows.iter().zip(enc.values().chunks_exact(2)) {
+                    if mode == WireMode::Quant {
+                        assert!(got.iter().zip(want).all(|(g, w)| (g - w).abs() < 0.05));
+                    } else {
+                        assert_eq!(got, want, "{mode:?}: lossless");
+                    }
+                }
+            }
+            let full = 3 * entry_bytes(2);
+            let want = match mode {
+                WireMode::IdValue => [(full, false); 3],
+                WireMode::Quant => [(3 * quant_entry_bytes(2), false); 3],
+                WireMode::Memo => [
+                    (full, false),
+                    (3 * value_bytes(2), true),
+                    (3 * value_bytes(2), true),
+                ],
+                WireMode::Delta => [
+                    (full, false),
+                    (delta_bytes(2, 3, 1), true),
+                    (delta_bytes(2, 3, 0), true),
+                ],
+            };
+            assert_eq!(sizes, want, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn seam_builds_a_peer_independent_form_once_per_batch() {
+        for mode in MODES {
+            let mut sender = WireState::for_mode(mode);
+            let mut enc = batch(0.0);
+            let (to_1, _) = sender.encode(0, 1, 0, Channel::Broadcast, &enc);
+            let (to_2, _) = sender.encode(0, 2, 0, Channel::Broadcast, &enc);
+            assert!(
+                std::ptr::eq(to_1.as_slice(), to_2.as_slice()),
+                "{mode:?}: both peers share one buffer"
+            );
+            // The public finishers still serialize afresh (the benchmark
+            // probes time them), and a push drops what was built.
+            assert!(!std::ptr::eq(
+                enc.finish().as_slice(),
+                enc.finish().as_slice()
+            ));
+            enc.push(12, &[0.0, 0.0]);
+            let (to_3, _) = sender.encode(0, 3, 0, Channel::Broadcast, &enc);
+            assert_eq!(to_3.len() / 4, to_1.len() / 3, "{mode:?}: four rows now");
+        }
+    }
+
+    #[test]
+    fn well_framed_wrong_payloads_are_typed_errors_and_change_no_state() {
+        for mode in MODES {
+            let mut sender = WireState::for_mode(mode);
+            let mut receiver = WireState::for_mode(mode);
+            let enc = batch(0.0);
+            let (full, _) = sender.encode(0, 1, 0, Channel::Reduce, &enc);
+            let short = full.slice(0..full.len() - 1);
+
+            // Before anything was exchanged on the key.
+            assert!(
+                matches!(
+                    decode_all(&mut receiver, &short, false, 12),
+                    Err(WireError::BadLength { .. })
+                ),
+                "{mode:?}: short by one byte"
+            );
+            assert_eq!(
+                decode_all(&mut receiver, &full, false, 11),
+                Err(WireError::NodeOutOfRange {
+                    node: 11,
+                    n_nodes: 11
+                }),
+                "{mode:?}: node id == n_nodes"
+            );
+            let compact_too_early = match mode {
+                WireMode::IdValue | WireMode::Quant => WireError::UnexpectedForm,
+                WireMode::Memo => WireError::NoCachedIds,
+                WireMode::Delta => WireError::NoShadow,
+            };
+            assert_eq!(
+                decode_all(&mut receiver, &enc.finish_values(), true, 12),
+                Err(compact_too_early),
+                "{mode:?}: compact flag with nothing to expand it against"
+            );
+            // None of that stored anything: a compact payload still has
+            // nothing to expand against.
+            assert_eq!(
+                decode_all(&mut receiver, &enc.finish_values(), true, 12),
+                Err(compact_too_early),
+                "{mode:?}: failed decodes must not seed the cache"
+            );
+
+            // After one good exchange: a bad compact payload fails and
+            // the next good one still decodes to the sender's rows.
+            decode_all(&mut receiver, &full, false, 12).unwrap();
+            let next = batch(1.0);
+            let (payload, value_only) = sender.encode(0, 1, 0, Channel::Reduce, &next);
+            if value_only {
+                let short = payload.slice(0..payload.len() - 1);
+                assert!(
+                    matches!(
+                        decode_all(&mut receiver, &short, true, 12),
+                        Err(WireError::BadLength { .. })
+                    ),
+                    "{mode:?}: compact payload short by one byte"
+                );
+            }
+            let rows = decode_all(&mut receiver, &payload, value_only, 12).unwrap();
+            if mode != WireMode::Quant {
+                let flat: Vec<f32> = rows.into_iter().flat_map(|(_, r)| r).collect();
+                assert_eq!(
+                    flat,
+                    next.values(),
+                    "{mode:?}: state survived the bad payload"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn id_lists_are_validated_before_use() {
+        let payload = encode_ids(&[3, 8]);
+        let ids: Vec<u32> = decode_ids(&payload, 9).unwrap().collect();
+        assert_eq!(ids, [3, 8]);
+        assert_eq!(
+            decode_ids(&payload, 8).err(),
+            Some(WireError::NodeOutOfRange {
+                node: 8,
+                n_nodes: 8
+            })
+        );
+        assert!(matches!(
+            decode_ids(&payload.slice(0..7), 9).err(),
+            Some(WireError::BadLength {
+                claimed: 4,
+                actual: 7
+            })
+        ));
+    }
+
+    #[test]
+    fn dense_reduce_accounts_every_row_and_ships_the_touched_ones() {
+        // Master 1 owns rows 4..10; host 0 touched rows 5 and 9 of them.
+        let dense: Vec<u32> = (4..10).collect();
+        let touched = |salt: f32| {
+            let mut enc = RowEncoder::new(2);
+            enc.push(9, &[0.25 + salt, 4.0]);
+            enc.push(5, &[1.5, -2.0]);
+            enc
+        };
+        for mode in MODES {
+            let mut sender = WireState::for_mode(mode);
+            let mut bytes = Vec::new();
+            for salt in [0.0f32, 1.0] {
+                let enc = touched(salt);
+                let (payload, accounted) = sender.encode_dense_reduce(0, 1, 0, &dense, &enc);
+                // The physical payload is the touched rows in a form the
+                // receiver needs no dense state for.
+                let want = if mode == WireMode::Quant {
+                    enc.finish_quant()
+                } else {
+                    enc.finish()
+                };
+                assert_eq!(payload.as_slice(), want.as_slice(), "{mode:?}");
+                bytes.push(accounted);
+            }
+            let want = match mode {
+                WireMode::IdValue => [6 * entry_bytes(2); 2],
+                WireMode::Quant => [6 * quant_entry_bytes(2); 2],
+                WireMode::Memo => [6 * entry_bytes(2), 6 * value_bytes(2)],
+                // Round two: only row 9's delta differs from the shadow;
+                // the four untouched rows are zero both times.
+                WireMode::Delta => [6 * entry_bytes(2), delta_bytes(2, 6, 1)],
+            };
+            assert_eq!(bytes, want, "{mode:?}");
+        }
     }
 
     fn sample_payload() -> Bytes {

@@ -90,13 +90,6 @@ pub struct Kernels {
     /// Fused SGNS gradient step: `neu1e += g·wout; wout += g·win`, reading
     /// each row once (`wout` is read before it is updated).
     pub fused_grad_step: fn(g: f32, win: &[f32], wout: &mut [f32], neu1e: &mut [f32]),
-    /// Bulk wire encode: serializes `values` as little-endian IEEE-754
-    /// bytes into `out` (`out.len() == 4·values.len()`), bit-preserving
-    /// (NaN payloads survive).
-    pub encode_rows: fn(values: &[f32], out: &mut [u8]),
-    /// Bulk wire decode: the exact inverse of `encode_rows`
-    /// (`src.len() == 4·values.len()`).
-    pub decode_rows: fn(src: &[u8], values: &mut [f32]),
     /// Small-matrix GEMM, "NT" shape: `C[m×n] += A[m×k] · B[n×k]ᵀ`.
     /// All matrices row-major; `B` holds `n` rows of length `k`, so each
     /// `C[i][j]` accumulates the dot product of row `i` of `A` with row
@@ -148,8 +141,6 @@ static SCALAR_KERNELS: Kernels = Kernels {
     add_assign: scalar::add_assign,
     dot_norms: scalar::dot_norms,
     fused_grad_step: scalar::fused_grad_step,
-    encode_rows: scalar::encode_rows,
-    decode_rows: scalar::decode_rows,
     gemm_nt: scalar::gemm_nt,
     gemm_tn: scalar::gemm_tn,
     quantize_rows: scalar::quantize_rows,
@@ -166,8 +157,6 @@ static AVX2_KERNELS: Kernels = Kernels {
     add_assign: |x, y| unsafe { avx2::add_assign(x, y) },
     dot_norms: |x, y| unsafe { avx2::dot_norms(x, y) },
     fused_grad_step: |g, win, wout, neu1e| unsafe { avx2::fused_grad_step(g, win, wout, neu1e) },
-    encode_rows: |values, out| unsafe { avx2::encode_rows(values, out) },
-    decode_rows: |src, values| unsafe { avx2::decode_rows(src, values) },
     gemm_nt: |m, n, k, a, b, c| unsafe { avx2::gemm_nt(m, n, k, a, b, c) },
     gemm_tn: |m, n, k, a, b, c| unsafe { avx2::gemm_tn(m, n, k, a, b, c) },
     quantize_rows: |values, dim, scales, offsets, out| unsafe {
@@ -349,27 +338,6 @@ pub mod scalar {
             let w = wout[i];
             neu1e[i] += g * w;
             wout[i] = w + g * win[i];
-        }
-    }
-
-    /// Serializes `values` as little-endian IEEE-754 bytes into `out`.
-    /// Pure bit movement (`to_bits` → `to_le_bytes`), so the result is
-    /// identical on every backend, including NaN payloads.
-    #[inline]
-    pub fn encode_rows(values: &[f32], out: &mut [u8]) {
-        debug_assert_eq!(out.len(), values.len() * 4);
-        for (v, b) in values.iter().zip(out.chunks_exact_mut(4)) {
-            b.copy_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-
-    /// Deserializes little-endian IEEE-754 bytes from `src` into
-    /// `values`; the exact inverse of [`encode_rows`].
-    #[inline]
-    pub fn decode_rows(src: &[u8], values: &mut [f32]) {
-        debug_assert_eq!(src.len(), values.len() * 4);
-        for (v, b) in values.iter_mut().zip(src.chunks_exact(4)) {
-            *v = f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
         }
     }
 
@@ -705,37 +673,6 @@ mod avx2 {
                 wout[i] = g.mul_add(win[i], w);
                 i += 1;
             }
-        }
-    }
-
-    /// Bulk little-endian encode. x86-64 is little-endian, so the
-    /// in-memory representation of an `f32` slice *is* its wire form and
-    /// the whole payload moves as one `memcpy` — libc's wide-vector /
-    /// `rep movsb` paths beat any hand-rolled 32-byte lane loop on the
-    /// multi-KiB buffers the codec ships.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn encode_rows(values: &[f32], out: &mut [u8]) {
-        debug_assert_eq!(out.len(), values.len() * 4);
-        // SAFETY: `out` holds exactly `4 · values.len()` bytes (checked
-        // above) and the two slices cannot overlap (&/&mut aliasing).
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                values.as_ptr() as *const u8,
-                out.as_mut_ptr(),
-                out.len(),
-            );
-        }
-    }
-
-    /// Bulk little-endian decode; exact inverse of [`encode_rows`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn decode_rows(src: &[u8], values: &mut [f32]) {
-        debug_assert_eq!(src.len(), values.len() * 4);
-        // SAFETY: `src` holds exactly `4 · values.len()` bytes (checked
-        // above), the slices cannot overlap, and `u8` reads have no
-        // alignment requirement on the `f32` destination's raw bytes.
-        unsafe {
-            std::ptr::copy_nonoverlapping(src.as_ptr(), values.as_mut_ptr() as *mut u8, src.len());
         }
     }
 
@@ -1279,48 +1216,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_codec_round_trips_bitwise() {
-        for d in [0usize, 1, 3, 7, 8, 9, 63, 64, 200] {
-            let values: Vec<f32> = (0..d)
-                .map(|i| f32::from_bits(0x7fc0_0001u32.wrapping_mul(i as u32 + 1)))
-                .collect();
-            let mut bytes = vec![0u8; d * 4];
-            scalar::encode_rows(&values, &mut bytes);
-            let mut back = vec![0.0f32; d];
-            scalar::decode_rows(&bytes, &mut back);
-            for (a, b) in values.iter().zip(&back) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dim {d}");
-            }
-        }
-    }
-
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    #[test]
-    fn avx2_codec_bit_identical_to_scalar_when_supported() {
-        if !(std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma"))
-        {
-            return;
-        }
-        let k = &AVX2_KERNELS;
-        for d in [0usize, 1, 7, 8, 9, 15, 16, 17, 100, 333] {
-            let values: Vec<f32> = (0..d).map(|i| (i as f32) * 0.37 - 11.5).collect();
-            let mut simd_bytes = vec![0u8; d * 4];
-            let mut ref_bytes = vec![0u8; d * 4];
-            (k.encode_rows)(&values, &mut simd_bytes);
-            scalar::encode_rows(&values, &mut ref_bytes);
-            assert_eq!(simd_bytes, ref_bytes, "encode diverged at dim {d}");
-            let mut simd_vals = vec![0.0f32; d];
-            let mut ref_vals = vec![0.0f32; d];
-            (k.decode_rows)(&ref_bytes, &mut simd_vals);
-            scalar::decode_rows(&ref_bytes, &mut ref_vals);
-            for (a, b) in simd_vals.iter().zip(&ref_vals) {
-                assert_eq!(a.to_bits(), b.to_bits(), "decode diverged at dim {d}");
-            }
-        }
-    }
-
-    #[test]
     fn scalar_quantize_reconstructs_within_half_step() {
         for dim in [1usize, 2, 7, 8, 9, 16, 64, 200] {
             let n = 5;
@@ -1387,9 +1282,7 @@ mod tests {
             let mut values: Vec<f32> = (0..n * dim)
                 .map(|i| ((i as f32) * 0.37 + 0.1).sin() * 10.0f32.powi((i % 5) as i32 - 2))
                 .collect();
-            for i in 0..dim {
-                values[i] = 1.25; // row 0 flat
-            }
+            values[..dim].fill(1.25); // row 0 flat
             if dim >= 2 {
                 values[dim] = -0.0; // row 1 leads with -0
                 values[dim + 1] = 0.0;

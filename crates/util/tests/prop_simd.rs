@@ -136,44 +136,6 @@ fn fused_grad_step_matches_scalar_all_lengths_0_to_512() {
 }
 
 #[test]
-fn wire_codec_matches_scalar_bitwise_all_lengths_0_to_512() {
-    // encode_rows/decode_rows move bits without arithmetic, so the
-    // dispatched backend must agree with the scalar reference byte-for-
-    // byte (encode) and bit-for-bit (decode) on every length, including
-    // every non-multiple-of-8 tail. NaN payloads, denormals and -0.0 all
-    // ride through f32::from_bits untouched.
-    let k = gw2v_util::simd::kernels();
-    for n in 0..=512usize {
-        let values: Vec<f32> = (0..n)
-            .map(|i| {
-                let bits = (i as u32)
-                    .wrapping_mul(2654435761)
-                    .wrapping_add(0x7fc0_0000 * (i as u32 % 3));
-                f32::from_bits(bits)
-            })
-            .collect();
-
-        let mut enc = vec![0u8; n * 4];
-        let mut enc_ref = vec![0u8; n * 4];
-        (k.encode_rows)(&values, &mut enc);
-        scalar::encode_rows(&values, &mut enc_ref);
-        assert_eq!(enc, enc_ref, "encode_rows n={n}");
-
-        let mut dec = vec![0.0f32; n];
-        let mut dec_ref = vec![0.0f32; n];
-        (k.decode_rows)(&enc, &mut dec);
-        scalar::decode_rows(&enc_ref, &mut dec_ref);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&dec), bits(&dec_ref), "decode_rows n={n}");
-        assert_eq!(
-            bits(&dec),
-            bits(&values),
-            "decode must invert encode exactly, n={n}"
-        );
-    }
-}
-
-#[test]
 fn crc32_update_matches_scalar_bitwise_all_lengths_0_to_512() {
     // The checksum is integer arithmetic: the dispatched entry (CLMUL
     // folding where the CPU has it) must equal the slice-by-8 reference

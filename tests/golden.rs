@@ -1,11 +1,18 @@
-//! Golden byte fixtures: one sealed id-value frame and one GW2VCKP1
-//! checkpoint, committed under `tests/fixtures/` as the bytes the code
-//! produced when they were cut. Re-creating them must give the same
-//! bytes, and the committed files must still open — so a change to the
-//! frame layout, the checkpoint layout, the fingerprint recipe or the
-//! CRC-32 behind all three shows up as a failing diff, under either SIMD
-//! backend. Neither fixture involves `f32` arithmetic, so both are
-//! backend-invariant by construction.
+//! Golden byte fixtures: one sealed frame per wire payload form and one
+//! GW2VCKP1 checkpoint, committed under `tests/fixtures/` as the bytes
+//! the code produced when they were cut. Re-creating them must give the
+//! same bytes, and the committed files must still open — so a change to
+//! a payload layout, the frame layout, the checkpoint layout, the
+//! fingerprint recipe or the CRC-32 behind all of them shows up as a
+//! failing diff, under either SIMD backend. Only the quantized frame
+//! involves `f32` arithmetic, and its kernels are bit-identical across
+//! backends by contract.
+//!
+//! The id-value frame and the checkpoint were cut when the CRC-32 kernel
+//! was replaced; the three compact frames (memo value-only, delta
+//! mask + changed rows, quant) were cut from the low-level finishers
+//! before the `WireState::encode`/`decode` seam existed, and are now
+//! produced and consumed through it.
 //!
 //! After a *deliberate* format change, re-cut them with
 //! `cargo test --test golden -- --ignored regenerate_fixtures`.
@@ -15,7 +22,8 @@ use graph_word2vec::core::distributed::DistConfig;
 use graph_word2vec::core::params::Hyperparams;
 use graph_word2vec::gluon::volume::CommStats;
 use graph_word2vec::gluon::wire::{
-    entry_bytes, open_frame, seal_frame, RowDecoder, RowEncoder, FRAME_HEADER_BYTES,
+    delta_bytes, entry_bytes, open_frame, quant_entry_bytes, seal_frame, value_bytes, Channel,
+    RowDecoder, RowEncoder, WireMode, WireState, FRAME_HEADER_BYTES,
 };
 use graph_word2vec::util::fvec::FlatMatrix;
 use std::path::PathBuf;
@@ -60,6 +68,102 @@ fn golden_frame() -> Vec<u8> {
         .expect("a 140-byte payload fits a frame")
         .as_slice()
         .to_vec()
+}
+
+/// Ids of the compact-form fixtures: nine rows, so a delta mask has a
+/// partial second byte.
+const COMPACT_IDS: [u32; 9] = [3, 8, 21, 34, 55, 89, 144, 233, 377];
+/// Rows that differ between the two batches of the delta fixture.
+const CHANGED_ROWS: [usize; 3] = [1, 4, 8];
+/// Rows of the model the compact payloads are decoded against.
+const COMPACT_NODES: usize = 400;
+
+/// Rows of the compact-form fixtures: finite values (quantization is
+/// defined on those), one flat row (scale 0), and with `changed` a bump
+/// on [`CHANGED_ROWS`].
+fn compact_rows(changed: bool) -> Vec<(u32, [f32; FRAME_DIM])> {
+    COMPACT_IDS
+        .iter()
+        .enumerate()
+        .map(|(i, &node)| {
+            let mut row = [0.0f32; FRAME_DIM];
+            for (j, x) in row.iter_mut().enumerate() {
+                *x = if i == 6 {
+                    1.5
+                } else {
+                    (i as f32 - 4.0) * 0.75 + j as f32 * 0.3125
+                };
+            }
+            if changed && CHANGED_ROWS.contains(&i) {
+                row[2] += 0.5;
+            }
+            (node, row)
+        })
+        .collect()
+}
+
+fn compact_encoder(changed: bool) -> RowEncoder {
+    let mut enc = RowEncoder::new(FRAME_DIM);
+    for (node, row) in compact_rows(changed) {
+        enc.push(node, &row);
+    }
+    enc
+}
+
+/// What a sender in `mode` puts on the wire for the second of two
+/// batches over [`COMPACT_IDS`] (the first exchange of memo and delta is
+/// always a full id-value payload), sealed; plus the receiver state that
+/// saw the first batch and the second batch's `value_only` tag.
+fn golden_compact_frame(mode: WireMode) -> (Vec<u8>, WireState, bool) {
+    let mut sender = WireState::for_mode(mode);
+    let mut receiver = WireState::for_mode(mode);
+    let (first, tag) = sender.encode(0, 1, 0, Channel::Broadcast, &compact_encoder(false));
+    receiver
+        .decode(
+            0,
+            1,
+            0,
+            Channel::Broadcast,
+            &first,
+            tag,
+            FRAME_DIM,
+            COMPACT_NODES,
+            |_, _| {},
+        )
+        .expect("first exchange decodes");
+    let second = compact_encoder(mode == WireMode::Delta);
+    let (payload, value_only) = sender.encode(0, 1, 0, Channel::Broadcast, &second);
+    let frame = seal_frame(&payload).expect("a small payload fits a frame");
+    (frame.as_slice().to_vec(), receiver, value_only)
+}
+
+/// Opens a committed compact frame and decodes it through the seam
+/// against `receiver`.
+fn decode_compact(
+    committed: &[u8],
+    receiver: &mut WireState,
+    value_only: bool,
+) -> Vec<(u32, Vec<f32>)> {
+    let payload = open_frame(&committed.to_vec().into()).expect("committed frame must open");
+    let mut rows = Vec::new();
+    receiver
+        .decode(
+            0,
+            1,
+            0,
+            Channel::Broadcast,
+            &payload,
+            value_only,
+            FRAME_DIM,
+            COMPACT_NODES,
+            |node, row| rows.push((node, row.to_vec())),
+        )
+        .expect("committed payload must decode");
+    rows
+}
+
+fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|x| x.to_bits()).collect()
 }
 
 /// A two-host, two-layer checkpoint whose fingerprint comes from the
@@ -131,10 +235,99 @@ fn sealed_frame_matches_committed_bytes_and_opens() {
     for (node, row) in frame_rows() {
         let (got_node, got_row) = dec.next_entry().expect("entry");
         assert_eq!(got_node, node);
-        let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(got_row), bits(&row), "row of node {node}");
     }
     assert!(dec.next_entry().is_none());
+}
+
+#[test]
+fn memo_value_only_frame_matches_committed_bytes_and_decodes() {
+    let committed = std::fs::read(fixture("memo_values_frame.bin")).expect("memo fixture");
+    let (frame, mut receiver, value_only) = golden_compact_frame(WireMode::Memo);
+    assert!(value_only, "a repeated id list ships value-only");
+    assert_eq!(frame, committed, "memo value-only bytes changed");
+    assert_eq!(
+        committed.len(),
+        FRAME_HEADER_BYTES + COMPACT_IDS.len() * value_bytes(FRAME_DIM)
+    );
+    let rows = decode_compact(&committed, &mut receiver, value_only);
+    assert_eq!(rows.len(), COMPACT_IDS.len());
+    for ((node, row), (want_node, want_row)) in rows.iter().zip(compact_rows(false)) {
+        assert_eq!(*node, want_node);
+        assert_eq!(bits(row), bits(&want_row), "row of node {node}");
+    }
+}
+
+#[test]
+fn delta_mask_frame_matches_committed_bytes_and_decodes() {
+    let committed = std::fs::read(fixture("delta_mask_frame.bin")).expect("delta fixture");
+    let (frame, mut receiver, value_only) = golden_compact_frame(WireMode::Delta);
+    assert!(value_only, "a repeated id list ships mask + changed rows");
+    assert_eq!(frame, committed, "delta mask + changed-rows bytes changed");
+    assert_eq!(
+        committed.len(),
+        FRAME_HEADER_BYTES + delta_bytes(FRAME_DIM, COMPACT_IDS.len(), CHANGED_ROWS.len())
+    );
+    // Rows 1, 4 and 8 of nine: LSB-first, the second byte holds one bit.
+    assert_eq!(
+        committed[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + 2],
+        [0b0001_0010, 0b0000_0001]
+    );
+    // Unchanged rows come back from the receiver's shadow, changed ones
+    // from the payload: together, the second batch bit for bit.
+    let rows = decode_compact(&committed, &mut receiver, value_only);
+    assert_eq!(rows.len(), COMPACT_IDS.len());
+    for ((node, row), (want_node, want_row)) in rows.iter().zip(compact_rows(true)) {
+        assert_eq!(*node, want_node);
+        assert_eq!(bits(row), bits(&want_row), "row of node {node}");
+    }
+}
+
+#[test]
+fn quant_frame_matches_committed_bytes_and_decodes_to_the_lossy_image() {
+    let committed = std::fs::read(fixture("quant_frame.bin")).expect("quant fixture");
+    let (frame, mut receiver, value_only) = golden_compact_frame(WireMode::Quant);
+    assert!(!value_only, "quantized payloads carry their own ids");
+    assert_eq!(frame, committed, "quantized bytes changed");
+    let n = COMPACT_IDS.len();
+    assert_eq!(
+        committed.len(),
+        FRAME_HEADER_BYTES + n * quant_entry_bytes(FRAME_DIM)
+    );
+    // The expected image, straight from the committed bytes with plain
+    // arithmetic: row r, column j is `offset[r] + scale[r] · code[r][j]`,
+    // one multiply and one add, never fused.
+    let body = &committed[FRAME_HEADER_BYTES..];
+    let f32_at = |at: usize| f32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
+    let image: Vec<Vec<f32>> = (0..n)
+        .map(|r| {
+            let (scale, offset) = (f32_at(n * 4 + r * 4), f32_at(n * 8 + r * 4));
+            (0..FRAME_DIM)
+                .map(|j| {
+                    let step = scale * f32::from(body[n * 12 + r * FRAME_DIM + j]);
+                    offset + step
+                })
+                .collect()
+        })
+        .collect();
+    let rows = decode_compact(&committed, &mut receiver, value_only);
+    assert_eq!(rows.len(), n);
+    for (r, ((node, row), (want_node, exact))) in rows.iter().zip(compact_rows(false)).enumerate() {
+        assert_eq!(*node, want_node);
+        assert_eq!(bits(row), bits(&image[r]), "lossy image of node {node}");
+        let step = f32_at(n * 4 + r * 4);
+        for (got, want) in row.iter().zip(exact) {
+            assert!(
+                (got - want).abs() <= 0.5 * step + 1e-6,
+                "within half a grid step"
+            );
+        }
+    }
+    assert_eq!(
+        bits(&rows[6].1),
+        bits(&[1.5; FRAME_DIM]),
+        "a flat row is exact"
+    );
 }
 
 #[test]
@@ -170,5 +363,12 @@ fn checkpoint_matches_committed_bytes_and_loads() {
 fn regenerate_fixtures() {
     std::fs::create_dir_all(fixture("")).expect("fixture dir");
     std::fs::write(fixture("idvalue_frame.bin"), golden_frame()).expect("write frame");
+    for (name, mode) in [
+        ("memo_values_frame.bin", WireMode::Memo),
+        ("delta_mask_frame.bin", WireMode::Delta),
+        ("quant_frame.bin", WireMode::Quant),
+    ] {
+        std::fs::write(fixture(name), golden_compact_frame(mode).0).expect("write compact frame");
+    }
     std::fs::write(checkpoint_fixture(), golden_checkpoint().to_bytes()).expect("write checkpoint");
 }
