@@ -12,10 +12,7 @@ fn fixture(n_words: usize, dim: usize, n_shards: usize) -> (ShardedStore, Vocabu
     let model = Word2VecModel::init(n_words, dim, 7);
     let store = ShardedStore::from_matrix(&model.syn0, n_shards);
     let n = n_words as u64;
-    let vocab = Vocabulary::from_counts(
-        (0..n_words).map(|i| (format!("w{i}"), n - i as u64)),
-        1,
-    );
+    let vocab = Vocabulary::from_counts((0..n_words).map(|i| (format!("w{i}"), n - i as u64)), 1);
     (store, vocab)
 }
 

@@ -51,10 +51,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn env_usizes(name: &str, default: &[usize]) -> Vec<usize> {
     match std::env::var(name) {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|x| x.trim().parse().ok())
-            .collect(),
+        Ok(v) => v.split(',').filter_map(|x| x.trim().parse().ok()).collect(),
         Err(_) => default.to_vec(),
     }
 }

@@ -174,7 +174,9 @@ impl Query {
             })),
             ("sim" | "similar", _) => Err(format!("sim takes exactly one word: {line:?}")),
             ("analogy", _) => Err(format!("analogy takes exactly three words: {line:?}")),
-            _ => Err(format!("unknown query {line:?} (want: sim W | analogy A B C)")),
+            _ => Err(format!(
+                "unknown query {line:?} (want: sim W | analogy A B C)"
+            )),
         }
     }
 
@@ -612,7 +614,9 @@ mod tests {
         let mut s = 0x243F_6A88_85A3_08D3u64;
         for r in 0..rows {
             for d in 0..dim {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 t.row_mut(r)[d] = ((s >> 40) as f32 / (1u64 << 24) as f32) - 0.5;
             }
         }

@@ -358,7 +358,9 @@ mod tests {
                 let got = store.vector(id).unwrap();
                 let want = t.row(id as usize);
                 assert!(
-                    got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    got.iter()
+                        .zip(want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "row {id} altered by sharding"
                 );
             }

@@ -766,10 +766,8 @@ mod avx2 {
                     let t = _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(rp.add(i)), voff), vinv);
                     let t = _mm256_min_ps(_mm256_max_ps(t, zero), v255);
                     let q = _mm256_cvtps_epi32(t);
-                    let w = _mm_packs_epi32(
-                        _mm256_castsi256_si128(q),
-                        _mm256_extracti128_si256(q, 1),
-                    );
+                    let w =
+                        _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
                     let b = _mm_packus_epi16(w, w);
                     _mm_storel_epi64(qp.add(i) as *mut __m128i, b);
                     i += 8;
@@ -1262,7 +1260,11 @@ mod tests {
         let mut offsets = vec![0.0f32; 1];
         let mut codes = vec![0u8; 3];
         scalar::quantize_rows(&values, 3, &mut scales, &mut offsets, &mut codes);
-        assert_eq!(offsets[0].to_bits(), 0.0f32.to_bits(), "-0 min canonicalized");
+        assert_eq!(
+            offsets[0].to_bits(),
+            0.0f32.to_bits(),
+            "-0 min canonicalized"
+        );
         assert_eq!(codes, vec![0, 0, 255]);
     }
 

@@ -119,7 +119,9 @@ fn store_rows_are_bitwise_equal_to_trainer_layers() {
         let got = store.vector(id).unwrap();
         let want = syn0.row(id as usize);
         assert!(
-            got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
+            got.iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
             "store row {id} differs from the trainer's canonical syn0"
         );
     }
@@ -143,7 +145,9 @@ fn store_reconstructs_the_canonical_model_under_a_crashed_host() {
         let got = store.vector(id).unwrap();
         let want = syn0.row(id as usize);
         assert!(
-            got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
+            got.iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
             "adopted row {id} differs from the trainer's canonical syn0"
         );
     }
@@ -198,7 +202,8 @@ fn topk_matches_the_canonical_full_scan_reference() {
         let probe = unit_of(&store, probe_id);
         let want = reference_topk(&store, &probe, &[probe_id], k);
         assert_eq!(
-            got, want,
+            got,
+            want,
             "sim top-{k} for id {probe_id} diverges from the canonical \
              full-scan reference (backend {})",
             graph_word2vec::util::simd::backend_name()
