@@ -1,7 +1,8 @@
-//! `gw2v serve` sizes nothing from a flag: `--k`, `--shards` and
-//! `--batch` come from a command line, so a value far beyond the model
-//! must be clamped by what the store holds, not reserved up front
-//! (`--k 1000000000000` used to abort on a 16 TB allocation).
+//! `gw2v serve` sizes nothing from a flag or a header: `--k`, `--shards`
+//! and `--batch` come from a command line and a model's first line from
+//! a file, so a value far beyond the model must be clamped by what the
+//! store holds, not reserved up front (`--k 1000000000000` used to abort
+//! on a 16 TB allocation, a `99999999999999 64` header on a 2.4 PB one).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -32,6 +33,18 @@ fn write_model(path: &Path) {
 /// Runs `gw2v serve --model MODEL <flags>` over two queries on stdin and
 /// returns its stdout; the process must exit 0.
 fn serve(model: &Path, flags: &[&str]) -> String {
+    let out = serve_raw(model, flags, "sim w3\nanalogy w0 w1 w2\n");
+    assert!(
+        out.status.success(),
+        "gw2v serve {flags:?} failed ({}): {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// Runs `gw2v serve --model MODEL <flags>` over `queries` on stdin.
+fn serve_raw(model: &Path, flags: &[&str], queries: &str) -> std::process::Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_gw2v"))
         .args(["serve", "--model", model.to_str().unwrap()])
         .args(flags)
@@ -40,20 +53,9 @@ fn serve(model: &Path, flags: &[&str]) -> String {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn gw2v");
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(b"sim w3\nanalogy w0 w1 w2\n")
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert!(
-        out.status.success(),
-        "gw2v serve {flags:?} failed ({}): {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).unwrap()
+    // A process that rejects its model exits without reading a query.
+    let _ = child.stdin.take().unwrap().write_all(queries.as_bytes());
+    child.wait_with_output().unwrap()
 }
 
 #[test]
@@ -78,5 +80,57 @@ fn a_huge_shard_count_or_batch_serves_the_default_bytes() {
     assert!(default.contains("\"hits\":["), "{default}");
     assert_eq!(serve(&model, &["--shards", "1000000000000"]), default);
     assert_eq!(serve(&model, &["--batch", "1000000000000"]), default);
+    std::fs::remove_file(&model).ok();
+}
+
+#[test]
+fn a_header_beyond_the_file_is_an_error_not_an_allocation() {
+    let model = tmp("header_model.txt");
+    for (header, why) in [
+        ("99999999999999 64", "row 0 short at 2"),
+        ("99999999999999 2", "truncated file"),
+        ("3000000000 4000000000", "header overflows"),
+    ] {
+        std::fs::write(&model, format!("{header}\nw 1 2\n")).unwrap();
+        let out = serve_raw(&model, &[], "sim w\n");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // Exit 1 with the reason — not a signal, not an abort.
+        assert_eq!(out.status.code(), Some(1), "{header}: {stderr}");
+        assert!(stderr.contains(why), "{header}: {stderr}");
+    }
+    // No rows to back the width: nothing is sized from it either.
+    std::fs::write(&model, "0 99999999999999\n").unwrap();
+    let out = serve_raw(&model, &[], "sim w\n");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("unknown word"));
+    std::fs::remove_file(&model).ok();
+}
+
+#[test]
+fn a_nan_row_is_never_served_as_a_hit() {
+    let model = tmp("nan_model.txt");
+    std::fs::write(&model, "3 3\na 1 2 3\nb nan inf -inf\nc 3 2 1\n").unwrap();
+    let queries = "sim a\nsim b\nanalogy a c a\n";
+    let out = serve_raw(&model, &[], queries);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines[0],
+        r#"{"kind":"sim","words":["a"],"hits":[{"word":"c","id":2,"score":0.714286}]}"#
+    );
+    assert_eq!(lines[1], r#"{"kind":"sim","words":["b"],"hits":[]}"#);
+    assert!(!text.contains("\"word\":\"b\""), "{text}");
+    // One query at a time takes the coded scan; the answers are the same.
+    let single = serve_raw(&model, &["--batch", "1"], queries);
+    assert_eq!(String::from_utf8(single.stdout).unwrap(), text);
     std::fs::remove_file(&model).ok();
 }

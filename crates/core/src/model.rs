@@ -11,6 +11,11 @@ use gw2v_util::fvec::FlatMatrix;
 use gw2v_util::rng::{Rng64, SplitMix64, Xoshiro256};
 use std::io::{BufRead, Write};
 
+/// Rows [`Word2VecModel::load_text`] reserves on a header's word.
+const PREALLOC_ROWS: usize = 1 << 16;
+/// Floats per row it reserves for them.
+const PREALLOC_DIM: usize = 256;
+
 /// A trained (or in-training) Word2Vec model.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Word2VecModel {
@@ -97,21 +102,29 @@ impl Word2VecModel {
             .ok_or_else(|| parse_err("missing dim"))?
             .parse()
             .map_err(|_| parse_err("bad dim"))?;
-        let mut words = Vec::with_capacity(rows);
-        let mut syn0 = FlatMatrix::zeros(rows, dim);
+        // The header is a claim, not a size: it must describe a table
+        // that can exist, and it reserves at most `PREALLOC_ROWS` rows of
+        // `PREALLOC_DIM` floats. Beyond that the vectors grow as rows
+        // actually arrive.
+        rows.checked_mul(dim)
+            .and_then(|n| n.checked_mul(2 * std::mem::size_of::<f32>()))
+            .filter(|&bytes| bytes <= isize::MAX as usize)
+            .ok_or_else(|| parse_err("header overflows"))?;
+        let mut words = Vec::with_capacity(rows.min(PREALLOC_ROWS));
+        let mut data: Vec<f32> = Vec::with_capacity((rows * dim).min(PREALLOC_ROWS * PREALLOC_DIM));
         for r in 0..rows {
             let line = lines.next().ok_or_else(|| parse_err("truncated file"))??;
             let mut parts = line.split_whitespace();
             let word = parts.next().ok_or_else(|| parse_err("missing word"))?;
             words.push(word.to_owned());
-            let row = syn0.row_mut(r);
-            for (i, slot) in row.iter_mut().enumerate() {
+            for i in 0..dim {
                 let tok = parts
                     .next()
                     .ok_or_else(|| parse_err(&format!("row {r} short at {i}")))?;
-                *slot = tok.parse().map_err(|_| parse_err("bad float"))?;
+                data.push(tok.parse().map_err(|_| parse_err("bad float"))?);
             }
         }
+        let syn0 = FlatMatrix::from_vec(data, rows, dim);
         let syn1neg = FlatMatrix::zeros(rows, dim);
         Ok((words, Word2VecModel { syn0, syn1neg }))
     }
@@ -167,6 +180,28 @@ mod tests {
                 assert!((a - b).abs() < 1e-5);
             }
         }
+    }
+
+    #[test]
+    fn load_trusts_the_file_not_the_header() {
+        let err = |text: &str| {
+            let e = Word2VecModel::load_text(text.as_bytes()).unwrap_err();
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{text:?}");
+            e.to_string()
+        };
+        // 2.4 PB and 72 GB of zeros as the headers size them.
+        assert_eq!(err("99999999999999 64\nw 1 2\n"), "row 0 short at 2");
+        assert_eq!(err("99999999999999 2\nw 1 2\n"), "truncated file");
+        assert_eq!(err("3000000000 4000000000\nw 1 2\n"), "header overflows");
+        assert_eq!(
+            err(&format!("{} 2\nw 1 2\n", usize::MAX)),
+            "header overflows"
+        );
+        assert_eq!(err("3 2\na 1 2\nb 3 4\n"), "truncated file");
+        // No rows is a model, whatever dimension it claims.
+        let (words, model) = Word2VecModel::load_text("0 99999999999999\n".as_bytes()).unwrap();
+        assert!(words.is_empty());
+        assert_eq!((model.n_words(), model.dim()), (0, 99999999999999));
     }
 
     #[test]

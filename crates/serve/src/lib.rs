@@ -17,19 +17,25 @@
 //! 2. **Shard**: rows are hash-partitioned into `n_shards` shards, each a
 //!    contiguous [`FlatMatrix`](gw2v_util::fvec::FlatMatrix) so the
 //!    `gemm_nt` microkernel can stream them, with per-row inverse norms
-//!    precomputed once at load time.
+//!    precomputed once at load time and a `u8`-coded twin of the rows
+//!    beside them.
 //! 3. **Query** ([`query`]): similarity and analogy queries are batched
 //!    into a matrix, normalized once, and scored against every shard in
 //!    256-row tiles, one GEMM per tile, with selection filtered by a
 //!    per-query score threshold while the tile's scores are in cache.
+//!    One or two queries on their own are filtered from the codes
+//!    instead and touch only the `f32` rows that might be hits
+//!    (docs/SERVING.md § "Coded scan"); the answers are the same.
 //!    Ranking uses scores quantized to 1e-6 with ascending-id
 //!    tie-breaks, which makes the served output byte-identical across
 //!    SIMD backends (see [`query::quantize`]).
 //!
 //! Everything is instrumented through gw2v-obs: `serve.queries`,
-//! `serve.batches`, `serve.oov`, the useful-over-attempted pair
-//! `serve.rows_scored` / `serve.scan_candidates`, and the
-//! `serve.query_ns` / `serve.shard_scan_ns` / `serve.rescore_ns`
+//! `serve.batches`, `serve.oov`, the useful-over-attempted pairs
+//! `serve.rows_scored` / `serve.scan_candidates` and
+//! `serve.coded_rows` / `serve.code_survivors`, the `serve.pack` /
+//! `serve.scan` / `serve.rescore` spans inside each `serve.batch`, and
+//! the `serve.query_ns` / `serve.shard_scan_ns` / `serve.rescore_ns`
 //! log-bucketed histograms that the load harness reads back for p50/p99
 //! reporting.
 

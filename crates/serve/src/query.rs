@@ -25,6 +25,13 @@
 //! `serve.scan_candidates / serve.rows_scored` counters report how
 //! little took the exact path.
 //!
+//! A batch of at most [`CODED_MAX_QUERIES`] does not read the `f32`
+//! tile to learn that: it scores the tile's `u8` codes, a quarter of
+//! the bytes, bounds every cosine from above, and runs the GEMM kernel
+//! only on the groups of four rows the bound cannot rule out. The pools
+//! are the GEMM scan's, score for score; docs/SERVING.md § "Coded scan"
+//! is the one statement of why.
+//!
 //! # The backend-invariance contract
 //!
 //! The AVX2 kernels are only ULP-equivalent to the scalar ones (FMA and
@@ -51,7 +58,7 @@
 //! differed — which requires more than [`POOL_SLACK`] candidates packed
 //! within kernel ULP noise of the k-th best score.
 
-use crate::store::ShardedStore;
+use crate::store::{round_up, Shard, ShardedStore};
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec;
 use gw2v_util::simd::scalar;
@@ -80,6 +87,18 @@ const _: () = assert!(SCAN_TILE.is_multiple_of(4));
 
 /// Scores tested against a pool's threshold at a time.
 const LANES: usize = 8;
+
+/// Rows the coded scan rescores together: `gemm_nt`'s contract lets a
+/// caller split `B` at multiples of four rows without changing a bit,
+/// so a group's scores are the ones the GEMM scan computes for them.
+const GROUP: usize = 4;
+const _: () = assert!(LANES.is_multiple_of(GROUP));
+
+/// The largest batch scanned from the shards' `u8` codes; a larger one
+/// is scored by `gemm_nt`, which streams the `f32` rows once for the
+/// whole batch. Chosen from the m-sweep in docs/SERVING.md § "Coded
+/// scan"; the pools, and so the answers, are the same on either side.
+pub const CODED_MAX_QUERIES: usize = 2;
 
 /// Quantizes a cosine score to integer micro-units for backend-invariant
 /// ranking. NaN maps to `i64::MIN` so a poisoned row can never outrank a
@@ -331,6 +350,69 @@ impl TopK {
         candidates + self.offer(dot_tail, inv_tail, id_tail, exclude)
     }
 
+    /// Offers one query's tile of a shard (rows `start..start +
+    /// code_dots.len()`) through the coded filter: a chunk of [`LANES`]
+    /// rows whose upper bounds all fall below the threshold is skipped
+    /// without its `f32` rows being read; any other chunk is scored by
+    /// the kernel the GEMM scan uses — bit for bit the scores that scan
+    /// would have offered — and goes through [`TopK::offer`]. Returns
+    /// how many rows were scored exactly and how many of those passed
+    /// the threshold.
+    fn offer_coded_tile(
+        &mut self,
+        q: &[f32],
+        moments: Moments,
+        code_dots: &[f32],
+        shard: &Shard,
+        start: usize,
+        exclude: &[u32],
+    ) -> (u64, u64) {
+        let (dim, end) = (q.len(), start + code_dots.len());
+        let coded = shard.coded();
+        let (a, b, slack) = (
+            &coded.a[start..end],
+            &coded.b[start..end],
+            &coded.slack[start..end],
+        );
+        let rows = &shard.rows().as_slice()[start * dim..end * dim];
+        let (inv, ids) = (&shard.inv_norms()[start..end], &shard.ids()[start..end]);
+        let (mut survivors, mut candidates) = (0, 0);
+        let mut offer_exact = |top: &mut Self, lo: usize, hi: usize| {
+            let mut exact = [0.0f32; LANES];
+            let exact = &mut exact[..hi - lo];
+            fvec::gemm_nt(1, hi - lo, dim, q, &rows[lo * dim..hi * dim], exact);
+            survivors += (hi - lo) as u64;
+            candidates += top.offer(exact, &inv[lo..hi], &ids[lo..hi], exclude);
+        };
+        let bound = |j: usize| moments.bound(a[j], code_dots[j], b[j], slack[j]);
+        for c in 0..code_dots.len() / LANES {
+            let chunk = c * LANES..(c + 1) * LANES;
+            let t = self.threshold;
+            // No branch per lane, and zipped slices rather than `bound`
+            // by index so that the test vectorises. An uncoded row's
+            // bound is +∞ or NaN, and neither is below anything.
+            let all_below = a[chunk.clone()]
+                .iter()
+                .zip(&code_dots[chunk.clone()])
+                .zip(&b[chunk.clone()])
+                .zip(&slack[chunk.clone()])
+                .fold(true, |all, (((&a, &d), &b), &slack)| {
+                    all & (moments.bound(a, d, b, slack) < t)
+                });
+            if all_below {
+                continue;
+            }
+            for lo in chunk.step_by(GROUP) {
+                // Against the threshold as the group before left it.
+                if !(lo..lo + GROUP).all(|j| bound(j) < self.threshold) {
+                    offer_exact(self, lo, lo + GROUP);
+                }
+            }
+        }
+        offer_exact(self, code_dots.len() / LANES * LANES, code_dots.len());
+        (survivors, candidates)
+    }
+
     /// The exact path, score by score against the threshold as it
     /// stands: exclusion list, [`quantize`], [`TopK::push`].
     fn offer(&mut self, dots: &[f32], inv: &[f32], ids: &[u32], exclude: &[u32]) -> u64 {
@@ -346,6 +428,42 @@ impl TopK {
             }
         }
         candidates
+    }
+}
+
+/// What the coded bound needs of a query vector beside its dot with
+/// the codes (docs/SERVING.md § "Coded scan").
+#[derive(Clone, Copy, Debug)]
+struct Moments {
+    /// `Σ q[i]`, summed in `f64` and rounded to nearest.
+    sum: f32,
+    /// `‖q‖₂`, summed in `f64` and rounded up.
+    norm: f32,
+}
+
+impl Moments {
+    /// The bound of [`CodedRows`](crate::store::CodedRows) for one row,
+    /// given the query's dot with the row's codes.
+    #[inline]
+    fn bound(self, a: f32, code_dot: f32, b: f32, slack: f32) -> f32 {
+        a * code_dot + b * self.sum + slack * self.norm
+    }
+
+    /// The moments of `q` if the bound's derivation covers it: a unit
+    /// vector give or take rounding, or the zero vector of a zero-row
+    /// query. Anything else — a NaN row's query, an analogy whose sum
+    /// underflowed its own normalisation — takes the GEMM scan.
+    fn of(q: &[f32]) -> Option<Self> {
+        let (mut sum, mut sq) = (0.0f64, 0.0f64);
+        for &x in q {
+            sum += x as f64;
+            sq += x as f64 * x as f64;
+        }
+        let norm = round_up(sq.sqrt());
+        (norm == 0.0 || (0.5..=2.0).contains(&norm)).then_some(Self {
+            sum: sum as f32,
+            norm,
+        })
     }
 }
 
@@ -472,15 +590,20 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// The dispatched scan: nominates each active query's pool of (at
-    /// most) `pool_k` ids, tile by tile (see the module docs).
+    /// most) `pool_k` ids, tile by tile (see the module docs). A batch
+    /// of at most [`CODED_MAX_QUERIES`] is filtered from the shards'
+    /// codes, a larger one scored by GEMM; the pools are the same.
     fn scan(&self, qmat: &[f32], active: &[Resolved], pool_k: usize) -> Vec<TopK> {
         let (m, dim) = (active.len(), self.store.dim());
         let mut tops: Vec<TopK> = (0..m).map(|_| TopK::new(pool_k)).collect();
         if m == 0 {
             return tops;
         }
+        let moments: Option<Vec<Moments>> = (m <= CODED_MAX_QUERIES && dim > 0)
+            .then(|| qmat.chunks_exact(dim).map(Moments::of).collect())
+            .flatten();
         let mut scores = vec![0.0f32; m * SCAN_TILE];
-        let (mut rows_scored, mut candidates) = (0u64, 0u64);
+        let (mut rows_scored, mut survivors, mut candidates) = (0u64, 0u64, 0u64);
         for shard in self.store.shards() {
             let n = shard.len();
             if n == 0 {
@@ -492,6 +615,25 @@ impl<'a> QueryEngine<'a> {
                 let end = n.min(start + SCAN_TILE);
                 let len = end - start;
                 let block = &mut scores[..m * len];
+                if let Some(moments) = &moments {
+                    let codes = &shard.coded().codes[start * dim..end * dim];
+                    for (i, top) in tops.iter_mut().enumerate() {
+                        let q = &qmat[i * dim..(i + 1) * dim];
+                        let code_dots = &mut block[i * len..(i + 1) * len];
+                        fvec::dot_codes(q, codes, code_dots);
+                        let (exact, passed) = top.offer_coded_tile(
+                            q,
+                            moments[i],
+                            code_dots,
+                            shard,
+                            start,
+                            &active[i].exclude,
+                        );
+                        survivors += exact;
+                        candidates += passed;
+                    }
+                    continue;
+                }
                 block.fill(0.0);
                 fvec::gemm_nt(m, len, dim, qmat, &rows[start * dim..end * dim], block);
                 for (i, top) in tops.iter_mut().enumerate() {
@@ -508,6 +650,10 @@ impl<'a> QueryEngine<'a> {
         }
         gw2v_obs::add("serve.rows_scored", rows_scored);
         gw2v_obs::add("serve.scan_candidates", candidates);
+        if moments.is_some() {
+            gw2v_obs::add("serve.coded_rows", rows_scored);
+            gw2v_obs::add("serve.code_survivors", survivors);
+        }
         tops
     }
 
@@ -533,7 +679,10 @@ impl<'a> QueryEngine<'a> {
             qmat,
             active,
             failures,
-        } = self.pack(queries);
+        } = {
+            let _span = gw2v_obs::span("serve.pack");
+            self.pack(queries)
+        };
         // The scan keeps a pool wider than k; the canonical rescore
         // below picks the final k (see the module docs). No pool can
         // hold more than the store, whatever `k` a client sends.
@@ -542,10 +691,14 @@ impl<'a> QueryEngine<'a> {
         } else {
             k.saturating_add(POOL_SLACK).min(self.store.len())
         };
-        let tops = self.scan(&qmat, &active, pool_k);
+        let tops = {
+            let _span = gw2v_obs::span("serve.scan");
+            self.scan(&qmat, &active, pool_k)
+        };
 
         // Canonical rescore of each query's pool with the fixed-order
         // scalar kernel, then reassemble in request order.
+        let rescore_span = gw2v_obs::span("serve.rescore");
         let t_rescore = Instant::now();
         let mut hits: Vec<Option<Vec<Hit>>> = failures.iter().map(|_| None).collect();
         for (i, (resolved, top)) in active.into_iter().zip(tops).enumerate() {
@@ -560,6 +713,8 @@ impl<'a> QueryEngine<'a> {
                 })
                 .collect();
             scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            // A NaN score fills a pool with room to spare; it is not a hit.
+            scored.retain(|&(micro, _)| micro != i64::MIN);
             scored.truncate(k);
             hits[resolved.query_index] = Some(
                 scored
@@ -569,6 +724,7 @@ impl<'a> QueryEngine<'a> {
             );
         }
         gw2v_obs::observe("serve.rescore_ns", t_rescore.elapsed().as_nanos() as u64);
+        drop(rescore_span);
         let answers: Vec<Answer> = queries
             .iter()
             .zip(hits.into_iter().zip(failures))
@@ -976,53 +1132,176 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
-
-        /// Over tables with zero rows, NaN rows and duplicated rows
-        /// (exact score ties, across shards too), every k, shard count,
-        /// batch size and exclusion shape.
-        #[test]
-        fn tiled_scan_pool_equals_the_materialised_scan(
-            rows in 3usize..700,
-            dim in 1usize..24,
-            seed in any::<u64>(),
-            n_shards in prop_oneof![Just(1usize), Just(3), Just(8)],
-            batch in prop_oneof![Just(1usize), Just(2), Just(3), Just(32), Just(33)],
-            k_kind in 0usize..5,
-        ) {
-            let mut rng = TestRng::from_seed(seed);
-            let mut t = FlatMatrix::zeros(rows, dim);
-            for r in 0..rows {
-                match rng.below(10) {
-                    0 => {}
-                    1 => t.row_mut(r)[rng.below(dim as u64) as usize] = f32::NAN,
-                    2 | 3 if r > 0 => {
-                        let src = t.row(rng.below(r as u64) as usize).to_vec();
-                        t.row_mut(r).copy_from_slice(&src);
+    /// A table built to break the scan: zero rows, rows with a NaN or
+    /// ±∞ element, duplicated rows (exact score ties, across shards
+    /// too), near-copies (scores a fraction of a code step apart),
+    /// constant rows (`scale = 0`), rows of magnitude 1e±30 (norms that
+    /// overflow and underflow), one-hot rows, rows whose range is 1e6×
+    /// their neighbours', rows on a coarse grid, so distinct rows tie
+    /// too — among dense rows as a trained table has them.
+    fn hostile_table(rng: &mut TestRng, rows: usize, dim: usize) -> FlatMatrix {
+        let mut t = FlatMatrix::zeros(rows, dim);
+        for r in 0..rows {
+            let kind = rng.below(20);
+            let at = rng.below(dim as u64) as usize;
+            match kind {
+                0 => {}
+                1 => t.row_mut(r)[at] = f32::NAN,
+                2 => t.row_mut(r)[at] = f32::INFINITY,
+                3 => t.row_mut(r)[at] = f32::NEG_INFINITY,
+                4 | 5 if r > 0 => {
+                    let src = t.row(rng.below(r as u64) as usize).to_vec();
+                    t.row_mut(r).copy_from_slice(&src);
+                }
+                6 => t.row_mut(r).fill(rng.below(9) as f32 - 4.0),
+                7 => t.row_mut(r)[at] = 1.0,
+                8..=11 => {
+                    let scale = [1e30, 1e-30, 1e6, 0.25][kind as usize - 8];
+                    for v in t.row_mut(r) {
+                        *v = (rng.below(9) as f32 - 4.0) * scale;
                     }
-                    _ => {
-                        for v in t.row_mut(r) {
-                            // A coarse grid, so distinct rows tie too.
-                            *v = (rng.below(9) as f32 - 4.0) * 0.25;
-                        }
+                }
+                // Near-copies: scores closer together than a code step.
+                12..=15 if r > 0 => {
+                    let src = t.row(rng.below(r as u64) as usize).to_vec();
+                    for (v, x) in t.row_mut(r).iter_mut().zip(src) {
+                        *v = x * (1.0 + (rng.below(65) as f32 - 32.0) / 16384.0);
+                    }
+                }
+                // As a trained table has them: dense and graded.
+                _ => {
+                    for v in t.row_mut(r) {
+                        *v = rng.below(1 << 20) as f32 / (1 << 20) as f32 - 0.5;
                     }
                 }
             }
-            let store = ShardedStore::from_matrix(&t, n_shards);
-            let word = |rng: &mut TestRng| format!("w{}", rng.below(rows as u64));
-            let queries: Vec<Query> = (0..batch)
-                .map(|i| {
-                    if i % 3 == 1 {
-                        Query::Analogy { a: word(&mut rng), b: word(&mut rng), c: word(&mut rng) }
-                    } else {
-                        Query::Similar { word: word(&mut rng) }
+        }
+        t
+    }
+
+    fn mixed_queries(rng: &mut TestRng, rows: usize, batch: usize) -> Vec<Query> {
+        let word = |rng: &mut TestRng| format!("w{}", rng.below(rows as u64));
+        (0..batch)
+            .map(|i| {
+                if i % 3 == 1 {
+                    Query::Analogy {
+                        a: word(rng),
+                        b: word(rng),
+                        c: word(rng),
                     }
-                })
-                .collect();
+                } else {
+                    Query::Similar { word: word(rng) }
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Over hostile tables, every k, shard count and exclusion
+        /// shape, at dims on both sides of every kernel boundary and at
+        /// batch sizes on both sides of the coded/GEMM switch: the scan
+        /// nominates the pools a push of every row builds.
+        #[test]
+        fn tiled_scan_pool_equals_the_materialised_scan(
+            rows in 3usize..700,
+            dim in prop_oneof![
+                1usize..24, Just(1), Just(7), Just(8), Just(9),
+                Just(63), Just(64), Just(65), Just(300),
+            ],
+            seed in any::<u64>(),
+            n_shards in prop_oneof![Just(1usize), Just(3), Just(8)],
+            batch in prop_oneof![
+                1usize..=CODED_MAX_QUERIES, 1usize..=CODED_MAX_QUERIES + 1, Just(3), Just(33),
+            ],
+            k_kind in 0usize..5,
+        ) {
+            let mut rng = TestRng::from_seed(seed);
+            let t = hostile_table(&mut rng, rows, dim);
+            let store = ShardedStore::from_matrix(&t, n_shards);
+            let queries = mixed_queries(&mut rng, rows, batch);
             let k = [0, 1, 10, rows, rows + 5][k_kind];
             assert_scan_matches_oracle(&store, &queries, k);
         }
+    }
+
+    #[test]
+    fn coded_scan_keeps_rows_that_tie_within_a_code_step() {
+        // Every row makes the same angle with row 0, each in its own
+        // direction: cosines that agree to rounding, coding errors that
+        // do not. A bound that forgets a row's error drops it at the tie.
+        let (rows, dim) = (1200usize, 32usize);
+        let mut t = random_table(rows, dim);
+        let centre = t.row(0).to_vec();
+        let cc = scalar::dot(&centre, &centre);
+        for r in 1..rows {
+            let row = t.row_mut(r);
+            let along = scalar::dot(row, &centre) / cc;
+            for (v, c) in row.iter_mut().zip(&centre) {
+                *v -= along * c;
+            }
+            let across = (cc / scalar::dot(row, row)).sqrt() * 0.75;
+            for (v, c) in row.iter_mut().zip(&centre) {
+                *v = c + across * *v;
+            }
+        }
+        // Eight shards: ids arrive out of order, so most of a wide pool
+        // is admitted at the tie, after the threshold has reached it.
+        let store = ShardedStore::from_matrix(&t, 8);
+        for k in [10, 500] {
+            assert_scan_matches_oracle(&store, &[Query::Similar { word: "w0".into() }], k);
+        }
+    }
+
+    #[test]
+    fn coded_bound_is_never_below_the_exact_score() {
+        // Row by row and query by query: the bound the filter tests is
+        // at least the f32 score the scan would offer, and at least the
+        // score recomputed in f64 — or it is NaN, which survives too.
+        let mut rng = TestRng::from_seed(0x5EED_C0DE);
+        let (mut coded, mut sharp) = (0usize, 0usize);
+        for dim in [1usize, 7, 8, 9, 63, 64, 65, 300] {
+            let rows = 300 + 2 * dim;
+            let t = hostile_table(&mut rng, rows, dim);
+            let store = ShardedStore::from_matrix(&t, 3);
+            let vocab = vocab_of(rows);
+            let engine = QueryEngine::new(&store, &vocab);
+            let packed = engine.pack(&mixed_queries(&mut rng, rows, 24));
+            for q in packed.qmat.chunks_exact(dim) {
+                let Some(moments) = Moments::of(q) else {
+                    continue;
+                };
+                for shard in store.shards() {
+                    let (n, c) = (shard.len(), shard.coded());
+                    let mut code_dots = vec![0.0f32; n];
+                    let mut dots = vec![0.0f32; n];
+                    fvec::dot_codes(q, &c.codes, &mut code_dots);
+                    fvec::gemm_nt(1, n, dim, q, shard.rows().as_slice(), &mut dots);
+                    for j in 0..n {
+                        let ub = moments.bound(c.a[j], code_dots[j], c.b[j], c.slack[j]);
+                        let inv = shard.inv_norms()[j];
+                        let exact = dots[j] * inv;
+                        let real: f64 = q
+                            .iter()
+                            .zip(shard.rows().row(j))
+                            .map(|(&x, &y)| x as f64 * y as f64)
+                            .sum::<f64>()
+                            * inv as f64;
+                        let at = format!("dim {dim} id {}: bound {ub}", shard.ids()[j]);
+                        // A NaN score needs a bound nothing is above.
+                        let covers =
+                            |score: f64| ub.is_nan() || ub == f32::INFINITY || ub as f64 >= score;
+                        assert!(covers(exact as f64), "{at} under the f32 score {exact}");
+                        assert!(covers(real), "{at} under the f64 score {real}");
+                        coded += c.slack[j].is_finite() as usize;
+                        sharp += (ub < 0.9) as usize;
+                    }
+                }
+            }
+        }
+        // Not vacuously: most rows are coded, and their bounds bite.
+        assert!(sharp > coded / 2 && coded > 10_000, "{sharp} of {coded}");
     }
 
     #[test]
@@ -1054,8 +1333,29 @@ mod tests {
                     word: format!("w{i}"),
                 })
                 .collect();
-            assert_scan_matches_oracle(&store, &batch, 10);
+            // Both scans, and the largest batch each side of the switch.
+            for m in [1, CODED_MAX_QUERIES, CODED_MAX_QUERIES + 1, 33] {
+                assert_scan_matches_oracle(&store, &batch[..m], 10);
+            }
         }
+    }
+
+    #[test]
+    fn a_nan_score_fills_a_pool_but_is_not_a_hit() {
+        let mut t = FlatMatrix::zeros(3, 3);
+        t.row_mut(0).copy_from_slice(&[1.0, 2.0, 3.0]);
+        t.row_mut(1)
+            .copy_from_slice(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+        t.row_mut(2).copy_from_slice(&[3.0, 2.0, 1.0]);
+        let store = ShardedStore::from_matrix(&t, 2);
+        let vocab = vocab_of(3);
+        let engine = QueryEngine::new(&store, &vocab);
+        let hits = engine.answer(&Query::Similar { word: "w0".into() }, 10);
+        let ids: Vec<u32> = hits.hits.unwrap().iter().map(|h| h.id).collect();
+        assert_eq!(ids, [2], "the NaN row is nominated, rescored and dropped");
+        // Asked for by name it has no finite neighbour at all.
+        let hits = engine.answer(&Query::Similar { word: "w1".into() }, 10);
+        assert_eq!(hits.hits.unwrap(), []);
     }
 
     #[test]

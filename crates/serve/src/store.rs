@@ -22,12 +22,18 @@
 //! amortized into a per-row inverse norm computed once at load time
 //! (`0.0` for zero or non-finite rows, so they can never win a top-k
 //! slot).
+//!
+//! Every shard also carries a coded twin of its rows (`CodedRows`):
+//! one `u8` per element plus three `f32` per row, a quarter of the bytes,
+//! from which a small batch's scan bounds every cosine from above before
+//! it reads an `f32` row. docs/SERVING.md § "Coded scan" is the one
+//! statement of the layout and of why the bound holds.
 
 use gw2v_core::checkpoint::{Checkpoint, CheckpointError};
 use gw2v_gluon::liveness::Liveness;
 use gw2v_graph::partition::master_host;
 use gw2v_util::fvec::FlatMatrix;
-use gw2v_util::simd::scalar;
+use gw2v_util::simd::{kernels, scalar};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -136,13 +142,113 @@ pub struct CheckpointSummary {
     pub fingerprint: u64,
 }
 
+/// The coded twin of a shard's rows, aligned with [`Shard::ids`]: row `j`
+/// is `codes[j·dim..(j + 1)·dim]` and, for every query `q` of norm 0 or
+/// in `[½, 2]`, every backend and every kernel the scan scores with,
+///
+/// ```text
+/// f32 score of row j  ≤  a[j]·fl(q·codes_j) + b[j]·Σq + slack[j]·‖q‖₂
+/// ```
+///
+/// evaluated in `f32` — or the right-hand side is NaN. The derivation is
+/// docs/SERVING.md § "Coded scan"; `query.rs` holds the test that
+/// recomputes it row by row.
+#[derive(Clone, Debug)]
+pub(crate) struct CodedRows {
+    /// `quantize_rows` codes, row-major; all zero for an uncoded row.
+    pub(crate) codes: Vec<u8>,
+    /// `inv_norm · scale`, rounded to nearest; 0 for an uncoded row.
+    pub(crate) a: Vec<f32>,
+    /// `inv_norm · offset`, rounded to nearest; 0 for an uncoded row.
+    pub(crate) b: Vec<f32>,
+    /// The measured reconstruction error plus both rounding allowances,
+    /// rounded up; `+∞` for an uncoded row, which no threshold rejects.
+    pub(crate) slack: Vec<f32>,
+}
+
+/// `x` as an `f32` no smaller than it.
+pub(crate) fn round_up(x: f64) -> f32 {
+    let y = x as f32;
+    if (y as f64) < x {
+        y.next_up()
+    } else {
+        y
+    }
+}
+
+/// 2⁴⁸: the largest inverse norm of a coded row. A row of norm 2⁻⁴⁸ or
+/// more has squares far enough above the subnormal range that its
+/// stored norm is the true one to within `γ`.
+const MAX_CODED_INV_NORM: f64 = (1u64 << 48) as f64;
+
+/// Rows reconstructed at a time while a shard's coding error is
+/// measured: 64 KB of dim-64 scratch.
+const MEASURE_TILE: usize = 256;
+
+impl CodedRows {
+    /// Codes `rows` with the wire codec's kernel, then measures what
+    /// each row's bound has to allow for: the rows are reconstructed by
+    /// the codec's own decoder, subtracted, and the residual's norm
+    /// taken, tile by tile through the dispatched kernels. A row is left
+    /// uncoded when its inverse norm is 0 (zero, NaN, ±∞ rows; norms
+    /// that overflowed or underflowed) or above 2⁴⁸ (squares near the
+    /// subnormal range, where the stored norm says little about the
+    /// row), or when a measured quantity is not finite.
+    fn build(rows: &FlatMatrix, inv_norms: &[f32]) -> Self {
+        let (n, dim) = (rows.rows(), rows.dim());
+        let k = kernels();
+        let mut codes = vec![0u8; n * dim];
+        let (mut a, mut b) = (vec![0.0f32; n], vec![0.0f32; n]);
+        let mut slack = vec![f32::INFINITY; n];
+        // The kernels leave and read scale and offset where `a` and `b`
+        // will go.
+        (k.quantize_rows)(rows.as_slice(), dim, &mut a, &mut b, &mut codes);
+        // γ = (dim + 8)·2⁻²³, twice the textbook γ_n = n·u/(1 − n·u) of
+        // an n-term f32 sum while n·u ≤ ¼ (u = 2⁻²⁴).
+        let gamma = (dim + 8) as f64 * (0.5f64).powi(23);
+        let sqrt_dim = (dim as f64).sqrt();
+        let mut residual = vec![0.0f32; MEASURE_TILE.min(n) * dim];
+        for start in (0..n).step_by(MEASURE_TILE) {
+            let end = n.min(start + MEASURE_TILE);
+            let residual = &mut residual[..(end - start) * dim];
+            let tile = start * dim..end * dim;
+            (k.dequantize_rows)(
+                &codes[tile.clone()],
+                dim,
+                &a[start..end],
+                &b[start..end],
+                residual,
+            );
+            (k.axpy)(-1.0, &rows.as_slice()[tile], residual);
+            for j in start..end {
+                let inv = inv_norms[j] as f64;
+                let (aj, bj) = ((inv * a[j] as f64) as f32, (inv * b[j] as f64) as f32);
+                let r = &residual[(j - start) * dim..(j - start + 1) * dim];
+                let err = inv * ((k.dot)(r, r) as f64).sqrt();
+                // With `inv` in range, inv·‖row‖ ≤ 1 + γ.
+                let scores = (aj.abs() as f64 * 255.0 + bj.abs() as f64) * sqrt_dim + 1.0 + gamma;
+                let bound = round_up((err + gamma * scores) * (1.0 + gamma));
+                if inv > 0.0 && inv <= MAX_CODED_INV_NORM && gamma <= 0.5 && bound.is_finite() {
+                    (a[j], b[j], slack[j]) = (aj, bj, bound);
+                } else {
+                    (a[j], b[j]) = (0.0, 0.0);
+                    codes[j * dim..(j + 1) * dim].fill(0);
+                }
+            }
+        }
+        Self { codes, a, b, slack }
+    }
+}
+
 /// One hash partition of the embedding table: ascending word ids, their
-/// raw rows packed contiguously, and the matching inverse norms.
+/// raw rows packed contiguously, the matching inverse norms, and the
+/// rows' coded twin.
 #[derive(Clone, Debug)]
 pub struct Shard {
     ids: Vec<u32>,
     rows: FlatMatrix,
     inv_norms: Vec<f32>,
+    coded: CodedRows,
 }
 
 impl Shard {
@@ -161,6 +267,11 @@ impl Shard {
     /// [`Shard::ids`].
     pub fn inv_norms(&self) -> &[f32] {
         &self.inv_norms
+    }
+
+    /// The coded twin of [`Shard::rows`].
+    pub(crate) fn coded(&self) -> &CodedRows {
+        &self.coded
     }
 
     /// Number of rows in this shard.
@@ -201,7 +312,10 @@ impl ShardedStore {
     /// shard count is clamped to `1..=rows`: more shards than rows could
     /// only add empty ones, and the count comes from a command line.
     pub fn from_matrix(table: &FlatMatrix, n_shards: usize) -> Self {
-        let (n_rows, dim) = (table.rows(), table.dim());
+        // The width of a table with no rows is a header's word and
+        // nothing more; nobody downstream may size a buffer from it.
+        let n_rows = table.rows();
+        let dim = if n_rows == 0 { 0 } else { table.dim() };
         let n_shards = n_shards.clamp(1, n_rows.max(1));
         let span = gw2v_obs::span("serve.load");
         // Two passes: size each shard, then fill preserving ascending-id
@@ -234,7 +348,7 @@ impl ShardedStore {
                 // Norms come from the fixed-order scalar kernel, never
                 // the dispatched one: they feed the *canonical* served
                 // scores, which must be byte-identical across backends.
-                let inv_norms = (0..ids.len())
+                let inv_norms: Vec<f32> = (0..ids.len())
                     .map(|i| {
                         let row = rows.row(i);
                         let n = scalar::dot(row, row).sqrt();
@@ -245,10 +359,12 @@ impl ShardedStore {
                         }
                     })
                     .collect();
+                let coded = CodedRows::build(&rows, &inv_norms);
                 Shard {
                     ids,
                     rows,
                     inv_norms,
+                    coded,
                 }
             })
             .collect();

@@ -115,6 +115,15 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     (kernels().gemm_tn)(m, n, k, a, b, c)
 }
 
+/// One `f32` vector against rows of `u8` codes: `out[j] = Σ_i q[i] ·
+/// codes[j·q.len() + i]`, overwriting `out` (see
+/// [`Kernels::dot_codes`](crate::simd::Kernels::dot_codes) for the
+/// cross-backend contract).
+#[inline]
+pub fn dot_codes(q: &[f32], codes: &[u8], out: &mut [f32]) {
+    (kernels().dot_codes)(q, codes, out)
+}
+
 /// A flat matrix of `rows` vectors of dimension `dim`, stored row-major in
 /// one contiguous allocation.
 ///

@@ -53,6 +53,11 @@ pub type QuantizeFn =
 pub type DequantizeFn =
     fn(packed: &[u8], dim: usize, scales: &[f32], offsets: &[f32], values: &mut [f32]);
 
+/// Signature of the coded-scan kernel: `out[j] = Σ_i q[i] ·
+/// codes[j·dim + i]` with `dim = q.len()` and `codes` holding
+/// `out.len()` rows of `dim` `u8` codes back to back.
+pub type DotCodesFn = fn(q: &[f32], codes: &[u8], out: &mut [f32]);
+
 /// The per-backend kernel function table.
 ///
 /// # Dispatch contract
@@ -123,6 +128,18 @@ pub struct Kernels {
     /// FMA) on both backends, so reconstruction is backend-bit-identical
     /// too.
     pub dequantize_rows: DequantizeFn,
+    /// One `f32` query against rows of `u8` codes: `out[j] = Σ_i q[i] ·
+    /// codes[j·dim + i]`, each code converted exactly to `f32` — the
+    /// serve scan's filter over the `quantize_rows` layout, reading a
+    /// quarter of the bytes of the `f32` rows. Overwrites `out`; any
+    /// `dim`, any row count, including zero. ULP-equivalent across
+    /// backends, **not** bit-identical (the vector backend uses FMA and
+    /// an 8-lane association): every backend is within
+    /// `dim·2⁻²⁴/(1 − dim·2⁻²⁴) · Σ_i |q[i]|·codes[j·dim + i]` of the
+    /// real-number sum, which is all its one caller relies on — the
+    /// result only ever feeds a conservative test (docs/SERVING.md
+    /// § "Coded scan").
+    pub dot_codes: DotCodesFn,
     /// CRC-32 (IEEE) state update behind [`crate::crc32::Crc32::update`]:
     /// absorbs `bytes` into the raw (pre-inversion) `state` and returns
     /// the new state. Slice-by-8 in the scalar table, PCLMULQDQ folding
@@ -145,6 +162,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
     gemm_tn: scalar::gemm_tn,
     quantize_rows: scalar::quantize_rows,
     dequantize_rows: scalar::dequantize_rows,
+    dot_codes: scalar::dot_codes,
     crc32_update: scalar::crc32_update,
 };
 
@@ -165,6 +183,7 @@ static AVX2_KERNELS: Kernels = Kernels {
     dequantize_rows: |packed, dim, scales, offsets, values| unsafe {
         avx2::dequantize_rows(packed, dim, scales, offsets, values)
     },
+    dot_codes: |q, codes, out| unsafe { avx2::dot_codes(q, codes, out) },
     // SAFETY: needs two CPUID bits the table's avx2+fma test does not
     // imply; `select` keeps this entry only where `clmul::supported()`
     // and installs slice-by-8 otherwise.
@@ -429,6 +448,32 @@ pub mod scalar {
             for (v, &code) in values[r * dim..(r + 1) * dim].iter_mut().zip(codes) {
                 *v = offset + scale * (code as f32);
             }
+        }
+    }
+
+    /// `out[j] = Σ_i q[i] · codes[j·dim + i]`, `dim = q.len()`: one
+    /// [`dot`] per row with the codes widened exactly to `f32` — the
+    /// same four accumulators and fold order.
+    #[inline]
+    pub fn dot_codes(q: &[f32], codes: &[u8], out: &mut [f32]) {
+        let dim = q.len();
+        debug_assert_eq!(codes.len(), out.len() * dim);
+        let chunks = dim / 4;
+        for (j, o) in out.iter_mut().enumerate() {
+            let row = &codes[j * dim..(j + 1) * dim];
+            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+            for i in 0..chunks {
+                let b = i * 4;
+                s0 += q[b] * row[b] as f32;
+                s1 += q[b + 1] * row[b + 1] as f32;
+                s2 += q[b + 2] * row[b + 2] as f32;
+                s3 += q[b + 3] * row[b + 3] as f32;
+            }
+            let mut s = (s0 + s1) + (s2 + s3);
+            for i in chunks * 4..dim {
+                s += q[i] * row[i] as f32;
+            }
+            *o = s;
         }
     }
 
@@ -819,6 +864,92 @@ mod avx2 {
                     *vp.add(i) = offset + scale * (*qp.add(i) as f32);
                     i += 1;
                 }
+            }
+        }
+    }
+
+    /// Eight codes widened to eight `f32` lanes (`vpmovzxbd` +
+    /// `vcvtdq2ps`; exact, a code is at most 255).
+    ///
+    /// # Safety
+    ///
+    /// `p` must be readable for 8 bytes.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn load_codes(p: *const u8) -> __m256 {
+        // SAFETY: the caller guarantees 8 readable bytes; the load has
+        // no alignment requirement.
+        unsafe { _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(p as *const __m128i))) }
+    }
+
+    /// `out[j] = Σ_i q[i] · codes[j·dim + i]`: four rows per pass share
+    /// each load of `q`, every row one 8-lane FMA chain in increasing
+    /// `i` reduced by [`hsum`]'s add tree, the `dim % 8` tail folded in
+    /// with one fused multiply-add per element; the `out.len() % 4` last
+    /// rows run the same body one row at a time, so a value depends only
+    /// on `q` and its own row.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot_codes(q: &[f32], codes: &[u8], out: &mut [f32]) {
+        let (dim, n) = (q.len(), out.len());
+        assert_eq!(codes.len(), n * dim);
+        let qp = q.as_ptr();
+        let cp = codes.as_ptr();
+        let body = dim - dim % 8;
+        // SAFETY: row `j` is `codes[j * dim..(j + 1) * dim]`, in bounds
+        // by the assertion above for every `j < n`; within a row the
+        // 8-byte loads stop at `body <= dim` and the tail at `dim`, and
+        // the `q` loads at the same offsets are inside `q`.
+        unsafe {
+            let mut j = 0usize;
+            while j + 4 <= n {
+                let r = [
+                    cp.add(j * dim),
+                    cp.add((j + 1) * dim),
+                    cp.add((j + 2) * dim),
+                    cp.add((j + 3) * dim),
+                ];
+                let mut acc0 = _mm256_setzero_ps();
+                let mut acc1 = _mm256_setzero_ps();
+                let mut acc2 = _mm256_setzero_ps();
+                let mut acc3 = _mm256_setzero_ps();
+                let mut p = 0usize;
+                while p < body {
+                    let vq = _mm256_loadu_ps(qp.add(p));
+                    acc0 = _mm256_fmadd_ps(vq, load_codes(r[0].add(p)), acc0);
+                    acc1 = _mm256_fmadd_ps(vq, load_codes(r[1].add(p)), acc1);
+                    acc2 = _mm256_fmadd_ps(vq, load_codes(r[2].add(p)), acc2);
+                    acc3 = _mm256_fmadd_ps(vq, load_codes(r[3].add(p)), acc3);
+                    p += 8;
+                }
+                let mut sums = hsum4(acc0, acc1, acc2, acc3);
+                while p < dim {
+                    let cv = _mm_set_ps(
+                        *r[3].add(p) as f32,
+                        *r[2].add(p) as f32,
+                        *r[1].add(p) as f32,
+                        *r[0].add(p) as f32,
+                    );
+                    sums = _mm_fmadd_ps(_mm_set1_ps(*qp.add(p)), cv, sums);
+                    p += 1;
+                }
+                _mm_storeu_ps(out.as_mut_ptr().add(j), sums);
+                j += 4;
+            }
+            while j < n {
+                let r = cp.add(j * dim);
+                let mut acc = _mm256_setzero_ps();
+                let mut p = 0usize;
+                while p < body {
+                    acc = _mm256_fmadd_ps(_mm256_loadu_ps(qp.add(p)), load_codes(r.add(p)), acc);
+                    p += 8;
+                }
+                let mut s = hsum(acc);
+                while p < dim {
+                    s = (*qp.add(p)).mul_add(*r.add(p) as f32, s);
+                    p += 1;
+                }
+                out[j] = s;
+                j += 1;
             }
         }
     }

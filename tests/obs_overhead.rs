@@ -220,14 +220,17 @@ fn rejoin_counters_are_observable_and_inert_when_off() {
     obs::reset();
 }
 
-/// The serve scan's counters read, never steer: a batch answered with
-/// metrics on serialises to the bytes of the same batch with metrics
-/// off, and the useful-over-attempted pair reconciles with the scan it
-/// describes (`rows_scored` = resolved queries × rows, a candidate is a
-/// scored row, and the pools alone need `k + POOL_SLACK` of them).
+/// The serve scan's counters read, never steer: a batch and a
+/// one-at-a-time stream answered with metrics on serialise to the bytes
+/// of the same requests with metrics off, and the counters and spans
+/// reconcile with the scans they describe: `rows_scored` = resolved
+/// queries × rows, a candidate is a scored row, the pools alone need
+/// `k + POOL_SLACK` of them; on the coded scan a candidate is a code
+/// survivor is a coded row; and a batch's pack, scan and rescore spans
+/// fit inside its `serve.batch` span.
 #[test]
 fn metrics_do_not_perturb_serving() {
-    use graph_word2vec::serve::query::POOL_SLACK;
+    use graph_word2vec::serve::query::{CODED_MAX_QUERIES, POOL_SLACK};
     use graph_word2vec::serve::{Query, QueryEngine, ShardedStore};
     use graph_word2vec::util::fvec::FlatMatrix;
 
@@ -266,7 +269,11 @@ fn metrics_do_not_perturb_serving() {
             out.push_str(&a.json_line(&vocab));
             out.push('\n');
         }
-        out.push_str(&engine.answer(&batch[0], k).json_line(&vocab));
+        // `gw2v serve --batch 1`: every request is its own scan.
+        for q in &batch {
+            out.push_str(&engine.answer(q, k).json_line(&vocab));
+            out.push('\n');
+        }
         out
     };
 
@@ -282,6 +289,13 @@ fn metrics_do_not_perturb_serving() {
     obs::reset();
     let on = serve();
     let snap = obs::snapshot();
+    let mut spans = obs::obs().trace.drain();
+    spans.retain(|s| s.name != "serve.load");
+    // One coded scan on its own.
+    obs::reset();
+    let store = ShardedStore::from_matrix(&table, 3);
+    QueryEngine::new(&store, &vocab).answer(&batch[0], k);
+    let single = obs::snapshot().counters;
     obs::set_enabled(false);
     obs::reset();
 
@@ -289,7 +303,7 @@ fn metrics_do_not_perturb_serving() {
         off, on,
         "served bytes differ between metrics-off and metrics-on"
     );
-    let resolved = 32 + 1;
+    let resolved = 32 + 32;
     let scored = snap.counters["serve.rows_scored"];
     let candidates = snap.counters["serve.scan_candidates"];
     assert_eq!(scored, (resolved * rows) as u64);
@@ -297,14 +311,41 @@ fn metrics_do_not_perturb_serving() {
         (resolved * (k + POOL_SLACK)) as u64 <= candidates && candidates < scored / 4,
         "{candidates} candidates of {scored} scored rows"
     );
-    assert_eq!(snap.counters["serve.oov"], 1);
+    // The 32 singles took the coded scan, the batch of 32 did not.
+    const { assert!(CODED_MAX_QUERIES < 32) };
+    let coded = snap.counters["serve.coded_rows"];
+    let survivors = snap.counters["serve.code_survivors"];
+    assert_eq!(coded, (32 * rows) as u64);
+    assert!(
+        (32 * (k + POOL_SLACK)) as u64 <= survivors && survivors < coded / 4,
+        "{survivors} survivors of {coded} coded rows"
+    );
+    assert_eq!(single["serve.coded_rows"], rows as u64);
+    assert!(
+        single["serve.scan_candidates"] <= single["serve.code_survivors"]
+            && single["serve.code_survivors"] <= single["serve.coded_rows"],
+        "{single:?}"
+    );
+    assert_eq!(snap.counters["serve.oov"], 2);
     assert_eq!(
-        snap.histograms["serve.rescore_ns"].count, 2,
+        snap.histograms["serve.rescore_ns"].count,
+        1 + 33,
         "one per batch"
     );
     assert_eq!(
         snap.histograms["serve.shard_scan_ns"].count,
-        2 * 3,
-        "one per batch × shard"
+        (1 + 32) * 3,
+        "one per batch with a resolved query × shard"
     );
+    // In order of completion: pack, scan, rescore, then their batch.
+    assert_eq!(spans.len(), 4 * (1 + 33));
+    for batch in spans.chunks(4) {
+        let names: Vec<&str> = batch.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["serve.pack", "serve.scan", "serve.rescore", "serve.batch"]
+        );
+        let children: f64 = batch[..3].iter().map(|s| s.wall_s).sum();
+        assert!(children <= batch[3].wall_s, "{children} s of {batch:?}");
+    }
 }
