@@ -382,6 +382,9 @@ impl DistributedTrainer {
         let mut wire: Vec<WireState> = (0..h_count)
             .map(|_| WireState::for_mode(cfg.wire))
             .collect();
+        // Per-host compute seconds of the current round, reused across
+        // rounds.
+        let mut round_compute = vec![0.0f64; h_count];
         let mut killed = false;
 
         for epoch in start_epoch..p.epochs {
@@ -465,7 +468,7 @@ impl DistributedTrainer {
                 }
 
                 // ---- Compute phase (each host timed individually). ----
-                let mut round_compute = vec![0.0f64; h_count];
+                round_compute.fill(0.0);
                 for h in 0..h_count {
                     if !live.is_alive(h) {
                         continue;

@@ -15,7 +15,8 @@
 //!
 //! * [`params`] — hyperparameters (paper §5.1 defaults) and the
 //!   distributed-run configuration.
-//! * [`sigmoid`] — the precomputed sigmoid table of the C implementation.
+//! * [`sigmoid`] — the precomputed sigmoid table of the C implementation
+//!   (re-exported from `gw2v_util`, where the per-pair kernel reads it).
 //! * [`model`] — model storage, initialization and (text-format) I/O.
 //! * [`sgns`] — the SGNS training operator, written once and reused by
 //!   every trainer through the [`sgns::SgnsStore`] abstraction; also the
@@ -60,7 +61,6 @@ pub mod params;
 pub mod schedule;
 pub mod setup;
 pub mod sgns;
-pub mod sigmoid;
 pub mod trainer_batched;
 pub mod trainer_hogbatch;
 pub mod trainer_hogwild;
@@ -74,3 +74,7 @@ pub use params::Hyperparams;
 pub use trainer_hogbatch::{HogBatchTrainer, SgnsMode};
 pub use trainer_seq::SequentialTrainer;
 pub use trainer_threaded::ThreadedTrainer;
+
+/// The sigmoid table lives beside the kernel that reads it; this keeps
+/// its historical `gw2v_core::sigmoid` path.
+pub use gw2v_util::sigmoid;

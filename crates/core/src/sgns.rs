@@ -12,9 +12,9 @@
 //! for each surviving position i (after frequent-word subsampling):
 //!   b = rng % window                      # shrink the window randomly
 //!   for each context position c in the shrunk window around i:
+//!     targets = [center] ++ [t for t in negative × sample() if t != center]
 //!     neu1e = 0
-//!     for d in 0..=negative:
-//!       target, label = (center, 1) if d == 0 else (sample(), 0)
+//!     for (target, label) in targets, labels [1, 0, 0, …]:   # one kernel call
 //!       f = syn0[context] · syn1neg[target]
 //!       g = (label − σ(f)) · α
 //!       neu1e        += g · syn1neg[target]      # read before write!
@@ -22,13 +22,23 @@
 //!     syn0[context] += neu1e
 //! ```
 //!
+//! The C code draws each negative just before stepping it; here a pair's
+//! targets are drawn first and stepped by one
+//! [`Kernels::sgns_pair`](gw2v_util::simd::Kernels::sgns_pair) call. The
+//! two orders are the same computation: the RNG is consumed by the
+//! subsampler, the window shrink and the sampler only, no draw depends
+//! on a model value, and nothing else draws between a pair's samples —
+//! so the stream, the targets and their order are unchanged. Targets are
+//! handed over in stack blocks of [`TARGET_BLOCK`] (`negative = 5` is
+//! one block), so nothing is sized by `negative`; blocks compose bit for
+//! bit because the kernel only ever accumulates into `neu1e`.
+//!
 //! The loop is written once, generic over [`SgnsStore`], and reused by
 //! the sequential, Hogwild, batched and distributed trainers — plus the
 //! no-write [`RecordingStore`] that implements the PullModel *inspection*
-//! phase (paper §4.4): because every stochastic choice above comes from
-//! the caller's RNG and none depends on model values, replaying the loop
-//! against a recording store with a cloned RNG yields exactly the nodes
-//! the real execution will access.
+//! phase (paper §4.4): by the same argument, replaying the loop against
+//! a recording store with a cloned RNG yields exactly the nodes the real
+//! execution will access.
 
 use crate::sigmoid::SigmoidTable;
 use gw2v_corpus::subsample::SubsampleTable;
@@ -42,6 +52,10 @@ pub const LAYER_SYN0: usize = 0;
 /// Layer index of the training layer (`syn1neg`).
 pub const LAYER_SYN1NEG: usize = 1;
 
+/// Targets handed to [`SgnsStore::step_pair`] per call; a pair with more
+/// than `TARGET_BLOCK − 1` negatives takes several calls.
+pub const TARGET_BLOCK: usize = 32;
+
 /// Model access used by the SGNS inner loop.
 ///
 /// Implementations decide where rows live (plain matrices, a tracked
@@ -50,31 +64,23 @@ pub const LAYER_SYN1NEG: usize = 1;
 pub trait SgnsStore {
     /// Vector dimensionality.
     fn dim(&self) -> usize;
-    /// `syn0[win] · syn1neg[wout]`.
-    fn dot(&self, win: u32, wout: u32) -> f32;
-    /// `buf += g · syn1neg[wout]` — must be called *before*
-    /// [`SgnsStore::add_out`] for the same `wout` within a step (the C
-    /// code reads the pre-update value).
-    fn acc_hidden(&self, buf: &mut [f32], g: f32, wout: u32);
-    /// `syn1neg[wout] += g · syn0[win]`.
-    fn add_out(&mut self, wout: u32, g: f32, win: u32);
+    /// Steps `syn0[context]` against `syn1neg[t]` for each `t` of
+    /// `targets`, in order: `g = (label − σ(syn0[context] · syn1neg[t]))
+    /// · alpha`, then `neu1e += g · syn1neg[t]` and `syn1neg[t] += g ·
+    /// syn0[context]`, reading the pre-update `syn1neg` row (a repeated
+    /// target sees the earlier step's write). The label is 1 for
+    /// `targets[0]` when `positive`, else 0. `syn0` is not written.
+    fn step_pair(
+        &mut self,
+        context: u32,
+        targets: &[u32],
+        positive: bool,
+        alpha: f32,
+        sigmoid: &SigmoidTable,
+        neu1e: &mut [f32],
+    );
     /// `syn0[win] += buf`.
     fn add_in(&mut self, win: u32, buf: &[f32]);
-    /// Fused gradient step: `buf += g · syn1neg[wout]` then
-    /// `syn1neg[wout] += g · syn0[win]`, reading the pre-update `syn1neg`
-    /// row exactly once.
-    ///
-    /// The default falls back to the [`SgnsStore::acc_hidden`] /
-    /// [`SgnsStore::add_out`] pair, which is element-wise identical (the
-    /// stores that only observe accesses, like [`RecordingStore`], need no
-    /// override). Row-owning stores override this with
-    /// [`fvec::fused_grad_step`] to halve memory traffic per negative
-    /// sample.
-    #[inline]
-    fn fused_grad(&mut self, wout: u32, g: f32, win: u32, buf: &mut [f32]) {
-        self.acc_hidden(buf, g, wout);
-        self.add_out(wout, g, win);
-    }
 }
 
 /// Shared, immutable per-run training context.
@@ -140,27 +146,50 @@ where
                 continue;
             }
             let context = kept[c as usize];
-            let neu1e = &mut scratch.neu1e;
-            neu1e.fill(0.0);
-            for d in 0..=ctx.negative {
-                let (target, label) = if d == 0 {
-                    (center, 1.0f32)
-                } else {
-                    let t = ctx.sampler.sample(rng);
-                    if t == center {
-                        continue;
-                    }
-                    (t, 0.0f32)
-                };
-                let f = store.dot(context, target);
-                let g = (label - ctx.sigmoid.value(f)) * alpha;
-                store.fused_grad(target, g, context, neu1e);
-            }
-            store.add_in(context, neu1e);
+            train_pair(store, context, center, alpha, ctx, rng, &mut scratch.neu1e);
             pairs += 1;
         }
     }
     pairs
+}
+
+/// One SGNS pair: draws the pair's targets — `center`, then `negative`
+/// samples minus those equal to `center` — steps `context` against them
+/// and applies the accumulated `neu1e` (`store.dim()` long) to
+/// `syn0[context]`.
+pub(crate) fn train_pair<M, S, R>(
+    store: &mut M,
+    context: u32,
+    center: u32,
+    alpha: f32,
+    ctx: &TrainContext<'_, S>,
+    rng: &mut R,
+    neu1e: &mut [f32],
+) where
+    M: SgnsStore,
+    S: NegativeSampler,
+    R: Rng64,
+{
+    neu1e.fill(0.0);
+    let mut targets = [center; TARGET_BLOCK];
+    let (mut n, mut positive) = (1, true);
+    let mut undrawn = ctx.negative;
+    loop {
+        while undrawn > 0 && n < TARGET_BLOCK {
+            undrawn -= 1;
+            let t = ctx.sampler.sample(rng);
+            if t != center {
+                targets[n] = t;
+                n += 1;
+            }
+        }
+        store.step_pair(context, &targets[..n], positive, alpha, ctx.sigmoid, neu1e);
+        if undrawn == 0 {
+            break;
+        }
+        (n, positive) = (0, false);
+    }
+    store.add_in(context, neu1e);
 }
 
 /// Plain two-matrix store: the sequential baseline's model access.
@@ -178,39 +207,29 @@ impl SgnsStore for PlainStore<'_> {
     }
 
     #[inline]
-    fn dot(&self, win: u32, wout: u32) -> f32 {
-        fvec::dot(self.syn0.row(win as usize), self.syn1neg.row(wout as usize))
-    }
-
-    #[inline]
-    fn acc_hidden(&self, buf: &mut [f32], g: f32, wout: u32) {
-        fvec::axpy(g, self.syn1neg.row(wout as usize), buf);
-    }
-
-    #[inline]
-    fn add_out(&mut self, wout: u32, g: f32, win: u32) {
-        // Rows live in different matrices, so the borrows are disjoint;
-        // copy the input row through a re-borrow to satisfy the checker
-        // without unsafe: read syn0 first (it is not being mutated).
-        let (syn0, syn1neg) = (&*self.syn0, &mut *self.syn1neg);
-        let src = syn0.row(win as usize);
-        fvec::axpy(g, src, syn1neg.row_mut(wout as usize));
+    fn step_pair(
+        &mut self,
+        context: u32,
+        targets: &[u32],
+        positive: bool,
+        alpha: f32,
+        sigmoid: &SigmoidTable,
+        neu1e: &mut [f32],
+    ) {
+        fvec::sgns_pair(
+            self.syn0.row(context as usize),
+            self.syn1neg.as_mut_slice(),
+            targets,
+            positive,
+            alpha,
+            sigmoid,
+            neu1e,
+        );
     }
 
     #[inline]
     fn add_in(&mut self, win: u32, buf: &[f32]) {
         fvec::add_assign(self.syn0.row_mut(win as usize), buf);
-    }
-
-    #[inline]
-    fn fused_grad(&mut self, wout: u32, g: f32, win: u32, buf: &mut [f32]) {
-        let (syn0, syn1neg) = (&*self.syn0, &mut *self.syn1neg);
-        fvec::fused_grad_step(
-            g,
-            syn0.row(win as usize),
-            syn1neg.row_mut(wout as usize),
-            buf,
-        );
     }
 }
 
@@ -229,41 +248,34 @@ impl SgnsStore for ReplicaStore<'_> {
     }
 
     #[inline]
-    fn dot(&self, win: u32, wout: u32) -> f32 {
-        fvec::dot(
-            self.replica.row(LAYER_SYN0, win),
-            self.replica.row(LAYER_SYN1NEG, wout),
-        )
-    }
-
-    #[inline]
-    fn acc_hidden(&self, buf: &mut [f32], g: f32, wout: u32) {
-        fvec::axpy(g, self.replica.row(LAYER_SYN1NEG, wout), buf);
-    }
-
-    #[inline]
-    fn add_out(&mut self, wout: u32, g: f32, win: u32) {
-        // Tracked write (the split borrow snapshots wout's base on first
-        // touch); syn0[win] is only read.
-        let (src, dst) = self
-            .replica
-            .row_and_row_mut(LAYER_SYN0, win, LAYER_SYN1NEG, wout);
-        fvec::axpy(g, src, dst);
+    fn step_pair(
+        &mut self,
+        context: u32,
+        targets: &[u32],
+        positive: bool,
+        alpha: f32,
+        sigmoid: &SigmoidTable,
+        neu1e: &mut [f32],
+    ) {
+        // Tracked write: the split borrow snapshots each target's base
+        // on first touch, in list order; syn0[context] is only read.
+        let (win, syn1neg) =
+            self.replica
+                .row_and_layer_mut(LAYER_SYN0, context, LAYER_SYN1NEG, targets);
+        fvec::sgns_pair(
+            win,
+            syn1neg.as_mut_slice(),
+            targets,
+            positive,
+            alpha,
+            sigmoid,
+            neu1e,
+        );
     }
 
     #[inline]
     fn add_in(&mut self, win: u32, buf: &[f32]) {
         fvec::add_assign(self.replica.row_mut(LAYER_SYN0, win), buf);
-    }
-
-    #[inline]
-    fn fused_grad(&mut self, wout: u32, g: f32, win: u32, buf: &mut [f32]) {
-        // Same tracked split borrow as `add_out`: wout's base is
-        // snapshotted on first touch, syn0[win] is only read.
-        let (src, dst) = self
-            .replica
-            .row_and_row_mut(LAYER_SYN0, win, LAYER_SYN1NEG, wout);
-        fvec::fused_grad_step(g, src, dst, buf);
     }
 }
 
@@ -295,20 +307,19 @@ impl SgnsStore for RecordingStore {
     }
 
     #[inline]
-    fn dot(&self, _win: u32, _wout: u32) -> f32 {
-        // Constant output is safe: no stochastic choice in the training
-        // loop depends on model values, so the RNG stream (and hence the
-        // access pattern) is unaffected.
-        0.0
-    }
-
-    #[inline]
-    fn acc_hidden(&self, _buf: &mut [f32], _g: f32, _wout: u32) {}
-
-    #[inline]
-    fn add_out(&mut self, wout: u32, _g: f32, win: u32) {
-        self.syn0_access.set(win as usize);
-        self.syn1_access.set(wout as usize);
+    fn step_pair(
+        &mut self,
+        context: u32,
+        targets: &[u32],
+        _positive: bool,
+        _alpha: f32,
+        _sigmoid: &SigmoidTable,
+        _neu1e: &mut [f32],
+    ) {
+        self.syn0_access.set(context as usize);
+        for &t in targets {
+            self.syn1_access.set(t as usize);
+        }
     }
 
     #[inline]
@@ -461,9 +472,165 @@ mod tests {
         }
         assert_eq!(model.syn0, replica.layers[LAYER_SYN0]);
         assert_eq!(model.syn1neg, replica.layers[LAYER_SYN1NEG]);
-        // And the replica tracked its touches.
-        assert!(replica.tracker(LAYER_SYN0).touched_count() > 0);
-        assert!(replica.tracker(LAYER_SYN1NEG).touched_count() > 0);
+        // And the replica tracked its touches by the rule the wire bytes
+        // rest on: per layer, rows in the order the loop first reaches
+        // them (a pair's targets in draw order, then its context), each
+        // base being the row as it was before that first touch.
+        let mut rng_c = Xoshiro256::new(9);
+        let mut log = TouchLog::default();
+        train_sentence(&mut log, &sentence, 0.03, &ctx, &mut rng_c, &mut scratch);
+        assert!(log.syn0.len() > 1 && log.syn1neg.len() > 1);
+        let init = Word2VecModel::init(15, 12, 77);
+        for (layer, order, rows) in [
+            (LAYER_SYN0, &log.syn0, &init.syn0),
+            (LAYER_SYN1NEG, &log.syn1neg, &init.syn1neg),
+        ] {
+            let tracker = replica.tracker(layer);
+            assert_eq!(tracker.touched_nodes(), &order[..], "layer {layer}");
+            for &node in order {
+                assert_eq!(tracker.base_of(node), rows.row(node as usize));
+            }
+        }
+    }
+
+    /// Logs, per layer, the rows in first-touch order.
+    #[derive(Default)]
+    struct TouchLog {
+        syn0: Vec<u32>,
+        syn1neg: Vec<u32>,
+    }
+
+    impl SgnsStore for TouchLog {
+        fn dim(&self) -> usize {
+            12
+        }
+
+        fn step_pair(
+            &mut self,
+            _context: u32,
+            targets: &[u32],
+            _positive: bool,
+            _alpha: f32,
+            _sigmoid: &SigmoidTable,
+            _neu1e: &mut [f32],
+        ) {
+            for &t in targets {
+                if !self.syn1neg.contains(&t) {
+                    self.syn1neg.push(t);
+                }
+            }
+        }
+
+        fn add_in(&mut self, win: u32, _buf: &[f32]) {
+            if !self.syn0.contains(&win) {
+                self.syn0.push(win);
+            }
+        }
+    }
+
+    /// The per-pair step as the parent commit wrote it, kept test-side as
+    /// the reference: draw, skip the center, dot → σ → fused step, one
+    /// target at a time. Returns the targets in draw order.
+    fn reference_pair(
+        model: &mut Word2VecModel,
+        (context, center): (usize, u32),
+        alpha: f32,
+        ctx: &TrainContext<'_, AliasSampler>,
+        rng: &mut Xoshiro256,
+    ) -> Vec<u32> {
+        let mut neu1e = vec![0.0; model.dim()];
+        let mut drawn = Vec::new();
+        for d in 0..=ctx.negative {
+            let target = if d == 0 {
+                center
+            } else {
+                ctx.sampler.sample(rng)
+            };
+            if d > 0 && target == center {
+                continue;
+            }
+            drawn.push(target);
+            let wout = model.syn1neg.row_mut(target as usize);
+            let f = fvec::dot(model.syn0.row(context), wout);
+            let label = if d == 0 { 1.0 } else { 0.0 };
+            let g = (label - ctx.sigmoid.value(f)) * alpha;
+            fvec::fused_grad_step(g, model.syn0.row(context), wout, &mut neu1e);
+        }
+        fvec::add_assign(model.syn0.row_mut(context), &neu1e);
+        drawn
+    }
+
+    #[test]
+    fn a_pair_spanning_several_blocks_matches_the_one_target_at_a_time_reference() {
+        // 100 negatives over six words: four blocks, the center drawn
+        // (and skipped) often, every row stepped many times.
+        let fx = Fixture::new(6);
+        let ctx = fx.ctx(2, 100);
+        let (context, center) = (4u32, 1u32);
+        let init = Word2VecModel::init(6, 8, 31);
+        let mut want = init.clone();
+        let mut rng_ref = Xoshiro256::new(77);
+        let pair = (context as usize, center);
+        let drawn = reference_pair(&mut want, pair, 0.05, &ctx, &mut rng_ref);
+        assert!(drawn.len() > 2 * TARGET_BLOCK && drawn.len() < 101);
+
+        let mut neu1e = vec![0.0; 8];
+        let mut plain = init.clone();
+        let mut rng = Xoshiro256::new(77);
+        let mut store = PlainStore {
+            syn0: &mut plain.syn0,
+            syn1neg: &mut plain.syn1neg,
+        };
+        train_pair(
+            &mut store, context, center, 0.05, &ctx, &mut rng, &mut neu1e,
+        );
+        assert_eq!(plain, want);
+        assert_eq!(rng.next_u64(), rng_ref.next_u64());
+
+        let mut replica = ModelReplica::new(vec![init.syn0.clone(), init.syn1neg.clone()]);
+        let mut rng = Xoshiro256::new(77);
+        let mut store = ReplicaStore {
+            replica: &mut replica,
+        };
+        train_pair(
+            &mut store, context, center, 0.05, &ctx, &mut rng, &mut neu1e,
+        );
+        assert_eq!(replica.layers[LAYER_SYN0], want.syn0);
+        assert_eq!(replica.layers[LAYER_SYN1NEG], want.syn1neg);
+        let mut first_touches = Vec::new();
+        for t in drawn {
+            if !first_touches.contains(&t) {
+                first_touches.push(t);
+            }
+        }
+        let tracker = replica.tracker(LAYER_SYN1NEG);
+        assert_eq!(tracker.touched_nodes(), &first_touches[..]);
+        for &t in &first_touches {
+            assert_eq!(tracker.base_of(t), init.syn1neg.row(t as usize));
+        }
+        assert_eq!(replica.tracker(LAYER_SYN0).touched_nodes(), &[context]);
+    }
+
+    #[test]
+    fn no_buffer_grows_with_negative() {
+        // `--negative` is user input: it must cost time, never memory.
+        // The targets of a pair live in a `TARGET_BLOCK` stack array, so
+        // the scratch holds the sentence and one row whatever it is.
+        let fx = Fixture::new(3);
+        let ctx = fx.ctx(2, 10_000);
+        let sentence = vec![0u32, 1, 2, 1, 0, 2];
+        let mut model = Word2VecModel::init(3, 4, 9);
+        let mut rng = Xoshiro256::new(3);
+        let mut scratch = TrainScratch::default();
+        let mut store = PlainStore {
+            syn0: &mut model.syn0,
+            syn1neg: &mut model.syn1neg,
+        };
+        let pairs = train_sentence(&mut store, &sentence, 0.025, &ctx, &mut rng, &mut scratch);
+        assert!(pairs > 0);
+        assert!(scratch.kept.capacity() <= 2 * sentence.len());
+        assert!(scratch.neu1e.capacity() <= 2 * 4);
+        assert!(model.syn0.as_slice().iter().all(|v| v.is_finite()));
     }
 
     #[test]

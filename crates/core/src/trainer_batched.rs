@@ -15,13 +15,11 @@
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
 use crate::schedule::LrSchedule;
-use crate::setup::{Sampler, TrainSetup, HOST_RNG_BASE};
-use crate::sigmoid::SigmoidTable;
+use crate::setup::{TrainSetup, HOST_RNG_BASE};
+use crate::sgns::{train_pair, PlainStore};
 use crate::trainer_hogbatch::MinibatchScratch;
 use gw2v_corpus::shard::Corpus;
-use gw2v_corpus::unigram::NegativeSampler;
 use gw2v_corpus::vocab::Vocabulary;
-use gw2v_util::fvec;
 use gw2v_util::rng::{Rng64, SplitMix64, Xoshiro256};
 
 /// Sentence-batched shared-memory trainer.
@@ -50,6 +48,7 @@ impl BatchedTrainer {
     ) -> Word2VecModel {
         let p = &self.params;
         let setup = TrainSetup::new(vocab, p);
+        let ctx = setup.ctx(p);
         let mut model = Word2VecModel::init(vocab.len(), p.dim, p.seed);
         let schedule = LrSchedule::new(
             p.alpha,
@@ -94,15 +93,17 @@ impl BatchedTrainer {
                     }
                 }
                 // Pass 2: batched updates over the pair list.
+                let mut store = PlainStore {
+                    syn0: &mut model.syn0,
+                    syn1neg: &mut model.syn1neg,
+                };
                 for &(input, center) in &scratch.pairs {
                     train_pair(
-                        &mut model,
+                        &mut store,
                         input,
                         center,
                         alpha,
-                        p.negative,
-                        &setup.sigmoid,
-                        &setup.sampler,
+                        &ctx,
                         &mut rng,
                         &mut scratch.pair.neu1e,
                     );
@@ -122,53 +123,12 @@ impl BatchedTrainer {
     }
 }
 
-/// One SGNS step on a pre-generated pair.
-#[allow(clippy::too_many_arguments)]
-fn train_pair<R: Rng64>(
-    model: &mut Word2VecModel,
-    input: u32,
-    center: u32,
-    alpha: f32,
-    negative: usize,
-    sigmoid: &SigmoidTable,
-    sampler: &Sampler,
-    rng: &mut R,
-    neu1e: &mut [f32],
-) {
-    neu1e.fill(0.0);
-    for d in 0..=negative {
-        let (target, label) = if d == 0 {
-            (center, 1.0f32)
-        } else {
-            let t = sampler.sample(rng);
-            if t == center {
-                continue;
-            }
-            (t, 0.0f32)
-        };
-        let f = fvec::dot(
-            model.syn0.row(input as usize),
-            model.syn1neg.row(target as usize),
-        );
-        let g = (label - sigmoid.value(f)) * alpha;
-        // neu1e += g * syn1neg[target]; syn1neg[target] += g * syn0[input],
-        // fused into one pass over the rows (disjoint matrices).
-        let (syn0, syn1neg) = (&model.syn0, &mut model.syn1neg);
-        fvec::fused_grad_step(
-            g,
-            syn0.row(input as usize),
-            syn1neg.row_mut(target as usize),
-            neu1e,
-        );
-    }
-    fvec::add_assign(model.syn0.row_mut(input as usize), neu1e);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gw2v_corpus::tokenizer::TokenizerConfig;
     use gw2v_corpus::vocab::VocabBuilder;
+    use gw2v_util::fvec;
 
     fn corpus() -> (Corpus, Vocabulary) {
         let mut text = String::new();

@@ -18,6 +18,7 @@ use crate::params::Hyperparams;
 use crate::schedule::LrSchedule;
 use crate::setup::{TrainSetup, HOST_RNG_BASE};
 use crate::sgns::{train_sentence, SgnsStore};
+use crate::sigmoid::SigmoidTable;
 use crate::trainer_hogbatch::MinibatchScratch;
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::vocab::Vocabulary;
@@ -118,20 +119,19 @@ impl AtomicModel {
 /// Per-thread view of the shared atomic model.
 ///
 /// Rows are staged through per-store scratch buffers so the arithmetic
-/// runs the same dispatched [`fvec`] kernels as every other trainer: a
-/// 1-thread Hogwild run stays bit-identical to the sequential trainer on
-/// whichever SIMD backend is active (pinned by a test below). The
+/// runs the same dispatched kernel as every other trainer: a 1-thread
+/// Hogwild run stays bit-identical to the sequential trainer on
+/// whichever SIMD backend is active (pinned by a test below). A pair
+/// gathers its context row once and each target row once; the
 /// read-copy / compute / write-back sequence keeps the Hogwild recipe's
-/// racy read-modify-write semantics — each cell is still one relaxed load
-/// and one relaxed store per update, deliberately unsynchronized across
-/// threads. Create one store per worker (outside the sentence loop) so
-/// the scratch is allocated once.
+/// racy read-modify-write semantics — each cell is still one relaxed
+/// load and one relaxed store per update, deliberately unsynchronized
+/// across threads. Create one store per worker (outside the sentence
+/// loop) so the scratch is allocated once.
 pub struct HogwildStore<'a> {
     model: &'a AtomicModel,
-    // RefCell because `dot`/`acc_hidden` take `&self` in the trait; each
-    // store is thread-local, so borrows never contend.
-    win_buf: std::cell::RefCell<Vec<f32>>,
-    wout_buf: std::cell::RefCell<Vec<f32>>,
+    win_buf: Vec<f32>,
+    wout_buf: Vec<f32>,
 }
 
 impl<'a> HogwildStore<'a> {
@@ -139,8 +139,8 @@ impl<'a> HogwildStore<'a> {
     pub fn new(model: &'a AtomicModel) -> Self {
         Self {
             model,
-            win_buf: std::cell::RefCell::new(vec![0.0; model.dim]),
-            wout_buf: std::cell::RefCell::new(vec![0.0; model.dim]),
+            win_buf: vec![0.0; model.dim],
+            wout_buf: vec![0.0; model.dim],
         }
     }
 }
@@ -152,47 +152,39 @@ impl SgnsStore for HogwildStore<'_> {
     }
 
     #[inline]
-    fn dot(&self, win: u32, wout: u32) -> f32 {
-        let mut a = self.win_buf.borrow_mut();
-        let mut b = self.wout_buf.borrow_mut();
-        self.model.read_row0(win as usize, &mut a);
-        self.model.read_row1(wout as usize, &mut b);
-        fvec::dot(&a, &b)
-    }
-
-    #[inline]
-    fn acc_hidden(&self, buf: &mut [f32], g: f32, wout: u32) {
-        let mut b = self.wout_buf.borrow_mut();
-        self.model.read_row1(wout as usize, &mut b);
-        fvec::axpy(g, &b, buf);
-    }
-
-    #[inline]
-    fn add_out(&mut self, wout: u32, g: f32, win: u32) {
-        let mut a = self.win_buf.borrow_mut();
-        let mut b = self.wout_buf.borrow_mut();
-        self.model.read_row0(win as usize, &mut a);
-        self.model.read_row1(wout as usize, &mut b);
-        fvec::axpy(g, &a, &mut b);
-        self.model.write_row1(wout as usize, &b);
+    fn step_pair(
+        &mut self,
+        context: u32,
+        targets: &[u32],
+        positive: bool,
+        alpha: f32,
+        sigmoid: &SigmoidTable,
+        neu1e: &mut [f32],
+    ) {
+        self.model.read_row0(context as usize, &mut self.win_buf);
+        for (k, &t) in targets.iter().enumerate() {
+            // The staged copy is a one-row layer, so the target is its
+            // row 0; writing it back before the next gather lets a
+            // repeated target see this step.
+            self.model.read_row1(t as usize, &mut self.wout_buf);
+            fvec::sgns_pair(
+                &self.win_buf,
+                &mut self.wout_buf,
+                &[0],
+                positive && k == 0,
+                alpha,
+                sigmoid,
+                neu1e,
+            );
+            self.model.write_row1(t as usize, &self.wout_buf);
+        }
     }
 
     #[inline]
     fn add_in(&mut self, win: u32, buf: &[f32]) {
-        let mut a = self.win_buf.borrow_mut();
-        self.model.read_row0(win as usize, &mut a);
-        fvec::add_assign(&mut a, buf);
-        self.model.write_row0(win as usize, &a);
-    }
-
-    #[inline]
-    fn fused_grad(&mut self, wout: u32, g: f32, win: u32, buf: &mut [f32]) {
-        let mut a = self.win_buf.borrow_mut();
-        let mut b = self.wout_buf.borrow_mut();
-        self.model.read_row0(win as usize, &mut a);
-        self.model.read_row1(wout as usize, &mut b);
-        fvec::fused_grad_step(g, &a, &mut b, buf);
-        self.model.write_row1(wout as usize, &b);
+        self.model.read_row0(win as usize, &mut self.win_buf);
+        fvec::add_assign(&mut self.win_buf, buf);
+        self.model.write_row0(win as usize, &self.win_buf);
     }
 }
 

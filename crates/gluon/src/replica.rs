@@ -177,35 +177,30 @@ impl ModelReplica {
         (&mut self.layers[layer], &self.trackers[layer])
     }
 
-    /// Split borrow for cross-layer updates: an immutable row of
-    /// `read_layer` together with a *tracked* mutable row of
-    /// `write_layer` (which must differ). This is the SGNS update shape:
-    /// `syn1neg[wout] += g · syn0[win]`.
-    pub fn row_and_row_mut(
+    /// Split borrow for the SGNS pair step: row `read_node` of
+    /// `read_layer`, read-only, beside the whole of `write_layer` (which
+    /// must differ) after each of `write_nodes` was first-touched in
+    /// list order — the caller may then write exactly those rows.
+    pub fn row_and_layer_mut(
         &mut self,
         read_layer: usize,
         read_node: u32,
         write_layer: usize,
-        write_node: u32,
-    ) -> (&[f32], &mut [f32]) {
+        write_nodes: &[u32],
+    ) -> (&[f32], &mut FlatMatrix) {
         assert_ne!(read_layer, write_layer, "layers must differ");
-        {
-            let current = self.layers[write_layer].row(write_node as usize);
-            self.trackers[write_layer].on_touch(write_node, current);
+        for &node in write_nodes {
+            let current = self.layers[write_layer].row(node as usize);
+            self.trackers[write_layer].on_touch(node, current);
         }
-        if read_layer < write_layer {
+        let (read, write) = if read_layer < write_layer {
             let (lo, hi) = self.layers.split_at_mut(write_layer);
-            (
-                lo[read_layer].row(read_node as usize),
-                hi[0].row_mut(write_node as usize),
-            )
+            (&lo[read_layer], &mut hi[0])
         } else {
             let (lo, hi) = self.layers.split_at_mut(read_layer);
-            (
-                hi[0].row(read_node as usize),
-                lo[write_layer].row_mut(write_node as usize),
-            )
-        }
+            (&hi[0], &mut lo[write_layer])
+        };
+        (read.row(read_node as usize), write)
     }
 }
 
@@ -277,6 +272,32 @@ mod tests {
             r.row_mut(0, n)[0] += 1.0;
         }
         assert_eq!(r.tracker(0).touched_nodes(), &[3, 0, 4]);
+    }
+
+    #[test]
+    fn row_and_layer_mut_touches_the_named_rows_in_list_order() {
+        let mut r = replica(5, 2);
+        r.row_mut_untracked(0, 3).copy_from_slice(&[7.0, 8.0]);
+        r.row_mut_untracked(1, 4).copy_from_slice(&[1.0, 2.0]);
+        r.row_mut(1, 2)[0] = 9.0;
+        let (read, write) = r.row_and_layer_mut(0, 3, 1, &[4, 0, 4, 2]);
+        assert_eq!(read, &[7.0, 8.0]);
+        write.row_mut(4)[1] = 5.0;
+        // Row 2 keeps its earlier slot; 4 and 0 follow in list order,
+        // and 4's base is its value before this call's write.
+        assert_eq!(r.tracker(1).touched_nodes(), &[2, 4, 0]);
+        assert_eq!(r.tracker(1).base_of(4), &[1.0, 2.0]);
+        assert_eq!(r.tracker(1).base_of(2), &[0.0, 0.0]);
+        assert_eq!(
+            r.tracker(0).touched_count(),
+            0,
+            "the read row is not tracked"
+        );
+        // Either layer can be the written one.
+        let (read, write) = r.row_and_layer_mut(1, 4, 0, &[1]);
+        assert_eq!(read, &[1.0, 5.0]);
+        write.row_mut(1)[0] = 3.0;
+        assert_eq!(r.tracker(0).touched_nodes(), &[1]);
     }
 
     #[test]

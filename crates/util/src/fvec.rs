@@ -8,6 +8,7 @@
 //! unrolled scalar loops otherwise (or when `GW2V_FORCE_SCALAR=1`). The
 //! model-combiner math (projections, norms) reuses the same kernels.
 
+use crate::sigmoid::SigmoidTable;
 use crate::simd::kernels;
 
 /// Dot product `x · y`. Panics in debug builds on length mismatch.
@@ -36,6 +37,23 @@ pub fn scale(a: f32, x: &mut [f32]) {
 #[inline]
 pub fn fused_grad_step(g: f32, win: &[f32], wout: &mut [f32], neu1e: &mut [f32]) {
     (kernels().fused_grad_step)(g, win, wout, neu1e)
+}
+
+/// One SGNS pair: `win` stepped against rows `targets` of `layer` in
+/// order (`dot` → sigmoid → `fused_grad_step` each), label 1 for
+/// `targets[0]` when `positive` and 0 otherwise, accumulating into
+/// `neu1e` (see [`Kernels::sgns_pair`](crate::simd::Kernels::sgns_pair)).
+#[inline]
+pub fn sgns_pair(
+    win: &[f32],
+    layer: &mut [f32],
+    targets: &[u32],
+    positive: bool,
+    alpha: f32,
+    sigmoid: &SigmoidTable,
+    neu1e: &mut [f32],
+) {
+    (kernels().sgns_pair)(win, layer, targets, positive, alpha, sigmoid, neu1e)
 }
 
 /// Squared Euclidean norm `‖x‖²`.

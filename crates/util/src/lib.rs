@@ -20,6 +20,8 @@
 //! * [`simd`] — the runtime-dispatched backends behind [`fvec`]:
 //!   AVX2+FMA where the host supports it, the portable scalar reference
 //!   otherwise (or when `GW2V_FORCE_SCALAR=1`).
+//! * [`sigmoid`] — the C implementation's precomputed sigmoid table,
+//!   here because the per-pair kernel in [`simd`] looks gradients up in it.
 //! * [`stats`] — online statistics and summary helpers (mean, stddev,
 //!   geometric mean) used by the benchmark harness.
 //! * [`timer`] — phase timers that accumulate wall-clock time per named
@@ -33,6 +35,7 @@ pub mod bitvec;
 pub mod crc32;
 pub mod fvec;
 pub mod rng;
+pub mod sigmoid;
 pub mod simd;
 pub mod stats;
 pub mod table;

@@ -32,7 +32,21 @@
 //! in `tests/prop_simd.rs` pins scalar/SIMD agreement across lengths
 //! 0–512, including non-multiple-of-8 tails and non-finite inputs.
 
+use crate::sigmoid::SigmoidTable;
 use std::sync::OnceLock;
+
+/// Signature of the per-pair SGNS kernel: `win` (a `syn0` row) stepped
+/// against rows `targets` of `layer` (`syn1neg`'s backing buffer, rows
+/// of `win.len()`), accumulating into `neu1e`.
+pub type SgnsPairFn = fn(
+    win: &[f32],
+    layer: &mut [f32],
+    targets: &[u32],
+    positive: bool,
+    alpha: f32,
+    sigmoid: &SigmoidTable,
+    neu1e: &mut [f32],
+);
 
 /// Signature of the one-pass `(x·y, x·x, y·y)` kernel.
 pub type DotNormsFn = fn(x: &[f32], y: &[f32]) -> (f32, f32, f32);
@@ -95,6 +109,24 @@ pub struct Kernels {
     /// Fused SGNS gradient step: `neu1e += g·wout; wout += g·win`, reading
     /// each row once (`wout` is read before it is updated).
     pub fused_grad_step: fn(g: f32, win: &[f32], wout: &mut [f32], neu1e: &mut [f32]),
+    /// One SGNS pair, the paper's per-edge operator (§4.1), in one call:
+    /// for each `t` of `targets`, in order, with `wout` = row `t` of
+    /// `layer`: `f = dot(win, wout)`, `g = (label − σ(f)) · alpha` with
+    /// σ from [`SigmoidTable::value`], then `fused_grad_step(g, win,
+    /// wout, neu1e)`. The label is 1 for `targets[0]` when `positive`
+    /// and 0 everywhere else, so a caller may hand a long target list
+    /// over in several calls (only the first `positive`): `neu1e` is
+    /// only ever accumulated into, never zeroed or applied. **On each
+    /// backend bit-identical to that composition of the backend's own
+    /// `dot` and `fused_grad_step`** — a repeated target sees the
+    /// earlier step's write — and therefore different *between*
+    /// backends by exactly what `dot` and `fused_grad_step` differ by
+    /// (FMA, lane association). `layer` holds rows of `win.len()`
+    /// floats back to back; an id past its last row panics on the slice
+    /// bound before anything is read. `win` and `neu1e` cannot alias
+    /// `layer` (borrow rules), which is why the row being read lives
+    /// in the other matrix.
+    pub sgns_pair: SgnsPairFn,
     /// Small-matrix GEMM, "NT" shape: `C[m×n] += A[m×k] · B[n×k]ᵀ`.
     /// All matrices row-major; `B` holds `n` rows of length `k`, so each
     /// `C[i][j]` accumulates the dot product of row `i` of `A` with row
@@ -158,6 +190,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
     add_assign: scalar::add_assign,
     dot_norms: scalar::dot_norms,
     fused_grad_step: scalar::fused_grad_step,
+    sgns_pair: scalar::sgns_pair,
     gemm_nt: scalar::gemm_nt,
     gemm_tn: scalar::gemm_tn,
     quantize_rows: scalar::quantize_rows,
@@ -175,6 +208,9 @@ static AVX2_KERNELS: Kernels = Kernels {
     add_assign: |x, y| unsafe { avx2::add_assign(x, y) },
     dot_norms: |x, y| unsafe { avx2::dot_norms(x, y) },
     fused_grad_step: |g, win, wout, neu1e| unsafe { avx2::fused_grad_step(g, win, wout, neu1e) },
+    sgns_pair: |win, layer, targets, positive, alpha, sigmoid, neu1e| unsafe {
+        avx2::sgns_pair(win, layer, targets, positive, alpha, sigmoid, neu1e)
+    },
     gemm_nt: |m, n, k, a, b, c| unsafe { avx2::gemm_nt(m, n, k, a, b, c) },
     gemm_tn: |m, n, k, a, b, c| unsafe { avx2::gemm_tn(m, n, k, a, b, c) },
     quantize_rows: |values, dim, scales, offsets, out| unsafe {
@@ -250,6 +286,8 @@ pub fn backend_name() -> &'static str {
 /// scalar runs (`GW2V_FORCE_SCALAR=1`) must reproduce pre-dispatch results
 /// bit-for-bit, and the SIMD property tests compare against them.
 pub mod scalar {
+    use crate::sigmoid::SigmoidTable;
+
     /// Dot product `x · y` with four independent accumulators, folded as
     /// `(s0 + s1) + (s2 + s3)`.
     #[inline]
@@ -357,6 +395,29 @@ pub mod scalar {
             let w = wout[i];
             neu1e[i] += g * w;
             wout[i] = w + g * win[i];
+        }
+    }
+
+    /// One SGNS pair: [`dot`] → [`SigmoidTable::value`] →
+    /// [`fused_grad_step`] per target, in order (see
+    /// [`crate::simd::Kernels::sgns_pair`] for the contract).
+    #[inline]
+    pub fn sgns_pair(
+        win: &[f32],
+        layer: &mut [f32],
+        targets: &[u32],
+        positive: bool,
+        alpha: f32,
+        sigmoid: &SigmoidTable,
+        neu1e: &mut [f32],
+    ) {
+        let dim = win.len();
+        assert_eq!(neu1e.len(), dim, "neu1e length");
+        for (k, &t) in targets.iter().enumerate() {
+            let wout = &mut layer[t as usize * dim..(t as usize + 1) * dim];
+            let label = if positive && k == 0 { 1.0f32 } else { 0.0 };
+            let g = (label - sigmoid.value(dot(win, wout))) * alpha;
+            fused_grad_step(g, win, wout, neu1e);
         }
     }
 
@@ -514,6 +575,7 @@ pub mod scalar {
 /// (the dispatch table in [`select`] does).
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2 {
+    use crate::sigmoid::SigmoidTable;
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
@@ -717,6 +779,38 @@ mod avx2 {
                 neu1e[i] = g.mul_add(w, neu1e[i]);
                 wout[i] = g.mul_add(win[i], w);
                 i += 1;
+            }
+        }
+    }
+
+    /// One SGNS pair. The per-target sequence is this module's own
+    /// [`dot`] and [`fused_grad_step`], inlined into one
+    /// `#[target_feature]` body, so the bits are theirs by
+    /// construction; the target row is taken by checked slicing.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn sgns_pair(
+        win: &[f32],
+        layer: &mut [f32],
+        targets: &[u32],
+        positive: bool,
+        alpha: f32,
+        sigmoid: &SigmoidTable,
+        neu1e: &mut [f32],
+    ) {
+        let dim = win.len();
+        // The two kernels below index all their slices by `win.len()`
+        // through raw pointers and only debug-assert the lengths.
+        assert_eq!(neu1e.len(), dim, "neu1e length");
+        for (k, &t) in targets.iter().enumerate() {
+            let wout = &mut layer[t as usize * dim..(t as usize + 1) * dim];
+            let label = if positive && k == 0 { 1.0f32 } else { 0.0 };
+            // SAFETY: this function's caller verified avx2+fma, which is
+            // all `dot` and `fused_grad_step` require of the CPU; `wout`
+            // was sliced to `dim` elements and `neu1e` asserted to be
+            // `dim` long above, so every access stays in bounds.
+            unsafe {
+                let g = (label - sigmoid.value(dot(win, wout))) * alpha;
+                fused_grad_step(g, win, wout, neu1e);
             }
         }
     }

@@ -20,7 +20,8 @@
 //! how the seed's pre-SIMD results are reproduced.
 
 use gw2v_util::fvec;
-use gw2v_util::simd::scalar;
+use gw2v_util::sigmoid::SigmoidTable;
+use gw2v_util::simd::{self, scalar};
 use proptest::prelude::*;
 
 /// Relative closeness for element-wise FMA-vs-mul+add differences:
@@ -217,6 +218,166 @@ fn dot_codes_is_exact_on_integer_queries() {
             assert_eq!(want[j].to_bits(), got[j].to_bits(), "dim={dim} row {j}");
         }
     }
+}
+
+/// One backend's three entries: the pair kernel and the two kernels its
+/// contract is written in.
+struct PairBackend {
+    name: &'static str,
+    pair: simd::SgnsPairFn,
+    dot: fn(&[f32], &[f32]) -> f32,
+    step: fn(f32, &[f32], &mut [f32], &mut [f32]),
+}
+
+const PAIR_BACKENDS: [PairBackend; 2] = [
+    PairBackend {
+        name: "dispatched",
+        pair: fvec::sgns_pair,
+        dot: fvec::dot,
+        step: fvec::fused_grad_step,
+    },
+    PairBackend {
+        name: "scalar",
+        pair: scalar::sgns_pair,
+        dot: scalar::dot,
+        step: scalar::fused_grad_step,
+    },
+];
+
+const PAIR_ROWS: usize = 6;
+
+/// Runs `b.pair` and the `dot` → `SigmoidTable::value` → `fused_grad_step`
+/// composition it must equal on copies of the same inputs, compares
+/// `layer` and `neu1e` bit for bit and returns the dots the composition
+/// saw. Every slice starts at an odd offset of its buffer.
+fn check_pair(
+    b: &PairBackend,
+    win: &[f32],
+    layer: &[f32],
+    targets: &[u32],
+    alpha: f32,
+) -> Vec<f32> {
+    let sigmoid = SigmoidTable::new();
+    let dim = win.len();
+    let unaligned = |v: &[f32], pad: usize| [&vec![0.0; pad][..], v].concat();
+    let mut dots = Vec::new();
+    for positive in [true, false] {
+        let win = unaligned(win, 1);
+        let (mut got_layer, mut want_layer) = (unaligned(layer, 3), unaligned(layer, 3));
+        let (mut got_neu1e, mut want_neu1e) = (unaligned(&pattern(dim, 31), 5), pattern(dim, 31));
+        let label_of = |k: usize| if positive && k == 0 { 1.0f32 } else { 0.0 };
+        (b.pair)(
+            &win[1..],
+            &mut got_layer[3..],
+            targets,
+            positive,
+            alpha,
+            &sigmoid,
+            &mut got_neu1e[5..],
+        );
+        for (k, &t) in targets.iter().enumerate() {
+            let wout = &mut want_layer[3 + t as usize * dim..][..dim];
+            let f = (b.dot)(&win[1..], wout);
+            dots.push(f);
+            let g = (label_of(k) - sigmoid.value(f)) * alpha;
+            (b.step)(g, &win[1..], wout, &mut want_neu1e);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let case = format!(
+            "{} dim={dim} targets={targets:?} positive={positive}",
+            b.name
+        );
+        assert_eq!(bits(&got_layer), bits(&want_layer), "layer: {case}");
+        assert_eq!(bits(&got_neu1e[5..]), bits(&want_neu1e), "neu1e: {case}");
+    }
+    dots
+}
+
+#[test]
+fn sgns_pair_is_the_dot_sigmoid_step_composition_bitwise_dims_0_to_130() {
+    // One target; a repeated target (the second step must see the
+    // first's write); the positive again in a later, label-0 slot.
+    let lists: [&[u32]; 4] = [&[2], &[1, 4, 1], &[3, 0, 3, 5, 0], &[]];
+    for b in &PAIR_BACKENDS {
+        let (mut saturated_hi, mut saturated_lo, mut inside) = (0, 0, 0);
+        for dim in 0..=130usize {
+            // Scales put the dots on both sides of ±6 and inside.
+            for scale in [1.0f32, 0.05] {
+                let win: Vec<f32> = pattern(dim, 21).iter().map(|v| v * scale).collect();
+                let layer = pattern(PAIR_ROWS * dim, 22);
+                for targets in lists {
+                    for f in check_pair(b, &win, &layer, targets, 0.025) {
+                        saturated_hi += (f >= 6.0) as usize;
+                        saturated_lo += (f <= -6.0) as usize;
+                        inside += (f.abs() < 6.0) as usize;
+                    }
+                }
+            }
+        }
+        assert!(
+            saturated_hi > 100 && saturated_lo > 100 && inside > 100,
+            "{}: every σ regime must be exercised ({saturated_hi}/{saturated_lo}/{inside})",
+            b.name
+        );
+    }
+}
+
+#[test]
+fn sgns_pair_matches_the_composition_on_specials_and_zero_alpha() {
+    for b in &PAIR_BACKENDS {
+        for dim in [1usize, 7, 8, 19, 67] {
+            let win = pattern(dim, 23);
+            let layer = pattern(PAIR_ROWS * dim, 24);
+            // alpha = 0: g is ±0, the rows keep their values.
+            check_pair(b, &win, &layer, &[0, 5, 0], 0.0);
+            for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for pos in [0, dim / 2, dim - 1] {
+                    let mut bad_win = win.clone();
+                    bad_win[pos] = special;
+                    check_pair(b, &bad_win, &layer, &[1, 2, 1], 0.025);
+                    // Row 2 carries the special; row 1 is stepped after
+                    // neu1e has absorbed it.
+                    let mut bad_layer = layer.clone();
+                    bad_layer[2 * dim + pos] = special;
+                    check_pair(b, &win, &bad_layer, &[2, 1, 2], 0.025);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn dispatched_sgns_pair_panics_on_a_target_past_the_layer() {
+    let mut layer = pattern(PAIR_ROWS * 8, 25);
+    let mut neu1e = vec![0.0; 8];
+    let row = PAIR_ROWS as u32;
+    fvec::sgns_pair(
+        &pattern(8, 26),
+        &mut layer,
+        &[0, row],
+        true,
+        0.025,
+        &SigmoidTable::new(),
+        &mut neu1e,
+    );
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn scalar_sgns_pair_panics_on_a_target_past_the_layer() {
+    let mut layer = pattern(PAIR_ROWS * 8, 25);
+    let mut neu1e = vec![0.0; 8];
+    let row = PAIR_ROWS as u32;
+    scalar::sgns_pair(
+        &pattern(8, 26),
+        &mut layer,
+        &[0, row],
+        true,
+        0.025,
+        &SigmoidTable::new(),
+        &mut neu1e,
+    );
 }
 
 #[test]
