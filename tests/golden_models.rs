@@ -1,9 +1,13 @@
 //! Golden trained models: every trainer that runs the per-pair SGNS
-//! operator, trained for two epochs on a small generated corpus at
-//! dims {8, 67} (vector body only / body + scalar tail) and negatives
-//! {5, 40} (one block of targets / several), with the CRC-32 of `syn0`
-//! and of `syn1neg` and the number of pairs trained pinned to
-//! `tests/fixtures/golden_models.txt`.
+//! operator, plus the 1-thread HogBatch trainer, trained for two epochs
+//! on a small generated corpus at dims {8, 67} (vector body only / body +
+//! scalar tail) and negatives {5, 40} (one block of targets / several),
+//! with the CRC-32 of `syn0` and of `syn1neg` and the number of pairs
+//! trained pinned to `tests/fixtures/golden_models.txt`. The 2-thread
+//! `hogwild-2` / `hogbatch-2` cells pin the pair count only: their bits
+//! race, but the count is a pure function of each worker's RNG stream
+//! and shard, so it holds `HOST_RNG_BASE + t` and `partition(t, n)` for
+//! `t > 0`.
 //!
 //! `conformance` and `engines_equivalence` compare two engines that
 //! change together and `golden_rounds` stops at the sync layer; this
@@ -23,6 +27,7 @@ use graph_word2vec::core::distributed::{DistConfig, DistributedTrainer};
 use graph_word2vec::core::model::Word2VecModel;
 use graph_word2vec::core::params::Hyperparams;
 use graph_word2vec::core::trainer_batched::BatchedTrainer;
+use graph_word2vec::core::trainer_hogbatch::HogBatchTrainer;
 use graph_word2vec::core::trainer_hogwild::HogwildTrainer;
 use graph_word2vec::core::trainer_seq::SequentialTrainer;
 use graph_word2vec::core::trainer_threaded::ThreadedTrainer;
@@ -39,14 +44,19 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-const TRAINERS: [&str; 6] = [
+const TRAINERS: [&str; 9] = [
     "seq",
     "batched",
     "hogwild-1",
+    "hogwild-2",
+    "hogbatch-1",
+    "hogbatch-2",
     "dist-4-opt",
     "dist-4-pull",
     "threaded-2",
 ];
+/// Cells whose workers race on the model: only the pair count repeats.
+const RACING: [&str; 2] = ["hogwild-2", "hogbatch-2"];
 const DIMS: [usize; 2] = [8, 67];
 const NEGATIVES: [usize; 2] = [5, 40];
 
@@ -108,7 +118,8 @@ fn counted(name: &str, train: impl FnOnce() -> Word2VecModel) -> (Word2VecModel,
     (model, pairs)
 }
 
-/// Trains one cell and renders its `syn0:syn1neg:pairs` value.
+/// Trains one cell and renders its `syn0:syn1neg:pairs` value (`pairs`
+/// alone for a cell whose threads race).
 fn run_cell(trainer: &str, dim: usize, negative: usize, vocab: &Vocabulary, c: &Corpus) -> String {
     let params = Hyperparams {
         dim,
@@ -134,8 +145,11 @@ fn run_cell(trainer: &str, dim: usize, negative: usize, vocab: &Vocabulary, c: &
         "batched" => counted("core.batched.pairs", || {
             BatchedTrainer::new(params).train(c, vocab)
         }),
-        "hogwild-1" => counted("core.hogwild.pairs", || {
-            HogwildTrainer::new(params, 1).train(c, vocab)
+        "hogwild-1" | "hogwild-2" => counted("core.hogwild.pairs", || {
+            HogwildTrainer::new(params, threads_of(trainer)).train(c, vocab)
+        }),
+        "hogbatch-1" | "hogbatch-2" => counted("core.hogbatch.pairs", || {
+            HogBatchTrainer::new(params, threads_of(trainer)).train(c, vocab)
         }),
         "dist-4-opt" | "dist-4-pull" => {
             let plan = if trainer == "dist-4-opt" {
@@ -155,11 +169,20 @@ fn run_cell(trainer: &str, dim: usize, negative: usize, vocab: &Vocabulary, c: &
         other => unreachable!("unknown trainer {other}"),
     };
     assert!(pairs > 0, "{trainer}: no pairs counted");
+    if RACING.contains(&trainer) {
+        return pairs.to_string();
+    }
     format!(
         "{:08x}:{:08x}:{pairs}",
         crc_of(&model.syn0),
         crc_of(&model.syn1neg)
     )
+}
+
+/// The worker count a `hogwild-N` / `hogbatch-N` cell name carries.
+fn threads_of(trainer: &str) -> usize {
+    let (_, n) = trainer.rsplit_once('-').expect("trainer-N");
+    n.parse().expect("thread count")
 }
 
 /// `cell → value` for the backend this process selected.
@@ -208,7 +231,7 @@ fn trained_models_match_the_committed_record() {
     assert_eq!(
         committed.len(),
         TRAINERS.len() * DIMS.len() * NEGATIVES.len(),
-        "6 trainers × 2 dims × 2 negatives"
+        "9 trainers × 2 dims × 2 negatives"
     );
     for (cell, value) in &got {
         let want = committed
