@@ -313,8 +313,19 @@ fn hyperparams_from(args: &Args) -> Result<Hyperparams, ArgError> {
     })
 }
 
+/// `--threads` for the racing trainers; zero workers train nothing.
+fn threads_from(args: &Args) -> Result<usize, ArgError> {
+    match args.get_or("threads", 4)? {
+        0 => Err(ArgError("--threads must be at least 1".into())),
+        n => Ok(n),
+    }
+}
+
 fn dist_config_from(args: &Args) -> Result<DistConfig, ArgError> {
     let hosts: usize = args.get_or("hosts", 8)?;
+    if hosts == 0 {
+        return Err(ArgError("--hosts must be at least 1".into()));
+    }
     let mut config = DistConfig::paper_default(hosts);
     config.sync_rounds = args.get_or("sync-rounds", config.sync_rounds)?;
     if let Some(c) = args.get("combiner") {
@@ -429,74 +440,51 @@ pub fn train(raw: &[String]) -> CmdResult {
     let model = match trainer {
         "seq" => SequentialTrainer::new(params).train(&corpus, &vocab),
         "batched" => BatchedTrainer::new(params).train(&corpus, &vocab),
-        "hogwild" => {
-            let threads: usize = args.get_or("threads", 4)?;
-            HogwildTrainer::new(params, threads).train(&corpus, &vocab)
-        }
-        "hogbatch" => {
-            let threads: usize = args.get_or("threads", 4)?;
-            HogBatchTrainer::new(params, threads).train(&corpus, &vocab)
-        }
-        "dist" => {
+        "hogwild" => HogwildTrainer::new(params, threads_from(&args)?).train(&corpus, &vocab),
+        "hogbatch" => HogBatchTrainer::new(params, threads_from(&args)?).train(&corpus, &vocab),
+        "dist" | "threaded" => {
             let config = dist_config_from(&args)?;
-            let mut t =
-                DistributedTrainer::new(params, config).with_faults(fault_plan_from(&args)?);
-            match args.get("checkpoint-dir") {
-                Some(dir) => {
-                    let every: usize = args.get_or("checkpoint-every", 1)?;
-                    t = t
-                        .with_checkpointing(dir, every)
-                        .with_resume(args.flag("resume"));
-                }
-                None if args.flag("resume") => {
+            let faults = fault_plan_from(&args)?;
+            let resume = args.flag("resume");
+            let checkpointing = match args.get("checkpoint-dir") {
+                Some(dir) => Some((dir, args.get_or("checkpoint-every", 1usize)?)),
+                None if resume => {
                     return Err(ArgError("--resume requires --checkpoint-dir".into()).into())
                 }
-                None => {}
-            }
-            let result = t.train(&corpus, &vocab);
+                None => None,
+            };
+            let result = if trainer == "dist" {
+                let mut t = DistributedTrainer::new(params, config).with_faults(faults);
+                if let Some((dir, every)) = checkpointing {
+                    t = t.with_checkpointing(dir, every).with_resume(resume);
+                }
+                t.train(&corpus, &vocab)
+            } else {
+                let mut t = ThreadedTrainer::new(params, config)
+                    .with_faults(faults)
+                    .with_cluster_config(cluster_config_from(&args)?);
+                if let Some((dir, every)) = checkpointing {
+                    t = t.with_checkpointing(dir, every).with_resume(resume);
+                }
+                t.train(&corpus, &vocab)?
+            };
             if let Some(epoch) = result.resumed_from {
                 println!("resumed after epoch {epoch} checkpoint");
             }
-            println!(
-                "distributed: virtual {:.1}s (compute {:.1}s, comm {:.2}s), volume {}",
-                result.virtual_time(),
-                result.compute_time,
-                result.comm_time,
-                gw2v_util::table::fmt_bytes(result.stats.total_bytes())
-            );
-            if result.killed {
+            let volume = gw2v_util::table::fmt_bytes(result.stats.total_bytes());
+            if trainer == "dist" {
                 println!(
-                    "run killed by fault plan after an epoch checkpoint; use --resume to continue"
+                    "distributed: virtual {:.1}s (compute {:.1}s, comm {:.2}s), volume {volume}",
+                    result.virtual_time(),
+                    result.compute_time,
+                    result.comm_time,
+                );
+            } else {
+                println!(
+                    "threaded cluster: {} sync rounds, volume {volume}",
+                    result.stats.rounds
                 );
             }
-            result.model
-        }
-        "threaded" => {
-            let config = dist_config_from(&args)?;
-            let mut t = ThreadedTrainer::new(params, config)
-                .with_faults(fault_plan_from(&args)?)
-                .with_cluster_config(cluster_config_from(&args)?);
-            match args.get("checkpoint-dir") {
-                Some(dir) => {
-                    let every: usize = args.get_or("checkpoint-every", 1)?;
-                    t = t
-                        .with_checkpointing(dir, every)
-                        .with_resume(args.flag("resume"));
-                }
-                None if args.flag("resume") => {
-                    return Err(ArgError("--resume requires --checkpoint-dir".into()).into())
-                }
-                None => {}
-            }
-            let result = t.train(&corpus, &vocab)?;
-            if let Some(epoch) = result.resumed_from {
-                println!("resumed after epoch {epoch} checkpoint");
-            }
-            println!(
-                "threaded cluster: {} sync rounds, volume {}",
-                result.stats.rounds,
-                gw2v_util::table::fmt_bytes(result.stats.total_bytes())
-            );
             if result.killed {
                 println!(
                     "run killed by fault plan after an epoch checkpoint; use --resume to continue"

@@ -22,9 +22,13 @@
 //!   every trainer through the [`sgns::SgnsStore`] abstraction; also the
 //!   access-recording store that implements PullModel's inspection phase.
 //! * [`schedule`] — the linear learning-rate decay of the C code.
+//! * `trainer_shared` (private) — the shared-memory epoch loop, written
+//!   once; the next four modules are presets over it, each fixing where
+//!   the model lives, the sentence step and the worker count.
 //! * [`trainer_seq`] — sequential shared-memory baseline ("W2V").
 //! * [`trainer_hogwild`] — multi-threaded Hogwild baseline (racy relaxed
-//!   atomics, paper §2.3).
+//!   atomics, paper §2.3), and the atomic model storage and per-thread
+//!   store both racing trainers use.
 //! * [`trainer_batched`] — sentence-batched variant standing in for
 //!   Gensim ("GEN" in the paper's tables).
 //! * [`trainer_hogbatch`] — shared-negative minibatch trainer (HogBatch,
@@ -41,20 +45,11 @@
 //! * [`checkpoint`] — epoch-boundary training snapshots for
 //!   kill/resume: bit-exact, CRC-guarded, atomically written.
 //! * [`loss`] — negative-sampling loss estimation for monitoring.
-//! * [`cbow`] — the Continuous-Bag-of-Words extension (the paper notes
-//!   its ideas "will work with other models as well"; CBOW is the other
-//!   Word2Vec model).
-//! * [`huffman`] / [`hs`] — the hierarchical-softmax extension: Huffman
-//!   coding of the vocabulary and the `O(log V)`-per-pair output layer
-//!   that the original Word2Vec offers alongside negative sampling.
 
 #![warn(missing_docs)]
 
-pub mod cbow;
 pub mod checkpoint;
 pub mod distributed;
-pub mod hs;
-pub mod huffman;
 pub mod loss;
 pub mod model;
 pub mod params;
@@ -65,6 +60,7 @@ pub mod trainer_batched;
 pub mod trainer_hogbatch;
 pub mod trainer_hogwild;
 pub mod trainer_seq;
+mod trainer_shared;
 pub mod trainer_threaded;
 
 pub use checkpoint::{Checkpoint, CheckpointError};

@@ -122,35 +122,46 @@ where
     R: Rng64,
 {
     debug_assert!(ctx.window >= 1);
-    scratch.kept.clear();
-    scratch.kept.extend(
-        sentence
-            .iter()
-            .copied()
-            .filter(|&w| ctx.subsample.keep(w, rng)),
-    );
+    keep_subsampled(&mut scratch.kept, sentence, ctx.subsample, rng);
     scratch.neu1e.resize(store.dim(), 0.0);
     let kept = &scratch.kept;
     let mut pairs = 0u64;
-    for i in 0..kept.len() {
-        let center = kept[i];
-        // Random window shrink: effective span is window - b on each side.
+    for (i, &center) in kept.iter().enumerate() {
         let b = rng.index(ctx.window);
-        let span = 2 * ctx.window + 1 - b;
-        for a in b..span {
-            if a == ctx.window {
-                continue;
-            }
-            let c = i as isize + a as isize - ctx.window as isize;
-            if c < 0 || c as usize >= kept.len() {
-                continue;
-            }
-            let context = kept[c as usize];
+        for context in window_contexts(kept, i, ctx.window, b) {
             train_pair(store, context, center, alpha, ctx, rng, &mut scratch.neu1e);
             pairs += 1;
         }
     }
     pairs
+}
+
+/// Refills `kept` with the words of `sentence` that survive frequent-word
+/// subsampling — one `rng` draw per word, in sentence order.
+pub(crate) fn keep_subsampled<R: Rng64>(
+    kept: &mut Vec<u32>,
+    sentence: &[u32],
+    subsample: &SubsampleTable,
+    rng: &mut R,
+) {
+    kept.clear();
+    kept.extend(sentence.iter().copied().filter(|&w| subsample.keep(w, rng)));
+}
+
+/// The context words of center position `i`, left to right: the window
+/// shrunk by the caller's draw `b = rng.index(window)` to `window - b`
+/// positions a side, clipped to the sentence, without `i` itself.
+#[inline]
+pub(crate) fn window_contexts(
+    kept: &[u32],
+    i: usize,
+    window: usize,
+    b: usize,
+) -> impl Iterator<Item = u32> + '_ {
+    let reach = window - b;
+    let first = i.saturating_sub(reach);
+    let last = (i + reach).min(kept.len() - 1);
+    (first..=last).filter(move |&c| c != i).map(|c| kept[c])
 }
 
 /// One SGNS pair: draws the pair's targets — `center`, then `negative`

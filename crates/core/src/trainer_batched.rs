@@ -14,15 +14,53 @@
 
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
-use crate::schedule::LrSchedule;
-use crate::setup::{TrainSetup, HOST_RNG_BASE};
-use crate::sgns::{train_pair, PlainStore};
+use crate::sgns::{keep_subsampled, train_pair, window_contexts, SgnsStore, TrainContext};
 use crate::trainer_hogbatch::MinibatchScratch;
+use crate::trainer_shared::Preset;
 use gw2v_corpus::shard::Corpus;
+use gw2v_corpus::unigram::NegativeSampler;
 use gw2v_corpus::vocab::Vocabulary;
-use gw2v_util::rng::{Rng64, SplitMix64, Xoshiro256};
+use gw2v_util::rng::Rng64;
 
-/// Sentence-batched shared-memory trainer.
+/// Worker 0's RNG stream above `HOST_RNG_BASE`: a distinct
+/// implementation draws from its own stream.
+const BATCHED_RNG_STREAM: u64 = 0x47;
+
+/// Trains one sentence in GEN's execution shape and returns its pair
+/// count: pass 1 materialises the sentence's (context, center) pairs,
+/// pass 2 walks the list with the per-pair kernel. The scratch pools the
+/// kept-token, pair-list and accumulator buffers across sentences.
+fn train_sentence_pairs_first<M, S, R>(
+    store: &mut M,
+    sentence: &[u32],
+    alpha: f32,
+    ctx: &TrainContext<'_, S>,
+    rng: &mut R,
+    scratch: &mut MinibatchScratch,
+) -> u64
+where
+    M: SgnsStore,
+    S: NegativeSampler,
+    R: Rng64,
+{
+    keep_subsampled(&mut scratch.pair.kept, sentence, ctx.subsample, rng);
+    let kept = &scratch.pair.kept;
+    scratch.pairs.clear();
+    for (i, &center) in kept.iter().enumerate() {
+        let b = rng.index(ctx.window);
+        let contexts = window_contexts(kept, i, ctx.window, b);
+        scratch.pairs.extend(contexts.map(|input| (input, center)));
+    }
+    scratch.pair.neu1e.resize(store.dim(), 0.0);
+    for &(input, center) in &scratch.pairs {
+        let neu1e = &mut scratch.pair.neu1e;
+        train_pair(store, input, center, alpha, ctx, rng, neu1e);
+    }
+    scratch.pairs.len() as u64
+}
+
+/// Sentence-batched shared-memory trainer: one worker on a plain model
+/// (see `trainer_shared` for the loop).
 pub struct BatchedTrainer {
     /// Hyperparameters.
     pub params: Hyperparams,
@@ -44,116 +82,34 @@ impl BatchedTrainer {
         &self,
         corpus: &Corpus,
         vocab: &Vocabulary,
-        mut on_epoch: impl FnMut(usize, &Word2VecModel),
+        on_epoch: impl FnMut(usize, &Word2VecModel),
     ) -> Word2VecModel {
-        let p = &self.params;
-        let setup = TrainSetup::new(vocab, p);
-        let ctx = setup.ctx(p);
-        let mut model = Word2VecModel::init(vocab.len(), p.dim, p.seed);
-        let schedule = LrSchedule::new(
-            p.alpha,
-            p.min_alpha_frac,
-            corpus.total_tokens() as u64,
-            p.epochs,
-        );
-        let mut rng = Xoshiro256::new(SplitMix64::new(p.seed).derive(HOST_RNG_BASE + 0x47));
-        let mut processed = 0u64;
-        // The shared minibatch scratch pools the kept-token, pair-list
-        // and accumulator buffers across sentences and epochs.
-        let mut scratch = MinibatchScratch::new();
-        scratch.pair.neu1e.resize(p.dim, 0.0);
-        let mut pairs_total: u64 = 0;
-        for epoch in 0..p.epochs {
-            let mut epoch_span = gw2v_obs::span("core.batched.epoch").epoch(epoch);
-            let epoch_start_pairs = pairs_total;
-            for sentence in corpus.sentences() {
-                let alpha = schedule.alpha_at(processed);
-                // Pass 1: generate the sentence's pair batch.
-                scratch.pair.kept.clear();
-                scratch.pair.kept.extend(
-                    sentence
-                        .iter()
-                        .copied()
-                        .filter(|&w| setup.subsample.keep(w, &mut rng)),
-                );
-                let kept = &scratch.pair.kept;
-                scratch.pairs.clear();
-                for i in 0..kept.len() {
-                    let b = rng.index(p.window);
-                    let span = 2 * p.window + 1 - b;
-                    for a in b..span {
-                        if a == p.window {
-                            continue;
-                        }
-                        let c = i as isize + a as isize - p.window as isize;
-                        if c < 0 || c as usize >= kept.len() {
-                            continue;
-                        }
-                        scratch.pairs.push((kept[c as usize], kept[i]));
-                    }
-                }
-                // Pass 2: batched updates over the pair list.
-                let mut store = PlainStore {
-                    syn0: &mut model.syn0,
-                    syn1neg: &mut model.syn1neg,
-                };
-                for &(input, center) in &scratch.pairs {
-                    train_pair(
-                        &mut store,
-                        input,
-                        center,
-                        alpha,
-                        &ctx,
-                        &mut rng,
-                        &mut scratch.pair.neu1e,
-                    );
-                }
-                pairs_total += scratch.pairs.len() as u64;
-                processed += sentence.len() as u64;
-            }
-            if gw2v_obs::enabled() {
-                let epoch_pairs = pairs_total - epoch_start_pairs;
-                gw2v_obs::add("core.batched.pairs", epoch_pairs);
-                epoch_span.field("pairs", epoch_pairs as f64);
-            }
-            drop(epoch_span);
-            on_epoch(epoch, &model);
+        Preset {
+            name: "batched",
+            rng_stream: BATCHED_RNG_STREAM,
+            params: &self.params,
+            n_threads: 1,
         }
-        model
+        .run::<Word2VecModel, _>(
+            corpus,
+            vocab,
+            |store, sentence, alpha, ctx, rng, scratch| {
+                train_sentence_pairs_first(store, sentence, alpha, ctx, rng, scratch)
+            },
+            on_epoch,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gw2v_corpus::tokenizer::TokenizerConfig;
-    use gw2v_corpus::vocab::VocabBuilder;
+    use crate::trainer_shared::clustered_corpus;
     use gw2v_util::fvec;
-
-    fn corpus() -> (Corpus, Vocabulary) {
-        let mut text = String::new();
-        for i in 0..300 {
-            if i % 2 == 0 {
-                text.push_str("p0 p1 p2 p1 p0\n");
-            } else {
-                text.push_str("q0 q1 q2 q1 q0\n");
-            }
-        }
-        let mut b = VocabBuilder::new();
-        for tok in text.split_whitespace() {
-            b.add_token(tok);
-        }
-        let vocab = b.build(1);
-        let cfg = TokenizerConfig {
-            lowercase: false,
-            max_sentence_len: 5,
-        };
-        (Corpus::from_text(&text, &vocab, cfg), vocab)
-    }
 
     #[test]
     fn learns_cooccurrence() {
-        let (corpus, vocab) = corpus();
+        let (corpus, vocab) = clustered_corpus();
         let params = Hyperparams {
             dim: 24,
             epochs: 6,
@@ -163,14 +119,14 @@ mod tests {
         };
         let model = BatchedTrainer::new(params).train(&corpus, &vocab);
         let emb = |w: &str| model.embedding(vocab.id_of(w).unwrap());
-        let same = fvec::cosine(emb("p0"), emb("p1"));
-        let cross = fvec::cosine(emb("p0"), emb("q1"));
+        let same = fvec::cosine(emb("a0"), emb("a1"));
+        let cross = fvec::cosine(emb("a0"), emb("b1"));
         assert!(same > cross, "same {same} vs cross {cross}");
     }
 
     #[test]
     fn deterministic() {
-        let (corpus, vocab) = corpus();
+        let (corpus, vocab) = clustered_corpus();
         let params = Hyperparams {
             epochs: 2,
             ..Hyperparams::test_scale()
@@ -184,7 +140,7 @@ mod tests {
     fn differs_from_sequential_but_comparably_good() {
         // A distinct implementation: not bit-identical to the sequential
         // trainer, but both learn the structure.
-        let (corpus, vocab) = corpus();
+        let (corpus, vocab) = clustered_corpus();
         let params = Hyperparams {
             dim: 24,
             epochs: 6,
@@ -201,7 +157,7 @@ mod tests {
                 m.embedding(vocab.id_of(b).unwrap()),
             )
         };
-        assert!(sim(&gen, "p0", "p1") > sim(&gen, "p0", "q1"));
-        assert!(sim(&seq, "p0", "p1") > sim(&seq, "p0", "q1"));
+        assert!(sim(&gen, "a0", "a1") > sim(&gen, "a0", "b1"));
+        assert!(sim(&seq, "a0", "a1") > sim(&seq, "a0", "b1"));
     }
 }

@@ -43,19 +43,17 @@
 
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
-use crate::schedule::LrSchedule;
-use crate::setup::{TrainSetup, HOST_RNG_BASE};
 use crate::sgns::{
-    train_sentence, PlainStore, RecordingStore, ReplicaStore, SgnsStore, TrainContext,
-    TrainScratch, LAYER_SYN0, LAYER_SYN1NEG,
+    keep_subsampled, train_sentence, window_contexts, PlainStore, RecordingStore, ReplicaStore,
+    SgnsStore, TrainContext, TrainScratch, LAYER_SYN0, LAYER_SYN1NEG,
 };
 use crate::trainer_hogwild::AtomicModel;
+use crate::trainer_shared::Preset;
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::unigram::NegativeSampler;
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec;
-use gw2v_util::rng::{Rng64, SplitMix64, Xoshiro256};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use gw2v_util::rng::Rng64;
 
 /// Which SGNS inner loop a trainer runs.
 ///
@@ -78,8 +76,8 @@ pub enum SgnsMode {
 /// The GEMM path never does arithmetic *through* the store — it gathers
 /// rows into dense scratch, computes there, and scatters additive deltas
 /// back. Stores only decide where rows live (plain matrices, a tracked
-/// replica, relaxed atomics) and what a delta write means (the recording
-/// store only takes notes). Method names deliberately avoid the
+/// replica, relaxed atomics — [`crate::trainer_hogwild::AtomicStore`])
+/// and what a delta write means (the recording store only takes notes). Method names deliberately avoid the
 /// [`SgnsStore`] names so one type can implement both traits without
 /// call-site ambiguity.
 pub trait BatchRows {
@@ -182,59 +180,6 @@ impl BatchRows for RecordingStore {
     }
 }
 
-/// Per-thread [`BatchRows`] view of a shared [`AtomicModel`].
-///
-/// Gathers copy each cell with one relaxed load, delta scatters are a
-/// read-modify-write per cell (load, SIMD `add_assign`, store) — the
-/// same deliberately racy Hogwild discipline as
-/// [`crate::trainer_hogwild::HogwildStore`], but amortized: a row is
-/// copied once per *window*, not once per (pair × negative) step.
-pub struct HogBatchStore<'a> {
-    model: &'a AtomicModel,
-    buf: Vec<f32>,
-}
-
-impl<'a> HogBatchStore<'a> {
-    /// Creates a worker view with dimension-sized scratch.
-    pub fn new(model: &'a AtomicModel) -> Self {
-        Self {
-            buf: vec![0.0; model.dim()],
-            model,
-        }
-    }
-}
-
-impl BatchRows for HogBatchStore<'_> {
-    #[inline]
-    fn batch_dim(&self) -> usize {
-        self.model.dim()
-    }
-
-    #[inline]
-    fn load_in(&self, row: u32, out: &mut [f32]) {
-        self.model.read_row0(row as usize, out);
-    }
-
-    #[inline]
-    fn load_out(&self, row: u32, out: &mut [f32]) {
-        self.model.read_row1(row as usize, out);
-    }
-
-    #[inline]
-    fn add_in_delta(&mut self, row: u32, delta: &[f32]) {
-        self.model.read_row0(row as usize, &mut self.buf);
-        fvec::add_assign(&mut self.buf, delta);
-        self.model.write_row0(row as usize, &self.buf);
-    }
-
-    #[inline]
-    fn add_out_delta(&mut self, row: u32, delta: &[f32]) {
-        self.model.read_row1(row as usize, &mut self.buf);
-        fvec::add_assign(&mut self.buf, delta);
-        self.model.write_row1(row as usize, &self.buf);
-    }
-}
-
 /// Pooled per-worker scratch for both SGNS loops.
 ///
 /// Owns the per-pair [`TrainScratch`] plus every buffer the minibatch
@@ -311,31 +256,15 @@ where
 {
     debug_assert!(ctx.window >= 1);
     let d = rows.batch_dim();
-    scratch.pair.kept.clear();
-    scratch.pair.kept.extend(
-        sentence
-            .iter()
-            .copied()
-            .filter(|&w| ctx.subsample.keep(w, rng)),
-    );
+    keep_subsampled(&mut scratch.pair.kept, sentence, ctx.subsample, rng);
     let mut pairs = 0u64;
-    for i in 0..scratch.pair.kept.len() {
-        let kept = &scratch.pair.kept;
-        let center = kept[i];
+    for (i, &center) in scratch.pair.kept.iter().enumerate() {
         // Random window shrink, same draw as the per-pair loop.
         let b = rng.index(ctx.window);
-        let span = 2 * ctx.window + 1 - b;
         scratch.inputs.clear();
-        for a in b..span {
-            if a == ctx.window {
-                continue;
-            }
-            let c = i as isize + a as isize - ctx.window as isize;
-            if c < 0 || c as usize >= kept.len() {
-                continue;
-            }
-            scratch.inputs.push(kept[c as usize]);
-        }
+        scratch
+            .inputs
+            .extend(window_contexts(&scratch.pair.kept, i, ctx.window, b));
         if scratch.inputs.is_empty() {
             // The per-pair loop draws no negatives for an empty window
             // either; keeping that invariant keeps inspection replays in
@@ -463,12 +392,13 @@ where
 
 /// Multi-threaded shared-memory HogBatch trainer.
 ///
-/// Threading structure is identical to
-/// [`crate::trainer_hogwild::HogwildTrainer`] — racing threads over an
-/// [`AtomicModel`], contiguous token-balanced shards, a shared progress
-/// counter for the learning-rate schedule, exact epoch boundaries — only
-/// the inner loop differs. That makes `hogwild` vs `hogbatch` benches an
-/// apples-to-apples measurement of the minibatch restructuring.
+/// The same run as [`crate::trainer_hogwild::HogwildTrainer`] — racing
+/// workers over an [`AtomicModel`], contiguous token-balanced shards, a
+/// shared progress counter for the learning-rate schedule, exact epoch
+/// boundaries, worker `t` on the same RNG stream (see
+/// `trainer_shared`) — only the sentence step differs. That
+/// makes `hogwild` vs `hogbatch` benches an apples-to-apples measurement
+/// of the minibatch restructuring.
 pub struct HogBatchTrainer {
     /// Hyperparameters.
     pub params: Hyperparams,
@@ -489,79 +419,26 @@ impl HogBatchTrainer {
     }
 
     /// Trains with a per-epoch callback (observes a settled model).
-    /// Per-thread RNGs, stores and scratches persist across epochs, so
-    /// steady-state epochs allocate nothing.
     pub fn train_with_callback(
         &self,
         corpus: &Corpus,
         vocab: &Vocabulary,
-        mut on_epoch: impl FnMut(usize, &Word2VecModel),
+        on_epoch: impl FnMut(usize, &Word2VecModel),
     ) -> Word2VecModel {
-        let p = &self.params;
-        let setup = TrainSetup::new(vocab, p);
-        let init = Word2VecModel::init(vocab.len(), p.dim, p.seed);
-        let atomic = AtomicModel::from_model(&init);
-        let schedule = LrSchedule::new(
-            p.alpha,
-            p.min_alpha_frac,
-            corpus.total_tokens() as u64,
-            p.epochs,
-        );
-        let progress = AtomicU64::new(0);
-        let root = SplitMix64::new(p.seed);
-        // Same per-thread RNG derivation as Hogwild: thread t on the
-        // same seed sees the same stream regardless of the inner loop.
-        let mut workers: Vec<(Xoshiro256, HogBatchStore<'_>, MinibatchScratch)> = (0..self
-            .n_threads)
-            .map(|t| {
-                (
-                    Xoshiro256::new(root.derive(HOST_RNG_BASE + t as u64)),
-                    HogBatchStore::new(&atomic),
-                    MinibatchScratch::new(),
-                )
-            })
-            .collect();
-
-        for epoch in 0..p.epochs {
-            let mut epoch_span = gw2v_obs::span("core.hogbatch.epoch").epoch(epoch);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (t, (rng, store, scratch)) in workers.iter_mut().enumerate() {
-                    let shard = corpus.partition(t, self.n_threads);
-                    let setup = &setup;
-                    let progress = &progress;
-                    let schedule = &schedule;
-                    handles.push(scope.spawn(move || {
-                        let ctx = setup.ctx(p);
-                        let mut pairs: u64 = 0;
-                        for sentence in shard.sentences() {
-                            let done = progress.load(Relaxed);
-                            let alpha = schedule.alpha_at(done);
-                            pairs +=
-                                train_sentence_hogbatch(store, sentence, alpha, &ctx, rng, scratch);
-                            progress.fetch_add(sentence.len() as u64, Relaxed);
-                        }
-                        // One registry touch per counter per thread per
-                        // epoch.
-                        let (minibatches, shared_negatives) = scratch.take_stats();
-                        gw2v_obs::add("core.hogbatch.pairs", pairs);
-                        gw2v_obs::add("sgns.minibatches", minibatches);
-                        gw2v_obs::add("sgns.shared_negatives", shared_negatives);
-                    }));
-                }
-                for h in handles {
-                    h.join().expect("hogbatch worker panicked");
-                }
-            });
-            if gw2v_obs::enabled() {
-                epoch_span.field("threads", self.n_threads as f64);
-            }
-            drop(epoch_span);
-            let snapshot = atomic.snapshot();
-            on_epoch(epoch, &snapshot);
+        Preset {
+            name: "hogbatch",
+            rng_stream: 0,
+            params: &self.params,
+            n_threads: self.n_threads,
         }
-        drop(workers);
-        atomic.into_model()
+        .run::<AtomicModel, _>(
+            corpus,
+            vocab,
+            |store, sentence, alpha, ctx, rng, scratch| {
+                train_sentence_hogbatch(store, sentence, alpha, ctx, rng, scratch)
+            },
+            on_epoch,
+        )
     }
 }
 
@@ -569,11 +446,12 @@ impl HogBatchTrainer {
 mod tests {
     use super::*;
     use crate::sigmoid::SigmoidTable;
+    use crate::trainer_shared::clustered_corpus;
     use gw2v_corpus::subsample::SubsampleTable;
-    use gw2v_corpus::tokenizer::TokenizerConfig;
     use gw2v_corpus::unigram::AliasSampler;
     use gw2v_corpus::vocab::VocabBuilder;
     use gw2v_gluon::ModelReplica;
+    use gw2v_util::rng::Xoshiro256;
 
     struct Fixture {
         sampler: AliasSampler,
@@ -607,27 +485,6 @@ mod tests {
                 subsample: &self.subsample,
             }
         }
-    }
-
-    fn corpus() -> (Corpus, Vocabulary) {
-        let mut text = String::new();
-        for i in 0..300 {
-            if i % 2 == 0 {
-                text.push_str("x0 x1 x2 x1 x0\n");
-            } else {
-                text.push_str("y0 y1 y2 y1 y0\n");
-            }
-        }
-        let mut b = VocabBuilder::new();
-        for tok in text.split_whitespace() {
-            b.add_token(tok);
-        }
-        let vocab = b.build(1);
-        let cfg = TokenizerConfig {
-            lowercase: false,
-            max_sentence_len: 5,
-        };
-        (Corpus::from_text(&text, &vocab, cfg), vocab)
     }
 
     #[test]
@@ -799,7 +656,7 @@ mod tests {
 
     #[test]
     fn hogbatch_single_thread_is_deterministic() {
-        let (corpus, vocab) = corpus();
+        let (corpus, vocab) = clustered_corpus();
         let params = Hyperparams {
             epochs: 2,
             ..Hyperparams::test_scale()
@@ -811,7 +668,7 @@ mod tests {
 
     #[test]
     fn hogbatch_multi_thread_still_learns() {
-        let (corpus, vocab) = corpus();
+        let (corpus, vocab) = clustered_corpus();
         let params = Hyperparams {
             dim: 24,
             epochs: 6,
@@ -821,8 +678,8 @@ mod tests {
         };
         let model = HogBatchTrainer::new(params, 4).train(&corpus, &vocab);
         let emb = |w: &str| model.embedding(vocab.id_of(w).unwrap());
-        let same = fvec::cosine(emb("x0"), emb("x1"));
-        let cross = fvec::cosine(emb("x0"), emb("y1"));
+        let same = fvec::cosine(emb("a0"), emb("a1"));
+        let cross = fvec::cosine(emb("a0"), emb("b1"));
         assert!(same > cross, "same {same} vs cross {cross}");
         assert!(model.syn0.as_slice().iter().all(|v| v.is_finite()));
     }

@@ -15,21 +15,19 @@
 
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
-use crate::schedule::LrSchedule;
-use crate::setup::{TrainSetup, HOST_RNG_BASE};
-use crate::sgns::{train_sentence, SgnsStore};
+use crate::sgns::{train_sentence, SgnsStore, LAYER_SYN0, LAYER_SYN1NEG};
 use crate::sigmoid::SigmoidTable;
-use crate::trainer_hogbatch::MinibatchScratch;
+use crate::trainer_hogbatch::BatchRows;
+use crate::trainer_shared::Preset;
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::vocab::Vocabulary;
-use gw2v_util::fvec;
-use gw2v_util::rng::{SplitMix64, Xoshiro256};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use gw2v_util::fvec::{self, FlatMatrix};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Model storage shared across racing threads.
 pub struct AtomicModel {
-    syn0: Vec<AtomicU32>,
-    syn1neg: Vec<AtomicU32>,
+    /// `[syn0, syn1neg]`, indexed by [`LAYER_SYN0`] / [`LAYER_SYN1NEG`].
+    layers: [Vec<AtomicU32>; 2],
     rows: usize,
     dim: usize,
 }
@@ -37,115 +35,95 @@ pub struct AtomicModel {
 impl AtomicModel {
     /// Converts a model into atomic storage.
     pub fn from_model(m: &Word2VecModel) -> Self {
-        let conv = |s: &[f32]| s.iter().map(|v| AtomicU32::new(v.to_bits())).collect();
+        let conv = |layer: &FlatMatrix| {
+            let cells = layer.as_slice().iter();
+            cells.map(|v| AtomicU32::new(v.to_bits())).collect()
+        };
         Self {
-            syn0: conv(m.syn0.as_slice()),
-            syn1neg: conv(m.syn1neg.as_slice()),
+            layers: [conv(&m.syn0), conv(&m.syn1neg)],
             rows: m.n_words(),
             dim: m.dim(),
         }
     }
 
-    /// Copies the current (settled) state into a plain model without
-    /// consuming the atomic storage.
+    /// Copies the current (settled) state into a plain model.
     pub fn snapshot(&self) -> Word2VecModel {
-        let conv = |v: &[AtomicU32]| -> Vec<f32> {
-            v.iter().map(|a| f32::from_bits(a.load(Relaxed))).collect()
+        let conv = |cells: &[AtomicU32]| {
+            let vals = cells.iter().map(|a| f32::from_bits(a.load(Relaxed)));
+            FlatMatrix::from_vec(vals.collect(), self.rows, self.dim)
         };
         Word2VecModel::from_layers(
-            gw2v_util::fvec::FlatMatrix::from_vec(conv(&self.syn0), self.rows, self.dim),
-            gw2v_util::fvec::FlatMatrix::from_vec(conv(&self.syn1neg), self.rows, self.dim),
+            conv(&self.layers[LAYER_SYN0]),
+            conv(&self.layers[LAYER_SYN1NEG]),
         )
     }
 
-    /// Converts back into a plain model.
-    pub fn into_model(self) -> Word2VecModel {
-        let conv = |v: Vec<AtomicU32>| -> Vec<f32> {
-            v.into_iter()
-                .map(|a| f32::from_bits(a.into_inner()))
-                .collect()
-        };
-        let dim = self.dim;
-        let rows = self.rows;
-        Word2VecModel::from_layers(
-            gw2v_util::fvec::FlatMatrix::from_vec(conv(self.syn0), rows, dim),
-            gw2v_util::fvec::FlatMatrix::from_vec(conv(self.syn1neg), rows, dim),
-        )
+    /// The cells of `layer`'s row `row`, taken by one checked slice; `len`
+    /// is the caller's buffer length, which must be the row's.
+    #[inline]
+    fn row(&self, layer: usize, row: usize, len: usize) -> &[AtomicU32] {
+        assert_eq!(len, self.dim, "row buffer length");
+        &self.layers[layer][row * self.dim..(row + 1) * self.dim]
     }
 
-    /// Embedding dimensionality.
+    /// Copies row `row` of `layer` into `out` (one relaxed load per cell).
     #[inline]
-    pub(crate) fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Copies `syn0[row]` into `out` (one relaxed load per cell).
-    #[inline]
-    pub(crate) fn read_row0(&self, row: usize, out: &mut [f32]) {
-        let base = row * self.dim;
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f32::from_bits(self.syn0[base + i].load(Relaxed));
+    pub(crate) fn read(&self, layer: usize, row: usize, out: &mut [f32]) {
+        let cells = self.row(layer, row, out.len());
+        for (slot, cell) in out.iter_mut().zip(cells) {
+            *slot = f32::from_bits(cell.load(Relaxed));
         }
     }
 
-    /// Copies `syn1neg[row]` into `out`.
+    /// Writes `vals` into row `row` of `layer` (one relaxed store per cell).
     #[inline]
-    pub(crate) fn read_row1(&self, row: usize, out: &mut [f32]) {
-        let base = row * self.dim;
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f32::from_bits(self.syn1neg[base + i].load(Relaxed));
-        }
-    }
-
-    /// Writes `vals` into `syn0[row]` (one relaxed store per cell).
-    #[inline]
-    pub(crate) fn write_row0(&self, row: usize, vals: &[f32]) {
-        let base = row * self.dim;
-        for (i, &v) in vals.iter().enumerate() {
-            self.syn0[base + i].store(v.to_bits(), Relaxed);
-        }
-    }
-
-    /// Writes `vals` into `syn1neg[row]`.
-    #[inline]
-    pub(crate) fn write_row1(&self, row: usize, vals: &[f32]) {
-        let base = row * self.dim;
-        for (i, &v) in vals.iter().enumerate() {
-            self.syn1neg[base + i].store(v.to_bits(), Relaxed);
+    pub(crate) fn write(&self, layer: usize, row: usize, vals: &[f32]) {
+        for (v, cell) in vals.iter().zip(self.row(layer, row, vals.len())) {
+            cell.store(v.to_bits(), Relaxed);
         }
     }
 }
 
-/// Per-thread view of the shared atomic model.
+/// Per-thread view of the shared atomic model, for both SGNS loops.
 ///
 /// Rows are staged through per-store scratch buffers so the arithmetic
 /// runs the same dispatched kernel as every other trainer: a 1-thread
 /// Hogwild run stays bit-identical to the sequential trainer on
-/// whichever SIMD backend is active (pinned by a test below). A pair
-/// gathers its context row once and each target row once; the
-/// read-copy / compute / write-back sequence keeps the Hogwild recipe's
-/// racy read-modify-write semantics — each cell is still one relaxed
+/// whichever SIMD backend is active (pinned by a test below). The
+/// per-pair loop gathers its context row once a pair and each target row
+/// once; the minibatch loop gathers a row once per *window*. Either way
+/// the read-copy / compute / write-back sequence keeps the Hogwild
+/// recipe's racy read-modify-write semantics — each cell is one relaxed
 /// load and one relaxed store per update, deliberately unsynchronized
-/// across threads. Create one store per worker (outside the sentence
-/// loop) so the scratch is allocated once.
-pub struct HogwildStore<'a> {
+/// across threads.
+pub struct AtomicStore<'a> {
     model: &'a AtomicModel,
-    win_buf: Vec<f32>,
-    wout_buf: Vec<f32>,
+    /// The context row of a pair, or the row a delta is being added to.
+    staged: Vec<f32>,
+    /// The target row being stepped.
+    target: Vec<f32>,
 }
 
-impl<'a> HogwildStore<'a> {
+impl<'a> AtomicStore<'a> {
     /// Creates a worker view with dimension-sized scratch.
     pub fn new(model: &'a AtomicModel) -> Self {
         Self {
             model,
-            win_buf: vec![0.0; model.dim],
-            wout_buf: vec![0.0; model.dim],
+            staged: vec![0.0; model.dim],
+            target: vec![0.0; model.dim],
         }
+    }
+
+    /// `layer[row] += delta`: read, `add_assign`, write.
+    #[inline]
+    fn add(&mut self, layer: usize, row: u32, delta: &[f32]) {
+        self.model.read(layer, row as usize, &mut self.staged);
+        fvec::add_assign(&mut self.staged, delta);
+        self.model.write(layer, row as usize, &self.staged);
     }
 }
 
-impl SgnsStore for HogwildStore<'_> {
+impl SgnsStore for AtomicStore<'_> {
     #[inline]
     fn dim(&self) -> usize {
         self.model.dim
@@ -161,34 +139,62 @@ impl SgnsStore for HogwildStore<'_> {
         sigmoid: &SigmoidTable,
         neu1e: &mut [f32],
     ) {
-        self.model.read_row0(context as usize, &mut self.win_buf);
+        self.model
+            .read(LAYER_SYN0, context as usize, &mut self.staged);
         for (k, &t) in targets.iter().enumerate() {
             // The staged copy is a one-row layer, so the target is its
             // row 0; writing it back before the next gather lets a
             // repeated target see this step.
-            self.model.read_row1(t as usize, &mut self.wout_buf);
+            self.model.read(LAYER_SYN1NEG, t as usize, &mut self.target);
             fvec::sgns_pair(
-                &self.win_buf,
-                &mut self.wout_buf,
+                &self.staged,
+                &mut self.target,
                 &[0],
                 positive && k == 0,
                 alpha,
                 sigmoid,
                 neu1e,
             );
-            self.model.write_row1(t as usize, &self.wout_buf);
+            self.model.write(LAYER_SYN1NEG, t as usize, &self.target);
         }
     }
 
     #[inline]
     fn add_in(&mut self, win: u32, buf: &[f32]) {
-        self.model.read_row0(win as usize, &mut self.win_buf);
-        fvec::add_assign(&mut self.win_buf, buf);
-        self.model.write_row0(win as usize, &self.win_buf);
+        self.add(LAYER_SYN0, win, buf);
     }
 }
 
-/// Multi-threaded Hogwild trainer.
+impl BatchRows for AtomicStore<'_> {
+    #[inline]
+    fn batch_dim(&self) -> usize {
+        self.model.dim
+    }
+
+    #[inline]
+    fn load_in(&self, row: u32, out: &mut [f32]) {
+        self.model.read(LAYER_SYN0, row as usize, out);
+    }
+
+    #[inline]
+    fn load_out(&self, row: u32, out: &mut [f32]) {
+        self.model.read(LAYER_SYN1NEG, row as usize, out);
+    }
+
+    #[inline]
+    fn add_in_delta(&mut self, row: u32, delta: &[f32]) {
+        self.add(LAYER_SYN0, row, delta);
+    }
+
+    #[inline]
+    fn add_out_delta(&mut self, row: u32, delta: &[f32]) {
+        self.add(LAYER_SYN1NEG, row, delta);
+    }
+}
+
+/// Multi-threaded Hogwild trainer: the per-pair loop of
+/// [`crate::trainer_seq::SequentialTrainer`] run by racing workers over
+/// an [`AtomicModel`] (see `trainer_shared` for the loop).
 pub struct HogwildTrainer {
     /// Hyperparameters.
     pub params: Hyperparams,
@@ -203,128 +209,44 @@ impl HogwildTrainer {
         Self { params, n_threads }
     }
 
-    /// Trains and returns the model. Threads split the corpus into
-    /// contiguous token-balanced shards (like the C implementation) and
-    /// share a global progress counter for the learning-rate schedule.
+    /// Trains and returns the model.
     pub fn train(&self, corpus: &Corpus, vocab: &Vocabulary) -> Word2VecModel {
         self.train_with_callback(corpus, vocab, |_, _| {})
     }
 
-    /// Trains with a per-epoch callback: each epoch spawns a fresh thread
-    /// scope (threads race within an epoch; epoch boundaries are exact),
-    /// so the callback observes a settled model. Per-thread RNGs, stores
-    /// and scratches persist across epochs, so steady-state epochs
-    /// allocate nothing.
+    /// Trains with a per-epoch callback (observes a settled model).
     pub fn train_with_callback(
         &self,
         corpus: &Corpus,
         vocab: &Vocabulary,
-        mut on_epoch: impl FnMut(usize, &Word2VecModel),
+        on_epoch: impl FnMut(usize, &Word2VecModel),
     ) -> Word2VecModel {
-        let p = &self.params;
-        let setup = TrainSetup::new(vocab, p);
-        let init = Word2VecModel::init(vocab.len(), p.dim, p.seed);
-        let atomic = AtomicModel::from_model(&init);
-        let schedule = LrSchedule::new(
-            p.alpha,
-            p.min_alpha_frac,
-            corpus.total_tokens() as u64,
-            p.epochs,
-        );
-        let progress = AtomicU64::new(0);
-        let root = SplitMix64::new(p.seed);
-        // Per-thread state hoisted outside the epoch loop: the RNG (so
-        // streams continue across epochs), the store (its row staging
-        // buffers) and the pooled scratch are each allocated once per
-        // run, never per epoch or per sentence.
-        let mut workers: Vec<(Xoshiro256, HogwildStore<'_>, MinibatchScratch)> = (0..self
-            .n_threads)
-            .map(|t| {
-                (
-                    Xoshiro256::new(root.derive(HOST_RNG_BASE + t as u64)),
-                    HogwildStore::new(&atomic),
-                    MinibatchScratch::new(),
-                )
-            })
-            .collect();
-
-        for epoch in 0..p.epochs {
-            let mut epoch_span = gw2v_obs::span("core.hogwild.epoch").epoch(epoch);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (t, (rng, store, scratch)) in workers.iter_mut().enumerate() {
-                    let shard = corpus.partition(t, self.n_threads);
-                    let setup = &setup;
-                    let progress = &progress;
-                    let schedule = &schedule;
-                    handles.push(scope.spawn(move || {
-                        let ctx = setup.ctx(p);
-                        let mut pairs: u64 = 0;
-                        for sentence in shard.sentences() {
-                            let done = progress.load(Relaxed);
-                            let alpha = schedule.alpha_at(done);
-                            pairs += train_sentence(
-                                store,
-                                sentence,
-                                alpha,
-                                &ctx,
-                                rng,
-                                &mut scratch.pair,
-                            );
-                            progress.fetch_add(sentence.len() as u64, Relaxed);
-                        }
-                        // One registry touch per thread per epoch.
-                        gw2v_obs::add("core.hogwild.pairs", pairs);
-                    }));
-                }
-                for h in handles {
-                    h.join().expect("hogwild worker panicked");
-                }
-            });
-            if gw2v_obs::enabled() {
-                epoch_span.field("threads", self.n_threads as f64);
-            }
-            drop(epoch_span);
-            // Settled between epochs: snapshot for the callback.
-            let snapshot = atomic.snapshot();
-            on_epoch(epoch, &snapshot);
+        Preset {
+            name: "hogwild",
+            rng_stream: 0,
+            params: &self.params,
+            n_threads: self.n_threads,
         }
-        drop(workers);
-        atomic.into_model()
+        .run::<AtomicModel, _>(
+            corpus,
+            vocab,
+            |store, sentence, alpha, ctx, rng, scratch| {
+                train_sentence(store, sentence, alpha, ctx, rng, &mut scratch.pair)
+            },
+            on_epoch,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gw2v_corpus::tokenizer::TokenizerConfig;
-    use gw2v_corpus::vocab::VocabBuilder;
+    use crate::trainer_shared::clustered_corpus;
     use gw2v_util::fvec;
-
-    fn corpus() -> (Corpus, Vocabulary) {
-        let mut text = String::new();
-        for i in 0..300 {
-            if i % 2 == 0 {
-                text.push_str("x0 x1 x2 x1 x0\n");
-            } else {
-                text.push_str("y0 y1 y2 y1 y0\n");
-            }
-        }
-        let mut b = VocabBuilder::new();
-        for tok in text.split_whitespace() {
-            b.add_token(tok);
-        }
-        let vocab = b.build(1);
-        let cfg = TokenizerConfig {
-            lowercase: false,
-            max_sentence_len: 5,
-        };
-        (Corpus::from_text(&text, &vocab, cfg), vocab)
-    }
 
     #[test]
     fn single_thread_matches_sequential_bitwise() {
-        let (corpus, vocab) = corpus();
+        let (corpus, vocab) = clustered_corpus();
         let params = Hyperparams {
             epochs: 2,
             ..Hyperparams::test_scale()
@@ -336,7 +258,7 @@ mod tests {
 
     #[test]
     fn multi_thread_still_learns() {
-        let (corpus, vocab) = corpus();
+        let (corpus, vocab) = clustered_corpus();
         let params = Hyperparams {
             dim: 24,
             epochs: 6,
@@ -346,8 +268,8 @@ mod tests {
         };
         let model = HogwildTrainer::new(params, 4).train(&corpus, &vocab);
         let emb = |w: &str| model.embedding(vocab.id_of(w).unwrap());
-        let same = fvec::cosine(emb("x0"), emb("x1"));
-        let cross = fvec::cosine(emb("x0"), emb("y1"));
+        let same = fvec::cosine(emb("a0"), emb("a1"));
+        let cross = fvec::cosine(emb("a0"), emb("b1"));
         assert!(same > cross, "same {same} vs cross {cross}");
         assert!(model.syn0.as_slice().iter().all(|v| v.is_finite()));
     }
@@ -355,7 +277,41 @@ mod tests {
     #[test]
     fn atomic_model_roundtrip() {
         let m = Word2VecModel::init(5, 8, 3);
-        let back = AtomicModel::from_model(&m).into_model();
-        assert_eq!(m, back);
+        assert_eq!(AtomicModel::from_model(&m).snapshot(), m);
+    }
+
+    #[test]
+    fn accessors_move_one_whole_row_of_the_named_layer() {
+        let m = Word2VecModel::init(5, 8, 3);
+        let atomic = AtomicModel::from_model(&m);
+        let mut row = [0.0f32; 8];
+        atomic.read(LAYER_SYN0, 4, &mut row);
+        assert_eq!(row, m.syn0.row(4));
+        row[7] = 0.5;
+        atomic.write(LAYER_SYN1NEG, 0, &row);
+        let mut want = m.clone();
+        want.syn1neg.row_mut(0).copy_from_slice(&row);
+        assert_eq!(atomic.snapshot(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_row_past_the_end_panics_on_the_slice_bound() {
+        let atomic = AtomicModel::from_model(&Word2VecModel::init(5, 8, 3));
+        atomic.read(LAYER_SYN1NEG, 5, &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row buffer length")]
+    fn a_short_read_buffer_is_rejected_not_truncated() {
+        let atomic = AtomicModel::from_model(&Word2VecModel::init(5, 8, 3));
+        atomic.read(LAYER_SYN0, 0, &mut [0.0; 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row buffer length")]
+    fn a_long_write_buffer_is_rejected_not_truncated() {
+        let atomic = AtomicModel::from_model(&Word2VecModel::init(5, 8, 3));
+        atomic.write(LAYER_SYN0, 0, &[0.0; 9]);
     }
 }

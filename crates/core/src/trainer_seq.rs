@@ -9,14 +9,13 @@
 
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
-use crate::schedule::LrSchedule;
-use crate::setup::{TrainSetup, HOST_RNG_BASE};
-use crate::sgns::{train_sentence, PlainStore, TrainScratch};
+use crate::sgns::train_sentence;
+use crate::trainer_shared::Preset;
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::vocab::Vocabulary;
-use gw2v_util::rng::{SplitMix64, Xoshiro256};
 
-/// Sequential shared-memory trainer.
+/// Sequential shared-memory trainer: one worker with exclusive access to
+/// a plain model (see `trainer_shared` for the loop).
 pub struct SequentialTrainer {
     /// Hyperparameters.
     pub params: Hyperparams,
@@ -39,79 +38,30 @@ impl SequentialTrainer {
         &self,
         corpus: &Corpus,
         vocab: &Vocabulary,
-        mut on_epoch: impl FnMut(usize, &Word2VecModel),
+        on_epoch: impl FnMut(usize, &Word2VecModel),
     ) -> Word2VecModel {
-        let p = &self.params;
-        let setup = TrainSetup::new(vocab, p);
-        let ctx = setup.ctx(p);
-        let mut model = Word2VecModel::init(vocab.len(), p.dim, p.seed);
-        let schedule = LrSchedule::new(
-            p.alpha,
-            p.min_alpha_frac,
-            corpus.total_tokens() as u64,
-            p.epochs,
-        );
-        let mut rng = Xoshiro256::new(SplitMix64::new(p.seed).derive(HOST_RNG_BASE));
-        let mut scratch = TrainScratch::default();
-        let mut processed: u64 = 0;
-        let mut pairs_total: u64 = 0;
-        for epoch in 0..p.epochs {
-            let mut epoch_span = gw2v_obs::span("core.seq.epoch").epoch(epoch);
-            let epoch_start_pairs = pairs_total;
-            for sentence in corpus.sentences() {
-                let alpha = schedule.alpha_at(processed);
-                let mut store = PlainStore {
-                    syn0: &mut model.syn0,
-                    syn1neg: &mut model.syn1neg,
-                };
-                pairs_total +=
-                    train_sentence(&mut store, sentence, alpha, &ctx, &mut rng, &mut scratch);
-                processed += sentence.len() as u64;
-            }
-            if gw2v_obs::enabled() {
-                let epoch_pairs = pairs_total - epoch_start_pairs;
-                gw2v_obs::add("core.seq.pairs", epoch_pairs);
-                gw2v_obs::gauge_set("core.lr", schedule.alpha_at(processed) as f64);
-                epoch_span.field("pairs", epoch_pairs as f64);
-            }
-            drop(epoch_span);
-            on_epoch(epoch, &model);
+        Preset {
+            name: "seq",
+            rng_stream: 0,
+            params: &self.params,
+            n_threads: 1,
         }
-        model
+        .run::<Word2VecModel, _>(
+            corpus,
+            vocab,
+            |store, sentence, alpha, ctx, rng, scratch| {
+                train_sentence(store, sentence, alpha, ctx, rng, &mut scratch.pair)
+            },
+            on_epoch,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gw2v_corpus::tokenizer::TokenizerConfig;
-    use gw2v_corpus::vocab::VocabBuilder;
+    use crate::trainer_shared::clustered_corpus;
     use gw2v_util::fvec;
-
-    /// A corpus where words co-occur in two disjoint clusters; training
-    /// should pull same-cluster embeddings together.
-    fn clustered_corpus() -> (Corpus, Vocabulary) {
-        let mut text = String::new();
-        // Cluster A: a0..a3 co-occur; Cluster B: b0..b3 co-occur.
-        for i in 0..400 {
-            if i % 2 == 0 {
-                text.push_str("a0 a1 a2 a3 a1 a0 a2\n");
-            } else {
-                text.push_str("b0 b1 b2 b3 b1 b0 b2\n");
-            }
-        }
-        let mut b = VocabBuilder::new();
-        for tok in text.split_whitespace() {
-            b.add_token(tok);
-        }
-        let vocab = b.build(1);
-        let cfg = TokenizerConfig {
-            lowercase: false,
-            max_sentence_len: 7,
-        };
-        let corpus = Corpus::from_text(&text, &vocab, cfg);
-        (corpus, vocab)
-    }
 
     #[test]
     fn learns_cluster_structure() {

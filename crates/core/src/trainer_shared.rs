@@ -1,0 +1,302 @@
+//! The shared-memory epoch loop, written once.
+//!
+//! The sequential ("W2V"), sentence-batched ("GEN"), Hogwild and HogBatch
+//! trainers are the same run: build the pipeline, initialise the model,
+//! and for every epoch let each worker walk its contiguous shard sentence
+//! by sentence, reading the learning rate off a shared progress counter
+//! before a sentence and adding the sentence's raw length after it. They
+//! differ in three things only, which is all [`Preset::run`] takes:
+//!
+//! * **where the model lives** — a [`Backing`]: a plain [`Word2VecModel`]
+//!   for one exclusive writer (no atomic cost), an [`AtomicModel`] for
+//!   racing writers;
+//! * **what a worker does to one sentence** — the `step` closure
+//!   ([`crate::sgns::train_sentence`], the batched trainer's pairs-first
+//!   pass, [`crate::trainer_hogbatch::train_sentence_hogbatch`]);
+//! * **how many workers** there are.
+//!
+//! Worker `t` of `n` owns the RNG stream `HOST_RNG_BASE + rng_stream + t`
+//! and the shard `corpus.partition(t, n)` for the whole run; its RNG and
+//! scratch persist across epochs. Each epoch is one thread scope, so the
+//! callback observes a settled model.
+
+use crate::model::Word2VecModel;
+use crate::params::Hyperparams;
+use crate::schedule::LrSchedule;
+use crate::setup::{Sampler, TrainSetup, HOST_RNG_BASE};
+use crate::sgns::{PlainStore, TrainContext};
+use crate::trainer_hogbatch::MinibatchScratch;
+use crate::trainer_hogwild::{AtomicModel, AtomicStore};
+use gw2v_corpus::shard::Corpus;
+use gw2v_corpus::vocab::Vocabulary;
+use gw2v_util::rng::{SplitMix64, Xoshiro256};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+/// Where the model lives while the workers train it.
+pub(crate) trait Backing: Sized {
+    /// One worker's view of the model.
+    type Store<'a>: Send
+    where
+        Self: 'a;
+    /// Takes over the freshly initialised model.
+    fn wrap(init: Word2VecModel) -> Self;
+    /// One view per worker, for the length of an epoch.
+    fn stores(&mut self, n: usize) -> Vec<Self::Store<'_>>;
+    /// The model between epochs, when no worker holds a view.
+    fn settled(&self) -> Cow<'_, Word2VecModel>;
+    /// The trained model.
+    fn finish(self) -> Word2VecModel;
+}
+
+impl Backing for Word2VecModel {
+    type Store<'a> = PlainStore<'a>;
+
+    fn wrap(init: Word2VecModel) -> Self {
+        init
+    }
+
+    fn stores(&mut self, n: usize) -> Vec<PlainStore<'_>> {
+        assert!(n <= 1, "a plain model has one exclusive writer");
+        vec![PlainStore {
+            syn0: &mut self.syn0,
+            syn1neg: &mut self.syn1neg,
+        }]
+    }
+
+    fn settled(&self) -> Cow<'_, Word2VecModel> {
+        Cow::Borrowed(self)
+    }
+
+    fn finish(self) -> Word2VecModel {
+        self
+    }
+}
+
+impl Backing for AtomicModel {
+    type Store<'a> = AtomicStore<'a>;
+
+    fn wrap(init: Word2VecModel) -> Self {
+        AtomicModel::from_model(&init)
+    }
+
+    fn stores(&mut self, n: usize) -> Vec<AtomicStore<'_>> {
+        let model = &*self;
+        (0..n).map(|_| AtomicStore::new(model)).collect()
+    }
+
+    fn settled(&self) -> Cow<'_, Word2VecModel> {
+        Cow::Owned(self.snapshot())
+    }
+
+    fn finish(self) -> Word2VecModel {
+        self.snapshot()
+    }
+}
+
+/// What one of the four trainers fixes about a run besides its model
+/// backing and its sentence step.
+pub(crate) struct Preset<'a> {
+    /// Metric stem: the run emits span `core.<name>.epoch` and counter
+    /// `core.<name>.pairs`.
+    pub name: &'a str,
+    /// Offset of worker 0's RNG stream above `HOST_RNG_BASE`.
+    pub rng_stream: u64,
+    /// Hyperparameters.
+    pub params: &'a Hyperparams,
+    /// Worker threads.
+    pub n_threads: usize,
+}
+
+impl Preset<'_> {
+    /// Trains `params.epochs` epochs and returns the model, calling
+    /// `on_epoch(epoch, &model)` on the settled model after each.
+    ///
+    /// `step` trains one sentence at the given learning rate through a
+    /// worker's store and returns the positive pairs it stepped.
+    pub(crate) fn run<B, F>(
+        &self,
+        corpus: &Corpus,
+        vocab: &Vocabulary,
+        step: F,
+        mut on_epoch: impl FnMut(usize, &Word2VecModel),
+    ) -> Word2VecModel
+    where
+        B: Backing,
+        F: Sync
+            + for<'s, 'c> Fn(
+                &mut B::Store<'s>,
+                &[u32],
+                f32,
+                &TrainContext<'c, Sampler>,
+                &mut Xoshiro256,
+                &mut MinibatchScratch,
+            ) -> u64,
+    {
+        let p = self.params;
+        let n = self.n_threads;
+        let setup = TrainSetup::new(vocab, p);
+        let mut backing = B::wrap(Word2VecModel::init(vocab.len(), p.dim, p.seed));
+        let schedule = LrSchedule::new(
+            p.alpha,
+            p.min_alpha_frac,
+            corpus.total_tokens() as u64,
+            p.epochs,
+        );
+        let progress = AtomicU64::new(0);
+        let root = SplitMix64::new(p.seed);
+        // A worker whose shard is empty would draw nothing and step
+        // nothing, so it is never built: the thread count is bounded by
+        // the sentence count whatever `n` is. The others keep their own
+        // `t`, hence their stream and shard.
+        let mut workers: Vec<_> = (0..n)
+            .map(|t| (t, corpus.partition(t, n)))
+            .filter(|(_, shard)| !shard.sentences().is_empty())
+            .map(|(t, shard)| {
+                let stream = HOST_RNG_BASE + self.rng_stream + t as u64;
+                let rng = Xoshiro256::new(root.derive(stream));
+                (shard, rng, MinibatchScratch::new())
+            })
+            .collect();
+        let epoch_name = format!("core.{}.epoch", self.name);
+        let pairs_name = format!("core.{}.pairs", self.name);
+
+        for epoch in 0..p.epochs {
+            let mut epoch_span = gw2v_obs::span(&epoch_name).epoch(epoch);
+            let stores = backing.stores(workers.len());
+            let pairs: u64 = std::thread::scope(|scope| {
+                let handles: Vec<_> = workers
+                    .iter_mut()
+                    .zip(stores)
+                    .map(|((shard, rng, scratch), mut store)| {
+                        let (setup, schedule, progress, step) =
+                            (&setup, &schedule, &progress, &step);
+                        scope.spawn(move || {
+                            let ctx = setup.ctx(p);
+                            let mut pairs = 0u64;
+                            for sentence in shard.sentences() {
+                                let alpha = schedule.alpha_at(progress.load(Relaxed));
+                                pairs += step(&mut store, sentence, alpha, &ctx, rng, scratch);
+                                progress.fetch_add(sentence.len() as u64, Relaxed);
+                            }
+                            // One registry touch per counter per worker
+                            // per epoch; only the minibatch step counts.
+                            let (minibatches, shared_negatives) = scratch.take_stats();
+                            if minibatches > 0 {
+                                gw2v_obs::add("sgns.minibatches", minibatches);
+                                gw2v_obs::add("sgns.shared_negatives", shared_negatives);
+                            }
+                            pairs
+                        })
+                    })
+                    .collect();
+                let joined = handles.into_iter().map(|h| h.join());
+                joined.map(|p| p.expect("trainer worker panicked")).sum()
+            });
+            if gw2v_obs::enabled() {
+                gw2v_obs::add(&pairs_name, pairs);
+                gw2v_obs::gauge_set("core.lr", schedule.alpha_at(progress.load(Relaxed)) as f64);
+                epoch_span.field("pairs", pairs as f64);
+                epoch_span.field("threads", n as f64);
+            }
+            drop(epoch_span);
+            on_epoch(epoch, &backing.settled());
+        }
+        backing.finish()
+    }
+}
+
+/// Two disjoint clusters of co-occurring words (`a0..a3`, `b0..b3`),
+/// 400 seven-token sentences: training should pull same-cluster
+/// embeddings together. The one toy corpus of the trainer tests.
+#[cfg(test)]
+pub(crate) fn clustered_corpus() -> (Corpus, Vocabulary) {
+    use gw2v_corpus::tokenizer::TokenizerConfig;
+    use gw2v_corpus::vocab::VocabBuilder;
+    let mut text = String::new();
+    for i in 0..400 {
+        text.push_str(if i % 2 == 0 {
+            "a0 a1 a2 a3 a1 a0 a2\n"
+        } else {
+            "b0 b1 b2 b3 b1 b0 b2\n"
+        });
+    }
+    let mut b = VocabBuilder::new();
+    for tok in text.split_whitespace() {
+        b.add_token(tok);
+    }
+    let vocab = b.build(1);
+    let cfg = TokenizerConfig {
+        lowercase: false,
+        max_sentence_len: 7,
+    };
+    (Corpus::from_text(&text, &vocab, cfg), vocab)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sgns::train_sentence;
+    use crate::trainer_hogbatch::{train_sentence_hogbatch, HogBatchTrainer};
+    use crate::trainer_hogwild::HogwildTrainer;
+
+    /// The merged atomic store against `PlainStore`, one side at a time:
+    /// the same loop over a plain model reproduces the 1-thread atomic
+    /// trainers bit for bit (vector body only / body + scalar tail).
+    #[test]
+    fn plain_backing_matches_one_thread_atomic_trainers_bitwise() {
+        let (corpus, vocab) = clustered_corpus();
+        for dim in [8, 67] {
+            let params = Hyperparams {
+                dim,
+                epochs: 2,
+                ..Hyperparams::test_scale()
+            };
+            let plain = |name| Preset {
+                name,
+                rng_stream: 0,
+                params: &params,
+                n_threads: 1,
+            };
+            let batch_rows = plain("hogbatch").run::<Word2VecModel, _>(
+                &corpus,
+                &vocab,
+                |store, sentence, alpha, ctx, rng, scratch| {
+                    train_sentence_hogbatch(store, sentence, alpha, ctx, rng, scratch)
+                },
+                |_, _| {},
+            );
+            let hogbatch = HogBatchTrainer::new(params.clone(), 1).train(&corpus, &vocab);
+            assert_eq!(batch_rows, hogbatch, "BatchRows side, dim {dim}");
+            let sgns_store = plain("hogwild").run::<Word2VecModel, _>(
+                &corpus,
+                &vocab,
+                |store, sentence, alpha, ctx, rng, scratch| {
+                    train_sentence(store, sentence, alpha, ctx, rng, &mut scratch.pair)
+                },
+                |_, _| {},
+            );
+            let hogwild = HogwildTrainer::new(params.clone(), 1).train(&corpus, &vocab);
+            assert_eq!(sgns_store, hogwild, "SgnsStore side, dim {dim}");
+            assert_ne!(hogbatch, hogwild);
+        }
+    }
+
+    #[test]
+    fn workers_with_empty_shards_are_not_built() {
+        // Far more workers than sentences: the run completes on at most
+        // one thread a sentence and trains every sentence once an epoch.
+        let (corpus, vocab) = clustered_corpus();
+        let params = Hyperparams {
+            epochs: 1,
+            subsample: 0.0,
+            ..Hyperparams::test_scale()
+        };
+        let model = HogBatchTrainer::new(params.clone(), 100_000).train(&corpus, &vocab);
+        assert_ne!(
+            model,
+            Word2VecModel::init(vocab.len(), params.dim, params.seed)
+        );
+        assert!(model.syn0.as_slice().iter().all(|v| v.is_finite()));
+    }
+}
