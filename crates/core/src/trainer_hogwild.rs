@@ -10,8 +10,13 @@
 //! `Relaxed` ordering: individual loads/stores are atomic (no torn
 //! values, which would be UB with plain `f32` under racing threads) but
 //! read-modify-write sequences deliberately race — the Hogwild recipe.
-//! On x86 a relaxed atomic load/store compiles to a plain move, so the
-//! single-thread path pays nothing.
+//! On x86 a relaxed atomic load/store compiles to a plain move; what a
+//! worker does pay is the staging — every row is copied out of the
+//! atomic cells, stepped by the dispatched kernel and copied back — so
+//! one Hogwild thread is slower than the sequential trainer, which steps
+//! a plain model in place. This trainer is the paper's baseline;
+//! [`crate::trainer_hogbatch::HogBatchTrainer`], which stages a row once
+//! per window instead of once per target, is the threaded trainer to use.
 
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;

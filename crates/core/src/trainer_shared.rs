@@ -153,9 +153,8 @@ impl Preset<'_> {
             .map(|t| (t, corpus.partition(t, n)))
             .filter(|(_, shard)| !shard.sentences().is_empty())
             .map(|(t, shard)| {
-                let stream = HOST_RNG_BASE + self.rng_stream + t as u64;
-                let rng = Xoshiro256::new(root.derive(stream));
-                (shard, rng, MinibatchScratch::new())
+                let rng = root.derive(HOST_RNG_BASE + self.rng_stream + t as u64);
+                (shard, Xoshiro256::new(rng), MinibatchScratch::new())
             })
             .collect();
         let epoch_name = format!("core.{}.epoch", self.name);
@@ -193,12 +192,11 @@ impl Preset<'_> {
                 let joined = handles.into_iter().map(|h| h.join());
                 joined.map(|p| p.expect("trainer worker panicked")).sum()
             });
-            if gw2v_obs::enabled() {
-                gw2v_obs::add(&pairs_name, pairs);
-                gw2v_obs::gauge_set("core.lr", schedule.alpha_at(progress.load(Relaxed)) as f64);
-                epoch_span.field("pairs", pairs as f64);
-                epoch_span.field("threads", n as f64);
-            }
+            // Each of these is inert while metrics are off.
+            gw2v_obs::add(&pairs_name, pairs);
+            gw2v_obs::gauge_set("core.lr", schedule.alpha_at(progress.load(Relaxed)) as f64);
+            epoch_span.field("pairs", pairs as f64);
+            epoch_span.field("threads", n as f64);
             drop(epoch_span);
             on_epoch(epoch, &backing.settled());
         }
