@@ -51,9 +51,9 @@ where
         let contexts = window_contexts(kept, i, ctx.window, b);
         scratch.pairs.extend(contexts.map(|input| (input, center)));
     }
-    scratch.pair.neu1e.resize(store.dim(), 0.0);
+    let neu1e = &mut scratch.pair.neu1e;
+    neu1e.resize(store.dim(), 0.0);
     for &(input, center) in &scratch.pairs {
-        let neu1e = &mut scratch.pair.neu1e;
         train_pair(store, input, center, alpha, ctx, rng, neu1e);
     }
     scratch.pairs.len() as u64

@@ -77,9 +77,9 @@ pub enum SgnsMode {
 /// rows into dense scratch, computes there, and scatters additive deltas
 /// back. Stores only decide where rows live (plain matrices, a tracked
 /// replica, relaxed atomics — [`crate::trainer_hogwild::AtomicStore`])
-/// and what a delta write means (the recording store only takes notes). Method names deliberately avoid the
-/// [`SgnsStore`] names so one type can implement both traits without
-/// call-site ambiguity.
+/// and what a delta write means (the recording store only takes notes).
+/// Method names deliberately avoid the [`SgnsStore`] names so one type
+/// can implement both traits without call-site ambiguity.
 pub trait BatchRows {
     /// `false` for inspection-only stores: [`train_sentence_hogbatch`]
     /// then skips the gather/GEMM/scatter arithmetic entirely and calls

@@ -224,6 +224,11 @@ pub fn flush_trace(path: Option<&std::path::Path>) -> std::io::Result<usize> {
     }
 }
 
+/// Serialises the tests of this crate that toggle the global enabled
+/// flag: `cargo test` runs them on parallel threads.
+#[cfg(test)]
+pub(crate) static FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +237,7 @@ mod tests {
     // registry, which other tests in this crate also touch.
     #[test]
     fn global_api_roundtrip() {
+        let _flag = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         assert!(enabled());
 

@@ -207,6 +207,7 @@ mod tests {
     // body to avoid interleaving with each other.
     #[test]
     fn registry_roundtrip() {
+        let _flag = crate::FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let r = MetricsRegistry::new();
         crate::set_enabled(true);
 
