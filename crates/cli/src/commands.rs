@@ -2,6 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use gw2v_combiner::CombinerKind;
+use gw2v_core::checkpoint::Checkpoint;
 use gw2v_core::distributed::{DistConfig, DistributedTrainer};
 use gw2v_core::model::Word2VecModel;
 use gw2v_core::params::Hyperparams;
@@ -327,7 +328,10 @@ fn dist_config_from(args: &Args) -> Result<DistConfig, ArgError> {
         return Err(ArgError("--hosts must be at least 1".into()));
     }
     let mut config = DistConfig::paper_default(hosts);
-    config.sync_rounds = args.get_or("sync-rounds", config.sync_rounds)?;
+    config.sync_rounds = match args.get_or("sync-rounds", config.sync_rounds)? {
+        0 => return Err(ArgError("--sync-rounds must be at least 1".into())),
+        n => n,
+    };
     if let Some(c) = args.get("combiner") {
         config.combiner =
             CombinerKind::parse(c).ok_or_else(|| ArgError(format!("bad combiner {c:?}")))?;
@@ -383,6 +387,14 @@ fn fault_plan_from(args: &Args) -> Result<FaultPlan, ArgError> {
     match args.get("fault-plan") {
         Some(spec) => FaultPlan::parse(spec).map_err(|e| ArgError(format!("--fault-plan: {e}"))),
         None => FaultPlan::from_env().map_err(|e| ArgError(format!("GW2V_FAULT_PLAN: {e}"))),
+    }
+}
+
+/// `--checkpoint-every`: an interval of zero epochs never comes round.
+fn checkpoint_every_from(args: &Args) -> Result<usize, ArgError> {
+    match args.get_or("checkpoint-every", 1)? {
+        0 => Err(ArgError("--checkpoint-every must be at least 1".into())),
+        n => Ok(n),
     }
 }
 
@@ -447,12 +459,24 @@ pub fn train(raw: &[String]) -> CmdResult {
             let faults = fault_plan_from(&args)?;
             let resume = args.flag("resume");
             let checkpointing = match args.get("checkpoint-dir") {
-                Some(dir) => Some((dir, args.get_or("checkpoint-every", 1usize)?)),
+                Some(dir) => Some((dir, checkpoint_every_from(&args)?)),
                 None if resume => {
                     return Err(ArgError("--resume requires --checkpoint-dir".into()).into())
                 }
                 None => None,
             };
+            // The trainers panic on an unusable directory or checkpoint
+            // (a write failure only after an epoch has trained): check
+            // both here, before any epoch trains.
+            if let Some((dir, _)) = checkpointing {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| ArgError(format!("--checkpoint-dir {dir}: {e}")))?;
+                if resume {
+                    let fingerprint = Checkpoint::fingerprint_of(&params, &config);
+                    Checkpoint::resume_point(Path::new(dir), fingerprint)
+                        .map_err(|e| ArgError(format!("--resume from {dir}: {e}")))?;
+                }
+            }
             let result = if trainer == "dist" {
                 let mut t = DistributedTrainer::new(params, config).with_faults(faults);
                 if let Some((dir, every)) = checkpointing {

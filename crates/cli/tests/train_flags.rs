@@ -77,3 +77,68 @@ fn far_more_threads_than_sentences_still_trains() {
     std::fs::remove_file(&corpus).ok();
     std::fs::remove_file(&out).ok();
 }
+
+/// The run failed the way a bad flag or file should: non-zero exit,
+/// `needle` named on stderr, no panic, no model file.
+fn assert_typed_failure(run: &Output, out: &Path, needle: &str, what: &str) {
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success(), "{what} exited 0");
+    assert!(stderr.contains(needle), "{what}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    assert!(!out.exists(), "{what} wrote a model");
+}
+
+#[test]
+fn cluster_flags_the_trainers_cannot_run_with_are_typed_errors() {
+    let corpus = tmp("cluster_corpus.txt");
+    let out = tmp("cluster_model.txt");
+    let ckpt = tmp("cluster_ckpt");
+    write_corpus(&corpus);
+    for trainer in ["dist", "threaded"] {
+        for (flag, value) in [
+            ("--sync-rounds", "0"),
+            ("--checkpoint-every", "0"),
+            ("--checkpoint-dir", "/proc/gw2v_nope"),
+        ] {
+            let dir = ckpt.to_str().unwrap();
+            let flags = ["--trainer", trainer, "--checkpoint-dir", dir, flag, value];
+            let needle = if value == "0" { flag } else { value };
+            let run = train(&corpus, &out, &flags);
+            assert_typed_failure(&run, &out, needle, &format!("{trainer} {flag}"));
+        }
+    }
+    std::fs::remove_file(&corpus).ok();
+    std::fs::remove_dir_all(&ckpt).ok();
+}
+
+#[test]
+fn resume_over_a_foreign_or_truncated_checkpoint_is_a_typed_error() {
+    let corpus = tmp("resume_corpus.txt");
+    let out = tmp("resume_model.txt");
+    write_corpus(&corpus);
+    for trainer in ["dist", "threaded"] {
+        let ckpt = tmp(&format!("resume_ckpt_{trainer}"));
+        let dir = ckpt.to_str().unwrap();
+        let run = |extra: &[&str]| {
+            let flags = [&["--trainer", trainer, "--checkpoint-dir", dir], extra].concat();
+            train(&corpus, &out, &flags)
+        };
+        assert!(run(&[]).status.success(), "{trainer}");
+        std::fs::remove_file(&out).unwrap();
+        // Another seed is another run: the fingerprint does not match.
+        let foreign = run(&["--resume", "--seed", "2"]);
+        assert_typed_failure(&foreign, &out, "--resume", &format!("{trainer} foreign"));
+        let file = ckpt.join("epoch-00000.gw2vckp");
+        let bytes = std::fs::read(&file).unwrap();
+        std::fs::write(&file, &bytes[..bytes.len() / 2]).unwrap();
+        let truncated = run(&["--resume"]);
+        assert_typed_failure(
+            &truncated,
+            &out,
+            "--resume",
+            &format!("{trainer} truncated"),
+        );
+        std::fs::remove_dir_all(&ckpt).ok();
+    }
+    std::fs::remove_file(&corpus).ok();
+}

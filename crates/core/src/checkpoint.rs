@@ -174,6 +174,24 @@ impl Checkpoint {
         Ok(best.map(|(_, p)| p))
     }
 
+    /// Where a run with `fingerprint` resumes from: the newest checkpoint
+    /// in `dir`, loaded and validated, or `None` when `dir` holds none.
+    /// A checkpoint some other run wrote is
+    /// [`CheckpointError::FingerprintMismatch`].
+    pub fn resume_point(dir: &Path, fingerprint: u64) -> Result<Option<Self>, CheckpointError> {
+        let Some(path) = Self::latest_in(dir)? else {
+            return Ok(None);
+        };
+        let ckpt = Self::load(&path)?;
+        if ckpt.fingerprint != fingerprint {
+            return Err(CheckpointError::FingerprintMismatch {
+                expected: fingerprint,
+                found: ckpt.fingerprint,
+            });
+        }
+        Ok(Some(ckpt))
+    }
+
     /// Serializes to the on-disk format (including the CRC trailer).
     pub fn to_bytes(&self) -> Vec<u8> {
         let n_hosts = self.layers.len();
@@ -462,7 +480,7 @@ mod tests {
     fn save_load_and_latest() {
         let dir = std::env::temp_dir().join(format!("gw2v-ckpt-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(Checkpoint::latest_in(&dir).unwrap().is_none());
+        assert!(Checkpoint::resume_point(&dir, 0).unwrap().is_none());
         let mut c = sample();
         c.epoch = 1;
         c.save_in(&dir).unwrap();
@@ -471,8 +489,13 @@ mod tests {
         std::fs::write(dir.join("notes.txt"), "ignore me").unwrap();
         let latest = Checkpoint::latest_in(&dir).unwrap().unwrap();
         assert_eq!(latest, p3);
-        let back = Checkpoint::load(&latest).unwrap();
-        assert_eq!(back.epoch, 3);
+        let back = Checkpoint::resume_point(&dir, c.fingerprint).unwrap();
+        assert_eq!(back.map(|b| b.epoch), Some(3));
+        let foreign = Checkpoint::resume_point(&dir, !c.fingerprint);
+        assert!(matches!(
+            foreign,
+            Err(CheckpointError::FingerprintMismatch { .. })
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -321,18 +321,9 @@ impl DistributedTrainer {
                 .checkpoint_dir
                 .as_ref()
                 .expect("resume requires a checkpoint directory");
-            let latest = Checkpoint::latest_in(dir)
-                .unwrap_or_else(|e| panic!("scanning checkpoint dir: {e}"));
-            if let Some(path) = latest {
-                let ckpt = Checkpoint::load(&path)
-                    .unwrap_or_else(|e| panic!("loading {}: {e}", path.display()));
-                assert_eq!(
-                    ckpt.fingerprint,
-                    fingerprint,
-                    "checkpoint {} was written by a run with different \
-                     hyperparameters or cluster configuration",
-                    path.display()
-                );
+            let resume_point = Checkpoint::resume_point(dir, fingerprint)
+                .unwrap_or_else(|e| panic!("resuming from {}: {e}", dir.display()));
+            if let Some(ckpt) = resume_point {
                 replicas = ckpt
                     .layers
                     .iter()

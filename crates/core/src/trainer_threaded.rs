@@ -318,21 +318,9 @@ impl ThreadedTrainer {
                 .checkpoint_dir
                 .as_ref()
                 .expect("resume requires a checkpoint directory");
-            let latest = Checkpoint::latest_in(dir)
-                .unwrap_or_else(|e| panic!("scanning checkpoint dir: {e}"));
-            latest.map(|path| {
-                let ckpt = Checkpoint::load(&path)
-                    .unwrap_or_else(|e| panic!("loading {}: {e}", path.display()));
-                assert_eq!(
-                    ckpt.fingerprint,
-                    fingerprint,
-                    "checkpoint {} was written by a run with different \
-                     hyperparameters or cluster configuration",
-                    path.display()
-                );
-                counters::bump(counters::RECOVERED_RESUME);
-                ckpt
-            })
+            let resume_point = Checkpoint::resume_point(dir, fingerprint)
+                .unwrap_or_else(|e| panic!("resuming from {}: {e}", dir.display()));
+            resume_point.inspect(|_| counters::bump(counters::RECOVERED_RESUME))
         } else {
             None
         };

@@ -72,7 +72,9 @@ use crate::replica::ModelReplica;
 use crate::round::{HostRound, Post};
 use crate::sync::SyncScratch;
 use crate::volume::{CommStats, RoundVolume};
-use crate::wire::{open_frame, seal_frame, RowDecoder, RowEncoder, WireError, WireState};
+use crate::wire::{
+    entry_bytes, open_frame, seal_frame, RowDecoder, RowEncoder, WireError, WireState,
+};
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gw2v_faults::{counters, FaultPlan};
@@ -882,7 +884,9 @@ impl HostCtx {
     /// meantime are stashed for the next `collect_phase` (Data) or
     /// dropped (NAKs — the peer re-NAKs until served). State frames come
     /// from a single sender over a FIFO channel, so callers may rely on
-    /// their send order.
+    /// their send order. State frames bypass the fault injector, so one
+    /// that fails to open is [`ClusterError::BadPayload`]: resending
+    /// cannot help.
     pub fn recv_state(&self, from: usize) -> Result<(usize, Bytes), ClusterError> {
         loop {
             let msg = self
@@ -893,13 +897,39 @@ impl HostCtx {
                 if msg.from != from {
                     continue; // not the transfer we are waiting for
                 }
-                let payload = open_frame(&msg.payload)
-                    .expect("state-transfer frames bypass the fault injector");
-                return Ok((msg.layer, payload));
+                return open_frame(&msg.payload)
+                    .map(|payload| (msg.layer, payload))
+                    .map_err(|source| self.bad_state(from, msg.layer, source));
             }
             if let MsgKind::Data { .. } = msg.kind {
                 self.pending.borrow_mut().push_back(msg);
             }
+        }
+    }
+
+    /// [`HostCtx::recv_state`] for a frame that must carry `tag` and
+    /// exactly `len` payload bytes.
+    fn recv_state_exact(&self, from: usize, tag: usize, len: usize) -> Result<Bytes, ClusterError> {
+        let (got, payload) = self.recv_state(from)?;
+        let source = match (got == tag, payload.len()) {
+            (false, _) => WireError::UnexpectedForm,
+            (true, actual) if actual != len => WireError::BadLength {
+                claimed: len,
+                actual,
+            },
+            _ => return Ok(payload),
+        };
+        Err(self.bad_state(from, tag, source))
+    }
+
+    /// A state-transfer frame from `from` in tag slot `tag` (a layer, or
+    /// the control / ACK tag) that this host cannot use.
+    fn bad_state(&self, from: usize, tag: usize, source: WireError) -> ClusterError {
+        ClusterError::BadPayload {
+            from,
+            to: self.host,
+            layer: tag,
+            source,
         }
     }
 
@@ -929,23 +959,23 @@ impl HostCtx {
             }
             sent += self.send_state(to, layer, enc.finish())? as u64;
         }
-        let (tag, _) = self.recv_state(to)?;
-        debug_assert_eq!(tag, STATE_ACK_TAG, "state transfer ends with an ACK");
+        self.recv_state_exact(to, STATE_ACK_TAG, 0)?;
         Ok(sent)
     }
 
     /// Receives the partition state streamed by adopter `from` (see
     /// [`HostCtx::send_partition_state`]), registers this host alive in
     /// the runtime registry, and acknowledges. `shape` gives `(rows,
-    /// dim)` per layer. Returns `(rng_state, processed, layers)`.
+    /// dim)` per layer. Returns `(rng_state, processed, layers)`, or
+    /// [`ClusterError::BadPayload`] for a frame out of order, of the
+    /// wrong size, or naming a row `shape` does not have — checked
+    /// before anything is acknowledged.
     pub fn recv_partition_state(
         &self,
         from: usize,
         shape: &[(usize, usize)],
     ) -> Result<([u64; 4], u64, Vec<FlatMatrix>), ClusterError> {
-        let (tag, ctrl) = self.recv_state(from)?;
-        debug_assert_eq!(tag, STATE_CTRL_TAG, "control frame leads the transfer");
-        debug_assert_eq!(ctrl.len() as u64, REJOIN_CONTROL_BYTES);
+        let ctrl = self.recv_state_exact(from, STATE_CTRL_TAG, REJOIN_CONTROL_BYTES as usize)?;
         let raw = ctrl.as_slice();
         let word =
             |i: usize| u64::from_le_bytes(raw[i * 8..(i + 1) * 8].try_into().expect("8-byte word"));
@@ -953,11 +983,18 @@ impl HostCtx {
         let processed = word(4);
         let mut layers = Vec::with_capacity(shape.len());
         for (layer, &(rows, dim)) in shape.iter().enumerate() {
-            let (tag, payload) = self.recv_state(from)?;
-            debug_assert_eq!(tag, layer, "layer frames follow in order");
+            // One whole entry per row, so no row is silently left zero.
+            let payload = self.recv_state_exact(from, layer, rows * entry_bytes(dim))?;
             let mut matrix = FlatMatrix::zeros(rows, dim);
             let mut dec = RowDecoder::new(payload, dim);
             while let Some((node, row)) = dec.next_entry() {
+                if node as usize >= rows {
+                    let source = WireError::NodeOutOfRange {
+                        node,
+                        n_nodes: rows,
+                    };
+                    return Err(self.bad_state(from, layer, source));
+                }
                 matrix.row_mut(node as usize).copy_from_slice(row);
             }
             layers.push(matrix);
@@ -1818,6 +1855,100 @@ mod tests {
             assert_eq!(seq_stats.broadcast_bytes, total.broadcast_bytes, "{mode:?}");
             assert_eq!(seq_stats.broadcast_msgs, total.broadcast_msgs, "{mode:?}");
         }
+    }
+
+    /// A `ctrl`-byte control frame, then frame `tag` with 3-wide rows for
+    /// `nodes`: a well-formed transfer of one 2 × 3 layer at `(40, 0,
+    /// &[0, 1])`.
+    fn transfer(ctrl: usize, tag: usize, nodes: &[u32]) -> Vec<(usize, Bytes)> {
+        let mut enc = RowEncoder::new(3);
+        for &node in nodes {
+            enc.push(node, &[1.0, 2.0, 3.0]);
+        }
+        vec![
+            (STATE_CTRL_TAG, Bytes::from(vec![7u8; ctrl])),
+            (tag, enc.finish()),
+        ]
+    }
+
+    /// Host 0 sends `frames`; host 1's `recv_partition_state` must
+    /// return `BadPayload` for slot `tag` (not panic): its source.
+    fn refused(frames: &[(usize, Bytes)], tag: usize) -> WireError {
+        let got = run_cluster(2, |ctx| {
+            if ctx.host == 1 {
+                return ctx.recv_partition_state(0, &[(2, 3)]).map(|_| ());
+            }
+            for (tag, payload) in frames {
+                ctx.send_state(1, *tag, payload.clone()).unwrap();
+            }
+            Ok(())
+        });
+        match got[1] {
+            Err(ClusterError::BadPayload {
+                from: 0,
+                to: 1,
+                layer,
+                source,
+            }) if layer == tag => source,
+            other => panic!("slot {tag}: {other:?}"),
+        }
+    }
+
+    fn bad_len(claimed: usize, actual: usize) -> WireError {
+        WireError::BadLength { claimed, actual }
+    }
+
+    #[test]
+    fn short_rejoin_control_frame_is_refused() {
+        assert_eq!(
+            refused(&transfer(39, 0, &[0, 1]), STATE_CTRL_TAG),
+            bad_len(40, 39)
+        );
+    }
+
+    #[test]
+    fn rejoin_frame_with_the_wrong_tag_is_refused() {
+        let got = refused(&transfer(40, 1, &[0, 1]), 0);
+        assert_eq!(got, WireError::UnexpectedForm);
+    }
+
+    #[test]
+    fn rejoin_row_beyond_the_layer_is_refused() {
+        let beyond = WireError::NodeOutOfRange {
+            node: 2,
+            n_nodes: 2,
+        };
+        assert_eq!(refused(&transfer(40, 0, &[0, 2]), 0), beyond);
+    }
+
+    #[test]
+    fn ragged_or_short_rejoin_layer_is_refused() {
+        let mut ragged = transfer(40, 0, &[0, 1]);
+        ragged[1].1 = ragged[1].1.slice(0..31);
+        assert_eq!(refused(&ragged, 0), bad_len(32, 31));
+        // A whole entry short: row 1 would silently stay zero.
+        assert_eq!(refused(&transfer(40, 0, &[0]), 0), bad_len(32, 16));
+    }
+
+    #[test]
+    fn rejoin_ack_with_the_wrong_tag_is_refused() {
+        let got = run_cluster(2, |ctx| {
+            if ctx.host == 1 {
+                ctx.recv_state(0).unwrap();
+                ctx.recv_state(0).unwrap();
+                return ctx.send_state(0, 0, empty_bytes()).map(|_| ());
+            }
+            let layers = [FlatMatrix::zeros(2, 3)];
+            ctx.send_partition_state(1, [1, 2, 3, 4], 5, &layers)
+                .map(|_| ())
+        });
+        let want = ClusterError::BadPayload {
+            from: 1,
+            to: 0,
+            layer: STATE_ACK_TAG,
+            source: WireError::UnexpectedForm,
+        };
+        assert_eq!(got[0], Err(want));
     }
 
     #[test]

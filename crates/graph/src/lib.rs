@@ -1,38 +1,9 @@
 //! # gw2v-graph
 //!
-//! A from-scratch distributed graph-analytics substrate — the D-Galois /
-//! Gemini analogue the paper builds on (paper §2.4).
-//!
-//! * [`csr`] — compressed-sparse-row graphs with optional edge data.
-//! * [`gen`] — graph generators (uniform random, grid, R-MAT power-law)
-//!   for substrate validation.
-//! * [`partition`] — distributed partitions with the master/mirror proxy
-//!   model: edges are partitioned across hosts; every endpoint of a local
-//!   edge gets a local *proxy*, one host holds the canonical *master*
-//!   proxy, the rest hold *mirrors*. Includes the blocked edge-cut policy
-//!   used for classic graph algorithms and the full-replication policy
-//!   GraphWord2Vec uses (every host has a proxy for every node, paper
-//!   §4.2).
-//! * [`bsp`] — a bulk-synchronous runtime over partitions: hosts compute
-//!   on their local proxies, then a synchronization step ships touched
-//!   mirrors to masters (reduce) and changed masters back to mirrors
-//!   (broadcast), exactly the Gluon protocol, with byte-level accounting.
-//! * [`worklist`] — chunked active-vertex worklists for data-driven
-//!   algorithms.
-//! * [`algos`] — BFS, SSSP (Bellman-Ford), connected components and
-//!   PageRank written against the BSP runtime, each validated against a
-//!   sequential reference; these are the "classic graph analytics" proof
-//!   that the substrate is a real framework, not a Word2Vec one-off.
+//! Master assignment (paper §2.4): which host holds the canonical copy
+//! of each node. The substrate that keeps masters and mirrors in step is
+//! `gw2v-gluon`; its round and the serving store read this from here.
 
 #![deny(missing_docs)]
 
-pub mod algos;
-pub mod bsp;
-pub mod csr;
-pub mod gen;
 pub mod partition;
-pub mod worklist;
-
-pub use bsp::{BspRuntime, SyncStats};
-pub use csr::Csr;
-pub use partition::{partition_blocked, HostPartition, Partitioned};

@@ -1,27 +1,10 @@
-//! Graph partitioning with master/mirror proxies.
+//! Blocked master assignment.
 //!
-//! Paper §2.4: "The edges are partitioned and for each edge on a host,
-//! proxies are created for its endpoints. [...] One of these proxies is
-//! chosen as the master proxy and the other proxies are known as mirror
-//! proxies. The master proxy is responsible for holding the canonical
-//! value of the node."
-//!
-//! Two policies are provided:
-//!
-//! * [`partition_blocked`] — an *outgoing edge-cut*: node ids are split
-//!   into contiguous blocks, host `h` owns block `h` (those are its
-//!   masters) and receives all out-edges of its owned nodes; any edge
-//!   target outside the block becomes a mirror proxy. This is the policy
-//!   the classic-algorithm validation suite runs on.
-//! * [`partition_full_replica`] — the customized policy GraphWord2Vec
-//!   uses (paper §4.2): *every host has a proxy for every node* because
-//!   training edges are generated on the fly and could touch any pair;
-//!   masters are still assigned by contiguous blocks.
-
-use crate::csr::Csr;
-
-/// Sentinel for "no local proxy" in the global→local map.
-const NO_LOCAL: u32 = u32::MAX;
+//! Paper §2.4: one proxy of each node "is chosen as the master proxy
+//! [...] responsible for holding the canonical value of the node".
+//! Every host has a proxy for every node (§4.2), so the one decision
+//! left is which host holds each master: node ids are split into
+//! contiguous blocks and host `h` owns block `h`.
 
 /// The contiguous block of global node ids whose masters live on `host`.
 #[inline]
@@ -48,334 +31,31 @@ pub fn master_host(n_nodes: usize, n_hosts: usize, node: u32) -> usize {
     h
 }
 
-/// One host's share of a partitioned graph.
-#[derive(Clone, Debug)]
-pub struct HostPartition<W = ()> {
-    /// This host's id.
-    pub host: usize,
-    /// Total number of hosts.
-    pub n_hosts: usize,
-    /// Global node count.
-    pub n_global: usize,
-    /// Local proxy id → global node id.
-    pub local_to_global: Vec<u32>,
-    /// Global node id → local proxy id (`u32::MAX` if absent).
-    global_to_local: Vec<u32>,
-    /// The local sub-graph over local proxy ids.
-    pub local_graph: Csr<W>,
-}
-
-impl<W: Copy> HostPartition<W> {
-    /// Number of local proxies.
-    pub fn n_local(&self) -> usize {
-        self.local_to_global.len()
-    }
-
-    /// Local proxy id of global `node`, if this host has one.
-    #[inline]
-    pub fn local_of(&self, node: u32) -> Option<u32> {
-        match self.global_to_local[node as usize] {
-            NO_LOCAL => None,
-            l => Some(l),
-        }
-    }
-
-    /// Global node id of local proxy `l`.
-    #[inline]
-    pub fn global_of(&self, l: u32) -> u32 {
-        self.local_to_global[l as usize]
-    }
-
-    /// True if local proxy `l` is the master proxy of its node.
-    #[inline]
-    pub fn is_master(&self, l: u32) -> bool {
-        master_host(self.n_global, self.n_hosts, self.global_of(l)) == self.host
-    }
-
-    /// Iterates local ids of this host's master proxies.
-    pub fn masters(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.n_local() as u32).filter(move |&l| self.is_master(l))
-    }
-
-    /// Iterates local ids of this host's mirror proxies.
-    pub fn mirrors(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.n_local() as u32).filter(move |&l| !self.is_master(l))
-    }
-}
-
-/// A fully-partitioned graph: per-host partitions plus the global mirror
-/// directory the broadcast phase needs.
-#[derive(Clone, Debug)]
-pub struct Partitioned<W = ()> {
-    /// Per-host partitions, indexed by host id.
-    pub parts: Vec<HostPartition<W>>,
-    /// Global node count.
-    pub n_nodes: usize,
-    /// For each global node, the hosts holding a *mirror* proxy
-    /// (the master host is excluded).
-    pub mirror_hosts: Vec<Vec<u32>>,
-}
-
-impl<W: Copy> Partitioned<W> {
-    /// Average number of proxies per node (the replication factor the
-    /// paper cites as a driver of communication volume, §5.5).
-    pub fn replication_factor(&self) -> f64 {
-        let proxies: usize = self.parts.iter().map(|p| p.n_local()).sum();
-        proxies as f64 / self.n_nodes as f64
-    }
-
-    /// Checks structural invariants; panics with a description on
-    /// violation. Used by tests and debug assertions.
-    pub fn verify(&self) {
-        let n_hosts = self.parts.len();
-        // Every node has exactly one master across hosts.
-        let mut master_count = vec![0usize; self.n_nodes];
-        for p in &self.parts {
-            assert_eq!(p.n_hosts, n_hosts);
-            assert_eq!(p.n_global, self.n_nodes);
-            for l in 0..p.n_local() as u32 {
-                let g = p.global_of(l);
-                assert_eq!(
-                    p.local_of(g),
-                    Some(l),
-                    "global_to_local inverse broken on host {}",
-                    p.host
-                );
-                if p.is_master(l) {
-                    master_count[g as usize] += 1;
-                }
-            }
-            // Local graph fits the proxy table.
-            assert_eq!(p.local_graph.n_nodes(), p.n_local());
-        }
-        for (g, &c) in master_count.iter().enumerate() {
-            // A node with no proxies anywhere has no master either; that is
-            // fine (isolated node never referenced). Otherwise exactly one.
-            let has_proxy = self.parts.iter().any(|p| p.local_of(g as u32).is_some());
-            if has_proxy {
-                assert_eq!(c, 1, "node {g} has {c} masters");
-            }
-        }
-        // Mirror directory agrees with the partitions.
-        for (g, hosts) in self.mirror_hosts.iter().enumerate() {
-            for &h in hosts {
-                let p = &self.parts[h as usize];
-                let l = p
-                    .local_of(g as u32)
-                    .unwrap_or_else(|| panic!("host {h} listed as mirror of {g} but has no proxy"));
-                assert!(!p.is_master(l), "host {h} is master of {g}, not mirror");
-            }
-        }
-    }
-}
-
-/// Outgoing edge-cut with blocked master assignment.
-///
-/// Host `h` receives the out-edges of every node in its block. Every
-/// endpoint of a received edge gets a local proxy.
-pub fn partition_blocked<W: Copy>(g: &Csr<W>, n_hosts: usize) -> Partitioned<W> {
-    assert!(n_hosts > 0);
-    let n = g.n_nodes();
-    let mut parts = Vec::with_capacity(n_hosts);
-    let mut mirror_hosts: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for host in 0..n_hosts {
-        let block = master_block(n, n_hosts, host);
-        // Collect local proxies: the whole owned block (so every master
-        // exists even if isolated), plus out-of-block edge targets.
-        let mut global_to_local = vec![NO_LOCAL; n];
-        let mut local_to_global: Vec<u32> = Vec::new();
-        let add_proxy = |g: u32, l2g: &mut Vec<u32>, g2l: &mut Vec<u32>| -> u32 {
-            if g2l[g as usize] == NO_LOCAL {
-                g2l[g as usize] = l2g.len() as u32;
-                l2g.push(g);
-            }
-            g2l[g as usize]
-        };
-        for node in block.clone() {
-            add_proxy(node, &mut local_to_global, &mut global_to_local);
-        }
-        let mut local_edges: Vec<(u32, u32, W)> = Vec::new();
-        for src in block.clone() {
-            for (dst, w) in g.edges(src) {
-                let ls = global_to_local[src as usize];
-                let ld = add_proxy(dst, &mut local_to_global, &mut global_to_local);
-                local_edges.push((ls, ld, w));
-            }
-        }
-        // Everything after the owned block in local_to_global is a mirror.
-        for &gid in &local_to_global[(block.end - block.start) as usize..] {
-            mirror_hosts[gid as usize].push(host as u32);
-        }
-        let local_graph = Csr::from_edges(local_to_global.len(), &local_edges);
-        parts.push(HostPartition {
-            host,
-            n_hosts,
-            n_global: n,
-            local_to_global,
-            global_to_local,
-            local_graph,
-        });
-    }
-    Partitioned {
-        parts,
-        n_nodes: n,
-        mirror_hosts,
-    }
-}
-
-/// Full replication (the GraphWord2Vec policy, §4.2): every host has a
-/// proxy for every node; local ids equal global ids; the local graph is
-/// empty because Word2Vec generates its edges on the fly.
-pub fn partition_full_replica(n_nodes: usize, n_hosts: usize) -> Partitioned<()> {
-    assert!(n_hosts > 0);
-    let parts = (0..n_hosts)
-        .map(|host| HostPartition {
-            host,
-            n_hosts,
-            n_global: n_nodes,
-            local_to_global: (0..n_nodes as u32).collect(),
-            global_to_local: (0..n_nodes as u32).collect(),
-            local_graph: Csr::from_edges(n_nodes, &[]),
-        })
-        .collect();
-    let mirror_hosts = (0..n_nodes as u32)
-        .map(|node| {
-            let m = master_host(n_nodes, n_hosts, node) as u32;
-            (0..n_hosts as u32).filter(|&h| h != m).collect()
-        })
-        .collect();
-    Partitioned {
-        parts,
-        n_nodes,
-        mirror_hosts,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
     use proptest::prelude::*;
 
-    #[test]
-    fn master_block_covers_all_nodes() {
-        for n in [1usize, 7, 64, 100] {
-            for h in [1usize, 2, 3, 8] {
-                let mut covered = 0;
-                for host in 0..h {
-                    covered += master_block(n, h, host).len();
-                }
-                assert_eq!(covered, n, "n={n} h={h}");
-            }
-        }
-    }
-
-    #[test]
-    fn master_host_inverts_block() {
-        for n in [1usize, 7, 64, 100] {
-            for h in [1usize, 2, 3, 8] {
-                for node in 0..n as u32 {
-                    let owner = master_host(n, h, node);
-                    assert!(
-                        master_block(n, h, owner).contains(&node),
-                        "n={n} h={h} node={node} owner={owner}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_partition_invariants_random_graph() {
-        let g = gen::uniform_random(60, 300, 8, 5);
-        for n_hosts in [1, 2, 3, 5, 8] {
-            let p = partition_blocked(&g, n_hosts);
-            p.verify();
-        }
-    }
-
-    #[test]
-    fn blocked_partition_preserves_edges() {
-        let g = gen::uniform_random(40, 200, 4, 9);
-        let p = partition_blocked(&g, 4);
-        // Re-assemble the global edge multiset from local graphs.
-        let mut global_edges: Vec<(u32, u32, u32)> = Vec::new();
-        for part in &p.parts {
-            for (ls, ld, w) in part.local_graph.all_edges() {
-                global_edges.push((part.global_of(ls), part.global_of(ld), w));
-            }
-        }
-        let mut want: Vec<(u32, u32, u32)> = g.all_edges().collect();
-        global_edges.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(global_edges, want);
-    }
-
-    #[test]
-    fn single_host_has_no_mirrors() {
-        let g = gen::uniform_random(30, 100, 4, 3);
-        let p = partition_blocked(&g, 1);
-        assert_eq!(p.parts[0].mirrors().count(), 0);
-        assert!((p.replication_factor() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn replication_factor_grows_with_hosts() {
-        let g = gen::rmat(7, 8, 11, gen::RMAT_GRAPH500);
-        let r2 = partition_blocked(&g, 2).replication_factor();
-        let r8 = partition_blocked(&g, 8).replication_factor();
-        assert!(r8 > r2, "replication 8 hosts {r8} vs 2 hosts {r2}");
-    }
-
-    #[test]
-    fn full_replica_structure() {
-        let p = partition_full_replica(10, 4);
-        p.verify();
-        assert!((p.replication_factor() - 4.0).abs() < 1e-9);
-        for part in &p.parts {
-            assert_eq!(part.n_local(), 10);
-            // Masters = this host's block size.
-            let block = master_block(10, 4, part.host);
-            assert_eq!(part.masters().count(), block.len());
-        }
-        // Every node has n_hosts - 1 mirrors.
-        for hosts in &p.mirror_hosts {
-            assert_eq!(hosts.len(), 3);
-        }
-    }
-
-    #[test]
-    fn full_replica_single_host() {
-        let p = partition_full_replica(5, 1);
-        p.verify();
-        assert_eq!(p.parts[0].mirrors().count(), 0);
-    }
-
     proptest! {
-        #[test]
-        fn prop_blocked_invariants(
-            n in 1usize..40,
-            n_hosts in 1usize..8,
-            raw in proptest::collection::vec((0u32..40, 0u32..40), 0..150),
-        ) {
-            let edges: Vec<(u32, u32, ())> = raw
-                .into_iter()
-                .map(|(s, d)| (s % n as u32, d % n as u32, ()))
-                .collect();
-            let g = crate::csr::Csr::from_edges(n, &edges);
-            let p = partition_blocked(&g, n_hosts);
-            p.verify();
-            // Edge count preserved.
-            let total: usize = p.parts.iter().map(|x| x.local_graph.n_edges()).sum();
-            prop_assert_eq!(total, g.n_edges());
-        }
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn prop_master_host_total(n in 1usize..200, h in 1usize..16) {
-            // master_host is a total function over the node range.
-            for node in 0..n as u32 {
-                let owner = master_host(n, h, node);
-                prop_assert!(owner < h);
+        fn blocks_tile_the_nodes_and_master_host_inverts_them(n in 1usize..300, h in 1usize..33) {
+            // Host order, no gap, no overlap; with h > n some blocks are empty.
+            let mut end = 0u32;
+            for host in 0..h {
+                let block = master_block(n, h, host);
+                prop_assert_eq!(block.start, end, "n={} h={} host={}", n, h, host);
+                prop_assert!(block.start <= block.end, "n={} h={} host={}", n, h, host);
+                end = block.end;
+            }
+            prop_assert_eq!(end as usize, n, "n={} h={}", n, h);
+            for v in 0..n as u32 {
+                let owner = master_host(n, h, v);
+                prop_assert!(
+                    master_block(n, h, owner).contains(&v),
+                    "n={} h={} v={} owner={}", n, h, v, owner
+                );
             }
         }
     }

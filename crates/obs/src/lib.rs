@@ -7,8 +7,8 @@
 //!
 //! - **Disabled** (the default): every recording call is one relaxed
 //!   atomic load and a predicted branch. Spans never read the clock.
-//!   This is the contract that lets the hot layers (`gw2v-graph` BSP
-//!   sync, `gw2v-gluon` rounds, `gw2v-core` trainers) stay permanently
+//!   This is the contract that lets the hot layers (`gw2v-gluon` rounds,
+//!   `gw2v-core` trainers, `gw2v-serve` batches) stay permanently
 //!   instrumented.
 //! - **Enabled** (via [`set_enabled`] or `GW2V_METRICS=1`): counters and
 //!   histograms record through relaxed atomics on cached handles; spans
