@@ -15,10 +15,11 @@ use gw2v_core::model::Word2VecModel;
 use gw2v_core::params::Hyperparams;
 use gw2v_core::trainer_hogbatch::HogBatchTrainer;
 use gw2v_corpus::datasets::Scale;
+use gw2v_corpus::file::build_vocab_streaming;
 use gw2v_corpus::graphs::{even_blocks, holdout_split, sample_negative_edges, sbm};
 use gw2v_corpus::shard::Corpus;
-use gw2v_corpus::tokenizer::{sentences_from_text, TokenizerConfig};
-use gw2v_corpus::vocab::{VocabBuilder, Vocabulary};
+use gw2v_corpus::tokenizer::TokenizerConfig;
+use gw2v_corpus::vocab::Vocabulary;
 use gw2v_corpus::walks::{generate_walks, WalkParams};
 use gw2v_eval::linkpred::{evaluate_link_prediction, LinkScore};
 use gw2v_util::table::{Align, Table};
@@ -41,11 +42,8 @@ type TrainRun<'a> = Box<dyn Fn() -> Word2VecModel + 'a>;
 
 fn train_corpus(walk_text: &str) -> (Vocabulary, Corpus) {
     let cfg = TokenizerConfig::default();
-    let mut b = VocabBuilder::new();
-    for s in sentences_from_text(walk_text, cfg.clone()) {
-        b.add_sentence(&s);
-    }
-    let vocab = b.build(1);
+    let vocab =
+        build_vocab_streaming(walk_text.as_bytes(), cfg.clone(), 1).expect("in-memory read");
     let corpus = Corpus::from_text(walk_text, &vocab, cfg);
     (vocab, corpus)
 }

@@ -19,10 +19,11 @@
 
 use gw2v_core::params::Hyperparams;
 use gw2v_corpus::datasets::{DatasetPreset, Scale, PRESETS};
+use gw2v_corpus::file::build_vocab_streaming;
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::synth::SynthCorpus;
-use gw2v_corpus::tokenizer::{sentences_from_text, TokenizerConfig};
-use gw2v_corpus::vocab::{VocabBuilder, Vocabulary};
+use gw2v_corpus::tokenizer::TokenizerConfig;
+use gw2v_corpus::vocab::Vocabulary;
 use gw2v_obs::{MetricsSnapshot, Provenance};
 use serde::{Serialize, Value};
 use std::path::Path;
@@ -43,11 +44,8 @@ pub struct PreparedDataset {
 pub fn prepare(preset: &'static DatasetPreset, scale: Scale, seed: u64) -> PreparedDataset {
     let synth = preset.generate(scale, seed);
     let tok_cfg = TokenizerConfig::default();
-    let mut builder = VocabBuilder::new();
-    for sentence in sentences_from_text(&synth.text, tok_cfg.clone()) {
-        builder.add_sentence(&sentence);
-    }
-    let vocab = builder.build(1);
+    let vocab = build_vocab_streaming(synth.text.as_bytes(), tok_cfg.clone(), 1)
+        .expect("in-memory read cannot fail");
     let corpus = Corpus::from_text(&synth.text, &vocab, tok_cfg);
     PreparedDataset {
         preset,

@@ -134,3 +134,52 @@ fn a_nan_row_is_never_served_as_a_hit() {
     assert_eq!(String::from_utf8(single.stdout).unwrap(), text);
     std::fs::remove_file(&model).ok();
 }
+
+#[test]
+fn a_word_with_unicode_whitespace_trains_saves_loads_and_is_served() {
+    // The tokenizer splits on ASCII whitespace only, so U+00A0 and
+    // U+3000 sit inside these words — and so must they for the model
+    // reader and the query parser.
+    let corpus = tmp("unicode_corpus.txt");
+    let model = tmp("unicode_model.txt");
+    let words = ["eps\u{3000}ilon", "no\u{a0}break", "alpha", "beta", "gamma"];
+    let mut text = String::new();
+    for i in 0..300 {
+        text.push_str(words[i % words.len()]);
+        text.push(if i % 7 == 6 { '\n' } else { ' ' });
+    }
+    std::fs::write(&corpus, text).unwrap();
+    let train = Command::new(env!("CARGO_BIN_EXE_gw2v"))
+        .args(["train", "--input", corpus.to_str().unwrap()])
+        .args(["--out", model.to_str().unwrap()])
+        .args(["--trainer", "seq", "--dim", "8", "--epochs", "1"])
+        .args(["--negative", "2", "--subsample", "0"])
+        .output()
+        .expect("spawn gw2v");
+    assert!(
+        train.status.success(),
+        "{}",
+        String::from_utf8_lossy(&train.stderr)
+    );
+    let out = serve_raw(&model, &[], "sim eps\u{3000}ilon\nsim no\u{a0}break\n");
+    assert!(
+        out.status.success(),
+        "gw2v serve exited {}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let answers = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<&str> = answers.lines().collect();
+    assert_eq!(lines.len(), 2, "{answers}");
+    assert!(
+        lines[0].starts_with("{\"kind\":\"sim\",\"words\":[\"eps\u{3000}ilon\"],\"hits\":[{"),
+        "{answers}"
+    );
+    assert!(
+        lines[1].starts_with("{\"kind\":\"sim\",\"words\":[\"no\u{a0}break\"],\"hits\":[{"),
+        "{answers}"
+    );
+    assert_eq!(lines[0].matches("\"id\":").count(), words.len() - 1);
+    std::fs::remove_file(&corpus).ok();
+    std::fs::remove_file(&model).ok();
+}

@@ -7,25 +7,27 @@
 //! construction over a `BufRead` without materializing sentences, plus
 //! helpers to write/read corpora and to stream a specific *host
 //! partition* of a file (contiguous byte range snapped to whitespace
-//! boundaries, §4.2).
+//! boundaries, §4.2). Neither pass holds more than the reader's buffer
+//! and one sentence besides its output: the vocabulary pass counts
+//! tokens in place, and the encode pass turns each window straight into
+//! ids (see [`tokenizer`](crate::tokenizer)).
 
-use crate::tokenizer::{SentenceStream, TokenizerConfig};
+use crate::tokenizer::{TokenizerConfig, Tokens};
 use crate::vocab::{VocabBuilder, Vocabulary};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// Streams a reader once and builds the vocabulary (never holds more
-/// than one sentence in memory).
+/// Streams a reader once and builds the vocabulary. Tokens are counted
+/// in place; only a word not seen before is copied.
 pub fn build_vocab_streaming<R: BufRead>(
     reader: R,
     config: TokenizerConfig,
     min_count: u64,
 ) -> std::io::Result<Vocabulary> {
+    let mut tokens = Tokens::new(reader, &config);
     let mut builder = VocabBuilder::new();
-    for sentence in SentenceStream::new(reader, config) {
-        builder.add_sentence(&sentence?);
-    }
+    while tokens.window(|word| builder.add_token(word))? > 0 {}
     Ok(builder.build(min_count))
 }
 
@@ -67,15 +69,7 @@ pub fn read_partition<P: AsRef<Path>>(
         return Ok(Vec::new());
     }
     file.seek(SeekFrom::Start(start))?;
-    let reader = BufReader::new(file.take(end - start));
-    let mut sentences = Vec::new();
-    for sentence in SentenceStream::new(reader, config) {
-        let encoded = vocab.encode_sentence(&sentence?);
-        if !encoded.is_empty() {
-            sentences.push(encoded);
-        }
-    }
-    Ok(sentences)
+    Tokens::new(BufReader::new(file.take(end - start)), &config).encode(vocab)
 }
 
 /// Returns the first byte offset at or after `pos` that begins a token

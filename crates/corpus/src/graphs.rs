@@ -243,7 +243,26 @@ impl WalkGraph {
 /// node this way, so trainers, evaluators and the CLI agree on the
 /// mapping between node ids and embedding rows.
 pub fn node_word(u: u32) -> String {
-    format!("n{u}")
+    let mut word = String::with_capacity(11);
+    push_node_word(&mut word, u);
+    word
+}
+
+/// Appends [`node_word`]`(u)` to `text` without a `String` of its own.
+pub(crate) fn push_node_word(text: &mut String, u: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    let mut rest = u;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    text.push('n');
+    text.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Parses a node token written by [`node_word`] back to its id.
@@ -673,6 +692,21 @@ mod tests {
     #[test]
     fn node_word_roundtrip() {
         assert_eq!(node_word(17), "n17");
+        for u in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            4_095,
+            1_000_000,
+            u32::MAX - 1,
+            u32::MAX,
+        ] {
+            assert_eq!(node_word(u), format!("n{u}"));
+            assert_eq!(parse_node_word(&node_word(u)), Some(u));
+        }
         assert_eq!(parse_node_word("n17"), Some(17));
         assert_eq!(parse_node_word("x17"), None);
         assert_eq!(parse_node_word("n"), None);

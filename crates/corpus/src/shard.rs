@@ -9,7 +9,7 @@
 //! counts (not sentence counts), since per-token work is what must be
 //! balanced across hosts.
 
-use crate::tokenizer::{sentences_from_text, TokenizerConfig};
+use crate::tokenizer::{TokenizerConfig, Tokens};
 use crate::vocab::Vocabulary;
 
 /// An encoded in-memory corpus: sentences of word ids.
@@ -23,12 +23,11 @@ impl Corpus {
     /// Encodes raw text through a vocabulary. Out-of-vocabulary words are
     /// dropped; sentences that become empty are discarded.
     pub fn from_text(text: &str, vocab: &Vocabulary, config: TokenizerConfig) -> Self {
-        let sentences: Vec<Vec<u32>> = sentences_from_text(text, config)
-            .iter()
-            .map(|s| vocab.encode_sentence(s))
-            .filter(|s| !s.is_empty())
-            .collect();
-        Self::from_sentences(sentences)
+        Self::from_sentences(
+            Tokens::new(text.as_bytes(), &config)
+                .encode(vocab)
+                .expect("in-memory text is UTF-8 and cannot fail to read"),
+        )
     }
 
     /// Wraps pre-encoded sentences.

@@ -6,15 +6,24 @@
 //! [`TokenizerConfig::max_sentence_len`] words (the paper uses 10 000);
 //! this caps the memory the per-sentence buffers need and bounds the
 //! context-window wraparound.
+//!
+//! Every set-up pass — [`SentenceStream`], the streaming vocabulary
+//! builder, [`Corpus::from_text`](crate::shard::Corpus::from_text) and
+//! the file partition reader — runs the one token loop of this module,
+//! which hands each token to its client as a `&str` borrowed from the
+//! reader's buffer: counting and encoding allocate per distinct word and
+//! per sentence, never per token.
 
-use std::io::BufRead;
+use crate::vocab::Vocabulary;
+use std::io::{BufRead, ErrorKind};
 
 /// Tokenizer configuration.
 #[derive(Clone, Debug)]
 pub struct TokenizerConfig {
     /// Convert tokens to ASCII lowercase.
     pub lowercase: bool,
-    /// Maximum words per training sentence; longer runs are split.
+    /// Maximum words per training sentence; longer runs are split. Must
+    /// be at least 1.
     pub max_sentence_len: usize,
 }
 
@@ -27,34 +36,178 @@ impl Default for TokenizerConfig {
     }
 }
 
-/// Splits one line into word tokens (ASCII whitespace separated).
-pub fn tokenize_line(line: &str) -> impl Iterator<Item = &str> {
-    line.split_ascii_whitespace()
+/// The one token loop. It defines, once, that
+///
+/// - a token is a run of non-ASCII-whitespace bytes;
+/// - with `lowercase`, a token is lowercased into one reused buffer, and
+///   only if it has an upper-case byte;
+/// - a window closes after every `max_sentence_len` raw tokens, whether
+///   or not its client keeps them — so the sentence structure of the
+///   text (newlines) creates no boundary, matching the C implementation's
+///   treatment of a corpus as one long word stream chopped into fixed
+///   windows.
+///
+/// A token is read in place from the reader's buffer; only one cut by
+/// the end of that buffer is copied, into a second reused buffer.
+pub(crate) struct Tokens<R> {
+    reader: R,
+    lowercase: bool,
+    max_sentence_len: usize,
+    /// Raw tokens fed to the open window so far.
+    in_window: usize,
+    /// The start of a token the reader's buffer ended inside.
+    cut: Vec<u8>,
+    /// Where a token with an upper-case byte is lowercased.
+    lower: Vec<u8>,
+}
+
+impl<R: BufRead> Tokens<R> {
+    /// Tokens of `reader` under `config`.
+    ///
+    /// # Panics
+    ///
+    /// If `config.max_sentence_len` is 0: no window could close.
+    pub(crate) fn new(reader: R, config: &TokenizerConfig) -> Self {
+        assert!(
+            config.max_sentence_len > 0,
+            "TokenizerConfig::max_sentence_len must be at least 1"
+        );
+        Self {
+            reader,
+            lowercase: config.lowercase,
+            max_sentence_len: config.max_sentence_len,
+            in_window: 0,
+            cut: Vec::new(),
+            lower: Vec::new(),
+        }
+    }
+
+    /// Feeds the tokens of the next window to `sink` and returns how many
+    /// it fed: `max_sentence_len` for a full window, fewer for the last
+    /// one, 0 once the input is exhausted.
+    ///
+    /// A read error, or a token that is not UTF-8, is returned with the
+    /// window left open: the next call goes on filling it.
+    pub(crate) fn window(&mut self, mut sink: impl FnMut(&str)) -> std::io::Result<usize> {
+        while self.in_window < self.max_sentence_len {
+            let buf = match self.reader.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if buf.is_empty() {
+                // End of input ends a cut token.
+                if !self.cut.is_empty() {
+                    let fed = feed(&self.cut, self.lowercase, &mut self.lower, &mut sink);
+                    self.cut.clear();
+                    fed?;
+                    self.in_window += 1;
+                }
+                break;
+            }
+            let mut at = 0;
+            let mut fed = Ok(());
+            while self.in_window < self.max_sentence_len {
+                if self.cut.is_empty() {
+                    at += buf[at..]
+                        .iter()
+                        .position(|b| !b.is_ascii_whitespace())
+                        .unwrap_or(buf.len() - at);
+                    if at == buf.len() {
+                        break;
+                    }
+                }
+                let start = at;
+                at += buf[at..]
+                    .iter()
+                    .position(u8::is_ascii_whitespace)
+                    .unwrap_or(buf.len() - at);
+                if at == buf.len() {
+                    // The token may go on in the next buffer.
+                    self.cut.extend_from_slice(&buf[start..]);
+                    break;
+                }
+                fed = if self.cut.is_empty() {
+                    feed(&buf[start..at], self.lowercase, &mut self.lower, &mut sink)
+                } else {
+                    self.cut.extend_from_slice(&buf[start..at]);
+                    let fed = feed(&self.cut, self.lowercase, &mut self.lower, &mut sink);
+                    self.cut.clear();
+                    fed
+                };
+                if fed.is_err() {
+                    break;
+                }
+                self.in_window += 1;
+            }
+            self.reader.consume(at);
+            fed?;
+        }
+        Ok(std::mem::take(&mut self.in_window))
+    }
+
+    /// Encodes every window through `vocab`: out-of-vocabulary words are
+    /// dropped and a window left empty is no sentence. Ids are collected
+    /// in one reused buffer and each sentence is copied out at its exact
+    /// length.
+    pub(crate) fn encode(mut self, vocab: &Vocabulary) -> std::io::Result<Vec<Vec<u32>>> {
+        let mut sentences = Vec::new();
+        let mut ids = Vec::new();
+        while self.window(|word| ids.extend(vocab.id_of(word)))? > 0 {
+            if !ids.is_empty() {
+                sentences.push(ids.clone());
+                ids.clear();
+            }
+        }
+        Ok(sentences)
+    }
+}
+
+/// Hands one token to `sink`, lowercased in `lower` if asked to and if
+/// it has an upper-case byte.
+fn feed(
+    token: &[u8],
+    lowercase: bool,
+    lower: &mut Vec<u8>,
+    sink: &mut impl FnMut(&str),
+) -> std::io::Result<()> {
+    let token = if lowercase && token.iter().any(u8::is_ascii_uppercase) {
+        lower.clear();
+        lower.extend_from_slice(token);
+        lower.make_ascii_lowercase();
+        lower.as_slice()
+    } else {
+        token
+    };
+    // ASCII whitespace never occurs inside a multi-byte character, so a
+    // token of UTF-8 text is UTF-8 on its own.
+    let word = std::str::from_utf8(token).map_err(|_| {
+        std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })?;
+    sink(word);
+    Ok(())
 }
 
 /// Streams sentences from a reader.
 ///
-/// Each yielded sentence has between 1 and `config.max_sentence_len`
-/// tokens. Input lines are concatenated into the running sentence buffer;
-/// the buffer is flushed when it reaches the maximum length, so the
-/// sentence structure of the text (newlines) does *not* create sentence
-/// boundaries — matching the C implementation's treatment of a corpus as
-/// one long word stream chopped into fixed windows.
+/// Each yielded sentence is one window of the token loop: between 1 and
+/// `config.max_sentence_len` tokens, as owned strings. Input lines do not
+/// end sentences.
+///
+/// # Panics
+///
+/// [`SentenceStream::new`] panics if `config.max_sentence_len` is 0.
 pub struct SentenceStream<R: BufRead> {
-    reader: R,
-    config: TokenizerConfig,
+    tokens: Tokens<R>,
     pending: Vec<String>,
-    done: bool,
 }
 
 impl<R: BufRead> SentenceStream<R> {
     /// Creates a stream over `reader` with the given config.
     pub fn new(reader: R, config: TokenizerConfig) -> Self {
         Self {
-            reader,
-            config,
+            tokens: Tokens::new(reader, &config),
             pending: Vec::new(),
-            done: false,
         }
     }
 }
@@ -63,44 +216,18 @@ impl<R: BufRead> Iterator for SentenceStream<R> {
     type Item = std::io::Result<Vec<String>>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let max = self.config.max_sentence_len;
-        let mut line = String::new();
-        loop {
-            if self.pending.len() >= max {
-                let rest = self.pending.split_off(max);
-                let full = std::mem::replace(&mut self.pending, rest);
-                return Some(Ok(full));
-            }
-            if self.done {
-                if self.pending.is_empty() {
-                    return None;
-                }
-                return Some(Ok(std::mem::take(&mut self.pending)));
-            }
-            line.clear();
-            match self.reader.read_line(&mut line) {
-                Err(e) => return Some(Err(e)),
-                Ok(0) => {
-                    self.done = true;
-                }
-                Ok(_) => {
-                    for tok in tokenize_line(&line) {
-                        let word = if self.config.lowercase {
-                            tok.to_ascii_lowercase()
-                        } else {
-                            tok.to_owned()
-                        };
-                        self.pending.push(word);
-                    }
-                }
-            }
+        let pending = &mut self.pending;
+        match self.tokens.window(|word| pending.push(word.to_owned())) {
+            Err(e) => Some(Err(e)),
+            Ok(_) if pending.is_empty() => None,
+            Ok(_) => Some(Ok(std::mem::take(pending))),
         }
     }
 }
 
 /// Convenience: collect all sentences from an in-memory text.
 pub fn sentences_from_text(text: &str, config: TokenizerConfig) -> Vec<Vec<String>> {
-    SentenceStream::new(std::io::Cursor::new(text), config)
+    SentenceStream::new(text.as_bytes(), config)
         .map(|s| s.expect("in-memory read cannot fail"))
         .collect()
 }
@@ -108,23 +235,43 @@ pub fn sentences_from_text(text: &str, config: TokenizerConfig) -> Vec<Vec<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file::{build_vocab_streaming, read_partition};
+    use crate::shard::Corpus;
+    use crate::vocab::VocabBuilder;
+    use proptest::prelude::*;
+    use std::io::BufReader;
+
+    fn cfg(lowercase: bool, max_sentence_len: usize) -> TokenizerConfig {
+        TokenizerConfig {
+            lowercase,
+            max_sentence_len,
+        }
+    }
 
     #[test]
-    fn tokenize_line_splits_whitespace() {
-        let toks: Vec<&str> = tokenize_line("  the quick\tbrown   fox ").collect();
-        assert_eq!(toks, vec!["the", "quick", "brown", "fox"]);
-        assert_eq!(tokenize_line("").count(), 0);
-        assert_eq!(tokenize_line("   \t ").count(), 0);
+    fn tokens_split_on_ascii_whitespace_only() {
+        let sents = sentences_from_text(
+            "  the quick\tbrown\r\n fox\x0cjumps a\u{a0}b x\u{3000}y v\x0bt ",
+            TokenizerConfig::default(),
+        );
+        assert_eq!(
+            sents,
+            vec![vec![
+                "the",
+                "quick",
+                "brown",
+                "fox",
+                "jumps",
+                "a\u{a0}b",
+                "x\u{3000}y",
+                "v\x0bt"
+            ]]
+        );
     }
 
     #[test]
     fn stream_respects_max_len() {
-        let text = "a b c d e f g";
-        let cfg = TokenizerConfig {
-            lowercase: false,
-            max_sentence_len: 3,
-        };
-        let sents = sentences_from_text(text, cfg);
+        let sents = sentences_from_text("a b c d e f g", cfg(false, 3));
         assert_eq!(
             sents,
             vec![vec!["a", "b", "c"], vec!["d", "e", "f"], vec!["g"]]
@@ -133,23 +280,14 @@ mod tests {
 
     #[test]
     fn newlines_do_not_break_sentences() {
-        let text = "a b\nc d\ne";
-        let cfg = TokenizerConfig {
-            lowercase: false,
-            max_sentence_len: 4,
-        };
-        let sents = sentences_from_text(text, cfg);
+        let sents = sentences_from_text("a b\nc d\ne", cfg(false, 4));
         assert_eq!(sents, vec![vec!["a", "b", "c", "d"], vec!["e"]]);
     }
 
     #[test]
     fn lowercase_option() {
-        let cfg = TokenizerConfig {
-            lowercase: true,
-            max_sentence_len: 10,
-        };
-        let sents = sentences_from_text("The QUICK Fox", cfg);
-        assert_eq!(sents, vec![vec!["the", "quick", "fox"]]);
+        let sents = sentences_from_text("The QUICK Fox Ünï", cfg(true, 10));
+        assert_eq!(sents, vec![vec!["the", "quick", "fox", "Ünï"]]);
     }
 
     #[test]
@@ -160,11 +298,154 @@ mod tests {
 
     #[test]
     fn exact_multiple_of_max_len() {
-        let cfg = TokenizerConfig {
-            lowercase: false,
-            max_sentence_len: 2,
-        };
-        let sents = sentences_from_text("a b c d", cfg);
+        let sents = sentences_from_text("a b c d", cfg(false, 2));
         assert_eq!(sents, vec![vec!["a", "b"], vec!["c", "d"]]);
+    }
+
+    #[test]
+    fn tokens_cut_by_a_one_byte_buffer_stay_whole() {
+        let reader = BufReader::with_capacity(1, "ab  c\u{3000}d\ne".as_bytes());
+        let sents: Vec<Vec<String>> = SentenceStream::new(reader, cfg(false, 2))
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(sents, vec![vec!["ab", "c\u{3000}d"], vec!["e"]]);
+    }
+
+    #[test]
+    fn a_token_that_is_not_utf8_is_an_error_and_the_stream_goes_on() {
+        let bytes: &[u8] = b"a \xff\xfe b c";
+        let got: Vec<_> = SentenceStream::new(bytes, cfg(false, 2))
+            .map(|s| s.map_err(|e| e.kind()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                Err(ErrorKind::InvalidData),
+                Ok(vec!["a".to_owned(), "b".to_owned()]),
+                Ok(vec!["c".to_owned()]),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "TokenizerConfig::max_sentence_len must be at least 1")]
+    fn zero_max_sentence_len_is_refused_not_a_hang() {
+        sentences_from_text("a b", cfg(false, 0));
+    }
+
+    /// The tokenizer as it was before the token loop, composed with
+    /// vocabulary counting and encoding the way every set-up pass used to
+    /// be: one line at a time, one owned `String` per token, windows split
+    /// off the pending list, and every window held before it is encoded.
+    fn oracle_sentences(text: &str, config: &TokenizerConfig) -> Vec<Vec<String>> {
+        let max = config.max_sentence_len;
+        let (mut out, mut pending) = (Vec::new(), Vec::<String>::new());
+        for line in text.split_inclusive('\n') {
+            pending.extend(line.split_ascii_whitespace().map(|tok| {
+                if config.lowercase {
+                    tok.to_ascii_lowercase()
+                } else {
+                    tok.to_owned()
+                }
+            }));
+            while pending.len() >= max {
+                let rest = pending.split_off(max);
+                out.push(std::mem::replace(&mut pending, rest));
+            }
+        }
+        if !pending.is_empty() {
+            out.push(pending);
+        }
+        out
+    }
+
+    fn oracle_vocab(sentences: &[Vec<String>], min_count: u64) -> Vocabulary {
+        let mut b = VocabBuilder::new();
+        for s in sentences {
+            b.add_sentence(s);
+        }
+        b.build(min_count)
+    }
+
+    fn oracle_encode(sentences: &[Vec<String>], vocab: &Vocabulary) -> Vec<Vec<u32>> {
+        sentences
+            .iter()
+            .map(|s| vocab.encode_sentence(s))
+            .filter(|s| !s.is_empty())
+            .collect()
+    }
+
+    /// Text pieces: words in both cases, words that stay out of the
+    /// vocabulary, every ASCII whitespace byte, `\x0b` (not ASCII
+    /// whitespace) and U+00A0 / U+3000 inside tokens. Pieces abut, so
+    /// words also run together into longer tokens.
+    const PIECES: [&str; 20] = [
+        "the",
+        "The",
+        "THE",
+        "fox",
+        "Fox",
+        "dog",
+        "ünï",
+        "Ünï",
+        "a\u{a0}b",
+        "x\u{3000}y",
+        "oovX",
+        "zz",
+        " ",
+        "\t",
+        "\n",
+        "\r",
+        "\x0c",
+        "  ",
+        "\r\n",
+        "v\x0bt",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every client of the token loop equals the oracle: the
+        /// sentence stream (through a reader buffer as small as one
+        /// byte), the streaming vocabulary, `Corpus::from_text` and a
+        /// one-host file partition.
+        #[test]
+        fn token_loop_clients_equal_the_collect_then_encode_oracle(
+            pieces in proptest::collection::vec(0usize..PIECES.len(), 0..120),
+            max_sentence_len in 1usize..12,
+            lowercase in any::<bool>(),
+            min_count in 1u64..4,
+            capacity in 1usize..24,
+        ) {
+            let text: String = pieces.iter().map(|&i| PIECES[i]).collect();
+            let config = cfg(lowercase, max_sentence_len);
+            let want = oracle_sentences(&text, &config);
+
+            let reader = BufReader::with_capacity(capacity, text.as_bytes());
+            let got: Vec<Vec<String>> = SentenceStream::new(reader, config.clone())
+                .map(Result::unwrap)
+                .collect();
+            prop_assert_eq!(&got, &want);
+
+            let reader = BufReader::with_capacity(capacity, text.as_bytes());
+            let vocab = build_vocab_streaming(reader, config.clone(), min_count).unwrap();
+            let want_vocab = oracle_vocab(&want, min_count);
+            prop_assert_eq!(vocab.entries(), want_vocab.entries());
+            prop_assert_eq!(vocab.total_words(), want_vocab.total_words());
+
+            let want_ids = oracle_encode(&want, &vocab);
+            let corpus = Corpus::from_text(&text, &vocab, config.clone());
+            prop_assert_eq!(corpus.sentences(), want_ids.as_slice());
+
+            let path = std::env::temp_dir().join(format!(
+                "gw2v_token_loop_{}_{:?}.txt",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            std::fs::write(&path, &text).unwrap();
+            let part = read_partition(&path, 0, 1, &vocab, config);
+            std::fs::remove_file(&path).ok();
+            prop_assert_eq!(part.unwrap(), want_ids);
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! [`WalkGraph`].
 //!
 //! The generator turns a graph into plain text — one walk per line,
-//! nodes spelled via [`node_word`] — so the
+//! nodes spelled via [`node_word`](crate::graphs::node_word) — so the
 //! entire existing pipeline (tokenizer → vocabulary → sharded corpus →
 //! any trainer) consumes graphs *unchanged*. node2vec's second-order
 //! bias (Grover & Leskovec 2016) is controlled by the return parameter
@@ -22,7 +22,7 @@
 //! SIMD backends and engines (walk generation is pure scalar code; the
 //! CI graph-smoke job byte-compares scalar vs dispatched anyway).
 
-use crate::graphs::{node_word, WalkGraph};
+use crate::graphs::{push_node_word, WalkGraph};
 use crate::unigram::{AliasSampler, NegativeSampler};
 use gw2v_util::rng::{SplitMix64, Xoshiro256};
 
@@ -159,10 +159,11 @@ fn generate_impl(graph: &WalkGraph, params: &WalkParams, second_order: bool) -> 
     // First-order tables: uniform over each node's neighbours. Built
     // through the alias sampler (not a bare index draw) so biased and
     // uniform walks consume identical RNG streams.
+    let ones = vec![1.0; (0..n as u32).map(|u| graph.degree(u)).max().unwrap_or(0)];
     let node_tables: Vec<Option<AliasSampler>> = (0..n as u32)
         .map(|u| {
             let d = graph.degree(u);
-            (d > 0).then(|| AliasSampler::from_weights(&vec![1.0; d]))
+            (d > 0).then(|| AliasSampler::from_weights(&ones[..d]))
         })
         .collect();
     let edge_tables = second_order.then(|| SecondOrderTables::build(graph, params.p, params.q));
@@ -175,7 +176,7 @@ fn generate_impl(graph: &WalkGraph, params: &WalkParams, second_order: bool) -> 
             let mut rng = Xoshiro256::new(root.derive((round * n + start as usize) as u64));
             let mut prev = start;
             let mut cur = start;
-            text.push_str(&node_word(start));
+            push_node_word(&mut text, start);
             n_tokens += 1;
             for step in 1..params.walk_length {
                 let next = if step == 1 {
@@ -197,7 +198,7 @@ fn generate_impl(graph: &WalkGraph, params: &WalkParams, second_order: bool) -> 
                 prev = cur;
                 cur = next;
                 text.push(' ');
-                text.push_str(&node_word(cur));
+                push_node_word(&mut text, cur);
                 n_tokens += 1;
             }
             text.push('\n');

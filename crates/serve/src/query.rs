@@ -168,18 +168,20 @@ pub enum Query {
 impl Query {
     /// Parses one line of the query language. Blank lines and `#`
     /// comments yield `Ok(None)`; anything unrecognized is an error
-    /// naming the offending line.
+    /// naming the offending line. Words are split on ASCII whitespace,
+    /// as the tokenizer that made the vocabulary splits them, so a word
+    /// holding U+00A0 or U+3000 can be asked for.
     ///
     /// ```text
     /// sim king            # also: similar king
     /// analogy man king woman
     /// ```
     pub fn parse(line: &str) -> Result<Option<Query>, String> {
-        let line = line.split('#').next().unwrap_or("").trim();
+        let line = line.split('#').next().unwrap_or("").trim_ascii();
         if line.is_empty() {
             return Ok(None);
         }
-        let mut tok = line.split_whitespace();
+        let mut tok = line.split_ascii_whitespace();
         let verb = tok.next().expect("non-empty line has a first token");
         let rest: Vec<&str> = tok.collect();
         match (verb, rest.as_slice()) {
@@ -810,6 +812,14 @@ mod tests {
         assert!(Query::parse("sim a b").is_err());
         assert!(Query::parse("analogy a b").is_err());
         assert!(Query::parse("frobnicate x").is_err());
+        // Unicode whitespace is part of a word, as it is to the tokenizer.
+        assert_eq!(
+            Query::parse("\tsim eps\u{3000}ilon\u{a0}\r\n").unwrap(),
+            Some(Query::Similar {
+                word: "eps\u{3000}ilon\u{a0}".into()
+            })
+        );
+        assert!(Query::parse("sim a\u{a0}b").unwrap().is_some());
     }
 
     #[test]
