@@ -36,6 +36,11 @@ impl Default for TokenizerConfig {
     }
 }
 
+/// Bytes of the reader's buffer checked and split at a time. A reader
+/// whose buffer is the whole text, such as a `&[u8]`, would otherwise
+/// have the rest of it checked again for every window.
+const CHUNK: usize = 1 << 16;
+
 /// The one token loop. It defines, once, that
 ///
 /// - a token is a run of non-ASCII-whitespace bytes;
@@ -47,8 +52,10 @@ impl Default for TokenizerConfig {
 ///   treatment of a corpus as one long word stream chopped into fixed
 ///   windows.
 ///
-/// A token is read in place from the reader's buffer; only one cut by
-/// the end of that buffer is copied, into a second reused buffer.
+/// Tokens are read in place: the part of the reader's buffer up to its
+/// last whitespace byte is checked as UTF-8 once and split as a `&str`.
+/// Only a token cut by the end of the buffer is copied, into a reused
+/// buffer, and checked on its own.
 pub(crate) struct Tokens<R> {
     reader: R,
     lowercase: bool,
@@ -58,7 +65,7 @@ pub(crate) struct Tokens<R> {
     /// The start of a token the reader's buffer ended inside.
     cut: Vec<u8>,
     /// Where a token with an upper-case byte is lowercased.
-    lower: Vec<u8>,
+    lower: String,
 }
 
 impl<R: BufRead> Tokens<R> {
@@ -78,7 +85,7 @@ impl<R: BufRead> Tokens<R> {
             max_sentence_len: config.max_sentence_len,
             in_window: 0,
             cut: Vec::new(),
-            lower: Vec::new(),
+            lower: String::new(),
         }
     }
 
@@ -91,59 +98,82 @@ impl<R: BufRead> Tokens<R> {
     pub(crate) fn window(&mut self, mut sink: impl FnMut(&str)) -> std::io::Result<usize> {
         while self.in_window < self.max_sentence_len {
             let buf = match self.reader.fill_buf() {
-                Ok(buf) => buf,
+                Ok(buf) => &buf[..buf.len().min(CHUNK)],
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             };
             if buf.is_empty() {
                 // End of input ends a cut token.
                 if !self.cut.is_empty() {
-                    let fed = feed(&self.cut, self.lowercase, &mut self.lower, &mut sink);
-                    self.cut.clear();
-                    fed?;
-                    self.in_window += 1;
+                    self.feed_cut(&mut sink)?;
                 }
                 break;
             }
-            let mut at = 0;
-            let mut fed = Ok(());
-            while self.in_window < self.max_sentence_len {
-                if self.cut.is_empty() {
-                    at += buf[at..]
-                        .iter()
-                        .position(|b| !b.is_ascii_whitespace())
-                        .unwrap_or(buf.len() - at);
-                    if at == buf.len() {
-                        break;
+            let first_space = buf.iter().position(u8::is_ascii_whitespace);
+            if !self.cut.is_empty() || first_space.is_none() {
+                // A cut token goes on up to the first whitespace; a buffer
+                // with none is all one token's.
+                let end = first_space.unwrap_or(buf.len());
+                self.cut.extend_from_slice(&buf[..end]);
+                self.reader.consume(end);
+                if first_space.is_some() {
+                    self.feed_cut(&mut sink)?;
+                }
+                continue;
+            }
+            // Every token up to the last whitespace is whole.
+            let whole = buf
+                .iter()
+                .rposition(u8::is_ascii_whitespace)
+                .expect("the buffer has a whitespace byte")
+                + 1;
+            let text = match std::str::from_utf8(&buf[..whole]) {
+                Ok(text) => text,
+                Err(e) => {
+                    // ASCII whitespace never occurs inside a character, so
+                    // the tokens before the bad one are UTF-8 on their own.
+                    let valid = &buf[..e.valid_up_to()];
+                    match valid.iter().rposition(u8::is_ascii_whitespace) {
+                        Some(i) => std::str::from_utf8(&valid[..=i])
+                            .expect("a prefix of valid UTF-8 ending in ASCII"),
+                        None => {
+                            let bad_end = e.valid_up_to()
+                                + buf[e.valid_up_to()..]
+                                    .iter()
+                                    .position(u8::is_ascii_whitespace)
+                                    .expect("the checked bytes end in whitespace");
+                            self.reader.consume(bad_end);
+                            return Err(not_utf8());
+                        }
                     }
                 }
-                let start = at;
-                at += buf[at..]
-                    .iter()
-                    .position(u8::is_ascii_whitespace)
-                    .unwrap_or(buf.len() - at);
-                if at == buf.len() {
-                    // The token may go on in the next buffer.
-                    self.cut.extend_from_slice(&buf[start..]);
-                    break;
-                }
-                fed = if self.cut.is_empty() {
-                    feed(&buf[start..at], self.lowercase, &mut self.lower, &mut sink)
-                } else {
-                    self.cut.extend_from_slice(&buf[start..at]);
-                    let fed = feed(&self.cut, self.lowercase, &mut self.lower, &mut sink);
-                    self.cut.clear();
-                    fed
-                };
-                if fed.is_err() {
-                    break;
-                }
+            };
+            let mut used = text.len();
+            for word in text.split_ascii_whitespace() {
+                feed(word, self.lowercase, &mut self.lower, &mut sink);
                 self.in_window += 1;
+                if self.in_window == self.max_sentence_len {
+                    used = word.as_ptr() as usize - text.as_ptr() as usize + word.len();
+                    break;
+                }
             }
-            self.reader.consume(at);
-            fed?;
+            self.reader.consume(used);
         }
         Ok(std::mem::take(&mut self.in_window))
+    }
+
+    /// Feeds the cut token, if it is UTF-8, and empties it.
+    fn feed_cut(&mut self, sink: &mut impl FnMut(&str)) -> std::io::Result<()> {
+        let fed = match std::str::from_utf8(&self.cut) {
+            Ok(word) => {
+                feed(word, self.lowercase, &mut self.lower, sink);
+                self.in_window += 1;
+                Ok(())
+            }
+            Err(_) => Err(not_utf8()),
+        };
+        self.cut.clear();
+        fed
     }
 
     /// Encodes every window through `vocab`: out-of-vocabulary words are
@@ -165,27 +195,19 @@ impl<R: BufRead> Tokens<R> {
 
 /// Hands one token to `sink`, lowercased in `lower` if asked to and if
 /// it has an upper-case byte.
-fn feed(
-    token: &[u8],
-    lowercase: bool,
-    lower: &mut Vec<u8>,
-    sink: &mut impl FnMut(&str),
-) -> std::io::Result<()> {
-    let token = if lowercase && token.iter().any(u8::is_ascii_uppercase) {
+fn feed(word: &str, lowercase: bool, lower: &mut String, sink: &mut impl FnMut(&str)) {
+    if lowercase && word.bytes().any(|b| b.is_ascii_uppercase()) {
         lower.clear();
-        lower.extend_from_slice(token);
+        lower.push_str(word);
         lower.make_ascii_lowercase();
-        lower.as_slice()
+        sink(lower);
     } else {
-        token
-    };
-    // ASCII whitespace never occurs inside a multi-byte character, so a
-    // token of UTF-8 text is UTF-8 on its own.
-    let word = std::str::from_utf8(token).map_err(|_| {
-        std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
-    })?;
-    sink(word);
-    Ok(())
+        sink(word);
+    }
+}
+
+fn not_utf8() -> std::io::Error {
+    std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
 }
 
 /// Streams sentences from a reader.
@@ -313,18 +335,20 @@ mod tests {
 
     #[test]
     fn a_token_that_is_not_utf8_is_an_error_and_the_stream_goes_on() {
-        let bytes: &[u8] = b"a \xff\xfe b c";
-        let got: Vec<_> = SentenceStream::new(bytes, cfg(false, 2))
-            .map(|s| s.map_err(|e| e.kind()))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                Err(ErrorKind::InvalidData),
-                Ok(vec!["a".to_owned(), "b".to_owned()]),
-                Ok(vec!["c".to_owned()]),
-            ]
-        );
+        let want = vec![
+            Err(ErrorKind::InvalidData),
+            Ok(vec!["a".to_owned(), "b".to_owned()]),
+            Err(ErrorKind::InvalidData),
+            Ok(vec!["d".to_owned()]),
+        ];
+        let bytes: &[u8] = b"a \xff\xfe b  c\xe3\x80 d";
+        for capacity in [1, 2, 3, 5, 64] {
+            let reader = BufReader::with_capacity(capacity, bytes);
+            let got: Vec<_> = SentenceStream::new(reader, cfg(false, 2))
+                .map(|s| s.map_err(|e| e.kind()))
+                .collect();
+            assert_eq!(got, want, "buffer of {capacity}");
+        }
     }
 
     #[test]
