@@ -4,7 +4,8 @@
 //!
 //! * [`tokenizer`] — whitespace tokenization and streaming sentence
 //!   extraction with a maximum sentence length (the paper trains on
-//!   fixed-length "sentences" of up to 10 K words).
+//!   fixed-length "sentences" of up to 10 K words): the one token loop
+//!   that vocabulary counting, encoding and file partitions all run.
 //! * [`vocab`] — vocabulary construction (unique words + frequencies),
 //!   streaming and rayon-parallel shard-merge builders, `min_count`
 //!   filtering and frequency-descending id assignment, exactly as the
