@@ -142,3 +142,28 @@ fn resume_over_a_foreign_or_truncated_checkpoint_is_a_typed_error() {
     }
     std::fs::remove_file(&corpus).ok();
 }
+
+/// `kill=E` after the last epoch stops nothing: neither cluster trainer
+/// reports a kill, and both write the same, fully trained model.
+#[test]
+fn a_kill_after_the_last_epoch_stops_nothing() {
+    let corpus = tmp("last_kill_corpus.txt");
+    write_corpus(&corpus);
+    let mut models = Vec::new();
+    for trainer in ["dist", "threaded"] {
+        let out = tmp(&format!("last_kill_{trainer}.txt"));
+        let ckpt = tmp(&format!("last_kill_ckpt_{trainer}"));
+        let dir = ckpt.to_str().unwrap();
+        let flags = ["--trainer", trainer, "--hosts", "2", "--epochs", "2"];
+        let kill = ["--fault-plan", "kill=1", "--checkpoint-dir", dir];
+        let run = train(&corpus, &out, &[&flags[..], &kill].concat());
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        assert!(run.status.success(), "{trainer}: {stdout}");
+        assert!(!stdout.contains("killed"), "{trainer}: {stdout}");
+        models.push(std::fs::read(&out).unwrap());
+        std::fs::remove_file(&out).ok();
+        std::fs::remove_dir_all(&ckpt).ok();
+    }
+    assert!(models[0] == models[1], "dist and threaded models differ");
+    std::fs::remove_file(&corpus).ok();
+}

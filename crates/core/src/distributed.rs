@@ -13,17 +13,12 @@
 //! ```
 //!
 //! Hosts are simulated deterministically in id order within one OS
-//! thread (see DESIGN.md §1/§3 — this reproduction machine has one
-//! core); each host's compute phase is wall-clock timed individually, so
-//! per-round *virtual* time is `max_h(compute_h) + cost_model(volume)`,
-//! which is exactly what a BSP cluster would experience. The threaded
-//! engine in `gw2v-gluon` demonstrates the concurrent implementation of
-//! the same protocol.
-//!
-//! For [`SyncPlan::PullModel`] the engine runs the paper's *inspection*
-//! phase: after computing round `s` it replays round `s+1`'s edge
-//! generation against a [`RecordingStore`] with a cloned RNG — producing
-//! the exact per-host access sets the broadcast needs (§4.4).
+//! thread (DESIGN.md §1/§3), each driving its `host::HostWork` — the
+//! host side of the epoch (compute, wards, PullModel inspection) that
+//! [`crate::ThreadedTrainer`] drives concurrently. Each host's compute
+//! phase is wall-clock timed individually, so per-round *virtual* time
+//! is `max_h(compute_h) + cost_model(volume)`, which is what a BSP
+//! cluster would experience.
 //!
 //! # Fault tolerance (DESIGN.md §3d)
 //!
@@ -41,34 +36,29 @@
 //! bit-identically after a kill.
 
 use crate::checkpoint::Checkpoint;
+use crate::host::{
+    canonical, kill_epoch, save, slot_columns, start_liveness, Checkpointing, HostEnv, HostWork,
+};
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
-use crate::schedule::LrSchedule;
-use crate::setup::{TrainSetup, HOST_RNG_BASE, RECOVERY_RNG_BASE};
-use crate::sgns::{RecordingStore, ReplicaStore};
-use crate::trainer_hogbatch::{train_sentence_mode, MinibatchScratch, SgnsMode};
+use crate::trainer_hogbatch::SgnsMode;
 use gw2v_combiner::CombinerKind;
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_faults::{counters, FaultPlan, OnPartition};
 use gw2v_gluon::cost::CostModel;
 use gw2v_gluon::liveness::Liveness;
-use gw2v_gluon::plan::{AccessSets, SyncConfig, SyncPlan};
-use gw2v_gluon::sync::{assemble_canonical_live, sync_round_degraded, SyncScratch};
-use gw2v_gluon::threaded::{phases_per_round, REJOIN_CONTROL_BYTES};
+use gw2v_gluon::plan::SyncPlan;
+use gw2v_gluon::sync::{sync_round_degraded, SyncScratch};
+use gw2v_gluon::threaded::{phases_per_round, ClusterConfig, REJOIN_CONTROL_BYTES};
 use gw2v_gluon::volume::{CommStats, RoundVolume};
 use gw2v_gluon::wire::{entry_bytes, WireMode, WireState, FRAME_HEADER_BYTES};
 use gw2v_gluon::ModelReplica;
-use gw2v_util::rng::{SplitMix64, Xoshiro256};
 use std::path::PathBuf;
 use std::time::Instant;
 
 /// Sampled positive pairs per epoch-end loss probe (`core.loss` gauge).
 const LOSS_PROBE_PAIRS: usize = 256;
-
-/// Retry bound for the virtual retransmission model, mirroring the
-/// threaded engine's [`gw2v_gluon::ClusterConfig`] default `max_retries`.
-const VIRTUAL_MAX_RETRIES: u32 = 200;
 
 /// Distributed-run configuration.
 #[derive(Clone, Copy, Debug)]
@@ -95,8 +85,8 @@ pub struct DistConfig {
     /// Policy for fault-plan network partitions: `Stall` rides out the
     /// NAK loop bit-identically to faultless runs; `Degrade` marks the
     /// dormant side unreachable and keeps training on the reachable side
-    /// (deterministic crash/rejoin conversion, see
-    /// [`gw2v_faults::FaultPlan::degrade_partitions`]).
+    /// (a deterministic crash at the partition's first round and a rejoin
+    /// at the epoch it heals by).
     pub on_partition: OnPartition,
     /// Staleness bound for `Degrade`: a partition spanning more than
     /// this many rounds falls back to `Stall` (the dormant side would
@@ -180,9 +170,7 @@ pub struct DistributedTrainer {
     /// Cluster configuration.
     pub config: DistConfig,
     faults: FaultPlan,
-    checkpoint_dir: Option<PathBuf>,
-    checkpoint_every: usize,
-    resume: bool,
+    checkpointing: Checkpointing,
 }
 
 impl DistributedTrainer {
@@ -194,9 +182,7 @@ impl DistributedTrainer {
             params,
             config,
             faults: FaultPlan::none(),
-            checkpoint_dir: None,
-            checkpoint_every: 1,
-            resume: false,
+            checkpointing: Checkpointing::default(),
         }
     }
 
@@ -212,8 +198,8 @@ impl DistributedTrainer {
     /// planned kill).
     pub fn with_checkpointing(mut self, dir: impl Into<PathBuf>, every_epochs: usize) -> Self {
         assert!(every_epochs > 0, "checkpoint interval must be positive");
-        self.checkpoint_dir = Some(dir.into());
-        self.checkpoint_every = every_epochs;
+        self.checkpointing.dir = Some(dir.into());
+        self.checkpointing.every = every_epochs;
         self
     }
 
@@ -221,7 +207,7 @@ impl DistributedTrainer {
     /// checkpointing directory (if one exists and matches this run's
     /// fingerprint), continuing bit-identically to the run that wrote it.
     pub fn with_resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
+        self.checkpointing.resume = resume;
         self
     }
 
@@ -245,113 +231,30 @@ impl DistributedTrainer {
     ) -> TrainResult {
         let p = &self.params;
         let cfg = &self.config;
-        // Degrade mode rewrites qualifying partition specs into
-        // deterministic crash + rejoin pairs for the dormant side before
-        // training starts; everything downstream (liveness, adoption,
-        // rejoin state transfer) then runs the established crash
-        // machinery unchanged. Non-qualifying specs (duration beyond the
-        // staleness bound) stay in the plan and stall as usual.
-        let degraded_plan;
-        let plan = if cfg.on_partition == OnPartition::Degrade {
-            let (eff, converted) = self
-                .faults
-                .degrade_partitions(cfg.max_stale_rounds, cfg.sync_rounds);
-            for spec in &converted {
-                counters::bump(counters::INJECTED_PARTITION);
-                counters::bump(counters::DETECTED_PARTITION);
-                if spec.to_round.div_ceil(cfg.sync_rounds.max(1)) < p.epochs {
-                    // The dormant side's scheduled rejoin lands inside
-                    // the run: the partition heals deterministically.
-                    counters::bump(counters::RECOVERED_HEAL);
-                }
-            }
-            degraded_plan = eff;
-            &degraded_plan
-        } else {
-            &self.faults
-        };
-        let faults_on = !plan.is_inert();
         let h_count = cfg.n_hosts;
-        let s_count = cfg.sync_rounds;
-        let n_words = vocab.len();
         let wall_start = Instant::now();
-
-        let setup = TrainSetup::new(vocab, p);
-        let ctx = setup.ctx(p);
-        let init = Word2VecModel::init(n_words, p.dim, p.seed);
-        let mut replicas: Vec<ModelReplica> = (0..h_count)
-            .map(|_| ModelReplica::new(vec![init.syn0.clone(), init.syn1neg.clone()]))
-            .collect();
-        let root = SplitMix64::new(p.seed);
-        let mut rngs: Vec<Xoshiro256> = (0..h_count)
-            .map(|h| Xoshiro256::new(root.derive(HOST_RNG_BASE + h as u64)))
-            .collect();
-        let schedule = LrSchedule::new(
-            p.alpha,
-            p.min_alpha_frac,
-            corpus.total_tokens() as u64,
-            p.epochs,
-        );
-        let shards: Vec<_> = (0..h_count).map(|h| corpus.partition(h, h_count)).collect();
-        let sync_cfg = SyncConfig {
-            plan: cfg.plan,
-            combiner: cfg.combiner,
-        };
-
-        let mut stats = CommStats::default();
-        let mut compute_time = 0.0f64;
-        let mut comm_time = 0.0f64;
-        let mut pairs_trained = 0u64;
-        let mut processed = vec![0u64; h_count];
-        let mut scratch = MinibatchScratch::new();
-        let mut live = Liveness::all(h_count);
-        // Adoption map for dead partitions: `adopters[d]` is the survivor
-        // currently working host d's shard. A (re)assignment — first
-        // adoption, or re-adoption after the adopter itself dies —
-        // restarts d's worklist RNG on the deterministic recovery stream;
-        // the threaded engine applies the identical rule, which keeps
-        // degraded runs bit-comparable across engines.
-        let mut adopters: Vec<Option<usize>> = vec![None; h_count];
+        let env = HostEnv::new(p, cfg, &self.faults, corpus, vocab);
+        let plan = &env.faults;
+        let faults_on = !plan.is_inert();
         let fingerprint = Checkpoint::fingerprint_of(p, cfg);
-        let mut start_epoch = 0usize;
-        let mut resumed_from = None;
-
-        if self.resume {
-            let dir = self
-                .checkpoint_dir
-                .as_ref()
-                .expect("resume requires a checkpoint directory");
-            let resume_point = Checkpoint::resume_point(dir, fingerprint)
-                .unwrap_or_else(|e| panic!("resuming from {}: {e}", dir.display()));
-            if let Some(ckpt) = resume_point {
-                replicas = ckpt
-                    .layers
-                    .iter()
-                    .map(|layers| ModelReplica::new(layers.clone()))
-                    .collect();
-                for (rng, state) in rngs.iter_mut().zip(&ckpt.rng_states) {
-                    *rng = Xoshiro256::from_state(*state);
-                }
-                processed.copy_from_slice(&ckpt.processed);
-                for (h, &alive) in ckpt.alive.iter().enumerate() {
-                    if !alive {
-                        live.mark_dead(h);
-                    }
-                }
-                for (d, adopter) in adopters.iter_mut().enumerate() {
-                    if !live.is_alive(d) {
-                        *adopter = live.adopter_of(d);
-                    }
-                }
-                stats = ckpt.stats;
-                compute_time = ckpt.compute_time;
-                comm_time = ckpt.comm_time;
-                pairs_trained = ckpt.pairs_trained;
-                start_epoch = ckpt.epoch + 1;
-                resumed_from = Some(start_epoch);
-                counters::bump(counters::RECOVERED_RESUME);
-            }
-        }
+        let resume = self.checkpointing.resume_point(fingerprint);
+        let resume = resume.as_ref();
+        let start_epoch = resume.map_or(0, |c| c.epoch + 1);
+        let kill = kill_epoch(plan, start_epoch, p.epochs);
+        let mut live = start_liveness(h_count, resume);
+        let mut replicas: Vec<_> = (0..h_count).map(|h| env.start_replica(h, resume)).collect();
+        // A dead host's stream and position live in its adopter's ward,
+        // as they do on the threaded engine.
+        let mut work: Vec<_> = (0..h_count)
+            .map(|h| match resume {
+                Some(ckpt) => HostWork::restore(&env, h, ckpt, &live),
+                None => HostWork::fresh(&env, h),
+            })
+            .collect();
+        let mut stats = resume.map_or_else(CommStats::default, |c| c.stats);
+        let mut compute_time = resume.map_or(0.0, |c| c.compute_time);
+        let mut comm_time = resume.map_or(0.0, |c| c.comm_time);
+        let mut pairs_trained = resume.map_or(0, |c| c.pairs_trained);
 
         // Cached instrument handles: one registry lookup for the whole
         // run, then per-round recording is a relaxed atomic each. All of
@@ -376,219 +279,90 @@ impl DistributedTrainer {
         // Per-host compute seconds of the current round, reused across
         // rounds.
         let mut round_compute = vec![0.0f64; h_count];
-        let mut killed = false;
 
         for epoch in start_epoch..p.epochs {
             wire.iter_mut().for_each(WireState::begin_epoch);
             // ---- Epoch-boundary re-admission (rejoin=H@E). ----
-            if faults_on && !plan.rejoins.is_empty() {
-                let mut someone_rejoined = false;
-                for d in 0..h_count {
-                    if live.is_alive(d) || plan.rejoin_epoch(d) != Some(epoch) {
-                        continue;
-                    }
-                    // The adopter streams its full replica back; the
-                    // rejoiner resumes its worklist on the recovery
-                    // stream it was being carried on (`rngs[d]` holds
-                    // it), keeping the round bit-identical to a run
-                    // where the ward had never changed hands.
-                    let a = adopters[d].take().expect("dead host has an adopter");
-                    replicas[d] = ModelReplica::new(replicas[a].layers.clone());
-                    live.mark_alive(d);
-                    counters::bump(counters::RECOVERED_REJOIN);
-                    let bytes: u64 = replicas[d]
-                        .layers
-                        .iter()
-                        .map(|l| l.rows() as u64 * entry_bytes(l.dim()) as u64)
-                        .sum::<u64>()
-                        + REJOIN_CONTROL_BYTES;
-                    gw2v_obs::add("gluon.state_transfer_bytes", bytes);
-                    someone_rejoined = true;
-                }
-                // A rejoin can change effective masters, so re-evaluate
-                // the adoption map exactly like a death does: a migrated
-                // ward restarts on a fresh recovery stream (its schedule
-                // position survives in `processed`, which is RNG-free).
-                if someone_rejoined {
-                    for d in 0..h_count {
-                        if live.is_alive(d) {
-                            continue;
-                        }
-                        let a = live.adopter_of(d).expect("at least one survivor");
-                        if adopters[d] != Some(a) {
-                            adopters[d] = Some(a);
-                            rngs[d] = Xoshiro256::new(root.derive(RECOVERY_RNG_BASE + d as u64));
-                            counters::bump(counters::RECOVERED_ADOPT);
-                        }
-                    }
+            let rejoining = env.rejoining(&live, epoch);
+            for &d in &rejoining {
+                // The adopter hands the ward back and streams its full
+                // replica: the rejoiner resumes its worklist on the
+                // stream it was carried on.
+                let (a, ward) = (0..h_count)
+                    .filter(|&a| live.is_alive(a))
+                    .find_map(|a| Some((a, work[a].release(d)?)))
+                    .expect("dead host has an adopter");
+                replicas[d] = ModelReplica::new(replicas[a].layers.clone());
+                work[d].readmit(ward);
+                live.mark_alive(d);
+                counters::bump(counters::RECOVERED_REJOIN);
+                let bytes: u64 = replicas[d]
+                    .layers
+                    .iter()
+                    .map(|l| l.rows() as u64 * entry_bytes(l.dim()) as u64)
+                    .sum::<u64>()
+                    + REJOIN_CONTROL_BYTES;
+                gw2v_obs::add("gluon.state_transfer_bytes", bytes);
+            }
+            // A rejoin can change effective masters, hence wards.
+            if !rejoining.is_empty() {
+                for w in work.iter_mut().filter(|w| live.is_alive(w.host)) {
+                    w.adopt(&live, epoch, 0);
                 }
             }
-            for s in 0..s_count {
-                let g = epoch * s_count + s;
+            for s in 0..cfg.sync_rounds {
+                let g = epoch * cfg.sync_rounds + s;
                 let mut round_span = gw2v_obs::span("core.round").epoch(epoch).round(g);
                 let pairs_before = pairs_trained;
 
                 // ---- Scheduled crashes strike at the round boundary. ----
-                if faults_on {
-                    let mut someone_died = false;
-                    for h in 0..h_count {
-                        if live.is_alive(h) && plan.crash_round(h) == Some(g) {
-                            counters::bump(counters::INJECTED_CRASH);
-                            live.mark_dead(h);
-                            // The simulator notices instantly; the threaded
-                            // engine spins on its liveness registry for the
-                            // same effect.
-                            counters::bump(counters::DETECTED_CRASH);
-                            someone_died = true;
-                        }
-                    }
-                    if someone_died {
-                        for d in 0..h_count {
-                            if live.is_alive(d) {
-                                continue;
-                            }
-                            let a = live.adopter_of(d).expect("at least one survivor");
-                            if adopters[d] != Some(a) {
-                                adopters[d] = Some(a);
-                                rngs[d] =
-                                    Xoshiro256::new(root.derive(RECOVERY_RNG_BASE + d as u64));
-                                counters::bump(counters::RECOVERED_ADOPT);
-                            }
-                        }
+                let crashing = env.crashing(&live, g);
+                for &h in &crashing {
+                    counters::bump(counters::INJECTED_CRASH);
+                    live.mark_dead(h);
+                    // The simulator notices instantly; the threaded engine
+                    // waits on its liveness registry for the same effect.
+                    counters::bump(counters::DETECTED_CRASH);
+                }
+                if !crashing.is_empty() {
+                    for w in work.iter_mut().filter(|w| live.is_alive(w.host)) {
+                        w.adopt(&live, epoch, s);
                     }
                 }
 
                 // ---- Compute phase (each host timed individually). ----
                 round_compute.fill(0.0);
-                for h in 0..h_count {
+                for (h, w) in work.iter_mut().enumerate() {
                     if !live.is_alive(h) {
                         continue;
                     }
-                    let chunk = shards[h].round_chunk(s, s_count);
                     let t0 = Instant::now();
-                    for sentence in chunk.sentences() {
-                        let alpha = schedule.alpha_for_host(processed[h], h_count);
-                        let mut store = ReplicaStore {
-                            replica: &mut replicas[h],
-                        };
-                        pairs_trained += train_sentence_mode(
-                            cfg.sgns,
-                            &mut store,
-                            sentence,
-                            alpha,
-                            &ctx,
-                            &mut rngs[h],
-                            &mut scratch,
-                        );
-                        processed[h] += sentence.len() as u64;
-                    }
+                    pairs_trained += w.train_round(&mut replicas[h], s);
                     round_compute[h] = t0.elapsed().as_secs_f64();
-                    if faults_on {
-                        if let Some(delay) = plan.straggler_delay(h, g) {
-                            counters::bump(counters::INJECTED_STRAGGLE);
-                            // Virtual-clock injection: the barrier (the max
-                            // below) waits for the straggler.
-                            round_compute[h] += delay;
-                        }
-                    }
-                }
-
-                // ---- Adopted partitions: dead hosts' chunks, trained by
-                // their adopters on the adopters' replicas. ----
-                if faults_on {
-                    for d in 0..h_count {
-                        if live.is_alive(d) {
-                            continue;
-                        }
-                        let a = adopters[d].expect("dead host has an adopter");
-                        let chunk = shards[d].round_chunk(s, s_count);
-                        let t0 = Instant::now();
-                        for sentence in chunk.sentences() {
-                            let alpha = schedule.alpha_for_host(processed[d], h_count);
-                            let mut store = ReplicaStore {
-                                replica: &mut replicas[a],
-                            };
-                            pairs_trained += train_sentence_mode(
-                                cfg.sgns,
-                                &mut store,
-                                sentence,
-                                alpha,
-                                &ctx,
-                                &mut rngs[d],
-                                &mut scratch,
-                            );
-                            processed[d] += sentence.len() as u64;
-                        }
-                        round_compute[a] += t0.elapsed().as_secs_f64();
+                    if let Some(delay) = plan.straggler_delay(h, g).filter(|_| faults_on) {
+                        counters::bump(counters::INJECTED_STRAGGLE);
+                        // Virtual-clock injection: the barrier (the max
+                        // below) waits for the straggler.
+                        round_compute[h] += delay;
                     }
                 }
 
                 // ---- PullModel inspection of the *next* round (§4.4). ----
-                let access = if cfg.plan == SyncPlan::PullModel {
-                    let next = if s + 1 < s_count {
-                        Some(s + 1)
-                    } else if epoch + 1 < p.epochs {
-                        Some(0)
-                    } else {
-                        None
-                    };
-                    let mut sets = AccessSets::new(h_count, 2, n_words);
-                    if let Some(next_s) = next {
-                        for h in 0..h_count {
-                            if !live.is_alive(h) {
-                                continue;
-                            }
-                            let chunk = shards[h].round_chunk(next_s, s_count);
+                let access = env.access_sets(epoch, s, |next_s, sets| {
+                    for (h, w) in work.iter_mut().enumerate() {
+                        if live.is_alive(h) {
                             let t0 = Instant::now();
-                            // Clone: replaying must not advance the real stream.
-                            let mut probe_rng = rngs[h];
-                            let mut recorder = RecordingStore::new(n_words, p.dim);
-                            for sentence in chunk.sentences() {
-                                train_sentence_mode(
-                                    cfg.sgns,
-                                    &mut recorder,
-                                    sentence,
-                                    0.0,
-                                    &ctx,
-                                    &mut probe_rng,
-                                    &mut scratch,
-                                );
-                            }
-                            // An adopter also touches its wards' chunks next
-                            // round; fold those accesses into its sets.
-                            for d in 0..h_count {
-                                if live.is_alive(d) || adopters[d] != Some(h) {
-                                    continue;
-                                }
-                                let ward_chunk = shards[d].round_chunk(next_s, s_count);
-                                let mut ward_rng = rngs[d];
-                                for sentence in ward_chunk.sentences() {
-                                    train_sentence_mode(
-                                        cfg.sgns,
-                                        &mut recorder,
-                                        sentence,
-                                        0.0,
-                                        &ctx,
-                                        &mut ward_rng,
-                                        &mut scratch,
-                                    );
-                                }
-                            }
-                            *sets.get_mut(h, 0) = recorder.syn0_access;
-                            *sets.get_mut(h, 1) = recorder.syn1_access;
+                            w.inspect(next_s, sets);
                             // Inspection is real per-host work: charge it.
                             round_compute[h] += t0.elapsed().as_secs_f64();
                         }
                     }
-                    Some(sets)
-                } else {
-                    None
-                };
+                });
 
                 // ---- Synchronize (reduce + broadcast). ----
                 let volume = sync_round_degraded(
                     &mut replicas,
-                    &sync_cfg,
+                    &env.sync,
                     access.as_ref(),
                     &mut stats,
                     &mut sync_scratch,
@@ -621,7 +395,10 @@ impl DistributedTrainer {
                         }
                     }
                     if let Some(g) = &lr_gauge {
-                        g.set(schedule.alpha_for_host(processed[0], h_count) as f64);
+                        // Shard 0's position, on whichever host carries it.
+                        let mut carrier = work[live.effective_master(0)].slots();
+                        let (.., position) = carrier.find(|&(d, ..)| d == 0).expect("carried");
+                        g.set(env.schedule.alpha_for_host(position, h_count) as f64);
                     }
                     gw2v_obs::add("core.compute_ns", (round_comp * 1e9) as u64);
                     gw2v_obs::add("core.comm_virtual_ns", (round_comm * 1e9) as u64);
@@ -633,18 +410,15 @@ impl DistributedTrainer {
                 }
                 drop(round_span);
             }
-            let layers = assemble_canonical_live(&replicas, &live);
-            let mut it = layers.into_iter();
-            let canonical =
-                Word2VecModel::from_layers(it.next().expect("syn0"), it.next().expect("syn1neg"));
+            let model = canonical(&replicas, &live);
             if obs_on {
                 // Read-only loss probe on the canonical model, outside any
                 // timed section and on its own RNG stream — the training
                 // streams never see it.
                 let loss = crate::loss::estimate_loss(
-                    &canonical,
+                    &model,
                     corpus,
-                    &setup,
+                    &env.setup,
                     p.window,
                     p.negative,
                     LOSS_PROBE_PAIRS,
@@ -661,39 +435,36 @@ impl DistributedTrainer {
                 epoch,
                 virtual_time: compute_time + comm_time,
             };
-            on_epoch(&snap, &canonical);
+            on_epoch(&snap, &model);
 
             // ---- Epoch-boundary checkpoint + planned kill. ----
-            let kill_here = faults_on && plan.kill_after_epoch == Some(epoch);
-            if let Some(dir) = &self.checkpoint_dir {
-                if (epoch + 1) % self.checkpoint_every == 0 || epoch + 1 == p.epochs || kill_here {
-                    let ckpt = Checkpoint {
-                        fingerprint,
-                        epoch,
-                        pairs_trained,
-                        compute_time,
-                        comm_time,
-                        processed: processed.clone(),
-                        alive: (0..h_count).map(|h| live.is_alive(h)).collect(),
-                        rng_states: rngs.iter().map(Xoshiro256::state).collect(),
-                        stats,
-                        layers: replicas.iter().map(|r| r.layers.clone()).collect(),
-                    };
-                    ckpt.save_in(dir)
-                        .unwrap_or_else(|e| panic!("writing checkpoint: {e}"));
-                }
+            let kill_here = kill == Some(epoch);
+            if let Some(dir) = self.checkpointing.due(epoch, p.epochs, kill_here) {
+                let live_work = work.iter().filter(|w| live.is_alive(w.host));
+                let (processed, rng_states) =
+                    slot_columns(h_count, live_work.flat_map(HostWork::slots));
+                let ckpt = Checkpoint {
+                    fingerprint,
+                    epoch,
+                    pairs_trained,
+                    compute_time,
+                    comm_time,
+                    processed,
+                    alive: (0..h_count).map(|h| live.is_alive(h)).collect(),
+                    rng_states,
+                    stats,
+                    // A dead slot keeps that host's last replica.
+                    layers: replicas.iter().map(|r| r.layers.clone()).collect(),
+                };
+                save(&ckpt, dir);
             }
             if kill_here {
                 counters::bump(counters::INJECTED_KILL);
-                killed = true;
                 break;
             }
         }
 
-        let layers = assemble_canonical_live(&replicas, &live);
-        let mut it = layers.into_iter();
-        let model =
-            Word2VecModel::from_layers(it.next().expect("syn0"), it.next().expect("syn1neg"));
+        let model = canonical(&replicas, &live);
         let wall_time = wall_start.elapsed().as_secs_f64();
         if obs_on {
             gw2v_obs::gauge_set("core.compute_s", compute_time);
@@ -715,8 +486,8 @@ impl DistributedTrainer {
             comm_time,
             wall_time,
             pairs_trained,
-            killed,
-            resumed_from,
+            killed: kill.is_some(),
+            resumed_from: resume.map(|_| start_epoch),
         }
     }
 }
@@ -737,6 +508,7 @@ fn virtual_retransmission_time(
 ) -> f64 {
     let h_count = live.n_hosts();
     let n_layers = 2usize;
+    let max_retries = ClusterConfig::default().max_retries;
     let mut extra_msgs = 0u64;
     let phases = phases_per_round(sync_plan);
     for phase in 0..phases {
@@ -759,7 +531,7 @@ fn virtual_retransmission_time(
                         counters::bump(counters::INJECTED_REORDER);
                     }
                     let mut attempt = 0u32;
-                    while attempt <= VIRTUAL_MAX_RETRIES {
+                    while attempt <= max_retries {
                         if plan.partition_blocked(from, to, global_round, attempt) {
                             // Stall-mode partition withholds the leading
                             // attempts; the NAK loop heals the channel.
@@ -814,44 +586,8 @@ fn virtual_retransmission_time(
 mod tests {
     use super::*;
     use crate::trainer_seq::SequentialTrainer;
-    use gw2v_corpus::tokenizer::TokenizerConfig;
-    use gw2v_corpus::vocab::VocabBuilder;
+    use crate::trainer_shared::{dist_config, toy_corpus};
     use gw2v_util::fvec;
-
-    fn corpus(n_sentences: usize) -> (Corpus, Vocabulary) {
-        let mut text = String::new();
-        for i in 0..n_sentences {
-            match i % 3 {
-                0 => text.push_str("a0 a1 a2 a3 a1 a2\n"),
-                1 => text.push_str("b0 b1 b2 b3 b1 b2\n"),
-                _ => text.push_str("c0 c1 a1 b1 c2 c0\n"),
-            }
-        }
-        let mut b = VocabBuilder::new();
-        for tok in text.split_whitespace() {
-            b.add_token(tok);
-        }
-        let vocab = b.build(1);
-        let cfg = TokenizerConfig {
-            lowercase: false,
-            max_sentence_len: 6,
-        };
-        (Corpus::from_text(&text, &vocab, cfg), vocab)
-    }
-
-    fn dist_cfg(n_hosts: usize, rounds: usize, plan: SyncPlan, comb: CombinerKind) -> DistConfig {
-        DistConfig {
-            sgns: SgnsMode::PerPair,
-            n_hosts,
-            sync_rounds: rounds,
-            plan,
-            combiner: comb,
-            cost: CostModel::infiniband_56g(),
-            wire: WireMode::IdValue,
-            on_partition: OnPartition::Stall,
-            max_stale_rounds: 8,
-        }
-    }
 
     #[test]
     fn paper_sync_rounds_rule() {
@@ -866,7 +602,7 @@ mod tests {
 
     #[test]
     fn one_host_matches_sequential_within_float_noise() {
-        let (corpus, vocab) = corpus(120);
+        let (corpus, vocab) = toy_corpus(120);
         let params = Hyperparams {
             epochs: 2,
             ..Hyperparams::test_scale()
@@ -876,7 +612,7 @@ mod tests {
         // base+delta reconstruction (float re-association only).
         let dist = DistributedTrainer::new(
             params,
-            dist_cfg(1, 4, SyncPlan::RepModelOpt, CombinerKind::Sum),
+            dist_config(1, 4, SyncPlan::RepModelOpt, CombinerKind::Sum),
         )
         .train(&corpus, &vocab);
         let a = seq.syn0.as_slice();
@@ -889,7 +625,7 @@ mod tests {
 
     #[test]
     fn plans_train_identically() {
-        let (corpus, vocab) = corpus(90);
+        let (corpus, vocab) = toy_corpus(90);
         let params = Hyperparams {
             epochs: 2,
             ..Hyperparams::test_scale()
@@ -897,7 +633,7 @@ mod tests {
         let run = |plan: SyncPlan| {
             DistributedTrainer::new(
                 params.clone(),
-                dist_cfg(3, 2, plan, CombinerKind::ModelCombiner),
+                dist_config(3, 2, plan, CombinerKind::ModelCombiner),
             )
             .train(&corpus, &vocab)
         };
@@ -914,7 +650,7 @@ mod tests {
 
     #[test]
     fn determinism_across_runs() {
-        let (corpus, vocab) = corpus(60);
+        let (corpus, vocab) = toy_corpus(60);
         let params = Hyperparams {
             epochs: 1,
             ..Hyperparams::test_scale()
@@ -922,7 +658,7 @@ mod tests {
         let mk = || {
             DistributedTrainer::new(
                 params.clone(),
-                dist_cfg(4, 3, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner),
+                dist_config(4, 3, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner),
             )
             .train(&corpus, &vocab)
         };
@@ -935,13 +671,13 @@ mod tests {
 
     #[test]
     fn combiners_differ_at_multiple_hosts() {
-        let (corpus, vocab) = corpus(90);
+        let (corpus, vocab) = toy_corpus(90);
         let params = Hyperparams {
             epochs: 1,
             ..Hyperparams::test_scale()
         };
         let run = |c: CombinerKind| {
-            DistributedTrainer::new(params.clone(), dist_cfg(4, 2, SyncPlan::RepModelOpt, c))
+            DistributedTrainer::new(params.clone(), dist_config(4, 2, SyncPlan::RepModelOpt, c))
                 .train(&corpus, &vocab)
                 .model
         };
@@ -955,7 +691,7 @@ mod tests {
 
     #[test]
     fn distributed_still_learns() {
-        let (corpus, vocab) = corpus(240);
+        let (corpus, vocab) = toy_corpus(240);
         let params = Hyperparams {
             dim: 24,
             epochs: 6,
@@ -973,7 +709,7 @@ mod tests {
 
     #[test]
     fn epoch_callback_sees_progress() {
-        let (corpus, vocab) = corpus(60);
+        let (corpus, vocab) = toy_corpus(60);
         let params = Hyperparams {
             epochs: 3,
             ..Hyperparams::test_scale()
@@ -997,19 +733,19 @@ mod tests {
     fn more_hosts_spread_compute() {
         // Each host processes 1/H of the tokens; pairs_trained stays in
         // the same ballpark (not identical: different RNG streams).
-        let (corpus, vocab) = corpus(150);
+        let (corpus, vocab) = toy_corpus(150);
         let params = Hyperparams {
             epochs: 1,
             ..Hyperparams::test_scale()
         };
         let r1 = DistributedTrainer::new(
             params.clone(),
-            dist_cfg(1, 1, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner),
+            dist_config(1, 1, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner),
         )
         .train(&corpus, &vocab);
         let r4 = DistributedTrainer::new(
             params,
-            dist_cfg(4, 6, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner),
+            dist_config(4, 6, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner),
         )
         .train(&corpus, &vocab);
         let lo = r1.pairs_trained / 2;
@@ -1021,7 +757,7 @@ mod tests {
 
     #[test]
     fn crash_degrades_gracefully_and_still_learns() {
-        let (corpus, vocab) = corpus(180);
+        let (corpus, vocab) = toy_corpus(180);
         let params = Hyperparams {
             dim: 24,
             epochs: 4,
@@ -1032,7 +768,7 @@ mod tests {
         let plan: FaultPlan = "crash=1@2".parse().unwrap();
         let res = DistributedTrainer::new(
             params,
-            dist_cfg(3, 2, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner),
+            dist_config(3, 2, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner),
         )
         .with_faults(plan)
         .train(&corpus, &vocab);
@@ -1046,7 +782,7 @@ mod tests {
 
     #[test]
     fn degraded_runs_are_deterministic() {
-        let (corpus, vocab) = corpus(90);
+        let (corpus, vocab) = toy_corpus(90);
         let params = Hyperparams {
             epochs: 2,
             ..Hyperparams::test_scale()
@@ -1057,7 +793,7 @@ mod tests {
         let mk = || {
             DistributedTrainer::new(
                 params.clone(),
-                dist_cfg(3, 2, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner),
+                dist_config(3, 2, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner),
             )
             .with_faults(plan.clone())
             .train(&corpus, &vocab)
@@ -1071,12 +807,12 @@ mod tests {
 
     #[test]
     fn stragglers_inflate_virtual_time_only() {
-        let (corpus, vocab) = corpus(60);
+        let (corpus, vocab) = toy_corpus(60);
         let params = Hyperparams {
             epochs: 1,
             ..Hyperparams::test_scale()
         };
-        let cfg = dist_cfg(2, 2, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner);
+        let cfg = dist_config(2, 2, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner);
         let clean = DistributedTrainer::new(params.clone(), cfg).train(&corpus, &vocab);
         let slow = DistributedTrainer::new(params, cfg)
             .with_faults("straggle=1@0x2s".parse().unwrap())

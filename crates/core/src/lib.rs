@@ -35,10 +35,13 @@
 //!   Ji et al.): window-sized GEMM updates through the dispatched
 //!   `gemm_nt`/`gemm_tn` microkernels, plus the [`SgnsMode`] switch that
 //!   lets the distributed/threaded engines run the same loop.
-//! * [`distributed`] — the GraphWord2Vec engine (Algorithm 1): per-host
-//!   worklists, per-round chunks, compute + synchronize loop, PullModel
-//!   inspection, virtual-time accounting, fault injection/recovery and
-//!   checkpoint/resume (DESIGN.md §3d).
+//! * `host` (private) — one host's side of a distributed epoch, written
+//!   once: per-round chunk training of the own shard and of adopted
+//!   wards, ward adoption, PullModel inspection and checkpoint restore.
+//!   The next two modules are its drivers.
+//! * [`distributed`] — the GraphWord2Vec engine (Algorithm 1) as a BSP
+//!   simulator: compute + synchronize loop, virtual-time accounting,
+//!   fault injection/recovery and checkpoint/resume (DESIGN.md §3d).
 //! * [`trainer_threaded`] — the same distributed protocol run on the
 //!   gw2v-gluon threaded cluster (one OS thread per host), with the same
 //!   fault-tolerance guarantees executed for real.
@@ -50,6 +53,7 @@
 
 pub mod checkpoint;
 pub mod distributed;
+mod host;
 pub mod loss;
 pub mod model;
 pub mod params;

@@ -230,6 +230,52 @@ pub(crate) fn clustered_corpus() -> (Corpus, Vocabulary) {
     (Corpus::from_text(&text, &vocab, cfg), vocab)
 }
 
+/// `n_sentences` six-token sentences cycling through an `a` line, a `b`
+/// line and a line mixing both with `c` words. The toy corpus of the
+/// cluster-engine tests.
+#[cfg(test)]
+pub(crate) fn toy_corpus(n_sentences: usize) -> (Corpus, Vocabulary) {
+    use gw2v_corpus::tokenizer::TokenizerConfig;
+    use gw2v_corpus::vocab::VocabBuilder;
+    let mut text = String::new();
+    for i in 0..n_sentences {
+        text.push_str(match i % 3 {
+            0 => "a0 a1 a2 a3 a1 a2\n",
+            1 => "b0 b1 b2 b3 b1 b2\n",
+            _ => "c0 c1 a1 b1 c2 c0\n",
+        });
+    }
+    let mut b = VocabBuilder::new();
+    for tok in text.split_whitespace() {
+        b.add_token(tok);
+    }
+    let vocab = b.build(1);
+    let cfg = TokenizerConfig {
+        lowercase: false,
+        max_sentence_len: 6,
+    };
+    (Corpus::from_text(&text, &vocab, cfg), vocab)
+}
+
+/// A cluster configuration for the engine tests: `n_hosts` hosts,
+/// `rounds` sync rounds, per-pair SGNS, id+value payloads, stalled
+/// partitions.
+#[cfg(test)]
+pub(crate) fn dist_config(
+    n_hosts: usize,
+    rounds: usize,
+    plan: gw2v_gluon::plan::SyncPlan,
+    combiner: gw2v_combiner::CombinerKind,
+) -> crate::distributed::DistConfig {
+    crate::distributed::DistConfig {
+        n_hosts,
+        sync_rounds: rounds,
+        plan,
+        combiner,
+        ..crate::distributed::DistConfig::paper_default(n_hosts)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
