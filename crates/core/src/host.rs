@@ -107,8 +107,8 @@ pub(crate) fn slot_columns(
     (processed, rng_states)
 }
 
-/// Epoch-boundary checkpointing, as a trainer's builder set it (the
-/// default writes nothing and resumes nothing).
+/// Epoch-boundary checkpointing as a trainer's `with_checkpointing` and
+/// `with_resume` set it; the default writes and resumes nothing.
 #[derive(Default)]
 pub(crate) struct Checkpointing {
     pub(crate) dir: Option<PathBuf>,

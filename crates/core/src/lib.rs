@@ -38,7 +38,7 @@
 //! * `host` (private) — one host's side of a distributed epoch, written
 //!   once: per-round chunk training of the own shard and of adopted
 //!   wards, ward adoption, PullModel inspection and checkpoint restore.
-//!   The next two modules are its drivers.
+//!   The next two modules drive it.
 //! * [`distributed`] — the GraphWord2Vec engine (Algorithm 1) as a BSP
 //!   simulator: compute + synchronize loop, virtual-time accounting,
 //!   fault injection/recovery and checkpoint/resume (DESIGN.md §3d).
