@@ -78,10 +78,6 @@ serve reads one query per line (`sim WORD` or `analogy A B C`; blank
 lines and # comments ignored) from --queries or stdin and emits one JSON
 result line per query to --out or stdout.
 
-The threaded trainer's timing knobs fall back to the GW2V_NAK_DELAY_MS,
-GW2V_MAX_RETRIES and GW2V_BARRIER_TIMEOUT_MS environment variables when
-the corresponding flag is absent (flags win).
-
 Graph workloads: `corpus walks --holdout F --holdout-seed S` removes a
 seeded edge split before walk generation, and `eval linkpred` with the
 same --edges/--holdout/--holdout-seed recomputes the identical split as
@@ -182,18 +178,31 @@ fn corpus_graph(raw: &[String]) -> CmdResult {
     ])?;
     let out = args.require("out")?;
     let nodes: usize = args.get_or("nodes", 240)?;
+    if nodes == 0 {
+        return Err(ArgError("--nodes must be at least 1".into()).into());
+    }
     let seed: u64 = args.get_or("seed", 42)?;
     let graph = match args.get("kind").unwrap_or("sbm") {
         "sbm" => {
             let blocks: usize = args.get_or("blocks", 8)?;
-            let p_in: f64 = args.get_or("p-in", 0.2)?;
-            let p_out: f64 = args.get_or("p-out", 0.005)?;
+            if blocks == 0 || blocks > nodes {
+                let msg = format!("--blocks must be between 1 and --nodes ({nodes}), got {blocks}");
+                return Err(ArgError(msg).into());
+            }
+            let p_in = probability_from(&args, "p-in", 0.2)?;
+            let p_out = probability_from(&args, "p-out", 0.005)?;
             let (graph, _) = graphs::sbm(&even_blocks(nodes, blocks), p_in, p_out, seed);
             println!("sbm: {nodes} nodes in {blocks} blocks, p_in {p_in}, p_out {p_out}");
             graph
         }
         "scale-free" => {
             let attach: usize = args.get_or("attach", 3)?;
+            if attach == 0 || nodes <= attach {
+                let msg = format!(
+                    "--attach must be at least 1 and below --nodes ({nodes}), got {attach}"
+                );
+                return Err(ArgError(msg).into());
+            }
             let graph = graphs::scale_free(nodes, attach, seed);
             println!("scale-free: {nodes} nodes, {attach} edges per arrival");
             graph
@@ -203,6 +212,25 @@ fn corpus_graph(raw: &[String]) -> CmdResult {
     save_edge_list(&graph, out)?;
     println!("wrote {} edges to {out}", graph.n_edges());
     Ok(())
+}
+
+/// A `--name` probability, in [0, 1].
+fn probability_from(args: &Args, name: &str, default: f64) -> Result<f64, ArgError> {
+    let p: f64 = args.get_or(name, default)?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(ArgError(format!("--{name} must be in [0, 1], got {p}")))
+    }
+}
+
+/// `--holdout`: the fraction of edges held out, in [0, 1).
+fn holdout_fraction(frac: f64) -> Result<f64, ArgError> {
+    if (0.0..1.0).contains(&frac) {
+        Ok(frac)
+    } else {
+        Err(ArgError(format!("--holdout must be in [0, 1), got {frac}")))
+    }
 }
 
 /// `gw2v corpus walks` — generate a node2vec walk corpus from an edge
@@ -222,20 +250,31 @@ fn corpus_walks(raw: &[String]) -> CmdResult {
         "holdout-seed",
     ])?;
     let out = args.require("out")?;
-    let graph = load_edge_list(args.require("edges")?)?;
-    let holdout: f64 = args.get_or("holdout", 0.0)?;
-    let (train_graph, held) = if holdout > 0.0 {
-        let holdout_seed: u64 = args.get_or("holdout-seed", 7)?;
-        holdout_split(&graph, holdout, holdout_seed)
-    } else {
-        (graph.clone(), Vec::new())
-    };
+    let holdout = holdout_fraction(args.get_or("holdout", 0.0)?)?;
     let params = WalkParams {
         walks_per_node: args.get_or("walks", 10)?,
         walk_length: args.get_or("length", 40)?,
         p: args.get_or("p", 1.0)?,
         q: args.get_or("q", 1.0)?,
         seed: args.get_or("seed", 1)?,
+    };
+    if params.walks_per_node == 0 {
+        return Err(ArgError("--walks must be at least 1".into()).into());
+    }
+    if params.walk_length == 0 {
+        return Err(ArgError("--length must be at least 1".into()).into());
+    }
+    for (name, v) in [("p", params.p), ("q", params.q)] {
+        if v.is_nan() || v <= 0.0 {
+            return Err(ArgError(format!("--{name} must be positive, got {v}")).into());
+        }
+    }
+    let graph = load_edge_list(args.require("edges")?)?;
+    let (train_graph, held) = if holdout > 0.0 {
+        let holdout_seed: u64 = args.get_or("holdout-seed", 7)?;
+        holdout_split(&graph, holdout, holdout_seed)
+    } else {
+        (graph.clone(), Vec::new())
     };
     let walk_corpus = generate_walks(&train_graph, &params);
     write_corpus(out, &walk_corpus.text)?;
@@ -268,12 +307,13 @@ fn eval_linkpred(raw: &[String]) -> CmdResult {
         "seed",
         "out",
     ])?;
-    let (vocab, model) = load_model(args.require("model")?)?;
-    let graph = load_edge_list(args.require("edges")?)?;
     let holdout: f64 = args
         .require("holdout")?
         .parse()
         .map_err(|_| ArgError("--holdout: cannot parse fraction".into()))?;
+    let holdout = holdout_fraction(holdout)?;
+    let (vocab, model) = load_model(args.require("model")?)?;
+    let graph = load_edge_list(args.require("edges")?)?;
     let holdout_seed: u64 = args.get_or("holdout-seed", 7)?;
     let (_train, positives) = holdout_split(&graph, holdout, holdout_seed);
     let ratio: usize = args.get_or("negatives-per-edge", 1)?;
@@ -357,20 +397,25 @@ fn dist_config_from(args: &Args) -> Result<DistConfig, ArgError> {
     Ok(config)
 }
 
-/// Threaded-transport timing: environment first
-/// ([`ClusterConfig::from_env`]), then explicit CLI flags override. All
-/// durations are milliseconds.
+/// Threaded-transport timing: the defaults, overridden by the CLI flags.
+/// Durations are milliseconds.
 fn cluster_config_from(args: &Args) -> Result<ClusterConfig, ArgError> {
     fn ms_flag(args: &Args, name: &str) -> Result<Option<std::time::Duration>, ArgError> {
         match args.get(name) {
             None => Ok(None),
             Some(v) => v
                 .parse::<f64>()
-                .map(|ms| Some(std::time::Duration::from_secs_f64(ms / 1e3)))
-                .map_err(|_| ArgError(format!("--{name}: cannot parse {v:?}"))),
+                .ok()
+                .and_then(|ms| std::time::Duration::try_from_secs_f64(ms / 1e3).ok())
+                .map(Some)
+                .ok_or_else(|| {
+                    ArgError(format!(
+                        "--{name}: expected a non-negative duration in ms, got {v:?}"
+                    ))
+                }),
         }
     }
-    let mut cfg = ClusterConfig::from_env().map_err(ArgError)?;
+    let mut cfg = ClusterConfig::default();
     if let Some(d) = ms_flag(args, "nak-delay")? {
         cfg.nak_delay = d;
     }
@@ -442,6 +487,13 @@ pub fn train(raw: &[String]) -> CmdResult {
     let out = args.require("out")?;
     let params = hyperparams_from(&args)?;
     let (vocab, corpus) = load_corpus(input, params.min_count)?;
+    if vocab.is_empty() {
+        let msg = format!(
+            "--min-count {}: no word of {input} occurs that often",
+            params.min_count
+        );
+        return Err(ArgError(msg).into());
+    }
     println!(
         "vocabulary {} words, corpus {} tokens",
         vocab.len(),
@@ -1093,34 +1145,6 @@ mod tests {
         for f in [&corpus, &model] {
             std::fs::remove_file(f).ok();
         }
-    }
-
-    #[test]
-    fn cluster_timing_env_vars_are_honored_and_validated() {
-        // Serialized within this test: set, read, restore. The variables
-        // only shape transport timing, never model bits, so a concurrent
-        // threaded test seeing them transiently stays correct.
-        std::env::set_var("GW2V_NAK_DELAY_MS", "15");
-        std::env::set_var("GW2V_MAX_RETRIES", "77");
-        std::env::set_var("GW2V_BARRIER_TIMEOUT_MS", "400");
-        let cfg = cluster_config_from(&Args::parse(std::iter::empty::<String>(), &[]).unwrap())
-            .expect("env-configured cluster");
-        assert_eq!(cfg.nak_delay, std::time::Duration::from_millis(15));
-        assert_eq!(cfg.max_retries, 77);
-        assert_eq!(cfg.barrier_timeout, std::time::Duration::from_millis(400));
-        // A CLI flag overrides its env twin.
-        let over = cluster_config_from(&Args::parse(s(&["--nak-delay", "20"]), &[]).unwrap())
-            .expect("flag overrides env");
-        assert_eq!(over.nak_delay, std::time::Duration::from_millis(20));
-        assert_eq!(over.max_retries, 77, "untouched knobs keep env values");
-        // A set-but-garbage value is an error, not a silent default.
-        std::env::set_var("GW2V_MAX_RETRIES", "many");
-        assert!(
-            cluster_config_from(&Args::parse(std::iter::empty::<String>(), &[]).unwrap()).is_err()
-        );
-        std::env::remove_var("GW2V_NAK_DELAY_MS");
-        std::env::remove_var("GW2V_MAX_RETRIES");
-        std::env::remove_var("GW2V_BARRIER_TIMEOUT_MS");
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! `gw2v train` turns a worker-count flag the trainers cannot run with
-//! into a typed error, and a count far beyond the corpus into a run:
-//! `--threads 0` / `--hosts 0` used to die on a library `assert!`
-//! (exit 101 with a backtrace), `--threads 100000` on a failed stack
-//! guard page (exit 134).
+//! `gw2v train` turns a flag value the trainers cannot run with into a
+//! typed error, and a count far beyond the corpus into a run:
+//! `--threads 0` / `--hosts 0`, a `--min-count` that leaves no word and
+//! a negative or non-finite `--nak-delay` / `--barrier-timeout` used to
+//! die on a library `assert!` or a `Duration` conversion (exit 101 with
+//! a backtrace), `--threads 100000` on a failed stack guard page (exit
+//! 134).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -109,6 +111,39 @@ fn cluster_flags_the_trainers_cannot_run_with_are_typed_errors() {
     }
     std::fs::remove_file(&corpus).ok();
     std::fs::remove_dir_all(&ckpt).ok();
+}
+
+#[test]
+fn a_min_count_that_empties_the_vocabulary_is_a_typed_error() {
+    let corpus = tmp("min_count_corpus.txt");
+    let out = tmp("min_count_model.txt");
+    write_corpus(&corpus);
+    for trainer in ["seq", "batched", "hogwild", "hogbatch", "dist", "threaded"] {
+        let run = train(
+            &corpus,
+            &out,
+            &["--trainer", trainer, "--min-count", "100000"],
+        );
+        assert_typed_failure(&run, &out, "--min-count", trainer);
+    }
+    std::fs::remove_file(&corpus).ok();
+}
+
+#[test]
+fn transport_timings_that_are_no_duration_are_typed_errors() {
+    let corpus = tmp("timing_corpus.txt");
+    let out = tmp("timing_model.txt");
+    write_corpus(&corpus);
+    for (flag, value) in [
+        ("--nak-delay", "-5"),
+        ("--nak-delay", "nan"),
+        ("--nak-delay", "inf"),
+        ("--barrier-timeout", "-1"),
+    ] {
+        let run = train(&corpus, &out, &["--trainer", "threaded", flag, value]);
+        assert_typed_failure(&run, &out, flag, &format!("{flag} {value}"));
+    }
+    std::fs::remove_file(&corpus).ok();
 }
 
 #[test]

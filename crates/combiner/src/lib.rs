@@ -104,7 +104,8 @@ impl CombinerKind {
     }
 
     /// Allocating convenience wrapper around [`CombinerKind::combine_into`].
-    pub fn combine(&self, deltas: &[&[f32]], dim: usize) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn combine(&self, deltas: &[&[f32]], dim: usize) -> Vec<f32> {
         let mut out = vec![0.0; dim];
         self.combine_into(deltas, &mut out);
         out
@@ -119,7 +120,7 @@ const NORM_FLOOR: f32 = 1e-12;
 /// to `g` in place: `g += d − (g·d/‖g‖²)·g`. This is one induction step of
 /// the paper's model combiner. `scratch` must have the same length.
 #[inline]
-pub fn mc_push(g: &mut [f32], d: &[f32], scratch: &mut [f32]) {
+pub(crate) fn mc_push(g: &mut [f32], d: &[f32], scratch: &mut [f32]) {
     let g_norm_sq = fvec::norm_sq(g);
     if g_norm_sq <= NORM_FLOOR {
         fvec::add_assign(g, d);
@@ -134,7 +135,8 @@ pub fn mc_push(g: &mut [f32], d: &[f32], scratch: &mut [f32]) {
 
 /// Projects `d` onto the orthogonal complement of `g`, writing `d′` into
 /// `out` (does not modify `g`); returns `‖d′‖²`.
-pub fn project_orthogonal(d: &[f32], g: &[f32], out: &mut [f32]) -> f32 {
+#[cfg(test)]
+pub(crate) fn project_orthogonal(d: &[f32], g: &[f32], out: &mut [f32]) -> f32 {
     let g_norm_sq = fvec::norm_sq(g);
     out.copy_from_slice(d);
     if g_norm_sq > NORM_FLOOR {
@@ -219,7 +221,8 @@ impl CombineAccumulator {
     }
 
     /// Number of deltas pushed.
-    pub fn count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> usize {
         self.count
     }
 

@@ -47,14 +47,14 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every checkpoint file (format version 1).
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"GW2VCKP1";
+pub(crate) const CHECKPOINT_MAGIC: &[u8; 8] = b"GW2VCKP1";
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Filesystem-level failure.
     Io(std::io::Error),
-    /// The file does not start with [`CHECKPOINT_MAGIC`].
+    /// The file does not start with `CHECKPOINT_MAGIC`.
     BadMagic,
     /// The CRC-32 trailer does not match the file contents.
     Corrupt {
@@ -345,7 +345,7 @@ impl Checkpoint {
 
     /// Writes the checkpoint under its canonical name in `dir` (created
     /// if missing), via a temp file + atomic rename.
-    pub fn save_in(&self, dir: &Path) -> Result<PathBuf, CheckpointError> {
+    pub(crate) fn save_in(&self, dir: &Path) -> Result<PathBuf, CheckpointError> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(Self::file_name(self.epoch));
         let tmp = dir.join(format!(".{}.tmp", Self::file_name(self.epoch)));

@@ -15,7 +15,7 @@
 //! Hosts are simulated deterministically in id order within one OS
 //! thread (DESIGN.md §1/§3), each driving its `host::HostWork` — the
 //! host side of the epoch (compute, wards, PullModel inspection) that
-//! [`crate::ThreadedTrainer`] drives concurrently. Each host's compute
+//! [`crate::trainer_threaded::ThreadedTrainer`] drives concurrently. Each host's compute
 //! phase is wall-clock timed individually, so per-round *virtual* time
 //! is `max_h(compute_h) + cost_model(volume)`, which is what a BSP
 //! cluster would experience.
@@ -209,11 +209,6 @@ impl DistributedTrainer {
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.checkpointing.resume = resume;
         self
-    }
-
-    /// The installed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
     }
 
     /// Trains and returns the result.

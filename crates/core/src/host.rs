@@ -4,8 +4,8 @@
 //! synchronize. [`HostWork`] is everything a host carries through that
 //! loop except its replica: its training stream and schedule position,
 //! and the *wards* it trains for dead hosts. Both cluster engines drive
-//! it — [`crate::DistributedTrainer`] keeps one per simulated host,
-//! [`crate::ThreadedTrainer`] one per host thread — so ward adoption,
+//! it — [`crate::distributed::DistributedTrainer`] keeps one per simulated host,
+//! [`crate::trainer_threaded::ThreadedTrainer`] one per host thread — so ward adoption,
 //! compute, PullModel inspection and checkpoint restore are the same
 //! code in both. Replicas stay with the engines, because the simulator
 //! synchronizes all of them at once.

@@ -15,8 +15,6 @@
 //!
 //! * [`params`] — hyperparameters (paper §5.1 defaults) and the
 //!   distributed-run configuration.
-//! * [`sigmoid`] — the precomputed sigmoid table of the C implementation
-//!   (re-exported from `gw2v_util`, where the per-pair kernel reads it).
 //! * [`model`] — model storage, initialization and (text-format) I/O.
 //! * [`sgns`] — the SGNS training operator, written once and reused by
 //!   every trainer through the [`sgns::SgnsStore`] abstraction; also the
@@ -33,7 +31,7 @@
 //!   Gensim ("GEN" in the paper's tables).
 //! * [`trainer_hogbatch`] — shared-negative minibatch trainer (HogBatch,
 //!   Ji et al.): window-sized GEMM updates through the dispatched
-//!   `gemm_nt`/`gemm_tn` microkernels, plus the [`SgnsMode`] switch that
+//!   `gemm_nt`/`gemm_tn` microkernels, plus the [`trainer_hogbatch::SgnsMode`] switch that
 //!   lets the distributed/threaded engines run the same loop.
 //! * `host` (private) — one host's side of a distributed epoch, written
 //!   once: per-round chunk training of the own shard and of adopted
@@ -66,15 +64,3 @@ pub mod trainer_hogwild;
 pub mod trainer_seq;
 mod trainer_shared;
 pub mod trainer_threaded;
-
-pub use checkpoint::{Checkpoint, CheckpointError};
-pub use distributed::{DistConfig, DistributedTrainer, EpochSnapshot, TrainResult};
-pub use model::Word2VecModel;
-pub use params::Hyperparams;
-pub use trainer_hogbatch::{HogBatchTrainer, SgnsMode};
-pub use trainer_seq::SequentialTrainer;
-pub use trainer_threaded::ThreadedTrainer;
-
-/// The sigmoid table lives beside the kernel that reads it; this keeps
-/// its historical `gw2v_core::sigmoid` path.
-pub use gw2v_util::sigmoid;

@@ -66,17 +66,6 @@ impl Default for Hyperparams {
 }
 
 impl Hyperparams {
-    /// A scaled-down configuration for the experiment harness on this
-    /// single-core reproduction machine: dim 64, 5 negatives (defaults
-    /// otherwise). EXPERIMENTS.md records this deviation.
-    pub fn bench_scale() -> Self {
-        Self {
-            dim: 64,
-            negative: 5,
-            ..Self::default()
-        }
-    }
-
     /// A tiny configuration for unit/integration tests.
     pub fn test_scale() -> Self {
         Self {
@@ -107,11 +96,11 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let p = Hyperparams::bench_scale();
+        let p = Hyperparams::test_scale();
         let json = serde_json::to_string(&p).unwrap();
         let back: Hyperparams = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.dim, 64);
-        assert_eq!(back.negative, 5);
+        assert_eq!(back.dim, 16);
+        assert_eq!(back.negative, 3);
         assert_eq!(back.sampler, SamplerChoice::Table);
     }
 }

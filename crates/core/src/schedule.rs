@@ -39,7 +39,7 @@ impl LrSchedule {
 
     /// Learning rate after `processed_global` tokens of global progress.
     #[inline]
-    pub fn alpha_at(&self, processed_global: u64) -> f32 {
+    pub(crate) fn alpha_at(&self, processed_global: u64) -> f32 {
         let denom = self.epochs as f64 * self.total_tokens as f64 + 1.0;
         let frac = 1.0 - processed_global as f64 / denom;
         (self.alpha0 as f64 * frac.max(self.min_frac as f64)) as f32

@@ -7,11 +7,11 @@
 
 use crate::params::{Hyperparams, SamplerChoice};
 use crate::sgns::TrainContext;
-use crate::sigmoid::SigmoidTable;
 use gw2v_corpus::subsample::SubsampleTable;
 use gw2v_corpus::unigram::{AliasSampler, NegativeSampler, UnigramTable};
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::rng::Rng64;
+use gw2v_util::sigmoid::SigmoidTable;
 
 /// Stream-id base for per-host training RNGs; host `h` trains with the
 /// stream `SplitMix64::new(params.seed).derive(HOST_RNG_BASE + h)`. The
@@ -26,7 +26,7 @@ pub const HOST_RNG_BASE: u64 = 0x1000;
 /// gone, so a deterministic replacement stream is derived instead. Both
 /// the sequential simulator and the threaded cluster use this rule,
 /// which keeps degraded runs bit-comparable across engines.
-pub const RECOVERY_RNG_BASE: u64 = 0x2000;
+pub(crate) const RECOVERY_RNG_BASE: u64 = 0x2000;
 
 /// Enum-dispatched negative sampler (the [`NegativeSampler`] trait has a
 /// generic method, so trait objects are not an option).

@@ -29,7 +29,7 @@
 //! subsampler, the window shrink and the sampler only, no draw depends
 //! on a model value, and nothing else draws between a pair's samples —
 //! so the stream, the targets and their order are unchanged. Targets are
-//! handed over in stack blocks of [`TARGET_BLOCK`] (`negative = 5` is
+//! handed over in stack blocks of `TARGET_BLOCK` (`negative = 5` is
 //! one block), so nothing is sized by `negative`; blocks compose bit for
 //! bit because the kernel only ever accumulates into `neu1e`.
 //!
@@ -40,21 +40,21 @@
 //! a recording store with a cloned RNG yields exactly the nodes the real
 //! execution will access.
 
-use crate::sigmoid::SigmoidTable;
 use gw2v_corpus::subsample::SubsampleTable;
 use gw2v_corpus::unigram::NegativeSampler;
 use gw2v_util::bitvec::BitVec;
 use gw2v_util::fvec::{self, FlatMatrix};
 use gw2v_util::rng::Rng64;
+use gw2v_util::sigmoid::SigmoidTable;
 
 /// Layer index of the embedding layer (`syn0`) in multi-layer stores.
-pub const LAYER_SYN0: usize = 0;
+pub(crate) const LAYER_SYN0: usize = 0;
 /// Layer index of the training layer (`syn1neg`).
-pub const LAYER_SYN1NEG: usize = 1;
+pub(crate) const LAYER_SYN1NEG: usize = 1;
 
 /// Targets handed to [`SgnsStore::step_pair`] per call; a pair with more
 /// than `TARGET_BLOCK − 1` negatives takes several calls.
-pub const TARGET_BLOCK: usize = 32;
+pub(crate) const TARGET_BLOCK: usize = 32;
 
 /// Model access used by the SGNS inner loop.
 ///

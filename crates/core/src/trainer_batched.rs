@@ -78,7 +78,7 @@ impl BatchedTrainer {
     }
 
     /// Trains with a per-epoch callback.
-    pub fn train_with_callback(
+    pub(crate) fn train_with_callback(
         &self,
         corpus: &Corpus,
         vocab: &Vocabulary,

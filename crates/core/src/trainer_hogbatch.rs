@@ -76,7 +76,7 @@ pub enum SgnsMode {
 /// The GEMM path never does arithmetic *through* the store — it gathers
 /// rows into dense scratch, computes there, and scatters additive deltas
 /// back. Stores only decide where rows live (plain matrices, a tracked
-/// replica, relaxed atomics — [`crate::trainer_hogwild::AtomicStore`])
+/// replica, relaxed atomics — `crate::trainer_hogwild::AtomicStore`)
 /// and what a delta write means (the recording store only takes notes).
 /// Method names deliberately avoid the [`SgnsStore`] names so one type
 /// can implement both traits without call-site ambiguity.
@@ -226,7 +226,7 @@ impl MinibatchScratch {
     /// Drains the `(minibatches, shared_negatives)` counters accumulated
     /// since the last call — flush them into `gw2v-obs` once per worker
     /// per epoch, not per sentence.
-    pub fn take_stats(&mut self) -> (u64, u64) {
+    pub(crate) fn take_stats(&mut self) -> (u64, u64) {
         let stats = (self.minibatches, self.shared_negatives);
         self.minibatches = 0;
         self.shared_negatives = 0;
@@ -370,7 +370,7 @@ where
 /// inspection site so a single `SgnsMode` value switches the whole
 /// engine between loops.
 #[inline]
-pub fn train_sentence_mode<M, S, R>(
+pub(crate) fn train_sentence_mode<M, S, R>(
     mode: SgnsMode,
     store: &mut M,
     sentence: &[u32],
@@ -393,7 +393,7 @@ where
 /// Multi-threaded shared-memory HogBatch trainer.
 ///
 /// The same run as [`crate::trainer_hogwild::HogwildTrainer`] — racing
-/// workers over an [`AtomicModel`], contiguous token-balanced shards, a
+/// workers over an `AtomicModel`, contiguous token-balanced shards, a
 /// shared progress counter for the learning-rate schedule, exact epoch
 /// boundaries, worker `t` on the same RNG stream (see
 /// `trainer_shared`) — only the sentence step differs. That
@@ -419,7 +419,7 @@ impl HogBatchTrainer {
     }
 
     /// Trains with a per-epoch callback (observes a settled model).
-    pub fn train_with_callback(
+    pub(crate) fn train_with_callback(
         &self,
         corpus: &Corpus,
         vocab: &Vocabulary,
@@ -445,13 +445,13 @@ impl HogBatchTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sigmoid::SigmoidTable;
     use crate::trainer_shared::clustered_corpus;
     use gw2v_corpus::subsample::SubsampleTable;
     use gw2v_corpus::unigram::AliasSampler;
     use gw2v_corpus::vocab::VocabBuilder;
     use gw2v_gluon::ModelReplica;
     use gw2v_util::rng::Xoshiro256;
+    use gw2v_util::sigmoid::SigmoidTable;
 
     struct Fixture {
         sampler: AliasSampler,

@@ -21,16 +21,16 @@
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
 use crate::sgns::{train_sentence, SgnsStore, LAYER_SYN0, LAYER_SYN1NEG};
-use crate::sigmoid::SigmoidTable;
 use crate::trainer_hogbatch::BatchRows;
 use crate::trainer_shared::Preset;
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec::{self, FlatMatrix};
+use gw2v_util::sigmoid::SigmoidTable;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Model storage shared across racing threads.
-pub struct AtomicModel {
+pub(crate) struct AtomicModel {
     /// `[syn0, syn1neg]`, indexed by [`LAYER_SYN0`] / [`LAYER_SYN1NEG`].
     layers: [Vec<AtomicU32>; 2],
     rows: usize,
@@ -39,7 +39,7 @@ pub struct AtomicModel {
 
 impl AtomicModel {
     /// Converts a model into atomic storage.
-    pub fn from_model(m: &Word2VecModel) -> Self {
+    pub(crate) fn from_model(m: &Word2VecModel) -> Self {
         let conv = |layer: &FlatMatrix| {
             let cells = layer.as_slice().iter();
             cells.map(|v| AtomicU32::new(v.to_bits())).collect()
@@ -52,7 +52,7 @@ impl AtomicModel {
     }
 
     /// Copies the current (settled) state into a plain model.
-    pub fn snapshot(&self) -> Word2VecModel {
+    pub(crate) fn snapshot(&self) -> Word2VecModel {
         let conv = |cells: &[AtomicU32]| {
             let vals = cells.iter().map(|a| f32::from_bits(a.load(Relaxed)));
             FlatMatrix::from_vec(vals.collect(), self.rows, self.dim)
@@ -101,7 +101,7 @@ impl AtomicModel {
 /// recipe's racy read-modify-write semantics — each cell is one relaxed
 /// load and one relaxed store per update, deliberately unsynchronized
 /// across threads.
-pub struct AtomicStore<'a> {
+pub(crate) struct AtomicStore<'a> {
     model: &'a AtomicModel,
     /// The context row of a pair, or the row a delta is being added to.
     staged: Vec<f32>,
@@ -111,7 +111,7 @@ pub struct AtomicStore<'a> {
 
 impl<'a> AtomicStore<'a> {
     /// Creates a worker view with dimension-sized scratch.
-    pub fn new(model: &'a AtomicModel) -> Self {
+    pub(crate) fn new(model: &'a AtomicModel) -> Self {
         Self {
             model,
             staged: vec![0.0; model.dim],
@@ -199,7 +199,7 @@ impl BatchRows for AtomicStore<'_> {
 
 /// Multi-threaded Hogwild trainer: the per-pair loop of
 /// [`crate::trainer_seq::SequentialTrainer`] run by racing workers over
-/// an [`AtomicModel`] (see `trainer_shared` for the loop).
+/// an `AtomicModel` (see `trainer_shared` for the loop).
 pub struct HogwildTrainer {
     /// Hyperparameters.
     pub params: Hyperparams,
@@ -220,7 +220,7 @@ impl HogwildTrainer {
     }
 
     /// Trains with a per-epoch callback (observes a settled model).
-    pub fn train_with_callback(
+    pub(crate) fn train_with_callback(
         &self,
         corpus: &Corpus,
         vocab: &Vocabulary,

@@ -5,7 +5,7 @@
 //! NAK/resend reliable), real barriers, real crashes. Each thread drives
 //! its `host::HostWork`, the host side of the epoch the simulator drives
 //! too, so every run — any sync plan, any fault plan — trains the bits
-//! [`crate::DistributedTrainer`] trains. What this engine does for real
+//! [`crate::distributed::DistributedTrainer`] trains. What this engine does for real
 //! where the simulator models it:
 //!
 //! * drops and bit-flips are detected (CRC / timeout) and repaired by
@@ -215,11 +215,6 @@ impl ThreadedTrainer {
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.checkpointing.resume = resume;
         self
-    }
-
-    /// The installed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
     }
 
     /// Trains on one thread per host. Returns the canonical model

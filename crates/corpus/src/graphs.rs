@@ -199,18 +199,13 @@ impl WalkGraph {
         self.neighbors.len() / 2
     }
 
-    /// True if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.n_nodes() == 0
-    }
-
     /// Degree of node `u`.
     pub fn degree(&self, u: u32) -> usize {
         self.offsets[u as usize + 1] - self.offsets[u as usize]
     }
 
     /// Sorted neighbour list of node `u`.
-    pub fn neighbors(&self, u: u32) -> &[u32] {
+    pub(crate) fn neighbors(&self, u: u32) -> &[u32] {
         &self.neighbors[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
@@ -226,7 +221,7 @@ impl WalkGraph {
 
     /// All undirected edges in canonical `(u, v)` order with `u < v`,
     /// sorted lexicographically.
-    pub fn edges(&self) -> Vec<(u32, u32)> {
+    pub(crate) fn edges(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.n_edges());
         for u in 0..self.n_nodes() as u32 {
             for &v in self.neighbors(u) {

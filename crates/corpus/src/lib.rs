@@ -54,8 +54,4 @@ pub mod vocab;
 pub mod walks;
 pub mod zipf;
 
-pub use graphs::{EdgeListError, WalkGraph};
-pub use shard::{Corpus, CorpusShard};
-pub use synth::{AnalogyQuestion, AnalogySet, CategoryKind, SynthCorpus, SynthSpec};
-pub use vocab::{VocabBuilder, Vocabulary};
-pub use walks::{WalkCorpus, WalkParams};
+pub use vocab::Vocabulary;

@@ -39,7 +39,7 @@ impl Default for PhraseConfig {
 
 /// Bigram statistics gathered in one pass over sentences.
 #[derive(Debug, Default)]
-pub struct PhraseModel {
+pub(crate) struct PhraseModel {
     unigrams: HashMap<String, u64>,
     bigrams: HashMap<(String, String), u64>,
     total: u64,
@@ -48,7 +48,7 @@ pub struct PhraseModel {
 impl PhraseModel {
     /// Counts unigrams and adjacent bigrams over tokenized sentences.
     /// Bigrams never span sentence boundaries.
-    pub fn count<S: AsRef<str>>(sentences: &[Vec<S>]) -> Self {
+    pub(crate) fn count<S: AsRef<str>>(sentences: &[Vec<S>]) -> Self {
         let mut model = PhraseModel::default();
         for sentence in sentences {
             for (i, tok) in sentence.iter().enumerate() {
@@ -66,7 +66,7 @@ impl PhraseModel {
 
     /// The score of a bigram under `config` (0 if unseen or below the
     /// discount).
-    pub fn score(&self, a: &str, b: &str, config: &PhraseConfig) -> f64 {
+    pub(crate) fn score(&self, a: &str, b: &str, config: &PhraseConfig) -> f64 {
         let ab = match self.bigrams.get(&(a.to_owned(), b.to_owned())) {
             Some(&c) if c > config.discount => c,
             _ => return 0.0,
@@ -82,7 +82,7 @@ impl PhraseModel {
     /// Rewrites sentences, greedily joining qualifying bigrams
     /// left-to-right (a joined pair's second word cannot start another
     /// join, matching the C tool's streaming behaviour).
-    pub fn apply<S: AsRef<str>>(
+    pub(crate) fn apply<S: AsRef<str>>(
         &self,
         sentences: &[Vec<S>],
         config: &PhraseConfig,

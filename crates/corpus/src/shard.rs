@@ -78,7 +78,7 @@ pub struct CorpusShard<'a> {
 
 impl<'a> CorpusShard<'a> {
     /// Wraps a sentence slice.
-    pub fn new(sentences: &'a [Vec<u32>]) -> Self {
+    pub(crate) fn new(sentences: &'a [Vec<u32>]) -> Self {
         let total_tokens = sentences.iter().map(Vec::len).sum();
         Self {
             sentences,

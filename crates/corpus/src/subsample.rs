@@ -51,8 +51,9 @@ impl SubsampleTable {
     }
 
     /// Keep probability for word id `w`.
+    #[cfg(test)]
     #[inline]
-    pub fn keep_prob(&self, w: u32) -> f32 {
+    pub(crate) fn keep_prob(&self, w: u32) -> f32 {
         self.keep_prob[w as usize]
     }
 

@@ -58,7 +58,7 @@ pub struct CategorySpec {
 
 impl CategorySpec {
     /// Unique words this category contributes to the vocabulary.
-    pub fn vocab_words(&self) -> usize {
+    pub(crate) fn vocab_words(&self) -> usize {
         2 * self.n_pairs + 2 * self.n_markers + self.n_pairs * self.n_topics
     }
 }
@@ -85,7 +85,7 @@ pub struct SynthSpec {
 impl SynthSpec {
     /// The default 14 categories: 5 semantic + 9 syntactic, mirroring the
     /// structure of `question-words.txt`.
-    pub fn default_categories(n_pairs: usize) -> Vec<CategorySpec> {
+    pub(crate) fn default_categories(n_pairs: usize) -> Vec<CategorySpec> {
         let semantic = [
             "capital-common",
             "capital-world",
@@ -128,8 +128,9 @@ impl SynthSpec {
         cats
     }
 
-    /// A small default spec suitable for tests and the quickstart example.
-    pub fn small(seed: u64) -> Self {
+    /// A small spec for unit tests.
+    #[cfg(test)]
+    pub(crate) fn small(seed: u64) -> Self {
         Self {
             background_vocab: 800,
             zipf_exponent: 1.07,
@@ -143,7 +144,8 @@ impl SynthSpec {
 
     /// Total unique words the generator can emit (before `min_count`
     /// filtering, which may drop rare background ranks).
-    pub fn vocab_upper_bound(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn vocab_upper_bound(&self) -> usize {
         self.background_vocab
             + self
                 .categories

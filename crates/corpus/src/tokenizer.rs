@@ -7,7 +7,7 @@
 //! this caps the memory the per-sentence buffers need and bounds the
 //! context-window wraparound.
 //!
-//! Every set-up pass — [`SentenceStream`], the streaming vocabulary
+//! Every set-up pass — `SentenceStream`, the streaming vocabulary
 //! builder, [`Corpus::from_text`](crate::shard::Corpus::from_text) and
 //! the file partition reader — runs the one token loop of this module,
 //! which hands each token to its client as a `&str` borrowed from the
@@ -219,14 +219,14 @@ fn not_utf8() -> std::io::Error {
 /// # Panics
 ///
 /// [`SentenceStream::new`] panics if `config.max_sentence_len` is 0.
-pub struct SentenceStream<R: BufRead> {
+pub(crate) struct SentenceStream<R: BufRead> {
     tokens: Tokens<R>,
     pending: Vec<String>,
 }
 
 impl<R: BufRead> SentenceStream<R> {
     /// Creates a stream over `reader` with the given config.
-    pub fn new(reader: R, config: TokenizerConfig) -> Self {
+    pub(crate) fn new(reader: R, config: TokenizerConfig) -> Self {
         Self {
             tokens: Tokens::new(reader, &config),
             pending: Vec::new(),

@@ -16,7 +16,7 @@ use crate::vocab::Vocabulary;
 use gw2v_util::rng::Rng64;
 
 /// Power applied to unigram counts (0.75 from the paper).
-pub const UNIGRAM_POWER: f64 = 0.75;
+pub(crate) const UNIGRAM_POWER: f64 = 0.75;
 
 /// A source of negative samples: word ids drawn from the smoothed unigram
 /// distribution.
@@ -60,11 +60,6 @@ impl UnigramTable {
         }
         Self { table }
     }
-
-    /// Number of table entries.
-    pub fn size(&self) -> usize {
-        self.table.len()
-    }
 }
 
 impl NegativeSampler for UnigramTable {
@@ -95,7 +90,7 @@ impl AliasSampler {
 
     /// Builds an alias table from arbitrary non-negative weights (at least
     /// one must be positive).
-    pub fn from_weights(weights: &[f64]) -> Self {
+    pub(crate) fn from_weights(weights: &[f64]) -> Self {
         let n = weights.len();
         assert!(n > 0, "empty weight vector");
         let sum: f64 = weights.iter().sum();
@@ -125,16 +120,6 @@ impl AliasSampler {
         }
         // Leftovers (numerical residue) get probability 1 (already set).
         Self { prob, alias }
-    }
-
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True if the sampler has no outcomes (cannot happen post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
     }
 }
 

@@ -11,12 +11,10 @@
 //! *nodes* of the training graph; the id assigned here is the node id used
 //! by the partitioner and the communication substrate.
 
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One vocabulary entry.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VocabWord {
     /// The surface form.
     pub word: String,
@@ -26,10 +24,9 @@ pub struct VocabWord {
 
 /// An immutable vocabulary: words sorted by descending frequency with a
 /// reverse index.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Vocabulary {
     words: Vec<VocabWord>,
-    #[serde(skip)]
     index: HashMap<String, u32>,
     total_words: u64,
 }
@@ -61,17 +58,6 @@ impl Vocabulary {
         }
     }
 
-    /// Rebuilds the reverse index (needed after deserialization, where the
-    /// index is skipped).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.word.clone(), i as u32))
-            .collect();
-    }
-
     /// Number of unique words (graph nodes).
     pub fn len(&self) -> usize {
         self.words.len()
@@ -98,7 +84,7 @@ impl Vocabulary {
     }
 
     /// Occurrence count of id `id`.
-    pub fn count_of(&self, id: u32) -> u64 {
+    pub(crate) fn count_of(&self, id: u32) -> u64 {
         self.words[id as usize].count
     }
 
@@ -109,7 +95,8 @@ impl Vocabulary {
 
     /// Maps a token sentence to ids, silently dropping out-of-vocabulary
     /// words (the behaviour of the C implementation).
-    pub fn encode_sentence<S: AsRef<str>>(&self, sentence: &[S]) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn encode_sentence<S: AsRef<str>>(&self, sentence: &[S]) -> Vec<u32> {
         sentence
             .iter()
             .filter_map(|w| self.id_of(w.as_ref()))
@@ -117,8 +104,8 @@ impl Vocabulary {
     }
 }
 
-/// Streaming vocabulary builder: feed tokens (or whole shards in
-/// parallel), then [`VocabBuilder::build`].
+/// Streaming vocabulary builder: feed tokens, then
+/// [`VocabBuilder::build`].
 #[derive(Default, Debug)]
 pub struct VocabBuilder {
     counts: HashMap<String, u64>,
@@ -147,42 +134,15 @@ impl VocabBuilder {
         }
     }
 
-    /// Merges another builder's counts into this one (used by the parallel
-    /// shard path and by the distributed engine, where every host counts
-    /// its own corpus partition and the counts are reduced).
-    pub fn merge(&mut self, other: VocabBuilder) {
-        for (w, c) in other.counts {
-            *self.counts.entry(w).or_insert(0) += c;
-        }
-    }
-
     /// Number of distinct words seen so far.
-    pub fn distinct(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn distinct(&self) -> usize {
         self.counts.len()
     }
 
     /// Finalizes into a [`Vocabulary`].
     pub fn build(self, min_count: u64) -> Vocabulary {
         Vocabulary::from_counts(self.counts, min_count)
-    }
-
-    /// Counts a collection of sentence shards in parallel with rayon and
-    /// merges the per-shard builders; equivalent to (but faster than)
-    /// feeding every sentence through one builder.
-    pub fn count_parallel<S: AsRef<str> + Sync>(shards: &[Vec<Vec<S>>]) -> VocabBuilder {
-        shards
-            .par_iter()
-            .map(|shard| {
-                let mut b = VocabBuilder::new();
-                for sentence in shard {
-                    b.add_sentence(sentence);
-                }
-                b
-            })
-            .reduce(VocabBuilder::new, |mut a, b| {
-                a.merge(b);
-                a
-            })
     }
 }
 
@@ -241,57 +201,5 @@ mod tests {
         assert_eq!(ids.len(), 2);
         assert_eq!(v.word_of(ids[0]), "a");
         assert_eq!(v.word_of(ids[1]), "c");
-    }
-
-    #[test]
-    fn merge_equals_single_builder() {
-        let mut a = VocabBuilder::new();
-        let mut b = VocabBuilder::new();
-        for t in "a b a".split_whitespace() {
-            a.add_token(t);
-        }
-        for t in "b c".split_whitespace() {
-            b.add_token(t);
-        }
-        a.merge(b);
-        let v = a.build(1);
-        assert_eq!(v.count_of(v.id_of("a").unwrap()), 2);
-        assert_eq!(v.count_of(v.id_of("b").unwrap()), 2);
-        assert_eq!(v.count_of(v.id_of("c").unwrap()), 1);
-    }
-
-    #[test]
-    fn parallel_counting_matches_sequential() {
-        let sentences: Vec<Vec<String>> = (0..100)
-            .map(|i| {
-                (0..20)
-                    .map(|j| format!("w{}", (i * j) % 37))
-                    .collect::<Vec<String>>()
-            })
-            .collect();
-        let mut seq = VocabBuilder::new();
-        for s in &sentences {
-            seq.add_sentence(s);
-        }
-        let shards: Vec<Vec<Vec<String>>> = sentences.chunks(13).map(|c| c.to_vec()).collect();
-        let par = VocabBuilder::count_parallel(&shards);
-        let v1 = seq.build(1);
-        let v2 = par.build(1);
-        assert_eq!(v1.len(), v2.len());
-        for id in 0..v1.len() as u32 {
-            assert_eq!(v1.word_of(id), v2.word_of(id));
-            assert_eq!(v1.count_of(id), v2.count_of(id));
-        }
-    }
-
-    #[test]
-    fn serde_roundtrip_with_index_rebuild() {
-        let v = vocab_from_text("alpha beta alpha gamma", 1);
-        let json = serde_json::to_string(&v).unwrap();
-        let mut back: Vocabulary = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
-        assert_eq!(back.len(), v.len());
-        assert_eq!(back.id_of("alpha"), v.id_of("alpha"));
-        assert_eq!(back.total_words(), v.total_words());
     }
 }

@@ -71,7 +71,7 @@ impl WalkParams {
     /// True if the parameters require second-order (edge-conditioned)
     /// transition tables; `p = q = 1` is served by first-order tables
     /// with bit-identical output.
-    pub fn is_biased(&self) -> bool {
+    pub(crate) fn is_biased(&self) -> bool {
         self.p != 1.0 || self.q != 1.0
     }
 }

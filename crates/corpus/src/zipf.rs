@@ -35,18 +35,9 @@ impl ZipfSampler {
         Self { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True if the sampler covers zero ranks (impossible post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Probability mass of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn pmf(&self, k: usize) -> f64 {
         if k == 0 {
             self.cdf[0]
         } else {

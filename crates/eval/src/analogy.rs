@@ -78,22 +78,6 @@ impl AccuracyReport {
         self.acc_over(|_| true)
     }
 
-    /// Macro average: mean of per-category accuracies (the alternative
-    /// reading of "averaged over all the 14 categories").
-    pub fn macro_average(&self) -> f64 {
-        let with_questions: Vec<f64> = self
-            .categories
-            .iter()
-            .filter(|c| c.attempted > 0)
-            .map(|c| c.accuracy())
-            .collect();
-        if with_questions.is_empty() {
-            0.0
-        } else {
-            with_questions.iter().sum::<f64>() / with_questions.len() as f64
-        }
-    }
-
     /// Total questions skipped for OOV words.
     pub fn skipped(&self) -> usize {
         self.categories.iter().map(|c| c.skipped).sum()
@@ -186,14 +170,6 @@ fn cosmul_best(index: &EmbeddingIndex, a: u32, b: u32, c: u32) -> Option<u32> {
         }
     }
     best.map(|(w, _)| w)
-}
-
-/// Cosine similarity between two words' embeddings (convenience for
-/// examples and tests).
-pub fn word_similarity(model: &Word2VecModel, vocab: &Vocabulary, a: &str, b: &str) -> Option<f32> {
-    let ia = vocab.id_of(a)?;
-    let ib = vocab.id_of(b)?;
-    Some(fvec::cosine(model.embedding(ia), model.embedding(ib)))
 }
 
 #[cfg(test)]
@@ -303,7 +279,6 @@ mod tests {
         assert_eq!(report.categories[1].correct, 1);
         let expected_total = 100.0 * 4.0 / 4.0;
         assert!((report.total() - expected_total).abs() < 1e-9);
-        assert!((report.macro_average() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -315,13 +290,5 @@ mod tests {
         // Exact planted geometry: both methods solve everything.
         assert!((mul.categories[0].accuracy() - 100.0).abs() < 1e-9);
         assert_eq!(add.skipped(), mul.skipped());
-    }
-
-    #[test]
-    fn word_similarity_helper() {
-        let (vocab, model, _) = planted();
-        let s = word_similarity(&model, &vocab, "a0", "a0").unwrap();
-        assert!((s - 1.0).abs() < 1e-6);
-        assert!(word_similarity(&model, &vocab, "a0", "nope").is_none());
     }
 }

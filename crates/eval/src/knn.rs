@@ -21,17 +21,12 @@ impl EmbeddingIndex {
     }
 
     /// Number of words.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.normed.rows()
     }
 
-    /// True if the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.normed.rows() == 0
-    }
-
     /// Vector dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.normed.dim()
     }
 
@@ -156,7 +151,6 @@ mod tests {
     fn empty_index_returns_nothing() {
         let m = Word2VecModel::from_layers(FlatMatrix::zeros(0, 3), FlatMatrix::zeros(0, 3));
         let idx = EmbeddingIndex::new(&m);
-        assert!(idx.is_empty());
         assert_eq!(idx.len(), 0);
         assert!(idx.nearest(&[1.0, 0.0, 0.0], 5, &[]).is_empty());
         assert!(idx.best(&[1.0, 0.0, 0.0], &[]).is_none());

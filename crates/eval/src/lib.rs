@@ -22,9 +22,3 @@
 pub mod analogy;
 pub mod knn;
 pub mod linkpred;
-pub mod similarity;
-
-pub use analogy::{evaluate, evaluate_with, AccuracyReport, AnalogyMethod, CategoryOutcome};
-pub use knn::EmbeddingIndex;
-pub use linkpred::{auc_from_scores, evaluate_link_prediction, LinkPredReport, LinkScore};
-pub use similarity::{evaluate_similarity, spearman, SimilarityReport};

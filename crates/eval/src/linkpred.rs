@@ -24,7 +24,6 @@
 //! dropped by `min_count`) are counted in
 //! [`LinkPredReport::skipped`] rather than scored.
 
-use crate::similarity::ranks;
 use gw2v_core::model::Word2VecModel;
 use gw2v_corpus::graphs::node_word;
 use gw2v_corpus::vocab::Vocabulary;
@@ -84,7 +83,7 @@ pub struct LinkPredReport {
 
 /// Exact AUC from two score samples via tie-averaged ranks. Degenerate
 /// inputs (either side empty) return 0.5, the uninformative baseline.
-pub fn auc_from_scores(pos: &[f64], neg: &[f64]) -> f64 {
+pub(crate) fn auc_from_scores(pos: &[f64], neg: &[f64]) -> f64 {
     let (m, n) = (pos.len(), neg.len());
     if m == 0 || n == 0 {
         return 0.5;
@@ -145,12 +144,46 @@ pub fn evaluate_link_prediction(
     }
 }
 
+/// Average ranks (1-based) with ties sharing their mean rank.
+fn ranks(v: &[f64]) -> Vec<f64> {
+    let mut idx: Vec<usize> = (0..v.len()).collect();
+    idx.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).expect("NaN in rank input"));
+    let mut ranks = vec![0.0; v.len()];
+    let mut i = 0;
+    while i < idx.len() {
+        let mut j = i;
+        while j + 1 < idx.len() && v[idx[j + 1]] == v[idx[i]] {
+            j += 1;
+        }
+        // Average rank for the tie group [i, j].
+        let avg = (i + j) as f64 / 2.0 + 1.0;
+        for &k in &idx[i..=j] {
+            ranks[k] = avg;
+        }
+        i = j + 1;
+    }
+    ranks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gw2v_corpus::vocab::VocabBuilder;
     use gw2v_util::fvec::FlatMatrix;
     use gw2v_util::rng::{Rng64, Xoshiro256};
+
+    #[test]
+    fn ranks_average_ties() {
+        let r = ranks(&[10.0, 20.0, 20.0, 30.0]);
+        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
+    }
+
+    #[test]
+    fn ranks_degenerate_inputs() {
+        assert!(ranks(&[]).is_empty());
+        assert_eq!(ranks(&[7.0]), vec![1.0]);
+        assert_eq!(ranks(&[3.0, 3.0, 3.0]), vec![2.0, 2.0, 2.0]);
+    }
 
     #[test]
     fn auc_hand_computed() {

@@ -75,19 +75,19 @@ pub struct PartitionSpec {
 
 impl PartitionSpec {
     /// Round range covered by this spec.
-    pub fn covers(&self, round: usize) -> bool {
+    pub(crate) fn covers(&self, round: usize) -> bool {
         (self.from_round..self.to_round).contains(&round)
     }
 
     /// True if `from` and `to` sit on opposite sides of the split.
-    pub fn severs(&self, from: usize, to: usize) -> bool {
+    pub(crate) fn severs(&self, from: usize, to: usize) -> bool {
         (self.group_a.contains(&from) && self.group_b.contains(&to))
             || (self.group_b.contains(&from) && self.group_a.contains(&to))
     }
 
     /// The side that goes dormant under degrade-mode conversion: the
     /// smaller group, with `group_b` yielding on a size tie.
-    pub fn dormant_side(&self) -> &[usize] {
+    pub(crate) fn dormant_side(&self) -> &[usize] {
         if self.group_a.len() < self.group_b.len() {
             &self.group_a
         } else {
@@ -381,7 +381,7 @@ impl FaultPlan {
 
     /// Degrade-mode plan rewrite: every partition spec whose round-range
     /// duration fits `max_stale_rounds` is converted into a synthesized
-    /// crash of its [`PartitionSpec::dormant_side`] at `from_round` plus
+    /// crash of its `PartitionSpec::dormant_side` at `from_round` plus
     /// a rejoin at the first epoch boundary at or after `to_round`
     /// (`ceil(to_round / sync_rounds)`), so the dormant side heals
     /// through the existing rejoin/state-transfer machinery. Specs that

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// Exponent cap for [`nak_backoff_secs`]: backoff grows `2^k` per NAK
 /// round up to `2^4 = 16×` the base delay, bounding worst-case silence
 /// while still spreading retry load.
-pub const NAK_BACKOFF_EXP_CAP: u32 = 4;
+pub(crate) const NAK_BACKOFF_EXP_CAP: u32 = 4;
 
 /// Deterministic exponential NAK backoff with seeded jitter.
 ///
@@ -37,7 +37,7 @@ pub const NAK_BACKOFF_EXP_CAP: u32 = 4;
 /// ([`FaultPlan::backoff_jitter`]). Attempt-indexed and coordinate-
 /// hashed, so the sequential simulator and the threaded cluster draw
 /// identical schedules for the same plan — wall-clock never enters.
-pub fn nak_backoff_secs(
+pub(crate) fn nak_backoff_secs(
     plan: &FaultPlan,
     base_secs: f64,
     waiter: usize,
@@ -72,15 +72,6 @@ impl CostModel {
         }
     }
 
-    /// A slower commodity fabric (10 GbE) for sensitivity experiments.
-    pub fn ethernet_10g() -> Self {
-        Self {
-            bandwidth_bytes_per_sec: 0.8 * 10.0e9 / 8.0,
-            latency_sec: 20.0e-6,
-            per_phase_overhead_sec: 100.0e-6,
-        }
-    }
-
     /// Modeled communication time for one synchronization round.
     pub fn round_time(&self, volume: &RoundVolume) -> f64 {
         if volume.total_bytes() == 0 {
@@ -101,7 +92,7 @@ impl CostModel {
     /// backoff schedule, matching the threaded transport's default
     /// (`ClusterConfig::default().nak_delay` = 25 ms) so both engines
     /// draw the same schedule out of the box.
-    pub const NAK_BASE_SECS: f64 = 0.025;
+    pub(crate) const NAK_BASE_SECS: f64 = 0.025;
 
     /// Virtual stall charged to a round under an active stall-mode
     /// partition.
@@ -110,7 +101,7 @@ impl CostModel {
     /// phases ([`phases_per_round`] of `sync_plan`, which also numbers
     /// them), every waiter with a partition-blocked inbound channel
     /// runs [`gw2v_faults::PARTITION_STALL_ATTEMPTS`] NAK rounds, each
-    /// preceded by its [`nak_backoff_secs`] silence window. Waiters wait
+    /// preceded by its `nak_backoff_secs` silence window. Waiters wait
     /// concurrently, so the phase charges the slowest waiter's total;
     /// the per-frame resend traffic itself is charged separately by the
     /// retransmission model. Returns 0 when no partition covers `round`.
@@ -197,15 +188,6 @@ mod tests {
         skewed.record(2, 3, 1 << 30);
         skewed.record(3, 0, 1 << 30);
         assert!(m.round_time(&skewed) > m.round_time(&balanced));
-    }
-
-    #[test]
-    fn slower_fabric_costs_more() {
-        let mut v = RoundVolume::new(2);
-        v.record(0, 1, 100_000_000);
-        assert!(
-            CostModel::ethernet_10g().round_time(&v) > CostModel::infiniband_56g().round_time(&v)
-        );
     }
 
     #[test]

@@ -59,13 +59,9 @@ pub mod threaded;
 pub mod volume;
 pub mod wire;
 
-pub use cost::{nak_backoff_secs, CostModel, NAK_BACKOFF_EXP_CAP};
-pub use liveness::{Liveness, SharedLiveness};
+pub use liveness::Liveness;
 pub use plan::{AccessSets, SyncConfig, SyncPlan};
-pub use replica::{DeltaTracker, ModelReplica};
-pub use sync::{sync_round, sync_round_degraded, sync_round_with_scratch, SyncScratch};
-pub use threaded::{ClusterConfig, ClusterError};
-pub use volume::{CommStats, RoundVolume};
-pub use wire::{
-    open_frame, seal_frame, DeltaForm, DeltaShadow, WireError, WireMemo, WireMode, WireState,
-};
+pub use replica::ModelReplica;
+pub use threaded::ClusterConfig;
+pub use volume::CommStats;
+pub use wire::WireMode;

@@ -7,7 +7,7 @@
 //!   effective masters. Because every host derives it from the shared
 //!   fault plan, all hosts agree on it without coordination, which keeps
 //!   chaos runs exactly reproducible.
-//! * [`SharedLiveness`] is the **runtime registry** the threaded cluster
+//! * `SharedLiveness` is the **runtime registry** the threaded cluster
 //!   uses for *detection*: a crashing host flags itself here before its
 //!   thread exits, survivors notice the flag when a peer stops sending,
 //!   and the fault barrier counts only registered-alive hosts so a dead
@@ -67,7 +67,8 @@ impl Liveness {
 
     /// True when every host is alive (the fast path both engines take to
     /// stay bit-identical with the pre-fault-tolerance protocol).
-    pub fn all_alive(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn all_alive(&self) -> bool {
         self.alive.iter().all(|&a| a)
     }
 
@@ -95,20 +96,20 @@ impl Liveness {
 /// load in the barrier's release check is fine because the barrier's own
 /// mutex orders the release itself.
 #[derive(Debug)]
-pub struct SharedLiveness {
+pub(crate) struct SharedLiveness {
     alive: Vec<AtomicBool>,
 }
 
 impl SharedLiveness {
     /// All `n_hosts` hosts alive.
-    pub fn all(n_hosts: usize) -> Self {
+    pub(crate) fn all(n_hosts: usize) -> Self {
         Self {
             alive: (0..n_hosts).map(|_| AtomicBool::new(true)).collect(),
         }
     }
 
     /// Flags `host` as dead (idempotent).
-    pub fn mark_dead(&self, host: usize) {
+    pub(crate) fn mark_dead(&self, host: usize) {
         self.alive[host].store(false, Ordering::SeqCst);
     }
 
@@ -117,17 +118,17 @@ impl SharedLiveness {
     /// the next barrier, so the barrier immediately starts counting it.
     /// No barrier poke is needed — raising `n_alive` can only make a
     /// release condition stricter, never stale-release a waiting round.
-    pub fn mark_alive(&self, host: usize) {
+    pub(crate) fn mark_alive(&self, host: usize) {
         self.alive[host].store(true, Ordering::SeqCst);
     }
 
     /// Is `host` still registered alive?
-    pub fn is_alive(&self, host: usize) -> bool {
+    pub(crate) fn is_alive(&self, host: usize) -> bool {
         self.alive[host].load(Ordering::SeqCst)
     }
 
     /// Number of hosts still registered alive.
-    pub fn n_alive(&self) -> usize {
+    pub(crate) fn n_alive(&self) -> usize {
         self.alive
             .iter()
             .filter(|a| a.load(Ordering::SeqCst))
@@ -135,7 +136,8 @@ impl SharedLiveness {
     }
 
     /// Copies the registry into a deterministic snapshot.
-    pub fn snapshot(&self) -> Liveness {
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Liveness {
         Liveness {
             alive: self
                 .alive

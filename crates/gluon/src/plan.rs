@@ -73,7 +73,7 @@ impl AccessSets {
     }
 
     /// The set for `(host, layer)`.
-    pub fn get(&self, host: usize, layer: usize) -> &BitVec {
+    pub(crate) fn get(&self, host: usize, layer: usize) -> &BitVec {
         &self.sets[host][layer]
     }
 

@@ -30,7 +30,7 @@ pub struct DeltaTracker {
 
 impl DeltaTracker {
     /// Creates a tracker for `n_nodes` rows of length `dim`.
-    pub fn new(n_nodes: usize, dim: usize) -> Self {
+    pub(crate) fn new(n_nodes: usize, dim: usize) -> Self {
         Self {
             dim,
             slot_of: vec![NO_SLOT; n_nodes],
@@ -43,7 +43,7 @@ impl DeltaTracker {
     /// Records that `node`'s row (currently `current`) is about to be
     /// modified; the first touch per round snapshots the base value.
     #[inline]
-    pub fn on_touch(&mut self, node: u32, current: &[f32]) {
+    pub(crate) fn on_touch(&mut self, node: u32, current: &[f32]) {
         if self.slot_of[node as usize] != NO_SLOT {
             return;
         }
@@ -56,7 +56,7 @@ impl DeltaTracker {
 
     /// True if `node` was touched this round.
     #[inline]
-    pub fn is_touched(&self, node: u32) -> bool {
+    pub(crate) fn is_touched(&self, node: u32) -> bool {
         self.slot_of[node as usize] != NO_SLOT
     }
 
@@ -79,20 +79,21 @@ impl DeltaTracker {
     }
 
     /// Number of touched nodes.
-    pub fn touched_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn touched_count(&self) -> usize {
         self.nodes.len()
     }
 
     /// Writes `current − base` for `node` into `out` (element-wise
     /// subtraction through the SIMD kernel table; bit-identical across
     /// backends).
-    pub fn delta_into(&self, node: u32, current: &[f32], out: &mut [f32]) {
+    pub(crate) fn delta_into(&self, node: u32, current: &[f32], out: &mut [f32]) {
         let base = self.base_of(node);
         (gw2v_util::simd::kernels().sub_into)(current, base, out);
     }
 
     /// Clears all tracking for the next round; O(touched).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for &n in &self.nodes {
             self.slot_of[n as usize] = NO_SLOT;
         }
@@ -125,12 +126,12 @@ impl ModelReplica {
     }
 
     /// Number of layers.
-    pub fn n_layers(&self) -> usize {
+    pub(crate) fn n_layers(&self) -> usize {
         self.layers.len()
     }
 
     /// Number of nodes (rows per layer).
-    pub fn n_nodes(&self) -> usize {
+    pub(crate) fn n_nodes(&self) -> usize {
         self.layers[0].rows()
     }
 
@@ -142,7 +143,7 @@ impl ModelReplica {
 
     /// Mutable row access *with* delta tracking: snapshots the base on
     /// first touch per round. All training writes must go through here
-    /// (or pre-declare via [`DeltaTracker::on_touch`]).
+    /// (or pre-declare via `DeltaTracker::on_touch`).
     #[inline]
     pub fn row_mut(&mut self, layer: usize, node: u32) -> &mut [f32] {
         let current = self.layers[layer].row(node as usize);
@@ -154,7 +155,7 @@ impl ModelReplica {
     /// Mutable row access *without* tracking — only for initialization
     /// before training starts.
     #[inline]
-    pub fn row_mut_untracked(&mut self, layer: usize, node: u32) -> &mut [f32] {
+    pub(crate) fn row_mut_untracked(&mut self, layer: usize, node: u32) -> &mut [f32] {
         self.layers[layer].row_mut(node as usize)
     }
 
@@ -164,7 +165,7 @@ impl ModelReplica {
     }
 
     /// Clears all trackers (end of a sync round).
-    pub fn clear_tracking(&mut self) {
+    pub(crate) fn clear_tracking(&mut self) {
         for t in &mut self.trackers {
             t.clear();
         }
@@ -173,7 +174,10 @@ impl ModelReplica {
     /// Simultaneous mutable access to one layer and its tracker, for the
     /// synchronization engine (which rewrites rows while consulting
     /// bases).
-    pub fn layer_and_tracker_mut(&mut self, layer: usize) -> (&mut FlatMatrix, &DeltaTracker) {
+    pub(crate) fn layer_and_tracker_mut(
+        &mut self,
+        layer: usize,
+    ) -> (&mut FlatMatrix, &DeltaTracker) {
         (&mut self.layers[layer], &self.trackers[layer])
     }
 

@@ -87,7 +87,7 @@ impl<'a> HostRound<'a> {
     /// shared fault plan, so every state in the cluster clears on the
     /// same round. Also sorts this round's touched rows by master: the
     /// reduce needs them per peer, the fold needs this host's own.
-    pub fn begin(&mut self) {
+    pub(crate) fn begin(&mut self) {
         assert!(
             self.cfg.plan != SyncPlan::PullModel || self.access.is_some(),
             "PullModel requires inspection access sets"
@@ -104,7 +104,7 @@ impl<'a> HostRound<'a> {
     }
 
     /// Closes the round: the next one tracks deltas afresh.
-    pub fn end(&mut self) {
+    pub(crate) fn end(&mut self) {
         self.replica.clear_tracking();
     }
 
@@ -157,7 +157,7 @@ impl<'a> HostRound<'a> {
     /// Ships this host's touched-mirror deltas to their masters: one
     /// payload (possibly empty) per alive peer per layer, so caches and
     /// shadows advance in lockstep on every pair.
-    pub fn send_reduce(&mut self, post: &mut Post<'_>) -> Result<(), ClusterError> {
+    pub(crate) fn send_reduce(&mut self, post: &mut Post<'_>) -> Result<(), ClusterError> {
         for layer in 0..self.replica.n_layers() {
             let dim = self.replica.layers[layer].dim();
             for peer in self.peers() {
@@ -194,7 +194,7 @@ impl<'a> HostRound<'a> {
 
     /// Folds this host's own touches of rows it masters — its turn in
     /// the host-id fold order.
-    pub fn fold_own(&mut self) {
+    pub(crate) fn fold_own(&mut self) {
         for layer in 0..self.replica.n_layers() {
             let dim = self.replica.layers[layer].dim();
             let SyncScratch { layers, delta, .. } = &mut *self.scratch;
@@ -214,7 +214,7 @@ impl<'a> HostRound<'a> {
     }
 
     /// Folds the reduce payload `from` shipped for `layer`.
-    pub fn fold_reduce(
+    pub(crate) fn fold_reduce(
         &mut self,
         from: usize,
         layer: usize,
@@ -244,7 +244,7 @@ impl<'a> HostRound<'a> {
 
     /// Applies the combined deltas at the rows this host masters:
     /// `canonical = base + combined`.
-    pub fn apply_reduce(&mut self) {
+    pub(crate) fn apply_reduce(&mut self) {
         for layer in 0..self.replica.n_layers() {
             let dim = self.replica.layers[layer].dim();
             let SyncScratch {
@@ -269,7 +269,7 @@ impl<'a> HostRound<'a> {
     /// Ships canonical rows to every mirror: the rows reconciled this
     /// round (RepModelOpt) or every row this host masters
     /// (RepModelNaive). One staged batch per layer serves all peers.
-    pub fn send_broadcast(&mut self, post: &mut Post<'_>) -> Result<(), ClusterError> {
+    pub(crate) fn send_broadcast(&mut self, post: &mut Post<'_>) -> Result<(), ClusterError> {
         for layer in 0..self.replica.n_layers() {
             let SyncScratch { layers, staged, .. } = &mut *self.scratch;
             staged.reset(self.replica.layers[layer].dim());
@@ -296,7 +296,7 @@ impl<'a> HostRound<'a> {
     /// PullModel: asks each owner for the rows this host will access
     /// next round, as bare id lists in node-id order. Control traffic,
     /// like NAKs and frame armor: not accounted.
-    pub fn send_requests(&mut self, post: &mut Post<'_>) -> Result<(), ClusterError> {
+    pub(crate) fn send_requests(&mut self, post: &mut Post<'_>) -> Result<(), ClusterError> {
         let access = self.access.expect("checked in begin");
         for layer in 0..self.replica.n_layers() {
             let mut lists = vec![Vec::new(); self.live.n_hosts()];
@@ -315,7 +315,7 @@ impl<'a> HostRound<'a> {
     /// requested canonical rows, in request order — whether or not they
     /// were updated (paper: "it sends masters that may not have been
     /// updated").
-    pub fn answer_request(
+    pub(crate) fn answer_request(
         &mut self,
         from: usize,
         layer: usize,
@@ -335,7 +335,7 @@ impl<'a> HostRound<'a> {
 
     /// Overwrites this host's mirror rows with the canonical rows `from`
     /// shipped for `layer` (a broadcast or a pull response).
-    pub fn apply_broadcast(
+    pub(crate) fn apply_broadcast(
         &mut self,
         from: usize,
         layer: usize,

@@ -178,7 +178,7 @@ impl SyncScratch {
 /// Runs one synchronization round over all replicas, allocating its
 /// working memory afresh.
 ///
-/// Thin wrapper around [`sync_round_with_scratch`]; callers that
+/// Thin wrapper around `sync_round_with_scratch`; callers that
 /// synchronize repeatedly (the distributed trainer, benchmarks) should
 /// hold their scratches across rounds instead.
 pub fn sync_round(
@@ -201,7 +201,7 @@ pub fn sync_round(
 /// counters are added to `stats`. Delta trackers are cleared on return.
 /// The result is bit-for-bit identical whether the scratches are fresh
 /// or carried over from previous rounds (pinned by tests below).
-pub fn sync_round_with_scratch(
+pub(crate) fn sync_round_with_scratch(
     replicas: &mut [ModelReplica],
     cfg: &SyncConfig,
     access: Option<&AccessSets>,
@@ -323,7 +323,7 @@ impl Cluster<'_> {
     }
 }
 
-/// [`sync_round_with_scratch`] under an explicit liveness view and wire
+/// `sync_round_with_scratch` under an explicit liveness view and wire
 /// mode: the simulator's transport for the per-host round both engines
 /// run (`round.rs`; docs/WIRE.md § engine parity).
 ///
@@ -334,7 +334,7 @@ impl Cluster<'_> {
 /// contribute no deltas, receive no broadcasts and have their trackers
 /// left untouched; their master blocks are reconciled at the adopter
 /// host ([`Liveness::effective_master`]). With an all-alive view and
-/// classic states this is exactly [`sync_round_with_scratch`].
+/// classic states this is exactly `sync_round_with_scratch`.
 ///
 /// `stats` accumulates every host's sends; the returned volume holds
 /// the round's per-host sent and received bytes.

@@ -24,7 +24,7 @@
 //!   `(sender, layer)` slot and get a retransmission;
 //! * receivers NAK on CRC failure immediately and on silence; the
 //!   silence window grows per NAK round by deterministic exponential
-//!   backoff with seeded jitter ([`crate::cost::nak_backoff_secs`],
+//!   backoff with seeded jitter (`crate::cost::nak_backoff_secs`,
 //!   base [`ClusterConfig::nak_delay`]), with bounded retries
 //!   ([`ClusterConfig::max_retries`]);
 //! * duplicate deliveries (a resend racing the original, or the `dup`
@@ -63,7 +63,7 @@
 //! transfer** for crashed-host re-admission: at an epoch boundary a
 //! rejoining host's adopter streams its full replica (plus the ward's
 //! RNG state and schedule position) back over CRC-sealed frames tagged
-//! with [`STATE_TRANSFER_SEQ`], outside the lockstep phase numbering and
+//! with `STATE_TRANSFER_SEQ`, outside the lockstep phase numbering and
 //! the fault injector (state transfer models a reliable bulk channel).
 
 use crate::liveness::{Liveness, SharedLiveness};
@@ -204,39 +204,9 @@ impl Default for ClusterConfig {
     }
 }
 
-impl ClusterConfig {
-    /// Defaults overridden by the `GW2V_NAK_DELAY_MS`,
-    /// `GW2V_MAX_RETRIES` and `GW2V_BARRIER_TIMEOUT_MS` environment
-    /// variables (the env-var twins of the `--nak-delay`,
-    /// `--max-retries` and `--barrier-timeout` CLI knobs). A set but
-    /// unparseable value is an error, never silently ignored.
-    pub fn from_env() -> Result<Self, String> {
-        fn env_parse<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
-            match std::env::var(name) {
-                Err(_) => Ok(None),
-                Ok(raw) => raw
-                    .parse()
-                    .map(Some)
-                    .map_err(|_| format!("{name}: cannot parse {raw:?}")),
-            }
-        }
-        let mut cfg = Self::default();
-        if let Some(ms) = env_parse::<f64>("GW2V_NAK_DELAY_MS")? {
-            cfg.nak_delay = Duration::from_secs_f64(ms / 1e3);
-        }
-        if let Some(n) = env_parse::<u32>("GW2V_MAX_RETRIES")? {
-            cfg.max_retries = n;
-        }
-        if let Some(ms) = env_parse::<f64>("GW2V_BARRIER_TIMEOUT_MS")? {
-            cfg.barrier_timeout = Duration::from_secs_f64(ms / 1e3);
-        }
-        Ok(cfg)
-    }
-}
-
 /// What a [`Message`] carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgKind {
+pub(crate) enum MsgKind {
     /// A sealed payload frame; `attempt` counts retransmissions so the
     /// fault injector draws an independent coin per delivery attempt.
     Data {
@@ -252,7 +222,7 @@ pub enum MsgKind {
 /// Cloning is cheap (`Bytes` is reference-counted); the dup injector
 /// clones a sealed frame to deliver it twice.
 #[derive(Debug, Clone)]
-pub struct Message {
+pub(crate) struct Message {
     /// Sending host.
     pub from: usize,
     /// Model layer the payload belongs to.
@@ -389,7 +359,7 @@ struct ResendSlot {
 /// (crashed-host re-admission). They ride the same channels as protocol
 /// messages but sit outside the lockstep phase numbering and bypass the
 /// drop/flip injector — state transfer models a reliable bulk transport.
-pub const STATE_TRANSFER_SEQ: u64 = u64::MAX;
+pub(crate) const STATE_TRANSFER_SEQ: u64 = u64::MAX;
 
 /// Payload bytes of the re-admission control frame: the ward's four
 /// Xoshiro256 state words plus its schedule position, all `u64`. The
@@ -447,7 +417,8 @@ fn empty_bytes() -> Bytes {
 
 impl HostCtx {
     /// The fault plan this cluster runs under.
-    pub fn plan(&self) -> &FaultPlan {
+    #[cfg(test)]
+    pub(crate) fn plan(&self) -> &FaultPlan {
         &self.state.plan
     }
 
@@ -823,7 +794,7 @@ impl HostCtx {
     /// wait time is the straggler signal: a host that arrives early
     /// waits for the slowest one, so the histogram's spread measures
     /// per-round load imbalance across hosts.
-    pub fn barrier_wait_timed(&self) {
+    pub(crate) fn barrier_wait_timed(&self) {
         if gw2v_obs::enabled() {
             let start = std::time::Instant::now();
             self.barrier_wait();
@@ -845,7 +816,7 @@ impl HostCtx {
     /// rejoining host *before* it acknowledges the state transfer, so the
     /// adopter cannot reach the next barrier while the registry still
     /// excludes the rejoiner.
-    pub fn register_alive(&self) {
+    pub(crate) fn register_alive(&self) {
         self.state.live.mark_alive(self.host);
     }
 
@@ -863,7 +834,12 @@ impl HostCtx {
     /// slot. The frame is CRC-sealed but bypasses the drop/flip injector
     /// (state transfer models a reliable bulk transport). Returns the
     /// payload length for `gluon.state_transfer_bytes` accounting.
-    pub fn send_state(&self, to: usize, tag: usize, payload: Bytes) -> Result<usize, ClusterError> {
+    pub(crate) fn send_state(
+        &self,
+        to: usize,
+        tag: usize,
+        payload: Bytes,
+    ) -> Result<usize, ClusterError> {
         let len = payload.len();
         self.post(
             to,
@@ -887,7 +863,7 @@ impl HostCtx {
     /// their send order. State frames bypass the fault injector, so one
     /// that fails to open is [`ClusterError::BadPayload`]: resending
     /// cannot help.
-    pub fn recv_state(&self, from: usize) -> Result<(usize, Bytes), ClusterError> {
+    pub(crate) fn recv_state(&self, from: usize) -> Result<(usize, Bytes), ClusterError> {
         loop {
             let msg = self
                 .receiver
@@ -1070,7 +1046,7 @@ where
 /// One synchronization round from a single host's perspective, with
 /// per-round working memory allocated afresh.
 ///
-/// Thin wrapper around [`sync_round_threaded_with_scratch`]; hosts that
+/// Thin wrapper around `sync_round_threaded_with_scratch`; hosts that
 /// synchronize repeatedly should hold a [`SyncScratch`] instead.
 pub fn sync_round_threaded(
     ctx: &HostCtx,
@@ -1087,7 +1063,7 @@ pub fn sync_round_threaded(
 /// Each host only consults *its own* row of the set matrix (what it will
 /// touch next round, from its local inspection replay), unlike the
 /// simulator where one [`AccessSets`] holds every host's sets.
-pub type PullAccess<'a> = Option<&'a AccessSets>;
+pub(crate) type PullAccess<'a> = Option<&'a AccessSets>;
 
 /// One synchronization round from a single host's perspective, reusing
 /// `scratch`; every host must call this the same number of times with
@@ -1095,7 +1071,7 @@ pub type PullAccess<'a> = Option<&'a AccessSets>;
 ///
 /// `stats` accumulates the bytes *this host sends* (summing over hosts
 /// gives cluster totals).
-pub fn sync_round_threaded_with_scratch(
+pub(crate) fn sync_round_threaded_with_scratch(
     ctx: &HostCtx,
     replica: &mut ModelReplica,
     cfg: &SyncConfig,
@@ -1115,7 +1091,7 @@ pub fn sync_round_threaded_with_scratch(
     )
 }
 
-/// [`sync_round_threaded_with_scratch`] under an explicit liveness view
+/// `sync_round_threaded_with_scratch` under an explicit liveness view
 /// and wire mode: the cluster's transport for the per-host round both
 /// engines run (`round.rs`; docs/WIRE.md § engine parity). This function
 /// is the phase calls with a collect and a barrier between them.
@@ -1127,7 +1103,7 @@ pub fn sync_round_threaded_with_scratch(
 /// agreement protocol is needed.
 ///
 /// For [`SyncPlan::PullModel`], `access` must carry this host's
-/// inspection-derived sets (see [`PullAccess`]); the replication plans
+/// inspection-derived sets (see `PullAccess`); the replication plans
 /// ignore it.
 ///
 /// `wire` is this host's state for the run's payload mode

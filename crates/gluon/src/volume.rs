@@ -20,7 +20,7 @@ pub struct RoundVolume {
 
 impl RoundVolume {
     /// Zeroed counters for `n_hosts` hosts.
-    pub fn new(n_hosts: usize) -> Self {
+    pub(crate) fn new(n_hosts: usize) -> Self {
         Self {
             sent: vec![0; n_hosts],
             recv: vec![0; n_hosts],
@@ -29,7 +29,7 @@ impl RoundVolume {
 
     /// Records a transfer of `bytes` from `from` to `to`.
     #[inline]
-    pub fn record(&mut self, from: usize, to: usize, bytes: u64) {
+    pub(crate) fn record(&mut self, from: usize, to: usize, bytes: u64) {
         self.sent[from] += bytes;
         self.recv[to] += bytes;
     }
@@ -41,7 +41,7 @@ impl RoundVolume {
 
     /// The busiest host's `sent + recv` bytes — the round's network
     /// bottleneck under a full-duplex, non-blocking fabric.
-    pub fn max_host_bytes(&self) -> u64 {
+    pub(crate) fn max_host_bytes(&self) -> u64 {
         self.sent
             .iter()
             .zip(&self.recv)

@@ -61,7 +61,7 @@
 //! before indexing anything, advances the receiver's cache or shadow and
 //! yields `(node, row)` pairs in payload order. A payload that passes
 //! its frame CRC but does not fit the receiver's state is a
-//! [`WireError`], never a panic. [`WireState::encode_dense_reduce`] is
+//! [`WireError`], never a panic. `WireState::encode_dense_reduce` is
 //! the one extra mode-aware entry: RepModelNaive's reduce, whose
 //! accounted payload (every mirror row) is not the one it ships.
 //!
@@ -294,7 +294,7 @@ impl RowEncoder {
 
     /// Empties the encoder for a new batch of rows of length `dim`,
     /// keeping its buffers.
-    pub fn reset(&mut self, dim: usize) {
+    pub(crate) fn reset(&mut self, dim: usize) {
         self.dim = dim;
         self.ids.clear();
         self.values.clear();
@@ -323,7 +323,7 @@ impl RowEncoder {
     }
 
     /// Entries encoded so far.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.ids.len()
     }
 
@@ -333,7 +333,7 @@ impl RowEncoder {
     }
 
     /// Value-only payload size in bytes ([`value_bytes`] per entry).
-    pub fn value_byte_len(&self) -> usize {
+    pub(crate) fn value_byte_len(&self) -> usize {
         self.ids.len() * value_bytes(self.dim)
     }
 
@@ -418,7 +418,7 @@ impl RowEncoder {
 /// Serializes a bare node-id list — a PullModel request: control
 /// traffic, the same bytes in every mode (an id+value payload of
 /// dimension 0). The inverse of [`decode_ids`].
-pub fn encode_ids(ids: &[u32]) -> Bytes {
+pub(crate) fn encode_ids(ids: &[u32]) -> Bytes {
     let mut buf = BytesMut::with_capacity(ids.len() * 4);
     for &node in ids {
         buf.put_u32_le(node);
@@ -474,7 +474,8 @@ impl RowDecoder {
     }
 
     /// Number of entries remaining.
-    pub fn remaining(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn remaining(&self) -> usize {
         self.count - self.next
     }
 }
@@ -582,7 +583,7 @@ impl QuantDecoder {
     }
 
     /// Number of entries remaining.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.count - self.next
     }
 }
@@ -610,20 +611,20 @@ type LinkKey = (usize, usize, usize, Channel);
 /// [`WireMode::Memo`].
 ///
 /// Both ends of a link hold one: the **sender** calls
-/// [`submit`](WireMemo::submit) with the id list it is about to ship —
+/// `submit` with the id list it is about to ship —
 /// a hit (list identical to the cached one) means the receiver already
 /// knows the ids, so a value-only payload suffices; a miss updates the
 /// cache and ships id+value. The **receiver** calls
-/// [`store`](WireMemo::store) with the ids it decodes from every
-/// id+value payload and [`cached`](WireMemo::cached) to resolve
+/// `store` with the ids it decodes from every
+/// id+value payload and `cached` to resolve
 /// value-only payloads. Because both sides derive their updates from
 /// the same payload sequence, the caches stay in lockstep without any
 /// extra coordination traffic.
 ///
-/// Invalidation keeps fault plans exact: [`begin_epoch`](WireMemo::begin_epoch)
+/// Invalidation keeps fault plans exact: `begin_epoch`
 /// clears everything at each epoch start (checkpoints cut at epoch
 /// boundaries, so a resumed run and an uninterrupted run see identical
-/// cache states), and [`observe_liveness`](WireMemo::observe_liveness)
+/// cache states), and `observe_liveness`
 /// clears on any alive-set change (crash, adoption, rejoin) since
 /// routing — and therefore every id list — changes with it.
 #[derive(Debug, Default)]
@@ -634,20 +635,20 @@ pub struct WireMemo {
 
 impl WireMemo {
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Clears every cached list (call at each epoch start, both
     /// engines).
-    pub fn begin_epoch(&mut self) {
+    pub(crate) fn begin_epoch(&mut self) {
         self.cache.clear();
         self.live = None;
     }
 
     /// Clears every cached list if the alive set changed since the last
     /// observation. Call once per sync round before any submit/store.
-    pub fn observe_liveness(&mut self, live: &Liveness) {
+    pub(crate) fn observe_liveness(&mut self, live: &Liveness) {
         if self.live.as_ref() != Some(live) {
             self.cache.clear();
             self.live = Some(live.clone());
@@ -658,7 +659,7 @@ impl WireMemo {
     /// to ship `to` on `(layer, channel)`. Returns `true` (hit: ship
     /// value-only) when `ids` matches the cached list; otherwise caches
     /// `ids` and returns `false` (miss: ship id+value).
-    pub fn submit(
+    pub(crate) fn submit(
         &mut self,
         from: usize,
         to: usize,
@@ -684,13 +685,26 @@ impl WireMemo {
     /// Receiver side: records the id list decoded from an id+value
     /// payload so a later value-only payload on the same key can be
     /// resolved.
-    pub fn store(&mut self, from: usize, to: usize, layer: usize, channel: Channel, ids: Vec<u32>) {
+    pub(crate) fn store(
+        &mut self,
+        from: usize,
+        to: usize,
+        layer: usize,
+        channel: Channel,
+        ids: Vec<u32>,
+    ) {
         self.cache.insert((from, to, layer, channel), ids);
     }
 
     /// Receiver side: the cached id list for a value-only payload, if
     /// one exists.
-    pub fn cached(&self, from: usize, to: usize, layer: usize, channel: Channel) -> Option<&[u32]> {
+    pub(crate) fn cached(
+        &self,
+        from: usize,
+        to: usize,
+        layer: usize,
+        channel: Channel,
+    ) -> Option<&[u32]> {
         self.cache
             .get(&(from, to, layer, channel))
             .map(Vec::as_slice)
@@ -723,7 +737,7 @@ pub enum DeltaForm {
 impl DeltaForm {
     /// Payload bytes this form puts on the wire for `n` rows of
     /// dimension `dim`.
-    pub fn wire_bytes(&self, n: usize, dim: usize) -> usize {
+    pub(crate) fn wire_bytes(&self, n: usize, dim: usize) -> usize {
         match self {
             DeltaForm::Full => n * entry_bytes(dim),
             DeltaForm::Delta { changed, .. } => delta_bytes(dim, n, *changed),
@@ -748,8 +762,8 @@ impl DeltaForm {
 /// traffic.
 ///
 /// Invalidation is identical to [`WireMemo`]:
-/// [`begin_epoch`](DeltaShadow::begin_epoch) clears everything at each
-/// epoch start and [`observe_liveness`](DeltaShadow::observe_liveness)
+/// `begin_epoch` clears everything at each
+/// epoch start and `observe_liveness`
 /// clears on any alive-set change, so the first post-fault (and
 /// post-checkpoint-resume) exchange on every key is always a full
 /// payload.
@@ -767,7 +781,7 @@ impl DeltaShadow {
 
     /// Clears every shadow entry (call at each epoch start, both
     /// engines).
-    pub fn begin_epoch(&mut self) {
+    pub(crate) fn begin_epoch(&mut self) {
         self.cache.clear();
         self.live = None;
     }
@@ -775,7 +789,7 @@ impl DeltaShadow {
     /// Clears every shadow entry if the alive set changed since the
     /// last observation. Call once per sync round before any
     /// submit/store.
-    pub fn observe_liveness(&mut self, live: &Liveness) {
+    pub(crate) fn observe_liveness(&mut self, live: &Liveness) {
         if self.live.as_ref() != Some(live) {
             self.cache.clear();
             self.live = Some(live.clone());
@@ -906,7 +920,7 @@ impl DeltaShadow {
 /// the other receives), so a state is never shared between hosts.
 ///
 /// [`encode`](WireState::encode), [`decode`](WireState::decode) and
-/// [`encode_dense_reduce`](WireState::encode_dense_reduce) are the only
+/// `encode_dense_reduce` are the only
 /// code that knows what a mode puts on the wire.
 #[derive(Debug)]
 pub enum WireState {
@@ -944,7 +958,7 @@ impl WireState {
     /// Invalidates stateful caches on any alive-set change (no-op for
     /// the stateless modes). Call once per sync round before any
     /// encode/decode.
-    pub fn observe_liveness(&mut self, live: &Liveness) {
+    pub(crate) fn observe_liveness(&mut self, live: &Liveness) {
         match self {
             WireState::Memo(m) => m.observe_liveness(live),
             WireState::Delta(d) => d.observe_liveness(live),
@@ -994,7 +1008,7 @@ impl WireState {
     /// touching hosts). Advances the cache or shadow with the dense
     /// image and returns the physical payload (never a compact form, the
     /// receiver holds no dense state) with the bytes to account.
-    pub fn encode_dense_reduce(
+    pub(crate) fn encode_dense_reduce(
         &mut self,
         from: usize,
         to: usize,
@@ -1125,7 +1139,7 @@ fn check_ids(ids: &[u8], n_nodes: usize) -> Result<(), WireError> {
 
 /// Decodes a bare node-id list ([`encode_ids`]) after checking its
 /// length and every id against `n_nodes`.
-pub fn decode_ids(
+pub(crate) fn decode_ids(
     payload: &Bytes,
     n_nodes: usize,
 ) -> Result<impl Iterator<Item = u32> + '_, WireError> {
@@ -1145,7 +1159,7 @@ pub fn decode_ids(
 // ---------------------------------------------------------------------------
 
 /// Magic number opening every sealed frame (`"GW2V"` little-endian).
-pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"GW2V");
+pub(crate) const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"GW2V");
 
 /// Sealed-frame header size: magic `u32` + payload length `u32` +
 /// CRC-32 `u32`, all little-endian.
@@ -1157,10 +1171,10 @@ pub const FRAME_HEADER_BYTES: usize = 12;
 /// The threaded engine treats a *frame* error ([`open_frame`]) as a
 /// corrupted delivery: the receiver NAKs the `(sender, layer)` slot and
 /// the sender retransmits from its resend buffer. A *payload* error
-/// ([`WireState::decode`], [`decode_ids`]) comes after the CRC matched —
+/// ([`WireState::decode`], `decode_ids`) comes after the CRC matched —
 /// the sender built those bytes — so like the send-side
 /// [`WireError::PayloadTooLarge`] no retry can heal it and the round
-/// fails with a [`crate::ClusterError`].
+/// fails with a [`crate::threaded::ClusterError`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// The buffer is shorter than a frame header, the header's length
@@ -1174,7 +1188,7 @@ pub enum WireError {
         /// Bytes actually present.
         actual: usize,
     },
-    /// The frame does not open with [`FRAME_MAGIC`].
+    /// The frame does not open with `FRAME_MAGIC`.
     BadMagic,
     /// The payload's CRC-32 does not match the header checksum.
     Corrupt {

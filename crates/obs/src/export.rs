@@ -12,7 +12,7 @@ use std::path::Path;
 
 /// Writes trace events as JSONL (one compact JSON object per line),
 /// appending to `path` so multiple runs can share one trace file.
-pub fn write_trace_jsonl(path: &Path, events: &[TraceEvent]) -> std::io::Result<()> {
+pub(crate) fn write_trace_jsonl(path: &Path, events: &[TraceEvent]) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -34,7 +34,7 @@ pub fn write_trace_jsonl(path: &Path, events: &[TraceEvent]) -> std::io::Result<
 /// ASCII table per instrument kind (counters, gauges, histograms), in
 /// name order. Empty sections are omitted; an entirely empty snapshot
 /// renders a one-line note instead.
-pub fn summary_table(snap: &MetricsSnapshot) -> String {
+pub(crate) fn summary_table(snap: &MetricsSnapshot) -> String {
     if snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty() {
         return "metrics: no instruments recorded\n".to_owned();
     }

@@ -102,7 +102,7 @@ impl LogHistogram {
     }
 
     /// Records `n` identical observations (all counters saturate).
-    pub fn record_n(&self, v: u64, n: u64) {
+    pub(crate) fn record_n(&self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -114,27 +114,27 @@ impl LogHistogram {
     }
 
     /// Number of observations (saturating).
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Relaxed)
     }
 
     /// Sum of all observations (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Relaxed)
     }
 
     /// Smallest observation, or `None` if empty.
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count() > 0).then(|| self.min.load(Relaxed))
     }
 
     /// Largest observation, or `None` if empty.
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.count() > 0).then(|| self.max.load(Relaxed))
     }
 
     /// Arithmetic mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         let n = self.count();
         (n > 0).then(|| self.sum() as f64 / n as f64)
     }
@@ -147,7 +147,7 @@ impl LogHistogram {
     /// observed `[min, max]` — so `quantile(0.0)` is exactly `min`,
     /// `quantile(1.0)` exactly `max`, and a single-sample histogram
     /// reports that sample at every `q`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         if !(0.0..=1.0).contains(&q) {
             return None;
         }
@@ -182,7 +182,7 @@ impl LogHistogram {
     }
 
     /// Clears every counter back to the empty state.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Relaxed);
         }

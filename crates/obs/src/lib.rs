@@ -26,7 +26,7 @@
 //! |---|---|
 //! | `GW2V_METRICS` | `1`/`true`/`on`/`yes` enables metrics at first use |
 //! | `GW2V_TRACE_OUT` | Path for the JSONL trace written by [`flush_trace`] |
-//! | `GW2V_GIT_SHA` | Overrides git discovery in [`provenance::git_sha`] |
+//! | `GW2V_GIT_SHA` | Overrides git discovery in [`provenance()`] |
 //!
 //! # Quick use
 //!
@@ -44,10 +44,6 @@
 //! gw2v_obs::set_enabled(false);
 //! # gw2v_obs::reset();
 //! ```
-//!
-//! This crate is also the canonical home of the workspace's summary-
-//! statistics and phase-timer utilities, re-exported from `gw2v_util`
-//! (see [`stats`] and [`timer`]).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -58,19 +54,13 @@ pub mod provenance;
 pub mod registry;
 pub mod trace;
 
-// Satellite fold: the pre-existing timer/stats utilities now live under
-// the observability umbrella. `gw2v_util` keeps the implementations (it
-// sits below this crate in the dependency DAG); this is the canonical
-// import path.
-pub use gw2v_util::stats;
-pub use gw2v_util::stats::{geomean, percentile, OnlineStats};
-pub use gw2v_util::timer;
-pub use gw2v_util::timer::{PhaseGuard, PhaseTimer};
+pub use hist::LogHistogram;
+pub use provenance::{provenance, Provenance};
+pub use registry::MetricsSnapshot;
+pub use trace::TraceEvent;
 
-pub use hist::{HistSummary, LogHistogram};
-pub use provenance::{git_sha, provenance, Provenance};
-pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use trace::{Span, TraceEvent, TraceSink};
+use registry::{Counter, Gauge, Histogram, MetricsRegistry};
+use trace::{Span, TraceSink};
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
@@ -128,7 +118,7 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 2 } else { 1 }, Relaxed);
 }
 
-/// Shorthand for [`MetricsRegistry::counter`] on the global registry.
+/// Shorthand for `MetricsRegistry::counter` on the global registry.
 ///
 /// Handle creation takes the registry mutex — hot code should call this
 /// once and cache the returned [`Counter`].
@@ -136,12 +126,12 @@ pub fn counter(name: &str) -> Counter {
     obs().registry.counter(name)
 }
 
-/// Shorthand for [`MetricsRegistry::gauge`] on the global registry.
+/// Shorthand for `MetricsRegistry::gauge` on the global registry.
 pub fn gauge(name: &str) -> Gauge {
     obs().registry.gauge(name)
 }
 
-/// Shorthand for [`MetricsRegistry::histogram`] on the global registry.
+/// Shorthand for `MetricsRegistry::histogram` on the global registry.
 pub fn histogram(name: &str) -> Histogram {
     obs().registry.histogram(name)
 }
@@ -187,7 +177,7 @@ pub fn span(name: &str) -> Span {
     }
 }
 
-/// Snapshot of the global registry (see [`MetricsRegistry::snapshot`]).
+/// Snapshot of the global registry (see `MetricsRegistry::snapshot`).
 pub fn snapshot() -> MetricsSnapshot {
     obs().registry.snapshot()
 }
@@ -199,7 +189,7 @@ pub fn reset() {
 }
 
 /// Renders the global registry as human-readable summary tables (see
-/// [`export::summary_table`]).
+/// `export::summary_table`).
 pub fn summary() -> String {
     export::summary_table(&snapshot())
 }

@@ -35,7 +35,7 @@ pub fn provenance(scale: &str, seed: u64) -> Provenance {
 /// subprocess): walks up from the working directory, follows the
 /// `ref:` indirection in `HEAD`, and falls back to `packed-refs`.
 /// `GW2V_GIT_SHA` overrides discovery; `"unknown"` when neither works.
-pub fn git_sha() -> String {
+pub(crate) fn git_sha() -> String {
     if let Ok(sha) = std::env::var("GW2V_GIT_SHA") {
         if !sha.trim().is_empty() {
             return shorten(sha.trim());

@@ -36,7 +36,8 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn value(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn value(&self) -> u64 {
         self.cell.load(Relaxed)
     }
 }
@@ -57,7 +58,8 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn value(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn value(&self) -> f64 {
         f64::from_bits(self.bits.load(Relaxed))
     }
 }
@@ -84,7 +86,8 @@ impl Histogram {
     }
 
     /// Read access to the underlying histogram.
-    pub fn inner(&self) -> &LogHistogram {
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &LogHistogram {
         &self.hist
     }
 }
@@ -103,13 +106,8 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Returns (registering on first use) the counter called `name`.
-    pub fn counter(&self, name: &str) -> Counter {
+    pub(crate) fn counter(&self, name: &str) -> Counter {
         let mut inner = self.inner.lock().expect("registry poisoned");
         let cell = inner
             .counters
@@ -121,7 +119,7 @@ impl MetricsRegistry {
     }
 
     /// Returns (registering on first use) the gauge called `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    pub(crate) fn gauge(&self, name: &str) -> Gauge {
         let mut inner = self.inner.lock().expect("registry poisoned");
         let cell = inner
             .gauges
@@ -133,7 +131,7 @@ impl MetricsRegistry {
     }
 
     /// Returns (registering on first use) the histogram called `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    pub(crate) fn histogram(&self, name: &str) -> Histogram {
         let mut inner = self.inner.lock().expect("registry poisoned");
         let cell = inner
             .hists
@@ -148,7 +146,7 @@ impl MetricsRegistry {
     ///
     /// Instruments that never recorded anything are omitted, so the
     /// snapshot reflects what actually ran.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().expect("registry poisoned");
         MetricsSnapshot {
             counters: inner
@@ -173,7 +171,7 @@ impl MetricsRegistry {
     }
 
     /// Zeroes every instrument (handles stay valid).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         let inner = self.inner.lock().expect("registry poisoned");
         for c in inner.counters.values() {
             c.store(0, Relaxed);
@@ -208,7 +206,7 @@ mod tests {
     #[test]
     fn registry_roundtrip() {
         let _flag = crate::FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         crate::set_enabled(true);
 
         let c = r.counter("pairs");

@@ -87,13 +87,8 @@ pub struct TraceSink {
 const MAX_BUFFERED_EVENTS: usize = 1 << 20;
 
 impl TraceSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Buffers one event (dropped if the sink is at capacity).
-    pub fn push(&self, ev: TraceEvent) {
+    pub(crate) fn push(&self, ev: TraceEvent) {
         let mut events = self.events.lock().expect("trace sink poisoned");
         if events.len() < MAX_BUFFERED_EVENTS {
             events.push(ev);
@@ -106,12 +101,14 @@ impl TraceSink {
     }
 
     /// Number of buffered events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.events.lock().expect("trace sink poisoned").len()
     }
 
     /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -194,7 +191,7 @@ mod tests {
 
     #[test]
     fn sink_push_drain() {
-        let sink = TraceSink::new();
+        let sink = TraceSink::default();
         assert!(sink.is_empty());
         sink.push(TraceEvent::new("a"));
         sink.push(TraceEvent::new("b"));

@@ -44,5 +44,5 @@
 pub mod query;
 pub mod store;
 
-pub use query::{Answer, Hit, Query, QueryEngine};
-pub use store::{ServeError, Shard, ShardedStore};
+pub use query::{Query, QueryEngine};
+pub use store::{ServeError, ShardedStore};

@@ -5,7 +5,7 @@
 //! A batch of queries becomes one `m × dim` row-major matrix of unit
 //! query vectors (normalization paid once per query, using the store's
 //! precomputed inverse norms where possible). Each shard is then scanned
-//! in tiles of [`SCAN_TILE`] rows: one
+//! in tiles of `SCAN_TILE` rows: one
 //! [`gemm_nt`](gw2v_util::fvec::gemm_nt) call — `scores = Q · Rᵀ`, the
 //! same microkernel HogBatch uses for its minibatch scores — fills an
 //! `m × SCAN_TILE` block that never leaves the cache, and each query
@@ -67,7 +67,7 @@ use std::time::Instant;
 
 /// Reciprocal of the score quantum: scores are ranked and printed at
 /// 1e-6 resolution.
-pub const SCORE_SCALE: f64 = 1e6;
+pub(crate) const SCORE_SCALE: f64 = 1e6;
 
 /// Extra candidates the dispatched scan nominates beyond `k`, absorbing
 /// any ULP-level disagreement between backends at the pool boundary
@@ -78,7 +78,7 @@ pub const POOL_SLACK: usize = 16;
 /// 32 KB score block, so rows are scored and selected while both sit in
 /// L1/L2 and the score scratch is `m × SCAN_TILE` floats whatever the
 /// shard size.
-pub const SCAN_TILE: usize = 256;
+pub(crate) const SCAN_TILE: usize = 256;
 
 // The AVX2 `gemm_nt` rounds a `B` row in a group of four differently
 // from one in the `n % 4` tail; whole tiles must leave a shard's tail
@@ -202,7 +202,7 @@ impl Query {
     }
 
     /// Short tag for output records: `"sim"` or `"analogy"`.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Query::Similar { .. } => "sim",
             Query::Analogy { .. } => "analogy",
@@ -210,7 +210,7 @@ impl Query {
     }
 
     /// The query's words, in request order.
-    pub fn words(&self) -> Vec<&str> {
+    pub(crate) fn words(&self) -> Vec<&str> {
         match self {
             Query::Similar { word } => vec![word],
             Query::Analogy { a, b, c } => vec![a, b, c],
@@ -499,11 +499,6 @@ impl<'a> QueryEngine<'a> {
     /// `vocab` (row `i` ↔ `vocab.word_of(i)`).
     pub fn new(store: &'a ShardedStore, vocab: &'a Vocabulary) -> Self {
         Self { store, vocab }
-    }
-
-    /// The store being served.
-    pub fn store(&self) -> &ShardedStore {
-        self.store
     }
 
     /// Resolves a word to an id present in the store.

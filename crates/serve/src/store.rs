@@ -92,7 +92,7 @@ impl From<CheckpointError> for ServeError {
 /// held by the effective master of its owning host (dead masters resolve
 /// to their cyclic adopters, exactly as the trainer's end-of-run assembly
 /// does).
-pub fn canonical_layers(ckpt: &Checkpoint) -> Result<Vec<FlatMatrix>, ServeError> {
+pub(crate) fn canonical_layers(ckpt: &Checkpoint) -> Result<Vec<FlatMatrix>, ServeError> {
     let n_hosts = ckpt.layers.len();
     if n_hosts == 0 || ckpt.layers[0].is_empty() {
         return Err(ServeError::EmptyModel);
@@ -244,7 +244,7 @@ impl CodedRows {
 /// raw rows packed contiguously, the matching inverse norms, and the
 /// rows' coded twin.
 #[derive(Clone, Debug)]
-pub struct Shard {
+pub(crate) struct Shard {
     ids: Vec<u32>,
     rows: FlatMatrix,
     inv_norms: Vec<f32>,
@@ -253,19 +253,19 @@ pub struct Shard {
 
 impl Shard {
     /// Word ids resident in this shard, ascending.
-    pub fn ids(&self) -> &[u32] {
+    pub(crate) fn ids(&self) -> &[u32] {
         &self.ids
     }
 
     /// The shard's rows, contiguous and in `ids` order — the `B` operand
     /// of a `gemm_nt` scan.
-    pub fn rows(&self) -> &FlatMatrix {
+    pub(crate) fn rows(&self) -> &FlatMatrix {
         &self.rows
     }
 
     /// Per-row `1 / ‖row‖` (0 for zero or non-finite rows), aligned with
     /// [`Shard::ids`].
-    pub fn inv_norms(&self) -> &[f32] {
+    pub(crate) fn inv_norms(&self) -> &[f32] {
         &self.inv_norms
     }
 
@@ -275,13 +275,8 @@ impl Shard {
     }
 
     /// Number of rows in this shard.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
-    }
-
-    /// True when the hash assigned this shard no rows.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
     }
 }
 
@@ -378,7 +373,7 @@ impl ShardedStore {
     }
 
     /// Builds a store from a parsed checkpoint: assembles the canonical
-    /// `syn0` layer (see [`canonical_layers`]) and shards it.
+    /// `syn0` layer (see `canonical_layers`) and shards it.
     pub fn from_checkpoint(ckpt: &Checkpoint, n_shards: usize) -> Result<Self, ServeError> {
         let layers = canonical_layers(ckpt)?;
         Ok(Self::from_matrix(&layers[0], n_shards))
@@ -418,7 +413,7 @@ impl ShardedStore {
     }
 
     /// The shards, in hash order.
-    pub fn shards(&self) -> &[Shard] {
+    pub(crate) fn shards(&self) -> &[Shard] {
         &self.shards
     }
 

@@ -3,10 +3,8 @@
 //! The communication substrate tracks which graph nodes were *touched*
 //! (updated or accessed) in each synchronization round with one bit per
 //! node (paper §4.4, RepModel-Opt). The operations that matter are:
-//! set/test, clearing the whole vector between rounds, iterating set bits
-//! in index order (to build sparse message payloads), and bulk union
-//! (masters OR together the touched-sets of all hosts to decide what to
-//! broadcast).
+//! set/test, clearing the whole vector between rounds, and iterating set
+//! bits in index order (to build sparse message payloads).
 
 /// A fixed-capacity bit vector backed by `u64` words.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,8 +52,8 @@ impl BitVec {
     }
 
     /// Clears bit `i`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self, i: usize) {
         debug_assert!(i < self.len);
         self.words[i / 64] &= !(1 << (i % 64));
     }
@@ -79,38 +77,14 @@ impl BitVec {
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True if no bit is set.
     pub fn none(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    /// In-place union: `self |= other`. Both vectors must have equal length.
-    pub fn union_with(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "bitvec length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place intersection: `self &= other`.
-    pub fn intersect_with(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "bitvec length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
-    /// True if every set bit of `self` is also set in `other`.
-    pub fn is_subset_of(&self, other: &BitVec) -> bool {
-        assert_eq!(self.len, other.len, "bitvec length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
     }
 
     /// Iterates indices of set bits in increasing order.
@@ -124,17 +98,6 @@ impl BitVec {
             current: self.words.first().copied().unwrap_or(0),
             len: self.len,
         }
-    }
-
-    /// Serialized size in bytes when shipped over the simulated network
-    /// (one `u64` per 64 bits, as an MPI implementation would pack it).
-    pub fn wire_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    /// Raw words, e.g. for checksumming in tests.
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Keeps bits beyond `len` zero after bulk operations.
@@ -241,46 +204,6 @@ mod tests {
         assert_eq!(bv.iter_ones().count(), 64);
     }
 
-    #[test]
-    fn union_and_subset() {
-        let mut a = BitVec::new(100);
-        let mut b = BitVec::new(100);
-        a.set(1);
-        a.set(99);
-        b.set(50);
-        assert!(!a.is_subset_of(&b));
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert!(a.is_subset_of(&u));
-        assert!(b.is_subset_of(&u));
-        assert_eq!(u.count_ones(), 3);
-    }
-
-    #[test]
-    fn intersect() {
-        let mut a = BitVec::new(100);
-        let mut b = BitVec::new(100);
-        for i in 0..50 {
-            a.set(i);
-        }
-        for i in 25..75 {
-            b.set(i);
-        }
-        a.intersect_with(&b);
-        assert_eq!(
-            a.iter_ones().collect::<Vec<_>>(),
-            (25..50).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn wire_bytes_rounds_up() {
-        assert_eq!(BitVec::new(0).wire_bytes(), 0);
-        assert_eq!(BitVec::new(1).wire_bytes(), 8);
-        assert_eq!(BitVec::new(64).wire_bytes(), 8);
-        assert_eq!(BitVec::new(65).wire_bytes(), 16);
-    }
-
     proptest! {
         #[test]
         fn prop_matches_hashset(len in 1usize..512, ops in proptest::collection::vec((0usize..512, any::<bool>()), 0..200)) {
@@ -301,19 +224,6 @@ mod tests {
             for i in 0..len {
                 prop_assert_eq!(bv.get(i), set.contains(&i));
             }
-        }
-
-        #[test]
-        fn prop_union_is_commutative_superset(len in 1usize..300, xs in proptest::collection::vec(0usize..300, 0..64), ys in proptest::collection::vec(0usize..300, 0..64)) {
-            let mut a = BitVec::new(len);
-            let mut b = BitVec::new(len);
-            for x in xs { a.set(x % len); }
-            for y in ys { b.set(y % len); }
-            let mut ab = a.clone(); ab.union_with(&b);
-            let mut ba = b.clone(); ba.union_with(&a);
-            prop_assert_eq!(&ab, &ba);
-            prop_assert!(a.is_subset_of(&ab));
-            prop_assert!(b.is_subset_of(&ab));
         }
     }
 }

@@ -196,22 +196,6 @@ impl FlatMatrix {
         &mut self.data[r * self.dim..(r + 1) * self.dim]
     }
 
-    /// Mutably borrows two distinct rows at once (the SGNS update touches
-    /// an embedding row and a training row of *different* matrices, but the
-    /// combiner tests need intra-matrix pairs). Panics if `a == b`.
-    pub fn two_rows_mut(&mut self, a: usize, b: usize) -> (&mut [f32], &mut [f32]) {
-        assert_ne!(a, b, "two_rows_mut requires distinct rows");
-        let d = self.dim;
-        if a < b {
-            let (lo, hi) = self.data.split_at_mut(b * d);
-            (&mut lo[a * d..a * d + d], &mut hi[..d])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a * d);
-            let (x, y) = (&mut hi[..d], &mut lo[b * d..b * d + d]);
-            (x, y)
-        }
-    }
-
     /// The whole backing buffer.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
@@ -222,11 +206,6 @@ impl FlatMatrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 }
 
@@ -308,34 +287,6 @@ mod tests {
         assert_eq!(m.row(1), &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.rows(), 3);
         assert_eq!(m.dim(), 4);
-    }
-
-    #[test]
-    fn two_rows_mut_disjoint_both_orders() {
-        let mut m = FlatMatrix::zeros(4, 2);
-        for r in 0..4 {
-            let v = r as f32;
-            m.row_mut(r).copy_from_slice(&[v, v]);
-        }
-        {
-            let (a, b) = m.two_rows_mut(1, 3);
-            assert_eq!(a, &[1.0, 1.0]);
-            assert_eq!(b, &[3.0, 3.0]);
-            a[0] = 10.0;
-            b[0] = 30.0;
-        }
-        {
-            let (a, b) = m.two_rows_mut(3, 1);
-            assert_eq!(a[0], 30.0);
-            assert_eq!(b[0], 10.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct rows")]
-    fn two_rows_mut_same_row_panics() {
-        let mut m = FlatMatrix::zeros(2, 2);
-        let _ = m.two_rows_mut(1, 1);
     }
 
     #[test]

@@ -22,10 +22,7 @@
 //!   otherwise (or when `GW2V_FORCE_SCALAR=1`).
 //! * [`sigmoid`] — the C implementation's precomputed sigmoid table,
 //!   here because the per-pair kernel in [`simd`] looks gradients up in it.
-//! * [`stats`] — online statistics and summary helpers (mean, stddev,
-//!   geometric mean) used by the benchmark harness.
-//! * [`timer`] — phase timers that accumulate wall-clock time per named
-//!   phase (computation vs. communication breakdowns, Figure 9).
+//! * [`stats`] — the geometric mean the figure binaries report.
 //! * [`table`] — a tiny fixed-width table printer for harness output.
 
 #![deny(missing_docs)]
@@ -39,9 +36,3 @@ pub mod sigmoid;
 pub mod simd;
 pub mod stats;
 pub mod table;
-pub mod timer;
-
-pub use bitvec::BitVec;
-pub use rng::{Pcg32, Rng64, SplitMix64, Xoshiro256};
-pub use stats::OnlineStats;
-pub use timer::PhaseTimer;

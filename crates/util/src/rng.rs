@@ -142,7 +142,7 @@ impl Pcg32 {
     /// Creates a generator on a specific stream; generators with different
     /// `stream` values produce statistically independent sequences even
     /// with the same seed.
-    pub fn with_stream(seed: u64, stream: u64) -> Self {
+    pub(crate) fn with_stream(seed: u64, stream: u64) -> Self {
         let mut rng = Self {
             state: 0,
             inc: (stream << 1) | 1,
@@ -155,7 +155,7 @@ impl Pcg32 {
 
     /// Advances the core LCG and returns the permuted 32-bit output.
     #[inline]
-    pub fn next_u32_core(&mut self) -> u32 {
+    pub(crate) fn next_u32_core(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(Self::MULT).wrapping_add(self.inc);
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
@@ -211,30 +211,6 @@ impl Xoshiro256 {
     pub fn from_state(s: [u64; 4]) -> Self {
         assert!(s != [0; 4], "all-zero xoshiro256** state is degenerate");
         Self { s }
-    }
-
-    /// The equivalent of 2^128 `next_u64` calls; use to create up to 2^128
-    /// non-overlapping subsequences for parallel workers.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let mut s = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if (j & (1 << b)) != 0 {
-                    s[0] ^= self.s[0];
-                    s[1] ^= self.s[1];
-                    s[2] ^= self.s[2];
-                    s[3] ^= self.s[3];
-                }
-                self.next_u64();
-            }
-        }
-        self.s = s;
     }
 }
 
@@ -335,16 +311,6 @@ mod tests {
     #[should_panic(expected = "degenerate")]
     fn xoshiro_zero_state_rejected() {
         let _ = Xoshiro256::from_state([0; 4]);
-    }
-
-    #[test]
-    fn xoshiro_jump_decorrelates() {
-        let mut a = Xoshiro256::new(5);
-        let mut b = a;
-        b.jump();
-        let va: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
-        let vb: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
-        assert!(va.iter().zip(&vb).all(|(x, y)| x != y));
     }
 
     #[test]

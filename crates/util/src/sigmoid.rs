@@ -7,9 +7,9 @@
 //! implementation's quantization behaviour.
 
 /// Table resolution (the C code's `EXP_TABLE_SIZE`).
-pub const EXP_TABLE_SIZE: usize = 1000;
+pub(crate) const EXP_TABLE_SIZE: usize = 1000;
 /// Saturation range (the C code's `MAX_EXP`).
-pub const MAX_EXP: f32 = 6.0;
+pub(crate) const MAX_EXP: f32 = 6.0;
 
 /// A precomputed sigmoid lookup table.
 #[derive(Clone, Debug)]

@@ -49,28 +49,28 @@ pub type SgnsPairFn = fn(
 );
 
 /// Signature of the one-pass `(x·y, x·x, y·y)` kernel.
-pub type DotNormsFn = fn(x: &[f32], y: &[f32]) -> (f32, f32, f32);
+pub(crate) type DotNormsFn = fn(x: &[f32], y: &[f32]) -> (f32, f32, f32);
 
 /// Signature of the small-matrix GEMM kernels (`gemm_nt`/`gemm_tn`):
 /// `C[m×n] += op(A) · op(B)` with `k` the contraction length.
-pub type GemmFn = fn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]);
+pub(crate) type GemmFn = fn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]);
 
 /// Signature of the bulk row-quantization kernel: `values` holds
 /// `n = scales.len()` rows of `dim` `f32`s back to back; each row is
 /// mapped to `dim` `u8` codes in `out` plus one `f32` scale/offset pair.
-pub type QuantizeFn =
+pub(crate) type QuantizeFn =
     fn(values: &[f32], dim: usize, scales: &mut [f32], offsets: &mut [f32], out: &mut [u8]);
 
 /// Signature of the bulk row-dequantization kernel; the approximate
 /// inverse of [`QuantizeFn`]: `values[r·dim + i] = offsets[r] +
 /// scales[r] · packed[r·dim + i]`.
-pub type DequantizeFn =
+pub(crate) type DequantizeFn =
     fn(packed: &[u8], dim: usize, scales: &[f32], offsets: &[f32], values: &mut [f32]);
 
 /// Signature of the coded-scan kernel: `out[j] = Σ_i q[i] ·
 /// codes[j·dim + i]` with `dim = q.len()` and `codes` holding
 /// `out.len()` rows of `dim` `u8` codes back to back.
-pub type DotCodesFn = fn(q: &[f32], codes: &[u8], out: &mut [f32]);
+pub(crate) type DotCodesFn = fn(q: &[f32], codes: &[u8], out: &mut [f32]);
 
 /// The per-backend kernel function table.
 ///

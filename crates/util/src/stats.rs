@@ -1,105 +1,4 @@
-//! Summary statistics for the benchmark harness.
-//!
-//! This module is folded into the observability layer: `gw2v-obs`
-//! re-exports it as `gw2v_obs::stats` and that path is the canonical
-//! one for new code. The implementation lives here because `gw2v-util`
-//! sits below `gw2v-obs` in the dependency layering.
-
-use serde::{Deserialize, Serialize};
-
-/// Welford online mean/variance accumulator.
-///
-/// Numerically stable single-pass computation; used to summarize repeated
-/// benchmark trials and per-round timings.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`NaN`-free; +inf if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (−inf if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! The geometric mean the figure binaries report.
 
 /// Geometric mean of strictly-positive values; returns `None` if the input
 /// is empty or contains a non-positive value. The paper reports geo-mean
@@ -112,68 +11,10 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// Exact percentile by sorting (fine for harness-sized samples).
-/// `q` in `[0, 1]`; linear interpolation between order statistics.
-pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
-    if values.is_empty() || !(0.0..=1.0).contains(&q) {
-        return None;
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn empty_stats() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn known_values() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Population variance is 4; sample variance is 32/7.
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
 
     #[test]
     fn geomean_basics() {
@@ -183,26 +24,7 @@ mod tests {
         assert!((geomean(&[14.0, 14.6, 14.0]).unwrap() - 14.198).abs() < 0.01);
     }
 
-    #[test]
-    fn percentile_basics() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), Some(1.0));
-        assert_eq!(percentile(&v, 1.0), Some(4.0));
-        assert_eq!(percentile(&v, 0.5), Some(2.5));
-        assert_eq!(percentile(&[], 0.5), None);
-        assert_eq!(percentile(&v, 1.5), None);
-    }
-
     proptest! {
-        #[test]
-        fn prop_mean_within_bounds(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let mut s = OnlineStats::new();
-            for &x in &xs { s.push(x); }
-            prop_assert!(s.mean() >= s.min() - 1e-9);
-            prop_assert!(s.mean() <= s.max() + 1e-9);
-            prop_assert!(s.variance() >= 0.0);
-        }
-
         #[test]
         fn prop_geomean_between_min_max(xs in proptest::collection::vec(0.001f64..1e6, 1..100)) {
             let g = geomean(&xs).unwrap();

@@ -51,11 +51,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table to a string.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
