@@ -427,12 +427,63 @@ fn cluster_config_from(args: &Args) -> Result<ClusterConfig, ArgError> {
 }
 
 /// `--fault-plan` wins; otherwise `GW2V_FAULT_PLAN` from the
-/// environment; otherwise the inert plan.
-fn fault_plan_from(args: &Args) -> Result<FaultPlan, ArgError> {
-    match args.get("fault-plan") {
-        Some(spec) => FaultPlan::parse(spec).map_err(|e| ArgError(format!("--fault-plan: {e}"))),
-        None => FaultPlan::from_env().map_err(|e| ArgError(format!("GW2V_FAULT_PLAN: {e}"))),
+/// environment; otherwise the inert plan. A plan the engines cannot run
+/// on `config` for `epochs` epochs is an error naming where it came from.
+fn fault_plan_from(args: &Args, config: &DistConfig, epochs: usize) -> Result<FaultPlan, ArgError> {
+    let (source, parsed) = match args.get("fault-plan") {
+        Some(spec) => ("--fault-plan", FaultPlan::parse(spec)),
+        None => ("GW2V_FAULT_PLAN", FaultPlan::from_env()),
+    };
+    let plan = parsed.map_err(|e| ArgError(format!("{source}: {e}")))?;
+    match unrunnable(&plan, config, epochs) {
+        Some(why) => Err(ArgError(format!("{source}: {why}"))),
+        None => Ok(plan),
     }
+}
+
+/// Why the engines cannot run `plan`, if they cannot: a directive names a
+/// host past `--hosts` (the engines would silently ignore it), or the
+/// crashes leave no host alive at some round (they would abort on it).
+/// The schedule is replayed as the engines replay it, after the degrade
+/// rewrite under `--on-partition degrade`: an epoch's rejoins come before
+/// the crashes of its first round.
+fn unrunnable(plan: &FaultPlan, config: &DistConfig, epochs: usize) -> Option<String> {
+    let (n, rounds) = (config.n_hosts, config.sync_rounds);
+    let grouped = plan
+        .partitions
+        .iter()
+        .flat_map(|p| p.group_a.iter().chain(&p.group_b));
+    let mut named = plan
+        .crashes
+        .iter()
+        .map(|c| ("crash", c.host))
+        .chain(plan.rejoins.iter().map(|r| ("rejoin", r.host)))
+        .chain(plan.stragglers.iter().map(|s| ("straggle", s.host)))
+        .chain(grouped.map(|&h| ("partition", h)));
+    if let Some((directive, h)) = named.find(|&(_, h)| h >= n) {
+        return Some(format!("{directive} names host {h}, but --hosts is {n}"));
+    }
+    let plan = match config.on_partition {
+        OnPartition::Degrade => plan.degrade_partitions(config.max_stale_rounds, rounds).0,
+        OnPartition::Stall => plan.clone(),
+    };
+    let mut alive = vec![true; n];
+    for epoch in 0..epochs {
+        (0..n)
+            .filter(|&h| plan.rejoin_epoch(h) == Some(epoch))
+            .for_each(|h| alive[h] = true);
+        for g in epoch * rounds..(epoch + 1) * rounds {
+            (0..n)
+                .filter(|&h| plan.crash_round(h) == Some(g))
+                .for_each(|h| alive[h] = false);
+            if !alive.contains(&true) {
+                return Some(format!(
+                    "no host is left alive at round {g} (epoch {epoch})"
+                ));
+            }
+        }
+    }
+    None
 }
 
 /// `--checkpoint-every`: an interval of zero epochs never comes round.
@@ -508,7 +559,7 @@ pub fn train(raw: &[String]) -> CmdResult {
         "hogbatch" => HogBatchTrainer::new(params, threads_from(&args)?).train(&corpus, &vocab),
         "dist" | "threaded" => {
             let config = dist_config_from(&args)?;
-            let faults = fault_plan_from(&args)?;
+            let faults = fault_plan_from(&args, &config, params.epochs)?;
             let resume = args.flag("resume");
             let checkpointing = match args.get("checkpoint-dir") {
                 Some(dir) => Some((dir, checkpoint_every_from(&args)?)),

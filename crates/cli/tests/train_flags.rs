@@ -4,7 +4,8 @@
 //! a negative or non-finite `--nak-delay` / `--barrier-timeout` used to
 //! die on a library `assert!` or a `Duration` conversion (exit 101 with
 //! a backtrace), `--threads 100000` on a failed stack guard page (exit
-//! 134).
+//! 134). A fault plan the cluster engines cannot run is a typed error
+//! too.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -26,12 +27,18 @@ fn write_corpus(path: &Path) {
     std::fs::write(path, text).unwrap();
 }
 
-fn train(corpus: &Path, out: &Path, flags: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_gw2v"))
-        .args(["train", "--input", corpus.to_str().unwrap()])
+fn train_command(corpus: &Path, out: &Path, flags: &[&str]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_gw2v"));
+    cmd.args(["train", "--input", corpus.to_str().unwrap()])
         .args(["--out", out.to_str().unwrap()])
         .args(["--dim", "8", "--epochs", "1", "--min-count", "1"])
         .args(flags)
+        .env_remove("GW2V_FAULT_PLAN");
+    cmd
+}
+
+fn train(corpus: &Path, out: &Path, flags: &[&str]) -> Output {
+    train_command(corpus, out, flags)
         .output()
         .expect("spawn gw2v")
 }
@@ -174,6 +181,71 @@ fn resume_over_a_foreign_or_truncated_checkpoint_is_a_typed_error() {
             &format!("{trainer} truncated"),
         );
         std::fs::remove_dir_all(&ckpt).ok();
+    }
+    std::fs::remove_file(&corpus).ok();
+}
+
+/// Two hosts, two sync rounds per epoch, two epochs: global rounds 0–3.
+const TWO_BY_TWO: [&str; 6] = ["--hosts", "2", "--sync-rounds", "2", "--epochs", "2"];
+
+/// A fault plan the engines cannot run is a typed error before any epoch
+/// trains, whether it comes from the flag or from `GW2V_FAULT_PLAN`.
+/// Crashes that leave no host alive used to abort on the liveness assert
+/// (exit 101); a directive naming a host past `--hosts` was ignored
+/// (exit 0). Under `degrade` a partition's yielding side crashes too.
+#[test]
+fn a_fault_plan_the_engines_cannot_run_is_a_typed_error() {
+    let corpus = tmp("plan_corpus.txt");
+    let out = tmp("plan_model.txt");
+    write_corpus(&corpus);
+    let degrade: &[&str] = &["--on-partition", "degrade"];
+    for trainer in ["dist", "threaded"] {
+        for (plan, policy, names) in [
+            ("crash=0@1,crash=1@1", &[][..], "round 1"),
+            ("crash=0@1,partition=0|1@1..2", degrade, "round 1"),
+            ("crash=5@1", &[], "host 5"),
+            ("rejoin=7@1", &[], "host 7"),
+            ("straggle=9@0x10ms", &[], "host 9"),
+            ("partition=0|5@0..1", &[], "host 5"),
+        ] {
+            let what = format!("{trainer} {plan} {policy:?}");
+            let flags = [&["--trainer", trainer][..], &TWO_BY_TWO, policy].concat();
+            let flag = [&flags[..], &["--fault-plan", plan]].concat();
+            let run = train(&corpus, &out, &flag);
+            assert_typed_failure(&run, &out, "--fault-plan", &what);
+            assert_typed_failure(&run, &out, names, &what);
+            let env = train_command(&corpus, &out, &flags)
+                .env("GW2V_FAULT_PLAN", plan)
+                .output()
+                .expect("spawn gw2v");
+            assert_typed_failure(&env, &out, "GW2V_FAULT_PLAN", &format!("{what} (env)"));
+        }
+    }
+    std::fs::remove_file(&corpus).ok();
+}
+
+/// A schedule that always leaves a host alive still trains: host 0 dies
+/// at round 1 and is back at epoch 1's start, before host 1 dies at its
+/// first round (2). A stalled partition crashes nobody.
+#[test]
+fn a_crash_schedule_that_keeps_a_host_alive_trains() {
+    let corpus = tmp("alive_corpus.txt");
+    write_corpus(&corpus);
+    for trainer in ["dist", "threaded"] {
+        for plan in [
+            "crash=0@1,rejoin=0@1,crash=1@2",
+            "crash=0@1,partition=0|1@1..2",
+        ] {
+            let out = tmp(&format!("alive_{trainer}.txt"));
+            let plan = ["--fault-plan", plan];
+            let flags = [&["--trainer", trainer][..], &TWO_BY_TWO, &plan].concat();
+            let run = train(&corpus, &out, &flags);
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert!(run.status.success(), "{trainer} {plan:?}: {stderr}");
+            let model = std::fs::read_to_string(&out).unwrap();
+            assert_eq!(model.lines().count(), 13, "{trainer} {plan:?}");
+            std::fs::remove_file(&out).ok();
+        }
     }
     std::fs::remove_file(&corpus).ok();
 }

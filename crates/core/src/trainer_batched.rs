@@ -16,7 +16,7 @@ use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
 use crate::sgns::{keep_subsampled, train_pair, window_contexts, SgnsStore, TrainContext};
 use crate::trainer_hogbatch::MinibatchScratch;
-use crate::trainer_shared::Preset;
+use crate::trainer_shared::{Preset, Step};
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::unigram::NegativeSampler;
 use gw2v_corpus::vocab::Vocabulary;
@@ -30,7 +30,7 @@ const BATCHED_RNG_STREAM: u64 = 0x47;
 /// count: pass 1 materialises the sentence's (context, center) pairs,
 /// pass 2 walks the list with the per-pair kernel. The scratch pools the
 /// kept-token, pair-list and accumulator buffers across sentences.
-fn train_sentence_pairs_first<M, S, R>(
+pub(crate) fn train_sentence_pairs_first<M, S, R>(
     store: &mut M,
     sentence: &[u32],
     alpha: f32,
@@ -89,15 +89,9 @@ impl BatchedTrainer {
             rng_stream: BATCHED_RNG_STREAM,
             params: &self.params,
             n_threads: 1,
+            step: Step::PairsFirst,
         }
-        .run::<Word2VecModel, _>(
-            corpus,
-            vocab,
-            |store, sentence, alpha, ctx, rng, scratch| {
-                train_sentence_pairs_first(store, sentence, alpha, ctx, rng, scratch)
-            },
-            on_epoch,
-        )
+        .run(corpus, vocab, on_epoch)
     }
 }
 

@@ -47,8 +47,7 @@ use crate::sgns::{
     keep_subsampled, train_sentence, window_contexts, PlainStore, RecordingStore, ReplicaStore,
     SgnsStore, TrainContext, TrainScratch, LAYER_SYN0, LAYER_SYN1NEG,
 };
-use crate::trainer_hogwild::AtomicModel;
-use crate::trainer_shared::Preset;
+use crate::trainer_shared::{Preset, Step};
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::unigram::NegativeSampler;
 use gw2v_corpus::vocab::Vocabulary;
@@ -393,10 +392,10 @@ where
 /// Multi-threaded shared-memory HogBatch trainer.
 ///
 /// The same run as [`crate::trainer_hogwild::HogwildTrainer`] — racing
-/// workers over an `AtomicModel`, contiguous token-balanced shards, a
-/// shared progress counter for the learning-rate schedule, exact epoch
-/// boundaries, worker `t` on the same RNG stream (see
-/// `trainer_shared`) — only the sentence step differs. That
+/// workers over an `AtomicModel` (a lone worker steps a plain model),
+/// contiguous token-balanced shards, a shared progress counter for the
+/// learning-rate schedule, exact epoch boundaries, worker `t` on the same
+/// RNG stream (see `trainer_shared`) — only the sentence step differs. That
 /// makes `hogwild` vs `hogbatch` benches an apples-to-apples measurement
 /// of the minibatch restructuring.
 pub struct HogBatchTrainer {
@@ -430,15 +429,9 @@ impl HogBatchTrainer {
             rng_stream: 0,
             params: &self.params,
             n_threads: self.n_threads,
+            step: Step::HogBatch,
         }
-        .run::<AtomicModel, _>(
-            corpus,
-            vocab,
-            |store, sentence, alpha, ctx, rng, scratch| {
-                train_sentence_hogbatch(store, sentence, alpha, ctx, rng, scratch)
-            },
-            on_epoch,
-        )
+        .run(corpus, vocab, on_epoch)
     }
 }
 

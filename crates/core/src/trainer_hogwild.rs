@@ -12,17 +12,18 @@
 //! read-modify-write sequences deliberately race — the Hogwild recipe.
 //! On x86 a relaxed atomic load/store compiles to a plain move; what a
 //! worker does pay is the staging — every row is copied out of the
-//! atomic cells, stepped by the dispatched kernel and copied back — so
-//! one Hogwild thread is slower than the sequential trainer, which steps
-//! a plain model in place. This trainer is the paper's baseline;
+//! atomic cells, stepped by the dispatched kernel and copied back. Only
+//! racing workers pay it: one worker steps a plain model in place
+//! (`trainer_shared`), so one Hogwild thread is the sequential trainer.
+//! This trainer is the paper's baseline;
 //! [`crate::trainer_hogbatch::HogBatchTrainer`], which stages a row once
 //! per window instead of once per target, is the threaded trainer to use.
 
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
-use crate::sgns::{train_sentence, SgnsStore, LAYER_SYN0, LAYER_SYN1NEG};
+use crate::sgns::{SgnsStore, LAYER_SYN0, LAYER_SYN1NEG};
 use crate::trainer_hogbatch::BatchRows;
-use crate::trainer_shared::Preset;
+use crate::trainer_shared::{Preset, Step};
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec::{self, FlatMatrix};
@@ -92,9 +93,9 @@ impl AtomicModel {
 /// Per-thread view of the shared atomic model, for both SGNS loops.
 ///
 /// Rows are staged through per-store scratch buffers so the arithmetic
-/// runs the same dispatched kernel as every other trainer: a 1-thread
-/// Hogwild run stays bit-identical to the sequential trainer on
-/// whichever SIMD backend is active (pinned by a test below). The
+/// runs the same dispatched kernel as every other trainer: with one
+/// worker this store stays bit-identical to `PlainStore` on whichever
+/// SIMD backend is active (pinned by a test in `trainer_shared`). The
 /// per-pair loop gathers its context row once a pair and each target row
 /// once; the minibatch loop gathers a row once per *window*. Either way
 /// the read-copy / compute / write-back sequence keeps the Hogwild
@@ -199,7 +200,8 @@ impl BatchRows for AtomicStore<'_> {
 
 /// Multi-threaded Hogwild trainer: the per-pair loop of
 /// [`crate::trainer_seq::SequentialTrainer`] run by racing workers over
-/// an `AtomicModel` (see `trainer_shared` for the loop).
+/// an `AtomicModel` when two or more are built; a lone worker steps a
+/// plain model in place (see `trainer_shared` for the loop).
 pub struct HogwildTrainer {
     /// Hyperparameters.
     pub params: Hyperparams,
@@ -231,15 +233,9 @@ impl HogwildTrainer {
             rng_stream: 0,
             params: &self.params,
             n_threads: self.n_threads,
+            step: Step::PerPair,
         }
-        .run::<AtomicModel, _>(
-            corpus,
-            vocab,
-            |store, sentence, alpha, ctx, rng, scratch| {
-                train_sentence(store, sentence, alpha, ctx, rng, &mut scratch.pair)
-            },
-            on_epoch,
-        )
+        .run(corpus, vocab, on_epoch)
     }
 }
 

@@ -9,8 +9,7 @@
 
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
-use crate::sgns::train_sentence;
-use crate::trainer_shared::Preset;
+use crate::trainer_shared::{Preset, Step};
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::vocab::Vocabulary;
 
@@ -45,15 +44,9 @@ impl SequentialTrainer {
             rng_stream: 0,
             params: &self.params,
             n_threads: 1,
+            step: Step::PerPair,
         }
-        .run::<Word2VecModel, _>(
-            corpus,
-            vocab,
-            |store, sentence, alpha, ctx, rng, scratch| {
-                train_sentence(store, sentence, alpha, ctx, rng, &mut scratch.pair)
-            },
-            on_epoch,
-        )
+        .run(corpus, vocab, on_epoch)
     }
 }
 

@@ -4,16 +4,14 @@
 //! trainers are the same run: build the pipeline, initialise the model,
 //! and for every epoch let each worker walk its contiguous shard sentence
 //! by sentence, reading the learning rate off a shared progress counter
-//! before a sentence and adding the sentence's raw length after it. They
-//! differ in three things only, which is all [`Preset::run`] takes:
+//! before a sentence and adding the sentence's raw length after it. A
+//! trainer fixes what a worker does to one sentence (a [`Step`]) and how
+//! many workers it asks for; that is all a [`Preset`] holds.
 //!
-//! * **where the model lives** — a [`Backing`]: a plain [`Word2VecModel`]
-//!   for one exclusive writer (no atomic cost), an [`AtomicModel`] for
-//!   racing writers;
-//! * **what a worker does to one sentence** — the `step` closure
-//!   ([`crate::sgns::train_sentence`], the batched trainer's pairs-first
-//!   pass, [`crate::trainer_hogbatch::train_sentence_hogbatch`]);
-//! * **how many workers** there are.
+//! Where the model lives (a [`Backing`]) follows from the workers
+//! [`Preset::run`] builds, and is decided there alone. One worker steps a
+//! plain [`Word2VecModel`] in place: no atomic copy, snapshot or staging.
+//! Only two or more race over an [`AtomicModel`] and stage every row.
 //!
 //! Worker `t` of `n` owns the RNG stream `HOST_RNG_BASE + rng_stream + t`
 //! and the shard `corpus.partition(t, n)` for the whole run; its RNG and
@@ -24,19 +22,53 @@ use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
 use crate::schedule::LrSchedule;
 use crate::setup::{Sampler, TrainSetup, HOST_RNG_BASE};
-use crate::sgns::{PlainStore, TrainContext};
-use crate::trainer_hogbatch::MinibatchScratch;
+use crate::sgns::{train_sentence, PlainStore, SgnsStore, TrainContext};
+use crate::trainer_batched::train_sentence_pairs_first;
+use crate::trainer_hogbatch::{train_sentence_hogbatch, BatchRows, MinibatchScratch};
 use crate::trainer_hogwild::{AtomicModel, AtomicStore};
-use gw2v_corpus::shard::Corpus;
+use gw2v_corpus::shard::{Corpus, CorpusShard};
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::rng::{SplitMix64, Xoshiro256};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+/// What a worker does to one sentence.
+#[derive(Clone, Copy)]
+pub(crate) enum Step {
+    /// [`train_sentence`]: the sequential and Hogwild trainers.
+    PerPair,
+    /// [`train_sentence_pairs_first`]: the batched trainer.
+    PairsFirst,
+    /// [`train_sentence_hogbatch`]: the HogBatch trainer.
+    HogBatch,
+}
+
+impl Step {
+    /// Trains one sentence through a worker's store; returns its pairs.
+    fn apply<M: SgnsStore + BatchRows>(
+        self,
+        store: &mut M,
+        words: &[u32],
+        alpha: f32,
+        ctx: &TrainContext<'_, Sampler>,
+        rng: &mut Xoshiro256,
+        scratch: &mut MinibatchScratch,
+    ) -> u64 {
+        match self {
+            Self::PerPair => train_sentence(store, words, alpha, ctx, rng, &mut scratch.pair),
+            Self::PairsFirst => train_sentence_pairs_first(store, words, alpha, ctx, rng, scratch),
+            Self::HogBatch => train_sentence_hogbatch(store, words, alpha, ctx, rng, scratch),
+        }
+    }
+}
+
+/// One worker's shard, RNG and scratch, kept for the whole run.
+type Worker<'c> = (CorpusShard<'c>, Xoshiro256, MinibatchScratch);
+
 /// Where the model lives while the workers train it.
 pub(crate) trait Backing: Sized {
     /// One worker's view of the model.
-    type Store<'a>: Send
+    type Store<'a>: Send + SgnsStore + BatchRows
     where
         Self: 'a;
     /// Takes over the freshly initialised model.
@@ -94,8 +126,7 @@ impl Backing for AtomicModel {
     }
 }
 
-/// What one of the four trainers fixes about a run besides its model
-/// backing and its sentence step.
+/// What one of the four trainers fixes about a run.
 pub(crate) struct Preset<'a> {
     /// Metric stem: the run emits span `core.<name>.epoch` and counter
     /// `core.<name>.pairs`.
@@ -104,37 +135,58 @@ pub(crate) struct Preset<'a> {
     pub rng_stream: u64,
     /// Hyperparameters.
     pub params: &'a Hyperparams,
-    /// Worker threads.
+    /// Worker threads asked for.
     pub n_threads: usize,
+    /// What a worker does to one sentence.
+    pub step: Step,
 }
 
 impl Preset<'_> {
     /// Trains `params.epochs` epochs and returns the model, calling
     /// `on_epoch(epoch, &model)` on the settled model after each.
-    ///
-    /// `step` trains one sentence at the given learning rate through a
-    /// worker's store and returns the positive pairs it stepped.
-    pub(crate) fn run<B, F>(
+    pub(crate) fn run(
         &self,
         corpus: &Corpus,
         vocab: &Vocabulary,
-        step: F,
-        mut on_epoch: impl FnMut(usize, &Word2VecModel),
-    ) -> Word2VecModel
-    where
-        B: Backing,
-        F: Sync
-            + for<'s, 'c> Fn(
-                &mut B::Store<'s>,
-                &[u32],
-                f32,
-                &TrainContext<'c, Sampler>,
-                &mut Xoshiro256,
-                &mut MinibatchScratch,
-            ) -> u64,
-    {
-        let p = self.params;
+        on_epoch: impl FnMut(usize, &Word2VecModel),
+    ) -> Word2VecModel {
+        let workers = self.workers(corpus);
+        if workers.len() > 1 {
+            self.train::<AtomicModel>(workers, corpus, vocab, on_epoch)
+        } else {
+            self.train::<Word2VecModel>(workers, corpus, vocab, on_epoch)
+        }
+    }
+
+    /// One worker per non-empty shard (an empty one would step nothing),
+    /// keeping its `t`, hence its stream; a sole worker's shard is the
+    /// whole corpus, so it is worker 0 of the one-worker run.
+    fn workers<'c>(&self, corpus: &'c Corpus) -> Vec<Worker<'c>> {
         let n = self.n_threads;
+        let root = SplitMix64::new(self.params.seed);
+        let mut shards: Vec<_> = (0..n)
+            .map(|t| (t, corpus.partition(t, n)))
+            .filter(|(_, shard)| !shard.sentences().is_empty())
+            .collect();
+        if let [(t, _)] = &mut shards[..] {
+            *t = 0;
+        }
+        let worker = |(t, shard)| {
+            let rng = root.derive(HOST_RNG_BASE + self.rng_stream + t as u64);
+            (shard, Xoshiro256::new(rng), MinibatchScratch::new())
+        };
+        shards.into_iter().map(worker).collect()
+    }
+
+    /// The epoch loop over `workers`, with the model in a `B`.
+    fn train<B: Backing>(
+        &self,
+        mut workers: Vec<Worker<'_>>,
+        corpus: &Corpus,
+        vocab: &Vocabulary,
+        mut on_epoch: impl FnMut(usize, &Word2VecModel),
+    ) -> Word2VecModel {
+        let (p, n, step) = (self.params, self.n_threads, self.step);
         let setup = TrainSetup::new(vocab, p);
         let mut backing = B::wrap(Word2VecModel::init(vocab.len(), p.dim, p.seed));
         let schedule = LrSchedule::new(
@@ -144,19 +196,6 @@ impl Preset<'_> {
             p.epochs,
         );
         let progress = AtomicU64::new(0);
-        let root = SplitMix64::new(p.seed);
-        // A worker whose shard is empty would draw nothing and step
-        // nothing, so it is never built: the thread count is bounded by
-        // the sentence count whatever `n` is. The others keep their own
-        // `t`, hence their stream and shard.
-        let mut workers: Vec<_> = (0..n)
-            .map(|t| (t, corpus.partition(t, n)))
-            .filter(|(_, shard)| !shard.sentences().is_empty())
-            .map(|(t, shard)| {
-                let rng = root.derive(HOST_RNG_BASE + self.rng_stream + t as u64);
-                (shard, Xoshiro256::new(rng), MinibatchScratch::new())
-            })
-            .collect();
         let epoch_name = format!("core.{}.epoch", self.name);
         let pairs_name = format!("core.{}.pairs", self.name);
 
@@ -168,14 +207,14 @@ impl Preset<'_> {
                     .iter_mut()
                     .zip(stores)
                     .map(|((shard, rng, scratch), mut store)| {
-                        let (setup, schedule, progress, step) =
-                            (&setup, &schedule, &progress, &step);
+                        let (setup, schedule, progress) = (&setup, &schedule, &progress);
                         scope.spawn(move || {
                             let ctx = setup.ctx(p);
                             let mut pairs = 0u64;
                             for sentence in shard.sentences() {
                                 let alpha = schedule.alpha_at(progress.load(Relaxed));
-                                pairs += step(&mut store, sentence, alpha, &ctx, rng, scratch);
+                                pairs +=
+                                    step.apply(&mut store, sentence, alpha, &ctx, rng, scratch);
                                 progress.fetch_add(sentence.len() as u64, Relaxed);
                             }
                             // One registry touch per counter per worker
@@ -279,13 +318,13 @@ pub(crate) fn dist_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sgns::train_sentence;
-    use crate::trainer_hogbatch::{train_sentence_hogbatch, HogBatchTrainer};
+    use crate::trainer_hogbatch::HogBatchTrainer;
     use crate::trainer_hogwild::HogwildTrainer;
 
-    /// The merged atomic store against `PlainStore`, one side at a time:
-    /// the same loop over a plain model reproduces the 1-thread atomic
-    /// trainers bit for bit (vector body only / body + scalar tail).
+    /// The atomic store against `PlainStore`, one side at a time: the loop
+    /// forced onto an `AtomicModel` with its one worker reproduces the
+    /// one-thread trainers, which step a plain model, bit for bit (vector
+    /// body only / body + scalar tail).
     #[test]
     fn plain_backing_matches_one_thread_atomic_trainers_bitwise() {
         let (corpus, vocab) = clustered_corpus();
@@ -295,33 +334,42 @@ mod tests {
                 epochs: 2,
                 ..Hyperparams::test_scale()
             };
-            let plain = |name| Preset {
-                name,
-                rng_stream: 0,
-                params: &params,
-                n_threads: 1,
+            let atomic = |name, step| {
+                let preset = Preset {
+                    name,
+                    rng_stream: 0,
+                    params: &params,
+                    n_threads: 1,
+                    step,
+                };
+                let workers = preset.workers(&corpus);
+                assert_eq!(workers.len(), 1);
+                preset.train::<AtomicModel>(workers, &corpus, &vocab, |_, _| {})
             };
-            let batch_rows = plain("hogbatch").run::<Word2VecModel, _>(
-                &corpus,
-                &vocab,
-                |store, sentence, alpha, ctx, rng, scratch| {
-                    train_sentence_hogbatch(store, sentence, alpha, ctx, rng, scratch)
-                },
-                |_, _| {},
-            );
             let hogbatch = HogBatchTrainer::new(params.clone(), 1).train(&corpus, &vocab);
+            let batch_rows = atomic("hogbatch", Step::HogBatch);
             assert_eq!(batch_rows, hogbatch, "BatchRows side, dim {dim}");
-            let sgns_store = plain("hogwild").run::<Word2VecModel, _>(
-                &corpus,
-                &vocab,
-                |store, sentence, alpha, ctx, rng, scratch| {
-                    train_sentence(store, sentence, alpha, ctx, rng, &mut scratch.pair)
-                },
-                |_, _| {},
-            );
             let hogwild = HogwildTrainer::new(params.clone(), 1).train(&corpus, &vocab);
+            let sgns_store = atomic("hogwild", Step::PerPair);
             assert_eq!(sgns_store, hogwild, "SgnsStore side, dim {dim}");
             assert_ne!(hogbatch, hogwild);
         }
+    }
+
+    /// The backing follows the workers built, not the thread count: over
+    /// one sentence one worker is built, and it is the one-thread run.
+    #[test]
+    fn one_sentence_trains_as_one_thread_whatever_the_thread_count() {
+        let (corpus, vocab) = toy_corpus(1);
+        let params = Hyperparams {
+            subsample: 0.0,
+            ..Hyperparams::test_scale()
+        };
+        let init = Word2VecModel::init(vocab.len(), params.dim, params.seed);
+        let hogbatch = |n| HogBatchTrainer::new(params.clone(), n).train(&corpus, &vocab);
+        assert_ne!(hogbatch(1), init, "the sentence trained nothing");
+        assert_eq!(hogbatch(4), hogbatch(1), "HogBatch");
+        let hogwild = |n| HogwildTrainer::new(params.clone(), n).train(&corpus, &vocab);
+        assert_eq!(hogwild(4), hogwild(1), "Hogwild");
     }
 }
