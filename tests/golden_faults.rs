@@ -18,6 +18,11 @@
 //!   `faults.injected.drop`, `faults.injected.dup`,
 //!   `faults.injected.flip`, `faults.recovered.dedup` and
 //!   `faults.recovered.resend`;
+//! * `clock` (simulator only): the bits of `TrainResult::comm_time`, the
+//!   virtual communication clock. It is built from each round's
+//!   `RoundVolume` and the plan's coins alone, so it repeats exactly: it
+//!   pins the pricing of resends and of partition stalls, PullModel's
+//!   three phases included;
 //! * `ckpt` (kill → resume cells only): one CRC-32 per written checkpoint
 //!   over every field except `compute_time` and `comm_time`, which the
 //!   simulator reads off the wall clock.
@@ -291,6 +296,9 @@ fn run_cell(
         ),
     );
     out.insert(key("faults"), counters.join(","));
+    if engine == "sim" {
+        out.insert(key("clock"), format!("{:016x}", r.comm_time.to_bits()));
+    }
     if let Some(ckpts) = ckpts {
         out.insert(key("ckpt"), ckpts);
     }
