@@ -57,6 +57,8 @@ USAGE:
                  [--on-partition stall|degrade] [--max-stale-rounds 8]
                  [--nak-delay MS] [--max-retries N] [--barrier-timeout MS]
                  [--checkpoint-dir DIR] [--checkpoint-every 1] [--resume]
+                 (--threads: hogwild|hogbatch; --hosts … --resume: dist|threaded;
+                 --nak-delay … --barrier-timeout: threaded; others are errors)
   gw2v corpus graph --out graph.edges [--kind sbm|scale-free]
                  [--nodes 240] [--blocks 8] [--p-in 0.2] [--p-out 0.005]
                  [--attach 3] [--seed 42]
@@ -354,6 +356,48 @@ fn hyperparams_from(args: &Args) -> Result<Hyperparams, ArgError> {
     })
 }
 
+/// What only the cluster trainers (`dist`, `threaded`) read.
+const CLUSTER_FLAGS: [&str; 12] = [
+    "hosts",
+    "sync-rounds",
+    "plan",
+    "wire",
+    "combiner",
+    "sgns",
+    "fault-plan",
+    "on-partition",
+    "max-stale-rounds",
+    "checkpoint-dir",
+    "checkpoint-every",
+    "resume",
+];
+
+/// What only the threaded transport reads: the simulator prices NAK
+/// backoff at the transport's defaults.
+const TRANSPORT_FLAGS: [&str; 3] = ["nak-delay", "max-retries", "barrier-timeout"];
+
+/// A flag `trainer` never reads would do nothing: name it instead.
+/// (`GW2V_FAULT_PLAN` stays a fallback the shared-memory trainers ignore.)
+fn reject_unread(args: &Args, trainer: &str) -> Result<(), ArgError> {
+    let unread: &[&[&str]] = match trainer {
+        "seq" | "batched" => &[&CLUSTER_FLAGS, &TRANSPORT_FLAGS, &["threads"]],
+        "hogwild" | "hogbatch" => &[&CLUSTER_FLAGS, &TRANSPORT_FLAGS],
+        "dist" => &[&TRANSPORT_FLAGS, &["threads"]],
+        "threaded" => &[&["threads"]],
+        _ => &[],
+    };
+    match unread
+        .iter()
+        .flat_map(|flags| flags.iter())
+        .find(|&&flag| args.get(flag).is_some() || args.flag(flag))
+    {
+        Some(flag) => Err(ArgError(format!(
+            "--{flag} does nothing under --trainer {trainer}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// `--threads` for the racing trainers; zero workers train nothing.
 fn threads_from(args: &Args) -> Result<usize, ArgError> {
     match args.get_or("threads", 4)? {
@@ -534,6 +578,8 @@ pub fn train(raw: &[String]) -> CmdResult {
         "checkpoint-every",
         "resume",
     ])?;
+    let trainer = args.get("trainer").unwrap_or("seq");
+    reject_unread(&args, trainer)?;
     let input = args.require("input")?;
     let out = args.require("out")?;
     let params = hyperparams_from(&args)?;
@@ -550,7 +596,6 @@ pub fn train(raw: &[String]) -> CmdResult {
         vocab.len(),
         corpus.total_tokens()
     );
-    let trainer = args.get("trainer").unwrap_or("seq");
     let t0 = std::time::Instant::now();
     let model = match trainer {
         "seq" => SequentialTrainer::new(params).train(&corpus, &vocab),

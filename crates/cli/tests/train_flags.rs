@@ -5,7 +5,7 @@
 //! die on a library `assert!` or a `Duration` conversion (exit 101 with
 //! a backtrace), `--threads 100000` on a failed stack guard page (exit
 //! 134). A fault plan the cluster engines cannot run is a typed error
-//! too.
+//! too, and so is a flag the chosen trainer never reads.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -149,6 +149,56 @@ fn transport_timings_that_are_no_duration_are_typed_errors() {
     ] {
         let run = train(&corpus, &out, &["--trainer", "threaded", flag, value]);
         assert_typed_failure(&run, &out, flag, &format!("{flag} {value}"));
+    }
+    std::fs::remove_file(&corpus).ok();
+}
+
+/// A flag the chosen trainer never reads is a typed error naming the flag
+/// and the trainer; each of these used to train and exit 0 with the flag
+/// doing nothing (`--trainer seq --checkpoint-dir d --resume` trained
+/// from scratch and wrote no checkpoint).
+#[test]
+fn a_flag_the_trainer_never_reads_is_a_typed_error() {
+    let corpus = tmp("unread_corpus.txt");
+    let out = tmp("unread_model.txt");
+    let ckpt = tmp("unread_ckpt");
+    write_corpus(&corpus);
+    let dir = ckpt.to_str().unwrap();
+    let cluster: [&[&str]; 13] = [
+        &["--hosts", "2"],
+        &["--sync-rounds", "2"],
+        &["--plan", "pull"],
+        &["--wire", "memo"],
+        &["--combiner", "avg"],
+        &["--sgns", "hogbatch"],
+        &["--fault-plan", "seed=1,drop=0.1"],
+        &["--on-partition", "degrade"],
+        &["--max-stale-rounds", "4"],
+        &["--checkpoint-dir", dir],
+        &["--checkpoint-every", "2"],
+        &["--checkpoint-dir", dir, "--resume"],
+        &["--resume"],
+    ];
+    let transport: [&[&str]; 3] = [
+        &["--nak-delay", "5"],
+        &["--max-retries", "3"],
+        &["--barrier-timeout", "100"],
+    ];
+    let mut cases: Vec<(&str, &[&str])> = Vec::new();
+    for trainer in ["seq", "batched", "hogwild", "hogbatch"] {
+        cases.extend(cluster.iter().chain(&transport).map(|&f| (trainer, f)));
+    }
+    cases.extend(transport.iter().map(|&f| ("dist", f)));
+    for trainer in ["seq", "batched", "dist", "threaded"] {
+        cases.push((trainer, &["--threads", "2"]));
+    }
+    for (trainer, flag) in cases {
+        let what = format!("{trainer} {flag:?}");
+        let run = train(&corpus, &out, &[&["--trainer", trainer], flag].concat());
+        assert_eq!(run.status.code(), Some(1), "{what}");
+        assert_typed_failure(&run, &out, flag[0], &what);
+        assert_typed_failure(&run, &out, trainer, &what);
+        std::fs::remove_dir_all(&ckpt).ok();
     }
     std::fs::remove_file(&corpus).ok();
 }

@@ -25,10 +25,12 @@
 //! A [`FaultPlan`] injects faults into the simulator's *virtual* clocks
 //! and schedule: scheduled crashes kill a host at a round boundary (its
 //! partition is adopted by the next alive host, continuing on the
-//! deterministic recovery RNG stream), stragglers add virtual seconds to
-//! a host's compute clock, and drop/flip probabilities replay the exact
-//! per-message coins the threaded transport consults, charging the
-//! retransmissions it would perform as extra virtual communication time.
+//! deterministic recovery RNG stream) and stragglers add virtual seconds
+//! to a host's compute clock. Message faults — partitions, drops, flips,
+//! dups, reorders — strike in the sync round's mailboxes, which draw the
+//! threaded transport's own chain of delivery attempts for every letter
+//! (`gw2v_gluon::sync::sync_round_degraded`); the extra frames and NAK
+//! backoff they count are charged here as virtual communication time.
 //! With the inert plan (the default) every fault path is skipped and the
 //! run is bit-identical to a build without the fault subsystem.
 //! Epoch-boundary [`Checkpoint`]s capture enough state — replicas, RNG
@@ -47,12 +49,11 @@ use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_faults::{counters, FaultPlan, OnPartition};
 use gw2v_gluon::cost::CostModel;
-use gw2v_gluon::liveness::Liveness;
 use gw2v_gluon::plan::SyncPlan;
 use gw2v_gluon::sync::{sync_round_degraded, SyncScratch};
-use gw2v_gluon::threaded::{phases_per_round, ClusterConfig, REJOIN_CONTROL_BYTES};
-use gw2v_gluon::volume::{CommStats, RoundVolume};
-use gw2v_gluon::wire::{entry_bytes, WireMode, WireState, FRAME_HEADER_BYTES};
+use gw2v_gluon::threaded::REJOIN_CONTROL_BYTES;
+use gw2v_gluon::volume::CommStats;
+use gw2v_gluon::wire::{entry_bytes, WireMode, WireState};
 use gw2v_gluon::ModelReplica;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -230,7 +231,6 @@ impl DistributedTrainer {
         let wall_start = Instant::now();
         let env = HostEnv::new(p, cfg, &self.faults, corpus, vocab);
         let plan = &env.faults;
-        let faults_on = !plan.is_inert();
         let fingerprint = Checkpoint::fingerprint_of(p, cfg);
         let resume = self.checkpointing.resume_point(fingerprint);
         let resume = resume.as_ref();
@@ -334,7 +334,7 @@ impl DistributedTrainer {
                     let t0 = Instant::now();
                     pairs_trained += w.train_round(&mut replicas[h], s);
                     round_compute[h] = t0.elapsed().as_secs_f64();
-                    if let Some(delay) = plan.straggler_delay(h, g).filter(|_| faults_on) {
+                    if let Some(delay) = plan.straggler_delay(h, g) {
                         counters::bump(counters::INJECTED_STRAGGLE);
                         // Virtual-clock injection: the barrier (the max
                         // below) waits for the straggler.
@@ -355,7 +355,7 @@ impl DistributedTrainer {
                 });
 
                 // ---- Synchronize (reduce + broadcast). ----
-                let volume = sync_round_degraded(
+                let (volume, resends) = sync_round_degraded(
                     &mut replicas,
                     &env.sync,
                     access.as_ref(),
@@ -363,20 +363,19 @@ impl DistributedTrainer {
                     &mut sync_scratch,
                     &live,
                     &mut wire,
+                    plan,
+                    g,
                 );
                 let round_comp = round_compute.iter().cloned().fold(0.0, f64::max);
+                // The fault plan's extra frames cost the round's average
+                // letter and one latency each; its NAK backoff adds on.
                 let mut round_comm = cfg.cost.round_time(&volume);
-                if faults_on
-                    && (plan.drop_p > 0.0
-                        || plan.flip_p > 0.0
-                        || plan.dup_p > 0.0
-                        || plan.reorder_p > 0.0
-                        || plan.partition_active(g))
-                {
-                    round_comm +=
-                        virtual_retransmission_time(plan, cfg.plan, g, &live, &volume, &cfg.cost);
-                    round_comm += cfg.cost.partition_stall_time(plan, cfg.plan, &live, g);
+                if resends.frames > 0 {
+                    let avg_bytes = volume.total_bytes() / resends.letters;
+                    round_comm += cfg.cost.transfer_time(resends.frames * avg_bytes)
+                        + resends.frames as f64 * cfg.cost.latency_sec;
                 }
+                round_comm += resends.backoff_secs;
                 compute_time += round_comp;
                 comm_time += round_comm;
 
@@ -485,96 +484,6 @@ impl DistributedTrainer {
             resumed_from: resume.map(|_| start_epoch),
         }
     }
-}
-
-/// Models the transport retransmissions the threaded engine performs for
-/// real: replays the per-message drop/flip coins for each of the round's
-/// phases (the same coins the threaded transport consults, so both
-/// engines inject the same faults) and charges the resends at the
-/// round's average message size under the α–β cost model. Each simulated
-/// fault is also counted through the observability registry.
-fn virtual_retransmission_time(
-    plan: &FaultPlan,
-    sync_plan: SyncPlan,
-    global_round: usize,
-    live: &Liveness,
-    volume: &RoundVolume,
-    cost: &CostModel,
-) -> f64 {
-    let h_count = live.n_hosts();
-    let n_layers = 2usize;
-    let max_retries = ClusterConfig::default().max_retries;
-    let mut extra_msgs = 0u64;
-    let phases = phases_per_round(sync_plan);
-    for phase in 0..phases {
-        // The threaded engine's per-phase sequence numbers: round g runs
-        // phases P·g+1 ..= P·g+P (P = 2: reduce, broadcast; PullModel's
-        // P = 3: reduce, pull-request, pull-response).
-        let seq = phases * global_round as u64 + 1 + phase;
-        for from in 0..h_count {
-            if !live.is_alive(from) {
-                continue;
-            }
-            for to in 0..h_count {
-                if to == from || !live.is_alive(to) {
-                    continue;
-                }
-                for layer in 0..n_layers {
-                    // Replay the reorder coin: a deferred send changes
-                    // per-channel delivery order, not bytes or time.
-                    if plan.should_reorder(from, to, layer, seq) {
-                        counters::bump(counters::INJECTED_REORDER);
-                    }
-                    let mut attempt = 0u32;
-                    while attempt <= max_retries {
-                        if plan.partition_blocked(from, to, global_round, attempt) {
-                            // Stall-mode partition withholds the leading
-                            // attempts; the NAK loop heals the channel.
-                            counters::bump(counters::INJECTED_PARTITION);
-                            counters::bump(counters::DETECTED_TIMEOUT);
-                        } else if plan.should_drop(from, to, layer, seq, attempt) {
-                            counters::bump(counters::INJECTED_DROP);
-                            counters::bump(counters::DETECTED_TIMEOUT);
-                        } else if plan
-                            // The flip decision coin is length-independent
-                            // (any non-empty frame flips identically), so the
-                            // header size stands in for the frame length.
-                            .flip_bit(from, to, layer, seq, attempt, FRAME_HEADER_BYTES)
-                            .is_some()
-                        {
-                            counters::bump(counters::INJECTED_FLIP);
-                            counters::bump(counters::DETECTED_CORRUPT);
-                        } else {
-                            break;
-                        }
-                        counters::bump(counters::RECOVERED_RESEND);
-                        attempt += 1;
-                    }
-                    if attempt > 0 && plan.partition_blocked(from, to, global_round, attempt - 1) {
-                        // The delivered attempt is the first past the
-                        // partition's withheld window.
-                        counters::bump(counters::RECOVERED_HEAL);
-                    }
-                    // Replay the dup coin for the delivered (clean) attempt:
-                    // one extra frame on the wire, discarded by the
-                    // receiver's dedup.
-                    if plan.should_dup(from, to, layer, seq, attempt) {
-                        counters::bump(counters::INJECTED_DUP);
-                        counters::bump(counters::RECOVERED_DEDUP);
-                        extra_msgs += 1;
-                    }
-                    extra_msgs += attempt as u64;
-                }
-            }
-        }
-    }
-    if extra_msgs == 0 {
-        return 0.0;
-    }
-    let n_alive = live.n_alive() as u64;
-    let delivered = phases * n_alive * n_alive.saturating_sub(1) * n_layers as u64;
-    let avg_bytes = volume.total_bytes() / delivered.max(1);
-    cost.transfer_time(extra_msgs * avg_bytes) + extra_msgs as f64 * cost.latency_sec
 }
 
 #[cfg(test)]

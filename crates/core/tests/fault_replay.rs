@@ -1,8 +1,9 @@
-//! The simulator's fault replay draws its coins at the coordinates the
-//! threaded engine uses: round `g` of a plan with `P` phases per round
-//! (`phases_per_round`: 2 for the RepModel plans, 3 for PullModel) runs
-//! phases `P·g+1 ..= P·g+P`, and every delivery attempt's coin is a hash
-//! of that sequence number. Simulator only — no threads, no sleeps.
+//! The simulator's mailboxes draw the fault plan's attempt chain
+//! (`FaultPlan::attempt`) at the coordinates the threaded engine uses:
+//! round `g` of a plan with `P` phases per round (`phases_per_round`: 2
+//! for the RepModel plans, 3 for PullModel) runs phases `P·g+1 ..= P·g+P`,
+//! and every delivery attempt's coin is a hash of that sequence number.
+//! Simulator only — no threads, no sleeps.
 //!
 //! One test function on purpose: it reads deltas of process-wide
 //! counters, so nothing else may run in this process meanwhile.
@@ -21,7 +22,8 @@ const HOSTS: usize = 3;
 const ROUNDS: usize = 2;
 const LAYERS: usize = 2;
 /// `TrainResult::comm_time` bits of the two RepModel runs below, cut
-/// while the replay still hard-coded two phases per round.
+/// while the simulator still replayed the coins with two phases per
+/// round hard-coded.
 const REPMODEL_NAIVE_COMM_BITS: u64 = 0x3f30_f151_5a34_914b;
 const REPMODEL_OPT_COMM_BITS: u64 = 0x3f23_f604_34f4_161e;
 
@@ -106,11 +108,11 @@ fn replayed_drops_follow_the_plans_phase_numbering() {
         );
         comm_bits.push(result.comm_time.to_bits());
     }
-    // PullModel's third phase is not a no-op under this plan: replaying
-    // two phases per round (what the simulator used to do for every
-    // plan) counts differently, so the assertion above can tell.
+    // PullModel's third phase is not a no-op under this plan: drawing
+    // two phases per round (what the simulator once did for every plan)
+    // counts differently, so the assertion above can tell.
     assert_ne!(drops_by_hand(&plan, 3), drops_by_hand(&plan, 2));
-    // The RepModel plans never had the bug: their virtual comm clock is
+    // The RepModel plans never had that bug: their virtual comm clock is
     // the one the two-phase replay computed, bit for bit (constants cut
     // before the fix).
     assert_eq!(

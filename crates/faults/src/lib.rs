@@ -12,12 +12,11 @@
 //!
 //! Faults modeled:
 //!
-//! * **Message drops** — a per-message Bernoulli coin ([`FaultPlan::should_drop`]);
-//!   the threaded cluster really withholds the message, the BSP simulator
-//!   charges the virtual retransmission latency.
-//! * **Payload bit-flips** — [`FaultPlan::flip_bit`] picks a deterministic
-//!   bit of the framed payload; the CRC-32 wire frame (gw2v-gluon) is
-//!   guaranteed to detect it.
+//! * **Message drops** — a per-attempt Bernoulli coin; the threaded
+//!   cluster really withholds the frame, the BSP simulator's mailboxes
+//!   count the resend and charge its virtual time.
+//! * **Payload bit-flips** — a deterministic bit of the sealed frame;
+//!   the CRC-32 wire frame (gw2v-gluon) is guaranteed to detect it.
 //! * **Host crashes** — [`FaultPlan::crash_round`] kills a host at the
 //!   start of a chosen global sync round; a surviving host adopts its
 //!   corpus shard and master block.
@@ -27,15 +26,20 @@
 //! * **Process kills** — [`FaultPlan::kill_after_epoch`] stops the whole
 //!   training run after an epoch boundary, standing in for SIGKILL in
 //!   checkpoint/resume tests.
-//! * **Network partitions** — [`FaultPlan::partition_blocked`] withholds
-//!   cross-group data frames for a round range; the trainer's
+//! * **Network partitions** — withhold cross-group data frames for a
+//!   round range; the trainer's
 //!   [`OnPartition`] policy decides between stalling on the NAK loop and
 //!   degrading to dormant-unreachable peers with deterministic healing.
-//! * **Duplicate deliveries** — [`FaultPlan::should_dup`] delivers a
-//!   clean frame twice, exercising the receiver's attempt-dedup path.
-//! * **Send reordering** — [`FaultPlan::should_reorder`] defers a frame
-//!   to the end of its phase's send sequence, shuffling per-channel
-//!   delivery order (model bits are fold-order-canonical, so unchanged).
+//! * **Duplicate deliveries** — a clean frame delivered twice,
+//!   exercising the receiver's attempt-dedup path.
+//! * **Send reordering** — [`FaultPlan::reorder`] defers a frame to the
+//!   end of its phase's send sequence, shuffling per-channel delivery
+//!   order (model bits are fold-order-canonical, so unchanged).
+//!
+//! Partitions, drops, flips and dups strike one delivery attempt of a
+//! data frame, and [`FaultPlan::attempt`] is the one place that decides
+//! which: both cluster engines draw its chain of attempts, so they inject
+//! the same faults by construction.
 //!
 //! Plans parse from a compact spec string (`GW2V_FAULT_PLAN` /
 //! `--fault-plan`), e.g.:
@@ -54,6 +58,6 @@ pub mod counters;
 mod plan;
 
 pub use plan::{
-    CrashSpec, FaultPlan, OnPartition, PartitionSpec, PlanParseError, RejoinSpec, StragglerSpec,
-    PARTITION_STALL_ATTEMPTS,
+    Attempt, CrashSpec, FaultPlan, OnPartition, PartitionSpec, PlanParseError, RejoinSpec,
+    StragglerSpec, PARTITION_STALL_ATTEMPTS,
 };

@@ -1,5 +1,6 @@
 //! The seeded, deterministic fault plan.
 
+use crate::counters;
 use gw2v_util::rng::SplitMix64;
 use std::fmt;
 
@@ -21,6 +22,25 @@ const TAG_BACKOFF: u64 = 0xBAC0;
 /// point is identical in the simulator and the threaded cluster, and the
 /// stall can never deadlock the lockstep protocol.
 pub const PARTITION_STALL_ATTEMPTS: u32 = 2;
+
+/// What the fault plan does to one delivery attempt of a data frame
+/// ([`FaultPlan::attempt`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Attempt {
+    /// Withheld by a stall-mode partition; the receiver times out.
+    Partitioned,
+    /// Withheld by the drop coin; the receiver times out.
+    Dropped,
+    /// Delivered with this bit of the sealed frame flipped; the
+    /// receiver's CRC check fails.
+    Flipped(usize),
+    /// Delivered intact — a second time too when `twice`, which the
+    /// receiver's dedup discards.
+    Delivered {
+        /// The dup coin came up.
+        twice: bool,
+    },
+}
 
 /// Crash `host` at the start of global sync round `round`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -254,13 +274,72 @@ impl FaultPlan {
         (self.hash(tag, words) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Should delivery attempt `attempt` of the `(from → to, layer)`
-    /// message of phase `seq` be dropped?
+    /// What the plan does to delivery attempt `attempt` of the
+    /// `(from → to, layer)` data frame of phase `seq` in global round
+    /// `round`, `frame_len` (> 0) bytes sealed. The one injector both cluster
+    /// engines consult: the threaded transport acts on the answer, the
+    /// simulator's mailboxes count it.
     ///
-    /// `seq` is the global phase sequence number (two phases — reduce and
-    /// broadcast — per sync round), and `attempt` counts retransmissions,
-    /// so a dropped message's resend gets an independent coin and
-    /// bounded-retry recovery terminates with probability 1.
+    /// `seq` is the global phase sequence number and `attempt` counts
+    /// retransmissions, so a withheld frame's resend draws fresh coins
+    /// and bounded-retry recovery terminates with probability 1. The
+    /// coins are drawn in a fixed order — partition, heal, drop, flip,
+    /// dup — and each injected fault is counted here, as is a partitioned
+    /// channel's heal: at its first unblocked attempt, whatever the drop
+    /// coin then does to that attempt.
+    #[allow(clippy::too_many_arguments)]
+    pub fn attempt(
+        &self,
+        from: usize,
+        to: usize,
+        layer: usize,
+        seq: u64,
+        round: usize,
+        attempt: u32,
+        frame_len: usize,
+    ) -> Attempt {
+        if self.partition_blocked(from, to, round, attempt) {
+            counters::bump(counters::INJECTED_PARTITION);
+            return Attempt::Partitioned;
+        }
+        if attempt > 0 && self.partition_blocked(from, to, round, attempt - 1) {
+            counters::bump(counters::RECOVERED_HEAL);
+        }
+        if self.should_drop(from, to, layer, seq, attempt) {
+            counters::bump(counters::INJECTED_DROP);
+            return Attempt::Dropped;
+        }
+        let words = [from as u64, to as u64, layer as u64, seq, attempt as u64];
+        if self.flip_p > 0.0 && self.coin(TAG_FLIP, words) < self.flip_p {
+            counters::bump(counters::INJECTED_FLIP);
+            let bit = self.hash(TAG_FLIP_POS, words) % (frame_len as u64 * 8);
+            return Attempt::Flipped(bit as usize);
+        }
+        // Only a clean delivery is duplicated: the copy's bytes are the
+        // same, so the receiver's dedup keeps model bits unchanged.
+        let twice = self.dup_p > 0.0 && self.coin(TAG_DUP, words) < self.dup_p;
+        if twice {
+            counters::bump(counters::INJECTED_DUP);
+        }
+        Attempt::Delivered { twice }
+    }
+
+    /// Should the `(from → to, layer)` send of phase `seq` be deferred to
+    /// the end of its phase's send sequence? Counted when it is. Receivers
+    /// fold in canonical host-id order, so reordering cannot change model
+    /// bits.
+    pub fn reorder(&self, from: usize, to: usize, layer: usize, seq: u64) -> bool {
+        let defer = self.reorder_p > 0.0
+            && self.coin(TAG_REORDER, [from as u64, to as u64, layer as u64, seq, 0])
+                < self.reorder_p;
+        if defer {
+            counters::bump(counters::INJECTED_REORDER);
+        }
+        defer
+    }
+
+    /// The drop coin of one delivery attempt ([`FaultPlan::attempt`]'s
+    /// third draw).
     pub fn should_drop(
         &self,
         from: usize,
@@ -274,27 +353,6 @@ impl FaultPlan {
                 TAG_DROP,
                 [from as u64, to as u64, layer as u64, seq, attempt as u64],
             ) < self.drop_p
-    }
-
-    /// If this delivery attempt is to be corrupted, the bit index (within
-    /// `len_bytes · 8`) to flip; `None` for clean delivery.
-    pub fn flip_bit(
-        &self,
-        from: usize,
-        to: usize,
-        layer: usize,
-        seq: u64,
-        attempt: u32,
-        len_bytes: usize,
-    ) -> Option<usize> {
-        if self.flip_p == 0.0 || len_bytes == 0 {
-            return None;
-        }
-        let words = [from as u64, to as u64, layer as u64, seq, attempt as u64];
-        if self.coin(TAG_FLIP, words) >= self.flip_p {
-            return None;
-        }
-        Some((self.hash(TAG_FLIP_POS, words) % (len_bytes as u64 * 8)) as usize)
     }
 
     /// The global round at whose start `host` crashes, if scheduled.
@@ -326,50 +384,15 @@ impl FaultPlan {
         (total > 0.0).then_some(total)
     }
 
-    /// True when any partition spec covers global round `round`.
-    pub fn partition_active(&self, round: usize) -> bool {
-        self.partitions.iter().any(|p| p.covers(round))
-    }
-
-    /// Leading delivery attempts withheld on the `from → to` channel in
-    /// global round `round`: [`PARTITION_STALL_ATTEMPTS`] when a
-    /// covering spec severs the pair, 0 otherwise.
-    pub fn partition_block_attempts(&self, from: usize, to: usize, round: usize) -> u32 {
-        if self
-            .partitions
-            .iter()
-            .any(|p| p.covers(round) && p.severs(from, to))
-        {
-            PARTITION_STALL_ATTEMPTS
-        } else {
-            0
-        }
-    }
-
     /// Is delivery attempt `attempt` of a `from → to` frame in global
-    /// round `round` withheld by an active partition?
-    pub fn partition_blocked(&self, from: usize, to: usize, round: usize, attempt: u32) -> bool {
-        attempt < self.partition_block_attempts(from, to, round)
-    }
-
-    /// Should this clean delivery attempt be delivered a second time?
-    /// The duplicate exercises the receiver's `(sender, layer)` dedup
-    /// path; resent bytes are identical, so model bits cannot change.
-    pub fn should_dup(&self, from: usize, to: usize, layer: usize, seq: u64, attempt: u32) -> bool {
-        self.dup_p > 0.0
-            && self.coin(
-                TAG_DUP,
-                [from as u64, to as u64, layer as u64, seq, attempt as u64],
-            ) < self.dup_p
-    }
-
-    /// Should the sender defer this frame to the end of its phase's send
-    /// sequence, shuffling per-channel delivery order? Receivers fold in
-    /// canonical host-id order, so reordering cannot change model bits.
-    pub fn should_reorder(&self, from: usize, to: usize, layer: usize, seq: u64) -> bool {
-        self.reorder_p > 0.0
-            && self.coin(TAG_REORDER, [from as u64, to as u64, layer as u64, seq, 0])
-                < self.reorder_p
+    /// round `round` withheld by a partition? A covering spec that severs
+    /// the pair withholds the first [`PARTITION_STALL_ATTEMPTS`].
+    fn partition_blocked(&self, from: usize, to: usize, round: usize, attempt: u32) -> bool {
+        attempt < PARTITION_STALL_ATTEMPTS
+            && self
+                .partitions
+                .iter()
+                .any(|p| p.covers(round) && p.severs(from, to))
     }
 
     /// Deterministic `[0, 1)` jitter for NAK-backoff schedules: a pure
@@ -669,8 +692,74 @@ mod tests {
         assert!(!p.partition_blocked(0, 1, 2, 0), "same group");
         assert!(!p.partition_blocked(0, 2, 1, 0), "before the split");
         assert!(!p.partition_blocked(0, 2, 4, 0), "healed");
-        assert!(p.partition_active(2) && p.partition_active(3));
-        assert!(!p.partition_active(4));
+    }
+
+    fn heals() -> u64 {
+        gw2v_obs::snapshot()
+            .counters
+            .get(counters::RECOVERED_HEAL)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn attempt_draws_partition_then_drop_then_flip() {
+        let p = FaultPlan::parse("seed=3,partition=0|1@0..1,drop=1,flip=1").unwrap();
+        let at = |from, to, round, attempt| p.attempt(from, to, 0, 1, round, attempt, 64);
+        assert_eq!(
+            at(0, 1, 0, 0),
+            Attempt::Partitioned,
+            "partition before drop"
+        );
+        assert_eq!(at(1, 0, 0, 1), Attempt::Partitioned);
+        assert_eq!(at(0, 2, 0, 0), Attempt::Dropped, "unsevered: drop");
+        assert_eq!(at(0, 1, 1, 0), Attempt::Dropped, "uncovered round: drop");
+        let flips = FaultPlan {
+            drop_p: 0.0,
+            ..p.clone()
+        };
+        assert!(
+            matches!(flips.attempt(0, 2, 0, 1, 0, 0, 64), Attempt::Flipped(bit) if bit < 64 * 8),
+            "drop before flip"
+        );
+    }
+
+    #[test]
+    fn a_heal_counts_at_the_first_unblocked_attempt_even_when_dropped() {
+        gw2v_obs::set_enabled(true);
+        let p = FaultPlan::parse("seed=3,partition=0|1@0..1,drop=1").unwrap();
+        let before = heals();
+        let attempts: Vec<Attempt> = (0..=PARTITION_STALL_ATTEMPTS + 1)
+            .map(|a| p.attempt(0, 1, 0, 1, 0, a, 64))
+            .collect();
+        assert_eq!(
+            attempts,
+            [
+                Attempt::Partitioned,
+                Attempt::Partitioned,
+                Attempt::Dropped,
+                Attempt::Dropped
+            ]
+        );
+        assert_eq!(heals() - before, 1, "one heal, at attempt 2");
+    }
+
+    #[test]
+    fn twice_comes_only_with_a_clean_delivery() {
+        let p = FaultPlan::parse("seed=3,dup=1").unwrap();
+        assert_eq!(
+            p.attempt(0, 1, 0, 1, 0, 0, 64),
+            Attempt::Delivered { twice: true }
+        );
+        for withheld in ["seed=3,dup=1,drop=1", "seed=3,dup=1,flip=1"] {
+            let p = FaultPlan::parse(withheld).unwrap();
+            let a = p.attempt(0, 1, 0, 1, 0, 0, 64);
+            assert!(!matches!(a, Attempt::Delivered { .. }), "{withheld}: {a:?}");
+        }
+        assert_eq!(
+            FaultPlan::none().attempt(0, 1, 0, 1, 0, 0, 64),
+            Attempt::Delivered { twice: false }
+        );
     }
 
     #[test]
@@ -701,16 +790,18 @@ mod tests {
             ..FaultPlan::none()
         };
         let n = 100_000u64;
-        let dups = (0..n).filter(|&s| p.should_dup(0, 1, 0, s, 0)).count();
-        let reorders = (0..n).filter(|&s| p.should_reorder(0, 1, 0, s)).count();
+        let dup = |s, attempt| {
+            p.attempt(0, 1, 0, s, 0, attempt, 64) == Attempt::Delivered { twice: true }
+        };
+        let dups = (0..n).filter(|&s| dup(s, 0)).count();
+        let reorders = (0..n).filter(|&s| p.reorder(0, 1, 0, s)).count();
         assert!((dups as f64 / n as f64 - 0.1).abs() < 0.01, "{dups}");
         assert!(
             (reorders as f64 / n as f64 - 0.3).abs() < 0.01,
             "{reorders}"
         );
-        assert_eq!(p.should_dup(0, 1, 0, 7, 1), p.should_dup(0, 1, 0, 7, 1));
-        assert!(!FaultPlan::none().should_dup(0, 1, 0, 7, 0));
-        assert!(!FaultPlan::none().should_reorder(0, 1, 0, 7));
+        assert_eq!(dup(7, 1), dup(7, 1));
+        assert!(!FaultPlan::none().reorder(0, 1, 0, 7));
     }
 
     #[test]
@@ -803,8 +894,8 @@ mod tests {
                     p.should_drop(0, 1, 0, seq, attempt)
                 );
                 assert_eq!(
-                    p.flip_bit(0, 1, 0, seq, attempt, 100),
-                    p.flip_bit(0, 1, 0, seq, attempt, 100)
+                    p.attempt(0, 1, 0, seq, 0, attempt, 100),
+                    p.attempt(0, 1, 0, seq, 0, attempt, 100)
                 );
             }
         }
@@ -852,11 +943,11 @@ mod tests {
             ..FaultPlan::none()
         };
         for seq in 0..100 {
-            let bit = p.flip_bit(1, 0, 1, seq, 0, 16).expect("flip_p=1");
-            assert!(bit < 16 * 8);
+            let flipped = p.attempt(1, 0, 1, seq, 0, 0, 16);
+            assert!(matches!(flipped, Attempt::Flipped(bit) if bit < 16 * 8));
         }
-        assert_eq!(FaultPlan::none().flip_bit(1, 0, 1, 0, 0, 16), None);
-        assert_eq!(p.flip_bit(1, 0, 1, 0, 0, 0), None, "empty payload");
+        let clean = FaultPlan::none().attempt(1, 0, 1, 0, 0, 0, 16);
+        assert_eq!(clean, Attempt::Delivered { twice: false });
     }
 
     #[test]

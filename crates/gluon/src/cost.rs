@@ -17,9 +17,6 @@
 //! concurrently, so the busiest port dominates). This is the standard
 //! α-β (latency–bandwidth) model of collective-communication analysis.
 
-use crate::liveness::Liveness;
-use crate::plan::SyncPlan;
-use crate::threaded::phases_per_round;
 use crate::volume::RoundVolume;
 use gw2v_faults::FaultPlan;
 use serde::{Deserialize, Serialize};
@@ -87,58 +84,6 @@ impl CostModel {
     pub fn transfer_time(&self, bytes: u64) -> f64 {
         bytes as f64 / self.bandwidth_bytes_per_sec
     }
-
-    /// Virtual NAK-delay base used when replaying the threaded engine's
-    /// backoff schedule, matching the threaded transport's default
-    /// (`ClusterConfig::default().nak_delay` = 25 ms) so both engines
-    /// draw the same schedule out of the box.
-    pub(crate) const NAK_BASE_SECS: f64 = 0.025;
-
-    /// Virtual stall charged to a round under an active stall-mode
-    /// partition.
-    ///
-    /// Replays the threaded engine's recovery: in each of the round's
-    /// phases ([`phases_per_round`] of `sync_plan`, which also numbers
-    /// them), every waiter with a partition-blocked inbound channel
-    /// runs [`gw2v_faults::PARTITION_STALL_ATTEMPTS`] NAK rounds, each
-    /// preceded by its `nak_backoff_secs` silence window. Waiters wait
-    /// concurrently, so the phase charges the slowest waiter's total;
-    /// the per-frame resend traffic itself is charged separately by the
-    /// retransmission model. Returns 0 when no partition covers `round`.
-    pub fn partition_stall_time(
-        &self,
-        plan: &FaultPlan,
-        sync_plan: SyncPlan,
-        live: &Liveness,
-        round: usize,
-    ) -> f64 {
-        if !plan.partition_active(round) {
-            return 0.0;
-        }
-        let n_hosts = live.n_hosts();
-        let phases = phases_per_round(sync_plan);
-        let mut total = 0.0;
-        for phase in 0..phases {
-            let seq = phases * round as u64 + 1 + phase;
-            let mut phase_stall = 0.0f64;
-            for to in 0..n_hosts {
-                if !live.is_alive(to) {
-                    continue;
-                }
-                let blocked = (0..n_hosts)
-                    .filter(|&from| from != to && live.is_alive(from))
-                    .map(|from| plan.partition_block_attempts(from, to, round))
-                    .max()
-                    .unwrap_or(0);
-                let wait: f64 = (0..blocked)
-                    .map(|nr| nak_backoff_secs(plan, Self::NAK_BASE_SECS, to, seq, nr))
-                    .sum();
-                phase_stall = phase_stall.max(wait);
-            }
-            total += phase_stall;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -201,63 +146,5 @@ mod tests {
             assert!(w >= base * mult && w < base * mult * 1.5, "round {nr}: {w}");
             assert_eq!(w, nak_backoff_secs(&plan, base, 1, 3, nr), "deterministic");
         }
-    }
-
-    #[test]
-    fn partition_stall_charged_only_in_covered_rounds() {
-        let plan = FaultPlan::parse("seed=5,partition=0|1@2..4").unwrap();
-        let m = CostModel::infiniband_56g();
-        let live = Liveness::all(2);
-        let opt = SyncPlan::RepModelOpt;
-        assert_eq!(m.partition_stall_time(&plan, opt, &live, 1), 0.0);
-        assert_eq!(m.partition_stall_time(&plan, opt, &live, 4), 0.0);
-        let stall = m.partition_stall_time(&plan, opt, &live, 2);
-        // Two phases, each waiting out NAK rounds 0 and 1: at least
-        // 2 · (1 + 2) · base even before jitter.
-        assert!(stall >= 6.0 * CostModel::NAK_BASE_SECS, "stall = {stall}");
-        assert_eq!(stall, m.partition_stall_time(&plan, opt, &live, 2));
-        // A dead side stalls nobody.
-        let mut half = Liveness::all(2);
-        half.mark_dead(1);
-        assert_eq!(m.partition_stall_time(&plan, opt, &half, 2), 0.0);
-    }
-
-    #[test]
-    fn partition_stall_follows_the_plans_phase_numbering() {
-        // The threaded engine numbers round g's phases P·g+1 ..= P·g+P
-        // with P = phases_per_round(plan), and a waiter's backoff jitter
-        // is a hash of that number: the replay must use the same ones.
-        let plan = FaultPlan::parse("seed=5,partition=0|1@2..4").unwrap();
-        let m = CostModel::infiniband_56g();
-        let live = Liveness::all(2);
-        let round = 2u64;
-        let by_hand = |phases: u64| -> f64 {
-            (0..phases)
-                .map(|phase| {
-                    let seq = phases * round + 1 + phase;
-                    (0..2usize)
-                        .map(|to| {
-                            (0..gw2v_faults::PARTITION_STALL_ATTEMPTS)
-                                .map(|nr| {
-                                    nak_backoff_secs(&plan, CostModel::NAK_BASE_SECS, to, seq, nr)
-                                })
-                                .sum::<f64>()
-                        })
-                        .fold(0.0, f64::max)
-                })
-                .sum()
-        };
-        for (sync_plan, phases) in [
-            (SyncPlan::RepModelNaive, 2),
-            (SyncPlan::RepModelOpt, 2),
-            (SyncPlan::PullModel, 3),
-        ] {
-            assert_eq!(
-                m.partition_stall_time(&plan, sync_plan, &live, round as usize),
-                by_hand(phases),
-                "{sync_plan:?}"
-            );
-        }
-        assert!(by_hand(3) > by_hand(2), "a third phase stalls too");
     }
 }

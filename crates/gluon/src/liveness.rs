@@ -61,7 +61,8 @@ impl Liveness {
     }
 
     /// Number of participating hosts.
-    pub fn n_alive(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_alive(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
     }
 

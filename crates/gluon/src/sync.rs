@@ -7,8 +7,10 @@
 //! the threaded cluster ([`crate::threaded`]) runs; this module only
 //! moves payloads: every alive host runs each phase in host-id order
 //! and what it posts is handed straight to the receiving host's fold or
-//! apply. No frames, no fault injector, no clocks (docs/WIRE.md
-//! § engine parity says what the two transports may differ in).
+//! apply. No frames and no wall clock; the fault plan's attempt chain
+//! is drawn for every letter, as the threaded transport draws it for
+//! every frame, and counted instead of acted on (docs/WIRE.md § engine
+//! parity says what the two transports may differ in).
 //!
 //! Semantics (identical across plans — plans only change which payloads
 //! cross the wire, paper §4.4):
@@ -27,15 +29,17 @@
 //! does not define: the per-host scratch ([`SyncScratch`]) and the
 //! canonical-model assembly ([`assemble_canonical_live`]).
 
+use crate::cost::nak_backoff_secs;
 use crate::liveness::Liveness;
 use crate::plan::{AccessSets, SyncConfig, SyncPlan};
 use crate::replica::ModelReplica;
 use crate::round::{HostRound, Post};
-use crate::threaded::ClusterError;
+use crate::threaded::{phases_per_round, ClusterConfig, ClusterError};
 use crate::volume::{CommStats, RoundVolume};
-use crate::wire::{RowEncoder, WireState};
+use crate::wire::{RowEncoder, WireState, FRAME_HEADER_BYTES};
 use bytes::Bytes;
 use gw2v_combiner::{CombineAccumulator, CombinerKind};
+use gw2v_faults::{counters, Attempt, FaultPlan};
 use gw2v_graph::partition::master_host;
 use gw2v_util::bitvec::BitVec;
 use gw2v_util::fvec::FlatMatrix;
@@ -192,8 +196,8 @@ pub fn sync_round(
 }
 
 /// Runs one synchronization round over all replicas with every host
-/// alive and the classic id+value wire, reusing `scratch` (one per
-/// host).
+/// alive, the classic id+value wire and no faults, reusing `scratch`
+/// (one per host).
 ///
 /// `access` must be `Some` when `cfg.plan == PullModel`: for each host
 /// and layer, the set of nodes that host will access in its *next*
@@ -210,7 +214,11 @@ pub(crate) fn sync_round_with_scratch(
 ) -> RoundVolume {
     let live = Liveness::all(replicas.len());
     let mut wire: Vec<WireState> = replicas.iter().map(|_| WireState::Classic).collect();
-    sync_round_degraded(replicas, cfg, access, stats, scratch, &live, &mut wire)
+    let none = FaultPlan::none();
+    sync_round_degraded(
+        replicas, cfg, access, stats, scratch, &live, &mut wire, &none, 0,
+    )
+    .0
 }
 
 /// One payload in flight between two simulated hosts.
@@ -220,6 +228,20 @@ struct Letter {
     layer: usize,
     payload: Bytes,
     value_only: bool,
+}
+
+/// What the fault plan cost one simulated round, as its mailboxes
+/// counted it; all zero under the inert plan.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Resends {
+    /// Letters handed over, each once.
+    pub letters: u64,
+    /// Frames beyond one per letter: a resend per withheld or corrupt
+    /// attempt, and every second copy.
+    pub frames: u64,
+    /// NAK backoff the round waited out: per phase, the slowest
+    /// receiver's.
+    pub backoff_secs: f64,
 }
 
 /// Everything the simulated hosts own, so each phase call can borrow one
@@ -233,6 +255,14 @@ struct Cluster<'a> {
     scratch: &'a mut [SyncScratch],
     stats: &'a mut CommStats,
     volume: RoundVolume,
+    /// The fault plan, `None` when inert.
+    faults: Option<&'a FaultPlan>,
+    /// The global round, which partitions are indexed by.
+    round: usize,
+    /// Per phase of the round (`phase · n_hosts + receiver`): the
+    /// longest NAK backoff a receiver waited out for one letter.
+    stall: Vec<f64>,
+    resends: Resends,
 }
 
 impl Cluster<'_> {
@@ -250,14 +280,16 @@ impl Cluster<'_> {
         }
     }
 
-    /// Runs one of `host`'s sending phases and returns what it posted.
+    /// Runs one of `host`'s sending phases, phase `phase` of the round,
+    /// and returns what it posted, each letter past the fault plan.
     fn send(
         &mut self,
         host: usize,
-        phase: impl FnOnce(&mut HostRound<'_>, &mut Post<'_>) -> Result<(), ClusterError>,
+        phase: usize,
+        f: impl FnOnce(&mut HostRound<'_>, &mut Post<'_>) -> Result<(), ClusterError>,
     ) -> Result<Vec<Letter>, ClusterError> {
         let mut outbox = Vec::new();
-        phase(
+        f(
             &mut self.host(host),
             &mut |to, layer, payload, value_only| {
                 outbox.push(Letter {
@@ -270,7 +302,50 @@ impl Cluster<'_> {
                 Ok(())
             },
         )?;
+        if let Some(plan) = self.faults {
+            for letter in &outbox {
+                self.deliver(plan, phase, letter);
+            }
+        }
         Ok(outbox)
+    }
+
+    /// Draws the threaded transport's chain of attempts for letter `l`
+    /// of phase `phase` ([`FaultPlan::attempt`]) until one is delivered,
+    /// counting what its receiver would detect and recover, the frames
+    /// that took and the NAK backoff (at the transport's default base
+    /// delay) its receiver waited out for the attempts a partition withheld.
+    fn deliver(&mut self, plan: &FaultPlan, phase: usize, l: &Letter) {
+        let seq = phases_per_round(self.cfg.plan) * self.round as u64 + 1 + phase as u64;
+        // A deferred send changes per-channel delivery order, not bytes
+        // or time.
+        plan.reorder(l.from, l.to, l.layer, seq);
+        let transport = ClusterConfig::default();
+        let frame_len = FRAME_HEADER_BYTES + l.payload.len();
+        let mut wait = 0.0;
+        self.resends.letters += 1;
+        for attempt in 0..=transport.max_retries {
+            match plan.attempt(l.from, l.to, l.layer, seq, self.round, attempt, frame_len) {
+                Attempt::Partitioned => {
+                    let base = transport.nak_delay.as_secs_f64();
+                    wait += nak_backoff_secs(plan, base, l.to, seq, attempt);
+                    counters::bump(counters::DETECTED_TIMEOUT);
+                }
+                Attempt::Dropped => counters::bump(counters::DETECTED_TIMEOUT),
+                Attempt::Flipped(_) => counters::bump(counters::DETECTED_CORRUPT),
+                Attempt::Delivered { twice } => {
+                    if twice {
+                        counters::bump(counters::RECOVERED_DEDUP);
+                        self.resends.frames += 1;
+                    }
+                    break;
+                }
+            }
+            counters::bump(counters::RECOVERED_RESEND);
+            self.resends.frames += 1;
+        }
+        let longest = &mut self.stall[phase * self.live.n_hosts() + l.to];
+        *longest = longest.max(wait);
     }
 
     /// The whole round: every phase of [`HostRound`] for every alive
@@ -287,7 +362,7 @@ impl Cluster<'_> {
         // Reduce: receiver r sees senders 0..r, then its own touches,
         // then senders r+1.. — the host-id fold order.
         for &sender in &alive {
-            let letters = self.send(sender, |h, post| h.send_reduce(post))?;
+            let letters = self.send(sender, 0, |h, post| h.send_reduce(post))?;
             self.host(sender).fold_own();
             for l in letters {
                 self.host(l.to)
@@ -302,14 +377,14 @@ impl Cluster<'_> {
         for &sender in &alive {
             let letters = if self.cfg.plan == SyncPlan::PullModel {
                 let mut responses = Vec::new();
-                for r in self.send(sender, |h, post| h.send_requests(post))? {
-                    responses.extend(self.send(r.to, |h, post| {
+                for r in self.send(sender, 1, |h, post| h.send_requests(post))? {
+                    responses.extend(self.send(r.to, 2, |h, post| {
                         h.answer_request(r.from, r.layer, &r.payload, post)
                     })?);
                 }
                 responses
             } else {
-                self.send(sender, |h, post| h.send_broadcast(post))?
+                self.send(sender, 1, |h, post| h.send_broadcast(post))?
             };
             for l in letters {
                 self.host(l.to)
@@ -323,18 +398,26 @@ impl Cluster<'_> {
     }
 }
 
-/// `sync_round_with_scratch` under an explicit liveness view and wire
-/// mode: the simulator's transport for the per-host round both engines
-/// run (`round.rs`; docs/WIRE.md § engine parity).
+/// `sync_round_with_scratch` under an explicit liveness view, wire mode
+/// and fault plan: the simulator's transport for the per-host round both
+/// engines run (`round.rs`; docs/WIRE.md § engine parity).
 ///
 /// Every alive host runs every phase in host-id order over in-process
-/// mailboxes — real encoded payloads, no frames, no fault injector —
-/// with its own entry of `scratch` and `wire` (one per host, indexed by
-/// host id; a wire state is never shared, see [`WireState`]). Dead hosts
-/// contribute no deltas, receive no broadcasts and have their trackers
-/// left untouched; their master blocks are reconciled at the adopter
-/// host ([`Liveness::effective_master`]). With an all-alive view and
-/// classic states this is exactly `sync_round_with_scratch`.
+/// mailboxes — real encoded payloads, no frames — with its own entry of
+/// `scratch` and `wire` (one per host, indexed by host id; a wire state
+/// is never shared, see [`WireState`]). Dead hosts contribute no deltas,
+/// receive no broadcasts and have their trackers left untouched; their
+/// master blocks are reconciled at the adopter host
+/// ([`Liveness::effective_master`]). With an all-alive view, classic
+/// states and the inert plan this is exactly `sync_round_with_scratch`.
+///
+/// Each letter handed over draws the threaded transport's chain of
+/// attempts under `faults` in global round `round`
+/// ([`FaultPlan::attempt`]): the mailboxes count what the plan injects
+/// and what the receiver would detect and recover, and return in
+/// [`Resends`] the extra frames and the NAK backoff that took. The
+/// payload itself always arrives whole, so the fault plan never changes
+/// model bits here either.
 ///
 /// `stats` accumulates every host's sends; the returned volume holds
 /// the round's per-host sent and received bytes.
@@ -347,7 +430,9 @@ pub fn sync_round_degraded(
     scratch: &mut [SyncScratch],
     live: &Liveness,
     wire: &mut [WireState],
-) -> RoundVolume {
+    faults: &FaultPlan,
+    round: usize,
+) -> (RoundVolume, Resends) {
     let n_hosts = replicas.len();
     assert!(n_hosts > 0);
     assert_eq!(live.n_hosts(), n_hosts, "liveness view size mismatch");
@@ -358,6 +443,8 @@ pub fn sync_round_degraded(
     let mut obs_span = gw2v_obs::span("gluon.sync");
     let before = gw2v_obs::enabled().then_some(*stats);
 
+    let faults = (!faults.is_inert()).then_some(faults);
+    let phases = faults.map_or(0, |_| phases_per_round(cfg.plan) as usize);
     let mut cluster = Cluster {
         cfg,
         live,
@@ -367,13 +454,24 @@ pub fn sync_round_degraded(
         scratch,
         stats,
         volume: RoundVolume::new(n_hosts),
+        faults,
+        round,
+        stall: vec![0.0; phases * n_hosts],
+        resends: Resends::default(),
     };
     cluster
         .run()
         .expect("in-process posts cannot fail and every payload was built by its sender");
-    let volume = cluster.volume;
+    let Cluster {
+        volume,
+        mut resends,
+        stall,
+        ..
+    } = cluster;
+    // Receivers wait concurrently, phases in turn.
+    let slowest = |phase: &[f64]| phase.iter().fold(0.0, |a: f64, &b| a.max(b));
+    resends.backoff_secs = stall.chunks(n_hosts).map(slowest).sum();
     stats.rounds += 1;
-
     if let Some(before) = before {
         let reduce_b = stats.reduce_bytes - before.reduce_bytes;
         let bcast_b = stats.broadcast_bytes - before.broadcast_bytes;
@@ -392,7 +490,7 @@ pub fn sync_round_degraded(
         obs_span.field("hosts", n_hosts as f64);
     }
     drop(obs_span);
-    volume
+    (volume, resends)
 }
 
 /// Assembles the canonical model (each node's master row) into a fresh
@@ -773,7 +871,7 @@ mod tests {
         let mut stats = CommStats::default();
         let mut scratch: Vec<SyncScratch> = (0..3).map(|_| SyncScratch::new()).collect();
         let mut wire: Vec<WireState> = (0..3).map(|_| WireState::Classic).collect();
-        let v = sync_round_degraded(
+        let (v, _) = sync_round_degraded(
             &mut reps,
             &cfg(SyncPlan::RepModelOpt, CombinerKind::Sum),
             None,
@@ -781,6 +879,8 @@ mod tests {
             &mut scratch,
             &live,
             &mut wire,
+            &FaultPlan::none(),
+            0,
         );
         assert_eq!(reps[2].row(0, 5)[0], base + 3.0, "adopter holds canonical");
         assert_eq!(reps[0].row(0, 5)[0], base + 3.0, "survivor mirrors it");
@@ -791,6 +891,94 @@ mod tests {
         assert!(v.total_bytes() > 0);
         let canon = assemble_canonical_live(&reps, &live);
         assert_eq!(canon[0].row(5)[0], base + 3.0);
+    }
+
+    /// One round over three hosts that touch and access every row of both
+    /// layers, so every host posts to every other in every phase, under
+    /// fault plan `spec` in global round `round`.
+    fn faulted_round(spec: &str, plan: SyncPlan, round: usize, dead: Option<usize>) -> Resends {
+        let (n_hosts, n_nodes) = (3, 12);
+        let mut reps = make_replicas(n_hosts, n_nodes, 2);
+        let mut access = AccessSets::new(n_hosts, 2, n_nodes);
+        for h in 0..n_hosts {
+            for layer in 0..2 {
+                access.get_mut(h, layer).set_all();
+                for node in 0..n_nodes as u32 {
+                    reps[h].row_mut(layer, node)[0] += 1.0;
+                }
+            }
+        }
+        let mut live = Liveness::all(n_hosts);
+        if let Some(h) = dead {
+            live.mark_dead(h);
+        }
+        let mut scratch: Vec<SyncScratch> = (0..n_hosts).map(|_| SyncScratch::new()).collect();
+        let mut wire: Vec<WireState> = (0..n_hosts).map(|_| WireState::Classic).collect();
+        sync_round_degraded(
+            &mut reps,
+            &cfg(plan, CombinerKind::Sum),
+            Some(&access),
+            &mut CommStats::default(),
+            &mut scratch,
+            &live,
+            &mut wire,
+            &FaultPlan::parse(spec).unwrap(),
+            round,
+        )
+        .1
+    }
+
+    #[test]
+    fn a_partition_stalls_only_the_rounds_it_covers() {
+        let spec = "seed=5,partition=0|1@2..4";
+        let opt = SyncPlan::RepModelOpt;
+        for round in [1, 4] {
+            let r = faulted_round(spec, opt, round, None);
+            assert!(r.letters > 0, "round {round}");
+            assert_eq!((r.frames, r.backoff_secs), (0, 0.0), "round {round}");
+        }
+        let stalled = faulted_round(spec, opt, 2, None);
+        assert!(stalled.frames > 0 && stalled.backoff_secs > 0.0);
+        assert_eq!(stalled, faulted_round(spec, opt, 2, None), "deterministic");
+        assert_eq!(faulted_round("", opt, 2, None), Resends::default(), "inert");
+    }
+
+    #[test]
+    fn a_dead_side_of_the_partition_stalls_nobody() {
+        let r = faulted_round(
+            "seed=5,partition=0|1@2..4",
+            SyncPlan::RepModelOpt,
+            2,
+            Some(1),
+        );
+        assert!(r.letters > 0);
+        assert_eq!((r.frames, r.backoff_secs), (0, 0.0));
+    }
+
+    #[test]
+    fn pull_stalls_in_each_of_its_three_phases() {
+        // Host 0 is cut off from hosts 1 and 2, so every receiver has a
+        // letter withheld in every phase: reduce, pull-request and
+        // pull-response, numbered 3·g+1 ..= 3·g+3.
+        let spec = "seed=5,partition=0|1.2@2..4";
+        let plan = FaultPlan::parse(spec).unwrap();
+        let base = ClusterConfig::default().nak_delay.as_secs_f64();
+        let by_hand: f64 = (7..=9)
+            .map(|seq| {
+                (0..3)
+                    .map(|to| {
+                        (0..gw2v_faults::PARTITION_STALL_ATTEMPTS)
+                            .map(|nr| nak_backoff_secs(&plan, base, to, seq, nr))
+                            .sum::<f64>()
+                    })
+                    .fold(0.0, f64::max)
+            })
+            .sum();
+        let r = faulted_round(spec, SyncPlan::PullModel, 2, None);
+        assert_eq!(r.backoff_secs, by_hand);
+        // A phase's two NAK windows last 3·base to 4.5·base: two phases
+        // alone stay under 9·base.
+        assert!(r.backoff_secs >= 9.0 * base, "{}", r.backoff_secs);
     }
 
     #[test]

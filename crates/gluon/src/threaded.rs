@@ -40,6 +40,10 @@
 //!   attempts; the NAK loop heals the channel deterministically.
 //!   Control frames (NAKs, state transfer) bypass the injector, so the
 //!   protocol cannot deadlock;
+//! * every data frame's delivery attempt asks [`FaultPlan::attempt`]
+//!   what happens to it — the chain of attempts the simulator's
+//!   mailboxes ([`crate::sync`]) draw too, so both engines inject, and
+//!   count, the same faults;
 //! * the phase barrier is crash-aware ([`HostCtx::barrier_wait`]): it
 //!   releases when all *registered-alive* hosts arrive, serves NAKs while
 //!   waiting, and counts long waits under `gluon.barrier_timeout`.
@@ -74,10 +78,11 @@ use crate::sync::SyncScratch;
 use crate::volume::{CommStats, RoundVolume};
 use crate::wire::{
     entry_bytes, open_frame, seal_frame, RowDecoder, RowEncoder, WireError, WireState,
+    FRAME_HEADER_BYTES,
 };
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use gw2v_faults::{counters, FaultPlan};
+use gw2v_faults::{counters, Attempt, FaultPlan};
 use gw2v_util::fvec::FlatMatrix;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -456,7 +461,7 @@ impl HostCtx {
 
     /// Tells the fabric which global sync round the next phases belong
     /// to. Drivers call this once per round before syncing; partition
-    /// blocking ([`FaultPlan::partition_blocked`]) is round-indexed, so
+    /// blocking ([`FaultPlan::attempt`]) is round-indexed, so
     /// the fabric cannot derive it from the phase counter alone (plans
     /// differ in phases per round).
     pub fn begin_round(&self, global_round: usize) {
@@ -506,9 +511,8 @@ impl HostCtx {
         if self
             .state
             .plan
-            .should_reorder(self.host, to, layer, self.seq.get())
+            .reorder(self.host, to, layer, self.seq.get())
         {
-            counters::bump(counters::INJECTED_REORDER);
             self.deferred
                 .borrow_mut()
                 .push((to, layer, payload, value_only));
@@ -526,8 +530,10 @@ impl HostCtx {
         })
     }
 
-    /// One delivery attempt: the injector may withhold the frame or flip
-    /// one bit of it; what survives goes on the channel sealed.
+    /// One delivery attempt: the injector ([`FaultPlan::attempt`]) may
+    /// withhold the frame, flip one bit of it or deliver it twice; what
+    /// survives goes on the channel sealed. A withheld frame is healed by
+    /// the receiver's NAK loop.
     fn send_data(
         &self,
         to: usize,
@@ -537,31 +543,23 @@ impl HostCtx {
         attempt: u32,
     ) -> Result<(), ClusterError> {
         let seq = self.seq.get();
-        let plan = &self.state.plan;
-        let round = self.round.get();
-        // Stall-mode partition: withhold the first
-        // PARTITION_STALL_ATTEMPTS cross-group delivery attempts of a
-        // covered round; the receiver's NAK loop heals the channel.
-        if plan.partition_blocked(self.host, to, round, attempt) {
-            counters::bump(counters::INJECTED_PARTITION);
-            return Ok(());
-        }
-        if attempt > 0 && plan.partition_blocked(self.host, to, round, attempt - 1) {
-            // First unblocked attempt on a partitioned channel.
-            counters::bump(counters::RECOVERED_HEAL);
-        }
-        if plan.should_drop(self.host, to, layer, seq, attempt) {
-            counters::bump(counters::INJECTED_DROP);
-            return Ok(());
-        }
-        let mut frame = self.seal(to, payload)?;
-        let mut clean = true;
-        if let Some(bit) = plan.flip_bit(self.host, to, layer, seq, attempt, frame.len()) {
+        let outcome = self.state.plan.attempt(
+            self.host,
+            to,
+            layer,
+            seq,
+            self.round.get(),
+            attempt,
+            FRAME_HEADER_BYTES + payload.len(),
+        );
+        let mut frame = match outcome {
+            Attempt::Partitioned | Attempt::Dropped => return Ok(()),
+            _ => self.seal(to, payload)?,
+        };
+        if let Attempt::Flipped(bit) = outcome {
             let mut raw = frame.as_slice().to_vec();
             raw[bit / 8] ^= 1 << (bit % 8);
             frame = Bytes::from(raw);
-            clean = false;
-            counters::bump(counters::INJECTED_FLIP);
         }
         let msg = Message {
             from: self.host,
@@ -571,10 +569,7 @@ impl HostCtx {
             value_only,
             payload: frame,
         };
-        // Dup injection: a *clean* delivery goes on the wire twice; the
-        // receiver's (sender, layer) dedup discards the second copy.
-        if clean && plan.should_dup(self.host, to, layer, seq, attempt) {
-            counters::bump(counters::INJECTED_DUP);
+        if outcome == (Attempt::Delivered { twice: true }) {
             self.post(to, msg.clone())?;
         }
         self.post(to, msg)
@@ -1645,6 +1640,8 @@ mod tests {
                 &mut scratch,
                 &live,
                 &mut wire,
+                &FaultPlan::none(),
+                0,
             );
         }
         (assemble_canonical(&replicas), stats)
@@ -1793,6 +1790,8 @@ mod tests {
                     &mut seq_scratch,
                     &live,
                     &mut seq_wire,
+                    &FaultPlan::none(),
+                    round,
                 );
             }
 

@@ -17,6 +17,7 @@
 //! `cargo test -p gw2v-gluon --test golden_rounds -- --ignored regenerate`.
 
 use gw2v_combiner::CombinerKind;
+use gw2v_faults::FaultPlan;
 use gw2v_gluon::sync::{assemble_canonical_live, sync_round_degraded, SyncScratch};
 use gw2v_gluon::wire::{WireMode, WireState};
 use gw2v_gluon::{AccessSets, CommStats, Liveness, ModelReplica, SyncConfig, SyncPlan};
@@ -143,7 +144,7 @@ fn run_cell(plan: SyncPlan, mode: WireMode, host_dead: bool, out: &mut String) {
             }
         }
         let access = access_sets(round);
-        let volume = sync_round_degraded(
+        let (volume, _) = sync_round_degraded(
             &mut replicas,
             &cfg,
             Some(&access),
@@ -151,6 +152,8 @@ fn run_cell(plan: SyncPlan, mode: WireMode, host_dead: bool, out: &mut String) {
             &mut scratch,
             &live,
             &mut wire,
+            &FaultPlan::none(),
+            round,
         );
         writeln!(
             out,

@@ -17,7 +17,10 @@
 //!   drop/flip/dup coin. They are `faults.detected.timeout`,
 //!   `faults.injected.drop`, `faults.injected.dup`,
 //!   `faults.injected.flip`, `faults.recovered.dedup` and
-//!   `faults.recovered.resend`;
+//!   `faults.recovered.resend`. Every counter a threaded line keeps,
+//!   except `faults.detected.crash` (counted per observing host), equals
+//!   its sim line's (`engines_count_the_same_faults`): both engines draw
+//!   the one injector, `FaultPlan::attempt`;
 //! * `clock` (simulator only): the bits of `TrainResult::comm_time`, the
 //!   virtual communication clock. It is built from each round's
 //!   `RoundVolume` and the plan's coins alone, so it repeats exactly: it
@@ -381,6 +384,36 @@ fn faulted_runs_match_the_committed_record() {
             backend()
         );
     }
+}
+
+/// Both engines draw one injector's chain of attempts, so every counter a
+/// `threaded` line records equals the same counter on its `sim` line —
+/// except `detected.crash`, which each observing host counts on the
+/// threaded engine and the simulator counts once.
+#[test]
+fn engines_count_the_same_faults() {
+    let counters = |line: &str| -> BTreeMap<String, String> {
+        line.split(',')
+            .filter_map(|kv| kv.split_once('='))
+            .map(|(k, v)| (k.to_owned(), v.to_owned()))
+            .collect()
+    };
+    let committed = committed();
+    let mut differ = Vec::new();
+    for (key, columns) in &committed {
+        let Some(cell) = key.strip_suffix(" threaded faults") else {
+            continue;
+        };
+        for (backend, threaded) in columns {
+            let sim = counters(&committed[&format!("{cell} sim faults")][backend]);
+            for (name, value) in counters(threaded) {
+                if name != "detected.crash" && sim.get(&name) != Some(&value) {
+                    differ.push(format!("{cell} {backend} {name}: threaded {value}"));
+                }
+            }
+        }
+    }
+    assert!(differ.is_empty(), "{differ:#?}");
 }
 
 #[test]
