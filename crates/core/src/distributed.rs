@@ -13,12 +13,15 @@
 //! ```
 //!
 //! Hosts are simulated deterministically in id order within one OS
-//! thread (DESIGN.md §1/§3), each driving its `host::HostWork` — the
-//! host side of the epoch (compute, wards, PullModel inspection) that
-//! [`crate::trainer_threaded::ThreadedTrainer`] drives concurrently. Each host's compute
-//! phase is wall-clock timed individually, so per-round *virtual* time
-//! is `max_h(compute_h) + cost_model(volume)`, which is what a BSP
-//! cluster would experience.
+//! thread (DESIGN.md §1/§3): the simulator walks the epoch loop of
+//! `host::run` over all of them, the loop each thread of
+//! [`crate::trainer_threaded::ThreadedTrainer`] walks over its one host.
+//! What it supplies is what a simulation does differently: a rejoiner's
+//! replica is a copy, a death is known at once, and stragglers and the
+//! network cost *virtual* time. Each host's compute phase is wall-clock
+//! timed individually, so per-round virtual time is
+//! `max_h(compute_h) + cost_model(volume)`, which is what a BSP cluster
+//! would experience.
 //!
 //! # Fault tolerance (DESIGN.md §3d)
 //!
@@ -33,14 +36,11 @@
 //! backoff they count are charged here as virtual communication time.
 //! With the inert plan (the default) every fault path is skipped and the
 //! run is bit-identical to a build without the fault subsystem.
-//! Epoch-boundary [`Checkpoint`]s capture enough state — replicas, RNG
-//! streams, schedule positions, liveness, accumulated clocks — to resume
-//! bit-identically after a kill.
+//! Epoch-boundary [`crate::checkpoint::Checkpoint`]s capture enough
+//! state — replicas, RNG streams, schedule positions, liveness,
+//! accumulated clocks — to resume bit-identically after a kill.
 
-use crate::checkpoint::Checkpoint;
-use crate::host::{
-    canonical, kill_epoch, save, slot_columns, start_liveness, Checkpointing, HostEnv, HostWork,
-};
+use crate::host::{canonical, run, Checkpointing, Engine, HostEnv, Hosts, Tally, Ward};
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
 use crate::trainer_hogbatch::SgnsMode;
@@ -49,12 +49,14 @@ use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_faults::{counters, FaultPlan, OnPartition};
 use gw2v_gluon::cost::CostModel;
-use gw2v_gluon::plan::SyncPlan;
-use gw2v_gluon::sync::{sync_round_degraded, SyncScratch};
-use gw2v_gluon::threaded::REJOIN_CONTROL_BYTES;
+use gw2v_gluon::plan::{AccessSets, SyncPlan};
+use gw2v_gluon::sync::sync_round_degraded;
+use gw2v_gluon::threaded::{ClusterError, REJOIN_CONTROL_BYTES};
 use gw2v_gluon::volume::CommStats;
-use gw2v_gluon::wire::{entry_bytes, WireMode, WireState};
-use gw2v_gluon::ModelReplica;
+use gw2v_gluon::wire::{entry_bytes, WireMode};
+use gw2v_obs::registry::{Counter, Gauge, Histogram};
+use gw2v_obs::trace::Span;
+use gw2v_util::fvec::FlatMatrix;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -223,266 +225,201 @@ impl DistributedTrainer {
         &self,
         corpus: &Corpus,
         vocab: &Vocabulary,
-        mut on_epoch: impl FnMut(&EpochSnapshot, &Word2VecModel),
+        on_epoch: impl FnMut(&EpochSnapshot, &Word2VecModel),
     ) -> TrainResult {
-        let p = &self.params;
-        let cfg = &self.config;
-        let h_count = cfg.n_hosts;
+        let (p, cfg) = (&self.params, &self.config);
         let wall_start = Instant::now();
-        let env = HostEnv::new(p, cfg, &self.faults, corpus, vocab);
-        let plan = &env.faults;
-        let fingerprint = Checkpoint::fingerprint_of(p, cfg);
-        let resume = self.checkpointing.resume_point(fingerprint);
-        let resume = resume.as_ref();
-        let start_epoch = resume.map_or(0, |c| c.epoch + 1);
-        let kill = kill_epoch(plan, start_epoch, p.epochs);
-        let mut live = start_liveness(h_count, resume);
-        let mut replicas: Vec<_> = (0..h_count).map(|h| env.start_replica(h, resume)).collect();
-        // A dead host's stream and position live in its adopter's ward,
-        // as they do on the threaded engine.
-        let mut work: Vec<_> = (0..h_count)
-            .map(|h| match resume {
-                Some(ckpt) => HostWork::restore(&env, h, ckpt, &live),
-                None => HostWork::fresh(&env, h),
-            })
-            .collect();
-        let mut stats = resume.map_or_else(CommStats::default, |c| c.stats);
-        let mut compute_time = resume.map_or(0.0, |c| c.compute_time);
-        let mut comm_time = resume.map_or(0.0, |c| c.comm_time);
-        let mut pairs_trained = resume.map_or(0, |c| c.pairs_trained);
-
+        let env = HostEnv::new(p, cfg, &self.faults, &self.checkpointing, corpus, vocab);
+        let mut hosts = Hosts::new(&env, 0..cfg.n_hosts);
         // Cached instrument handles: one registry lookup for the whole
         // run, then per-round recording is a relaxed atomic each. All of
         // this only *reads* the computation (never the RNG streams or the
         // model), so enabling metrics cannot change what gets trained —
         // pinned by tests/obs_overhead.rs.
         let obs_on = gw2v_obs::enabled();
-        let pairs_ctr = obs_on.then(|| gw2v_obs::counter("core.pairs"));
-        let compute_hist = obs_on.then(|| gw2v_obs::histogram("core.host_compute_ns"));
-        let lr_gauge = obs_on.then(|| gw2v_obs::gauge("core.lr"));
-        // One sync scratch per host for the whole run: after the first
-        // round the fold/apply path recycles its slabs and buffers
-        // instead of reallocating per round.
-        let mut sync_scratch: Vec<SyncScratch> = (0..h_count).map(|_| SyncScratch::new()).collect();
-        // Per-host wire-protocol state (memo caches / delta shadows):
-        // epoch-scoped, cleared below at every epoch start so
-        // checkpoint-resumed runs (which cut at epoch boundaries) make
-        // identical payload-form decisions.
-        let mut wire: Vec<WireState> = (0..h_count)
-            .map(|_| WireState::for_mode(cfg.wire))
-            .collect();
-        // Per-host compute seconds of the current round, reused across
-        // rounds.
-        let mut round_compute = vec![0.0f64; h_count];
-
-        for epoch in start_epoch..p.epochs {
-            wire.iter_mut().for_each(WireState::begin_epoch);
-            // ---- Epoch-boundary re-admission (rejoin=H@E). ----
-            let rejoining = env.rejoining(&live, epoch);
-            for &d in &rejoining {
-                // The adopter hands the ward back and streams its full
-                // replica: the rejoiner resumes its worklist on the
-                // stream it was carried on.
-                let (a, ward) = (0..h_count)
-                    .filter(|&a| live.is_alive(a))
-                    .find_map(|a| Some((a, work[a].release(d)?)))
-                    .expect("dead host has an adopter");
-                replicas[d] = ModelReplica::new(replicas[a].layers.clone());
-                work[d].readmit(ward);
-                live.mark_alive(d);
-                counters::bump(counters::RECOVERED_REJOIN);
-                let bytes: u64 = replicas[d]
-                    .layers
-                    .iter()
-                    .map(|l| l.rows() as u64 * entry_bytes(l.dim()) as u64)
-                    .sum::<u64>()
-                    + REJOIN_CONTROL_BYTES;
-                gw2v_obs::add("gluon.state_transfer_bytes", bytes);
-            }
-            // A rejoin can change effective masters, hence wards.
-            if !rejoining.is_empty() {
-                for w in work.iter_mut().filter(|w| live.is_alive(w.host)) {
-                    w.adopt(&live, epoch, 0);
-                }
-            }
-            for s in 0..cfg.sync_rounds {
-                let g = epoch * cfg.sync_rounds + s;
-                let mut round_span = gw2v_obs::span("core.round").epoch(epoch).round(g);
-                let pairs_before = pairs_trained;
-
-                // ---- Scheduled crashes strike at the round boundary. ----
-                let crashing = env.crashing(&live, g);
-                for &h in &crashing {
-                    counters::bump(counters::INJECTED_CRASH);
-                    live.mark_dead(h);
-                    // The simulator notices instantly; the threaded engine
-                    // waits on its liveness registry for the same effect.
-                    counters::bump(counters::DETECTED_CRASH);
-                }
-                if !crashing.is_empty() {
-                    for w in work.iter_mut().filter(|w| live.is_alive(w.host)) {
-                        w.adopt(&live, epoch, s);
-                    }
-                }
-
-                // ---- Compute phase (each host timed individually). ----
-                round_compute.fill(0.0);
-                for (h, w) in work.iter_mut().enumerate() {
-                    if !live.is_alive(h) {
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    pairs_trained += w.train_round(&mut replicas[h], s);
-                    round_compute[h] = t0.elapsed().as_secs_f64();
-                    if let Some(delay) = plan.straggler_delay(h, g) {
-                        counters::bump(counters::INJECTED_STRAGGLE);
-                        // Virtual-clock injection: the barrier (the max
-                        // below) waits for the straggler.
-                        round_compute[h] += delay;
-                    }
-                }
-
-                // ---- PullModel inspection of the *next* round (§4.4). ----
-                let access = env.access_sets(epoch, s, |next_s, sets| {
-                    for (h, w) in work.iter_mut().enumerate() {
-                        if live.is_alive(h) {
-                            let t0 = Instant::now();
-                            w.inspect(next_s, sets);
-                            // Inspection is real per-host work: charge it.
-                            round_compute[h] += t0.elapsed().as_secs_f64();
-                        }
-                    }
-                });
-
-                // ---- Synchronize (reduce + broadcast). ----
-                let (volume, resends) = sync_round_degraded(
-                    &mut replicas,
-                    &env.sync,
-                    access.as_ref(),
-                    &mut stats,
-                    &mut sync_scratch,
-                    &live,
-                    &mut wire,
-                    plan,
-                    g,
-                );
-                let round_comp = round_compute.iter().cloned().fold(0.0, f64::max);
-                // The fault plan's extra frames cost the round's average
-                // letter and one latency each; its NAK backoff adds on.
-                let mut round_comm = cfg.cost.round_time(&volume);
-                if resends.frames > 0 {
-                    let avg_bytes = volume.total_bytes() / resends.letters;
-                    round_comm += cfg.cost.transfer_time(resends.frames * avg_bytes)
-                        + resends.frames as f64 * cfg.cost.latency_sec;
-                }
-                round_comm += resends.backoff_secs;
-                compute_time += round_comp;
-                comm_time += round_comm;
-
-                if obs_on {
-                    if let Some(c) = &pairs_ctr {
-                        c.add(pairs_trained - pairs_before);
-                    }
-                    if let Some(h) = &compute_hist {
-                        for &t in &round_compute {
-                            h.observe_secs(t);
-                        }
-                    }
-                    if let Some(g) = &lr_gauge {
-                        // Shard 0's position, on whichever host carries it.
-                        let mut carrier = work[live.effective_master(0)].slots();
-                        let (.., position) = carrier.find(|&(d, ..)| d == 0).expect("carried");
-                        g.set(env.schedule.alpha_for_host(position, h_count) as f64);
-                    }
-                    gw2v_obs::add("core.compute_ns", (round_comp * 1e9) as u64);
-                    gw2v_obs::add("core.comm_virtual_ns", (round_comm * 1e9) as u64);
-                    round_span.field("pairs", (pairs_trained - pairs_before) as f64);
-                    round_span.field("compute_max_s", round_comp);
-                    round_span.field("comm_s", round_comm);
-                    round_span.field("bytes", volume.total_bytes() as f64);
-                    round_span.virtual_secs(round_comp + round_comm);
-                }
-                drop(round_span);
-            }
-            let model = canonical(&replicas, &live);
-            if obs_on {
-                // Read-only loss probe on the canonical model, outside any
-                // timed section and on its own RNG stream — the training
-                // streams never see it.
-                let loss = crate::loss::estimate_loss(
-                    &model,
-                    corpus,
-                    &env.setup,
-                    p.window,
-                    p.negative,
-                    LOSS_PROBE_PAIRS,
-                    p.seed,
-                );
-                gw2v_obs::gauge_set("core.loss", loss);
-                let mut ev = gw2v_obs::TraceEvent::new("core.epoch");
-                ev.epoch = Some(epoch as u64);
-                ev.virtual_s = Some(compute_time + comm_time);
-                ev.fields.push(("loss".to_owned(), loss));
-                gw2v_obs::event(ev);
-            }
-            let snap = EpochSnapshot {
-                epoch,
-                virtual_time: compute_time + comm_time,
-            };
-            on_epoch(&snap, &model);
-
-            // ---- Epoch-boundary checkpoint + planned kill. ----
-            let kill_here = kill == Some(epoch);
-            if let Some(dir) = self.checkpointing.due(epoch, p.epochs, kill_here) {
-                let live_work = work.iter().filter(|w| live.is_alive(w.host));
-                let (processed, rng_states) =
-                    slot_columns(h_count, live_work.flat_map(HostWork::slots));
-                let ckpt = Checkpoint {
-                    fingerprint,
-                    epoch,
-                    pairs_trained,
-                    compute_time,
-                    comm_time,
-                    processed,
-                    alive: (0..h_count).map(|h| live.is_alive(h)).collect(),
-                    rng_states,
-                    stats,
-                    // A dead slot keeps that host's last replica.
-                    layers: replicas.iter().map(|r| r.layers.clone()).collect(),
-                };
-                save(&ckpt, dir);
-            }
-            if kill_here {
-                counters::bump(counters::INJECTED_KILL);
-                break;
-            }
-        }
-
-        let model = canonical(&replicas, &live);
-        let wall_time = wall_start.elapsed().as_secs_f64();
+        let mut sim = Simulator {
+            env: &env,
+            cost: cfg.cost,
+            corpus,
+            on_epoch,
+            obs_on,
+            pairs_ctr: obs_on.then(|| gw2v_obs::counter("core.pairs")),
+            compute_hist: obs_on.then(|| gw2v_obs::histogram("core.host_compute_ns")),
+            lr_gauge: obs_on.then(|| gw2v_obs::gauge("core.lr")),
+            round_span: None,
+            pairs_before: 0,
+        };
+        run(&env, &mut hosts, &mut sim).expect("the simulator's mailboxes cannot fail");
+        let result = env.result(vec![hosts], wall_start);
         if obs_on {
-            gw2v_obs::gauge_set("core.compute_s", compute_time);
-            gw2v_obs::gauge_set("core.comm_virtual_s", comm_time);
-            gw2v_obs::gauge_set("core.wall_s", wall_time);
-            if wall_time > 0.0 {
-                gw2v_obs::gauge_set("core.pairs_per_sec", pairs_trained as f64 / wall_time);
+            gw2v_obs::gauge_set("core.compute_s", result.compute_time);
+            gw2v_obs::gauge_set("core.comm_virtual_s", result.comm_time);
+            gw2v_obs::gauge_set("core.wall_s", result.wall_time);
+            if result.wall_time > 0.0 {
+                let pairs_per_sec = result.pairs_trained as f64 / result.wall_time;
+                gw2v_obs::gauge_set("core.pairs_per_sec", pairs_per_sec);
             }
             gw2v_obs::add("core.epochs", p.epochs as u64);
             gw2v_obs::add(
                 "core.negatives",
-                pairs_trained.saturating_mul(p.negative as u64),
+                result.pairs_trained.saturating_mul(p.negative as u64),
             );
         }
-        TrainResult {
-            model,
-            stats,
-            compute_time,
-            comm_time,
-            wall_time,
-            pairs_trained,
-            killed: kill.is_some(),
-            resumed_from: resume.map(|_| start_epoch),
+        result
+    }
+}
+
+/// The simulator's side of the epoch loop: every host in one thread,
+/// deaths learned at once, stragglers and the network priced on virtual
+/// clocks, tallies in hand.
+struct Simulator<'e, F> {
+    env: &'e HostEnv<'e>,
+    cost: CostModel,
+    corpus: &'e Corpus,
+    on_epoch: F,
+    obs_on: bool,
+    pairs_ctr: Option<Counter>,
+    compute_hist: Option<Histogram>,
+    lr_gauge: Option<Gauge>,
+    /// The open round's span, from its crashes to its sync.
+    round_span: Option<Span>,
+    pairs_before: u64,
+}
+
+impl<F: FnMut(&EpochSnapshot, &Word2VecModel)> Engine for Simulator<'_, F> {
+    /// The adopter streams its full replica; the copy is charged what
+    /// the threaded engine's state transfer sends.
+    fn hand_over(
+        &mut self,
+        hosts: &Hosts<'_>,
+        _d: usize,
+        a: usize,
+        ward: Option<Ward>,
+    ) -> Result<Option<(Ward, Vec<FlatMatrix>)>, ClusterError> {
+        let layers = hosts.replicas[a].layers.clone();
+        let bytes: u64 = layers
+            .iter()
+            .map(|l| l.rows() as u64 * entry_bytes(l.dim()) as u64)
+            .sum::<u64>()
+            + REJOIN_CONTROL_BYTES;
+        gw2v_obs::add("gluon.state_transfer_bytes", bytes);
+        Ok(Some((
+            ward.expect("the simulator holds every host"),
+            layers,
+        )))
+    }
+
+    fn begin_round(&mut self, hosts: &Hosts<'_>, epoch: usize, g: usize, crashing: &[usize]) {
+        self.round_span = Some(gw2v_obs::span("core.round").epoch(epoch).round(g));
+        self.pairs_before = hosts.pairs;
+        for _ in crashing {
+            counters::bump(counters::INJECTED_CRASH);
+            // The simulator notices instantly; the threaded engine
+            // waits on its liveness registry for the same effect.
+            counters::bump(counters::DETECTED_CRASH);
         }
+    }
+
+    /// Virtual-clock injection: the round's compute, the slowest host's,
+    /// waits for the straggler.
+    fn straggle(&mut self, delay: f64) -> f64 {
+        delay
+    }
+
+    fn sync(
+        &mut self,
+        hosts: &mut Hosts<'_>,
+        access: Option<&AccessSets>,
+        compute: &[f64],
+        g: usize,
+    ) -> Result<(), ClusterError> {
+        let env = self.env;
+        let (volume, resends) = sync_round_degraded(
+            &mut hosts.replicas,
+            &env.sync,
+            access,
+            &mut hosts.stats,
+            &mut hosts.scratch,
+            &hosts.live,
+            &mut hosts.wire,
+            &env.faults,
+            g,
+        );
+        let round_comp = compute.iter().cloned().fold(0.0, f64::max);
+        // The fault plan's extra frames cost the round's average letter
+        // and one latency each; its NAK backoff adds on.
+        let mut round_comm = self.cost.round_time(&volume);
+        if resends.frames > 0 {
+            let avg_bytes = volume.total_bytes() / resends.letters;
+            round_comm += self.cost.transfer_time(resends.frames * avg_bytes)
+                + resends.frames as f64 * self.cost.latency_sec;
+        }
+        round_comm += resends.backoff_secs;
+        hosts.clock[0] += round_comp;
+        hosts.clock[1] += round_comm;
+
+        let mut round_span = self.round_span.take().expect("an open round");
+        if self.obs_on {
+            let pairs = hosts.pairs - self.pairs_before;
+            if let Some(c) = &self.pairs_ctr {
+                c.add(pairs);
+            }
+            if let Some(h) = &self.compute_hist {
+                for &t in compute {
+                    h.observe_secs(t);
+                }
+            }
+            if let Some(g) = &self.lr_gauge {
+                // Shard 0's position, on whichever host carries it.
+                let mut carrier = hosts.work[hosts.live.effective_master(0)].slots();
+                let (.., position) = carrier.find(|&(d, ..)| d == 0).expect("carried");
+                g.set(env.schedule.alpha_for_host(position, env.h_count) as f64);
+            }
+            gw2v_obs::add("core.compute_ns", (round_comp * 1e9) as u64);
+            gw2v_obs::add("core.comm_virtual_ns", (round_comm * 1e9) as u64);
+            round_span.field("pairs", pairs as f64);
+            round_span.field("compute_max_s", round_comp);
+            round_span.field("comm_s", round_comm);
+            round_span.field("bytes", volume.total_bytes() as f64);
+            round_span.virtual_secs(round_comp + round_comm);
+        }
+        Ok(())
+    }
+
+    fn gather(&mut self, hosts: &Hosts<'_>) -> Option<Vec<Tally>> {
+        Some(vec![hosts.tally()])
+    }
+
+    fn end_epoch(&mut self, hosts: &Hosts<'_>, epoch: usize) {
+        let env = self.env;
+        let model = canonical(&hosts.replicas, &hosts.live);
+        let virtual_time = hosts.clock[0] + hosts.clock[1];
+        if self.obs_on {
+            // Read-only loss probe on the canonical model, outside any
+            // timed section and on its own RNG stream — the training
+            // streams never see it.
+            let p = &env.params;
+            let loss = crate::loss::estimate_loss(
+                &model,
+                self.corpus,
+                &env.setup,
+                p.window,
+                p.negative,
+                LOSS_PROBE_PAIRS,
+                p.seed,
+            );
+            gw2v_obs::gauge_set("core.loss", loss);
+            let mut ev = gw2v_obs::TraceEvent::new("core.epoch");
+            ev.epoch = Some(epoch as u64);
+            ev.virtual_s = Some(virtual_time);
+            ev.fields.push(("loss".to_owned(), loss));
+            gw2v_obs::event(ev);
+        }
+        let snap = EpochSnapshot {
+            epoch,
+            virtual_time,
+        };
+        (self.on_epoch)(&snap, &model);
     }
 }
 

@@ -374,9 +374,8 @@ pub(crate) const STATE_TRANSFER_SEQ: u64 = u64::MAX;
 pub const REJOIN_CONTROL_BYTES: u64 = 5 * 8;
 
 /// Protocol phases per sync round: the replication plans run reduce +
-/// broadcast, PullModel runs reduce + pull-request + pull-response. A
-/// re-admitted host resynchronizes its lockstep sequence counter to
-/// `phases_per_round(plan) · completed_rounds`.
+/// broadcast, PullModel runs reduce + pull-request + pull-response.
+/// Round `g`'s phases are numbered `phases_per_round(plan) · g + 1` on.
 pub const fn phases_per_round(plan: SyncPlan) -> u64 {
     match plan {
         SyncPlan::PullModel => 3,
@@ -398,7 +397,8 @@ pub struct HostCtx {
     senders: Vec<Sender<Message>>,
     receiver: Receiver<Message>,
     state: Arc<ClusterState>,
-    /// Lockstep phase counter; all hosts advance it identically.
+    /// Lockstep phase counter: [`HostCtx::begin_round`] sets it from the
+    /// global round, each phase advances it.
     seq: Cell<u64>,
     /// Current global sync round, set by the driver
     /// ([`HostCtx::begin_round`]); partition blocking is round-indexed.
@@ -434,15 +434,6 @@ impl HostCtx {
         self.state.mark_dead(self.host);
     }
 
-    /// Sleeps out any straggler delay the plan schedules for this host in
-    /// `global_round` (counted under `faults.injected.straggle`).
-    pub fn maybe_straggle(&self, global_round: usize) {
-        if let Some(delay) = self.state.plan.straggler_delay(self.host, global_round) {
-            counters::bump(counters::INJECTED_STRAGGLE);
-            std::thread::sleep(Duration::from_secs_f64(delay));
-        }
-    }
-
     /// Blocks until `dead` is flagged in the liveness registry, counting
     /// the first observation under `faults.detected.crash`. Callers know
     /// *when* a peer dies from the shared plan; this confirms the death
@@ -459,13 +450,16 @@ impl HostCtx {
         }
     }
 
-    /// Tells the fabric which global sync round the next phases belong
-    /// to. Drivers call this once per round before syncing; partition
-    /// blocking ([`FaultPlan::attempt`]) is round-indexed, so
-    /// the fabric cannot derive it from the phase counter alone (plans
-    /// differ in phases per round).
-    pub fn begin_round(&self, global_round: usize) {
+    /// Tells the fabric which global sync round of a `plan` run the next
+    /// phases belong to. Drivers call this once per round before
+    /// syncing. Partition blocking ([`FaultPlan::attempt`]) is
+    /// round-indexed, and the phase counter is set to
+    /// [`phases_per_round`]` · global_round`, where the simulator's
+    /// mailboxes draw the round's coins too — also after a resume or a
+    /// rejoin.
+    pub fn begin_round(&self, global_round: usize, plan: SyncPlan) {
         self.round.set(global_round);
+        self.seq.set(phases_per_round(plan) * global_round as u64);
     }
 
     /// Opens a new phase: advances the lockstep sequence number and
@@ -813,15 +807,6 @@ impl HostCtx {
     /// excludes the rejoiner.
     pub(crate) fn register_alive(&self) {
         self.state.live.mark_alive(self.host);
-    }
-
-    /// Re-synchronizes the lockstep phase counter after dormancy and
-    /// forgets any stale resend buffer. The rejoined host sets this to
-    /// [`phases_per_round`]` · completed_rounds` so its next
-    /// `begin_phase` lands on the same sequence number as its peers.
-    pub fn resync_seq(&self, seq: u64) {
-        self.seq.set(seq);
-        self.resend.borrow_mut().clear();
     }
 
     /// Sends one out-of-band state-transfer frame to `to`, tagged with

@@ -5,10 +5,12 @@
 //! threads, CRC-framed transport and real barriers on the other. The
 //! contract is that for every sync plan and every fault family they
 //! produce **bit-identical** final models (`syn0`/`syn1neg`) and train
-//! the same number of pairs. Virtual-time numbers and fault counters are
-//! explicitly *not* compared: the simulator models retransmission
-//! latency analytically while the threaded engine lives it (different
-//! retry counts, n−1 observers per crash instead of one).
+//! the same number of pairs, and the whole `CommStats` wherever a test
+//! compares it. Virtual-time numbers are not compared: the threaded
+//! engine reports the resume point's clocks and lives its latency
+//! instead. Fault counters are compared in `tests/golden_faults.rs`,
+//! which serializes the process-global counters
+//! (`engines_count_the_same_faults`).
 //!
 //! The suite also pins the threaded engine's checkpoint/resume story:
 //! kill → resume must be bit-for-bit the uninterrupted run, including
@@ -176,6 +178,30 @@ fn conformance_rejoin_all_plans() {
         let (sim, thr) = run_pair(sync, "seed=7,crash=1@1,rejoin=1@2");
         assert_eq!(sim.stats.total_bytes(), thr.stats.total_bytes());
     }
+}
+
+/// `CommStats::rounds` counts the rounds the run executed, not the most
+/// any one host sat: here each of two hosts misses a round and rejoins,
+/// and both engines report the whole `CommStats` alike.
+#[test]
+fn conformance_rounds_count_the_run_not_a_host() {
+    let (vocab, corpus, params) = prepare();
+    let cfg = DistConfig {
+        n_hosts: 2,
+        ..dist_cfg(SyncPlan::RepModelOpt)
+    };
+    let plan = FaultPlan::parse("crash=0@1,rejoin=0@1,crash=1@3,rejoin=1@2").unwrap();
+    let sim = DistributedTrainer::new(params.clone(), cfg)
+        .with_faults(plan.clone())
+        .train(&corpus, &vocab);
+    let thr = ThreadedTrainer::new(params.clone(), cfg)
+        .with_faults(plan)
+        .with_cluster_config(fast_cluster())
+        .train(&corpus, &vocab)
+        .expect("threaded run must complete");
+    assert_eq!(sim.model, thr.model, "engines must agree bit-for-bit");
+    assert_eq!(sim.stats, thr.stats, "engines must count the same traffic");
+    assert_eq!(thr.stats.rounds, (params.epochs * cfg.sync_rounds) as u64);
 }
 
 /// Threaded checkpoint → kill → resume must reproduce the uninterrupted

@@ -28,7 +28,9 @@
 //!   three phases included;
 //! * `ckpt` (kill → resume cells only): one CRC-32 per written checkpoint
 //!   over every field except `compute_time` and `comm_time`, which the
-//!   simulator reads off the wall clock.
+//!   simulator reads off the wall clock. One rule writes every
+//!   checkpoint, so a threaded line equals its sim line
+//!   (`checkpoints_do_not_depend_on_the_engine`).
 //!
 //! Scalar and AVX2 runs legitimately differ (FMA, lane association), so
 //! each line carries one column per [`simd::backend_name`]; a run checks
@@ -414,6 +416,75 @@ fn engines_count_the_same_faults() {
         }
     }
     assert!(differ.is_empty(), "{differ:#?}");
+}
+
+/// A checkpoint does not depend on the engine that wrote it: every
+/// cell's `threaded ckpt` line is its `sim ckpt` line. A dead host's slot
+/// holds its own last replica on both engines, and the totals follow one
+/// rule.
+#[test]
+fn checkpoints_do_not_depend_on_the_engine() {
+    let committed = committed();
+    let cells: Vec<&str> = committed
+        .keys()
+        .filter_map(|key| key.strip_suffix(" threaded ckpt"))
+        .collect();
+    assert!(!cells.is_empty(), "the fixture holds checkpoint lines");
+    for cell in cells {
+        assert_eq!(
+            committed[&format!("{cell} threaded ckpt")],
+            committed[&format!("{cell} sim ckpt")],
+            "{cell}: the engines wrote different checkpoints"
+        );
+    }
+}
+
+/// The phase counter follows the global round, also after a resume: the
+/// reorder coins a killed run and its resumption draw add up to the
+/// uninterrupted run's, and both engines draw the same number.
+#[test]
+fn a_resumed_run_draws_the_uninterrupted_coins() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let data = prepare();
+    let cfg = DistConfig {
+        n_hosts: 3,
+        sync_rounds: 2,
+        ..DistConfig::paper_default(3)
+    };
+    let plan = "seed=5,reorder=0.3";
+    let killing = format!("{plan},kill=0");
+    obs::set_enabled(true);
+    let reorders = |run: &dyn Fn()| {
+        obs::reset();
+        run();
+        obs::snapshot().counters["faults.injected.reorder"]
+    };
+    let mut whole = Vec::new();
+    for engine in ENGINES {
+        let dir = std::env::temp_dir().join(format!(
+            "gw2v-golden-faults-coins-{engine}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let uninterrupted = reorders(&|| {
+            train(engine, cfg, plan, None, &data);
+        });
+        let killed = reorders(&|| {
+            assert!(train(engine, cfg, &killing, Some((&dir, false)), &data).killed);
+        });
+        let resumed = reorders(&|| {
+            train(engine, cfg, &killing, Some((&dir, true)), &data);
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            killed + resumed,
+            uninterrupted,
+            "{engine}: killed {killed} + resumed {resumed} reorders"
+        );
+        whole.push(uninterrupted);
+    }
+    obs::set_enabled(false);
+    assert_eq!(whole[0], whole[1], "sim and threaded reorders");
 }
 
 #[test]
