@@ -32,8 +32,8 @@
 //! to a host's compute clock. Message faults — partitions, drops, flips,
 //! dups, reorders — strike in the sync round's mailboxes, which draw the
 //! threaded transport's own chain of delivery attempts for every letter
-//! (`gw2v_gluon::sync::sync_round_degraded`); the extra frames and NAK
-//! backoff they count are charged here as virtual communication time.
+//! (`gw2v_gluon::sync::sync_round_degraded`) and price the extra frames
+//! and NAK backoff into the round's virtual communication time.
 //! With the inert plan (the default) every fault path is skipped and the
 //! run is bit-identical to a build without the fault subsystem.
 //! Epoch-boundary [`crate::checkpoint::Checkpoint`]s capture enough
@@ -334,7 +334,7 @@ impl<F: FnMut(&EpochSnapshot, &Word2VecModel)> Engine for Simulator<'_, F> {
         g: usize,
     ) -> Result<(), ClusterError> {
         let env = self.env;
-        let (volume, resends) = sync_round_degraded(
+        let (volume, round_comm) = sync_round_degraded(
             &mut hosts.replicas,
             &env.sync,
             access,
@@ -344,17 +344,9 @@ impl<F: FnMut(&EpochSnapshot, &Word2VecModel)> Engine for Simulator<'_, F> {
             &mut hosts.wire,
             &env.faults,
             g,
+            &self.cost,
         );
         let round_comp = compute.iter().cloned().fold(0.0, f64::max);
-        // The fault plan's extra frames cost the round's average letter
-        // and one latency each; its NAK backoff adds on.
-        let mut round_comm = self.cost.round_time(&volume);
-        if resends.frames > 0 {
-            let avg_bytes = volume.total_bytes() / resends.letters;
-            round_comm += self.cost.transfer_time(resends.frames * avg_bytes)
-                + resends.frames as f64 * self.cost.latency_sec;
-        }
-        round_comm += resends.backoff_secs;
         hosts.clock[0] += round_comp;
         hosts.clock[1] += round_comm;
 

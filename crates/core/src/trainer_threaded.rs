@@ -181,8 +181,7 @@ impl Engine for Thread<'_> {
         Ok(Some((ward, layers)))
     }
 
-    fn begin_round(&mut self, hosts: &Hosts<'_>, _epoch: usize, g: usize, crashing: &[usize]) {
-        self.ctx.begin_round(g, self.env.sync.plan);
+    fn begin_round(&mut self, hosts: &Hosts<'_>, _epoch: usize, _g: usize, crashing: &[usize]) {
         let h = self.ctx.host;
         if !hosts.live.is_alive(h) {
             return;
@@ -209,7 +208,7 @@ impl Engine for Thread<'_> {
         hosts: &mut Hosts<'_>,
         access: Option<&AccessSets>,
         _compute: &[f64],
-        _g: usize,
+        g: usize,
     ) -> Result<(), ClusterError> {
         sync_round_threaded_degraded(
             self.ctx,
@@ -220,6 +219,7 @@ impl Engine for Thread<'_> {
             &mut hosts.scratch[0],
             &hosts.live,
             &mut hosts.wire[0],
+            g,
         )
     }
 

@@ -70,19 +70,13 @@ impl CostModel {
     }
 
     /// Modeled communication time for one synchronization round.
-    pub fn round_time(&self, volume: &RoundVolume) -> f64 {
+    pub(crate) fn round_time(&self, volume: &RoundVolume) -> f64 {
         if volume.total_bytes() == 0 {
             return 0.0;
         }
         let bottleneck = volume.max_host_bytes() as f64;
         2.0 * (self.latency_sec + self.per_phase_overhead_sec)
             + bottleneck / self.bandwidth_bytes_per_sec
-    }
-
-    /// Modeled time to move `bytes` through one host port (helper for
-    /// aggregate estimates).
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.bandwidth_bytes_per_sec
     }
 }
 

@@ -24,21 +24,25 @@
 //! inspection pass. All three plans produce bit-identical models — they
 //! differ only in bytes moved — and tests pin that invariant.
 //!
-//! The round is written once, from one host's side (`round.rs`: send
-//! reduce → fold in host-id order → apply at masters → broadcast or
-//! pull → apply), and reaches the payload modes only through the
-//! [`wire::WireState`] encode/decode seam. Two transports drive it
-//! (docs/WIRE.md § engine parity is the contract between them):
+//! The round is written once (`round.rs`): one host's side of it (send
+//! reduce → fold in host-id order → apply at masters → broadcast or pull
+//! → apply), reaching the payload modes only through the
+//! [`wire::WireState`] encode/decode seam, and the one driver of its
+//! phase schedule, phase numbers and counters over a transport. Two
+//! transports sit under it (docs/WIRE.md § engine parity is the contract
+//! between them), each with its round entry:
 //!
-//! * [`sync::sync_round`] — the simulator: every alive host runs each
-//!   phase in id order within one thread, payloads passing through
+//! * [`sync::sync_round_degraded`] — the simulator: every alive host in
+//!   one thread, a phase sender by sender in host-id order over
 //!   in-process mailboxes. Exact and reproducible; all scaling
-//!   experiments use it, paired with [`cost::CostModel`] to convert
-//!   counted bytes into modeled network time (this reproduction runs on
-//!   a single machine — see DESIGN.md §1).
-//! * [`threaded::run_cluster`] — one OS thread per host exchanging
-//!   CRC-sealed frames over crossbeam channels, a collect and a barrier
-//!   between phases, NAK/resend under a fault plan.
+//!   experiments use it, and it prices each round with a
+//!   [`cost::CostModel`], converting counted bytes and fault resends into
+//!   modeled network time (this reproduction runs on a single machine —
+//!   see DESIGN.md §1).
+//! * [`threaded::sync_round_threaded_degraded`] — one OS thread per host
+//!   ([`threaded::run_cluster`]) exchanging CRC-sealed frames over
+//!   crossbeam channels, a crash-aware barrier between phases, NAK/resend
+//!   under a fault plan.
 //!
 //! Every host carries one [`sync::SyncScratch`] and one
 //! [`wire::WireState`] across rounds in either engine, so the

@@ -1,28 +1,32 @@
-//! The sync round, from one host's side — the only statement of the
-//! protocol. Both engines run these phases; a transport decides only
-//! how a posted payload reaches the peer's fold or apply
-//! ([`crate::threaded`]: sealed frames over channels between barriers;
-//! [`crate::sync`]: in-process mailboxes in host-id order).
+//! The sync round — the only statement of the protocol, and the only
+//! driver of it. [`drive`] runs a round's schedule over a [`Transport`],
+//! which decides only how a phase's payloads move and what a barrier is:
+//! the simulator's in-process mailboxes ([`crate::sync`]) or the threaded
+//! engine's sealed frames over channels ([`crate::threaded`]).
 //!
-//! A round is, per host:
+//! A round `g` is, on every alive host a process holds:
 //!
 //! 1. [`begin`](HostRound::begin);
-//! 2. [`send_reduce`](HostRound::send_reduce) — deltas of touched mirror
-//!    rows to their (effective) masters;
-//! 3. one fold per alive host **in host-id order** —
-//!    [`fold_reduce`](HostRound::fold_reduce) for a peer's payloads,
-//!    [`fold_own`](HostRound::fold_own) at this host's own position — so
-//!    the order-sensitive combiner sees the same sequence whatever
-//!    delivered the payloads;
-//! 4. [`apply_reduce`](HostRound::apply_reduce) — `canonical = base +
-//!    combined` on the rows this host masters;
-//! 5. RepModel plans: [`send_broadcast`](HostRound::send_broadcast);
-//!    PullModel: [`send_requests`](HostRound::send_requests), then
-//!    [`answer_request`](HostRound::answer_request) per request received;
-//! 6. [`apply_broadcast`](HostRound::apply_broadcast) per payload
+//! 2. the reduce exchange, phase `P·g + 1` (`P` =
+//!    [`phases_per_round`]): [`send_reduce`](HostRound::send_reduce) —
+//!    deltas of touched mirror rows to their (effective) masters — then
+//!    one turn per alive sender **in host-id order**,
+//!    [`fold_reduce`](HostRound::fold_reduce) for a peer's payloads and
+//!    [`fold_own`](HostRound::fold_own) at this host's own turn, so the
+//!    order-sensitive combiner sees the same sequence whatever delivered
+//!    the payloads;
+//! 3. [`apply_reduce`](HostRound::apply_reduce) — `canonical = base +
+//!    combined` on the rows this host masters — and a barrier;
+//! 4. RepModel plans: the broadcast exchange, phase `P·g + 2`
+//!    ([`send_broadcast`](HostRound::send_broadcast)). PullModel: the
+//!    request exchange, phase `P·g + 2`
+//!    ([`send_requests`](HostRound::send_requests)), a barrier, and the
+//!    answer exchange, phase `P·g + 3`
+//!    ([`answer_request`](HostRound::answer_request) per request held);
+//! 5. [`apply_broadcast`](HostRound::apply_broadcast) per payload
 //!    received (broadcast or pull response), in any order — masters own
 //!    disjoint rows;
-//! 7. [`end`](HostRound::end).
+//! 6. [`end`](HostRound::end), the round's counters, and a barrier.
 //!
 //! The wire mode never shows here: rows go out through
 //! [`WireState::encode`] and come in through [`WireState::decode`], and
@@ -33,11 +37,12 @@ use crate::liveness::Liveness;
 use crate::plan::{AccessSets, SyncConfig, SyncPlan};
 use crate::replica::ModelReplica;
 use crate::sync::{LayerScratch, SyncScratch};
-use crate::threaded::ClusterError;
+use crate::threaded::{phases_per_round, ClusterError};
 use crate::volume::{CommStats, RoundVolume};
 use crate::wire::{decode_ids, encode_ids, Channel, WireError, WireState};
 use bytes::Bytes;
 use gw2v_graph::partition::{master_block, master_host};
+use gw2v_obs::trace::Span;
 
 /// Where a sending phase puts a payload: `(to, layer, payload,
 /// value_only)`. The transport's half of the round.
@@ -213,33 +218,34 @@ impl<'a> HostRound<'a> {
         }
     }
 
-    /// Folds the reduce payload `from` shipped for `layer`.
+    /// Folds the reduce payloads `from` shipped, one per layer.
     pub(crate) fn fold_reduce(
         &mut self,
         from: usize,
-        layer: usize,
-        payload: &Bytes,
-        value_only: bool,
+        payloads: Payloads<'_, '_>,
     ) -> Result<(), ClusterError> {
-        let dim = self.replica.layers[layer].dim();
-        let combiner = self.cfg.combiner;
-        let LayerScratch { slab, updated, .. } = &mut self.scratch.layers[layer];
-        self.wire
-            .decode(
-                from,
-                self.host,
-                layer,
-                Channel::Reduce,
-                payload,
-                value_only,
-                dim,
-                self.replica.n_nodes(),
-                |node, row| {
-                    slab.acc_mut(node, combiner, dim).push(row);
-                    updated.set(node as usize);
-                },
-            )
-            .map_err(self.bad_payload(from, layer))
+        for (layer, payload, value_only) in payloads {
+            let dim = self.replica.layers[layer].dim();
+            let combiner = self.cfg.combiner;
+            let LayerScratch { slab, updated, .. } = &mut self.scratch.layers[layer];
+            self.wire
+                .decode(
+                    from,
+                    self.host,
+                    layer,
+                    Channel::Reduce,
+                    payload,
+                    value_only,
+                    dim,
+                    self.replica.n_nodes(),
+                    |node, row| {
+                        slab.acc_mut(node, combiner, dim).push(row);
+                        updated.set(node as usize);
+                    },
+                )
+                .map_err(self.bad_payload(from, layer))?;
+        }
+        Ok(())
     }
 
     /// Applies the combined deltas at the rows this host masters:
@@ -334,30 +340,200 @@ impl<'a> HostRound<'a> {
     }
 
     /// Overwrites this host's mirror rows with the canonical rows `from`
-    /// shipped for `layer` (a broadcast or a pull response).
+    /// shipped (a broadcast or a pull response), one payload per layer.
     pub(crate) fn apply_broadcast(
         &mut self,
         from: usize,
-        layer: usize,
-        payload: &Bytes,
-        value_only: bool,
+        payloads: Payloads<'_, '_>,
     ) -> Result<(), ClusterError> {
-        let dim = self.replica.layers[layer].dim();
-        let n_nodes = self.replica.n_nodes();
-        let on_bad = self.bad_payload(from, layer);
-        let replica = &mut *self.replica;
-        self.wire
-            .decode(
-                from,
-                self.host,
-                layer,
-                Channel::Broadcast,
-                payload,
-                value_only,
-                dim,
-                n_nodes,
-                |node, row| replica.row_mut_untracked(layer, node).copy_from_slice(row),
-            )
-            .map_err(on_bad)
+        for (layer, payload, value_only) in payloads {
+            let dim = self.replica.layers[layer].dim();
+            let n_nodes = self.replica.n_nodes();
+            let on_bad = self.bad_payload(from, layer);
+            let replica = &mut *self.replica;
+            self.wire
+                .decode(
+                    from,
+                    self.host,
+                    layer,
+                    Channel::Broadcast,
+                    payload,
+                    value_only,
+                    dim,
+                    n_nodes,
+                    |node, row| replica.row_mut_untracked(layer, node).copy_from_slice(row),
+                )
+                .map_err(on_bad)?;
+        }
+        Ok(())
     }
+}
+
+/// What one sender delivered to one receiver in a phase: `(layer,
+/// payload, value_only)`, in layer order.
+pub(crate) type Payloads<'a, 'b> = &'a mut dyn Iterator<Item = (usize, &'b Bytes, bool)>;
+
+/// A sending phase, run on each host a process holds.
+pub(crate) type Sends<'a> =
+    dyn FnMut(&mut HostRound<'_>, &mut Post<'_>) -> Result<(), ClusterError> + 'a;
+
+/// A receiver's turn for one sender of a phase: `(receiver, from,
+/// payloads)`.
+pub(crate) type Receives<'a> =
+    dyn FnMut(&mut HostRound<'_>, usize, Payloads<'_, '_>) -> Result<(), ClusterError> + 'a;
+
+/// How one engine moves a phase's payloads and closes a phase.
+pub(crate) trait Transport {
+    /// Opens the span the round is traced under.
+    fn span(&self) -> Span;
+
+    /// Runs exchange `seq` of the run: each alive host `round` holds
+    /// posts through `send`, and each of them takes, through `recv`, one
+    /// turn per alive sender in host-id order — its own turn included,
+    /// with nothing delivered.
+    fn exchange(
+        &mut self,
+        round: &mut Round<'_>,
+        seq: u64,
+        send: &mut Sends<'_>,
+        recv: &mut Receives<'_>,
+    ) -> Result<(), ClusterError>;
+
+    /// Closes a phase: no host goes on before every alive host is here.
+    fn barrier(&mut self);
+}
+
+/// One process's share of sync round `g`: the hosts it holds (slot `i`
+/// of each slice is host `first + i`), the round's constants, and where
+/// its hosts' sends are counted.
+pub(crate) struct Round<'a> {
+    pub cfg: &'a SyncConfig,
+    pub live: &'a Liveness,
+    /// Every host's next-round access sets (PullModel only).
+    pub access: Option<&'a AccessSets>,
+    /// The global round: the phase numbers and partitions count it.
+    pub g: usize,
+    pub first: usize,
+    pub replicas: &'a mut [ModelReplica],
+    pub wire: &'a mut [WireState],
+    pub scratch: &'a mut [SyncScratch],
+    /// What the held hosts send, cumulative.
+    pub stats: &'a mut CommStats,
+    /// What the held hosts sent this round, and to whom.
+    pub volume: RoundVolume,
+}
+
+impl Round<'_> {
+    /// The alive hosts this process holds, ascending.
+    pub(crate) fn hosts(&self) -> Vec<usize> {
+        (self.first..self.first + self.replicas.len())
+            .filter(|&h| self.live.is_alive(h))
+            .collect()
+    }
+
+    /// Host `h`'s share of the round.
+    pub(crate) fn host(&mut self, h: usize) -> HostRound<'_> {
+        let i = h - self.first;
+        HostRound {
+            host: h,
+            cfg: self.cfg,
+            live: self.live,
+            access: self.access,
+            replica: &mut self.replicas[i],
+            wire: &mut self.wire[i],
+            scratch: &mut self.scratch[i],
+            stats: self.stats,
+            volume: &mut self.volume,
+        }
+    }
+}
+
+/// Runs sync round `round.g` over `transport`: the schedule of the
+/// module doc, the phase numbers, and the round's counters — each process
+/// counts what its hosts sent, and the one holding the lowest alive host
+/// counts the round.
+pub(crate) fn drive(
+    transport: &mut impl Transport,
+    round: &mut Round<'_>,
+) -> Result<(), ClusterError> {
+    // Inert when metrics are disabled; otherwise times the round and
+    // records the byte and message deltas below.
+    let mut span = transport.span();
+    let before = gw2v_obs::enabled().then_some(*round.stats);
+    let hosts = round.hosts();
+    let seq = phases_per_round(round.cfg.plan) * round.g as u64;
+    for &h in &hosts {
+        round.host(h).begin();
+    }
+    transport.exchange(
+        round,
+        seq + 1,
+        &mut |h, post| h.send_reduce(post),
+        &mut |h, from, payloads| {
+            if from == h.host {
+                h.fold_own();
+            }
+            h.fold_reduce(from, payloads)
+        },
+    )?;
+    for &h in &hosts {
+        round.host(h).apply_reduce();
+    }
+    transport.barrier();
+    let apply: &mut Receives<'_> = &mut |h, from, payloads| h.apply_broadcast(from, payloads);
+    if round.cfg.plan == SyncPlan::PullModel {
+        // Owners hold their requests across the barrier, which proves
+        // every request arrived before any transport forgets what it
+        // would resend; then each owner answers in requester order.
+        let mut requests: Vec<Vec<(usize, usize, Bytes)>> = vec![Vec::new(); round.live.n_hosts()];
+        transport.exchange(
+            round,
+            seq + 2,
+            &mut |h, post| h.send_requests(post),
+            &mut |h, from, payloads| {
+                let held = payloads.map(|(layer, request, _)| (from, layer, request.clone()));
+                requests[h.host].extend(held);
+                Ok(())
+            },
+        )?;
+        transport.barrier();
+        transport.exchange(
+            round,
+            seq + 3,
+            &mut |h, post| {
+                let held = std::mem::take(&mut requests[h.host]);
+                held.iter().try_for_each(|(from, layer, request)| {
+                    h.answer_request(*from, *layer, request, post)
+                })
+            },
+            apply,
+        )?;
+    } else {
+        transport.exchange(round, seq + 2, &mut |h, post| h.send_broadcast(post), apply)?;
+    }
+    for &h in &hosts {
+        round.host(h).end();
+    }
+    round.stats.rounds += 1;
+    transport.barrier();
+    if let Some(before) = before {
+        let stats = &*round.stats;
+        let reduce_b = stats.reduce_bytes - before.reduce_bytes;
+        let bcast_b = stats.broadcast_bytes - before.broadcast_bytes;
+        if hosts.first().copied() == (0..round.live.n_hosts()).find(|&h| round.live.is_alive(h)) {
+            gw2v_obs::add("gluon.rounds", 1);
+        }
+        gw2v_obs::add("gluon.reduce_bytes", reduce_b);
+        gw2v_obs::add("gluon.broadcast_bytes", bcast_b);
+        gw2v_obs::add("gluon.reduce_msgs", stats.reduce_msgs - before.reduce_msgs);
+        gw2v_obs::add(
+            "gluon.broadcast_msgs",
+            stats.broadcast_msgs - before.broadcast_msgs,
+        );
+        span.field("reduce_bytes", reduce_b as f64);
+        span.field("broadcast_bytes", bcast_b as f64);
+        span.field("max_host_bytes", round.volume.max_host_bytes() as f64);
+        span.field("hosts", hosts.len() as f64);
+    }
+    Ok(())
 }

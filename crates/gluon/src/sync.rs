@@ -1,26 +1,25 @@
 //! The simulator's transport for the sync round.
 //!
-//! [`sync_round_degraded`] executes one full Gluon synchronization
-//! across all host replicas, deterministically, within the calling
-//! thread. The protocol itself — what each host sends, folds, applies
-//! and accounts — is the per-host round in `round.rs`, the same code
-//! the threaded cluster ([`crate::threaded`]) runs; this module only
-//! moves payloads: every alive host runs each phase in host-id order
-//! and what it posts is handed straight to the receiving host's fold or
-//! apply. No frames and no wall clock; the fault plan's attempt chain
-//! is drawn for every letter, as the threaded transport draws it for
-//! every frame, and counted instead of acted on (docs/WIRE.md § engine
-//! parity says what the two transports may differ in).
+//! [`sync_round_degraded`] runs one full Gluon synchronization across
+//! all host replicas, deterministically, within the calling thread: the
+//! round `round.rs` drives for both engines, over in-process mailboxes.
+//! An exchange is sender-major — each alive host in id order encodes its
+//! letters, they reach their receivers' folds or applies at once, and
+//! they are dropped before the next sender encodes, so one host's
+//! outgoing payloads exist at a time. No frames and no wall clock: the
+//! fault plan's attempt chain is drawn for every letter, as the threaded
+//! transport draws it for every frame, counted instead of acted on, and
+//! priced with the round's volume on a [`CostModel`] (docs/WIRE.md §
+//! engine parity says what the two transports may differ in).
 //!
 //! Semantics (identical across plans — plans only change which payloads
 //! cross the wire, paper §4.4):
 //!
-//! * For every node touched on ≥ 1 host, each touching host contributes
-//!   `delta = current − base` (its accumulated SGD movement this round).
-//! * Deltas are folded at the master in host-id order with the
+//! * every host touching a node contributes `delta = current − base`;
+//! * deltas are folded at the master in host-id order with the
 //!   configured combiner (for `Avg`, the divisor is the number of
-//!   *touching* hosts, as in Gluon where only updated proxies
-//!   participate in the reduction).
+//!   *touching* hosts, as in Gluon where only updated proxies join the
+//!   reduction);
 //! * `canonical = base + combined` replaces the master row and is
 //!   broadcast to mirror replicas (all of them for RepModel plans; each
 //!   host's next-round access set for PullModel).
@@ -29,18 +28,19 @@
 //! does not define: the per-host scratch ([`SyncScratch`]) and the
 //! canonical-model assembly ([`assemble_canonical_live`]).
 
-use crate::cost::nak_backoff_secs;
+use crate::cost::{nak_backoff_secs, CostModel};
 use crate::liveness::Liveness;
-use crate::plan::{AccessSets, SyncConfig, SyncPlan};
+use crate::plan::{AccessSets, SyncConfig};
 use crate::replica::ModelReplica;
-use crate::round::{HostRound, Post};
-use crate::threaded::{phases_per_round, ClusterConfig, ClusterError};
+use crate::round::{drive, Receives, Round, Sends, Transport};
+use crate::threaded::{ClusterConfig, ClusterError};
 use crate::volume::{CommStats, RoundVolume};
 use crate::wire::{RowEncoder, WireState, FRAME_HEADER_BYTES};
 use bytes::Bytes;
 use gw2v_combiner::{CombineAccumulator, CombinerKind};
 use gw2v_faults::{counters, Attempt, FaultPlan};
 use gw2v_graph::partition::master_host;
+use gw2v_obs::trace::Span;
 use gw2v_util::bitvec::BitVec;
 use gw2v_util::fvec::FlatMatrix;
 
@@ -179,12 +179,16 @@ impl SyncScratch {
     }
 }
 
-/// Runs one synchronization round over all replicas, allocating its
-/// working memory afresh.
+/// Runs one synchronization round over all replicas with every host
+/// alive, the classic id+value wire and no faults, allocating its working
+/// memory afresh; the global round is the one `stats` counts next.
 ///
-/// Thin wrapper around `sync_round_with_scratch`; callers that
-/// synchronize repeatedly (the distributed trainer, benchmarks) should
-/// hold their scratches across rounds instead.
+/// `access` must be `Some` when `cfg.plan == PullModel`: for each host
+/// and layer, the nodes that host will access in its *next* compute
+/// round. Returns the round's per-host volume and adds to `stats`; delta
+/// trackers are cleared on return. Callers that synchronize repeatedly
+/// should hold their scratches across rounds in [`sync_round_degraded`]
+/// — the same bits (pinned by tests below).
 pub fn sync_round(
     replicas: &mut [ModelReplica],
     cfg: &SyncConfig,
@@ -192,38 +196,26 @@ pub fn sync_round(
     stats: &mut CommStats,
 ) -> RoundVolume {
     let mut scratch: Vec<SyncScratch> = replicas.iter().map(|_| SyncScratch::new()).collect();
-    sync_round_with_scratch(replicas, cfg, access, stats, &mut scratch)
-}
-
-/// Runs one synchronization round over all replicas with every host
-/// alive, the classic id+value wire and no faults, reusing `scratch`
-/// (one per host).
-///
-/// `access` must be `Some` when `cfg.plan == PullModel`: for each host
-/// and layer, the set of nodes that host will access in its *next*
-/// compute round. Returns the round's per-host volume; cumulative
-/// counters are added to `stats`. Delta trackers are cleared on return.
-/// The result is bit-for-bit identical whether the scratches are fresh
-/// or carried over from previous rounds (pinned by tests below).
-pub(crate) fn sync_round_with_scratch(
-    replicas: &mut [ModelReplica],
-    cfg: &SyncConfig,
-    access: Option<&AccessSets>,
-    stats: &mut CommStats,
-    scratch: &mut [SyncScratch],
-) -> RoundVolume {
     let live = Liveness::all(replicas.len());
     let mut wire: Vec<WireState> = replicas.iter().map(|_| WireState::Classic).collect();
+    let g = stats.rounds as usize;
     let none = FaultPlan::none();
-    sync_round_degraded(
-        replicas, cfg, access, stats, scratch, &live, &mut wire, &none, 0,
+    simulate(
+        replicas,
+        cfg,
+        access,
+        stats,
+        &mut scratch,
+        &live,
+        &mut wire,
+        &none,
+        g,
     )
     .0
 }
 
 /// One payload in flight between two simulated hosts.
 struct Letter {
-    from: usize,
     to: usize,
     layer: usize,
     payload: Bytes,
@@ -233,99 +225,48 @@ struct Letter {
 /// What the fault plan cost one simulated round, as its mailboxes
 /// counted it; all zero under the inert plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Resends {
+pub(crate) struct Resends {
     /// Letters handed over, each once.
-    pub letters: u64,
+    letters: u64,
     /// Frames beyond one per letter: a resend per withheld or corrupt
     /// attempt, and every second copy.
-    pub frames: u64,
+    frames: u64,
     /// NAK backoff the round waited out: per phase, the slowest
     /// receiver's.
-    pub backoff_secs: f64,
+    backoff_secs: f64,
 }
 
-/// Everything the simulated hosts own, so each phase call can borrow one
-/// host's share ([`Cluster::host`]) and give it back.
-struct Cluster<'a> {
-    cfg: &'a SyncConfig,
-    live: &'a Liveness,
-    access: Option<&'a AccessSets>,
-    replicas: &'a mut [ModelReplica],
-    wire: &'a mut [WireState],
-    scratch: &'a mut [SyncScratch],
-    stats: &'a mut CommStats,
-    volume: RoundVolume,
+/// The simulator's transport: every alive host in one thread, a phase
+/// sender by sender in host-id order. A sender's letters reach their
+/// receivers as soon as it has built them and are dropped before the
+/// next sender encodes, so only one host's outgoing payloads exist at a
+/// time.
+struct Mailboxes<'a> {
     /// The fault plan, `None` when inert.
     faults: Option<&'a FaultPlan>,
-    /// The global round, which partitions are indexed by.
-    round: usize,
-    /// Per phase of the round (`phase · n_hosts + receiver`): the
-    /// longest NAK backoff a receiver waited out for one letter.
+    /// Per receiver, the longest NAK backoff it waited out for one
+    /// letter of the current phase.
     stall: Vec<f64>,
     resends: Resends,
 }
 
-impl Cluster<'_> {
-    fn host(&mut self, host: usize) -> HostRound<'_> {
-        HostRound {
-            host,
-            cfg: self.cfg,
-            live: self.live,
-            access: self.access,
-            replica: &mut self.replicas[host],
-            wire: &mut self.wire[host],
-            scratch: &mut self.scratch[host],
-            stats: self.stats,
-            volume: &mut self.volume,
-        }
-    }
-
-    /// Runs one of `host`'s sending phases, phase `phase` of the round,
-    /// and returns what it posted, each letter past the fault plan.
-    fn send(
-        &mut self,
-        host: usize,
-        phase: usize,
-        f: impl FnOnce(&mut HostRound<'_>, &mut Post<'_>) -> Result<(), ClusterError>,
-    ) -> Result<Vec<Letter>, ClusterError> {
-        let mut outbox = Vec::new();
-        f(
-            &mut self.host(host),
-            &mut |to, layer, payload, value_only| {
-                outbox.push(Letter {
-                    from: host,
-                    to,
-                    layer,
-                    payload,
-                    value_only,
-                });
-                Ok(())
-            },
-        )?;
-        if let Some(plan) = self.faults {
-            for letter in &outbox {
-                self.deliver(plan, phase, letter);
-            }
-        }
-        Ok(outbox)
-    }
-
+impl Mailboxes<'_> {
     /// Draws the threaded transport's chain of attempts for letter `l`
-    /// of phase `phase` ([`FaultPlan::attempt`]) until one is delivered,
-    /// counting what its receiver would detect and recover, the frames
-    /// that took and the NAK backoff (at the transport's default base
-    /// delay) its receiver waited out for the attempts a partition withheld.
-    fn deliver(&mut self, plan: &FaultPlan, phase: usize, l: &Letter) {
-        let seq = phases_per_round(self.cfg.plan) * self.round as u64 + 1 + phase as u64;
+    /// from `from` in phase `seq` of global round `g`
+    /// ([`FaultPlan::attempt`]) until one is delivered, counting what its
+    /// receiver would detect and recover, the frames that took and the
+    /// NAK backoff (at the transport's default base delay) its receiver
+    /// waited out for the attempts a partition withheld.
+    fn deliver(&mut self, plan: &FaultPlan, g: usize, seq: u64, from: usize, l: &Letter) {
         // A deferred send changes per-channel delivery order, not bytes
         // or time.
-        plan.reorder(l.from, l.to, l.layer, seq);
+        plan.reorder(from, l.to, l.layer, seq);
         let transport = ClusterConfig::default();
         let frame_len = FRAME_HEADER_BYTES + l.payload.len();
         let mut wait = 0.0;
         self.resends.letters += 1;
         for attempt in 0..=transport.max_retries {
-            match plan.attempt(l.from, l.to, l.layer, seq, self.round, attempt, frame_len) {
+            match plan.attempt(from, l.to, l.layer, seq, g, attempt, frame_len) {
                 Attempt::Partitioned => {
                     let base = transport.nak_delay.as_secs_f64();
                     wait += nak_backoff_secs(plan, base, l.to, seq, attempt);
@@ -344,83 +285,131 @@ impl Cluster<'_> {
             counters::bump(counters::RECOVERED_RESEND);
             self.resends.frames += 1;
         }
-        let longest = &mut self.stall[phase * self.live.n_hosts() + l.to];
+        let longest = &mut self.stall[l.to];
         *longest = longest.max(wait);
-    }
-
-    /// The whole round: every phase of [`HostRound`] for every alive
-    /// host in id order. A sender's payloads go to their receivers as
-    /// soon as it has built them, so only one host's outgoing payloads
-    /// exist at a time.
-    fn run(&mut self) -> Result<(), ClusterError> {
-        let alive: Vec<usize> = (0..self.live.n_hosts())
-            .filter(|&h| self.live.is_alive(h))
-            .collect();
-        for &h in &alive {
-            self.host(h).begin();
-        }
-        // Reduce: receiver r sees senders 0..r, then its own touches,
-        // then senders r+1.. — the host-id fold order.
-        for &sender in &alive {
-            let letters = self.send(sender, 0, |h, post| h.send_reduce(post))?;
-            self.host(sender).fold_own();
-            for l in letters {
-                self.host(l.to)
-                    .fold_reduce(l.from, l.layer, &l.payload, l.value_only)?;
-            }
-        }
-        for &h in &alive {
-            self.host(h).apply_reduce();
-        }
-        // Broadcast, or PullModel's request → answer → response: every
-        // master is canonical by now, so owners answer on the spot.
-        for &sender in &alive {
-            let letters = if self.cfg.plan == SyncPlan::PullModel {
-                let mut responses = Vec::new();
-                for r in self.send(sender, 1, |h, post| h.send_requests(post))? {
-                    responses.extend(self.send(r.to, 2, |h, post| {
-                        h.answer_request(r.from, r.layer, &r.payload, post)
-                    })?);
-                }
-                responses
-            } else {
-                self.send(sender, 1, |h, post| h.send_broadcast(post))?
-            };
-            for l in letters {
-                self.host(l.to)
-                    .apply_broadcast(l.from, l.layer, &l.payload, l.value_only)?;
-            }
-        }
-        for &h in &alive {
-            self.host(h).end();
-        }
-        Ok(())
     }
 }
 
-/// `sync_round_with_scratch` under an explicit liveness view, wire mode
-/// and fault plan: the simulator's transport for the per-host round both
-/// engines run (`round.rs`; docs/WIRE.md § engine parity).
+impl Transport for Mailboxes<'_> {
+    fn span(&self) -> Span {
+        gw2v_obs::span("gluon.sync")
+    }
+
+    fn exchange(
+        &mut self,
+        round: &mut Round<'_>,
+        seq: u64,
+        send: &mut Sends<'_>,
+        recv: &mut Receives<'_>,
+    ) -> Result<(), ClusterError> {
+        let hosts = round.hosts();
+        for &from in &hosts {
+            let mut outbox = Vec::new();
+            send(
+                &mut round.host(from),
+                &mut |to, layer, payload, value_only| {
+                    outbox.push(Letter {
+                        to,
+                        layer,
+                        payload,
+                        value_only,
+                    });
+                    Ok(())
+                },
+            )?;
+            if let Some(plan) = self.faults {
+                for letter in &outbox {
+                    self.deliver(plan, round.g, seq, from, letter);
+                }
+            }
+            for &to in &hosts {
+                let mut mine = outbox
+                    .iter()
+                    .filter(|l| l.to == to)
+                    .map(|l| (l.layer, &l.payload, l.value_only));
+                recv(&mut round.host(to), from, &mut mine)?;
+            }
+        }
+        // Receivers wait concurrently, phases in turn.
+        let slowest = self.stall.iter().fold(0.0, |a: f64, &b| a.max(b));
+        self.resends.backoff_secs += slowest;
+        self.stall.fill(0.0);
+        Ok(())
+    }
+
+    /// Phases already run in turn.
+    fn barrier(&mut self) {}
+}
+
+/// The simulated round [`sync_round_degraded`] prices: the round and
+/// what its mailboxes counted of the fault plan.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate(
+    replicas: &mut [ModelReplica],
+    cfg: &SyncConfig,
+    access: Option<&AccessSets>,
+    stats: &mut CommStats,
+    scratch: &mut [SyncScratch],
+    live: &Liveness,
+    wire: &mut [WireState],
+    faults: &FaultPlan,
+    g: usize,
+) -> (RoundVolume, Resends) {
+    let n_hosts = replicas.len();
+    assert!(n_hosts > 0);
+    assert_eq!(live.n_hosts(), n_hosts, "liveness view size mismatch");
+    assert_eq!(scratch.len(), n_hosts, "one scratch per host");
+    assert_eq!(wire.len(), n_hosts, "one wire state per host");
+    let mut mailboxes = Mailboxes {
+        faults: (!faults.is_inert()).then_some(faults),
+        stall: vec![0.0; n_hosts],
+        resends: Resends::default(),
+    };
+    let mut round = Round {
+        cfg,
+        live,
+        access,
+        g,
+        first: 0,
+        replicas,
+        wire,
+        scratch,
+        stats,
+        volume: RoundVolume::new(n_hosts),
+    };
+    drive(&mut mailboxes, &mut round)
+        .expect("in-process posts cannot fail and every payload was built by its sender");
+    (round.volume, mailboxes.resends)
+}
+
+/// What a simulated round costs on `cost`'s fabric: its volume, plus
+/// each extra frame at the round's average letter and one latency, plus
+/// the NAK backoff.
+fn price(cost: &CostModel, volume: &RoundVolume, resends: &Resends) -> f64 {
+    let mut secs = cost.round_time(volume);
+    if resends.frames > 0 {
+        let avg_bytes = volume.total_bytes() / resends.letters;
+        secs += (resends.frames * avg_bytes) as f64 / cost.bandwidth_bytes_per_sec
+            + resends.frames as f64 * cost.latency_sec;
+    }
+    secs + resends.backoff_secs
+}
+
+/// One synchronization round of the simulator in global round `g`,
+/// under a liveness view, wire mode and fault plan, reusing `scratch`.
 ///
-/// Every alive host runs every phase in host-id order over in-process
-/// mailboxes — real encoded payloads, no frames — with its own entry of
-/// `scratch` and `wire` (one per host, indexed by host id; a wire state
-/// is never shared, see [`WireState`]). Dead hosts contribute no deltas,
-/// receive no broadcasts and have their trackers left untouched; their
-/// master blocks are reconciled at the adopter host
-/// ([`Liveness::effective_master`]). With an all-alive view, classic
-/// states and the inert plan this is exactly `sync_round_with_scratch`.
+/// Every host has its own entry of `replicas`, `scratch` and `wire`,
+/// indexed by host id (a wire state is never shared). Dead hosts
+/// contribute no deltas, receive no broadcasts and keep their trackers;
+/// their adopters reconcile their master blocks
+/// ([`Liveness::effective_master`]). Each letter draws the threaded
+/// transport's attempt chain under `faults` ([`FaultPlan::attempt`])
+/// and is counted, but always arrives whole, so no plan moves a bit.
 ///
-/// Each letter handed over draws the threaded transport's chain of
-/// attempts under `faults` in global round `round`
-/// ([`FaultPlan::attempt`]): the mailboxes count what the plan injects
-/// and what the receiver would detect and recover, and return in
-/// [`Resends`] the extra frames and the NAK backoff that took. The
-/// payload itself always arrives whole, so the fault plan never changes
-/// model bits here either.
-///
-/// `stats` accumulates every host's sends; the returned volume holds
-/// the round's per-host sent and received bytes.
+/// `stats` accumulates every host's sends. Returns the round's per-host
+/// sent and received bytes and its modeled seconds on `cost`'s fabric:
+/// the volume's time, plus the extra frames and NAK backoff the fault
+/// plan cost.
 #[allow(clippy::too_many_arguments)]
 pub fn sync_round_degraded(
     replicas: &mut [ModelReplica],
@@ -431,66 +420,12 @@ pub fn sync_round_degraded(
     live: &Liveness,
     wire: &mut [WireState],
     faults: &FaultPlan,
-    round: usize,
-) -> (RoundVolume, Resends) {
-    let n_hosts = replicas.len();
-    assert!(n_hosts > 0);
-    assert_eq!(live.n_hosts(), n_hosts, "liveness view size mismatch");
-    assert_eq!(scratch.len(), n_hosts, "one scratch per host");
-    assert_eq!(wire.len(), n_hosts, "one wire state per host");
-    // Observability: an inert guard when metrics are disabled; otherwise it
-    // times the whole round and records the byte/message deltas below.
-    let mut obs_span = gw2v_obs::span("gluon.sync");
-    let before = gw2v_obs::enabled().then_some(*stats);
-
-    let faults = (!faults.is_inert()).then_some(faults);
-    let phases = faults.map_or(0, |_| phases_per_round(cfg.plan) as usize);
-    let mut cluster = Cluster {
-        cfg,
-        live,
-        access,
-        replicas,
-        wire,
-        scratch,
-        stats,
-        volume: RoundVolume::new(n_hosts),
-        faults,
-        round,
-        stall: vec![0.0; phases * n_hosts],
-        resends: Resends::default(),
-    };
-    cluster
-        .run()
-        .expect("in-process posts cannot fail and every payload was built by its sender");
-    let Cluster {
-        volume,
-        mut resends,
-        stall,
-        ..
-    } = cluster;
-    // Receivers wait concurrently, phases in turn.
-    let slowest = |phase: &[f64]| phase.iter().fold(0.0, |a: f64, &b| a.max(b));
-    resends.backoff_secs = stall.chunks(n_hosts).map(slowest).sum();
-    stats.rounds += 1;
-    if let Some(before) = before {
-        let reduce_b = stats.reduce_bytes - before.reduce_bytes;
-        let bcast_b = stats.broadcast_bytes - before.broadcast_bytes;
-        gw2v_obs::add("gluon.rounds", 1);
-        gw2v_obs::add("gluon.reduce_bytes", reduce_b);
-        gw2v_obs::add("gluon.broadcast_bytes", bcast_b);
-        gw2v_obs::add("gluon.reduce_msgs", stats.reduce_msgs - before.reduce_msgs);
-        gw2v_obs::add(
-            "gluon.broadcast_msgs",
-            stats.broadcast_msgs - before.broadcast_msgs,
-        );
-        gw2v_obs::observe("gluon.round_bytes", reduce_b + bcast_b);
-        obs_span.field("reduce_bytes", reduce_b as f64);
-        obs_span.field("broadcast_bytes", bcast_b as f64);
-        obs_span.field("max_host_bytes", volume.max_host_bytes() as f64);
-        obs_span.field("hosts", n_hosts as f64);
-    }
-    drop(obs_span);
-    (volume, resends)
+    g: usize,
+    cost: &CostModel,
+) -> (RoundVolume, f64) {
+    let (volume, resends) = simulate(replicas, cfg, access, stats, scratch, live, wire, faults, g);
+    let secs = price(cost, &volume, &resends);
+    (volume, secs)
 }
 
 /// Assembles the canonical model (each node's master row) into a fresh
@@ -521,6 +456,7 @@ pub fn assemble_canonical_live(replicas: &[ModelReplica], live: &Liveness) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SyncPlan;
     use crate::wire::entry_bytes;
 
     fn make_replicas(n_hosts: usize, n_nodes: usize, dim: usize) -> Vec<ModelReplica> {
@@ -837,8 +773,18 @@ mod tests {
                         fresh_reps[h].row_mut(layer, node)[slot] += bump;
                     }
                 }
-                let v1 =
-                    sync_round_with_scratch(&mut reused_reps, &cfg, None, &mut s1, &mut scratch);
+                let (v1, _) = sync_round_degraded(
+                    &mut reused_reps,
+                    &cfg,
+                    None,
+                    &mut s1,
+                    &mut scratch,
+                    &Liveness::all(3),
+                    &mut [WireState::Classic, WireState::Classic, WireState::Classic],
+                    &FaultPlan::none(),
+                    round,
+                    &CostModel::infiniband_56g(),
+                );
                 let v2 = sync_round(&mut fresh_reps, &cfg, None, &mut s2);
                 assert_eq!(
                     v1.total_bytes(),
@@ -881,6 +827,7 @@ mod tests {
             &mut wire,
             &FaultPlan::none(),
             0,
+            &CostModel::infiniband_56g(),
         );
         assert_eq!(reps[2].row(0, 5)[0], base + 3.0, "adopter holds canonical");
         assert_eq!(reps[0].row(0, 5)[0], base + 3.0, "survivor mirrors it");
@@ -914,7 +861,7 @@ mod tests {
         }
         let mut scratch: Vec<SyncScratch> = (0..n_hosts).map(|_| SyncScratch::new()).collect();
         let mut wire: Vec<WireState> = (0..n_hosts).map(|_| WireState::Classic).collect();
-        sync_round_degraded(
+        simulate(
             &mut reps,
             &cfg(plan, CombinerKind::Sum),
             Some(&access),

@@ -1,79 +1,65 @@
 //! The cluster's transport for the sync round: one OS thread per host.
 //!
 //! This is the engine a real multi-core/multi-host deployment would use:
-//! hosts run concurrently, exchange serialized [`crate::wire`] buffers
-//! over crossbeam channels, and separate protocol phases with a barrier.
-//! The protocol itself — what a host sends, folds, applies and accounts
-//! — is the per-host round in `round.rs`, the same code the simulator
-//! ([`crate::sync`]) drives; [`sync_round_threaded_degraded`] is its
-//! phase calls with a collect and a barrier between them, so the engines
-//! agree bit for bit by construction (docs/WIRE.md § engine parity says
-//! what the transports may differ in: framing, faults and clocks). This
-//! module owns everything that is transport.
+//! hosts run concurrently and exchange serialized [`crate::wire`]
+//! buffers over crossbeam channels. The round itself — its schedule, its
+//! phase numbers, what a host sends, folds, applies and counts — is
+//! `round.rs`, which the simulator ([`crate::sync`]) drives too; this
+//! module is the transport under it ([`sync_round_threaded_degraded`]):
+//! an exchange posts all of a host's sends, then collects what its
+//! peers sent, and a barrier separates phases. docs/WIRE.md § engine
+//! parity says what the two transports may differ in: framing, faults
+//! and clocks.
 //!
 //! # Reliability
 //!
 //! The transport is lossy by decree: a [`FaultPlan`] may drop messages,
-//! flip payload bits, delay hosts or kill them outright. The protocol
-//! therefore ships every payload inside a CRC-32 frame
-//! ([`crate::wire::seal_frame`]) and runs a NAK/resend loop on top:
+//! flip payload bits, delay hosts or kill them outright. Every payload
+//! therefore travels in a CRC-32 frame ([`crate::wire::seal_frame`])
+//! under a NAK/resend loop:
 //!
-//! * every phase (reduce, broadcast) carries a lockstep sequence number;
-//! * senders buffer each phase's payloads until the phase's closing
-//!   barrier, so any receiver still missing data can NAK the
-//!   `(sender, layer)` slot and get a retransmission;
-//! * receivers NAK on CRC failure immediately and on silence; the
-//!   silence window grows per NAK round by deterministic exponential
-//!   backoff with seeded jitter (`crate::cost::nak_backoff_secs`,
-//!   base [`ClusterConfig::nak_delay`]), with bounded retries
-//!   ([`ClusterConfig::max_retries`]);
-//! * duplicate deliveries (a resend racing the original, or the `dup`
-//!   injector sending a clean frame twice) are deduped by
-//!   `(sender, layer)` and counted under `faults.recovered.dedup`;
-//!   resent bytes are identical, so either copy folds bit-identically;
-//! * `reorder` injection defers chosen sends to the end of their
-//!   phase's send sequence, shuffling per-channel delivery order; model
-//!   bits are unaffected because receivers fold in host-id order;
-//! * a stall-mode `partition` withholds cross-group data frames of
-//!   covered rounds ([`HostCtx::begin_round`] supplies the round index)
-//!   for the first [`gw2v_faults::PARTITION_STALL_ATTEMPTS`] delivery
-//!   attempts; the NAK loop heals the channel deterministically.
-//!   Control frames (NAKs, state transfer) bypass the injector, so the
-//!   protocol cannot deadlock;
+//! * every frame carries its phase's number in the run, which the round
+//!   driver sets from the global round ([`phases_per_round`]);
+//! * senders buffer a phase's payloads until its closing barrier, so a
+//!   receiver still missing a `(sender, layer)` slot can NAK it;
+//! * receivers NAK on CRC failure at once and on silence after a window
+//!   that grows per NAK round by deterministic exponential backoff with
+//!   seeded jitter (`crate::cost::nak_backoff_secs`, base
+//!   [`ClusterConfig::nak_delay`]), up to [`ClusterConfig::max_retries`];
+//! * duplicates (a resend racing the original, or the `dup` injector)
+//!   are deduped by `(sender, layer)` under `faults.recovered.dedup`;
+//!   resent bytes are identical, so either copy folds the same bits;
+//! * `reorder` defers chosen sends to the end of their phase's send
+//!   sequence; receivers fold in host-id order, so bits do not move;
+//! * a stall-mode `partition` withholds cross-group frames of the rounds
+//!   it covers for the first [`gw2v_faults::PARTITION_STALL_ATTEMPTS`]
+//!   attempts, and the NAK loop heals the channel. Control frames (NAKs,
+//!   state transfer) bypass the injector, so nothing deadlocks;
 //! * every data frame's delivery attempt asks [`FaultPlan::attempt`]
-//!   what happens to it — the chain of attempts the simulator's
-//!   mailboxes ([`crate::sync`]) draw too, so both engines inject, and
-//!   count, the same faults;
-//! * the phase barrier is crash-aware ([`HostCtx::barrier_wait`]): it
-//!   releases when all *registered-alive* hosts arrive, serves NAKs while
-//!   waiting, and counts long waits under `gluon.barrier_timeout`.
+//!   what happens to it — the chain the simulator's mailboxes draw too,
+//!   so both engines inject, and count, the same faults;
+//! * the barrier is crash-aware ([`HostCtx::barrier_wait`]): it releases
+//!   when all *registered-alive* hosts arrive, serves NAKs while waiting,
+//!   and counts long waits under `gluon.barrier_timeout`.
 //!
 //! Crashed hosts flag themselves in the shared liveness registry at a
-//! round boundary; survivors route around them using a deterministic
-//! [`Liveness`] view (see [`sync_round_threaded_degraded`]), with the
-//! next alive host adopting the dead host's master block.
-//!
-//! With an inert plan the protocol delivers every frame on the first
-//! attempt; under any plan recovery is exact (a resent frame carries the
-//! same bytes), so chaos runs stay bit-identical to the simulator —
+//! round boundary; survivors route around them with a deterministic
+//! [`Liveness`] view, the next alive host adopting the dead host's
+//! master block. Recovery is exact (a resent frame carries the same
+//! bytes), so chaos runs stay bit-identical to the simulator —
 //! `tests/chaos.rs` pins this.
 //!
-//! `RepModelNaive` and `RepModelOpt` run two phases per round (reduce,
-//! broadcast); `PullModel` runs three (reduce, pull-request,
-//! pull-response) — [`phases_per_round`], which also numbers the
-//! lockstep sequence the fault plan's coins are drawn at.
-//!
-//! Beyond the phase protocol, the fabric carries **out-of-band state
-//! transfer** for crashed-host re-admission: at an epoch boundary a
-//! rejoining host's adopter streams its full replica (plus the ward's
-//! RNG state and schedule position) back over CRC-sealed frames tagged
-//! with `STATE_TRANSFER_SEQ`, outside the lockstep phase numbering and
-//! the fault injector (state transfer models a reliable bulk channel).
+//! Beyond the rounds, the fabric carries **out-of-band state transfer**
+//! for crashed-host re-admission: at an epoch boundary a rejoining
+//! host's adopter streams its full replica (plus the ward's RNG state
+//! and schedule position) back over CRC-sealed frames tagged with
+//! `STATE_TRANSFER_SEQ`, outside the phase numbering and the fault
+//! injector (state transfer models a reliable bulk channel).
 
 use crate::liveness::{Liveness, SharedLiveness};
 use crate::plan::{AccessSets, SyncConfig, SyncPlan};
 use crate::replica::ModelReplica;
-use crate::round::{HostRound, Post};
+use crate::round::{drive, Receives, Round, Sends, Transport};
 use crate::sync::SyncScratch;
 use crate::volume::{CommStats, RoundVolume};
 use crate::wire::{
@@ -83,6 +69,7 @@ use crate::wire::{
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gw2v_faults::{counters, Attempt, FaultPlan};
+use gw2v_obs::trace::Span;
 use gw2v_util::fvec::FlatMatrix;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -397,11 +384,10 @@ pub struct HostCtx {
     senders: Vec<Sender<Message>>,
     receiver: Receiver<Message>,
     state: Arc<ClusterState>,
-    /// Lockstep phase counter: [`HostCtx::begin_round`] sets it from the
-    /// global round, each phase advances it.
+    /// The current phase's number in the run and its global sync round
+    /// (partition blocking is round-indexed), both set by the round
+    /// driver's exchange.
     seq: Cell<u64>,
-    /// Current global sync round, set by the driver
-    /// ([`HostCtx::begin_round`]); partition blocking is round-indexed.
     round: Cell<usize>,
     /// Current phase's sent payloads, kept until the closing barrier so
     /// NAKs can be served.
@@ -448,26 +434,6 @@ impl HostCtx {
             noted[dead] = true;
             counters::bump(counters::DETECTED_CRASH);
         }
-    }
-
-    /// Tells the fabric which global sync round of a `plan` run the next
-    /// phases belong to. Drivers call this once per round before
-    /// syncing. Partition blocking ([`FaultPlan::attempt`]) is
-    /// round-indexed, and the phase counter is set to
-    /// [`phases_per_round`]` · global_round`, where the simulator's
-    /// mailboxes draw the round's coins too — also after a resume or a
-    /// rejoin.
-    pub fn begin_round(&self, global_round: usize, plan: SyncPlan) {
-        self.round.set(global_round);
-        self.seq.set(phases_per_round(plan) * global_round as u64);
-    }
-
-    /// Opens a new phase: advances the lockstep sequence number and
-    /// forgets the previous phase's resend buffer (its closing barrier
-    /// proved every receiver got the data).
-    fn begin_phase(&self) {
-        self.seq.set(self.seq.get() + 1);
-        self.resend.borrow_mut().clear();
     }
 
     /// Sends `msg` to `to`, tolerating channels of dead hosts.
@@ -778,21 +744,6 @@ impl HostCtx {
         }
     }
 
-    /// [`HostCtx::barrier_wait`], recording the wait in the
-    /// `gluon.barrier_wait_ns` histogram when metrics are enabled. The
-    /// wait time is the straggler signal: a host that arrives early
-    /// waits for the slowest one, so the histogram's spread measures
-    /// per-round load imbalance across hosts.
-    pub(crate) fn barrier_wait_timed(&self) {
-        if gw2v_obs::enabled() {
-            let start = std::time::Instant::now();
-            self.barrier_wait();
-            gw2v_obs::observe("gluon.barrier_wait_ns", start.elapsed().as_nanos() as u64);
-        } else {
-            self.barrier_wait();
-        }
-    }
-
     /// Flags this host dead in the liveness registry *without* counting
     /// an injected crash — used when a resumed run restores a host that
     /// was already dead at the checkpoint boundary (the crash was counted
@@ -1024,179 +975,120 @@ where
 }
 
 /// One synchronization round from a single host's perspective, with
-/// per-round working memory allocated afresh.
-///
-/// Thin wrapper around `sync_round_threaded_with_scratch`; hosts that
-/// synchronize repeatedly should hold a [`SyncScratch`] instead.
+/// every host alive, the classic id+value wire and per-round working
+/// memory allocated afresh; the global round is the one `stats` counts
+/// next, so every host must call this the same number of times with the
+/// same `cfg`. Hosts that synchronize repeatedly should hold a
+/// [`SyncScratch`] and call [`sync_round_threaded_degraded`] instead.
 pub fn sync_round_threaded(
     ctx: &HostCtx,
     replica: &mut ModelReplica,
     cfg: &SyncConfig,
     stats: &mut CommStats,
 ) -> Result<(), ClusterError> {
-    let mut scratch = SyncScratch::new();
-    sync_round_threaded_with_scratch(ctx, replica, cfg, stats, &mut scratch)
-}
-
-/// Access sets for [`sync_round_threaded_degraded`]'s PullModel path.
-///
-/// Each host only consults *its own* row of the set matrix (what it will
-/// touch next round, from its local inspection replay), unlike the
-/// simulator where one [`AccessSets`] holds every host's sets.
-pub(crate) type PullAccess<'a> = Option<&'a AccessSets>;
-
-/// One synchronization round from a single host's perspective, reusing
-/// `scratch`; every host must call this the same number of times with
-/// the same `cfg`.
-///
-/// `stats` accumulates the bytes *this host sends* (summing over hosts
-/// gives cluster totals).
-pub(crate) fn sync_round_threaded_with_scratch(
-    ctx: &HostCtx,
-    replica: &mut ModelReplica,
-    cfg: &SyncConfig,
-    stats: &mut CommStats,
-    scratch: &mut SyncScratch,
-) -> Result<(), ClusterError> {
     let live = Liveness::all(ctx.n_hosts);
+    let g = stats.rounds as usize;
     sync_round_threaded_degraded(
         ctx,
         replica,
         cfg,
         None,
         stats,
-        scratch,
+        &mut SyncScratch::new(),
         &live,
         &mut WireState::Classic,
+        g,
     )
 }
 
-/// `sync_round_threaded_with_scratch` under an explicit liveness view
-/// and wire mode: the cluster's transport for the per-host round both
-/// engines run (`round.rs`; docs/WIRE.md § engine parity). This function
-/// is the phase calls with a collect and a barrier between them.
+/// This host's transport: its frames over the fabric. An exchange posts
+/// all of the host's sends before it collects, so hosts send
+/// concurrently; a barrier is the crash-aware one.
+impl Transport for &HostCtx {
+    fn span(&self) -> Span {
+        gw2v_obs::span("gluon.threaded.sync").host(self.host)
+    }
+
+    fn exchange(
+        &mut self,
+        round: &mut Round<'_>,
+        seq: u64,
+        send: &mut Sends<'_>,
+        recv: &mut Receives<'_>,
+    ) -> Result<(), ClusterError> {
+        let ctx: &HostCtx = self;
+        // The previous phase's closing barrier proved every receiver got
+        // its data: its resend buffer goes.
+        ctx.round.set(round.g);
+        ctx.seq.set(seq);
+        ctx.resend.borrow_mut().clear();
+        send(
+            &mut round.host(ctx.host),
+            &mut |to, layer, payload, value_only| ctx.ship(to, layer, payload, value_only),
+        )?;
+        let n_layers = round.replicas[0].n_layers();
+        let incoming = ctx.collect_phase(round.live, n_layers)?;
+        for from in (0..ctx.n_hosts).filter(|&h| round.live.is_alive(h)) {
+            let got = |layer| incoming.get(&(from, layer)).map(|(p, v)| (layer, p, *v));
+            recv(
+                &mut round.host(ctx.host),
+                from,
+                &mut (0..n_layers).filter_map(got),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// [`HostCtx::barrier_wait`], recording the wait in the
+    /// `gluon.barrier_wait_ns` histogram when metrics are enabled: a host
+    /// that arrives early waits for the slowest one, so the histogram's
+    /// spread measures per-round load imbalance across hosts.
+    fn barrier(&mut self) {
+        let start = gw2v_obs::enabled().then(Instant::now);
+        self.barrier_wait();
+        if let Some(start) = start {
+            gw2v_obs::observe("gluon.barrier_wait_ns", start.elapsed().as_nanos() as u64);
+        }
+    }
+}
+
+/// One synchronization round of global round `g` from this host's side,
+/// under a liveness view and wire mode, reusing `scratch`: `round.rs`'s
+/// round over this host's frames.
 ///
-/// Dead hosts are neither sent to nor expected from, and their master
-/// blocks are handled by their adopters ([`Liveness::effective_master`]).
-/// All alive hosts must call this with the *same* `live` view for the
-/// round — the view is derived from the shared fault plan, so no
-/// agreement protocol is needed.
-///
-/// For [`SyncPlan::PullModel`], `access` must carry this host's
-/// inspection-derived sets (see `PullAccess`); the replication plans
-/// ignore it.
-///
-/// `wire` is this host's state for the run's payload mode
-/// ([`crate::wire::WireMode`]). Every host must run the same mode;
-/// caches and shadows must be cleared at epoch starts by the caller
-/// ([`WireState::begin_epoch`]) — liveness changes clear them here.
+/// All alive hosts must call this with the same `cfg`, `live` view and
+/// `g` — the view is derived from the shared fault plan, so no agreement
+/// protocol is needed. Dead hosts are neither sent to nor expected from;
+/// their adopters master their blocks ([`Liveness::effective_master`]).
+/// PullModel needs this host's inspection-derived `access` sets; `wire`
+/// is this host's state for the run's payload mode, cleared at epoch
+/// starts by the caller ([`WireState::begin_epoch`]) and on liveness
+/// changes here. `stats` accumulates the bytes *this host sends*.
 #[allow(clippy::too_many_arguments)]
 pub fn sync_round_threaded_degraded(
     ctx: &HostCtx,
     replica: &mut ModelReplica,
     cfg: &SyncConfig,
-    access: PullAccess<'_>,
+    access: Option<&AccessSets>,
     stats: &mut CommStats,
     scratch: &mut SyncScratch,
     live: &Liveness,
     wire: &mut WireState,
+    g: usize,
 ) -> Result<(), ClusterError> {
-    // Inert when metrics are disabled; otherwise times this host's whole
-    // round and records its send-side byte deltas below.
-    let mut obs_span = gw2v_obs::span("gluon.threaded.sync").host(ctx.host);
-    let before = gw2v_obs::enabled().then_some(*stats);
-    let n_layers = replica.n_layers();
-    let mut volume = RoundVolume::new(ctx.n_hosts);
-    let mut host = HostRound {
-        host: ctx.host,
+    let mut round = Round {
         cfg,
         live,
         access,
-        replica,
-        wire,
-        scratch,
+        g,
+        first: ctx.host,
+        replicas: std::slice::from_mut(replica),
+        wire: std::slice::from_mut(wire),
+        scratch: std::slice::from_mut(scratch),
         stats,
-        volume: &mut volume,
+        volume: RoundVolume::new(ctx.n_hosts),
     };
-    let post: &mut Post<'_> =
-        &mut |to, layer, payload, value_only| ctx.ship(to, layer, payload, value_only);
-    host.begin();
-
-    // ---- Phase 1: reduce. ----
-    ctx.begin_phase();
-    host.send_reduce(post)?;
-    let incoming = ctx.collect_phase(live, n_layers)?;
-    for from in 0..ctx.n_hosts {
-        if from == ctx.host {
-            host.fold_own();
-        }
-        for (layer, payload, value_only) in payloads_from(&incoming, from, n_layers) {
-            host.fold_reduce(from, layer, payload, value_only)?;
-        }
-    }
-    host.apply_reduce();
-    ctx.barrier_wait_timed();
-
-    if cfg.plan == SyncPlan::PullModel {
-        // ---- Phase 2: pull requests. ----
-        ctx.begin_phase();
-        host.send_requests(post)?;
-        let requests = ctx.collect_phase(live, n_layers)?;
-        // The closing barrier proves every owner holds all requests
-        // before anyone advances the phase counter (begin_phase drops the
-        // resend buffer that NAK recovery would need).
-        ctx.barrier_wait_timed();
-        // ---- Phase 3: pull responses. ----
-        ctx.begin_phase();
-        for from in 0..ctx.n_hosts {
-            for (layer, request, _) in payloads_from(&requests, from, n_layers) {
-                host.answer_request(from, layer, request, post)?;
-            }
-        }
-    } else {
-        // ---- Phase 2: broadcast. ----
-        ctx.begin_phase();
-        host.send_broadcast(post)?;
-    }
-    let incoming = ctx.collect_phase(live, n_layers)?;
-    for from in 0..ctx.n_hosts {
-        for (layer, payload, value_only) in payloads_from(&incoming, from, n_layers) {
-            host.apply_broadcast(from, layer, payload, value_only)?;
-        }
-    }
-    host.end();
-    stats.rounds += 1;
-    ctx.barrier_wait_timed();
-
-    if let Some(before) = before {
-        let reduce_b = stats.reduce_bytes - before.reduce_bytes;
-        let bcast_b = stats.broadcast_bytes - before.broadcast_bytes;
-        gw2v_obs::add("gluon.threaded.reduce_bytes", reduce_b);
-        gw2v_obs::add("gluon.threaded.broadcast_bytes", bcast_b);
-        gw2v_obs::add(
-            "gluon.threaded.msgs",
-            (stats.reduce_msgs - before.reduce_msgs)
-                + (stats.broadcast_msgs - before.broadcast_msgs),
-        );
-        obs_span.field("reduce_bytes", reduce_b as f64);
-        obs_span.field("broadcast_bytes", bcast_b as f64);
-    }
-    drop(obs_span);
-    Ok(())
-}
-
-/// The payloads `from` delivered this phase, in layer order (none for a
-/// dead host or for the collecting host itself).
-fn payloads_from(
-    phase: &PhasePayloads,
-    from: usize,
-    n_layers: usize,
-) -> impl Iterator<Item = (usize, &Bytes, bool)> {
-    (0..n_layers).filter_map(move |layer| {
-        phase
-            .get(&(from, layer))
-            .map(|(payload, value_only)| (layer, payload, *value_only))
-    })
+    drive(&mut &*ctx, &mut round)
 }
 
 #[cfg(test)]
@@ -1256,12 +1148,16 @@ mod tests {
             let mut scratch = SyncScratch::new();
             for round in 0..rounds {
                 apply_workload(&mut replica, ctx.host, round, n_nodes);
-                sync_round_threaded_with_scratch(
+                sync_round_threaded_degraded(
                     &ctx,
                     &mut replica,
                     &cfg,
+                    None,
                     &mut stats,
                     &mut scratch,
+                    &Liveness::all(n_hosts),
+                    &mut WireState::Classic,
+                    round,
                 )
                 .unwrap();
             }
@@ -1432,6 +1328,7 @@ mod tests {
                     &mut scratch,
                     &live,
                     &mut WireState::Classic,
+                    round,
                 )
                 .unwrap();
             }
@@ -1576,6 +1473,7 @@ mod tests {
                     &mut scratch,
                     &live,
                     &mut WireState::Classic,
+                    round,
                 )
                 .unwrap();
             }
@@ -1617,7 +1515,7 @@ mod tests {
             for (host, replica) in replicas.iter_mut().enumerate() {
                 apply_workload(replica, host, round, n_nodes);
             }
-            crate::sync::sync_round_degraded(
+            crate::sync::simulate(
                 &mut replicas,
                 &cfg,
                 None,
@@ -1661,6 +1559,7 @@ mod tests {
                     &mut scratch,
                     &live,
                     &mut wire,
+                    round,
                 )
                 .unwrap();
             }
@@ -1767,7 +1666,7 @@ mod tests {
                 for (host, replica) in seq_replicas.iter_mut().enumerate() {
                     apply_workload(replica, host, round, n_nodes);
                 }
-                crate::sync::sync_round_degraded(
+                crate::sync::simulate(
                     &mut seq_replicas,
                     &cfg,
                     Some(&access_for(round)),
@@ -1798,6 +1697,7 @@ mod tests {
                         &mut scratch,
                         &live,
                         &mut wire,
+                        round,
                     )
                     .unwrap();
                 }

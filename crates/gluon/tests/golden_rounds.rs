@@ -18,6 +18,7 @@
 
 use gw2v_combiner::CombinerKind;
 use gw2v_faults::FaultPlan;
+use gw2v_gluon::cost::CostModel;
 use gw2v_gluon::sync::{assemble_canonical_live, sync_round_degraded, SyncScratch};
 use gw2v_gluon::wire::{WireMode, WireState};
 use gw2v_gluon::{AccessSets, CommStats, Liveness, ModelReplica, SyncConfig, SyncPlan};
@@ -154,6 +155,7 @@ fn run_cell(plan: SyncPlan, mode: WireMode, host_dead: bool, out: &mut String) {
             &mut wire,
             &FaultPlan::none(),
             round,
+            &CostModel::infiniband_56g(),
         );
         writeln!(
             out,

@@ -220,6 +220,64 @@ fn rejoin_counters_are_observable_and_inert_when_off() {
     obs::reset();
 }
 
+/// The round counters are the run's `CommStats`, on either engine:
+/// a fresh 3-host run's `gluon.{reduce,broadcast}_{bytes,msgs}` add up
+/// to what its hosts sent and `gluon.rounds` to the rounds it ran, with
+/// every host alive and when one crashes and rejoins.
+#[test]
+fn round_counters_reconcile_with_comm_stats_on_both_engines() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (vocab, corpus) = prepare();
+    let corpus = Corpus::from_sentences(corpus.sentences().iter().take(240).cloned().collect());
+    let params = Hyperparams {
+        epochs: 3,
+        ..params()
+    };
+    let cfg = DistConfig::paper_default(3);
+    let cluster = ClusterConfig {
+        tick: Duration::from_millis(1),
+        nak_delay: Duration::from_millis(10),
+        ..ClusterConfig::default()
+    };
+    obs::set_enabled(true);
+    for spec in ["", "seed=7,crash=1@1,rejoin=1@2"] {
+        let plan = FaultPlan::parse(spec).unwrap();
+        for engine in ["sim", "threaded"] {
+            obs::reset();
+            let stats = if engine == "sim" {
+                let trainer = DistributedTrainer::new(params.clone(), cfg);
+                trainer
+                    .with_faults(plan.clone())
+                    .train(&corpus, &vocab)
+                    .stats
+            } else {
+                let trainer = ThreadedTrainer::new(params.clone(), cfg);
+                let trainer = trainer
+                    .with_faults(plan.clone())
+                    .with_cluster_config(cluster);
+                trainer.train(&corpus, &vocab).expect("threaded run").stats
+            };
+            let counters = obs::snapshot().counters;
+            assert!(
+                stats.rounds > 0 && stats.reduce_bytes > 0,
+                "{engine} {spec:?}"
+            );
+            for (name, want) in [
+                ("gluon.reduce_bytes", stats.reduce_bytes),
+                ("gluon.broadcast_bytes", stats.broadcast_bytes),
+                ("gluon.reduce_msgs", stats.reduce_msgs),
+                ("gluon.broadcast_msgs", stats.broadcast_msgs),
+                ("gluon.rounds", stats.rounds),
+            ] {
+                let got = counters.get(name).copied().unwrap_or(0);
+                assert_eq!(got, want, "{engine} under {spec:?}: {name}");
+            }
+        }
+    }
+    obs::set_enabled(false);
+    obs::reset();
+}
+
 /// The serve scan's counters read, never steer: a batch and a
 /// one-at-a-time stream answered with metrics on serialise to the bytes
 /// of the same requests with metrics off, and the counters and spans
