@@ -4,9 +4,14 @@
 //! 3/4 power (Mikolov et al. 2013). Two exact-or-close implementations:
 //!
 //! * [`UnigramTable`] — the classic big-array lookup the C code uses:
-//!   an array of `table_size` word ids filled proportionally to
-//!   `count^0.75`; sampling is one random index. Memory `O(table_size)`,
-//!   distribution quantized to `1/table_size`.
+//!   `table_size` slots filled proportionally to `count^0.75`; sampling
+//!   is one random slot index, distribution quantized to `1/table_size`.
+//!   The slots are not stored: each word's slots are one contiguous run,
+//!   so the table keeps the run ends plus a coarse index of every
+//!   `2^k`-th slot's word and maps an index to the word the flat array
+//!   would hold there. Memory `O(vocab)`, not `O(table_size)`: about
+//!   26 KB instead of 4 MB for a 2.5 k-word vocabulary, so the per-pair
+//!   draws stay in cache beside the model.
 //! * [`AliasSampler`] — Walker's alias method: `O(vocab)` memory, exact
 //!   probabilities, one random draw + one comparison per sample.
 //!
@@ -25,10 +30,20 @@ pub trait NegativeSampler: Send + Sync {
     fn sample<R: Rng64>(&self, rng: &mut R) -> u32;
 }
 
-/// Classic lookup-table sampler (the C implementation's `InitUnigramTable`).
+/// Classic lookup-table sampler (the C implementation's `InitUnigramTable`),
+/// stored as its run ends.
+///
+/// Slot `i` of the flat table holds the word `w` with `ends[w − 1] ≤ i <
+/// ends[w]`. `coarse[j]` is the word at slot `j << shift`, and `shift` is
+/// the largest with `size >> shift ≥ ends.len()`, so there are at least
+/// as many coarse entries as runs: a uniformly drawn index steps past at
+/// most one run end on average.
 #[derive(Clone, Debug)]
 pub struct UnigramTable {
-    table: Vec<u32>,
+    size: usize,
+    shift: u32,
+    ends: Vec<u32>,
+    coarse: Vec<u32>,
 }
 
 impl UnigramTable {
@@ -36,36 +51,71 @@ impl UnigramTable {
     /// scaled-down vocabulary sizes the quantization error is comparable.
     pub const DEFAULT_SIZE: usize = 1 << 20;
 
-    /// Builds a table of `size` entries from the vocabulary.
+    /// Builds a table of `size` slots from the vocabulary.
     pub fn new(vocab: &Vocabulary, size: usize) -> Self {
         assert!(
             !vocab.is_empty(),
             "cannot build unigram table for empty vocabulary"
         );
         assert!(size > 0);
+        assert!(u32::try_from(size).is_ok(), "unigram table size {size}");
         let pow_sum: f64 = vocab
             .entries()
             .iter()
             .map(|w| (w.count as f64).powf(UNIGRAM_POWER))
             .sum();
-        let mut table = Vec::with_capacity(size);
+        // The flat table's fill loop, keeping where each run ends: slot
+        // `i` holds `word`, and the word moves on after it at most once
+        // (a move after the last slot shows in no slot).
+        let mut ends = Vec::with_capacity(vocab.len().min(size));
         let mut word: usize = 0;
         let mut cum = (vocab.count_of(0) as f64).powf(UNIGRAM_POWER) / pow_sum;
-        for i in 0..size {
-            table.push(word as u32);
+        for i in 0..size - 1 {
             if (i + 1) as f64 / size as f64 > cum && word + 1 < vocab.len() {
+                ends.push(i as u32 + 1);
                 word += 1;
                 cum += (vocab.count_of(word as u32) as f64).powf(UNIGRAM_POWER) / pow_sum;
             }
         }
-        Self { table }
+        ends.push(size as u32);
+        let shift = (size / ends.len()).ilog2();
+        let mut coarse = Vec::with_capacity(size.div_ceil(1 << shift));
+        let mut w = 0;
+        for i in (0..size as u32).step_by(1 << shift) {
+            while ends[w] <= i {
+                w += 1;
+            }
+            coarse.push(w as u32);
+        }
+        Self {
+            size,
+            shift,
+            ends,
+            coarse,
+        }
+    }
+
+    /// The word the flat table holds at slot `i < size`.
+    #[inline]
+    fn word_at(&self, i: u32) -> u32 {
+        let mut w = self.coarse[(i >> self.shift) as usize];
+        while self.ends[w as usize] <= i {
+            w += 1;
+        }
+        w
+    }
+
+    /// Bytes the table holds on the heap.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        (self.ends.capacity() + self.coarse.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
 impl NegativeSampler for UnigramTable {
     #[inline]
     fn sample<R: Rng64>(&self, rng: &mut R) -> u32 {
-        self.table[rng.index(self.table.len())]
+        self.word_at(rng.index(self.size) as u32)
     }
 }
 
@@ -231,10 +281,74 @@ mod tests {
         let vocab = vocab_with_counts(&counts);
         let table = UnigramTable::new(&vocab, 10_000);
         let mut seen = vec![false; counts.len()];
-        for &w in &table.table {
-            seen[w as usize] = true;
+        for i in 0..10_000 {
+            seen[table.word_at(i) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "every word appears in the table");
+    }
+
+    /// The flat `size`-slot table the C code fills, which [`UnigramTable`]
+    /// stores as run ends.
+    fn flat_table(vocab: &Vocabulary, size: usize) -> Vec<u32> {
+        let pow_sum: f64 = vocab
+            .entries()
+            .iter()
+            .map(|w| (w.count as f64).powf(UNIGRAM_POWER))
+            .sum();
+        let mut table = Vec::with_capacity(size);
+        let mut word: usize = 0;
+        let mut cum = (vocab.count_of(0) as f64).powf(UNIGRAM_POWER) / pow_sum;
+        for i in 0..size {
+            table.push(word as u32);
+            if (i + 1) as f64 / size as f64 > cum && word + 1 < vocab.len() {
+                word += 1;
+                cum += (vocab.count_of(word as u32) as f64).powf(UNIGRAM_POWER) / pow_sum;
+            }
+        }
+        table
+    }
+
+    /// `words` words with Zipf counts `10 · words / rank`.
+    fn zipf_vocab(words: usize) -> Vocabulary {
+        Vocabulary::from_counts(
+            (1..=words).map(|r| (format!("w{r}"), (10 * words / r) as u64)),
+            1,
+        )
+    }
+
+    #[test]
+    fn every_slot_is_the_flat_tables_word() {
+        let vocabs = [
+            vocab_with_counts(&[1000, 400, 150, 60, 20]),
+            vocab_with_counts(&[100, 50, 25, 12, 6, 3]),
+            vocab_with_counts(&[5000, 2000, 800, 300, 100, 40, 15]),
+            zipf_vocab(2_500),
+            zipf_vocab(100_000),
+        ];
+        for vocab in &vocabs {
+            for size in [1, 7, 255, 256, 257, 100_000, UnigramTable::DEFAULT_SIZE] {
+                let table = UnigramTable::new(vocab, size);
+                let flat = flat_table(vocab, size);
+                for (i, &w) in flat.iter().enumerate() {
+                    assert_eq!(
+                        table.word_at(i as u32),
+                        w,
+                        "vocab {} size {size} slot {i}",
+                        vocab.len()
+                    );
+                }
+            }
+        }
+        let heap = |words, bound| {
+            let table = UnigramTable::new(&zipf_vocab(words), UnigramTable::DEFAULT_SIZE);
+            assert!(
+                table.heap_bytes() <= bound,
+                "{words} words: {} B",
+                table.heap_bytes()
+            );
+        };
+        heap(2_500, 64 << 10);
+        heap(100_000, 1 << 20);
     }
 
     #[test]

@@ -347,6 +347,58 @@ fn sgns_pair_matches_the_composition_on_specials_and_zero_alpha() {
 }
 
 #[test]
+fn sgns_pair_scores_distinct_targets_first_without_changing_a_bit() {
+    // Enough rows for one full block of distinct targets.
+    let rows = simd::TARGET_BLOCK;
+    let block: Vec<u32> = (0..rows as u32).map(|k| k * 7 % rows as u32).collect();
+    let lists: [&[u32]; 7] = [
+        &[3, 1],
+        &[0, 7, 2],
+        &[5, 9, 1, 30],
+        &[2, 4, 6, 8, 10],
+        &[31, 0, 17, 3, 12, 25],
+        &block,
+        // A late repeat: the last step must see the first one's write.
+        &[0, 1, 2, 3, 4, 0],
+    ];
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for b in &PAIR_BACKENDS {
+        for dim in [1usize, 7, 8, 9, 16, 64, 67] {
+            for scale in [1.0f32, 0.05] {
+                let win: Vec<f32> = pattern(dim, 27).iter().map(|v| v * scale).collect();
+                let layer = pattern(rows * dim, 28);
+                for targets in lists {
+                    check_pair(b, &win, &layer, targets, 0.025);
+                }
+            }
+            // A distinct list whose last id is past the layer fails
+            // before any row is written.
+            let layer = pattern(rows * dim, 29);
+            let mut got = layer.clone();
+            let mut neu1e = vec![0.0; dim];
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (b.pair)(
+                    &pattern(dim, 30),
+                    &mut got,
+                    &[4, 0, 9, rows as u32],
+                    true,
+                    0.025,
+                    &SigmoidTable::new(),
+                    &mut neu1e,
+                )
+            }));
+            assert!(outcome.is_err(), "{} dim={dim}: no panic", b.name);
+            assert_eq!(
+                bits(&got),
+                bits(&layer),
+                "{} dim={dim}: layer written",
+                b.name
+            );
+        }
+    }
+}
+
+#[test]
 #[should_panic(expected = "out of range")]
 fn dispatched_sgns_pair_panics_on_a_target_past_the_layer() {
     let mut layer = pattern(PAIR_ROWS * 8, 25);
