@@ -33,12 +33,11 @@
 //! one block), so nothing is sized by `negative`; blocks compose bit for
 //! bit because the kernel only ever accumulates into `neu1e`.
 //!
-//! A pair's two stalls are its draws and its row loads. The draws read
+//! A pair's negative draws read
 //! [`UnigramTable`](gw2v_corpus::unigram::UnigramTable), which keeps
 //! its slots as run ends and a coarse index (tens of KB, not 4 MB), so
-//! they hit cache. The vector kernel scores a block of distinct targets
-//! before stepping any, so their row loads overlap; the kernel docs say
-//! why both keep the bits of the in-order C loop.
+//! they hit cache beside the model; it maps every draw to the word the
+//! C code's flat table holds there, so the draws are the C loop's.
 //!
 //! The loop is written once, generic over [`SgnsStore`], and reused by
 //! the sequential, Hogwild, batched and distributed trainers — plus the
@@ -61,7 +60,7 @@ pub(crate) const LAYER_SYN1NEG: usize = 1;
 
 /// Targets handed to [`SgnsStore::step_pair`] per call; a pair with more
 /// than `TARGET_BLOCK − 1` negatives takes several calls.
-pub(crate) use gw2v_util::simd::TARGET_BLOCK;
+pub(crate) const TARGET_BLOCK: usize = 32;
 
 /// Model access used by the SGNS inner loop.
 ///

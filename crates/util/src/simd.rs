@@ -48,21 +48,6 @@ pub type SgnsPairFn = fn(
     neu1e: &mut [f32],
 );
 
-/// Targets one [`Kernels::sgns_pair`] call may score before it steps any
-/// of them (the vector backend's stack block); the SGNS loop hands a
-/// pair's targets over in blocks of this many.
-pub const TARGET_BLOCK: usize = 32;
-
-/// Whether no id repeats in `targets`.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[inline]
-fn distinct(targets: &[u32]) -> bool {
-    targets
-        .iter()
-        .enumerate()
-        .all(|(k, t)| !targets[..k].contains(t))
-}
-
 /// Panics on the slice bound if an id of `targets` is past the last
 /// `dim`-float row of `layer`, so a pair kernel writes nothing before it
 /// fails.
@@ -146,19 +131,11 @@ pub struct Kernels {
     /// `dot` and `fused_grad_step`** — a repeated target sees the
     /// earlier step's write — and therefore different *between*
     /// backends by exactly what `dot` and `fused_grad_step` differ by
-    /// (FMA, lane association). The vector backend *scores first*: when
-    /// the targets are pairwise distinct and at most [`TARGET_BLOCK`],
-    /// it takes every target's `dot` before stepping any, so one pair's
-    /// row loads overlap instead of queueing behind each update. That
-    /// keeps the bits because no target row is written before its own
-    /// `dot` (each row is written only by its own step), `win` is only
-    /// read, and σ and the steps still run in target order, so `neu1e`
-    /// accumulates in the same order; a list with a repeat runs the
-    /// in-order loop. `layer` holds rows of `win.len()` floats back to
-    /// back; an id past its last row panics on the slice bound before
-    /// any row is written. `win` and `neu1e` cannot alias `layer`
-    /// (borrow rules), which is why the row being read lives in the
-    /// other matrix.
+    /// (FMA, lane association). `layer` holds rows of `win.len()`
+    /// floats back to back; an id past its last row panics on the slice
+    /// bound before any row is written. `win` and `neu1e` cannot alias
+    /// `layer` (borrow rules), which is why the row being read lives
+    /// in the other matrix.
     pub sgns_pair: SgnsPairFn,
     /// Small-matrix GEMM, "NT" shape: `C[m×n] += A[m×k] · B[n×k]ᵀ`.
     /// All matrices row-major; `B` holds `n` rows of length `k`, so each
@@ -610,7 +587,6 @@ pub mod scalar {
 /// (the dispatch table in [`select`] does).
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2 {
-    use super::TARGET_BLOCK;
     use crate::sigmoid::SigmoidTable;
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
@@ -822,17 +798,8 @@ mod avx2 {
     /// One SGNS pair. The per-target sequence is this module's own
     /// [`dot`] and [`fused_grad_step`], inlined into one
     /// `#[target_feature]` body, so the bits are theirs by
-    /// construction; the target rows are taken by checked slicing.
-    ///
-    /// Distinct targets are scored first: all their `dot`s go into a
-    /// stack block, then σ and the steps run in target order. Each row
-    /// is written only by its own step, after its `dot`, and `win` is
-    /// only read, so every `dot` sees what the in-order loop's would and
-    /// `neu1e` accumulates in the same order: the bits are that loop's,
-    /// while the pair's row loads no longer wait behind each other's
-    /// updates. A repeated target must see the earlier step's write, so
-    /// such a list (and one longer than the block) runs the in-order
-    /// loop.
+    /// construction; every target id is checked against `layer` before
+    /// the first row is written.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn sgns_pair(
         win: &[f32],
@@ -847,29 +814,16 @@ mod avx2 {
         // The two kernels below index all their slices by `win.len()`
         // through raw pointers and only debug-assert the lengths.
         assert_eq!(neu1e.len(), dim, "neu1e length");
-        let label = |k: usize| if positive && k == 0 { 1.0f32 } else { 0.0 };
-        // SAFETY (both loops): this function's caller verified avx2+fma,
-        // which is all `dot` and `fused_grad_step` require of the CPU;
-        // every row was sliced to `dim` elements and `neu1e` asserted to
-        // be `dim` long above, so every access stays in bounds.
-        if targets.len() <= TARGET_BLOCK && super::distinct(targets) {
-            let mut f = [0.0f32; TARGET_BLOCK];
-            for (f, &t) in f.iter_mut().zip(targets) {
-                let wout = &layer[t as usize * dim..(t as usize + 1) * dim];
-                *f = unsafe { dot(win, wout) };
-            }
-            for (k, &t) in targets.iter().enumerate() {
-                let wout = &mut layer[t as usize * dim..(t as usize + 1) * dim];
-                let g = (label(k) - sigmoid.value(f[k])) * alpha;
-                unsafe { fused_grad_step(g, win, wout, neu1e) };
-            }
-            return;
-        }
         super::check_rows(layer, dim, targets);
         for (k, &t) in targets.iter().enumerate() {
             let wout = &mut layer[t as usize * dim..(t as usize + 1) * dim];
+            let label = if positive && k == 0 { 1.0f32 } else { 0.0 };
+            // SAFETY: this function's caller verified avx2+fma, which is
+            // all `dot` and `fused_grad_step` require of the CPU; `wout`
+            // was sliced to `dim` elements and `neu1e` asserted to be
+            // `dim` long above, so every access stays in bounds.
             unsafe {
-                let g = (label(k) - sigmoid.value(dot(win, wout))) * alpha;
+                let g = (label - sigmoid.value(dot(win, wout))) * alpha;
                 fused_grad_step(g, win, wout, neu1e);
             }
         }

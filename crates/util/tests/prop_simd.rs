@@ -347,9 +347,10 @@ fn sgns_pair_matches_the_composition_on_specials_and_zero_alpha() {
 }
 
 #[test]
-fn sgns_pair_scores_distinct_targets_first_without_changing_a_bit() {
-    // Enough rows for one full block of distinct targets.
-    let rows = simd::TARGET_BLOCK;
+fn sgns_pair_matches_the_composition_on_distinct_blocks_and_late_repeats() {
+    // Enough rows for one full block of distinct targets (the SGNS loop
+    // hands a pair's targets over in blocks of 32).
+    let rows = 32;
     let block: Vec<u32> = (0..rows as u32).map(|k| k * 7 % rows as u32).collect();
     let lists: [&[u32]; 7] = [
         &[3, 1],
