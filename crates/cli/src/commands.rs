@@ -314,15 +314,22 @@ fn eval_linkpred(raw: &[String]) -> CmdResult {
         .parse()
         .map_err(|_| ArgError("--holdout: cannot parse fraction".into()))?;
     let holdout = holdout_fraction(holdout)?;
+    let ratio: usize = args.get_or("negatives-per-edge", 1)?;
+    if ratio == 0 {
+        return Err(ArgError("--negatives-per-edge must be at least 1".into()).into());
+    }
     let (vocab, model) = load_model(args.require("model")?)?;
     let graph = load_edge_list(args.require("edges")?)?;
     let holdout_seed: u64 = args.get_or("holdout-seed", 7)?;
     let (_train, positives) = holdout_split(&graph, holdout, holdout_seed);
-    let ratio: usize = args.get_or("negatives-per-edge", 1)?;
+    if positives.is_empty() {
+        let msg = format!("--holdout {holdout} holds out no edge: there is no positive to score");
+        return Err(ArgError(msg).into());
+    }
     let neg_seed: u64 = args.get_or("seed", 13)?;
     // Negatives are non-edges of the *full* graph, so a held-out true
     // edge can never be sampled as a negative.
-    let negatives = sample_negative_edges(&graph, positives.len().max(1) * ratio, neg_seed);
+    let negatives = sample_negative_edges(&graph, positives.len() * ratio, neg_seed);
     let score_name = args.get("score").unwrap_or("dot");
     let score = LinkScore::parse(score_name)
         .ok_or_else(|| ArgError(format!("unknown score {score_name:?}")))?;
@@ -342,8 +349,10 @@ fn eval_linkpred(raw: &[String]) -> CmdResult {
     Ok(())
 }
 
+/// The training hyperparameters; a zero `--dim` or `--window` and an
+/// `--alpha` that is not a positive number would train nothing (or NaN).
 fn hyperparams_from(args: &Args) -> Result<Hyperparams, ArgError> {
-    Ok(Hyperparams {
+    let params = Hyperparams {
         dim: args.get_or("dim", 200)?,
         window: args.get_or("window", 5)?,
         negative: args.get_or("negative", 15)?,
@@ -353,7 +362,17 @@ fn hyperparams_from(args: &Args) -> Result<Hyperparams, ArgError> {
         min_count: args.get_or("min-count", 1)?,
         seed: args.get_or("seed", 1)?,
         ..Hyperparams::default()
-    })
+    };
+    for (flag, n) in [("dim", params.dim), ("window", params.window)] {
+        if n == 0 {
+            return Err(ArgError(format!("--{flag} must be at least 1")));
+        }
+    }
+    if !(params.alpha.is_finite() && params.alpha > 0.0) {
+        let msg = format!("--alpha must be a positive number, got {}", params.alpha);
+        return Err(ArgError(msg));
+    }
+    Ok(params)
 }
 
 /// What only the cluster trainers (`dist`, `threaded`) read.

@@ -81,22 +81,31 @@ fn walk_and_holdout_flags_out_of_range_are_typed_errors() {
         );
         assert_typed_failure(&run, &out, flag, &flags.join(" "));
     }
-    // A one-word model is enough: the fraction is refused before it loads.
+    // A one-word model is enough: the fraction is refused before it
+    // loads, and a split with no positive (`--holdout 0.0`) or no
+    // negative edge is refused before anything is scored; each of the
+    // last two used to print `AUC 0.5000` and exit 0.
     std::fs::write(&model, "1 2\nn0 0.5 0.5\n").unwrap();
     let report = tmp("report.json");
-    let run = gw2v(&[
-        "eval",
-        "linkpred",
-        "--model",
-        model.to_str().unwrap(),
-        "--edges",
-        edges,
-        "--holdout",
-        "1.5",
-        "--out",
-        report.to_str().unwrap(),
-    ]);
-    assert_typed_failure(&run, &report, "--holdout", "eval linkpred --holdout 1.5");
+    for (flags, flag) in [
+        (&["--holdout", "1.5"][..], "--holdout"),
+        (&["--holdout", "0.0"], "--holdout"),
+        (
+            &["--holdout", "0.2", "--negatives-per-edge", "0"],
+            "--negatives-per-edge",
+        ),
+    ] {
+        let run = gw2v(
+            &[
+                &["eval", "linkpred", "--model", model.to_str().unwrap()][..],
+                &["--edges", edges, "--out", report.to_str().unwrap()],
+                flags,
+            ]
+            .concat(),
+        );
+        let what = format!("eval linkpred {}", flags.join(" "));
+        assert_typed_failure(&run, &report, flag, &what);
+    }
     std::fs::remove_file(&graph).ok();
     std::fs::remove_file(&model).ok();
 }

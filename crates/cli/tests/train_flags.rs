@@ -5,7 +5,8 @@
 //! die on a library `assert!` or a `Duration` conversion (exit 101 with
 //! a backtrace), `--threads 100000` on a failed stack guard page (exit
 //! 134). A fault plan the cluster engines cannot run is a typed error
-//! too, and so is a flag the chosen trainer never reads.
+//! too, and so is a flag the chosen trainer never reads, and a `--dim`,
+//! `--window` or `--alpha` no run can train with.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -199,6 +200,36 @@ fn a_flag_the_trainer_never_reads_is_a_typed_error() {
         assert_typed_failure(&run, &out, flag[0], &what);
         assert_typed_failure(&run, &out, trainer, &what);
         std::fs::remove_dir_all(&ckpt).ok();
+    }
+    std::fs::remove_file(&corpus).ok();
+}
+
+/// A hyperparameter no run can use is a typed error, raised before the
+/// corpus is read. Each of these used to exit 0: `--window 0` trained
+/// nothing (a debug build panicked), `--dim 0` wrote a model of empty
+/// vectors and `--alpha nan` one of NaNs.
+#[test]
+fn hyperparameters_no_run_can_use_are_typed_errors() {
+    let corpus = tmp("hyper_corpus.txt");
+    let out = tmp("hyper_model.txt");
+    write_corpus(&corpus);
+    let missing = tmp("hyper_missing_corpus.txt");
+    for (flag, value) in [
+        ("--window", "0"),
+        ("--dim", "0"),
+        ("--alpha", "nan"),
+        ("--alpha", "inf"),
+        ("--alpha", "0"),
+        ("--alpha", "-0.5"),
+    ] {
+        for trainer in ["seq", "hogbatch", "dist"] {
+            let what = format!("{trainer} {flag} {value}");
+            let run = train(&corpus, &out, &["--trainer", trainer, flag, value]);
+            assert_eq!(run.status.code(), Some(1), "{what}");
+            assert_typed_failure(&run, &out, flag, &what);
+        }
+        let run = train(&missing, &out, &[flag, value]);
+        assert_typed_failure(&run, &out, flag, &format!("{flag} {value}, no corpus"));
     }
     std::fs::remove_file(&corpus).ok();
 }

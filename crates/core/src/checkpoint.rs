@@ -40,6 +40,7 @@
 
 use crate::distributed::DistConfig;
 use crate::params::Hyperparams;
+use gw2v_gluon::liveness::Liveness;
 use gw2v_gluon::volume::CommStats;
 use gw2v_util::crc32::crc32;
 use gw2v_util::fvec::FlatMatrix;
@@ -139,6 +140,16 @@ impl Checkpoint {
         let p = crc32(format!("{params:?}").as_bytes()) as u64;
         let c = crc32(format!("{config:?}").as_bytes()) as u64;
         (p << 32) | c
+    }
+
+    /// The liveness view [`Checkpoint::alive`] records. Panics if no
+    /// host is alive.
+    pub fn liveness(&self) -> Liveness {
+        let mut live = Liveness::all(self.alive.len());
+        (0..self.alive.len())
+            .filter(|&h| !self.alive[h])
+            .for_each(|h| live.mark_dead(h));
+        live
     }
 
     /// The canonical file name for the checkpoint of `epoch` inside a

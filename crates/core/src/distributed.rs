@@ -384,7 +384,7 @@ impl<F: FnMut(&EpochSnapshot, &Word2VecModel)> Engine for Simulator<'_, F> {
 
     fn end_epoch(&mut self, hosts: &Hosts<'_>, epoch: usize) {
         let env = self.env;
-        let model = canonical(&hosts.replicas, &hosts.live);
+        let model = canonical(&hosts.live, |h| &hosts.replicas[h].layers);
         let virtual_time = hosts.clock[0] + hosts.clock[1];
         if self.obs_on {
             // Read-only loss probe on the canonical model, outside any

@@ -26,13 +26,14 @@ use crate::params::Hyperparams;
 use crate::schedule::LrSchedule;
 use crate::setup::{Sampler, TrainSetup, HOST_RNG_BASE, RECOVERY_RNG_BASE};
 use crate::sgns::{RecordingStore, ReplicaStore, TrainContext};
-use crate::trainer_hogbatch::{train_sentence_mode, MinibatchScratch, SgnsMode};
+use crate::trainer_hogbatch::MinibatchScratch;
+use crate::trainer_shared::Step;
 use gw2v_corpus::shard::{Corpus, CorpusShard};
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_faults::{counters, FaultPlan, OnPartition};
 use gw2v_gluon::liveness::Liveness;
 use gw2v_gluon::plan::{AccessSets, SyncConfig, SyncPlan};
-use gw2v_gluon::sync::{assemble_canonical_live, SyncScratch};
+use gw2v_gluon::sync::{assemble_canonical_layers, SyncScratch};
 use gw2v_gluon::threaded::ClusterError;
 use gw2v_gluon::volume::CommStats;
 use gw2v_gluon::wire::{WireMode, WireState};
@@ -82,9 +83,13 @@ fn processed_at(shard: &CorpusShard<'_>, epoch: usize, s: usize, s_count: usize)
     total
 }
 
-/// The canonical model: each block from its effective master.
-pub(crate) fn canonical(replicas: &[ModelReplica], live: &Liveness) -> Word2VecModel {
-    let mut it = assemble_canonical_live(replicas, live).into_iter();
+/// The canonical model: each block from its effective master, host `h`
+/// holding `layers(h)`.
+pub(crate) fn canonical<'a>(
+    live: &Liveness,
+    layers: impl Fn(usize) -> &'a [FlatMatrix],
+) -> Word2VecModel {
+    let mut it = assemble_canonical_layers(live, layers).into_iter();
     Word2VecModel::from_layers(it.next().expect("syn0"), it.next().expect("syn1neg"))
 }
 
@@ -132,7 +137,8 @@ pub(crate) struct HostEnv<'a> {
     /// The fault plan the run executes: [`effective_plan`].
     pub(crate) faults: FaultPlan,
     wire: WireMode,
-    sgns: SgnsMode,
+    /// What a host does to one sentence, training or inspecting.
+    step: Step,
     shards: Vec<CorpusShard<'a>>,
     root: SplitMix64,
     init: Word2VecModel,
@@ -174,7 +180,7 @@ impl<'a> HostEnv<'a> {
             kill: kill_epoch(&faults, start_epoch, p.epochs),
             faults,
             wire: cfg.wire,
-            sgns: cfg.sgns,
+            step: Step::from(cfg.sgns),
             shards: (0..cfg.n_hosts)
                 .map(|h| corpus.partition(h, cfg.n_hosts))
                 .collect(),
@@ -279,9 +285,8 @@ impl<'a> HostEnv<'a> {
     pub(crate) fn result(&self, mut processes: Vec<Hosts<'_>>, wall_start: Instant) -> TrainResult {
         let tallies = processes.iter_mut().map(Hosts::take_tally).collect();
         let ckpt = self.checkpoint(&processes[0], tallies);
-        let replicas: Vec<_> = ckpt.layers.into_iter().map(ModelReplica::new).collect();
         TrainResult {
-            model: canonical(&replicas, &processes[0].live),
+            model: canonical(&processes[0].live, |h| &ckpt.layers[h]),
             stats: ckpt.stats,
             compute_time: ckpt.compute_time,
             comm_time: ckpt.comm_time,
@@ -335,12 +340,7 @@ impl<'a> Hosts<'a> {
     /// Hosts `held` at the start of the run.
     pub(crate) fn new(env: &'a HostEnv<'a>, held: impl IntoIterator<Item = usize>) -> Self {
         let resume = env.resume.as_ref();
-        let mut live = Liveness::all(env.h_count);
-        if let Some(ckpt) = resume {
-            (0..env.h_count)
-                .filter(|&d| !ckpt.alive[d])
-                .for_each(|d| live.mark_dead(d));
-        }
+        let live = resume.map_or_else(|| Liveness::all(env.h_count), Checkpoint::liveness);
         let held: Vec<usize> = held.into_iter().collect();
         Self {
             work: held
@@ -647,15 +647,9 @@ impl<'a> HostWork<'a> {
         for (d, rng, processed) in once(own).chain(wards) {
             for sentence in env.shards[d].round_chunk(s, env.s_count).sentences() {
                 let alpha = env.schedule.alpha_for_host(*processed, env.h_count);
-                pairs += train_sentence_mode(
-                    env.sgns,
-                    &mut store,
-                    sentence,
-                    alpha,
-                    &ctx,
-                    rng,
-                    &mut self.scratch,
-                );
+                pairs += env
+                    .step
+                    .apply(&mut store, sentence, alpha, &ctx, rng, &mut self.scratch);
                 *processed += sentence.len() as u64;
             }
         }
@@ -671,8 +665,7 @@ impl<'a> HostWork<'a> {
         let streams = once((self.host, self.rng)).chain(self.wards.iter().map(|w| (w.host, w.rng)));
         for (d, mut rng) in streams {
             for sentence in env.shards[d].round_chunk(next_s, env.s_count).sentences() {
-                train_sentence_mode(
-                    env.sgns,
+                env.step.apply(
                     &mut recorder,
                     sentence,
                     0.0,

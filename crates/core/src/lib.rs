@@ -17,12 +17,15 @@
 //!   distributed-run configuration.
 //! * [`model`] — model storage, initialization and (text-format) I/O.
 //! * [`sgns`] — the SGNS training operator, written once and reused by
-//!   every trainer through the [`sgns::SgnsStore`] abstraction; also the
-//!   access-recording store that implements PullModel's inspection phase.
+//!   every trainer through [`sgns::SgnsStore`], the one row interface of
+//!   both SGNS loops (per-pair and HogBatch); also the access-recording
+//!   store that implements PullModel's inspection phase.
 //! * [`schedule`] — the linear learning-rate decay of the C code.
 //! * `trainer_shared` (private) — the shared-memory epoch loop, written
 //!   once; the next four modules are presets over it, each fixing where
-//!   the model lives, the sentence step and the worker count.
+//!   the model lives, the sentence step and the worker count. Its `Step`
+//!   is the one sentence dispatcher, of these trainers and of both
+//!   cluster engines.
 //! * [`trainer_seq`] — sequential shared-memory baseline ("W2V").
 //! * [`trainer_hogwild`] — multi-threaded Hogwild baseline (racy relaxed
 //!   atomics, paper §2.3), and the atomic model storage and per-thread

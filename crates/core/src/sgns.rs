@@ -44,7 +44,10 @@
 //! no-write [`RecordingStore`] that implements the PullModel *inspection*
 //! phase (paper §4.4): by the same argument, replaying the loop against
 //! a recording store with a cloned RNG yields exactly the nodes the real
-//! execution will access.
+//! execution will access. [`SgnsStore`] is the one row interface of every
+//! SGNS loop: the HogBatch loop (`crate::trainer_hogbatch`) gathers and
+//! scatters whole rows through the same trait, and
+//! `crate::trainer_shared::Step` picks the loop a sentence runs.
 
 use gw2v_corpus::subsample::SubsampleTable;
 use gw2v_corpus::unigram::NegativeSampler;
@@ -62,12 +65,18 @@ pub(crate) const LAYER_SYN1NEG: usize = 1;
 /// than `TARGET_BLOCK − 1` negatives takes several calls.
 pub(crate) const TARGET_BLOCK: usize = 32;
 
-/// Model access used by the SGNS inner loop.
+/// Model access used by every SGNS loop.
 ///
 /// Implementations decide where rows live (plain matrices, a tracked
 /// distributed replica, relaxed atomics) and what "access" means (the
-/// recording store only takes notes).
+/// recording store only takes notes). A row is named by its layer (0 is
+/// `syn0`, 1 is `syn1neg`) and its id.
 pub trait SgnsStore {
+    /// `false` for inspection-only stores: the HogBatch loop then skips
+    /// its gather/GEMM/scatter arithmetic and calls [`SgnsStore::add`]
+    /// with empty deltas, purely to mark the touch set. The RNG draws
+    /// are identical either way.
+    const COMPUTE: bool = true;
     /// Vector dimensionality.
     fn dim(&self) -> usize;
     /// Steps `syn0[context]` against `syn1neg[t]` for each `t` of
@@ -85,8 +94,10 @@ pub trait SgnsStore {
         sigmoid: &SigmoidTable,
         neu1e: &mut [f32],
     );
-    /// `syn0[win] += buf`.
-    fn add_in(&mut self, win: u32, buf: &[f32]);
+    /// Copies `layer[row]` into `out`.
+    fn load(&self, layer: usize, row: u32, out: &mut [f32]);
+    /// `layer[row] += delta`.
+    fn add(&mut self, layer: usize, row: u32, delta: &[f32]);
 }
 
 /// Shared, immutable per-run training context.
@@ -206,7 +217,7 @@ pub(crate) fn train_pair<M, S, R>(
         }
         (n, positive) = (0, false);
     }
-    store.add_in(context, neu1e);
+    store.add(LAYER_SYN0, context, neu1e);
 }
 
 /// Plain two-matrix store: the sequential baseline's model access.
@@ -245,8 +256,14 @@ impl SgnsStore for PlainStore<'_> {
     }
 
     #[inline]
-    fn add_in(&mut self, win: u32, buf: &[f32]) {
-        fvec::add_assign(self.syn0.row_mut(win as usize), buf);
+    fn load(&self, layer: usize, row: u32, out: &mut [f32]) {
+        out.copy_from_slice([&*self.syn0, &*self.syn1neg][layer].row(row as usize));
+    }
+
+    #[inline]
+    fn add(&mut self, layer: usize, row: u32, delta: &[f32]) {
+        let rows = [&mut *self.syn0, &mut *self.syn1neg];
+        fvec::add_assign(rows[layer].row_mut(row as usize), delta);
     }
 }
 
@@ -291,8 +308,15 @@ impl SgnsStore for ReplicaStore<'_> {
     }
 
     #[inline]
-    fn add_in(&mut self, win: u32, buf: &[f32]) {
-        fvec::add_assign(self.replica.row_mut(LAYER_SYN0, win), buf);
+    fn load(&self, layer: usize, row: u32, out: &mut [f32]) {
+        out.copy_from_slice(self.replica.row(layer, row));
+    }
+
+    #[inline]
+    fn add(&mut self, layer: usize, row: u32, delta: &[f32]) {
+        // Tracked write: `row_mut` snapshots the base on first touch so
+        // the synchronization phase ships the delta.
+        fvec::add_assign(self.replica.row_mut(layer, row), delta);
     }
 }
 
@@ -318,6 +342,8 @@ impl RecordingStore {
 }
 
 impl SgnsStore for RecordingStore {
+    const COMPUTE: bool = false;
+
     #[inline]
     fn dim(&self) -> usize {
         self.dim
@@ -340,8 +366,11 @@ impl SgnsStore for RecordingStore {
     }
 
     #[inline]
-    fn add_in(&mut self, win: u32, _buf: &[f32]) {
-        self.syn0_access.set(win as usize);
+    fn load(&self, _layer: usize, _row: u32, _out: &mut [f32]) {}
+
+    #[inline]
+    fn add(&mut self, layer: usize, row: u32, _delta: &[f32]) {
+        [&mut self.syn0_access, &mut self.syn1_access][layer].set(row as usize);
     }
 }
 
@@ -538,9 +567,16 @@ mod tests {
             }
         }
 
-        fn add_in(&mut self, win: u32, _buf: &[f32]) {
-            if !self.syn0.contains(&win) {
-                self.syn0.push(win);
+        fn load(&self, _layer: usize, _row: u32, _out: &mut [f32]) {}
+
+        fn add(&mut self, layer: usize, row: u32, _delta: &[f32]) {
+            let log = if layer == LAYER_SYN0 {
+                &mut self.syn0
+            } else {
+                &mut self.syn1neg
+            };
+            if !log.contains(&row) {
+                log.push(row);
             }
         }
     }
@@ -696,6 +732,53 @@ mod tests {
         );
         // And the RNGs advanced identically.
         assert_eq!(rng_inspect.next_u64(), rng_real.next_u64());
+    }
+
+    /// Adds `delta` to `syn1neg[r]`, then loads `syn0[r]`.
+    fn add_then_load<M: SgnsStore>(store: &mut M, r: u32, delta: &[f32]) -> Vec<f32> {
+        store.add(LAYER_SYN1NEG, r, delta);
+        let mut row = vec![0.0; store.dim()];
+        store.load(LAYER_SYN0, r, &mut row);
+        row
+    }
+
+    #[test]
+    fn every_store_loads_and_adds_the_layer_it_names() {
+        use crate::trainer_hogwild::{AtomicModel, AtomicStore};
+        let init = Word2VecModel::init(5, 4, 8);
+        let (r, delta) = (3u32, [0.5f32; 4]);
+        let mut want = init.clone();
+        fvec::add_assign(want.syn1neg.row_mut(r as usize), &delta);
+        let syn0_r = init.syn0.row(r as usize);
+
+        let mut plain = init.clone();
+        let mut store = PlainStore {
+            syn0: &mut plain.syn0,
+            syn1neg: &mut plain.syn1neg,
+        };
+        assert_eq!(add_then_load(&mut store, r, &delta), syn0_r, "plain");
+        assert_eq!(plain, want, "plain");
+
+        let mut replica = ModelReplica::new(vec![init.syn0.clone(), init.syn1neg.clone()]);
+        let mut store = ReplicaStore {
+            replica: &mut replica,
+        };
+        assert_eq!(add_then_load(&mut store, r, &delta), syn0_r, "replica");
+        assert_eq!(replica.layers, [want.syn0.clone(), want.syn1neg.clone()]);
+        assert_eq!(replica.tracker(LAYER_SYN1NEG).touched_nodes(), &[r]);
+        assert!(replica.tracker(LAYER_SYN0).touched_nodes().is_empty());
+
+        let atomic = AtomicModel::from_model(&init);
+        let mut store = AtomicStore::new(&atomic);
+        assert_eq!(add_then_load(&mut store, r, &delta), syn0_r, "atomic");
+        assert_eq!(atomic.snapshot(), want, "atomic");
+
+        let mut recorder = RecordingStore::new(5, 4);
+        recorder.add(LAYER_SYN1NEG, r, &[]);
+        let mut only_r = BitVec::new(5);
+        only_r.set(r as usize);
+        assert_eq!(recorder.syn1_access, only_r);
+        assert_eq!(recorder.syn0_access, BitVec::new(5));
     }
 
     #[test]

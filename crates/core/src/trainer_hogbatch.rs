@@ -35,17 +35,21 @@
 //! one shared set consumes fewer draws than per-pair negatives), and the
 //! shared negative set is drawn *only when the window has at least one
 //! context* (the per-pair loop draws nothing for empty windows either).
-//! No stochastic choice depends on
-//! model values, so replaying a sentence against a recording
-//! [`BatchRows`] store with a cloned RNG predicts the touch set of the
-//! real execution exactly — the same property the PullModel inspection
-//! phase relies on for per-pair training.
+//! No stochastic choice depends on model values, so replaying a sentence
+//! against the [`crate::sgns::RecordingStore`] with a cloned RNG predicts
+//! the touch set of the real execution exactly — the same property the
+//! PullModel inspection phase relies on for per-pair training.
+//!
+//! The loop reaches the model through the per-pair loop's
+//! [`SgnsStore`]: it never does arithmetic *through* the store, only
+//! gathers rows into dense scratch ([`SgnsStore::load`]), computes there
+//! and scatters additive deltas back ([`SgnsStore::add`]).
 
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
 use crate::sgns::{
-    keep_subsampled, train_sentence, window_contexts, PlainStore, RecordingStore, ReplicaStore,
-    SgnsStore, TrainContext, TrainScratch, LAYER_SYN0, LAYER_SYN1NEG,
+    keep_subsampled, window_contexts, SgnsStore, TrainContext, TrainScratch, LAYER_SYN0,
+    LAYER_SYN1NEG,
 };
 use crate::trainer_shared::{Preset, Step};
 use gw2v_corpus::shard::Corpus;
@@ -61,122 +65,13 @@ use gw2v_util::rng::Rng64;
 /// rejected (the RNG streams differ, so the trajectories diverge).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SgnsMode {
-    /// Classic per-pair loop ([`train_sentence`]): one dot/axpy step per
-    /// (context, target) edge, fresh negatives per pair. Bit-compatible
-    /// with the reference C implementation.
+    /// Classic per-pair loop ([`crate::sgns::train_sentence`]): one
+    /// dot/axpy step per (context, target) edge, fresh negatives per
+    /// pair. Bit-compatible with the reference C implementation.
     PerPair,
     /// Shared-negative minibatch loop ([`train_sentence_hogbatch`]): one
     /// negative set per window, GEMM-shaped updates.
     HogBatch,
-}
-
-/// Bulk row access for the minibatch gather/scatter phases.
-///
-/// The GEMM path never does arithmetic *through* the store — it gathers
-/// rows into dense scratch, computes there, and scatters additive deltas
-/// back. Stores only decide where rows live (plain matrices, a tracked
-/// replica, relaxed atomics — `crate::trainer_hogwild::AtomicStore`)
-/// and what a delta write means (the recording store only takes notes).
-/// Method names deliberately avoid the [`SgnsStore`] names so one type
-/// can implement both traits without call-site ambiguity.
-pub trait BatchRows {
-    /// `false` for inspection-only stores: [`train_sentence_hogbatch`]
-    /// then skips the gather/GEMM/scatter arithmetic entirely and calls
-    /// [`BatchRows::add_in_delta`]/[`BatchRows::add_out_delta`] with
-    /// empty deltas, purely to mark the touch set. The RNG draws are
-    /// identical either way.
-    const COMPUTE: bool = true;
-    /// Vector dimensionality.
-    fn batch_dim(&self) -> usize;
-    /// Copies `syn0[row]` into `out`.
-    fn load_in(&self, row: u32, out: &mut [f32]);
-    /// Copies `syn1neg[row]` into `out`.
-    fn load_out(&self, row: u32, out: &mut [f32]);
-    /// `syn0[row] += delta`.
-    fn add_in_delta(&mut self, row: u32, delta: &[f32]);
-    /// `syn1neg[row] += delta`.
-    fn add_out_delta(&mut self, row: u32, delta: &[f32]);
-}
-
-impl BatchRows for PlainStore<'_> {
-    #[inline]
-    fn batch_dim(&self) -> usize {
-        self.syn0.dim()
-    }
-
-    #[inline]
-    fn load_in(&self, row: u32, out: &mut [f32]) {
-        out.copy_from_slice(self.syn0.row(row as usize));
-    }
-
-    #[inline]
-    fn load_out(&self, row: u32, out: &mut [f32]) {
-        out.copy_from_slice(self.syn1neg.row(row as usize));
-    }
-
-    #[inline]
-    fn add_in_delta(&mut self, row: u32, delta: &[f32]) {
-        fvec::add_assign(self.syn0.row_mut(row as usize), delta);
-    }
-
-    #[inline]
-    fn add_out_delta(&mut self, row: u32, delta: &[f32]) {
-        fvec::add_assign(self.syn1neg.row_mut(row as usize), delta);
-    }
-}
-
-impl BatchRows for ReplicaStore<'_> {
-    #[inline]
-    fn batch_dim(&self) -> usize {
-        self.replica.layers[LAYER_SYN0].dim()
-    }
-
-    #[inline]
-    fn load_in(&self, row: u32, out: &mut [f32]) {
-        out.copy_from_slice(self.replica.row(LAYER_SYN0, row));
-    }
-
-    #[inline]
-    fn load_out(&self, row: u32, out: &mut [f32]) {
-        out.copy_from_slice(self.replica.row(LAYER_SYN1NEG, row));
-    }
-
-    #[inline]
-    fn add_in_delta(&mut self, row: u32, delta: &[f32]) {
-        // Tracked write: `row_mut` snapshots the base on first touch so
-        // the synchronization phase ships the delta.
-        fvec::add_assign(self.replica.row_mut(LAYER_SYN0, row), delta);
-    }
-
-    #[inline]
-    fn add_out_delta(&mut self, row: u32, delta: &[f32]) {
-        fvec::add_assign(self.replica.row_mut(LAYER_SYN1NEG, row), delta);
-    }
-}
-
-impl BatchRows for RecordingStore {
-    const COMPUTE: bool = false;
-
-    #[inline]
-    fn batch_dim(&self) -> usize {
-        SgnsStore::dim(self)
-    }
-
-    #[inline]
-    fn load_in(&self, _row: u32, _out: &mut [f32]) {}
-
-    #[inline]
-    fn load_out(&self, _row: u32, _out: &mut [f32]) {}
-
-    #[inline]
-    fn add_in_delta(&mut self, row: u32, _delta: &[f32]) {
-        self.syn0_access.set(row as usize);
-    }
-
-    #[inline]
-    fn add_out_delta(&mut self, row: u32, _delta: &[f32]) {
-        self.syn1_access.set(row as usize);
-    }
 }
 
 /// Pooled per-worker scratch for both SGNS loops.
@@ -234,7 +129,8 @@ impl MinibatchScratch {
 }
 
 /// Trains one sentence with shared-negative minibatches; returns the
-/// number of (positive) pairs stepped, like [`train_sentence`].
+/// number of (positive) pairs stepped, like
+/// [`crate::sgns::train_sentence`].
 ///
 /// Subsampling and window shrinking consume `rng` exactly as the
 /// per-pair loop does; the negative draws differ by construction (one
@@ -249,12 +145,12 @@ pub fn train_sentence_hogbatch<M, S, R>(
     scratch: &mut MinibatchScratch,
 ) -> u64
 where
-    M: BatchRows,
+    M: SgnsStore,
     S: NegativeSampler,
     R: Rng64,
 {
     debug_assert!(ctx.window >= 1);
-    let d = rows.batch_dim();
+    let d = rows.dim();
     keep_subsampled(&mut scratch.pair.kept, sentence, ctx.subsample, rng);
     let mut pairs = 0u64;
     for (i, &center) in scratch.pair.kept.iter().enumerate() {
@@ -288,10 +184,10 @@ where
         if !M::COMPUTE {
             // Inspection: mark the rows the real run will read & write.
             for &t in &scratch.targets {
-                rows.add_out_delta(t, &[]);
+                rows.add(LAYER_SYN1NEG, t, &[]);
             }
             for &w in &scratch.inputs {
-                rows.add_in_delta(w, &[]);
+                rows.add(LAYER_SYN0, w, &[]);
             }
             continue;
         }
@@ -299,11 +195,11 @@ where
         // products it participates in.
         scratch.x.resize(mb * d, 0.0);
         for (r, &w) in scratch.inputs.iter().enumerate() {
-            rows.load_in(w, &mut scratch.x[r * d..(r + 1) * d]);
+            rows.load(LAYER_SYN0, w, &mut scratch.x[r * d..(r + 1) * d]);
         }
         scratch.o.resize(nt * d, 0.0);
         for (j, &t) in scratch.targets.iter().enumerate() {
-            rows.load_out(t, &mut scratch.o[j * d..(j + 1) * d]);
+            rows.load(LAYER_SYN1NEG, t, &mut scratch.o[j * d..(j + 1) * d]);
         }
         // Scores: S[mb×nt] = X·Oᵀ in one GEMM.
         scratch.scores.resize(mb * nt, 0.0);
@@ -354,39 +250,13 @@ where
         // deltas, each computed against the start-of-window gather —
         // the HogBatch staleness contract.
         for (j, &t) in scratch.targets.iter().enumerate() {
-            rows.add_out_delta(t, &scratch.out_delta[j * d..(j + 1) * d]);
+            rows.add(LAYER_SYN1NEG, t, &scratch.out_delta[j * d..(j + 1) * d]);
         }
         for (r, &w) in scratch.inputs.iter().enumerate() {
-            rows.add_in_delta(w, &scratch.in_delta[r * d..(r + 1) * d]);
+            rows.add(LAYER_SYN0, w, &scratch.in_delta[r * d..(r + 1) * d]);
         }
     }
     pairs
-}
-
-/// Dispatches one sentence to the configured SGNS inner loop.
-///
-/// The distributed and threaded engines call this at every training and
-/// inspection site so a single `SgnsMode` value switches the whole
-/// engine between loops.
-#[inline]
-pub(crate) fn train_sentence_mode<M, S, R>(
-    mode: SgnsMode,
-    store: &mut M,
-    sentence: &[u32],
-    alpha: f32,
-    ctx: &TrainContext<'_, S>,
-    rng: &mut R,
-    scratch: &mut MinibatchScratch,
-) -> u64
-where
-    M: SgnsStore + BatchRows,
-    S: NegativeSampler,
-    R: Rng64,
-{
-    match mode {
-        SgnsMode::PerPair => train_sentence(store, sentence, alpha, ctx, rng, &mut scratch.pair),
-        SgnsMode::HogBatch => train_sentence_hogbatch(store, sentence, alpha, ctx, rng, scratch),
-    }
 }
 
 /// Multi-threaded shared-memory HogBatch trainer.
@@ -438,6 +308,8 @@ impl HogBatchTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::Sampler;
+    use crate::sgns::{train_sentence, PlainStore, RecordingStore, ReplicaStore};
     use crate::trainer_shared::clustered_corpus;
     use gw2v_corpus::subsample::SubsampleTable;
     use gw2v_corpus::unigram::AliasSampler;
@@ -681,7 +553,14 @@ mod tests {
     fn mode_dispatch_routes_both_loops() {
         let fx = Fixture::new(10);
         let sentence: Vec<u32> = vec![1, 2, 3, 4, 5];
-        let ctx = fx.ctx(2, 3);
+        let sampler = Sampler::Alias(fx.sampler.clone());
+        let ctx = TrainContext {
+            window: 2,
+            negative: 3,
+            sigmoid: &fx.sigmoid,
+            sampler: &sampler,
+            subsample: &fx.subsample,
+        };
         let run = |mode: SgnsMode| {
             let mut model = Word2VecModel::init(10, 8, 4);
             let mut rng = Xoshiro256::new(17);
@@ -690,15 +569,8 @@ mod tests {
                 syn0: &mut model.syn0,
                 syn1neg: &mut model.syn1neg,
             };
-            let pairs = train_sentence_mode(
-                mode,
-                &mut store,
-                &sentence,
-                0.025,
-                &ctx,
-                &mut rng,
-                &mut scratch,
-            );
+            let step = Step::from(mode);
+            let pairs = step.apply(&mut store, &sentence, 0.025, &ctx, &mut rng, &mut scratch);
             (model, pairs, scratch.take_stats().0)
         };
         let (m_pp, p_pp, mb_pp) = run(SgnsMode::PerPair);

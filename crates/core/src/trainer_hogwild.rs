@@ -22,7 +22,6 @@
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
 use crate::sgns::{SgnsStore, LAYER_SYN0, LAYER_SYN1NEG};
-use crate::trainer_hogbatch::BatchRows;
 use crate::trainer_shared::{Preset, Step};
 use gw2v_corpus::shard::Corpus;
 use gw2v_corpus::vocab::Vocabulary;
@@ -119,14 +118,6 @@ impl<'a> AtomicStore<'a> {
             target: vec![0.0; model.dim],
         }
     }
-
-    /// `layer[row] += delta`: read, `add_assign`, write.
-    #[inline]
-    fn add(&mut self, layer: usize, row: u32, delta: &[f32]) {
-        self.model.read(layer, row as usize, &mut self.staged);
-        fvec::add_assign(&mut self.staged, delta);
-        self.model.write(layer, row as usize, &self.staged);
-    }
 }
 
 impl SgnsStore for AtomicStore<'_> {
@@ -166,35 +157,16 @@ impl SgnsStore for AtomicStore<'_> {
     }
 
     #[inline]
-    fn add_in(&mut self, win: u32, buf: &[f32]) {
-        self.add(LAYER_SYN0, win, buf);
-    }
-}
-
-impl BatchRows for AtomicStore<'_> {
-    #[inline]
-    fn batch_dim(&self) -> usize {
-        self.model.dim
+    fn load(&self, layer: usize, row: u32, out: &mut [f32]) {
+        self.model.read(layer, row as usize, out);
     }
 
+    /// Read, `add_assign`, write.
     #[inline]
-    fn load_in(&self, row: u32, out: &mut [f32]) {
-        self.model.read(LAYER_SYN0, row as usize, out);
-    }
-
-    #[inline]
-    fn load_out(&self, row: u32, out: &mut [f32]) {
-        self.model.read(LAYER_SYN1NEG, row as usize, out);
-    }
-
-    #[inline]
-    fn add_in_delta(&mut self, row: u32, delta: &[f32]) {
-        self.add(LAYER_SYN0, row, delta);
-    }
-
-    #[inline]
-    fn add_out_delta(&mut self, row: u32, delta: &[f32]) {
-        self.add(LAYER_SYN1NEG, row, delta);
+    fn add(&mut self, layer: usize, row: u32, delta: &[f32]) {
+        self.model.read(layer, row as usize, &mut self.staged);
+        fvec::add_assign(&mut self.staged, delta);
+        self.model.write(layer, row as usize, &self.staged);
     }
 }
 

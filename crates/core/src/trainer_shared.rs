@@ -24,7 +24,7 @@ use crate::schedule::LrSchedule;
 use crate::setup::{Sampler, TrainSetup, HOST_RNG_BASE};
 use crate::sgns::{train_sentence, PlainStore, SgnsStore, TrainContext};
 use crate::trainer_batched::train_sentence_pairs_first;
-use crate::trainer_hogbatch::{train_sentence_hogbatch, BatchRows, MinibatchScratch};
+use crate::trainer_hogbatch::{train_sentence_hogbatch, MinibatchScratch, SgnsMode};
 use crate::trainer_hogwild::{AtomicModel, AtomicStore};
 use gw2v_corpus::shard::{Corpus, CorpusShard};
 use gw2v_corpus::vocab::Vocabulary;
@@ -32,7 +32,8 @@ use gw2v_util::rng::{SplitMix64, Xoshiro256};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// What a worker does to one sentence.
+/// What a worker or a host does to one sentence: the one sentence
+/// dispatcher of the shared-memory trainers and both cluster engines.
 #[derive(Clone, Copy)]
 pub(crate) enum Step {
     /// [`train_sentence`]: the sequential and Hogwild trainers.
@@ -43,9 +44,19 @@ pub(crate) enum Step {
     HogBatch,
 }
 
+/// The cluster engines' `--sgns` loop.
+impl From<SgnsMode> for Step {
+    fn from(mode: SgnsMode) -> Self {
+        match mode {
+            SgnsMode::PerPair => Self::PerPair,
+            SgnsMode::HogBatch => Self::HogBatch,
+        }
+    }
+}
+
 impl Step {
-    /// Trains one sentence through a worker's store; returns its pairs.
-    fn apply<M: SgnsStore + BatchRows>(
+    /// Trains one sentence through `store`; returns its pairs.
+    pub(crate) fn apply<M: SgnsStore>(
         self,
         store: &mut M,
         words: &[u32],
@@ -68,7 +79,7 @@ type Worker<'c> = (CorpusShard<'c>, Xoshiro256, MinibatchScratch);
 /// Where the model lives while the workers train it.
 pub(crate) trait Backing: Sized {
     /// One worker's view of the model.
-    type Store<'a>: Send + SgnsStore + BatchRows
+    type Store<'a>: Send + SgnsStore
     where
         Self: 'a;
     /// Takes over the freshly initialised model.
@@ -321,10 +332,10 @@ mod tests {
     use crate::trainer_hogbatch::HogBatchTrainer;
     use crate::trainer_hogwild::HogwildTrainer;
 
-    /// The atomic store against `PlainStore`, one side at a time: the loop
-    /// forced onto an `AtomicModel` with its one worker reproduces the
-    /// one-thread trainers, which step a plain model, bit for bit (vector
-    /// body only / body + scalar tail).
+    /// The atomic store against `PlainStore`, one SGNS loop at a time:
+    /// the loop forced onto an `AtomicModel` with its one worker
+    /// reproduces the one-thread trainers, which step a plain model, bit
+    /// for bit (vector body only / body + scalar tail).
     #[test]
     fn plain_backing_matches_one_thread_atomic_trainers_bitwise() {
         let (corpus, vocab) = clustered_corpus();
@@ -347,11 +358,11 @@ mod tests {
                 preset.train::<AtomicModel>(workers, &corpus, &vocab, |_, _| {})
             };
             let hogbatch = HogBatchTrainer::new(params.clone(), 1).train(&corpus, &vocab);
-            let batch_rows = atomic("hogbatch", Step::HogBatch);
-            assert_eq!(batch_rows, hogbatch, "BatchRows side, dim {dim}");
+            let atomic_hogbatch = atomic("hogbatch", Step::HogBatch);
+            assert_eq!(atomic_hogbatch, hogbatch, "HogBatch loop, dim {dim}");
             let hogwild = HogwildTrainer::new(params.clone(), 1).train(&corpus, &vocab);
-            let sgns_store = atomic("hogwild", Step::PerPair);
-            assert_eq!(sgns_store, hogwild, "SgnsStore side, dim {dim}");
+            let atomic_hogwild = atomic("hogwild", Step::PerPair);
+            assert_eq!(atomic_hogwild, hogwild, "per-pair loop, dim {dim}");
             assert_ne!(hogbatch, hogwild);
         }
     }

@@ -26,7 +26,7 @@
 //!
 //! The module also keeps what both transports share but the protocol
 //! does not define: the per-host scratch ([`SyncScratch`]) and the
-//! canonical-model assembly ([`assemble_canonical_live`]).
+//! canonical-model assembly ([`assemble_canonical_layers`]).
 
 use crate::cost::{nak_backoff_secs, CostModel};
 use crate::liveness::Liveness;
@@ -437,16 +437,28 @@ pub fn assemble_canonical(replicas: &[ModelReplica]) -> Vec<FlatMatrix> {
 /// [`assemble_canonical`] under a liveness view: rows mastered by dead
 /// hosts are read from their adopters' replicas instead.
 pub fn assemble_canonical_live(replicas: &[ModelReplica], live: &Liveness) -> Vec<FlatMatrix> {
-    let n_hosts = replicas.len();
-    let n_nodes = replicas[0].n_nodes();
-    (0..replicas[0].n_layers())
+    assemble_canonical_layers(live, |h| &replicas[h].layers)
+}
+
+/// The canonical layers of the hosts of `live`, host `h` holding
+/// `layers(h)`: each node's row from its effective master. Replicas and
+/// checkpoints both assemble through here, so a served checkpoint holds
+/// the trainer's model bit for bit.
+pub fn assemble_canonical_layers<'a>(
+    live: &Liveness,
+    layers: impl Fn(usize) -> &'a [FlatMatrix],
+) -> Vec<FlatMatrix> {
+    let first = layers(0);
+    let n_nodes = first[0].rows();
+    let owners: Vec<usize> = (0..n_nodes as u32)
+        .map(|node| live.effective_master(master_host(n_nodes, live.n_hosts(), node)))
+        .collect();
+    (0..first.len())
         .map(|layer| {
-            let dim = replicas[0].layers[layer].dim();
-            let mut m = FlatMatrix::zeros(n_nodes, dim);
-            for node in 0..n_nodes as u32 {
-                let owner = live.effective_master(master_host(n_nodes, n_hosts, node));
-                m.row_mut(node as usize)
-                    .copy_from_slice(replicas[owner].row(layer, node));
+            let mut m = FlatMatrix::zeros(n_nodes, first[layer].dim());
+            for (node, &owner) in owners.iter().enumerate() {
+                m.row_mut(node)
+                    .copy_from_slice(layers(owner)[layer].row(node));
             }
             m
         })

@@ -12,7 +12,7 @@
 //!    host. The canonical model assigns each node the row held by its
 //!    master's *effective* host (dead masters are adopted cyclically), so
 //!    [`ShardedStore::from_checkpoint`] replays the liveness map and
-//!    gathers exactly the rows `assemble_canonical_live` would — the
+//!    gathers rows with the trainer's own `assemble_canonical_layers` — the
 //!    stored vectors are bitwise-equal to what the trainer saved.
 //! 2. **Shard**: rows are hash-partitioned into `n_shards` shards, each a
 //!    contiguous [`FlatMatrix`](gw2v_util::fvec::FlatMatrix) so the

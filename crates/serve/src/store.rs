@@ -4,12 +4,12 @@
 //!
 //! A GW2VCKP1 file stores *per-host replicas* — under the sparse sync
 //! plans these are not identical, and only each node's master row is
-//! canonical. [`ShardedStore::from_checkpoint`] therefore mirrors the
-//! trainer's own `assemble_canonical_live`: it rebuilds the liveness map
-//! from the checkpoint's `alive` vector and, for every node, copies the
-//! `syn0` row held by `effective_master(master_host(node))`. The gathered
-//! rows are **bitwise-equal** to the model the trainer would have saved
-//! from the same checkpoint — pinned by `tests/serve.rs`.
+//! canonical. [`ShardedStore::from_checkpoint`] therefore runs the
+//! trainer's own assembly (`assemble_canonical_layers`) under the
+//! checkpoint's liveness map: for every node, the `syn0` row held by
+//! `effective_master(master_host(node))`. The gathered rows are
+//! **bitwise-equal** to the model the trainer would have saved from the
+//! same checkpoint — pinned by `tests/serve.rs`.
 //!
 //! # Shard layout and the SIMD contract
 //!
@@ -30,8 +30,7 @@
 //! statement of the layout and of why the bound holds.
 
 use gw2v_core::checkpoint::{Checkpoint, CheckpointError};
-use gw2v_gluon::liveness::Liveness;
-use gw2v_graph::partition::master_host;
+use gw2v_gluon::sync::assemble_canonical_layers;
 use gw2v_util::fvec::FlatMatrix;
 use gw2v_util::simd::{kernels, scalar};
 use std::fmt;
@@ -86,47 +85,6 @@ impl From<CheckpointError> for ServeError {
     fn from(e: CheckpointError) -> Self {
         ServeError::Checkpoint(e)
     }
-}
-
-/// Assembles the canonical layers of a checkpoint: for each node, the row
-/// held by the effective master of its owning host (dead masters resolve
-/// to their cyclic adopters, exactly as the trainer's end-of-run assembly
-/// does).
-pub(crate) fn canonical_layers(ckpt: &Checkpoint) -> Result<Vec<FlatMatrix>, ServeError> {
-    let n_hosts = ckpt.layers.len();
-    if n_hosts == 0 || ckpt.layers[0].is_empty() {
-        return Err(ServeError::EmptyModel);
-    }
-    if !ckpt.alive.iter().any(|&a| a) {
-        return Err(ServeError::NoHostsAlive);
-    }
-    let mut live = Liveness::all(n_hosts);
-    for (h, &alive) in ckpt.alive.iter().enumerate() {
-        if !alive {
-            live.mark_dead(h);
-        }
-    }
-    let n_layers = ckpt.layers[0].len();
-    let n_nodes = ckpt.layers[0][0].rows();
-    let dim = ckpt.layers[0][0].dim();
-    if n_nodes == 0 || dim == 0 {
-        return Err(ServeError::EmptyModel);
-    }
-    // Masters are assigned per node; resolve each node's effective owner
-    // once and reuse it for every layer.
-    let owners: Vec<usize> = (0..n_nodes as u32)
-        .map(|node| live.effective_master(master_host(n_nodes, n_hosts, node)))
-        .collect();
-    Ok((0..n_layers)
-        .map(|layer| {
-            let mut m = FlatMatrix::zeros(n_nodes, dim);
-            for (node, &owner) in owners.iter().enumerate() {
-                m.row_mut(node)
-                    .copy_from_slice(ckpt.layers[owner][layer].row(node));
-            }
-            m
-        })
-        .collect())
 }
 
 /// Small provenance record of the checkpoint a store was loaded from.
@@ -373,9 +331,18 @@ impl ShardedStore {
     }
 
     /// Builds a store from a parsed checkpoint: assembles the canonical
-    /// `syn0` layer (see `canonical_layers`) and shards it.
+    /// layers under the checkpoint's liveness map with the trainer's own
+    /// [`assemble_canonical_layers`] and shards `syn0`.
     pub fn from_checkpoint(ckpt: &Checkpoint, n_shards: usize) -> Result<Self, ServeError> {
-        let layers = canonical_layers(ckpt)?;
+        let first = ckpt.layers.first().and_then(|host| host.first());
+        let syn0 = first.ok_or(ServeError::EmptyModel)?;
+        if !ckpt.alive.contains(&true) {
+            return Err(ServeError::NoHostsAlive);
+        }
+        if syn0.rows() == 0 || syn0.dim() == 0 {
+            return Err(ServeError::EmptyModel);
+        }
+        let layers = assemble_canonical_layers(&ckpt.liveness(), |h| &ckpt.layers[h]);
         Ok(Self::from_matrix(&layers[0], n_shards))
     }
 
