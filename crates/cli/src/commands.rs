@@ -505,8 +505,10 @@ fn fault_plan_from(args: &Args, config: &DistConfig, epochs: usize) -> Result<Fa
 }
 
 /// Why the engines cannot run `plan`, if they cannot: a directive names a
-/// host past `--hosts` (the engines would silently ignore it), or the
-/// crashes leave no host alive at some round (they would abort on it).
+/// host past `--hosts` (the engines would silently ignore it), every
+/// frame between two hosts is dropped or corrupted (they would give up
+/// on the first), or the crashes leave no host alive at some round (they
+/// would abort on it).
 /// The schedule is replayed as the engines replay it, after the degrade
 /// rewrite under `--on-partition degrade`: an epoch's rejoins come before
 /// the crashes of its first round.
@@ -525,6 +527,13 @@ fn unrunnable(plan: &FaultPlan, config: &DistConfig, epochs: usize) -> Option<St
         .chain(grouped.map(|&h| ("partition", h)));
     if let Some((directive, h)) = named.find(|&(_, h)| h >= n) {
         return Some(format!("{directive} names host {h}, but --hosts is {n}"));
+    }
+    // A coin lies in [0, 1), so a probability of 1 hits every attempt.
+    let lossy = [("drop", plan.drop_p), ("flip", plan.flip_p)];
+    if let Some((family, _)) = lossy.iter().find(|&&(_, p)| p >= 1.0 && n >= 2) {
+        return Some(format!(
+            "{family}=1 spoils every frame between the {n} hosts, so none ever arrives"
+        ));
     }
     let plan = match config.on_partition {
         OnPartition::Degrade => plan.degrade_partitions(config.max_stale_rounds, rounds).0,

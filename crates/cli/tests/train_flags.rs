@@ -288,6 +288,8 @@ fn a_fault_plan_the_engines_cannot_run_is_a_typed_error() {
             ("rejoin=7@1", &[], "host 7"),
             ("straggle=9@0x10ms", &[], "host 9"),
             ("partition=0|5@0..1", &[], "host 5"),
+            ("seed=7,drop=1", &[], "drop=1"),
+            ("seed=7,flip=1", &[], "flip=1"),
         ] {
             let what = format!("{trainer} {plan} {policy:?}");
             let flags = [&["--trainer", trainer][..], &TWO_BY_TWO, policy].concat();

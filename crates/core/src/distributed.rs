@@ -220,7 +220,9 @@ impl DistributedTrainer {
     }
 
     /// Trains, invoking `on_epoch(&snapshot, &canonical_model)` after the
-    /// synchronization that closes each epoch.
+    /// synchronization that closes each epoch. Panics with the
+    /// [`ClusterError`]'s text when a receiver gives up on a plan no frame
+    /// survives, as the threaded engine fails.
     pub fn train_with_callback(
         &self,
         corpus: &Corpus,
@@ -249,7 +251,7 @@ impl DistributedTrainer {
             round_span: None,
             pairs_before: 0,
         };
-        run(&env, &mut hosts, &mut sim).expect("the simulator's mailboxes cannot fail");
+        run(&env, &mut hosts, &mut sim).unwrap_or_else(|e| panic!("{e}"));
         let result = env.result(vec![hosts], wall_start);
         if obs_on {
             gw2v_obs::gauge_set("core.compute_s", result.compute_time);
@@ -345,7 +347,7 @@ impl<F: FnMut(&EpochSnapshot, &Word2VecModel)> Engine for Simulator<'_, F> {
             &env.faults,
             g,
             &self.cost,
-        );
+        )?;
         let round_comp = compute.iter().cloned().fold(0.0, f64::max);
         hosts.clock[0] += round_comp;
         hosts.clock[1] += round_comm;

@@ -231,7 +231,10 @@ impl Engine for Thread<'_> {
         }
         self.deposit(hosts.tally());
         self.ctx.barrier_wait();
-        let tallies = hosts.writes().then(|| {
+        // No checkpoint of a failing run: a host that gave up left
+        // without depositing this epoch's tally.
+        let whole = !self.ctx.a_peer_left(&hosts.live);
+        let tallies = (hosts.writes() && whole).then(|| {
             let deposits = self.deposits.lock().expect("deposit lock");
             deposits.iter().flatten().cloned().collect()
         });

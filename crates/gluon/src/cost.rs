@@ -28,7 +28,8 @@ pub(crate) const NAK_BACKOFF_EXP_CAP: u32 = 4;
 
 /// Deterministic exponential NAK backoff with seeded jitter.
 ///
-/// The silence tolerated before NAK round `nak_round` fires:
+/// The silence a receiver's slot NAKed `nak_round` times tolerates
+/// before its next NAK (`crate::inbox`):
 /// `base · 2^min(nak_round, cap) · (1 + ½·jitter)`, where the jitter is
 /// a pure `[0, 1)` hash of `(plan seed, waiter, seq, nak_round)`
 /// ([`FaultPlan::backoff_jitter`]). Attempt-indexed and coordinate-

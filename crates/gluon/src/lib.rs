@@ -54,6 +54,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod cost;
+mod inbox;
 pub mod liveness;
 pub mod plan;
 pub mod replica;

@@ -8,9 +8,10 @@
 //! they are dropped before the next sender encodes, so one host's
 //! outgoing payloads exist at a time. No frames and no wall clock: the
 //! fault plan's attempt chain is drawn for every letter, as the threaded
-//! transport draws it for every frame, counted instead of acted on, and
-//! priced with the round's volume on a [`CostModel`] (docs/WIRE.md §
-//! engine parity says what the two transports may differ in).
+//! transport draws it for every frame, fed to the receiver's inbox — the
+//! one receiver rule of both engines — and priced with the round's
+//! volume on a [`CostModel`] (docs/WIRE.md § engine parity says what the
+//! two transports may differ in).
 //!
 //! Semantics (identical across plans — plans only change which payloads
 //! cross the wire, paper §4.4):
@@ -29,6 +30,7 @@
 //! canonical-model assembly ([`assemble_canonical_layers`]).
 
 use crate::cost::{nak_backoff_secs, CostModel};
+use crate::inbox::Inbox;
 use crate::liveness::Liveness;
 use crate::plan::{AccessSets, SyncConfig};
 use crate::replica::ModelReplica;
@@ -211,6 +213,7 @@ pub fn sync_round(
         &none,
         g,
     )
+    .expect("the inert plan never gives up")
     .0
 }
 
@@ -244,6 +247,8 @@ pub(crate) struct Resends {
 struct Mailboxes<'a> {
     /// The fault plan, `None` when inert.
     faults: Option<&'a FaultPlan>,
+    /// Per receiver, its inbox (none under the inert plan).
+    inboxes: Vec<Inbox<()>>,
     /// Per receiver, the longest NAK backoff it waited out for one
     /// letter of the current phase.
     stall: Vec<f64>,
@@ -251,32 +256,41 @@ struct Mailboxes<'a> {
 }
 
 impl Mailboxes<'_> {
-    /// Draws the threaded transport's chain of attempts for letter `l`
+    /// Feeds the threaded transport's chain of attempts for letter `l`
     /// from `from` in phase `seq` of global round `g`
-    /// ([`FaultPlan::attempt`]) until one is delivered, counting what its
-    /// receiver would detect and recover, the frames that took and the
-    /// NAK backoff (at the transport's default base delay) its receiver
-    /// waited out for the attempts a partition withheld.
-    fn deliver(&mut self, plan: &FaultPlan, g: usize, seq: u64, from: usize, l: &Letter) {
+    /// ([`FaultPlan::attempt`]) to its receiver's inbox until one is
+    /// delivered, on the letter's own clock: a withheld attempt is
+    /// silence until the slot's deadline. Counts the frames that took
+    /// and the NAK backoff (at the transport's default base delay) the
+    /// receiver waited out for the attempts a partition withheld.
+    fn deliver(
+        &mut self,
+        plan: &FaultPlan,
+        g: usize,
+        seq: u64,
+        from: usize,
+        l: &Letter,
+    ) -> Result<(), ClusterError> {
         // A deferred send changes per-channel delivery order, not bytes
         // or time.
         plan.reorder(from, l.to, l.layer, seq);
-        let transport = ClusterConfig::default();
+        let base = ClusterConfig::default().nak_delay.as_secs_f64();
         let frame_len = FRAME_HEADER_BYTES + l.payload.len();
-        let mut wait = 0.0;
+        let inbox = &mut self.inboxes[l.to];
+        let (layer, mut now, mut wait) = (l.layer, 0.0, 0.0);
         self.resends.letters += 1;
-        for attempt in 0..=transport.max_retries {
-            match plan.attempt(from, l.to, l.layer, seq, g, attempt, frame_len) {
+        for attempt in 0.. {
+            match plan.attempt(from, l.to, layer, seq, g, attempt, frame_len) {
                 Attempt::Partitioned => {
-                    let base = transport.nak_delay.as_secs_f64();
                     wait += nak_backoff_secs(plan, base, l.to, seq, attempt);
-                    counters::bump(counters::DETECTED_TIMEOUT);
+                    now = inbox.silence(from, layer)?;
                 }
-                Attempt::Dropped => counters::bump(counters::DETECTED_TIMEOUT),
-                Attempt::Flipped(_) => counters::bump(counters::DETECTED_CORRUPT),
+                Attempt::Dropped => now = inbox.silence(from, layer)?,
+                Attempt::Flipped(_) => inbox.frame(from, layer, seq, None, now)?,
                 Attempt::Delivered { twice } => {
+                    inbox.frame(from, layer, seq, Some(()), now)?;
                     if twice {
-                        counters::bump(counters::RECOVERED_DEDUP);
+                        inbox.frame(from, layer, seq, Some(()), now)?;
                         self.resends.frames += 1;
                     }
                     break;
@@ -287,6 +301,7 @@ impl Mailboxes<'_> {
         }
         let longest = &mut self.stall[l.to];
         *longest = longest.max(wait);
+        Ok(())
     }
 }
 
@@ -303,6 +318,10 @@ impl Transport for Mailboxes<'_> {
         recv: &mut Receives<'_>,
     ) -> Result<(), ClusterError> {
         let hosts = round.hosts();
+        let n_layers = round.replicas[0].n_layers();
+        for inbox in &mut self.inboxes {
+            inbox.open(seq, round.live, n_layers)?;
+        }
         for &from in &hosts {
             let mut outbox = Vec::new();
             send(
@@ -319,7 +338,7 @@ impl Transport for Mailboxes<'_> {
             )?;
             if let Some(plan) = self.faults {
                 for letter in &outbox {
-                    self.deliver(plan, round.g, seq, from, letter);
+                    self.deliver(plan, round.g, seq, from, letter)?;
                 }
             }
             for &to in &hosts {
@@ -354,14 +373,20 @@ pub(crate) fn simulate(
     wire: &mut [WireState],
     faults: &FaultPlan,
     g: usize,
-) -> (RoundVolume, Resends) {
+) -> Result<(RoundVolume, Resends), ClusterError> {
     let n_hosts = replicas.len();
     assert!(n_hosts > 0);
     assert_eq!(live.n_hosts(), n_hosts, "liveness view size mismatch");
     assert_eq!(scratch.len(), n_hosts, "one scratch per host");
     assert_eq!(wire.len(), n_hosts, "one wire state per host");
+    let faults = (!faults.is_inert()).then_some(faults);
+    let inboxes = faults.map_or_else(Vec::new, |plan| {
+        let inbox = |h| Inbox::new(h, plan, ClusterConfig::default());
+        (0..n_hosts).map(inbox).collect()
+    });
     let mut mailboxes = Mailboxes {
-        faults: (!faults.is_inert()).then_some(faults),
+        faults,
+        inboxes,
         stall: vec![0.0; n_hosts],
         resends: Resends::default(),
     };
@@ -377,9 +402,8 @@ pub(crate) fn simulate(
         stats,
         volume: RoundVolume::new(n_hosts),
     };
-    drive(&mut mailboxes, &mut round)
-        .expect("in-process posts cannot fail and every payload was built by its sender");
-    (round.volume, mailboxes.resends)
+    drive(&mut mailboxes, &mut round)?;
+    Ok((round.volume, mailboxes.resends))
 }
 
 /// What a simulated round costs on `cost`'s fabric: its volume, plus
@@ -404,7 +428,9 @@ fn price(cost: &CostModel, volume: &RoundVolume, resends: &Resends) -> f64 {
 /// their adopters reconcile their master blocks
 /// ([`Liveness::effective_master`]). Each letter draws the threaded
 /// transport's attempt chain under `faults` ([`FaultPlan::attempt`])
-/// and is counted, but always arrives whole, so no plan moves a bit.
+/// into its receiver's inbox: it arrives whole, so no plan moves a bit,
+/// or the inbox gives up on it with [`ClusterError::RetriesExhausted`]
+/// where the threaded engine would.
 ///
 /// `stats` accumulates every host's sends. Returns the round's per-host
 /// sent and received bytes and its modeled seconds on `cost`'s fabric:
@@ -422,10 +448,10 @@ pub fn sync_round_degraded(
     faults: &FaultPlan,
     g: usize,
     cost: &CostModel,
-) -> (RoundVolume, f64) {
-    let (volume, resends) = simulate(replicas, cfg, access, stats, scratch, live, wire, faults, g);
+) -> Result<(RoundVolume, f64), ClusterError> {
+    let (volume, resends) = simulate(replicas, cfg, access, stats, scratch, live, wire, faults, g)?;
     let secs = price(cost, &volume, &resends);
-    (volume, secs)
+    Ok((volume, secs))
 }
 
 /// Assembles the canonical model (each node's master row) into a fresh
@@ -796,7 +822,8 @@ mod tests {
                     &FaultPlan::none(),
                     round,
                     &CostModel::infiniband_56g(),
-                );
+                )
+                .unwrap();
                 let v2 = sync_round(&mut fresh_reps, &cfg, None, &mut s2);
                 assert_eq!(
                     v1.total_bytes(),
@@ -840,7 +867,8 @@ mod tests {
             &FaultPlan::none(),
             0,
             &CostModel::infiniband_56g(),
-        );
+        )
+        .unwrap();
         assert_eq!(reps[2].row(0, 5)[0], base + 3.0, "adopter holds canonical");
         assert_eq!(reps[0].row(0, 5)[0], base + 3.0, "survivor mirrors it");
         assert_eq!(reps[1].layers, dead_before, "dead replica stays frozen");
@@ -884,6 +912,7 @@ mod tests {
             &FaultPlan::parse(spec).unwrap(),
             round,
         )
+        .unwrap()
         .1
     }
 
@@ -938,6 +967,34 @@ mod tests {
         // A phase's two NAK windows last 3·base to 4.5·base: two phases
         // alone stay under 9·base.
         assert!(r.backoff_secs >= 9.0 * base, "{}", r.backoff_secs);
+    }
+
+    #[test]
+    fn a_plan_under_which_no_frame_arrives_gives_up() {
+        // Host 1's first slot, host 0's layer 0, fails all its
+        // `max_retries + 1` attempts: the threaded engine's verdict.
+        for spec in ["seed=7,drop=1", "seed=7,flip=1"] {
+            let mut reps = make_replicas(2, 4, 1);
+            reps[0].row_mut(0, 3)[0] += 1.0;
+            let got = sync_round_degraded(
+                &mut reps,
+                &cfg(SyncPlan::RepModelOpt, CombinerKind::Sum),
+                None,
+                &mut CommStats::default(),
+                &mut [SyncScratch::new(), SyncScratch::new()],
+                &Liveness::all(2),
+                &mut [WireState::Classic, WireState::Classic],
+                &FaultPlan::parse(spec).unwrap(),
+                0,
+                &CostModel::infiniband_56g(),
+            );
+            let starved = ClusterError::RetriesExhausted {
+                host: 1,
+                peer: 0,
+                layer: 0,
+            };
+            assert_eq!(got.map(drop), Err(starved), "{spec}");
+        }
     }
 
     #[test]

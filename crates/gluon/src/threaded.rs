@@ -22,13 +22,17 @@
 //!   driver sets from the global round ([`phases_per_round`]);
 //! * senders buffer a phase's payloads until its closing barrier, so a
 //!   receiver still missing a `(sender, layer)` slot can NAK it;
-//! * receivers NAK on CRC failure at once and on silence after a window
-//!   that grows per NAK round by deterministic exponential backoff with
-//!   seeded jitter (`crate::cost::nak_backoff_secs`, base
-//!   [`ClusterConfig::nak_delay`]), up to [`ClusterConfig::max_retries`];
-//! * duplicates (a resend racing the original, or the `dup` injector)
-//!   are deduped by `(sender, layer)` under `faults.recovered.dedup`;
-//!   resent bytes are identical, so either copy folds the same bits;
+//! * a receiver files every frame in its inbox — `inbox.rs`, the one
+//!   receiver rule, which the simulator drives too — and posts the NAKs
+//!   it decides: a corrupt frame's at once, a silent slot's after a
+//!   window that backs off per NAK from [`ClusterConfig::nak_delay`].
+//!   Every NAK of a `(sender, layer)` slot counts against
+//!   [`ClusterConfig::max_retries`]; a receiver that gives up leaves the
+//!   cluster, so no peer waits for it at a barrier. The inbox's clock is
+//!   the seconds since the phase's collect began. It counts duplicates
+//!   (a resend racing the original, or the `dup` injector) under
+//!   `faults.recovered.dedup`; resent bytes are identical, so either
+//!   copy folds the same bits;
 //! * `reorder` defers chosen sends to the end of their phase's send
 //!   sequence; receivers fold in host-id order, so bits do not move;
 //! * a stall-mode `partition` withholds cross-group frames of the rounds
@@ -56,6 +60,7 @@
 //! `STATE_TRANSFER_SEQ`, outside the phase numbering and the fault
 //! injector (state transfer models a reliable bulk channel).
 
+use crate::inbox::Inbox;
 use crate::liveness::{Liveness, SharedLiveness};
 use crate::plan::{AccessSets, SyncConfig, SyncPlan};
 use crate::replica::ModelReplica;
@@ -72,14 +77,10 @@ use gw2v_faults::{counters, Attempt, FaultPlan};
 use gw2v_obs::trace::Span;
 use gw2v_util::fvec::FlatMatrix;
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Verified payloads collected for one sync phase, keyed by
-/// `(sender host, layer)`; the `bool` is the sender's `value_only` tag.
-type PhasePayloads = HashMap<(usize, usize), (Bytes, bool)>;
 
 /// A cluster-fabric failure surfaced to the caller instead of a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +98,8 @@ pub enum ClusterError {
         /// The host whose channel died.
         host: usize,
     },
-    /// `host` gave up waiting for `(peer, layer)` after
-    /// [`ClusterConfig::max_retries`] NAK rounds went unanswered.
+    /// `host` gave up on `(peer, layer)`: the NAK after
+    /// [`ClusterConfig::max_retries`] NAKs of it was due.
     RetriesExhausted {
         /// The starved receiver.
         host: usize,
@@ -174,9 +175,11 @@ impl std::error::Error for ClusterError {}
 pub struct ClusterConfig {
     /// Receive-poll granularity inside collect loops and barrier waits.
     pub tick: Duration,
-    /// Silence (no progress) tolerated before NAKing missing payloads.
+    /// Silence (no progress) tolerated before a missing payload's first
+    /// NAK; the window grows per NAK.
     pub nak_delay: Duration,
-    /// NAK rounds per phase before a receiver errors out with
+    /// NAKs per `(peer, layer)` slot and phase, for silence or
+    /// corruption, before a receiver gives up with
     /// [`ClusterError::RetriesExhausted`].
     pub max_retries: u32,
     /// Barrier wait beyond this duration counts one
@@ -396,8 +399,9 @@ pub struct HostCtx {
     /// order, i.e. shuffled relative to the canonical send sequence) at
     /// the start of this host's next collect.
     deferred: RefCell<Vec<(usize, usize, Bytes, bool)>>,
-    /// Stash for frames from a future phase (drained at next collect).
-    pending: RefCell<VecDeque<Message>>,
+    /// This phase's receiving side, on a clock started at `phase_start`.
+    inbox: RefCell<Inbox<(Bytes, bool)>>,
+    phase_start: Cell<Instant>,
     /// Dead hosts this ctx has already counted under `faults.detected.crash`.
     crash_noted: RefCell<Vec<bool>>,
 }
@@ -434,6 +438,12 @@ impl HostCtx {
             noted[dead] = true;
             counters::bump(counters::DETECTED_CRASH);
         }
+    }
+
+    /// Whether a host the shared view `live` holds alive has left the
+    /// liveness registry: it gave up on a slot, and the run is failing.
+    pub fn a_peer_left(&self, live: &Liveness) -> bool {
+        (0..self.n_hosts).any(|h| live.is_alive(h) && !self.state.live.is_alive(h))
     }
 
     /// Sends `msg` to `to`, tolerating channels of dead hosts.
@@ -572,38 +582,45 @@ impl HostCtx {
         self.send_data(to, layer, &payload, value_only, attempt)
     }
 
-    /// Drains whatever is queued without blocking: serves NAKs, stashes
-    /// future-phase data, drops current-phase duplicates. Runs from
-    /// barrier waits, where this host's collect is already complete.
-    fn drain_for_naks(&self) {
-        while let Ok(msg) = self.receiver.try_recv() {
-            match msg.kind {
-                MsgKind::Nak => {
-                    // A send failure here means a peer thread vanished
-                    // without flagging liveness; its own collect will
-                    // surface the error (or its panic fails the join).
-                    let _ = self.serve_nak(msg.from, msg.layer, msg.seq);
-                }
-                MsgKind::Data { .. } => {
-                    if msg.seq > self.seq.get() {
-                        self.pending.borrow_mut().push_back(msg);
-                    }
-                }
-            }
+    /// Seconds since the current phase's collect began: the inbox's clock.
+    fn now(&self) -> f64 {
+        self.phase_start.get().elapsed().as_secs_f64()
+    }
+
+    /// Opens a data frame and files it in `inbox`.
+    fn file(&self, inbox: &mut Inbox<(Bytes, bool)>, msg: Message) -> Result<(), ClusterError> {
+        let body = open_frame(&msg.payload).ok().map(|p| (p, msg.value_only));
+        inbox.frame(msg.from, msg.layer, msg.seq, body, self.now())
+    }
+
+    /// One message off the channel: a NAK is served, a data frame filed.
+    fn handle(&self, inbox: &mut Inbox<(Bytes, bool)>, msg: Message) -> Result<(), ClusterError> {
+        match msg.kind {
+            MsgKind::Nak => self.serve_nak(msg.from, msg.layer, msg.seq),
+            MsgKind::Data { .. } => self.file(inbox, msg),
         }
     }
 
-    /// Receives one payload per `(alive peer, layer)` slot for the
-    /// current phase, NAKing corrupt or missing deliveries until the set
-    /// completes or retries exhaust. Each entry carries the sender's
-    /// `value_only` tag alongside the verified payload.
-    fn collect_phase(
-        &self,
-        live: &Liveness,
-        n_layers: usize,
-    ) -> Result<PhasePayloads, ClusterError> {
-        let seq = self.seq.get();
-        let cfg = self.state.config;
+    /// Drains whatever is queued without blocking: serves NAKs and files
+    /// data frames. Runs from barrier waits, where this host's collect is
+    /// already complete: a frame is a copy or a later phase's, so the
+    /// inbox decides no NAK.
+    fn drain_for_naks(&self) {
+        let mut inbox = self.inbox.borrow_mut();
+        while let Ok(msg) = self.receiver.try_recv() {
+            // A send failure here means a peer thread vanished without
+            // flagging liveness; its own collect will surface the error
+            // (or its panic fails the join).
+            let _ = self.handle(&mut inbox, msg);
+        }
+    }
+
+    /// Fills the inbox with one payload per `(alive peer, layer)` slot of
+    /// the current phase, serving NAKs and posting the inbox's, until the
+    /// phase is complete or a slot gives up. A host that gives up leaves
+    /// first: a peer waiting for it at a barrier goes on, and gives up in
+    /// turn on the slot this host no longer fills.
+    fn collect_phase(&self, live: &Liveness, n_layers: usize) -> Result<(), ClusterError> {
         // Flush reorder-deferred sends now, after every in-order send of
         // the phase has gone out: per-channel delivery order is shuffled
         // relative to the canonical send sequence, but every frame still
@@ -615,116 +632,32 @@ impl HostCtx {
         for (to, layer, payload, value_only) in deferred {
             self.send_data(to, layer, &payload, value_only, 0)?;
         }
-        let expected: Vec<(usize, usize)> = (0..self.n_hosts)
-            .filter(|&h| h != self.host && live.is_alive(h))
-            .flat_map(|h| (0..n_layers).map(move |l| (h, l)))
-            .collect();
-        let mut got: HashMap<(usize, usize), (Bytes, bool)> =
-            HashMap::with_capacity(expected.len());
-
-        let handle = |msg: Message,
-                      got: &mut HashMap<(usize, usize), (Bytes, bool)>|
-         -> Result<bool, ClusterError> {
-            match msg.kind {
-                MsgKind::Nak => {
-                    self.serve_nak(msg.from, msg.layer, msg.seq)?;
-                    Ok(false)
+        self.phase_start.set(Instant::now());
+        let inbox = &mut *self.inbox.borrow_mut();
+        let mut collect = || {
+            inbox.open(self.seq.get(), live, n_layers)?;
+            loop {
+                for (peer, layer) in inbox.naks() {
+                    self.nak(peer, layer)?;
                 }
-                MsgKind::Data { .. } => {
-                    let key = (msg.from, msg.layer);
-                    if got.contains_key(&key) {
-                        // Duplicate delivery (dup injection or a resend
-                        // racing its NAK) — the slot is filled, discard.
-                        counters::bump(counters::RECOVERED_DEDUP);
-                        return Ok(false);
-                    }
-                    if !live.is_alive(msg.from) {
-                        return Ok(false); // routed-around host
-                    }
-                    match open_frame(&msg.payload) {
-                        Ok(payload) => {
-                            got.insert(key, (payload, msg.value_only));
-                            Ok(true)
-                        }
-                        Err(_) => {
-                            counters::bump(counters::DETECTED_CORRUPT);
-                            self.nak(msg.from, msg.layer)?;
-                            Ok(false)
-                        }
+                if inbox.complete() {
+                    return Ok(());
+                }
+                match self.receiver.recv_timeout(self.state.config.tick) {
+                    Ok(msg) => self.handle(inbox, msg)?,
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => {
+                        return Err(ClusterError::RecvFailed { host: self.host })
                     }
                 }
+                inbox.expire(self.now())?;
             }
         };
-
-        // Frames stashed by an earlier barrier drain may belong to this
-        // phase now.
-        let stashed: Vec<Message> = self.pending.borrow_mut().drain(..).collect();
-        for msg in stashed {
-            if msg.seq == seq {
-                handle(msg, &mut got)?;
-            } else if msg.seq > seq {
-                self.pending.borrow_mut().push_back(msg);
-            }
+        let collected = collect();
+        if let Err(ClusterError::RetriesExhausted { .. }) = collected {
+            self.resign();
         }
-
-        let mut last_progress = Instant::now();
-        let mut nak_rounds = 0u32;
-        while got.len() < expected.len() {
-            match self.receiver.recv_timeout(cfg.tick) {
-                Ok(msg) => {
-                    if msg.seq > seq {
-                        self.pending.borrow_mut().push_back(msg);
-                        continue;
-                    }
-                    if msg.seq < seq {
-                        continue; // stale duplicate or stale NAK
-                    }
-                    if handle(msg, &mut got)? {
-                        last_progress = Instant::now();
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(ClusterError::RecvFailed { host: self.host })
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Adaptive cadence: NAK round k fires only after a
-                    // deterministic exponential-with-jitter silence
-                    // window ([`crate::cost::nak_backoff_secs`]), so
-                    // retry load spreads instead of synchronizing.
-                    let wait = crate::cost::nak_backoff_secs(
-                        &self.state.plan,
-                        cfg.nak_delay.as_secs_f64(),
-                        self.host,
-                        seq,
-                        nak_rounds,
-                    );
-                    if last_progress.elapsed() < Duration::from_secs_f64(wait) {
-                        continue;
-                    }
-                    let missing: Vec<(usize, usize)> = expected
-                        .iter()
-                        .filter(|k| !got.contains_key(k))
-                        .copied()
-                        .collect();
-                    nak_rounds += 1;
-                    if nak_rounds > cfg.max_retries {
-                        let (peer, layer) = missing[0];
-                        return Err(ClusterError::RetriesExhausted {
-                            host: self.host,
-                            peer,
-                            layer,
-                        });
-                    }
-                    counters::bump(counters::DETECTED_TIMEOUT);
-                    gw2v_obs::observe("gluon.nak_backoff_ms", (wait * 1e3) as u64);
-                    for (peer, layer) in missing {
-                        self.nak(peer, layer)?;
-                    }
-                    last_progress = Instant::now();
-                }
-            }
-        }
-        Ok(got)
+        collected
     }
 
     /// Blocks until all registered-alive hosts reach the same point,
@@ -788,8 +721,8 @@ impl HostCtx {
 
     /// Blocks until the next state-transfer frame from `from` arrives and
     /// returns `(tag, payload)`. Protocol messages that arrive in the
-    /// meantime are stashed for the next `collect_phase` (Data) or
-    /// dropped (NAKs — the peer re-NAKs until served). State frames come
+    /// meantime are filed in the inbox (Data) or dropped (NAKs — the
+    /// peer re-NAKs until served). State frames come
     /// from a single sender over a FIFO channel, so callers may rely on
     /// their send order. State frames bypass the fault injector, so one
     /// that fails to open is [`ClusterError::BadPayload`]: resending
@@ -809,7 +742,7 @@ impl HostCtx {
                     .map_err(|source| self.bad_state(from, msg.layer, source));
             }
             if let MsgKind::Data { .. } = msg.kind {
-                self.pending.borrow_mut().push_back(msg);
+                self.file(&mut self.inbox.borrow_mut(), msg)?;
             }
         }
     }
@@ -962,7 +895,8 @@ where
                 round: Cell::new(0),
                 resend: RefCell::new(HashMap::new()),
                 deferred: RefCell::new(Vec::new()),
-                pending: RefCell::new(VecDeque::new()),
+                inbox: RefCell::new(Inbox::new(host, &state.plan, config)),
+                phase_start: Cell::new(Instant::now()),
                 crash_noted: RefCell::new(vec![false; n_hosts]),
             };
             handles.push(scope.spawn(move || f(ctx)));
@@ -1027,13 +961,16 @@ impl Transport for &HostCtx {
             &mut |to, layer, payload, value_only| ctx.ship(to, layer, payload, value_only),
         )?;
         let n_layers = round.replicas[0].n_layers();
-        let incoming = ctx.collect_phase(round.live, n_layers)?;
+        ctx.collect_phase(round.live, n_layers)?;
+        let mut inbox = ctx.inbox.borrow_mut();
         for from in (0..ctx.n_hosts).filter(|&h| round.live.is_alive(h)) {
-            let got = |layer| incoming.get(&(from, layer)).map(|(p, v)| (layer, p, *v));
+            let got: Vec<_> = (0..n_layers)
+                .filter_map(|layer| Some((layer, inbox.take(from, layer)?)))
+                .collect();
             recv(
                 &mut round.host(ctx.host),
                 from,
-                &mut (0..n_layers).filter_map(got),
+                &mut got.iter().map(|(layer, (p, v))| (*layer, p, *v)),
             )?;
         }
         Ok(())
@@ -1345,20 +1282,22 @@ mod tests {
 
     #[test]
     fn barrier_releases_without_dead_host() {
-        // One host dies before ever reaching the barrier; the others'
-        // barrier must release on the reduced alive count instead of
-        // hanging.
+        // One host dies once the others wait at the barrier, without ever
+        // reaching it: its death must release them on the reduced alive
+        // count instead of hanging. Their tick outlasts the test, so the
+        // release is the dying host's poke.
         let done = run_cluster_with(
             3,
             FaultPlan::none(),
             ClusterConfig {
-                tick: Duration::from_millis(1),
-                barrier_timeout: Duration::from_millis(5),
+                tick: Duration::from_secs(3600),
                 ..ClusterConfig::default()
             },
             |ctx| {
                 if ctx.host == 2 {
-                    std::thread::sleep(Duration::from_millis(20));
+                    while ctx.state.barrier.lock.lock().unwrap().arrived < 2 {
+                        std::thread::yield_now();
+                    }
                     ctx.mark_self_dead();
                     return false;
                 }
@@ -1367,6 +1306,97 @@ mod tests {
             },
         );
         assert_eq!(done, vec![true, true, false]);
+    }
+
+    /// Whether `result` is `host`'s give-up on its one peer of two.
+    fn gave_up_on_peer(host: usize, result: &Result<(), ClusterError>) -> bool {
+        let Err(ClusterError::RetriesExhausted { host: h, peer, .. }) = *result else {
+            return false;
+        };
+        (h, peer) == (host, 1 - host)
+    }
+
+    #[test]
+    fn a_plan_that_corrupts_every_frame_gives_up() {
+        // Every attempt of every frame fails its CRC. Each NAK counts
+        // against the slot's budget, so a receiver gives up at its fourth
+        // corrupt copy instead of trading NAKs and resends forever. It
+        // leaves, so its peer gives up too, on silence if not corruption.
+        let faults = FaultPlan::parse("seed=7,flip=1").unwrap();
+        let config = ClusterConfig {
+            nak_delay: Duration::from_millis(5),
+            max_retries: 3,
+            ..ClusterConfig::default()
+        };
+        let got = run_cluster_with(2, faults, config, |ctx| {
+            let mut replica = fresh_replica(6, 2, 3);
+            apply_workload(&mut replica, ctx.host, 0, 6);
+            let cfg = SyncConfig::default();
+            let result = sync_round_threaded(&ctx, &mut replica, &cfg, &mut CommStats::default());
+            let resends = ctx.resend.borrow().values().map(|s| s.attempts).max();
+            (result, resends.unwrap_or(0))
+        });
+        for (host, (result, resends)) in got.iter().enumerate() {
+            assert!(gave_up_on_peer(host, result), "host {host}: {result:?}");
+            assert!(
+                *resends <= 3,
+                "host {host} resent one frame {resends} times"
+            );
+        }
+    }
+
+    #[test]
+    fn a_host_that_gives_up_leaves_and_strands_no_peer() {
+        // With one retry, a slot gives up when both of its attempts fail
+        // their CRC. Under this plan a phase comes where one host gives
+        // up while its peer holds all its frames and waits at the
+        // barrier: the host leaves, so the peer goes on and gives up in
+        // turn on the slot the host no longer fills, or finishes. A
+        // watchdog turns a stranded peer into a failure.
+        let faults = FaultPlan::parse("seed=3,flip=0.4").unwrap();
+        let config = ClusterConfig {
+            nak_delay: Duration::from_millis(5),
+            max_retries: 1,
+            ..ClusterConfig::default()
+        };
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let got = run_cluster_with(2, faults, config, |ctx| {
+                let (cfg, stats) = (SyncConfig::default(), &mut CommStats::default());
+                let mut replica = fresh_replica(6, 2, 3);
+                (0..40).try_for_each(|round| {
+                    apply_workload(&mut replica, ctx.host, round, 6);
+                    sync_round_threaded(&ctx, &mut replica, &cfg, stats)
+                })
+            });
+            done.send(got).unwrap();
+        });
+        let got = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a peer of the host that gave up is stranded");
+        assert!(got.iter().any(Result::is_err), "no host gave up");
+        for (host, result) in got.iter().enumerate() {
+            assert!(
+                result.is_ok() || gave_up_on_peer(host, result),
+                "host {host}: {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_host_that_left_is_seen_until_the_view_drops_it() {
+        let left = run_cluster(2, |ctx| {
+            if ctx.host == 1 {
+                ctx.resign();
+                return (false, false);
+            }
+            ctx.await_death(1);
+            let mut view = Liveness::all(2);
+            let before = ctx.a_peer_left(&view);
+            view.mark_dead(1);
+            (before, ctx.a_peer_left(&view))
+        });
+        assert_eq!(left, [(true, false), (false, false)]);
     }
 
     #[test]
@@ -1525,7 +1555,8 @@ mod tests {
                 &mut wire,
                 &FaultPlan::none(),
                 0,
-            );
+            )
+            .unwrap();
         }
         (assemble_canonical(&replicas), stats)
     }
@@ -1676,7 +1707,8 @@ mod tests {
                     &mut seq_wire,
                     &FaultPlan::none(),
                     round,
-                );
+                )
+                .unwrap();
             }
 
             let results = run_cluster(n_hosts, |ctx| {

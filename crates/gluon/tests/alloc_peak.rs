@@ -123,6 +123,7 @@ fn a_simulated_round_holds_one_senders_payloads_at_a_time() {
             g,
             &cost,
         )
+        .unwrap()
     };
     // Warm-up: sizes every scratch, slab and tracker.
     touch(&mut replicas, 0);

@@ -156,7 +156,8 @@ fn run_cell(plan: SyncPlan, mode: WireMode, host_dead: bool, out: &mut String) {
             &FaultPlan::none(),
             round,
             &CostModel::infiniband_56g(),
-        );
+        )
+        .unwrap();
         writeln!(
             out,
             "{} {} {} round={round} sent={:?} recv={:?} reduce_bytes={} reduce_msgs={} \

@@ -19,6 +19,7 @@ use graph_word2vec::corpus::vocab::{VocabBuilder, Vocabulary};
 use graph_word2vec::faults::FaultPlan;
 use graph_word2vec::gluon::cost::CostModel;
 use graph_word2vec::gluon::plan::SyncPlan;
+use graph_word2vec::gluon::threaded::ClusterError;
 use graph_word2vec::gluon::ClusterConfig;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -272,6 +273,41 @@ fn partition_stall_and_degrade_recover_and_converge() {
         degrade_loss <= stall_loss * 1.25 + 0.1,
         "degrade loss {degrade_loss} vs stall {stall_loss}"
     );
+}
+
+/// A plan under which no frame arrives fails on both engines with the
+/// receiver's give-up. A threaded host that gives up leaves the liveness
+/// registry first, so a peer's send to its thread is no `SendFailed`
+/// and the peer gives up too; the simulator's `train` panics with the
+/// same text.
+#[test]
+fn a_plan_no_frame_survives_fails_with_the_give_up() {
+    let (vocab, corpus, params) = prepare();
+    let cfg = dist_cfg(2, 2);
+    let plan = FaultPlan::parse("seed=7,flip=1").unwrap();
+    let cluster = ClusterConfig {
+        max_retries: 3,
+        ..fast_cluster()
+    };
+    // Which host gives up first is a race: repeat to meet both orders.
+    for _ in 0..16 {
+        let got = ThreadedTrainer::new(params.clone(), cfg)
+            .with_faults(plan.clone())
+            .with_cluster_config(cluster)
+            .train(&corpus, &vocab);
+        let gave_up = matches!(got, Err(ClusterError::RetriesExhausted { .. }));
+        assert!(gave_up, "{:?}", got.map(|r| r.pairs_trained));
+    }
+    let sim = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        DistributedTrainer::new(params, cfg)
+            .with_faults(plan)
+            .train(&corpus, &vocab)
+    }));
+    let why = sim
+        .expect_err("the simulator gives up")
+        .downcast::<String>();
+    let why = why.expect("a formatted panic");
+    assert!(why.contains("after max retries"), "{why}");
 }
 
 /// Zero-cost-when-off: the inert plan and checkpoint writes must leave

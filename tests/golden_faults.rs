@@ -17,7 +17,10 @@
 //!   drop/flip/dup coin. They are `faults.detected.timeout`,
 //!   `faults.injected.drop`, `faults.injected.dup`,
 //!   `faults.injected.flip`, `faults.recovered.dedup` and
-//!   `faults.recovered.resend`. Every counter a threaded line keeps,
+//!   `faults.recovered.resend`. Both engines' receivers count
+//!   `detected.timeout` (one per slot NAKed for silence),
+//!   `detected.corrupt` and `recovered.dedup` in one place,
+//!   `crates/gluon/src/inbox.rs`. Every counter a threaded line keeps,
 //!   except `faults.detected.crash` (counted per observing host), equals
 //!   its sim line's (`engines_count_the_same_faults`): both engines draw
 //!   the one injector, `FaultPlan::attempt`;
@@ -485,6 +488,39 @@ fn a_resumed_run_draws_the_uninterrupted_coins() {
     }
     obs::set_enabled(false);
     assert_eq!(whole[0], whole[1], "sim and threaded reorders");
+}
+
+/// The inert plan injects nothing, so no engine counts a fault: no
+/// duplicate, corrupt frame or silence NAK, on the threaded cluster too.
+/// Its NAK window is a second wide, so only a miscount can fire it.
+#[test]
+fn an_inert_plan_counts_no_fault() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (vocab, corpus, params) = &prepare();
+    let cfg = DistConfig {
+        n_hosts: 3,
+        sync_rounds: 2,
+        plan: SyncPlan::PullModel,
+        ..DistConfig::paper_default(3)
+    };
+    let patient = ClusterConfig {
+        nak_delay: Duration::from_secs(1),
+        ..ClusterConfig::default()
+    };
+    obs::set_enabled(true);
+    obs::reset();
+    DistributedTrainer::new(params.clone(), cfg).train(corpus, vocab);
+    ThreadedTrainer::new(params.clone(), cfg)
+        .with_cluster_config(patient)
+        .train(corpus, vocab)
+        .expect("threaded run");
+    let counted: Vec<(String, u64)> = obs::snapshot()
+        .counters
+        .into_iter()
+        .filter(|(name, v)| name.starts_with("faults.") && *v > 0)
+        .collect();
+    obs::set_enabled(false);
+    assert!(counted.is_empty(), "{counted:?}");
 }
 
 #[test]
