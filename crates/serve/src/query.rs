@@ -27,7 +27,8 @@
 //!
 //! A batch of at most [`CODED_MAX_QUERIES`] does not read the `f32`
 //! tile to learn that: it scores the tile's `u8` codes, a quarter of
-//! the bytes, bounds every cosine from above, and runs the GEMM kernel
+//! the bytes, in integers against the query rounded to `i16`, bounds
+//! every cosine from above, and runs the GEMM kernel
 //! only on the groups of four rows the bound cannot rule out. The pools
 //! are the GEMM scan's, score for score; docs/SERVING.md § "Coded scan"
 //! is the one statement of why.
@@ -98,7 +99,7 @@ const _: () = assert!(LANES.is_multiple_of(GROUP));
 /// is scored by `gemm_nt`, which streams the `f32` rows once for the
 /// whole batch. Chosen from the m-sweep in docs/SERVING.md § "Coded
 /// scan"; the pools, and so the answers, are the same on either side.
-pub const CODED_MAX_QUERIES: usize = 2;
+pub const CODED_MAX_QUERIES: usize = 16;
 
 /// Quantizes a cosine score to integer micro-units for backend-invariant
 /// ranking. NaN maps to `i64::MIN` so a poisoned row can never outrank a
@@ -363,8 +364,8 @@ impl TopK {
     fn offer_coded_tile(
         &mut self,
         q: &[f32],
-        moments: Moments,
-        code_dots: &[f32],
+        moments: &Moments,
+        code_dots: &[i32],
         shard: &Shard,
         start: usize,
         exclude: &[u32],
@@ -433,22 +434,31 @@ impl TopK {
     }
 }
 
-/// What the coded bound needs of a query vector beside its dot with
-/// the codes (docs/SERVING.md § "Coded scan").
-#[derive(Clone, Copy, Debug)]
+/// What the coded bound needs of a query vector: the query rounded to
+/// `i16` for the integer kernel, and what that rounding and the rest of
+/// the bound must allow for (docs/SERVING.md § "Coded scan").
+#[derive(Clone, Debug)]
 struct Moments {
     /// `Σ q[i]`, summed in `f64` and rounded to nearest.
     sum: f32,
     /// `‖q‖₂`, summed in `f64` and rounded up.
     norm: f32,
+    /// `q̃ = round(q·2^shift)`, the operand of `fvec::dot_codes`.
+    q16: Vec<i16>,
+    /// `2^-shift`: an integer dot with the codes times this is a dot of
+    /// `q̃·2^-shift`.
+    unscale: f32,
+    /// `ℓ ≥ 255·Σ|q[i] − q̃[i]·2^-shift|`, rounded up: what the
+    /// rounding of `q` can hide of a dot with codes of at most 255.
+    lift: f32,
 }
 
 impl Moments {
     /// The bound of [`CodedRows`](crate::store::CodedRows) for one row,
-    /// given the query's dot with the row's codes.
+    /// given the integer dot of `q̃` with the row's codes.
     #[inline]
-    fn bound(self, a: f32, code_dot: f32, b: f32, slack: f32) -> f32 {
-        a * code_dot + b * self.sum + slack * self.norm
+    fn bound(&self, a: f32, code_dot: i32, b: f32, slack: f32) -> f32 {
+        a * (code_dot as f32 * self.unscale + self.lift) + b * self.sum + slack * self.norm
     }
 
     /// The moments of `q` if the bound's derivation covers it: a unit
@@ -456,15 +466,49 @@ impl Moments {
     /// query. Anything else — a NaN row's query, an analogy whose sum
     /// underflowed its own normalisation — takes the GEMM scan.
     fn of(q: &[f32]) -> Option<Self> {
-        let (mut sum, mut sq) = (0.0f64, 0.0f64);
+        let (mut sum, mut sq, mut max) = (0.0f64, 0.0f64, 0.0f64);
         for &x in q {
             sum += x as f64;
             sq += x as f64 * x as f64;
+            max = max.max((x as f64).abs());
         }
         let norm = round_up(sq.sqrt());
-        (norm == 0.0 || (0.5..=2.0).contains(&norm)).then_some(Self {
+        if !(norm == 0.0 || (0.5..=2.0).contains(&norm)) {
+            return None;
+        }
+        // The finest power-of-two scale at which every coordinate
+        // rounds into i16 (|q[i]| ≤ 2 puts it at 13 or more), then
+        // coarser until 255·‖q̃‖₁ < 2³¹.
+        let rounded = |shift: i32| -> Vec<i16> {
+            let scale = 2f64.powi(shift);
+            q.iter()
+                .map(|&x| (x as f64 * scale).round() as i16)
+                .collect()
+        };
+        let mut shift = 0;
+        while max > 0.0 && max * 2f64.powi(shift + 1) < i16::MAX as f64 + 0.5 {
+            shift += 1;
+        }
+        let mut q16 = rounded(shift);
+        while 255 * q16.iter().map(|&x| (x as i64).abs()).sum::<i64>() >= 1 << 31 {
+            shift -= 1;
+            q16 = rounded(shift);
+        }
+        let unscale = 2f64.powi(-shift);
+        // Each difference is exact in f64; the factor covers the
+        // roundings of the sum and of the product with 255.
+        let loss: f64 = q
+            .iter()
+            .zip(&q16)
+            .map(|(&x, &r)| (x as f64 - r as f64 * unscale).abs())
+            .sum();
+        let lift = round_up(255.0 * loss * (1.0 + (q.len() + 1) as f64 * f64::EPSILON));
+        Some(Self {
             sum: sum as f32,
             norm,
+            q16,
+            unscale: unscale as f32,
+            lift,
         })
     }
 }
@@ -599,7 +643,12 @@ impl<'a> QueryEngine<'a> {
         let moments: Option<Vec<Moments>> = (m <= CODED_MAX_QUERIES && dim > 0)
             .then(|| qmat.chunks_exact(dim).map(Moments::of).collect())
             .flatten();
-        let mut scores = vec![0.0f32; m * SCAN_TILE];
+        // Scratch for one tile: a query's integer dots with the codes,
+        // or the batch's GEMM scores.
+        let (mut code_dots, mut scores) = match moments {
+            Some(_) => (vec![0i32; SCAN_TILE], Vec::new()),
+            None => (Vec::new(), vec![0.0f32; m * SCAN_TILE]),
+        };
         let (mut rows_scored, mut survivors, mut candidates) = (0u64, 0u64, 0u64);
         for shard in self.store.shards() {
             let n = shard.len();
@@ -611,16 +660,15 @@ impl<'a> QueryEngine<'a> {
             for start in (0..n).step_by(SCAN_TILE) {
                 let end = n.min(start + SCAN_TILE);
                 let len = end - start;
-                let block = &mut scores[..m * len];
                 if let Some(moments) = &moments {
                     let codes = &shard.coded().codes[start * dim..end * dim];
-                    for (i, top) in tops.iter_mut().enumerate() {
+                    let code_dots = &mut code_dots[..len];
+                    for ((i, top), moments) in tops.iter_mut().enumerate().zip(moments) {
                         let q = &qmat[i * dim..(i + 1) * dim];
-                        let code_dots = &mut block[i * len..(i + 1) * len];
-                        fvec::dot_codes(q, codes, code_dots);
+                        fvec::dot_codes(&moments.q16, codes, code_dots);
                         let (exact, passed) = top.offer_coded_tile(
                             q,
-                            moments[i],
+                            moments,
                             code_dots,
                             shard,
                             start,
@@ -631,6 +679,7 @@ impl<'a> QueryEngine<'a> {
                     }
                     continue;
                 }
+                let block = &mut scores[..m * len];
                 block.fill(0.0);
                 fvec::gemm_nt(m, len, dim, qmat, &rows[start * dim..end * dim], block);
                 for (i, top) in tops.iter_mut().enumerate() {
@@ -1279,9 +1328,9 @@ mod tests {
                 };
                 for shard in store.shards() {
                     let (n, c) = (shard.len(), shard.coded());
-                    let mut code_dots = vec![0.0f32; n];
+                    let mut code_dots = vec![0i32; n];
                     let mut dots = vec![0.0f32; n];
-                    fvec::dot_codes(q, &c.codes, &mut code_dots);
+                    fvec::dot_codes(&moments.q16, &c.codes, &mut code_dots);
                     fvec::gemm_nt(1, n, dim, q, shard.rows().as_slice(), &mut dots);
                     for j in 0..n {
                         let ub = moments.bound(c.a[j], code_dots[j], c.b[j], c.slack[j]);
@@ -1307,6 +1356,103 @@ mod tests {
         }
         // Not vacuously: most rows are coded, and their bounds bite.
         assert!(sharp > coded / 2 && coded > 10_000, "{sharp} of {coded}");
+    }
+
+    #[test]
+    fn quantized_query_fits_i16_and_its_lift_covers_the_rounding() {
+        let scaled = |q: Vec<f32>, norm: f32| -> Vec<f32> {
+            let n = q.iter().map(|&x| x as f64 * x as f64).sum::<f64>().sqrt();
+            q.iter()
+                .map(|&x| (x as f64 * norm as f64 / n) as f32)
+                .collect()
+        };
+        let (mut checked, mut on_half_steps) = (0, 0);
+        for dim in [1usize, 15, 16, 17, 64, 257, 300] {
+            let one_hot = |x: f32| (0..dim).map(|i| if i == 0 { x } else { 0.0 }).collect();
+            let equal = |norm: f32| scaled(vec![1.0; dim], norm);
+            // The largest coordinate is 32766.5 steps of 2^-shift, the
+            // rest alternate in sign on half-steps: every coordinate is a
+            // tie, and the largest is the last to round into i16.
+            let half_steps = |shift: i32| -> Vec<f32> {
+                let step = 2f32.powi(-shift);
+                (0..dim)
+                    .map(|i| match i {
+                        0 => 32766.5 * step,
+                        _ if i % 2 == 0 => (i % 9) as f32 * step + 0.5 * step,
+                        _ => -((i % 9) as f32 * step + 0.5 * step),
+                    })
+                    .collect()
+            };
+            let queries: Vec<(&str, Vec<f32>)> = vec![
+                ("one-hot", one_hot(1.0)),
+                ("one-hot ½", one_hot(0.5)),
+                ("one-hot 2", one_hot(2.0)),
+                ("equal", equal(1.0)),
+                ("equal ½", equal(0.5)),
+                ("equal 2", equal(2.0)),
+                ("half-steps 14", half_steps(14)),
+                ("half-steps 15", half_steps(15)),
+                ("zero", vec![0.0; dim]),
+            ];
+            for (name, q) in queries {
+                let at = format!("dim {dim} {name}");
+                let Some(m) = Moments::of(&q) else {
+                    // Only a norm rounded just past ½ or 2 may decline.
+                    assert!(name.ends_with('½') || name.ends_with('2'), "{at} declined");
+                    continue;
+                };
+                checked += 1;
+                let shift = -(m.unscale.log2() as i32);
+                assert_eq!(m.unscale, 2f32.powi(-shift), "{at}: a power of two");
+                assert_eq!(m.q16.len(), dim);
+                let l1: i64 = m.q16.iter().map(|&x| (x as i64).abs()).sum();
+                assert!(m.q16.iter().all(|&x| x != i16::MIN), "{at}: |q̃| ≤ 32767");
+                assert!(255 * l1 < 1 << 31, "{at}: 255·‖q̃‖₁ = {}", 255 * l1);
+                let mut loss = 0.0f64;
+                for (&x, &r) in q.iter().zip(&m.q16) {
+                    let steps = x as f64 * 2f64.powi(shift);
+                    assert!((steps - r as f64).abs() <= 0.5, "{at}: {x} rounds to {r}");
+                    loss += (steps - r as f64).abs() * m.unscale as f64;
+                }
+                assert!(
+                    m.lift as f64 >= 255.0 * loss,
+                    "{at}: lift {} < {}",
+                    m.lift,
+                    255.0 * loss
+                );
+                // And no finer scale would have fitted: one more bit
+                // breaks the i16 range or the L1 limit.
+                let finer: Vec<f64> = q
+                    .iter()
+                    .map(|&x| (x as f64 * 2f64.powi(shift + 1)).round())
+                    .collect();
+                let fits = finer.iter().all(|x| x.abs() <= i16::MAX as f64)
+                    && 255.0 * finer.iter().map(|x| x.abs()).sum::<f64>() < (1u64 << 31) as f64;
+                assert!(
+                    !fits || name == "zero",
+                    "{at}: shift {shift} is not the finest"
+                );
+                if name.starts_with("half-steps") {
+                    // Every coordinate is a tie, and the lift is the
+                    // loss to within its few ulps of headroom.
+                    assert_eq!(loss, dim as f64 * 0.5 * m.unscale as f64, "{at}");
+                    assert!(
+                        m.lift as f64 <= 255.0 * loss * (1.0 + 1e-6),
+                        "{at}: {}",
+                        m.lift
+                    );
+                    on_half_steps += 1;
+                }
+                if name == "equal" && dim == 300 {
+                    // The L1 limit, not the i16 range, set the scale.
+                    assert!(m.q16[0] < 1 << 14, "{at}: {}", m.q16[0]);
+                }
+            }
+        }
+        assert!(
+            checked >= 50 && on_half_steps == 14,
+            "{checked} {on_half_steps}"
+        );
     }
 
     #[test]

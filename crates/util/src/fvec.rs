@@ -133,12 +133,12 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     (kernels().gemm_tn)(m, n, k, a, b, c)
 }
 
-/// One `f32` vector against rows of `u8` codes: `out[j] = Σ_i q[i] ·
-/// codes[j·q.len() + i]`, overwriting `out` (see
+/// One `i16` vector against rows of `u8` codes: `out[j] = Σ_i q[i] ·
+/// codes[j·q.len() + i]` in wrapping `i32`, overwriting `out` (see
 /// [`Kernels::dot_codes`](crate::simd::Kernels::dot_codes) for the
 /// cross-backend contract).
 #[inline]
-pub fn dot_codes(q: &[f32], codes: &[u8], out: &mut [f32]) {
+pub fn dot_codes(q: &[i16], codes: &[u8], out: &mut [i32]) {
     (kernels().dot_codes)(q, codes, out)
 }
 

@@ -78,9 +78,9 @@ pub(crate) type DequantizeFn =
     fn(packed: &[u8], dim: usize, scales: &[f32], offsets: &[f32], values: &mut [f32]);
 
 /// Signature of the coded-scan kernel: `out[j] = Σ_i q[i] ·
-/// codes[j·dim + i]` with `dim = q.len()` and `codes` holding
-/// `out.len()` rows of `dim` `u8` codes back to back.
-pub(crate) type DotCodesFn = fn(q: &[f32], codes: &[u8], out: &mut [f32]);
+/// codes[j·dim + i]` in wrapping `i32` arithmetic, with `dim = q.len()`
+/// and `codes` holding `out.len()` rows of `dim` `u8` codes back to back.
+pub(crate) type DotCodesFn = fn(q: &[i16], codes: &[u8], out: &mut [i32]);
 
 /// The per-backend kernel function table.
 ///
@@ -170,17 +170,12 @@ pub struct Kernels {
     /// FMA) on both backends, so reconstruction is backend-bit-identical
     /// too.
     pub dequantize_rows: DequantizeFn,
-    /// One `f32` query against rows of `u8` codes: `out[j] = Σ_i q[i] ·
-    /// codes[j·dim + i]`, each code converted exactly to `f32` — the
-    /// serve scan's filter over the `quantize_rows` layout, reading a
-    /// quarter of the bytes of the `f32` rows. Overwrites `out`; any
-    /// `dim`, any row count, including zero. ULP-equivalent across
-    /// backends, **not** bit-identical (the vector backend uses FMA and
-    /// an 8-lane association): every backend is within
-    /// `dim·2⁻²⁴/(1 − dim·2⁻²⁴) · Σ_i |q[i]|·codes[j·dim + i]` of the
-    /// real-number sum, which is all its one caller relies on — the
-    /// result only ever feeds a conservative test (docs/SERVING.md
-    /// § "Coded scan").
+    /// One `i16` query against rows of `u8` codes: `out[j] = Σ_i q[i] ·
+    /// codes[j·dim + i]` in wrapping `i32` arithmetic, overwriting
+    /// `out`; any `dim`, any row count, including zero.
+    /// **Backend-bit-identical by contract**, and exact when `255·Σ_i
+    /// |q[i]| < 2³¹` — docs/SERVING.md § "Coded scan" states the
+    /// contract and the serve bound built on it.
     pub dot_codes: DotCodesFn,
     /// CRC-32 (IEEE) state update behind [`crate::crc32::Crc32::update`]:
     /// absorbs `bytes` into the raw (pre-inversion) `state` and returns
@@ -524,30 +519,23 @@ pub mod scalar {
         }
     }
 
-    /// `out[j] = Σ_i q[i] · codes[j·dim + i]`, `dim = q.len()`: one
-    /// [`dot`] per row with the codes widened exactly to `f32` — the
-    /// same four accumulators and fold order.
+    /// `out[j] = Σ_i q[i] · codes[j·dim + i]`, `dim = q.len()`, summed in
+    /// increasing `i` with wrapping `i32` adds.
     #[inline]
-    pub fn dot_codes(q: &[f32], codes: &[u8], out: &mut [f32]) {
+    pub fn dot_codes(q: &[i16], codes: &[u8], out: &mut [i32]) {
         let dim = q.len();
         debug_assert_eq!(codes.len(), out.len() * dim);
-        let chunks = dim / 4;
         for (j, o) in out.iter_mut().enumerate() {
-            let row = &codes[j * dim..(j + 1) * dim];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for i in 0..chunks {
-                let b = i * 4;
-                s0 += q[b] * row[b] as f32;
-                s1 += q[b + 1] * row[b + 1] as f32;
-                s2 += q[b + 2] * row[b + 2] as f32;
-                s3 += q[b + 3] * row[b + 3] as f32;
-            }
-            let mut s = (s0 + s1) + (s2 + s3);
-            for i in chunks * 4..dim {
-                s += q[i] * row[i] as f32;
-            }
-            *o = s;
+            *o = dot_codes_row(q, &codes[j * dim..(j + 1) * dim]);
         }
+    }
+
+    /// One row of [`dot_codes`].
+    #[inline]
+    pub(crate) fn dot_codes_row(q: &[i16], row: &[u8]) -> i32 {
+        q.iter()
+            .zip(row)
+            .fold(0i32, |s, (&x, &c)| s.wrapping_add(x as i32 * c as i32))
     }
 
     /// `C[m×n] += A[m×k] · B[n×k]ᵀ`, row-major. Each output element is
@@ -976,90 +964,74 @@ mod avx2 {
         }
     }
 
-    /// Eight codes widened to eight `f32` lanes (`vpmovzxbd` +
-    /// `vcvtdq2ps`; exact, a code is at most 255).
+    /// `out[j] = Σ_i q[i] · codes[j·dim + i]`: eight rows per pass share
+    /// each load of 16 query words; each row's 16 codes are widened to
+    /// `i16` (`vpmovzxbw`) and multiplied into eight `i32` lanes of
+    /// adjacent pairs (`vpmaddwd`, exact: a pair is at most 2·2¹⁵·255 in
+    /// size), the codes 1 KB ahead prefetched. The `dim % 16` tail and
+    /// the `out.len() % 8` last rows are the scalar reference's. Every
+    /// add wraps, so the order does not matter and each value is the
+    /// scalar kernel's, bit for bit.
     ///
     /// # Safety
     ///
-    /// `p` must be readable for 8 bytes.
-    #[inline]
+    /// The CPU must support AVX2. The slice lengths are checked.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn load_codes(p: *const u8) -> __m256 {
-        // SAFETY: the caller guarantees 8 readable bytes; the load has
-        // no alignment requirement.
-        unsafe { _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(p as *const __m128i))) }
-    }
-
-    /// `out[j] = Σ_i q[i] · codes[j·dim + i]`: four rows per pass share
-    /// each load of `q`, every row one 8-lane FMA chain in increasing
-    /// `i` reduced by [`hsum`]'s add tree, the `dim % 8` tail folded in
-    /// with one fused multiply-add per element; the `out.len() % 4` last
-    /// rows run the same body one row at a time, so a value depends only
-    /// on `q` and its own row.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_codes(q: &[f32], codes: &[u8], out: &mut [f32]) {
+    pub unsafe fn dot_codes(q: &[i16], codes: &[u8], out: &mut [i32]) {
+        const ROWS: usize = 8;
+        const PREFETCH_AHEAD: usize = 1024;
         let (dim, n) = (q.len(), out.len());
         assert_eq!(codes.len(), n * dim);
         let qp = q.as_ptr();
-        let cp = codes.as_ptr();
-        let body = dim - dim % 8;
-        // SAFETY: row `j` is `codes[j * dim..(j + 1) * dim]`, in bounds
-        // by the assertion above for every `j < n`; within a row the
-        // 8-byte loads stop at `body <= dim` and the tail at `dim`, and
-        // the `q` loads at the same offsets are inside `q`.
-        unsafe {
-            let mut j = 0usize;
-            while j + 4 <= n {
-                let r = [
-                    cp.add(j * dim),
-                    cp.add((j + 1) * dim),
-                    cp.add((j + 2) * dim),
-                    cp.add((j + 3) * dim),
-                ];
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut acc2 = _mm256_setzero_ps();
-                let mut acc3 = _mm256_setzero_ps();
-                let mut p = 0usize;
-                while p < body {
-                    let vq = _mm256_loadu_ps(qp.add(p));
-                    acc0 = _mm256_fmadd_ps(vq, load_codes(r[0].add(p)), acc0);
-                    acc1 = _mm256_fmadd_ps(vq, load_codes(r[1].add(p)), acc1);
-                    acc2 = _mm256_fmadd_ps(vq, load_codes(r[2].add(p)), acc2);
-                    acc3 = _mm256_fmadd_ps(vq, load_codes(r[3].add(p)), acc3);
-                    p += 8;
+        let body = dim - dim % 16;
+        let whole = n - n % ROWS;
+        for j in (0..whole).step_by(ROWS) {
+            // SAFETY: rows `j..j + 8` are `codes[j * dim..(j + 8) * dim]`,
+            // in bounds by the assertion above for `j + 8 <= n`; the
+            // 16-byte code loads and 32-byte query loads stop at `body <=
+            // dim`, the store writes `out[j..j + 8]`, and none of them
+            // needs alignment.
+            unsafe {
+                let r = codes.as_ptr().add(j * dim);
+                // A single query streams the codes once, faster than the
+                // hardware prefetcher alone keeps up with: ask for the
+                // lines 1 KB ahead, past the slice's end too: a prefetch
+                // never faults, and a `wrapping_add` pointer past the
+                // allocation is never dereferenced.
+                let ahead = r.wrapping_add(PREFETCH_AHEAD);
+                for line in (0..ROWS * dim).step_by(64) {
+                    _mm_prefetch(ahead.wrapping_add(line) as *const i8, _MM_HINT_T0);
                 }
-                let mut sums = hsum4(acc0, acc1, acc2, acc3);
-                while p < dim {
-                    let cv = _mm_set_ps(
-                        *r[3].add(p) as f32,
-                        *r[2].add(p) as f32,
-                        *r[1].add(p) as f32,
-                        *r[0].add(p) as f32,
-                    );
-                    sums = _mm_fmadd_ps(_mm_set1_ps(*qp.add(p)), cv, sums);
-                    p += 1;
+                let mut acc = [_mm256_setzero_si256(); ROWS];
+                for p in (0..body).step_by(16) {
+                    let vq = _mm256_loadu_si256(qp.add(p) as *const __m256i);
+                    for (k, acc) in acc.iter_mut().enumerate() {
+                        let codes = _mm_loadu_si128(r.add(k * dim + p) as *const __m128i);
+                        let pairs = _mm256_madd_epi16(vq, _mm256_cvtepu8_epi16(codes));
+                        *acc = _mm256_add_epi32(*acc, pairs);
+                    }
                 }
-                _mm_storeu_ps(out.as_mut_ptr().add(j), sums);
-                j += 4;
+                // Lane k of `lo` / `hi` is row k's sum over the low / the
+                // high half of its accumulator (rows 0–3, then 4–7).
+                let quad = |a: &[__m256i]| {
+                    _mm256_hadd_epi32(_mm256_hadd_epi32(a[0], a[1]), _mm256_hadd_epi32(a[2], a[3]))
+                };
+                let (a, b) = (quad(&acc[..4]), quad(&acc[4..]));
+                let lo = _mm256_permute2x128_si256(a, b, 0x20);
+                let hi = _mm256_permute2x128_si256(a, b, 0x31);
+                _mm256_storeu_si256(
+                    out.as_mut_ptr().add(j) as *mut __m256i,
+                    _mm256_add_epi32(lo, hi),
+                );
             }
-            while j < n {
-                let r = cp.add(j * dim);
-                let mut acc = _mm256_setzero_ps();
-                let mut p = 0usize;
-                while p < body {
-                    acc = _mm256_fmadd_ps(_mm256_loadu_ps(qp.add(p)), load_codes(r.add(p)), acc);
-                    p += 8;
+            if body < dim {
+                for (k, o) in out[j..j + ROWS].iter_mut().enumerate() {
+                    let row = &codes[(j + k) * dim..(j + k + 1) * dim];
+                    *o = o.wrapping_add(super::scalar::dot_codes_row(&q[body..], &row[body..]));
                 }
-                let mut s = hsum(acc);
-                while p < dim {
-                    s = (*qp.add(p)).mul_add(*r.add(p) as f32, s);
-                    p += 1;
-                }
-                out[j] = s;
-                j += 1;
             }
         }
+        super::scalar::dot_codes(q, &codes[whole * dim..], &mut out[whole..]);
     }
 
     /// Horizontal sums of four accumulators at once, one per lane of the

@@ -161,61 +161,59 @@ fn crc32_update_matches_scalar_bitwise_all_lengths_0_to_512() {
 }
 
 #[test]
-fn dot_codes_stays_inside_its_bound_all_dims_0_to_130() {
-    // The coded serve scan needs one thing of this kernel: every backend
-    // within γ_dim · Σ|q_i|·code_i of the real sum, γ_n = n·u/(1 − n·u).
-    // (dim + 8)·2⁻²³ is twice that; the backends may sit that far apart.
-    let codes: Vec<u8> = (0..9 * 130u32 + 3)
+fn dot_codes_is_exact_and_backend_identical_all_dims_0_to_300() {
+    // The serve quantizer admits any i16 query with 255·‖q‖₁ < 2³¹:
+    // then no i32 partial sum can overflow, in any order. Queries at the
+    // i16 extremes, filled up to that L1 norm, against all-255 codes
+    // put every sum at the edge of i32; the dispatched kernel must equal
+    // the scalar one and an i64 reference, bit for bit.
+    const MAX_L1: i64 = ((1i64 << 31) - 1) / 255;
+    let extremes = |dim: usize, cycle: &[i16]| -> Vec<i16> {
+        let mut room = MAX_L1;
+        (0..dim)
+            .map(|i| {
+                let x = cycle[i % cycle.len()] as i64;
+                let v = x.signum() * x.abs().min(room);
+                room -= v.abs();
+                v as i16
+            })
+            .collect()
+    };
+    let mixed: Vec<u8> = (0..9 * 300u32 + 3)
         .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
         .collect();
-    for dim in 0..=130usize {
-        let q = pattern(dim, 14);
-        let gamma = (dim + 8) as f64 * (0.5f64).powi(23);
-        for rows in [0usize, 1, 3, 4, 5, 9] {
-            for offset in [0usize, 1, 3] {
-                let codes = &codes[offset..offset + rows * dim];
-                let mut got = vec![f32::NAN; rows];
-                let mut want = vec![f32::NAN; rows];
-                fvec::dot_codes(&q, codes, &mut got);
-                scalar::dot_codes(&q, codes, &mut want);
-                for j in 0..rows {
-                    let row = &codes[j * dim..(j + 1) * dim];
-                    let terms = q.iter().zip(row).map(|(&x, &c)| x as f64 * c as f64);
-                    let (sum, mass) = terms.fold((0.0, 0.0), |(s, m), t| (s + t, m + t.abs()));
-                    for (name, v) in [("dispatched", got[j]), ("scalar", want[j])] {
-                        assert!(
-                            (v as f64 - sum).abs() <= 0.5 * gamma * mass,
-                            "{name} dim={dim} rows={rows} offset={offset} row {j}: {v} vs {sum}"
-                        );
+    let full = vec![255u8; 9 * 300 + 3];
+    for dim in 0..=300usize {
+        let queries = [
+            extremes(dim, &[32767]),
+            extremes(dim, &[-32768]),
+            extremes(dim, &[32767, -32768, -32767]),
+        ];
+        for q in &queries {
+            let l1: i64 = q.iter().map(|&x| (x as i64).abs()).sum();
+            assert!(
+                255 * l1 < 1 << 31,
+                "dim={dim}: query outside the admitted range"
+            );
+            for codes in [&mixed, &full] {
+                for rows in [0usize, 1, 3, 4, 5, 9] {
+                    for offset in [0usize, 1, 3] {
+                        let codes = &codes[offset..offset + rows * dim];
+                        let mut got = vec![i32::MIN; rows];
+                        let mut want = vec![i32::MAX; rows];
+                        fvec::dot_codes(q, codes, &mut got);
+                        scalar::dot_codes(q, codes, &mut want);
+                        for j in 0..rows {
+                            let row = &codes[j * dim..(j + 1) * dim];
+                            let exact: i64 =
+                                q.iter().zip(row).map(|(&x, &c)| x as i64 * c as i64).sum();
+                            let at = format!("dim={dim} rows={rows} offset={offset} row {j}");
+                            assert_eq!(got[j] as i64, exact, "dispatched {at}");
+                            assert_eq!(want[j] as i64, exact, "scalar {at}");
+                        }
                     }
-                    let l1: f64 = q.iter().map(|&x| x.abs() as f64).sum();
-                    assert!((got[j] as f64 - want[j] as f64).abs() <= gamma * 255.0 * l1);
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn dot_codes_is_exact_on_integer_queries() {
-    // Small integers: every product and partial sum is an integer below
-    // 2²⁴, so no backend rounds and all must agree bit for bit.
-    for dim in [0usize, 1, 7, 8, 9, 64, 67, 130] {
-        let q: Vec<f32> = (0..dim).map(|i| (i as i32 * 7 % 31 - 15) as f32).collect();
-        let codes: Vec<u8> = (0..6 * dim).map(|i| (i * 37 % 256) as u8).collect();
-        let mut got = vec![f32::NAN; 6];
-        let mut want = vec![f32::NAN; 6];
-        fvec::dot_codes(&q, &codes, &mut got);
-        scalar::dot_codes(&q, &codes, &mut want);
-        for j in 0..6 {
-            let row = &codes[j * dim..(j + 1) * dim];
-            let sum: i64 = q.iter().zip(row).map(|(&x, &c)| x as i64 * c as i64).sum();
-            assert_eq!(
-                got[j].to_bits(),
-                (sum as f32).to_bits(),
-                "dim={dim} row {j}"
-            );
-            assert_eq!(want[j].to_bits(), got[j].to_bits(), "dim={dim} row {j}");
         }
     }
 }
