@@ -45,8 +45,10 @@
 //! phase (paper §4.4): by the same argument, replaying the loop against
 //! a recording store with a cloned RNG yields exactly the nodes the real
 //! execution will access. [`SgnsStore`] is the one row interface of every
-//! SGNS loop: the HogBatch loop (`crate::trainer_hogbatch`) gathers and
-//! scatters whole rows through the same trait, and
+//! SGNS loop: the HogBatch loop (`crate::trainer_hogbatch`) reads rows
+//! in place through [`SgnsStore::layers`] (or gathers them where a store
+//! has no plain slices) and adds whole-row deltas through the same trait,
+//! and
 //! `crate::trainer_shared::Step` picks the loop a sentence runs.
 
 use gw2v_corpus::subsample::SubsampleTable;
@@ -73,8 +75,8 @@ pub(crate) const TARGET_BLOCK: usize = 32;
 /// `syn0`, 1 is `syn1neg`) and its id.
 pub trait SgnsStore {
     /// `false` for inspection-only stores: the HogBatch loop then skips
-    /// its gather/GEMM/scatter arithmetic and calls [`SgnsStore::add`]
-    /// with empty deltas, purely to mark the touch set. The RNG draws
+    /// its window kernel and calls [`SgnsStore::add`] with empty deltas,
+    /// purely to mark the touch set. The RNG draws
     /// are identical either way.
     const COMPUTE: bool = true;
     /// Vector dimensionality.
@@ -94,6 +96,12 @@ pub trait SgnsStore {
         sigmoid: &SigmoidTable,
         neu1e: &mut [f32],
     );
+    /// Both layers as plain row-major slices (`syn0`, `syn1neg`), for
+    /// kernels that read rows in place; `None` (the default) where rows
+    /// can only be copied out through [`SgnsStore::load`].
+    fn layers(&self) -> Option<[&[f32]; 2]> {
+        None
+    }
     /// Copies `layer[row]` into `out`.
     fn load(&self, layer: usize, row: u32, out: &mut [f32]);
     /// `layer[row] += delta`.
@@ -256,6 +264,11 @@ impl SgnsStore for PlainStore<'_> {
     }
 
     #[inline]
+    fn layers(&self) -> Option<[&[f32]; 2]> {
+        Some([self.syn0.as_slice(), self.syn1neg.as_slice()])
+    }
+
+    #[inline]
     fn load(&self, layer: usize, row: u32, out: &mut [f32]) {
         out.copy_from_slice([&*self.syn0, &*self.syn1neg][layer].row(row as usize));
     }
@@ -305,6 +318,16 @@ impl SgnsStore for ReplicaStore<'_> {
             sigmoid,
             neu1e,
         );
+    }
+
+    /// Reads are untracked, like [`SgnsStore::load`]'s.
+    #[inline]
+    fn layers(&self) -> Option<[&[f32]; 2]> {
+        let layers = &self.replica.layers;
+        Some([
+            layers[LAYER_SYN0].as_slice(),
+            layers[LAYER_SYN1NEG].as_slice(),
+        ])
     }
 
     #[inline]

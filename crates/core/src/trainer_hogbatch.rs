@@ -12,20 +12,27 @@
 //! for each surviving center i:
 //!   inputs  = the context words of i's (shrunk) window   # mb rows
 //!   targets = [center] + negative samples (one shared set) # nt rows
-//!   X = syn0[inputs]    (gathered once)                   # mb×d
-//!   O = syn1neg[targets](gathered once)                   # nt×d
-//!   S = X·Oᵀ                                              # one GEMM
+//!   X = syn0[inputs]                                      # mb×d
+//!   O = syn1neg[targets]                                  # nt×d
+//!   S = X·Oᵀ                                              # mb×nt
 //!   G[r,j] = (label_j − σ(S[r,j]))·α                      # elementwise
 //!   syn1neg[targets] += Gᵀ·X                              # rank-mb update
 //!   syn0[inputs]     += G·O                               # rank-nt update
 //! ```
 //!
-//! All three matrix products run through the dispatched
-//! [`fvec::gemm_nt`]/[`fvec::gemm_tn`] microkernels, so each gathered
-//! row is touched by register-blocked FMA code instead of `mb·nt`
-//! scalar-ish dot/axpy passes. The price is *staleness*: every product
-//! in a window sees the rows as gathered at the start of the window
-//! (plus one shared negative set per window instead of one per pair).
+//! Ji et al. run the three products as level-3 BLAS calls. At this
+//! repo's shapes (about 6 inputs × 6 targets × dim 64) the gathers,
+//! the transpose and the scatter around three tiny GEMMs cost more than
+//! the GEMMs, so one dispatched kernel, [`fvec::sgns_window`], does the
+//! whole window: it reads `X` and `O` where they live
+//! ([`SgnsStore::layers`]; the racing atomic model has no plain slices
+//! and gathers them first), keeps the scores and `G` in registers and a
+//! small stack block, and writes only the two delta blocks, which the
+//! loop then adds row by row — with the bits of `gemm_nt` → σ →
+//! `gemm_tn` on gathered copies.
+//! The price is *staleness*: every product in a window sees the rows as
+//! they were at the start of the window (plus one shared negative set
+//! per window instead of one per pair).
 //! Ji et al. show — and `tests/hogbatch_parity.rs` pins — that accuracy
 //! is statistically indistinguishable from the sequential trainer.
 //!
@@ -42,8 +49,9 @@
 //!
 //! The loop reaches the model through the per-pair loop's
 //! [`SgnsStore`]: it never does arithmetic *through* the store, only
-//! gathers rows into dense scratch ([`SgnsStore::load`]), computes there
-//! and scatters additive deltas back ([`SgnsStore::add`]).
+//! reads rows ([`SgnsStore::layers`], or [`SgnsStore::load`] into dense
+//! scratch) and adds whole-row deltas back ([`SgnsStore::add`]), the
+//! targets first, then the inputs.
 
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
@@ -77,7 +85,7 @@ pub enum SgnsMode {
 /// Pooled per-worker scratch for both SGNS loops.
 ///
 /// Owns the per-pair [`TrainScratch`] plus every buffer the minibatch
-/// path gathers into, so a worker allocates nothing per sentence after
+/// path writes, so a worker allocates nothing per sentence after
 /// the first window of the hot shape (same discipline as
 /// `gw2v_gluon::SyncScratch`): buffers grow to the high-water mark on
 /// first use and are reused verbatim afterwards. Create one per worker
@@ -93,16 +101,13 @@ pub struct MinibatchScratch {
     inputs: Vec<u32>,
     /// Center + shared negative ids of the current window.
     targets: Vec<u32>,
-    /// Gathered `syn0[inputs]`, `mb×d` row-major.
+    /// `syn0[inputs]`, `mb×d` row-major, gathered only for a store
+    /// without plain slices.
     x: Vec<f32>,
-    /// Gathered `syn1neg[targets]`, `nt×d` row-major.
+    /// `syn1neg[targets]`, `nt×d`, likewise.
     o: Vec<f32>,
-    /// `X·Oᵀ` scores, `mb×nt`.
-    scores: Vec<f32>,
-    /// Elementwise gradient, `mb×nt`.
-    grads: Vec<f32>,
-    /// Transposed gradient, `nt×mb` (tiny; feeds the `syn0` update).
-    grads_t: Vec<f32>,
+    /// `0, 1, 2, …`: the gathered rows' ids.
+    ids: Vec<u32>,
     /// `G·O` deltas for `syn0[inputs]`, `mb×d`.
     in_delta: Vec<f32>,
     /// `Gᵀ·X` deltas for `syn1neg[targets]`, `nt×d`.
@@ -191,64 +196,33 @@ where
             }
             continue;
         }
-        // Gather. Each row is copied once per window, no matter how many
-        // products it participates in.
-        scratch.x.resize(mb * d, 0.0);
-        for (r, &w) in scratch.inputs.iter().enumerate() {
-            rows.load(LAYER_SYN0, w, &mut scratch.x[r * d..(r + 1) * d]);
-        }
-        scratch.o.resize(nt * d, 0.0);
-        for (j, &t) in scratch.targets.iter().enumerate() {
-            rows.load(LAYER_SYN1NEG, t, &mut scratch.o[j * d..(j + 1) * d]);
-        }
-        // Scores: S[mb×nt] = X·Oᵀ in one GEMM.
-        scratch.scores.resize(mb * nt, 0.0);
-        scratch.scores.fill(0.0);
-        fvec::gemm_nt(mb, nt, d, &scratch.x, &scratch.o, &mut scratch.scores);
-        // Elementwise gradient; column 0 is the positive (the center).
-        scratch.grads.resize(mb * nt, 0.0);
-        for r in 0..mb {
-            for j in 0..nt {
-                let label = if j == 0 { 1.0f32 } else { 0.0 };
-                let f = scratch.scores[r * nt + j];
-                scratch.grads[r * nt + j] = (label - ctx.sigmoid.value(f)) * alpha;
-            }
-        }
-        // Gᵀ for the syn0 update (tiny: mb·nt floats).
-        scratch.grads_t.resize(nt * mb, 0.0);
-        for r in 0..mb {
-            for j in 0..nt {
-                scratch.grads_t[j * mb + r] = scratch.grads[r * nt + j];
-            }
-        }
-        // Rank-mb update of the targets: ΔO[nt×d] = Gᵀ·X. `gemm_tn`
-        // reads A as [k×m] and applies the transpose itself, so G
-        // ([mb×nt] = [k×m]) goes in untransposed.
-        scratch.out_delta.resize(nt * d, 0.0);
-        scratch.out_delta.fill(0.0);
-        fvec::gemm_tn(
-            nt,
-            d,
-            mb,
-            &scratch.grads,
-            &scratch.x,
-            &mut scratch.out_delta,
-        );
-        // Rank-nt update of the inputs: ΔX[mb×d] = G·O, via Gᵀᵀ.
+        // Both blocks are overwritten by the kernel.
         scratch.in_delta.resize(mb * d, 0.0);
-        scratch.in_delta.fill(0.0);
-        fvec::gemm_tn(
-            mb,
-            d,
-            nt,
-            &scratch.grads_t,
-            &scratch.o,
-            &mut scratch.in_delta,
-        );
+        scratch.out_delta.resize(nt * d, 0.0);
+        let (layers, inputs, targets) = match rows.layers() {
+            Some(layers) => (layers, &scratch.inputs[..], &scratch.targets[..]),
+            // No plain slices (the racing atomic model): gather the rows
+            // and name them by their place in the copies.
+            None => {
+                scratch.x.resize(mb * d, 0.0);
+                for (r, &w) in scratch.inputs.iter().enumerate() {
+                    rows.load(LAYER_SYN0, w, &mut scratch.x[r * d..(r + 1) * d]);
+                }
+                scratch.o.resize(nt * d, 0.0);
+                for (j, &t) in scratch.targets.iter().enumerate() {
+                    rows.load(LAYER_SYN1NEG, t, &mut scratch.o[j * d..(j + 1) * d]);
+                }
+                let ids = &mut scratch.ids;
+                ids.extend(ids.len() as u32..mb.max(nt) as u32);
+                ([&scratch.x[..], &scratch.o[..]], &ids[..mb], &ids[..nt])
+            }
+        };
+        let deltas = [&mut scratch.in_delta[..], &mut scratch.out_delta[..]];
+        fvec::sgns_window(layers, d, inputs, targets, alpha, ctx.sigmoid, deltas);
         // Scatter. Sequential `+=` per row: duplicate ids (repeated
         // negatives, a word appearing twice in a window) accumulate both
-        // deltas, each computed against the start-of-window gather —
-        // the HogBatch staleness contract.
+        // deltas, each computed against the start-of-window rows — the
+        // HogBatch staleness contract.
         for (j, &t) in scratch.targets.iter().enumerate() {
             rows.add(LAYER_SYN1NEG, t, &scratch.out_delta[j * d..(j + 1) * d]);
         }

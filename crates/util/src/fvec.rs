@@ -56,6 +56,24 @@ pub fn sgns_pair(
     (kernels().sgns_pair)(win, layer, targets, positive, alpha, sigmoid, neu1e)
 }
 
+/// One HogBatch window: the `inputs` rows of `layers[0]` against the
+/// `targets` rows of `layers[1]` (rows of `dim` floats), read in place;
+/// writes `deltas[0] = G·O` and `deltas[1] = Gᵀ·X` with `G = (label −
+/// σ(X·Oᵀ)) · alpha`, label 1 for `targets[0]` only (see
+/// [`Kernels::sgns_window`](crate::simd::Kernels::sgns_window)).
+#[inline]
+pub fn sgns_window(
+    layers: [&[f32]; 2],
+    dim: usize,
+    inputs: &[u32],
+    targets: &[u32],
+    alpha: f32,
+    sigmoid: &SigmoidTable,
+    deltas: [&mut [f32]; 2],
+) {
+    (kernels().sgns_window)(layers, dim, inputs, targets, alpha, sigmoid, deltas)
+}
+
 /// Squared Euclidean norm `‖x‖²`.
 #[inline]
 pub fn norm_sq(x: &[f32]) -> f32 {
@@ -115,10 +133,10 @@ pub fn normalize(x: &mut [f32]) {
 }
 
 /// Small-matrix GEMM, "NT" shape: `C[m×n] += A[m×k] · B[n×k]ᵀ`, all
-/// row-major. `C[i][j]` accumulates `row_i(A) · row_j(B)` — the HogBatch
-/// score kernel, where `A` gathers input rows, `B` gathers target rows,
-/// and `k` is the embedding dimension. Accumulate semantics: zero `c`
-/// first for a fresh product.
+/// row-major. `C[i][j]` accumulates `row_i(A) · row_j(B)` — the serve
+/// scan, and the scores [`sgns_window`] is held to, where `A` holds
+/// input rows, `B` target rows, and `k` is the embedding dimension.
+/// Accumulate semantics: zero `c` first for a fresh product.
 #[inline]
 pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     (kernels().gemm_nt)(m, n, k, a, b, c)
@@ -126,8 +144,8 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
 
 /// Small-matrix GEMM, "TN" shape: `C[m×n] += A[k×m]ᵀ · B[k×n]`, all
 /// row-major. `C[i][j]` accumulates `Σ_l A[l][i] · B[l][j]` — the
-/// HogBatch rank-`k` update kernel, where `A` is the tiny gradient
-/// matrix, `B` gathers rows, and `n` is the embedding dimension.
+/// rank-`k` updates [`sgns_window`] is held to, where `A` is the tiny
+/// gradient matrix, `B` holds rows, and `n` is the embedding dimension.
 #[inline]
 pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     (kernels().gemm_tn)(m, n, k, a, b, c)

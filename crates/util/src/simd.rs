@@ -49,13 +49,42 @@ pub type SgnsPairFn = fn(
 );
 
 /// Panics on the slice bound if an id of `targets` is past the last
-/// `dim`-float row of `layer`, so a pair kernel writes nothing before it
+/// `dim`-float row of `layer`, so a kernel writes nothing before it
 /// fails.
 #[inline]
 fn check_rows(layer: &[f32], dim: usize, targets: &[u32]) {
     if let Some(&last) = targets.iter().max() {
         let _ = &layer[last as usize * dim..(last as usize + 1) * dim];
     }
+}
+
+/// Signature of the HogBatch window kernel: the `inputs` rows of
+/// `layers[0]` (`syn0`) against the `targets` rows of `layers[1]`
+/// (`syn1neg`), rows of `dim` floats, writing the two delta blocks
+/// `deltas[0]` (`inputs.len()·dim`) and `deltas[1]` (`targets.len()·dim`).
+pub type SgnsWindowFn = fn(
+    layers: [&[f32]; 2],
+    dim: usize,
+    inputs: &[u32],
+    targets: &[u32],
+    alpha: f32,
+    sigmoid: &SigmoidTable,
+    deltas: [&mut [f32]; 2],
+);
+
+/// Panics, before a window kernel writes anything, if a delta block is
+/// not one `dim`-float row per id or an id is past its layer.
+fn check_window(
+    layers: [&[f32]; 2],
+    dim: usize,
+    inputs: &[u32],
+    targets: &[u32],
+    deltas: &[&mut [f32]; 2],
+) {
+    assert_eq!(deltas[0].len(), inputs.len() * dim, "input delta length");
+    assert_eq!(deltas[1].len(), targets.len() * dim, "target delta length");
+    check_rows(layers[0], dim, inputs);
+    check_rows(layers[1], dim, targets);
 }
 
 /// Signature of the one-pass `(x·y, x·x, y·y)` kernel.
@@ -137,23 +166,36 @@ pub struct Kernels {
     /// `layer` (borrow rules), which is why the row being read lives
     /// in the other matrix.
     pub sgns_pair: SgnsPairFn,
+    /// One HogBatch window (Ji et al.'s shared-negative minibatch) with
+    /// the rows read in place: `X` = the `inputs` rows of `layers[0]`,
+    /// `O` = the `targets` rows of `layers[1]`, `S = X·Oᵀ`, `G[r][j] =
+    /// (label_j − σ(S[r][j])) · alpha` with label 1 for `j = 0` only and
+    /// σ from [`SigmoidTable::value`], then `deltas[0] = G·O` and
+    /// `deltas[1] = Gᵀ·X`, overwritten (never accumulated into); the
+    /// layers are not written. **On each backend bit-identical to that
+    /// composition of the backend's own kernels**: the rows gathered,
+    /// [`gemm_nt`](Self::gemm_nt) into zeros, σ, and two
+    /// [`gemm_tn`](Self::gemm_tn) into zeros (`Gᵀ` transposed for the
+    /// first), up to NaN payloads. Repeated ids are separate rows. A
+    /// delta block that is not one `dim`-float row per id, or an id past
+    /// its layer, panics before anything is written.
+    pub sgns_window: SgnsWindowFn,
     /// Small-matrix GEMM, "NT" shape: `C[m×n] += A[m×k] · B[n×k]ᵀ`.
     /// All matrices row-major; `B` holds `n` rows of length `k`, so each
     /// `C[i][j]` accumulates the dot product of row `i` of `A` with row
-    /// `j` of `B`. This is the HogBatch *score* kernel (`A` = gathered
-    /// input rows, `B` = gathered target rows, `k` = embedding dim) and
-    /// the serve scan (`A` = the batch's unit queries, `B` = a tile of
-    /// the table). The vector backend holds a 2×4 block of `C` in
-    /// registers; on both backends an output depends only on its two
-    /// rows and on whether its `B` row falls in the `n % 4` tail, so a
-    /// caller may split `A` anywhere and `B` at multiples of four rows
-    /// without changing a bit.
+    /// `j` of `B`. This is the serve scan (`A` = the batch's unit
+    /// queries, `B` = a tile of the table) and the score product
+    /// [`sgns_window`](Self::sgns_window) is held to. The vector backend
+    /// holds a 2×4 block of `C` in registers; on both backends an
+    /// output depends only on its two rows and on whether its `B` row
+    /// falls in the `n % 4` tail, so a caller may split `A` anywhere and
+    /// `B` at multiples of four rows without changing a bit.
     pub gemm_nt: GemmFn,
     /// Small-matrix GEMM, "TN" shape: `C[m×n] += A[k×m]ᵀ · B[k×n]`.
     /// All matrices row-major; `C[i][j]` accumulates
-    /// `Σ_l A[l][i] · B[l][j]`. This is the HogBatch *rank-k update*
-    /// kernel: `A` = the (tiny) gradient matrix, `B` = gathered rows,
-    /// `n` = embedding dim.
+    /// `Σ_l A[l][i] · B[l][j]`: the rank-k updates
+    /// [`sgns_window`](Self::sgns_window) is held to (`A` = the tiny
+    /// gradient matrix, `B` = gathered rows, `n` = embedding dim).
     pub gemm_tn: GemmFn,
     /// Bulk per-row u8 quantization for the `--wire quant` payload mode:
     /// each row's values map affinely onto the 0..=255 grid
@@ -196,6 +238,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
     dot_norms: scalar::dot_norms,
     fused_grad_step: scalar::fused_grad_step,
     sgns_pair: scalar::sgns_pair,
+    sgns_window: scalar::sgns_window,
     gemm_nt: scalar::gemm_nt,
     gemm_tn: scalar::gemm_tn,
     quantize_rows: scalar::quantize_rows,
@@ -215,6 +258,9 @@ static AVX2_KERNELS: Kernels = Kernels {
     fused_grad_step: |g, win, wout, neu1e| unsafe { avx2::fused_grad_step(g, win, wout, neu1e) },
     sgns_pair: |win, layer, targets, positive, alpha, sigmoid, neu1e| unsafe {
         avx2::sgns_pair(win, layer, targets, positive, alpha, sigmoid, neu1e)
+    },
+    sgns_window: |layers, dim, inputs, targets, alpha, sigmoid, deltas| unsafe {
+        avx2::sgns_window(layers, dim, inputs, targets, alpha, sigmoid, deltas)
     },
     gemm_nt: |m, n, k, a, b, c| unsafe { avx2::gemm_nt(m, n, k, a, b, c) },
     gemm_tn: |m, n, k, a, b, c| unsafe { avx2::gemm_tn(m, n, k, a, b, c) },
@@ -425,6 +471,40 @@ pub mod scalar {
             let label = if positive && k == 0 { 1.0f32 } else { 0.0 };
             let g = (label - sigmoid.value(dot(win, wout))) * alpha;
             fused_grad_step(g, win, wout, neu1e);
+        }
+    }
+
+    /// One HogBatch window (see [`crate::simd::Kernels::sgns_window`]
+    /// for the contract): for each input `r`, then each target `j`,
+    /// `g = (label − σ(dot(x_r, o_j))) · alpha`, then `axpy(g, x_r,
+    /// ΔO_j)` and `axpy(g, o_j, ΔX_r)`. That is the composition's order
+    /// per element: [`gemm_nt`] is one [`dot`] per score (its `+ 0` is
+    /// invisible to σ), and [`gemm_tn`] one [`axpy`] per term in
+    /// increasing contraction index, which is `r` for `ΔO` and `j` for
+    /// `ΔX`.
+    pub fn sgns_window(
+        layers: [&[f32]; 2],
+        dim: usize,
+        inputs: &[u32],
+        targets: &[u32],
+        alpha: f32,
+        sigmoid: &SigmoidTable,
+        deltas: [&mut [f32]; 2],
+    ) {
+        super::check_window(layers, dim, inputs, targets, &deltas);
+        let [syn0, syn1neg] = layers;
+        let [d_in, d_out] = deltas;
+        d_in.fill(0.0);
+        d_out.fill(0.0);
+        for (r, &w) in inputs.iter().enumerate() {
+            let x = &syn0[w as usize * dim..][..dim];
+            for (j, &t) in targets.iter().enumerate() {
+                let o = &syn1neg[t as usize * dim..][..dim];
+                let label = if j == 0 { 1.0f32 } else { 0.0 };
+                let g = (label - sigmoid.value(dot(x, o))) * alpha;
+                axpy(g, x, &mut d_out[j * dim..][..dim]);
+                axpy(g, o, &mut d_in[r * dim..][..dim]);
+            }
         }
     }
 
@@ -1056,15 +1136,13 @@ mod avx2 {
         )
     }
 
-    /// Finishes one `A` row against four `B` rows: folds the `k % 8`
-    /// tail into the four reduced sums with one fused multiply-add per
-    /// element (lane-wise what `f32::mul_add` does) and accumulates them
-    /// into `C[i][j..j + 4]`.
+    /// Folds the `k % 8` tail of one `A` row against four `B` rows into
+    /// their four reduced sums, one fused multiply-add per element
+    /// (lane-wise what `f32::mul_add` does).
     ///
     /// # Safety
     ///
-    /// `ar` and every `b[r]` must be readable for `k` floats and `cr`
-    /// writable for 4.
+    /// `ar` and every `b[r]` must be readable for `k` floats.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn finish_quad(
@@ -1073,32 +1151,185 @@ mod avx2 {
         b: [*const f32; 4],
         from: usize,
         k: usize,
-        cr: *mut f32,
-    ) {
-        // SAFETY: `from..k` is inside all five rows and `cr..cr + 4` is
-        // inside `C`, both by the caller's contract.
+    ) -> __m128 {
+        // SAFETY: `from..k` is inside all five rows by the caller's
+        // contract.
         unsafe {
             for p in from..k {
                 let bv = _mm_set_ps(*b[3].add(p), *b[2].add(p), *b[1].add(p), *b[0].add(p));
                 sums = _mm_fmadd_ps(_mm_set1_ps(*ar.add(p)), bv, sums);
             }
-            _mm_storeu_ps(cr, _mm_add_ps(_mm_loadu_ps(cr), sums));
+        }
+        sums
+    }
+
+    /// Two `A` rows against four `B` rows, eight ymm accumulators: each
+    /// `B` load feeds two FMAs, each `A` load four. Lane `j` of the
+    /// first / second result is `row(a0) · row(b[j])` / `row(a1) ·
+    /// row(b[j])`: one 8-lane FMA chain in increasing `k`, [`hsum4`],
+    /// then [`finish_quad`] — the same value [`quad_1`] gives either row.
+    ///
+    /// # Safety
+    ///
+    /// All six rows must be readable for `k` floats.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn quad_2(
+        a0: *const f32,
+        a1: *const f32,
+        bj: [*const f32; 4],
+        k: usize,
+    ) -> (__m128, __m128) {
+        // SAFETY: every load is inside the six rows, `k` floats each.
+        unsafe {
+            let mut acc00 = _mm256_setzero_ps();
+            let mut acc01 = _mm256_setzero_ps();
+            let mut acc02 = _mm256_setzero_ps();
+            let mut acc03 = _mm256_setzero_ps();
+            let mut acc10 = _mm256_setzero_ps();
+            let mut acc11 = _mm256_setzero_ps();
+            let mut acc12 = _mm256_setzero_ps();
+            let mut acc13 = _mm256_setzero_ps();
+            let mut p = 0usize;
+            while p + 8 <= k {
+                let va0 = _mm256_loadu_ps(a0.add(p));
+                let va1 = _mm256_loadu_ps(a1.add(p));
+                let vb = _mm256_loadu_ps(bj[0].add(p));
+                acc00 = _mm256_fmadd_ps(va0, vb, acc00);
+                acc10 = _mm256_fmadd_ps(va1, vb, acc10);
+                let vb = _mm256_loadu_ps(bj[1].add(p));
+                acc01 = _mm256_fmadd_ps(va0, vb, acc01);
+                acc11 = _mm256_fmadd_ps(va1, vb, acc11);
+                let vb = _mm256_loadu_ps(bj[2].add(p));
+                acc02 = _mm256_fmadd_ps(va0, vb, acc02);
+                acc12 = _mm256_fmadd_ps(va1, vb, acc12);
+                let vb = _mm256_loadu_ps(bj[3].add(p));
+                acc03 = _mm256_fmadd_ps(va0, vb, acc03);
+                acc13 = _mm256_fmadd_ps(va1, vb, acc13);
+                p += 8;
+            }
+            let s0 = hsum4(acc00, acc01, acc02, acc03);
+            let s1 = hsum4(acc10, acc11, acc12, acc13);
+            (finish_quad(s0, a0, bj, p, k), finish_quad(s1, a1, bj, p, k))
+        }
+    }
+
+    /// One `A` row against four `B` rows: [`quad_2`] one row tall.
+    ///
+    /// # Safety
+    ///
+    /// All five rows must be readable for `k` floats.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn quad_1(ar: *const f32, bj: [*const f32; 4], k: usize) -> __m128 {
+        // SAFETY: every load is inside the five rows, `k` floats each.
+        unsafe {
+            let mut acc0 = _mm256_setzero_ps();
+            let mut acc1 = _mm256_setzero_ps();
+            let mut acc2 = _mm256_setzero_ps();
+            let mut acc3 = _mm256_setzero_ps();
+            let mut p = 0usize;
+            while p + 8 <= k {
+                let va = _mm256_loadu_ps(ar.add(p));
+                acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[0].add(p)), acc0);
+                acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[1].add(p)), acc1);
+                acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[2].add(p)), acc2);
+                acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[3].add(p)), acc3);
+                p += 8;
+            }
+            finish_quad(hsum4(acc0, acc1, acc2, acc3), ar, bj, p, k)
+        }
+    }
+
+    /// Two `A` rows against the first `n` (1–3) of four `B` rows, lane
+    /// `t < n` of the `i`th result bit-equal to [`dot`] of `a[i]` and
+    /// `bj[t]`; the other lanes are not specified.
+    ///
+    /// # Safety
+    ///
+    /// As [`dots_n`].
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dots(
+        n: usize,
+        a: [*const f32; 2],
+        bj: [*const f32; 4],
+        k: usize,
+    ) -> (__m128, __m128) {
+        // SAFETY: passed through from the caller.
+        unsafe {
+            match n {
+                1 => dots_n::<1>(a, bj, k),
+                2 => dots_n::<2>(a, bj, k),
+                _ => dots_n::<3>(a, bj, k),
+            }
+        }
+    }
+
+    /// [`dots`] for `T` targets: [`dot`]'s two accumulators (even and
+    /// odd 8-float blocks, a last odd block into the even one) per input
+    /// and target, their sums reduced by [`hsum4`] and the `k % 8` tail
+    /// folded in by [`finish_quad`], lane-wise what `dot`'s `hsum` and
+    /// scalar `mul_add`s do.
+    ///
+    /// # Safety
+    ///
+    /// Both `a` rows and all four `bj` rows must be readable for `k`
+    /// floats.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dots_n<const T: usize>(
+        a: [*const f32; 2],
+        bj: [*const f32; 4],
+        k: usize,
+    ) -> (__m128, __m128) {
+        let mut even = [[_mm256_setzero_ps(); 4]; 2];
+        let mut odd = [[_mm256_setzero_ps(); 4]; 2];
+        // SAFETY: every load is inside the six rows, `k` floats each.
+        unsafe {
+            let mut p = 0usize;
+            while p + 16 <= k {
+                for t in 0..T {
+                    let (b0, b1) = (
+                        _mm256_loadu_ps(bj[t].add(p)),
+                        _mm256_loadu_ps(bj[t].add(p + 8)),
+                    );
+                    for i in 0..2 {
+                        even[i][t] = _mm256_fmadd_ps(_mm256_loadu_ps(a[i].add(p)), b0, even[i][t]);
+                        odd[i][t] =
+                            _mm256_fmadd_ps(_mm256_loadu_ps(a[i].add(p + 8)), b1, odd[i][t]);
+                    }
+                }
+                p += 16;
+            }
+            if p + 8 <= k {
+                for t in 0..T {
+                    let b0 = _mm256_loadu_ps(bj[t].add(p));
+                    for i in 0..2 {
+                        even[i][t] = _mm256_fmadd_ps(_mm256_loadu_ps(a[i].add(p)), b0, even[i][t]);
+                    }
+                }
+                p += 8;
+            }
+            let sums = |i: usize| {
+                let v: [__m256; 4] = std::array::from_fn(|t| _mm256_add_ps(even[i][t], odd[i][t]));
+                finish_quad(hsum4(v[0], v[1], v[2], v[3]), a[i], bj, p, k)
+            };
+            (sums(0), sums(1))
         }
     }
 
     /// `C[m×n] += A[m×k] · B[n×k]ᵀ`, row-major, as a 2×4 register tile:
-    /// four `B` rows in the outer loop, two `A` rows in the inner one,
-    /// eight ymm accumulators, so each `B` load feeds two FMAs, each `A`
-    /// load four, and `B` streams through the cache once per call while
+    /// four `B` rows in the outer loop, two `A` rows in the inner one
+    /// ([`quad_2`]), so `B` streams through the cache once per call while
     /// the (small) `A` stays resident — the serve scan's `B` is a tile
-    /// of the table, HogBatch's a minibatch. An odd last `A` row runs
-    /// the same body one row tall; the `n % 4` last `B` rows are plain
-    /// [`dot`]s. Every output goes through one 8-lane FMA chain in
-    /// increasing `k` and [`hsum`]'s add tree whichever body computes
-    /// it, so a value depends only on its two rows and on whether its
-    /// `B` row sits in a group of four (`j < n − n % 4`) — never on `m`,
-    /// on `i`, or on how a caller splits `A` or splits `B` at multiples
-    /// of four rows.
+    /// of the table. An odd last `A` row runs [`quad_1`]; the `n % 4`
+    /// last `B` rows are plain [`dot`]s. Every output goes through one
+    /// 8-lane FMA chain in increasing `k` and [`hsum`]'s add tree
+    /// whichever body computes it, so a value depends only on its two
+    /// rows and on whether its `B` row sits in a group of four (`j < n −
+    /// n % 4`) — never on `m`, on `i`, or on how a caller splits `A` or
+    /// splits `B` at multiples of four rows.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         debug_assert_eq!(a.len(), m * k);
@@ -1110,6 +1341,9 @@ mod avx2 {
         // SAFETY: every pointer offset below is bounded by the three
         // length equalities asserted above.
         unsafe {
+            let add_to = |cr: *mut f32, sums: __m128| {
+                _mm_storeu_ps(cr, _mm_add_ps(_mm_loadu_ps(cr), sums));
+            };
             let mut j = 0usize;
             while j + 4 <= n {
                 let bj = [
@@ -1120,57 +1354,13 @@ mod avx2 {
                 ];
                 let mut i = 0usize;
                 while i + 2 <= m {
-                    let a0 = ap.add(i * k);
-                    let a1 = ap.add((i + 1) * k);
-                    let mut acc00 = _mm256_setzero_ps();
-                    let mut acc01 = _mm256_setzero_ps();
-                    let mut acc02 = _mm256_setzero_ps();
-                    let mut acc03 = _mm256_setzero_ps();
-                    let mut acc10 = _mm256_setzero_ps();
-                    let mut acc11 = _mm256_setzero_ps();
-                    let mut acc12 = _mm256_setzero_ps();
-                    let mut acc13 = _mm256_setzero_ps();
-                    let mut p = 0usize;
-                    while p + 8 <= k {
-                        let va0 = _mm256_loadu_ps(a0.add(p));
-                        let va1 = _mm256_loadu_ps(a1.add(p));
-                        let vb = _mm256_loadu_ps(bj[0].add(p));
-                        acc00 = _mm256_fmadd_ps(va0, vb, acc00);
-                        acc10 = _mm256_fmadd_ps(va1, vb, acc10);
-                        let vb = _mm256_loadu_ps(bj[1].add(p));
-                        acc01 = _mm256_fmadd_ps(va0, vb, acc01);
-                        acc11 = _mm256_fmadd_ps(va1, vb, acc11);
-                        let vb = _mm256_loadu_ps(bj[2].add(p));
-                        acc02 = _mm256_fmadd_ps(va0, vb, acc02);
-                        acc12 = _mm256_fmadd_ps(va1, vb, acc12);
-                        let vb = _mm256_loadu_ps(bj[3].add(p));
-                        acc03 = _mm256_fmadd_ps(va0, vb, acc03);
-                        acc13 = _mm256_fmadd_ps(va1, vb, acc13);
-                        p += 8;
-                    }
-                    let s0 = hsum4(acc00, acc01, acc02, acc03);
-                    let s1 = hsum4(acc10, acc11, acc12, acc13);
-                    finish_quad(s0, a0, bj, p, k, cp.add(i * n + j));
-                    finish_quad(s1, a1, bj, p, k, cp.add((i + 1) * n + j));
+                    let (s0, s1) = quad_2(ap.add(i * k), ap.add((i + 1) * k), bj, k);
+                    add_to(cp.add(i * n + j), s0);
+                    add_to(cp.add((i + 1) * n + j), s1);
                     i += 2;
                 }
                 if i < m {
-                    let ar = ap.add(i * k);
-                    let mut acc0 = _mm256_setzero_ps();
-                    let mut acc1 = _mm256_setzero_ps();
-                    let mut acc2 = _mm256_setzero_ps();
-                    let mut acc3 = _mm256_setzero_ps();
-                    let mut p = 0usize;
-                    while p + 8 <= k {
-                        let va = _mm256_loadu_ps(ar.add(p));
-                        acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[0].add(p)), acc0);
-                        acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[1].add(p)), acc1);
-                        acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[2].add(p)), acc2);
-                        acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[3].add(p)), acc3);
-                        p += 8;
-                    }
-                    let s = hsum4(acc0, acc1, acc2, acc3);
-                    finish_quad(s, ar, bj, p, k, cp.add(i * n + j));
+                    add_to(cp.add(i * n + j), quad_1(ap.add(i * k), bj, k));
                 }
                 j += 4;
             }
@@ -1241,6 +1431,291 @@ mod avx2 {
                 while j < n {
                     cr[j] += dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
                     j += 1;
+                }
+            }
+        }
+    }
+
+    /// Inputs per block of [`sgns_window`]'s gradient (a multiple of 4).
+    const WINDOW_ROWS: usize = 16;
+    /// Targets per block of [`sgns_window`]'s gradient (a multiple of 4).
+    const WINDOW_COLS: usize = 8;
+
+    /// One HogBatch window (see `Kernels::sgns_window` for the
+    /// contract), the rows read in place, one block of `G` at a time:
+    /// up to 16 inputs × 8 targets, so a window of up to 8 words a side
+    /// and 7 negatives is one block.
+    ///
+    /// 1. `G`'s block in 2×4 tiles, two inputs against a group of four
+    ///    targets (the `nt % 4` last targets are one smaller group):
+    ///    the tile's scores are `gemm_nt`'s — [`quad_2`] / [`quad_1`]
+    ///    for a group of four, [`dots`] (in [`dot`]'s order) for the
+    ///    last targets — and σ and the gradient run on its eight lanes
+    ///    at once ([`SigmoidTable::values8`]). The tiles are
+    ///    independent, so their latencies overlap.
+    /// 2. [`rank_update`] continues each block row's `ΔX` chain over the
+    ///    block's targets and each block column's `ΔO` chain over its
+    ///    inputs, four delta rows at a time, each written once per
+    ///    block.
+    ///
+    /// `gemm_tn` computes every delta element as one FMA chain from `+0`
+    /// in increasing contraction index as well, then adds it to the
+    /// zeroed output in its 4-row tiles only (a `-0` chain becomes
+    /// `+0`): the four-row updates here are exactly its tiles, since
+    /// blocks start at multiples of four.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn sgns_window(
+        layers: [&[f32]; 2],
+        dim: usize,
+        inputs: &[u32],
+        targets: &[u32],
+        alpha: f32,
+        sigmoid: &SigmoidTable,
+        deltas: [&mut [f32]; 2],
+    ) {
+        super::check_window(layers, dim, inputs, targets, &deltas);
+        let [syn0, syn1neg] = layers;
+        let [d_in, d_out] = deltas;
+        let (mb, nt) = (inputs.len(), targets.len());
+        if mb == 0 || nt == 0 {
+            d_in.fill(0.0);
+            d_out.fill(0.0);
+            return;
+        }
+        let row = |layer: &[f32], id: u32| layer[id as usize * dim..][..dim].as_ptr();
+        let positive = _mm256_setr_ps(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0);
+        let alpha8 = _mm256_set1_ps(alpha);
+        // `g[ρ · WINDOW_COLS + t]` is `G[r0 + ρ][j0 + t]`; a block reads
+        // only what its tiles wrote.
+        let mut g = std::mem::MaybeUninit::<[f32; WINDOW_ROWS * WINDOW_COLS]>::uninit();
+        let gp = g.as_mut_ptr() as *mut f32;
+        let mut os = [std::ptr::null::<f32>(); WINDOW_COLS];
+        let mut xs = [std::ptr::null::<f32>(); WINDOW_ROWS];
+        for j0 in (0..nt).step_by(WINDOW_COLS) {
+            let tc = WINDOW_COLS.min(nt - j0);
+            for (o, &t) in os.iter_mut().zip(&targets[j0..j0 + tc]) {
+                *o = row(syn1neg, t);
+            }
+            for r0 in (0..mb).step_by(WINDOW_ROWS) {
+                let rc = WINDOW_ROWS.min(mb - r0);
+                for (x, &w) in xs.iter_mut().zip(&inputs[r0..r0 + rc]) {
+                    *x = row(syn0, w);
+                }
+                for t0 in (0..tc).step_by(4) {
+                    let n = (tc - t0).min(4);
+                    // A short last group repeats its first row.
+                    let group: [*const f32; 4] =
+                        std::array::from_fn(|t| os[t0 + if t < n { t } else { 0 }]);
+                    let label = if j0 + t0 == 0 {
+                        positive
+                    } else {
+                        _mm256_setzero_ps()
+                    };
+                    for r in (0..rc).step_by(2) {
+                        let pair = r + 1 < rc;
+                        let zero = _mm_setzero_ps();
+                        // Row `r` of the block against the group, then row
+                        // `r + 1` (if any): lane 4·ρ + t scores input
+                        // `r + ρ` against target `t0 + t`.
+                        // SAFETY: every row pointer covers `dim` floats
+                        // (sliced above); the caller verified avx2+fma.
+                        let (s0, s1) = unsafe {
+                            match (n, pair) {
+                                (4, true) => quad_2(xs[r], xs[r + 1], group, dim),
+                                (4, false) => (quad_1(xs[r], group, dim), zero),
+                                (n, true) => dots(n, [xs[r], xs[r + 1]], group, dim),
+                                (n, false) => (dots(n, [xs[r]; 2], group, dim).0, zero),
+                            }
+                        };
+                        // SAFETY: as above; row `r` (and `r + 1` for a
+                        // pair) of the block has room for four floats
+                        // from `t0`, since `t0 + 4 <= WINDOW_COLS`.
+                        unsafe {
+                            let sig = sigmoid.values8(_mm256_set_m128(s1, s0));
+                            let grad = _mm256_mul_ps(_mm256_sub_ps(label, sig), alpha8);
+                            let at = gp.add(r * WINDOW_COLS + t0);
+                            _mm_storeu_ps(at, _mm256_castps256_ps128(grad));
+                            if pair {
+                                _mm_storeu_ps(at.add(WINDOW_COLS), _mm256_extractf128_ps(grad, 1));
+                            }
+                        }
+                    }
+                }
+                // ΔX rows r0.., over this block's targets (a row's last
+                // block finishes it); then ΔO rows j0.., over its inputs.
+                let (first, last) = (j0 == 0, j0 + tc == nt);
+                for r in (0..rc).step_by(4) {
+                    let dsts = d_in[(r0 + r) * dim..].as_mut_ptr();
+                    // SAFETY: rows `r0 + r..` of `d_in` are in bounds
+                    // (`check_window`), the coefficients inside `g`.
+                    unsafe {
+                        let coefs = Coefs {
+                            base: gp.add(r * WINDOW_COLS),
+                            row_step: WINDOW_COLS,
+                            term_step: 1,
+                        };
+                        let n = (rc - r).min(4);
+                        rank_update(n, coefs, &os[..tc], dsts, dim, first, last);
+                    }
+                }
+                let (first, last) = (r0 == 0, r0 + rc == mb);
+                for t in (0..tc).step_by(4) {
+                    let dsts = d_out[(j0 + t) * dim..].as_mut_ptr();
+                    // SAFETY: as above.
+                    unsafe {
+                        let coefs = Coefs {
+                            base: gp.add(t),
+                            row_step: 1,
+                            term_step: WINDOW_COLS,
+                        };
+                        let n = (tc - t).min(4);
+                        rank_update(n, coefs, &xs[..rc], dsts, dim, first, last);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where [`rank_update`] reads its coefficients: row `i`'s for term
+    /// `k` at `base + i·row_step + k·term_step`.
+    #[derive(Clone, Copy)]
+    struct Coefs {
+        base: *const f32,
+        row_step: usize,
+        term_step: usize,
+    }
+
+    impl Coefs {
+        /// Row `i`'s coefficient for term `k`.
+        ///
+        /// # Safety
+        ///
+        /// The address must be inside the coefficients' allocation.
+        #[inline]
+        unsafe fn at(self, i: usize, k: usize) -> *const f32 {
+            // SAFETY: by the caller's contract.
+            unsafe { self.base.add(i * self.row_step + k * self.term_step) }
+        }
+    }
+
+    /// `n` (1–4) consecutive delta rows of `dim` floats at `dst`, row `i`
+    /// continued over the terms `k`: `(first ? +0 : row) + coefs(i, k) ·
+    /// srcs[k]`, one fused multiply-add per term in order, lane by lane
+    /// on the vector body and `f32::mul_add` on the `dim % 8` tail. Four
+    /// rows with `last` then add `gemm_tn`'s `+ 0` to the body, as its
+    /// 4-row tiles do; every other call adds `-0`, which changes no
+    /// value.
+    ///
+    /// # Safety
+    ///
+    /// `dst` must be writable for `n · dim` floats, every `srcs[k]`
+    /// readable for `dim`, every coefficient readable, and the CPU must
+    /// support AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rank_update(
+        n: usize,
+        coefs: Coefs,
+        srcs: &[*const f32],
+        dst: *mut f32,
+        dim: usize,
+        first: bool,
+        last: bool,
+    ) {
+        // SAFETY: passed through from the caller.
+        unsafe {
+            match n {
+                1 => rows_n::<1>(coefs, srcs, dst, dim, first, false),
+                2 => rows_n::<2>(coefs, srcs, dst, dim, first, false),
+                3 => rows_n::<3>(coefs, srcs, dst, dim, first, false),
+                _ => rows_n::<4>(coefs, srcs, dst, dim, first, last),
+            }
+        }
+    }
+
+    /// [`rank_update`] with `R` rows: 16 columns at a time (eight
+    /// accumulators for four rows, as in `gemm_tn`'s tile), then 8, then
+    /// the scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// As [`rank_update`].
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rows_n<const R: usize>(
+        coefs: Coefs,
+        srcs: &[*const f32],
+        dst: *mut f32,
+        dim: usize,
+        first: bool,
+        finish: bool,
+    ) {
+        let end = _mm256_set1_ps(if finish { 0.0 } else { -0.0 });
+        // SAFETY: every access is inside `dst`'s `R · dim` floats, a
+        // source row's `dim` or the coefficients, by the caller's
+        // contract.
+        unsafe {
+            let mut p = 0usize;
+            while p + 16 <= dim {
+                strips::<R, 2>(coefs, srcs, dst, dim, p, first, end);
+                p += 16;
+            }
+            if p + 8 <= dim {
+                strips::<R, 1>(coefs, srcs, dst, dim, p, first, end);
+                p += 8;
+            }
+            for i in 0..R {
+                for p in p..dim {
+                    let out = dst.add(i * dim + p);
+                    let mut acc = if first { 0.0 } else { *out };
+                    for (k, src) in srcs.iter().enumerate() {
+                        acc = (*coefs.at(i, k)).mul_add(*src.add(p), acc);
+                    }
+                    *out = acc;
+                }
+            }
+        }
+    }
+
+    /// Columns `col..col + 8·W` of [`rows_n`]'s `R` rows.
+    ///
+    /// # Safety
+    ///
+    /// As [`rank_update`], with `col + 8·W <= dim`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn strips<const R: usize, const W: usize>(
+        coefs: Coefs,
+        srcs: &[*const f32],
+        dst: *mut f32,
+        dim: usize,
+        col: usize,
+        first: bool,
+        end: __m256,
+    ) {
+        // SAFETY: by the caller's contract.
+        unsafe {
+            let out = |i: usize, w: usize| dst.add(i * dim + col + 8 * w);
+            let mut acc = [[_mm256_setzero_ps(); W]; R];
+            if !first {
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    for (w, acc) in acc.iter_mut().enumerate() {
+                        *acc = _mm256_loadu_ps(out(i, w));
+                    }
+                }
+            }
+            for (k, src) in srcs.iter().enumerate() {
+                let v: [__m256; W] = std::array::from_fn(|w| _mm256_loadu_ps(src.add(col + 8 * w)));
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    let c = _mm256_broadcast_ss(&*coefs.at(i, k));
+                    for (acc, v) in acc.iter_mut().zip(v) {
+                        *acc = _mm256_fmadd_ps(c, v, *acc);
+                    }
+                }
+            }
+            for (i, acc) in acc.into_iter().enumerate() {
+                for (w, acc) in acc.into_iter().enumerate() {
+                    _mm256_storeu_ps(out(i, w), _mm256_add_ps(acc, end));
                 }
             }
         }

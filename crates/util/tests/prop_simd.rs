@@ -431,6 +431,326 @@ fn scalar_sgns_pair_panics_on_a_target_past_the_layer() {
     );
 }
 
+type Gemm = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+/// One backend's window kernel and the two GEMMs its contract is
+/// written in.
+struct WindowBackend {
+    name: &'static str,
+    window: simd::SgnsWindowFn,
+    gemm_nt: Gemm,
+    gemm_tn: Gemm,
+}
+
+const WINDOW_BACKENDS: [WindowBackend; 2] = [
+    WindowBackend {
+        name: "dispatched",
+        window: fvec::sgns_window,
+        gemm_nt: fvec::gemm_nt,
+        gemm_tn: fvec::gemm_tn,
+    },
+    WindowBackend {
+        name: "scalar",
+        window: scalar::sgns_window,
+        gemm_nt: scalar::gemm_nt,
+        gemm_tn: scalar::gemm_tn,
+    },
+];
+
+/// What the HogBatch loop computed before the window kernel: the rows
+/// gathered, `S = X·Oᵀ` by `gemm_nt` into zeros, `G = (label − σ(S)) ·
+/// alpha`, `ΔO = Gᵀ·X` and `ΔX = G·O` by `gemm_tn` into zeros (`G`
+/// transposed for the second). Returns `(ΔX, ΔO, S)`.
+fn window_composition(
+    b: &WindowBackend,
+    layers: [&[f32]; 2],
+    dim: usize,
+    inputs: &[u32],
+    targets: &[u32],
+    alpha: f32,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let sigmoid = SigmoidTable::new();
+    let (mb, nt) = (inputs.len(), targets.len());
+    let gather = |layer: &[f32], ids: &[u32]| -> Vec<f32> {
+        ids.iter()
+            .flat_map(|&id| &layer[id as usize * dim..][..dim])
+            .copied()
+            .collect()
+    };
+    let (x, o) = (gather(layers[0], inputs), gather(layers[1], targets));
+    let mut scores = vec![0.0; mb * nt];
+    (b.gemm_nt)(mb, nt, dim, &x, &o, &mut scores);
+    let grad = |r: usize, j: usize| {
+        let label = if j == 0 { 1.0f32 } else { 0.0 };
+        (label - sigmoid.value(scores[r * nt + j])) * alpha
+    };
+    let grads: Vec<f32> = (0..mb * nt).map(|i| grad(i / nt, i % nt)).collect();
+    let grads_t: Vec<f32> = (0..nt * mb).map(|i| grad(i % mb, i / mb)).collect();
+    let mut d_out = vec![0.0; nt * dim];
+    (b.gemm_tn)(nt, dim, mb, &grads, &x, &mut d_out);
+    let mut d_in = vec![0.0; mb * dim];
+    (b.gemm_tn)(mb, dim, nt, &grads_t, &o, &mut d_in);
+    (d_in, d_out, scores)
+}
+
+/// Runs `b.window` into delta blocks full of NaN and compares them with
+/// the composition, bit for bit (a NaN may carry another payload);
+/// returns the composition's scores.
+fn check_window(
+    b: &WindowBackend,
+    layers: [&[f32]; 2],
+    dim: usize,
+    inputs: &[u32],
+    targets: &[u32],
+    alpha: f32,
+) -> Vec<f32> {
+    let (want_in, want_out, scores) = window_composition(b, layers, dim, inputs, targets, alpha);
+    let mut got_in = vec![f32::NAN; inputs.len() * dim];
+    let mut got_out = vec![f32::NAN; targets.len() * dim];
+    (b.window)(
+        layers,
+        dim,
+        inputs,
+        targets,
+        alpha,
+        &SigmoidTable::new(),
+        [&mut got_in, &mut got_out],
+    );
+    let same = |x: &f32, y: &f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    for (what, got, want) in [("ΔX", &got_in, &want_in), ("ΔO", &got_out, &want_out)] {
+        if let Some(i) = (0..got.len()).find(|&i| !same(&got[i], &want[i])) {
+            panic!(
+                "{} {what}[{}][{}]: {:e} vs {:e}, dim={dim} inputs={inputs:?} targets={targets:?}",
+                b.name,
+                i / dim,
+                i % dim,
+                got[i],
+                want[i]
+            );
+        }
+    }
+    scores
+}
+
+/// `n` ids below `rows` that repeat within the list (from the fourth id
+/// on, every third one repeats an earlier one).
+fn window_ids(n: usize, rows: usize, salt: usize) -> Vec<u32> {
+    (0..n)
+        .map(|i| {
+            let i = if i >= 3 && i % 3 == 0 { i / 3 } else { i };
+            ((i * 7 + salt) % rows) as u32
+        })
+        .collect()
+}
+
+const WINDOW_DIMS: [usize; 11] = [1, 7, 8, 9, 16, 63, 64, 65, 67, 200, 300];
+
+#[test]
+fn sgns_window_is_the_gemm_sigmoid_gemm_composition_bitwise() {
+    // 1–10 inputs and 1–41 targets: every `mb % 4`, every `nt % 4`, one
+    // and several blocks of targets, repeated ids on both sides.
+    let rows = 45;
+    for b in &WINDOW_BACKENDS {
+        let (mut saturated, mut inside) = (0, 0);
+        for dim in WINDOW_DIMS {
+            // Scales put the scores on both sides of ±6 and inside.
+            for scale in [1.0f32, 0.02] {
+                let syn0: Vec<f32> = pattern(rows * dim, 41).iter().map(|v| v * scale).collect();
+                let syn1neg = pattern(rows * dim, 42);
+                for mb in 1..=10 {
+                    for nt in 1..=41 {
+                        let inputs = window_ids(mb, rows, mb + nt);
+                        let targets = window_ids(nt, rows, 3 * mb);
+                        let layers = [&syn0[..], &syn1neg[..]];
+                        for f in check_window(b, layers, dim, &inputs, &targets, 0.025) {
+                            saturated += (f.abs() >= 6.0) as usize;
+                            inside += (f.abs() < 6.0) as usize;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            saturated > 1000 && inside > 1000,
+            "{}: both σ regimes must be exercised ({saturated}/{inside})",
+            b.name
+        );
+    }
+}
+
+#[test]
+fn sgns_window_scores_the_last_targets_in_dot_order() {
+    // On the AVX2 backend `gemm_nt` sums a score in a different order
+    // for a target in a group of four than for one of the `nt % 4` last
+    // targets. Rows whose large terms cancel to a score inside ±6 make
+    // the two orders differ by more than a σ slot now and then: find
+    // such rows by putting one target row in both places, then hold the
+    // kernel to the composition with the row in each.
+    let sigmoid = SigmoidTable::new();
+    for b in &WINDOW_BACKENDS {
+        let mut found = 0;
+        for dim in [16usize, 64, 67, 200] {
+            for salt in 0..400u32 {
+                let wave = |phase: f32| -> Vec<f32> {
+                    (0..dim)
+                        .map(|p| (p as f32 * 0.7 + phase).sin() * 100.0)
+                        .collect()
+                };
+                let (x, mut o) = (wave(salt as f32), wave(salt as f32 * 1.3 + 0.5));
+                let last = dim - 1;
+                if x[last] == 0.0 {
+                    continue;
+                }
+                // The last element sets the exact score to a point of (-6, 6).
+                let want = (salt % 23) as f64 * 0.5 - 5.5;
+                let head: f64 = (0..last).map(|p| x[p] as f64 * o[p] as f64).sum();
+                o[last] = ((want - head) / x[last] as f64) as f32;
+                let mut scores = [0.0f32; 5];
+                (b.gemm_nt)(1, 5, dim, &x, &o.repeat(5), &mut scores);
+                if sigmoid.value(scores[0]) == sigmoid.value(scores[4]) {
+                    continue;
+                }
+                found += 1;
+                let syn1neg = [&o[..], &pattern(dim, salt + 2000)].concat();
+                let layers = [&x[..], &syn1neg[..]];
+                for targets in [
+                    &[0u32][..],
+                    &[1, 0],
+                    &[0, 1, 1, 1, 0],
+                    &[1, 1, 1, 1, 0, 0, 1],
+                ] {
+                    check_window(b, layers, dim, &[0, 0, 0], targets, 0.025);
+                }
+            }
+        }
+        if b.name == "dispatched" && simd::backend_name() == "avx2+fma" {
+            assert!(found >= 100, "only {found} rows tell the two orders apart");
+        }
+    }
+}
+
+#[test]
+fn sgns_window_matches_the_composition_at_the_saturation_edges() {
+    // Input rows are 2·e₀; target rows v·e₀ put the score exactly at
+    // 2v: ±6 and its f32 neighbours, ±0 and ±1e30.
+    let edges = [
+        3.0f32,
+        3.0f32.next_up(),
+        3.0f32.next_down(),
+        -3.0,
+        (-3.0f32).next_up(),
+        (-3.0f32).next_down(),
+        0.0,
+        -0.0,
+        5e29,
+        -5e29,
+    ];
+    for b in &WINDOW_BACKENDS {
+        for dim in WINDOW_DIMS {
+            let mut syn0 = vec![0.0f32; 3 * dim];
+            syn0[0] = 2.0;
+            syn0[dim] = 2.0;
+            syn0[2 * dim + dim / 2] = 2.0;
+            let mut syn1neg = vec![0.0f32; edges.len() * dim];
+            for (r, &v) in edges.iter().enumerate() {
+                syn1neg[r * dim] = v;
+            }
+            let targets: Vec<u32> = (0..edges.len() as u32).collect();
+            for inputs in [&[0u32][..], &[0, 1], &[1, 0, 2, 0, 1]] {
+                let scores = check_window(b, [&syn0, &syn1neg], dim, inputs, &targets, 0.025);
+                let edge = |v: f32| scores.contains(&v);
+                assert!(
+                    edge(6.0) && edge(-6.0) && edge(6.0f32.next_up()),
+                    "{}",
+                    b.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sgns_window_matches_the_composition_on_nan_and_infinity() {
+    let rows = 12;
+    for b in &WINDOW_BACKENDS {
+        for dim in WINDOW_DIMS {
+            for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for pos in [0, dim / 2, dim - 1] {
+                    let mut syn0 = pattern(rows * dim, 43);
+                    let mut syn1neg = pattern(rows * dim, 44);
+                    syn0[3 * dim + pos] = special;
+                    syn1neg[5 * dim + pos] = special;
+                    for (inputs, targets) in [
+                        (&[3u32][..], &[5u32][..]),
+                        (&[0, 3, 1], &[2, 5, 4, 5, 6, 7]),
+                        (&[1, 2, 4, 6, 3, 3], &[5, 0, 1, 2, 8, 9, 10, 11, 1]),
+                    ] {
+                        check_window(b, [&syn0, &syn1neg], dim, inputs, targets, 0.025);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sgns_window_keeps_the_sign_of_zeros_that_underflow() {
+    // Every product of a gradient and a subnormal row element underflows
+    // to ±0: `gemm_tn` keeps a `-0` chain in its strips and `axpy` rows
+    // but adds it to the zeroed output (`+0`) in its 4-row tiles.
+    let tiny = -f32::from_bits(1);
+    for b in &WINDOW_BACKENDS {
+        for dim in [1usize, 7, 8, 9, 16, 17, 67] {
+            let rows = 12;
+            let layer: Vec<f32> = (0..rows * dim)
+                .map(|i| if i % 3 == 0 { -tiny } else { tiny })
+                .collect();
+            for mb in 1..=10 {
+                for nt in 1..=10 {
+                    let inputs = window_ids(mb, rows, nt);
+                    let targets = window_ids(nt, rows, mb);
+                    check_window(b, [&layer, &layer], dim, &inputs, &targets, 0.025);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sgns_window_panics_on_an_id_past_its_layer_before_writing() {
+    let rows = 6u32;
+    for b in &WINDOW_BACKENDS {
+        for dim in [1usize, 8, 67] {
+            let syn0 = pattern(rows as usize * dim, 45);
+            let syn1neg = pattern(rows as usize * dim, 46);
+            for (inputs, targets) in [
+                (&[0u32, 5, rows][..], &[1u32, 2][..]),
+                (&[0, 1], &[4, 0, 3, 2, 1, rows]),
+            ] {
+                let mut d_in = vec![7.0f32; inputs.len() * dim];
+                let mut d_out = vec![7.0f32; targets.len() * dim];
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    (b.window)(
+                        [&syn0, &syn1neg],
+                        dim,
+                        inputs,
+                        targets,
+                        0.025,
+                        &SigmoidTable::new(),
+                        [&mut d_in, &mut d_out],
+                    )
+                }));
+                let case = format!("{} dim={dim} inputs={inputs:?} targets={targets:?}", b.name);
+                assert!(outcome.is_err(), "{case}: no panic");
+                assert!(
+                    d_in.iter().chain(&d_out).all(|&v| v == 7.0),
+                    "{case}: a delta was written"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn single_rounding_kernels_match_scalar_bitwise() {
     // scale, sub_into, and add_assign perform exactly one IEEE operation
