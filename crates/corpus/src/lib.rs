@@ -7,7 +7,7 @@
 //!   fixed-length "sentences" of up to 10 K words): the one token loop
 //!   that vocabulary counting, encoding and file partitions all run.
 //! * [`vocab`] — vocabulary construction (unique words + frequencies),
-//!   streaming and rayon-parallel shard-merge builders, `min_count`
+//!   a streaming builder, `min_count`
 //!   filtering and frequency-descending id assignment, exactly as the
 //!   Word2Vec C implementation does.
 //! * [`subsample`] — frequent-word down-sampling probabilities

@@ -2,7 +2,6 @@
 
 use gw2v_core::model::Word2VecModel;
 use gw2v_util::fvec::{self, FlatMatrix};
-use rayon::prelude::*;
 
 /// A query index: every embedding row normalized to unit length, so
 /// cosine similarity is a plain dot product.
@@ -42,12 +41,11 @@ impl EmbeddingIndex {
         assert_eq!(query.len(), self.dim());
         let mut q = query.to_vec();
         fvec::normalize(&mut q);
-        // Score all rows in parallel, then select top-k. A diverged
-        // model (e.g. summed gradients at a 32x learning rate, paper
-        // Fig. 6's red line) legitimately contains NaN/inf rows; such
-        // rows rank last rather than poisoning the sort.
+        // Score all rows, then select top-k. A diverged model (e.g.
+        // summed gradients at a 32x learning rate, paper Fig. 6's red
+        // line) legitimately contains NaN/inf rows; such rows rank last
+        // rather than poisoning the sort.
         let scores: Vec<f32> = (0..self.len())
-            .into_par_iter()
             .map(|r| {
                 let s = fvec::dot(&q, self.normed.row(r));
                 if s.is_nan() {

@@ -9,7 +9,7 @@
 //! semantic, syntactic, and total accuracy."
 //!
 //! * [`knn`] — a normalized-embedding index with brute-force cosine
-//!   nearest-neighbour queries (rayon-parallel).
+//!   nearest-neighbour queries.
 //! * [`analogy`] — 3CosAdd analogy evaluation with per-category,
 //!   semantic, syntactic and total accuracies; question words missing
 //!   from the vocabulary are skipped, as the original evaluation script

@@ -277,11 +277,7 @@ impl FaultBarrier {
         let mut guard = self.lock.lock().unwrap();
         let generation = guard.generation;
         guard.arrived += 1;
-        if guard.arrived >= live.n_alive() {
-            guard.arrived = 0;
-            guard.generation += 1;
-            drop(guard);
-            self.cvar.notify_all();
+        if self.open_if_full(&mut guard, live) {
             return false;
         }
         let mut late = false;
@@ -292,15 +288,6 @@ impl FaultBarrier {
                 return late;
             }
             if res.timed_out() {
-                // A host may have died while we waited: re-check whether
-                // the remaining alive set is already fully here.
-                if guard.arrived >= live.n_alive() {
-                    guard.arrived = 0;
-                    guard.generation += 1;
-                    drop(guard);
-                    self.cvar.notify_all();
-                    return late;
-                }
                 late = late || start.elapsed() >= patience;
                 drop(guard);
                 on_tick();
@@ -312,16 +299,23 @@ impl FaultBarrier {
         }
     }
 
-    /// Wakes all waiters to re-check the alive set (called by
-    /// [`ClusterState::mark_dead`]).
+    /// Releases the waiters if a death left every alive host arrived
+    /// (called by [`ClusterState::mark_dead`]). Every drop of the alive
+    /// count goes through here, so a waiter never re-checks it itself.
     fn poke(&self, live: &SharedLiveness) {
-        let mut guard = self.lock.lock().unwrap();
-        if guard.arrived > 0 && guard.arrived >= live.n_alive() {
-            guard.arrived = 0;
-            guard.generation += 1;
+        self.open_if_full(&mut self.lock.lock().unwrap(), live);
+    }
+
+    /// The one release: once every alive host has arrived, resets the
+    /// count, starts the next generation and wakes the waiters.
+    fn open_if_full(&self, gen: &mut BarrierGen, live: &SharedLiveness) -> bool {
+        let full = gen.arrived > 0 && gen.arrived >= live.n_alive();
+        if full {
+            gen.arrived = 0;
+            gen.generation += 1;
+            self.cvar.notify_all();
         }
-        drop(guard);
-        self.cvar.notify_all();
+        full
     }
 }
 

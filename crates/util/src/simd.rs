@@ -209,8 +209,8 @@ pub struct Kernels {
     /// carry NaN/∞).
     pub quantize_rows: QuantizeFn,
     /// Bulk dequantization: `offset + scale · code`, plain mul+add (no
-    /// FMA) on both backends, so reconstruction is backend-bit-identical
-    /// too.
+    /// FMA). Both tables hold the scalar entry, so reconstruction is
+    /// backend-bit-identical too.
     pub dequantize_rows: DequantizeFn,
     /// One `i16` query against rows of `u8` codes: `out[j] = Σ_i q[i] ·
     /// codes[j·dim + i]` in wrapping `i32` arithmetic, overwriting
@@ -267,9 +267,9 @@ static AVX2_KERNELS: Kernels = Kernels {
     quantize_rows: |values, dim, scales, offsets, out| unsafe {
         avx2::quantize_rows(values, dim, scales, offsets, out)
     },
-    dequantize_rows: |packed, dim, scales, offsets, values| unsafe {
-        avx2::dequantize_rows(packed, dim, scales, offsets, values)
-    },
+    // One entry on both tables: an AVX2 loop measured no faster than
+    // the scalar one.
+    dequantize_rows: scalar::dequantize_rows,
     dot_codes: |q, codes, out| unsafe { avx2::dot_codes(q, codes, out) },
     // SAFETY: needs two CPUID bits the table's avx2+fma test does not
     // imply; `select` keeps this entry only where `clmul::supported()`
@@ -577,7 +577,7 @@ pub mod scalar {
     }
 
     /// Dequantization: `offset + scale · code`, one multiply and one add
-    /// per element (never fused), matching the vector backend bitwise.
+    /// per element (never fused). The AVX2 table uses this entry too.
     #[inline]
     pub fn dequantize_rows(
         packed: &[u8],
@@ -998,46 +998,6 @@ mod avx2 {
                     let t = if t > 0.0 { t } else { 0.0 };
                     let t = if t < 255.0 { t } else { 255.0 };
                     *qp.add(i) = t.round_ties_even() as u8;
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// Dequantization, `offset + scale · code` with separate mul and add
-    /// (no FMA — same single-rounding-per-op sequence as the scalar
-    /// backend, so reconstruction is bit-identical across backends).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dequantize_rows(
-        packed: &[u8],
-        dim: usize,
-        scales: &[f32],
-        offsets: &[f32],
-        values: &mut [f32],
-    ) {
-        let n = scales.len();
-        debug_assert_eq!(packed.len(), n * dim);
-        debug_assert_eq!(offsets.len(), n);
-        debug_assert_eq!(values.len(), n * dim);
-        // SAFETY: all loads/stores stay within one `dim`-element row,
-        // bounded by the length equalities above; `_mm_loadl_epi64` reads
-        // exactly 8 bytes, guarded by `i + 8 <= dim`.
-        unsafe {
-            for r in 0..n {
-                let (scale, offset) = (scales[r], offsets[r]);
-                let qp = packed[r * dim..(r + 1) * dim].as_ptr();
-                let vp = values[r * dim..(r + 1) * dim].as_mut_ptr();
-                let vscale = _mm256_set1_ps(scale);
-                let voff = _mm256_set1_ps(offset);
-                let mut i = 0usize;
-                while i + 8 <= dim {
-                    let b = _mm_loadl_epi64(qp.add(i) as *const __m128i);
-                    let q = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(b));
-                    _mm256_storeu_ps(vp.add(i), _mm256_add_ps(voff, _mm256_mul_ps(vscale, q)));
-                    i += 8;
-                }
-                while i < dim {
-                    *vp.add(i) = offset + scale * (*qp.add(i) as f32);
                     i += 1;
                 }
             }

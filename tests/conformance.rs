@@ -483,7 +483,7 @@ fn conformance_quant_chaos_all_plans() {
 
 /// The dense plan's byte totals must order delta ≤ memo ≤ classic:
 /// memo strips repeated id lists, delta additionally strips repeated
-/// row values. Invoked from scripts/perf_smoke.sh as the CI bytes
+/// row values. Invoked from scripts/ci/perf-smoke.sh as the CI bytes
 /// assertion for the compressed wire modes.
 #[test]
 fn conformance_naive_wire_bytes_ordering() {
