@@ -65,6 +65,7 @@ use gw2v_corpus::unigram::NegativeSampler;
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec;
 use gw2v_util::rng::Rng64;
+use gw2v_util::sigmoid::SigmoidTable;
 
 /// Which SGNS inner loop a trainer runs.
 ///
@@ -101,17 +102,8 @@ pub struct MinibatchScratch {
     inputs: Vec<u32>,
     /// Center + shared negative ids of the current window.
     targets: Vec<u32>,
-    /// `syn0[inputs]`, `mb×d` row-major, gathered only for a store
-    /// without plain slices.
-    x: Vec<f32>,
-    /// `syn1neg[targets]`, `nt×d`, likewise.
-    o: Vec<f32>,
-    /// `0, 1, 2, …`: the gathered rows' ids.
-    ids: Vec<u32>,
-    /// `G·O` deltas for `syn0[inputs]`, `mb×d`.
-    in_delta: Vec<f32>,
-    /// `Gᵀ·X` deltas for `syn1neg[targets]`, `nt×d`.
-    out_delta: Vec<f32>,
+    /// What [`step_window`] writes.
+    window: WindowScratch,
     minibatches: u64,
     shared_negatives: u64,
 }
@@ -130,6 +122,73 @@ impl MinibatchScratch {
         self.minibatches = 0;
         self.shared_negatives = 0;
         stats
+    }
+}
+
+/// Pooled buffers of one [`step_window`] call, grown to the largest
+/// window seen and reused.
+#[derive(Clone, Debug, Default)]
+pub struct WindowScratch {
+    /// `syn0[inputs]`, `mb×d` row-major, gathered only for a store
+    /// without plain slices.
+    x: Vec<f32>,
+    /// `syn1neg[targets]`, `nt×d`, likewise.
+    o: Vec<f32>,
+    /// `0, 1, 2, …`: the gathered rows' ids.
+    ids: Vec<u32>,
+    /// `G·O` deltas for `syn0[inputs]`, `mb×d`.
+    in_delta: Vec<f32>,
+    /// `Gᵀ·X` deltas for `syn1neg[targets]`, `nt×d`.
+    out_delta: Vec<f32>,
+}
+
+/// One HogBatch window against `rows`: `inputs` (the context words,
+/// `syn0` rows) against `targets` (the center, then the shared
+/// negatives, `syn1neg` rows), every product reading the rows as they
+/// were at the start of the window, the `syn1neg` rows updated first,
+/// then the `syn0` rows. A repeated id takes each of its deltas.
+pub fn step_window<M: SgnsStore>(
+    rows: &mut M,
+    inputs: &[u32],
+    targets: &[u32],
+    alpha: f32,
+    sigmoid: &SigmoidTable,
+    scratch: &mut WindowScratch,
+) {
+    let d = rows.dim();
+    let (mb, nt) = (inputs.len(), targets.len());
+    // Both blocks are overwritten by the kernel.
+    scratch.in_delta.resize(mb * d, 0.0);
+    scratch.out_delta.resize(nt * d, 0.0);
+    let (layers, ins, outs) = match rows.layers() {
+        Some(layers) => (layers, inputs, targets),
+        // No plain slices (the racing atomic model): gather the rows
+        // and name them by their place in the copies.
+        None => {
+            scratch.x.resize(mb * d, 0.0);
+            for (r, &w) in inputs.iter().enumerate() {
+                rows.load(LAYER_SYN0, w, &mut scratch.x[r * d..(r + 1) * d]);
+            }
+            scratch.o.resize(nt * d, 0.0);
+            for (j, &t) in targets.iter().enumerate() {
+                rows.load(LAYER_SYN1NEG, t, &mut scratch.o[j * d..(j + 1) * d]);
+            }
+            let ids = &mut scratch.ids;
+            ids.extend(ids.len() as u32..mb.max(nt) as u32);
+            ([&scratch.x[..], &scratch.o[..]], &ids[..mb], &ids[..nt])
+        }
+    };
+    let deltas = [&mut scratch.in_delta[..], &mut scratch.out_delta[..]];
+    fvec::sgns_window(layers, d, ins, outs, alpha, sigmoid, deltas);
+    // Scatter. Sequential `+=` per row: duplicate ids (repeated
+    // negatives, a word appearing twice in a window) accumulate both
+    // deltas, each computed against the start-of-window rows — the
+    // HogBatch staleness contract.
+    for (j, &t) in targets.iter().enumerate() {
+        rows.add(LAYER_SYN1NEG, t, &scratch.out_delta[j * d..(j + 1) * d]);
+    }
+    for (r, &w) in inputs.iter().enumerate() {
+        rows.add(LAYER_SYN0, w, &scratch.in_delta[r * d..(r + 1) * d]);
     }
 }
 
@@ -155,7 +214,6 @@ where
     R: Rng64,
 {
     debug_assert!(ctx.window >= 1);
-    let d = rows.dim();
     keep_subsampled(&mut scratch.pair.kept, sentence, ctx.subsample, rng);
     let mut pairs = 0u64;
     for (i, &center) in scratch.pair.kept.iter().enumerate() {
@@ -196,39 +254,14 @@ where
             }
             continue;
         }
-        // Both blocks are overwritten by the kernel.
-        scratch.in_delta.resize(mb * d, 0.0);
-        scratch.out_delta.resize(nt * d, 0.0);
-        let (layers, inputs, targets) = match rows.layers() {
-            Some(layers) => (layers, &scratch.inputs[..], &scratch.targets[..]),
-            // No plain slices (the racing atomic model): gather the rows
-            // and name them by their place in the copies.
-            None => {
-                scratch.x.resize(mb * d, 0.0);
-                for (r, &w) in scratch.inputs.iter().enumerate() {
-                    rows.load(LAYER_SYN0, w, &mut scratch.x[r * d..(r + 1) * d]);
-                }
-                scratch.o.resize(nt * d, 0.0);
-                for (j, &t) in scratch.targets.iter().enumerate() {
-                    rows.load(LAYER_SYN1NEG, t, &mut scratch.o[j * d..(j + 1) * d]);
-                }
-                let ids = &mut scratch.ids;
-                ids.extend(ids.len() as u32..mb.max(nt) as u32);
-                ([&scratch.x[..], &scratch.o[..]], &ids[..mb], &ids[..nt])
-            }
-        };
-        let deltas = [&mut scratch.in_delta[..], &mut scratch.out_delta[..]];
-        fvec::sgns_window(layers, d, inputs, targets, alpha, ctx.sigmoid, deltas);
-        // Scatter. Sequential `+=` per row: duplicate ids (repeated
-        // negatives, a word appearing twice in a window) accumulate both
-        // deltas, each computed against the start-of-window rows — the
-        // HogBatch staleness contract.
-        for (j, &t) in scratch.targets.iter().enumerate() {
-            rows.add(LAYER_SYN1NEG, t, &scratch.out_delta[j * d..(j + 1) * d]);
-        }
-        for (r, &w) in scratch.inputs.iter().enumerate() {
-            rows.add(LAYER_SYN0, w, &scratch.in_delta[r * d..(r + 1) * d]);
-        }
+        step_window(
+            rows,
+            &scratch.inputs,
+            &scratch.targets,
+            alpha,
+            ctx.sigmoid,
+            &mut scratch.window,
+        );
     }
     pairs
 }

@@ -1,5 +1,7 @@
 //! Golden trained models: every trainer that runs the per-pair SGNS
-//! operator, plus the 1-thread HogBatch trainer, trained for two epochs
+//! operator, plus the 1-thread HogBatch trainer (also at window 9, where
+//! a window holds up to 18 inputs) and the RepModel-Opt cluster under
+//! `--sgns hogbatch` (`dist-4-opt-hogbatch`), trained for two epochs
 //! on a small generated corpus at dims {8, 67} (vector body only / body +
 //! scalar tail) and negatives {5, 40} (one block of targets / several),
 //! with the CRC-32 of `syn0` and of `syn1neg` and the number of pairs
@@ -27,7 +29,7 @@ use graph_word2vec::core::distributed::{DistConfig, DistributedTrainer};
 use graph_word2vec::core::model::Word2VecModel;
 use graph_word2vec::core::params::Hyperparams;
 use graph_word2vec::core::trainer_batched::BatchedTrainer;
-use graph_word2vec::core::trainer_hogbatch::HogBatchTrainer;
+use graph_word2vec::core::trainer_hogbatch::{HogBatchTrainer, SgnsMode};
 use graph_word2vec::core::trainer_hogwild::HogwildTrainer;
 use graph_word2vec::core::trainer_seq::SequentialTrainer;
 use graph_word2vec::core::trainer_threaded::ThreadedTrainer;
@@ -44,14 +46,16 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-const TRAINERS: [&str; 9] = [
+const TRAINERS: [&str; 11] = [
     "seq",
     "batched",
     "hogwild-1",
     "hogwild-2",
     "hogbatch-1",
+    "hogbatch-1-w9",
     "hogbatch-2",
     "dist-4-opt",
+    "dist-4-opt-hogbatch",
     "dist-4-pull",
     "threaded-2",
 ];
@@ -123,7 +127,7 @@ fn counted(name: &str, train: impl FnOnce() -> Word2VecModel) -> (Word2VecModel,
 fn run_cell(trainer: &str, dim: usize, negative: usize, vocab: &Vocabulary, c: &Corpus) -> String {
     let params = Hyperparams {
         dim,
-        window: 3,
+        window: if trainer == "hogbatch-1-w9" { 9 } else { 3 },
         negative,
         epochs: 2,
         // Tiny-scale word frequencies sit far above the default 1e-4;
@@ -138,6 +142,10 @@ fn run_cell(trainer: &str, dim: usize, negative: usize, vocab: &Vocabulary, c: &
         plan,
         ..DistConfig::paper_default(hosts)
     };
+    let dist_hogbatch = DistConfig {
+        sgns: SgnsMode::HogBatch,
+        ..dist(4, SyncPlan::RepModelOpt)
+    };
     let (model, pairs) = match trainer {
         "seq" => counted("core.seq.pairs", || {
             SequentialTrainer::new(params).train(c, vocab)
@@ -148,7 +156,7 @@ fn run_cell(trainer: &str, dim: usize, negative: usize, vocab: &Vocabulary, c: &
         "hogwild-1" | "hogwild-2" => counted("core.hogwild.pairs", || {
             HogwildTrainer::new(params, threads_of(trainer)).train(c, vocab)
         }),
-        "hogbatch-1" | "hogbatch-2" => counted("core.hogbatch.pairs", || {
+        "hogbatch-1" | "hogbatch-1-w9" | "hogbatch-2" => counted("core.hogbatch.pairs", || {
             HogBatchTrainer::new(params, threads_of(trainer)).train(c, vocab)
         }),
         "dist-4-opt" | "dist-4-pull" => {
@@ -158,6 +166,10 @@ fn run_cell(trainer: &str, dim: usize, negative: usize, vocab: &Vocabulary, c: &
                 SyncPlan::PullModel
             };
             let r = DistributedTrainer::new(params, dist(4, plan)).train(c, vocab);
+            (r.model, r.pairs_trained)
+        }
+        "dist-4-opt-hogbatch" => {
+            let r = DistributedTrainer::new(params, dist_hogbatch).train(c, vocab);
             (r.model, r.pairs_trained)
         }
         "threaded-2" => {
@@ -179,9 +191,9 @@ fn run_cell(trainer: &str, dim: usize, negative: usize, vocab: &Vocabulary, c: &
     )
 }
 
-/// The worker count a `hogwild-N` / `hogbatch-N` cell name carries.
+/// The worker count a `hogwild-N` / `hogbatch-N[-wW]` cell name carries.
 fn threads_of(trainer: &str) -> usize {
-    let (_, n) = trainer.rsplit_once('-').expect("trainer-N");
+    let n = trainer.split('-').nth(1).expect("trainer-N");
     n.parse().expect("thread count")
 }
 
@@ -231,7 +243,7 @@ fn trained_models_match_the_committed_record() {
     assert_eq!(
         committed.len(),
         TRAINERS.len() * DIMS.len() * NEGATIVES.len(),
-        "9 trainers × 2 dims × 2 negatives"
+        "11 trainers × 2 dims × 2 negatives"
     );
     for (cell, value) in &got {
         let want = committed
