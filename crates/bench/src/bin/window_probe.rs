@@ -13,9 +13,8 @@
 //! Each figure is the best of three passes over the same 200 000
 //! windows.
 //!
-//! Usage: `cargo run --release -p gw2v-bench --bin window_probe`
-//! (`GW2V_PROBE_WINDOWS=N` changes the windows per pass). Prints one
-//! `mb nt uniform zipf` line per shape, in ns a window.
+//! Usage: `cargo run --release -p gw2v-bench --bin window_probe`.
+//! Prints one `mb nt uniform zipf` line per shape, in ns a window.
 
 use gw2v_core::sgns::PlainStore;
 use gw2v_core::trainer_hogbatch::{step_window, WindowScratch};
@@ -28,13 +27,10 @@ use std::time::Instant;
 const WORDS: usize = 2_500;
 const DIM: usize = 64;
 const PASSES: usize = 3;
+const WINDOWS: usize = 200_000;
 const SHAPES: [(usize, usize); 7] = [(2, 6), (4, 6), (6, 6), (8, 6), (10, 6), (6, 5), (6, 7)];
 
 fn main() {
-    let windows: usize = std::env::var("GW2V_PROBE_WINDOWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
     let mut rng = Xoshiro256::new(7);
     let mut layer = || {
         let mut m = FlatMatrix::zeros(WORDS, DIM);
@@ -52,7 +48,7 @@ fn main() {
     for (mb, nt) in SHAPES {
         let mut best = [f64::INFINITY; 2];
         for (best, skewed) in best.iter_mut().zip([false, true]) {
-            let ids: Vec<u32> = (0..windows * (mb + nt))
+            let ids: Vec<u32> = (0..WINDOWS * (mb + nt))
                 .map(|_| {
                     let id = if skewed {
                         zipf.sample(&mut rng)
@@ -72,7 +68,7 @@ fn main() {
                     };
                     step_window(&mut store, inputs, targets, 0.025, &sigmoid, &mut scratch);
                 }
-                *best = best.min(start.elapsed().as_nanos() as f64 / windows as f64);
+                *best = best.min(start.elapsed().as_nanos() as f64 / WINDOWS as f64);
             }
         }
         println!("{mb:>3} {nt:>3} {:>8.1} {:>8.1}", best[0], best[1]);

@@ -68,7 +68,7 @@ use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec;
 use gw2v_util::rng::Rng64;
 use gw2v_util::sigmoid::SigmoidTable;
-use gw2v_util::simd::WindowRows;
+use gw2v_util::simd::{WindowRoom, WindowRows};
 
 /// Which SGNS inner loop a trainer runs.
 ///
@@ -128,10 +128,13 @@ impl MinibatchScratch {
     }
 }
 
-/// Pooled buffers of one [`step_window`] call on a store without plain
-/// slices, grown to the largest window seen and reused.
+/// Pooled buffers of [`step_window`], grown to the largest window seen
+/// and reused.
 #[derive(Clone, Debug, Default)]
 pub struct WindowScratch {
+    /// The window kernel's working room.
+    room: WindowRoom,
+    // The rest serves only a store without plain slices.
     /// `syn0[inputs]`, `mb×d` row-major.
     x: Vec<f32>,
     /// `syn1neg[targets]`, `nt×d`.
@@ -159,7 +162,15 @@ pub fn step_window<M: SgnsStore>(
     let d = rows.dim();
     if let Some(layers) = rows.window_layers(inputs, targets) {
         let layers = WindowRows::InPlace(layers);
-        fvec::sgns_window(layers, d, inputs, targets, alpha, sigmoid);
+        fvec::sgns_window(
+            layers,
+            d,
+            inputs,
+            targets,
+            alpha,
+            sigmoid,
+            &mut scratch.room,
+        );
         return;
     }
     // No plain slices (the racing atomic model): gather the rows, name
@@ -183,7 +194,15 @@ pub fn step_window<M: SgnsStore>(
         src: [&scratch.x, &scratch.o],
         dst: [&mut *in_delta, &mut *out_delta],
     };
-    fvec::sgns_window(gathered, d, &ids[..mb], &ids[..nt], alpha, sigmoid);
+    fvec::sgns_window(
+        gathered,
+        d,
+        &ids[..mb],
+        &ids[..nt],
+        alpha,
+        sigmoid,
+        &mut scratch.room,
+    );
     // Sequential `+=` per row: duplicate ids (repeated negatives, a word
     // appearing twice in a window) take both deltas — the HogBatch
     // staleness contract.

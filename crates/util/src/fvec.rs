@@ -9,7 +9,7 @@
 //! model-combiner math (projections, norms) reuses the same kernels.
 
 use crate::sigmoid::SigmoidTable;
-use crate::simd::{kernels, WindowRows};
+use crate::simd::{kernels, WindowRoom, WindowRows};
 
 /// Dot product `x · y`. Panics in debug builds on length mismatch.
 #[inline]
@@ -60,7 +60,8 @@ pub fn sgns_pair(
 /// `targets` rows of layer 1 (`O`), rows of `dim` floats, with `G =
 /// (label − σ(X·Oᵀ)) · alpha`, label 1 for `targets[0]` only; adds
 /// `Gᵀ·X` to the targets' destination rows, then `G·O` to the inputs',
-/// every product reading the rows as they were before the call (see
+/// every product reading the rows as they were before the call, working
+/// in `room` (see
 /// [`Kernels::sgns_window`](crate::simd::Kernels::sgns_window)).
 #[inline]
 pub fn sgns_window(
@@ -70,8 +71,9 @@ pub fn sgns_window(
     targets: &[u32],
     alpha: f32,
     sigmoid: &SigmoidTable,
+    room: &mut WindowRoom,
 ) {
-    (kernels().sgns_window)(rows, dim, inputs, targets, alpha, sigmoid)
+    (kernels().sgns_window)(rows, dim, inputs, targets, alpha, sigmoid, room)
 }
 
 /// Squared Euclidean norm `‖x‖²`.

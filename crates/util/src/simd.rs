@@ -78,7 +78,8 @@ pub enum WindowRows<'a> {
 
 /// Signature of the HogBatch window kernel: the `inputs` rows of layer 0
 /// against the `targets` rows of layer 1, rows of `dim` floats, each
-/// row's delta added to its destination (see [`Kernels::sgns_window`]).
+/// row's delta added to its destination, working in `room` (see
+/// [`Kernels::sgns_window`]).
 pub type SgnsWindowFn = fn(
     rows: WindowRows<'_>,
     dim: usize,
@@ -86,7 +87,26 @@ pub type SgnsWindowFn = fn(
     targets: &[u32],
     alpha: f32,
     sigmoid: &SigmoidTable,
+    room: &mut WindowRoom,
 );
+
+/// The room a window kernel works in (its row-pointer lists, `G` and
+/// the input deltas), grown to the largest window it is handed and then
+/// reused, so a kernel call allocates nothing once its window size has
+/// been seen. Keep one per worker; what it holds between calls is never
+/// read.
+#[derive(Clone, Debug, Default)]
+pub struct WindowRoom(Vec<u64>);
+
+impl WindowRoom {
+    /// Uninitialised room for `n` eight-byte words.
+    #[inline(always)]
+    fn words(&mut self, n: usize) -> *mut u64 {
+        // The length stays 0, so this grows the capacity to `n` at most.
+        self.0.reserve_exact(n);
+        self.0.as_mut_ptr()
+    }
+}
 
 /// A window's layers behind raw pointers, every id checked against the
 /// layers it is read from and written to by [`Window::new`], so a row
@@ -148,27 +168,6 @@ impl Window {
             "row {id} is past layer {layer}"
         );
         self.dst[layer].wrapping_add(id as usize * self.dim)
-    }
-}
-
-/// Eight-byte words of stack room a window kernel keeps for its row
-/// pointers, its gradient and its input deltas: enough for 32 inputs
-/// against 64 targets at dim 64. A larger window takes room on the heap.
-const WINDOW_ROOM: usize = 2 * (32 + 64) + 32 * (64 + 64) / 2;
-
-/// Uninitialised room for `n` eight-byte words: `stack` if it is large
-/// enough, else `heap`, grown to `n`.
-#[inline(always)]
-fn window_room(
-    stack: &mut std::mem::MaybeUninit<[u64; WINDOW_ROOM]>,
-    heap: &mut Vec<u64>,
-    n: usize,
-) -> *mut u64 {
-    if n <= WINDOW_ROOM {
-        stack.as_mut_ptr().cast()
-    } else {
-        heap.reserve_exact(n);
-        heap.as_mut_ptr()
     }
 }
 
@@ -267,7 +266,8 @@ pub struct Kernels {
     /// [`gemm_tn`](Self::gemm_tn) into zeros (`Gᵀ` transposed for the
     /// first), then one [`add_assign`](Self::add_assign) per delta row
     /// in that order, up to NaN payloads. An id past a layer it is read
-    /// from or written to panics before anything is written.
+    /// from or written to panics before anything is written. The kernel
+    /// works in the caller's [`WindowRoom`], which it grows as needed.
     pub sgns_window: SgnsWindowFn,
     /// Small-matrix GEMM, "NT" shape: `C[m×n] += A[m×k] · B[n×k]ᵀ`.
     /// All matrices row-major; `B` holds `n` rows of length `k`, so each
@@ -348,8 +348,8 @@ static AVX2_KERNELS: Kernels = Kernels {
     sgns_pair: |win, layer, targets, positive, alpha, sigmoid, neu1e| unsafe {
         avx2::sgns_pair(win, layer, targets, positive, alpha, sigmoid, neu1e)
     },
-    sgns_window: |rows, dim, inputs, targets, alpha, sigmoid| unsafe {
-        avx2::sgns_window(rows, dim, inputs, targets, alpha, sigmoid)
+    sgns_window: |rows, dim, inputs, targets, alpha, sigmoid, room| unsafe {
+        avx2::sgns_window(rows, dim, inputs, targets, alpha, sigmoid, room)
     },
     gemm_nt: |m, n, k, a, b, c| unsafe { avx2::gemm_nt(m, n, k, a, b, c) },
     gemm_tn: |m, n, k, a, b, c| unsafe { avx2::gemm_tn(m, n, k, a, b, c) },
@@ -580,13 +580,13 @@ pub mod scalar {
         targets: &[u32],
         alpha: f32,
         sigmoid: &SigmoidTable,
+        room: &mut super::WindowRoom,
     ) {
         let win = super::Window::new(rows, dim, inputs, targets);
         let (mb, nt) = (inputs.len(), targets.len());
-        let mut stack = std::mem::MaybeUninit::uninit();
-        let mut heap = Vec::new();
-        let room = (mb * nt + (mb + 1) * dim).div_ceil(2);
-        let g = super::window_room(&mut stack, &mut heap, room).cast::<f32>();
+        let g = room
+            .words((mb * nt + (mb + 1) * dim).div_ceil(2))
+            .cast::<f32>();
         // SAFETY: every row pointer is of an id `Window::new` checked,
         // `dim` floats; the room holds `G` (`mb × nt`), then `ΔX` (`mb ×
         // dim`) and one `ΔO` row, each zeroed or written before it is
@@ -1545,6 +1545,7 @@ mod avx2 {
         targets: &[u32],
         alpha: f32,
         sigmoid: &SigmoidTable,
+        room: &mut super::WindowRoom,
     ) {
         let win = super::Window::new(rows, dim, inputs, targets);
         let (mb, nt) = (inputs.len(), targets.len());
@@ -1552,9 +1553,7 @@ mod avx2 {
         let stride = nt.next_multiple_of(4);
         let pointers = 2 * (mb + nt);
         let floats = mb * (stride + dim);
-        let mut stack = std::mem::MaybeUninit::uninit();
-        let mut heap = Vec::new();
-        let room = super::window_room(&mut stack, &mut heap, pointers + floats.div_ceil(2));
+        let room = room.words(pointers + floats.div_ceil(2));
         // SAFETY: the room holds the four row-pointer lists (eight-byte
         // words), then `G` and `ΔX` (`mb` rows of `dim` floats); every
         // list is filled before it is borrowed, and `G` and `ΔX` are read

@@ -21,7 +21,7 @@
 
 use gw2v_util::fvec;
 use gw2v_util::sigmoid::SigmoidTable;
-use gw2v_util::simd::{self, scalar, WindowRows};
+use gw2v_util::simd::{self, scalar, WindowRoom, WindowRows};
 use proptest::prelude::*;
 
 /// Relative closeness for element-wise FMA-vs-mul+add differences:
@@ -542,7 +542,9 @@ fn window_difference(
     let mut got = layers.map(<[f32]>::to_vec);
     let [syn0, syn1neg] = &mut got;
     let in_place = WindowRows::InPlace([syn0, syn1neg]);
-    window(in_place, dim, inputs, targets, alpha, &sigmoid);
+    // One room for both calls: the second works in what the first left.
+    let mut room = WindowRoom::default();
+    window(in_place, dim, inputs, targets, alpha, &sigmoid, &mut room);
     let (x, o) = (
         gather(layers[0], dim, inputs),
         gather(layers[1], dim, targets),
@@ -561,6 +563,7 @@ fn window_difference(
         &ids[..targets.len()],
         alpha,
         &sigmoid,
+        &mut room,
     );
     let cases = [
         ("syn0 in place", &got[0], &want[0]),
@@ -651,15 +654,16 @@ fn blockwise_window(
     targets: &[u32],
     alpha: f32,
     sigmoid: &SigmoidTable,
+    room: &mut WindowRoom,
 ) {
     match rows {
         WindowRows::InPlace([syn0, syn1neg]) => {
             for block in inputs.chunks(16) {
                 let rows = WindowRows::InPlace([&mut *syn0, &mut *syn1neg]);
-                fvec::sgns_window(rows, dim, block, targets, alpha, sigmoid);
+                fvec::sgns_window(rows, dim, block, targets, alpha, sigmoid, room);
             }
         }
-        rows => fvec::sgns_window(rows, dim, inputs, targets, alpha, sigmoid),
+        rows => fvec::sgns_window(rows, dim, inputs, targets, alpha, sigmoid, room),
     }
 }
 
@@ -866,7 +870,8 @@ fn sgns_window_panics_on_an_id_past_its_layer_before_writing() {
                 ]
                 .map(|rows| {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        (b.window)(rows, dim, inputs, targets, 0.025, &SigmoidTable::new())
+                        let (sigmoid, mut room) = (SigmoidTable::new(), WindowRoom::default());
+                        (b.window)(rows, dim, inputs, targets, 0.025, &sigmoid, &mut room)
                     }))
                 });
                 assert!(outcomes.iter().all(|o| o.is_err()), "{case}: no panic");
