@@ -23,6 +23,7 @@ use gw2v_corpus::vocab::Vocabulary;
 use gw2v_serve::{Query, QueryEngine, ShardedStore};
 use gw2v_util::fvec::{self, FlatMatrix};
 use gw2v_util::rng::{Rng64, Xoshiro256};
+use gw2v_util::simd::{self, CodeBound, CODE_BLOCK_ROWS};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -103,30 +104,50 @@ fn main() {
     }
 
     let (streamed, in_l1) = kernel(&mut rng);
-    println!("{:<16} {:>9.1} {:>9.1}", "kernel streamed", streamed.0, streamed.1);
+    println!(
+        "{:<16} {:>9.1} {:>9.1}",
+        "kernel streamed", streamed.0, streamed.1
+    );
     println!("{:<16} {:>9.1} {:>9.1}", "kernel L1", in_l1.0, in_l1.1);
 }
 
 /// The codes kernel over `ROWS` rows of random codes, streamed and from
 /// one tile: (median, best) µs each.
 fn kernel(rng: &mut Xoshiro256) -> ((f64, f64), (f64, f64)) {
-    let codes: Vec<u8> = (0..ROWS * DIM).map(|_| rng.next_u64() as u8).collect();
-    let q: Vec<i16> = (0..DIM)
-        .map(|_| (rng.next_u64() % 8191) as i16 - 4095)
+    let block = simd::code_block_bytes(DIM);
+    let codes: Vec<u8> = (0..ROWS / CODE_BLOCK_ROWS * block)
+        .map(|_| rng.next_u64() as u8)
         .collect();
-    let mut out = vec![0i32; TILE];
+    let q: Vec<i8> = (0..DIM).map(|_| (rng.next_u64() % 255) as i8).collect();
+    let per_row: Vec<f32> = (0..TILE).map(|_| rng.next_f32()).collect();
+    let bound = CodeBound {
+        a: &per_row,
+        b: &per_row,
+        slack: &per_row,
+        unscale: 2f32.powi(-8),
+        lift: 0.5,
+        sum: 0.25,
+        norm: 1.0,
+    };
+    let (mut dots, mut bounds) = (vec![0i32; TILE], vec![0.0f32; TILE]);
+    let mut lane_max = [f32::NEG_INFINITY; CODE_BLOCK_ROWS];
+    let tile = TILE / CODE_BLOCK_ROWS * block;
     let tiles = ROWS / TILE;
-    let streamed = measure(1, || {
-        for tile in codes.chunks_exact(TILE * DIM) {
-            fvec::dot_codes(&q, tile, &mut out);
-            black_box(&out);
+    let mut run = |tile_codes: &mut dyn FnMut(usize) -> usize| {
+        for t in 0..tiles {
+            let at = tile_codes(t);
+            fvec::dot_codes(
+                &q,
+                &codes[at..at + tile],
+                &bound,
+                &mut dots,
+                &mut bounds,
+                &mut lane_max,
+            );
+            black_box((&dots, &bounds, &lane_max));
         }
-    });
-    let in_l1 = measure(1, || {
-        for _ in 0..tiles {
-            fvec::dot_codes(&q, &codes[..TILE * DIM], &mut out);
-            black_box(&out);
-        }
-    });
+    };
+    let streamed = measure(1, || run(&mut |t| t * tile));
+    let in_l1 = measure(1, || run(&mut |_| 0));
     (streamed, in_l1)
 }

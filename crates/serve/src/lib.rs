@@ -17,7 +17,7 @@
 //! 2. **Shard**: rows are hash-partitioned into `n_shards` shards, each a
 //!    contiguous [`FlatMatrix`](gw2v_util::fvec::FlatMatrix) so the
 //!    `gemm_nt` microkernel can stream them, with per-row inverse norms
-//!    precomputed once at load time and a `u8`-coded twin of the rows
+//!    precomputed once at load time and a 4-bit-coded twin of the rows
 //!    beside them.
 //! 3. **Query** ([`query`]): similarity and analogy queries are batched
 //!    into a matrix, normalized once, and scored against every shard in

@@ -26,12 +26,14 @@
 //! little took the exact path.
 //!
 //! A batch of at most [`CODED_MAX_QUERIES`] does not read the `f32`
-//! tile to learn that: it scores the tile's `u8` codes, a quarter of
-//! the bytes, in integers against the query rounded to `i16`, bounds
-//! every cosine from above, and runs the GEMM kernel
-//! only on the groups of four rows the bound cannot rule out. The pools
-//! are the GEMM scan's, score for score; docs/SERVING.md § "Coded scan"
-//! is the one statement of why.
+//! tiles to learn that. It scores the shards' 4-bit codes, an eighth of
+//! the bytes, in integers against each query rounded to `i8`, and bounds
+//! every cosine from above; seeds each pool from the rows with the
+//! largest bounds; then runs the GEMM kernel only on the other groups of
+//! four rows whose bound is not below the seeded threshold. The pools
+//! are the GEMM scan's,
+//! score for score; docs/SERVING.md § "Coded scan" is the one statement
+//! of why.
 //!
 //! # The backend-invariance contract
 //!
@@ -59,11 +61,13 @@
 //! differed — which requires more than [`POOL_SLACK`] candidates packed
 //! within kernel ULP noise of the k-th best score.
 
-use crate::store::{round_up, Shard, ShardedStore};
+use crate::store::{round_up, CodedRows, Shard, ShardedStore, CODE_MAX};
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec;
-use gw2v_util::simd::scalar;
+use gw2v_util::simd::{code_block_bytes, scalar, CodeBound, CODE_BLOCK_ROWS};
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Reciprocal of the score quantum: scores are ranked and printed at
@@ -93,13 +97,24 @@ const LANES: usize = 8;
 /// caller split `B` at multiples of four rows without changing a bit,
 /// so a group's scores are the ones the GEMM scan computes for them.
 const GROUP: usize = 4;
-const _: () = assert!(LANES.is_multiple_of(GROUP));
+const _: () = assert!(CODE_BLOCK_ROWS.is_multiple_of(GROUP));
+const _: () = assert!(SCAN_TILE.is_multiple_of(CODE_BLOCK_ROWS));
 
-/// The largest batch scanned from the shards' `u8` codes; a larger one
+/// Seeds a coded query keeps beyond its pool: an exclusion list holds at
+/// most three ids, so `pool_k + 3` seeds fill the pool whatever it
+/// excludes.
+const SEED_EXTRA: usize = 3;
+
+/// Coded queries scanned together: a tile's codes are read once for all
+/// of them, and each keeps its bound for every row of the store from the
+/// bounds pass to the revisit (8 × 200 KB on a 50 000-row store).
+const CODED_CHUNK: usize = 8;
+
+/// The largest batch scanned from the shards' 4-bit codes; a larger one
 /// is scored by `gemm_nt`, which streams the `f32` rows once for the
 /// whole batch. Chosen from the m-sweep in docs/SERVING.md § "Coded
 /// scan"; the pools, and so the answers, are the same on either side.
-pub const CODED_MAX_QUERIES: usize = 16;
+pub const CODED_MAX_QUERIES: usize = 32;
 
 /// Quantizes a cosine score to integer micro-units for backend-invariant
 /// ranking. NaN maps to `i64::MIN` so a poisoned row can never outrank a
@@ -353,67 +368,29 @@ impl TopK {
         candidates + self.offer(dot_tail, inv_tail, id_tail, exclude)
     }
 
-    /// Offers one query's tile of a shard (rows `start..start +
-    /// code_dots.len()`) through the coded filter: a chunk of [`LANES`]
-    /// rows whose upper bounds all fall below the threshold is skipped
-    /// without its `f32` rows being read; any other chunk is scored by
-    /// the kernel the GEMM scan uses — bit for bit the scores that scan
-    /// would have offered — and goes through [`TopK::offer`]. Returns
-    /// how many rows were scored exactly and how many of those passed
-    /// the threshold.
-    fn offer_coded_tile(
+    /// Scores rows `rows` of `shard` — a group of four, or a shard's
+    /// uncoded tail — with the kernel and the bits the GEMM scan scores
+    /// them with, and offers them. Returns how many rows were scored and
+    /// how many of those passed the threshold.
+    fn offer_exact(
         &mut self,
         q: &[f32],
-        moments: &Moments,
-        code_dots: &[i32],
         shard: &Shard,
-        start: usize,
+        rows: Range<usize>,
         exclude: &[u32],
     ) -> (u64, u64) {
-        let (dim, end) = (q.len(), start + code_dots.len());
-        let coded = shard.coded();
-        let (a, b, slack) = (
-            &coded.a[start..end],
-            &coded.b[start..end],
-            &coded.slack[start..end],
+        let dim = q.len();
+        let mut exact = [0.0f32; CODE_BLOCK_ROWS];
+        let exact = &mut exact[..rows.len()];
+        let data = &shard.rows().as_slice()[rows.start * dim..rows.end * dim];
+        fvec::gemm_nt(1, rows.len(), dim, q, data, exact);
+        let passed = self.offer(
+            exact,
+            &shard.inv_norms()[rows.clone()],
+            &shard.ids()[rows.clone()],
+            exclude,
         );
-        let rows = &shard.rows().as_slice()[start * dim..end * dim];
-        let (inv, ids) = (&shard.inv_norms()[start..end], &shard.ids()[start..end]);
-        let (mut survivors, mut candidates) = (0, 0);
-        let mut offer_exact = |top: &mut Self, lo: usize, hi: usize| {
-            let mut exact = [0.0f32; LANES];
-            let exact = &mut exact[..hi - lo];
-            fvec::gemm_nt(1, hi - lo, dim, q, &rows[lo * dim..hi * dim], exact);
-            survivors += (hi - lo) as u64;
-            candidates += top.offer(exact, &inv[lo..hi], &ids[lo..hi], exclude);
-        };
-        let bound = |j: usize| moments.bound(a[j], code_dots[j], b[j], slack[j]);
-        for c in 0..code_dots.len() / LANES {
-            let chunk = c * LANES..(c + 1) * LANES;
-            let t = self.threshold;
-            // No branch per lane, and zipped slices rather than `bound`
-            // by index so that the test vectorises. An uncoded row's
-            // bound is +∞ or NaN, and neither is below anything.
-            let all_below = a[chunk.clone()]
-                .iter()
-                .zip(&code_dots[chunk.clone()])
-                .zip(&b[chunk.clone()])
-                .zip(&slack[chunk.clone()])
-                .fold(true, |all, (((&a, &d), &b), &slack)| {
-                    all & (moments.bound(a, d, b, slack) < t)
-                });
-            if all_below {
-                continue;
-            }
-            for lo in chunk.step_by(GROUP) {
-                // Against the threshold as the group before left it.
-                if !(lo..lo + GROUP).all(|j| bound(j) < self.threshold) {
-                    offer_exact(self, lo, lo + GROUP);
-                }
-            }
-        }
-        offer_exact(self, code_dots.len() / LANES * LANES, code_dots.len());
-        (survivors, candidates)
+        (rows.len() as u64, passed)
     }
 
     /// The exact path, score by score against the threshold as it
@@ -435,7 +412,7 @@ impl TopK {
 }
 
 /// What the coded bound needs of a query vector: the query rounded to
-/// `i16` for the integer kernel, and what that rounding and the rest of
+/// `i8` for the integer kernel, and what that rounding and the rest of
 /// the bound must allow for (docs/SERVING.md § "Coded scan").
 #[derive(Clone, Debug)]
 struct Moments {
@@ -444,21 +421,27 @@ struct Moments {
     /// `‖q‖₂`, summed in `f64` and rounded up.
     norm: f32,
     /// `q̃ = round(q·2^shift)`, the operand of `fvec::dot_codes`.
-    q16: Vec<i16>,
+    q8: Vec<i8>,
     /// `2^-shift`: an integer dot with the codes times this is a dot of
     /// `q̃·2^-shift`.
     unscale: f32,
-    /// `ℓ ≥ 255·Σ|q[i] − q̃[i]·2^-shift|`, rounded up: what the
-    /// rounding of `q` can hide of a dot with codes of at most 255.
+    /// `ℓ ≥ 15·Σ|q[i] − q̃[i]·2^-shift|`, rounded up: what the
+    /// rounding of `q` can hide of a dot with codes of at most 15.
     lift: f32,
 }
 
 impl Moments {
-    /// The bound of [`CodedRows`](crate::store::CodedRows) for one row,
-    /// given the integer dot of `q̃` with the row's codes.
-    #[inline]
-    fn bound(&self, a: f32, code_dot: i32, b: f32, slack: f32) -> f32 {
-        a * (code_dot as f32 * self.unscale + self.lift) + b * self.sum + slack * self.norm
+    /// The bound of [`CodedRows`] over `rows`, for the kernel's epilogue.
+    fn bound<'a>(&self, coded: &'a CodedRows, rows: Range<usize>) -> CodeBound<'a> {
+        CodeBound {
+            a: &coded.a[rows.clone()],
+            b: &coded.b[rows.clone()],
+            slack: &coded.slack[rows],
+            unscale: self.unscale,
+            lift: self.lift,
+            sum: self.sum,
+            norm: self.norm,
+        }
     }
 
     /// The moments of `q` if the bound's derivation covers it: a unit
@@ -477,40 +460,183 @@ impl Moments {
             return None;
         }
         // The finest power-of-two scale at which every coordinate
-        // rounds into i16 (|q[i]| ≤ 2 puts it at 13 or more), then
-        // coarser until 255·‖q̃‖₁ < 2³¹.
-        let rounded = |shift: i32| -> Vec<i16> {
+        // rounds into ±127 (|q[i]| ≤ 2 puts it at 5 or more), then
+        // coarser until 15·‖q̃‖₁ < 2³¹.
+        let rounded = |shift: i32| -> Vec<i8> {
             let scale = 2f64.powi(shift);
             q.iter()
-                .map(|&x| (x as f64 * scale).round() as i16)
+                .map(|&x| (x as f64 * scale).round() as i8)
                 .collect()
         };
         let mut shift = 0;
-        while max > 0.0 && max * 2f64.powi(shift + 1) < i16::MAX as f64 + 0.5 {
+        while max > 0.0 && max * 2f64.powi(shift + 1) < i8::MAX as f64 + 0.5 {
             shift += 1;
         }
-        let mut q16 = rounded(shift);
-        while 255 * q16.iter().map(|&x| (x as i64).abs()).sum::<i64>() >= 1 << 31 {
+        let mut q8 = rounded(shift);
+        while 15 * q8.iter().map(|&x| (x as i64).abs()).sum::<i64>() >= 1 << 31 {
             shift -= 1;
-            q16 = rounded(shift);
+            q8 = rounded(shift);
         }
         let unscale = 2f64.powi(-shift);
         // Each difference is exact in f64; the factor covers the
-        // roundings of the sum and of the product with 255.
+        // roundings of the sum and of the product with 15.
         let loss: f64 = q
             .iter()
-            .zip(&q16)
+            .zip(&q8)
             .map(|(&x, &r)| (x as f64 - r as f64 * unscale).abs())
             .sum();
-        let lift = round_up(255.0 * loss * (1.0 + (q.len() + 1) as f64 * f64::EPSILON));
+        let lift = round_up(CODE_MAX * loss * (1.0 + (q.len() + 1) as f64 * f64::EPSILON));
         Some(Self {
             sum: sum as f32,
             norm,
-            q16,
+            q8,
             unscale: unscale as f32,
             lift,
         })
     }
+}
+
+/// The rows of the largest bounds a coded query has seen, `keep` of
+/// them or up to twice that: its seeds.
+struct Seeds {
+    keep: usize,
+    /// Per row, its bound's bits made to order as the bound does, above
+    /// its position in the store (shard by shard), in no order.
+    rows: Vec<u64>,
+    /// `-∞` until a row is dropped, then the smallest bound kept: no
+    /// bound at or below it can be a seed.
+    floor: f32,
+}
+
+/// `x`'s bits, ordered as `x` is among non-NaN floats.
+fn ordered(x: f32) -> u32 {
+    let bits = x.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    }
+}
+
+/// The inverse of [`ordered`].
+fn unordered(key: u32) -> f32 {
+    f32::from_bits(if key >> 31 == 1 {
+        key & !(1 << 31)
+    } else {
+        !key
+    })
+}
+
+impl Seeds {
+    fn new(keep: usize) -> Self {
+        Self {
+            keep,
+            rows: Vec::with_capacity(2 * keep + SCAN_TILE),
+            floor: f32::NEG_INFINITY,
+        }
+    }
+
+    /// Offers one tile's bounds, the first of them row `first` of the
+    /// store: a lane of the kernel whose largest bound is not above the
+    /// floor holds nothing to offer. When the list holds twice what it
+    /// keeps, it drops all but the `keep` largest and raises the floor
+    /// to the smallest of them.
+    fn offer_tile(&mut self, bounds: &[f32], lane_max: &[f32; CODE_BLOCK_ROWS], first: usize) {
+        if self.keep == 0 {
+            return;
+        }
+        let floor = self.floor;
+        for (lane, &max) in lane_max.iter().enumerate() {
+            if max > floor {
+                for j in (lane..bounds.len()).step_by(CODE_BLOCK_ROWS) {
+                    if bounds[j] > floor {
+                        let key = (ordered(bounds[j]) as u64) << 32 | (first + j) as u64;
+                        self.rows.push(key);
+                    }
+                }
+            }
+        }
+        if self.rows.len() >= 2 * self.keep {
+            self.select();
+            self.floor = unordered((self.rows[self.keep - 1] >> 32) as u32);
+        }
+    }
+
+    /// Keeps the `keep` rows of the largest bounds (ties by position),
+    /// in no order.
+    fn select(&mut self) {
+        if self.keep < self.rows.len() {
+            let nth = self.keep - 1;
+            self.rows
+                .select_nth_unstable_by_key(nth, |&key| std::cmp::Reverse(key));
+            self.rows.truncate(self.keep);
+        }
+    }
+}
+
+/// A query the coded scan serves, with what its passes carry over.
+struct CodedQuery {
+    /// Its index in the batch.
+    index: usize,
+    moments: Moments,
+    seeds: Seeds,
+    /// One bit per aligned group of four rows, shard by shard: the
+    /// groups scored exactly so far.
+    scored: Vec<u64>,
+}
+
+/// The exact path's running totals on a coded scan.
+#[derive(Default)]
+struct CodedCounts {
+    /// Rows scored by `gemm_nt`.
+    survivors: u64,
+    /// Of those, rows that passed the threshold.
+    candidates: u64,
+    /// Rows the pools were seeded from.
+    seeds: u64,
+}
+
+/// Asks for the `f32` rows of `groups` (shard, rows) ahead of scoring
+/// them: they are scattered over the table, and waiting on each group's
+/// misses in turn costs more than scoring it.
+fn prefetch_groups<'a>(
+    shards: &[Shard],
+    dim: usize,
+    groups: impl IntoIterator<Item = &'a (usize, Range<usize>)>,
+) {
+    for (s, rows) in groups {
+        fvec::prefetch(&shards[*s].rows().as_slice()[rows.start * dim..rows.end * dim]);
+    }
+}
+
+/// Bounds rows `rows` of `coded` for the query of `moments` into
+/// `bounds` (`dots` is the kernel's scratch, as long), returning each
+/// lane's largest bound.
+fn bound_rows(
+    moments: &Moments,
+    coded: &CodedRows,
+    rows: Range<usize>,
+    dots: &mut [i32],
+    bounds: &mut [f32],
+) -> [f32; CODE_BLOCK_ROWS] {
+    let block = code_block_bytes(moments.q8.len());
+    let mut lane_max = [f32::NEG_INFINITY; CODE_BLOCK_ROWS];
+    fvec::dot_codes(
+        &moments.q8,
+        &coded.codes[rows.start / CODE_BLOCK_ROWS * block..rows.end / CODE_BLOCK_ROWS * block],
+        &moments.bound(coded, rows),
+        dots,
+        bounds,
+        &mut lane_max,
+    );
+    lane_max
+}
+
+thread_local! {
+    /// Every coded query's bound for every row of the store, from the
+    /// bounds pass to the revisit: grown to the largest batch × store a
+    /// thread has scanned, and reused.
+    static BOUNDS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A resolved query ready for the GEMM scan: its row in the batch
@@ -631,9 +757,10 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// The dispatched scan: nominates each active query's pool of (at
-    /// most) `pool_k` ids, tile by tile (see the module docs). A batch
-    /// of at most [`CODED_MAX_QUERIES`] is filtered from the shards'
-    /// codes, a larger one scored by GEMM; the pools are the same.
+    /// most) `pool_k` ids (see the module docs). A batch of at most
+    /// [`CODED_MAX_QUERIES`] whose every query the codes can bound is
+    /// filtered from the codes; any other is scored by GEMM. The pools
+    /// are the same.
     fn scan(&self, qmat: &[f32], active: &[Resolved], pool_k: usize) -> Vec<TopK> {
         let (m, dim) = (active.len(), self.store.dim());
         let mut tops: Vec<TopK> = (0..m).map(|_| TopK::new(pool_k)).collect();
@@ -643,13 +770,31 @@ impl<'a> QueryEngine<'a> {
         let moments: Option<Vec<Moments>> = (m <= CODED_MAX_QUERIES && dim > 0)
             .then(|| qmat.chunks_exact(dim).map(Moments::of).collect())
             .flatten();
-        // Scratch for one tile: a query's integer dots with the codes,
-        // or the batch's GEMM scores.
-        let (mut code_dots, mut scores) = match moments {
-            Some(_) => (vec![0i32; SCAN_TILE], Vec::new()),
-            None => (Vec::new(), vec![0.0f32; m * SCAN_TILE]),
-        };
-        let (mut rows_scored, mut survivors, mut candidates) = (0u64, 0u64, 0u64);
+        let rows = self.store.len() as u64;
+        gw2v_obs::add("serve.rows_scored", m as u64 * rows);
+        match moments {
+            Some(moments) => {
+                let counts = self.scan_coded(qmat, active, moments, pool_k, &mut tops);
+                gw2v_obs::add("serve.scan_candidates", counts.candidates);
+                gw2v_obs::add("serve.coded_rows", m as u64 * rows);
+                gw2v_obs::add("serve.code_survivors", counts.survivors);
+                gw2v_obs::add("serve.code_seeds", counts.seeds);
+            }
+            None => {
+                let candidates = self.scan_gemm(qmat, active, &mut tops);
+                gw2v_obs::add("serve.scan_candidates", candidates);
+            }
+        }
+        tops
+    }
+
+    /// The GEMM scan: one `gemm_nt` per tile scores every query of the
+    /// batch, then each selects from its row of the block. Returns how
+    /// many scores took the exact path.
+    fn scan_gemm(&self, qmat: &[f32], active: &[Resolved], tops: &mut [TopK]) -> u64 {
+        let (m, dim) = (active.len(), self.store.dim());
+        let mut scores = vec![0.0f32; m * SCAN_TILE];
+        let mut candidates = 0;
         for shard in self.store.shards() {
             let n = shard.len();
             if n == 0 {
@@ -660,25 +805,6 @@ impl<'a> QueryEngine<'a> {
             for start in (0..n).step_by(SCAN_TILE) {
                 let end = n.min(start + SCAN_TILE);
                 let len = end - start;
-                if let Some(moments) = &moments {
-                    let codes = &shard.coded().codes[start * dim..end * dim];
-                    let code_dots = &mut code_dots[..len];
-                    for ((i, top), moments) in tops.iter_mut().enumerate().zip(moments) {
-                        let q = &qmat[i * dim..(i + 1) * dim];
-                        fvec::dot_codes(&moments.q16, codes, code_dots);
-                        let (exact, passed) = top.offer_coded_tile(
-                            q,
-                            moments,
-                            code_dots,
-                            shard,
-                            start,
-                            &active[i].exclude,
-                        );
-                        survivors += exact;
-                        candidates += passed;
-                    }
-                    continue;
-                }
                 let block = &mut scores[..m * len];
                 block.fill(0.0);
                 fvec::gemm_nt(m, len, dim, qmat, &rows[start * dim..end * dim], block);
@@ -691,16 +817,178 @@ impl<'a> QueryEngine<'a> {
                     );
                 }
             }
-            rows_scored += (m * n) as u64;
             gw2v_obs::observe("serve.shard_scan_ns", t_scan.elapsed().as_nanos() as u64);
         }
-        gw2v_obs::add("serve.rows_scored", rows_scored);
-        gw2v_obs::add("serve.scan_candidates", candidates);
-        if moments.is_some() {
-            gw2v_obs::add("serve.coded_rows", rows_scored);
-            gw2v_obs::add("serve.code_survivors", survivors);
+        candidates
+    }
+
+    /// The coded scan (docs/SERVING.md § "Seeding"), [`CODED_CHUNK`]
+    /// queries at a time, in three passes. **Bounds**, tile by tile and
+    /// every query per tile: the kernel bounds the tile's rows from their
+    /// codes, each query keeps the bounds and the rows of its largest
+    /// ones. **Seeds**, query by query: the groups of four rows of its
+    /// `k + POOL_SLACK + 3` largest bounds are scored exactly, and so is
+    /// every shard's uncoded tail, which fills the pool and sets its
+    /// threshold. **Revisit**, query by query: every other group with a
+    /// bound not below the threshold is scored exactly. No group is
+    /// scored twice.
+    fn scan_coded(
+        &self,
+        qmat: &[f32],
+        active: &[Resolved],
+        moments: Vec<Moments>,
+        pool_k: usize,
+        tops: &mut [TopK],
+    ) -> CodedCounts {
+        let seeds = if pool_k == 0 { 0 } else { pool_k + SEED_EXTRA };
+        let mut coded: Vec<CodedQuery> = moments
+            .into_iter()
+            .enumerate()
+            .map(|(index, moments)| CodedQuery {
+                index,
+                moments,
+                seeds: Seeds::new(seeds),
+                scored: Vec::new(),
+            })
+            .collect();
+        let mut counts = CodedCounts::default();
+        let (dim, shards, n_rows) = (self.store.dim(), self.store.shards(), self.store.len());
+        // Per shard, its first row's position and its first group's bit.
+        let (mut row_base, mut group_base) = (Vec::new(), Vec::new());
+        let (mut rows, mut groups) = (0, 0);
+        for shard in shards {
+            row_base.push(rows);
+            group_base.push(groups);
+            rows += shard.len();
+            groups += shard.len().div_ceil(GROUP);
         }
-        tops
+        // A position's shard and its aligned group of four rows there.
+        let group_of = |at: usize| {
+            let s = row_base.partition_point(|&base| base <= at) - 1;
+            let lo = (at - row_base[s]) / GROUP * GROUP;
+            (s, lo..lo + GROUP)
+        };
+        // Scores one query's group of four rows of `shard` — or a shard's
+        // tail — unless it was scored already.
+        let exact = |q: &mut CodedQuery,
+                     top: &mut TopK,
+                     counts: &mut CodedCounts,
+                     s: usize,
+                     rows: Range<usize>| {
+            if rows.is_empty() {
+                return;
+            }
+            let bit = group_base[s] + rows.start / GROUP;
+            let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+            if q.scored[word] & mask != 0 {
+                return;
+            }
+            q.scored[word] |= mask;
+            let i = q.index;
+            let (scored, passed) = top.offer_exact(
+                &qmat[i * dim..(i + 1) * dim],
+                &shards[s],
+                rows,
+                &active[i].exclude,
+            );
+            counts.survivors += scored;
+            counts.candidates += passed;
+        };
+
+        let mut shard_ns = vec![0u64; shards.len()];
+        let mut dots = vec![0i32; SCAN_TILE];
+        BOUNDS.with_borrow_mut(|all| {
+            let chunk = coded.len().min(CODED_CHUNK);
+            if all.len() < chunk * n_rows {
+                all.resize(chunk * n_rows, 0.0);
+            }
+            for coded in coded.chunks_mut(CODED_CHUNK) {
+                let span = gw2v_obs::span("serve.scan.bounds");
+                for (s, (shard, ns)) in shards.iter().zip(&mut shard_ns).enumerate() {
+                    let t_scan = Instant::now();
+                    let n = shard.coded().len();
+                    for start in (0..n).step_by(SCAN_TILE) {
+                        let rows = start..n.min(start + SCAN_TILE);
+                        let at = row_base[s] + start;
+                        for (k, q) in coded.iter_mut().enumerate() {
+                            let bounds = &mut all[k * n_rows + at..][..rows.len()];
+                            let dots = &mut dots[..rows.len()];
+                            let lane_max =
+                                bound_rows(&q.moments, shard.coded(), rows.clone(), dots, bounds);
+                            q.seeds.offer_tile(bounds, &lane_max, at);
+                        }
+                    }
+                    *ns += t_scan.elapsed().as_nanos() as u64;
+                }
+                drop(span);
+
+                let span = gw2v_obs::span("serve.scan.seeds");
+                for q in coded.iter_mut() {
+                    let top = &mut tops[q.index];
+                    q.scored = vec![0; groups.div_ceil(64)];
+                    q.seeds.select();
+                    counts.seeds += q.seeds.rows.len() as u64;
+                    let mut seeded: Vec<(usize, Range<usize>)> = q
+                        .seeds
+                        .rows
+                        .iter()
+                        .map(|&key| group_of(key as u32 as usize))
+                        .collect();
+                    seeded.extend(
+                        shards
+                            .iter()
+                            .enumerate()
+                            .map(|(s, shard)| (s, shard.coded().len()..shard.len())),
+                    );
+                    prefetch_groups(shards, dim, &seeded);
+                    for (s, rows) in seeded {
+                        exact(q, top, &mut counts, s, rows);
+                    }
+                }
+                drop(span);
+
+                let _span = gw2v_obs::span("serve.scan.revisit");
+                for (k, q) in coded.iter_mut().enumerate() {
+                    let top = &mut tops[q.index];
+                    let bounds = &all[k * n_rows..(k + 1) * n_rows];
+                    // The groups with a bound not below the threshold the
+                    // seeds set, prefetched together, then each scored
+                    // unless its bounds fall below the threshold by then.
+                    let mut open: Vec<(usize, Range<usize>)> = Vec::new();
+                    for (s, shard) in shards.iter().enumerate() {
+                        let coded_rows = &bounds[row_base[s]..row_base[s] + shard.coded().len()];
+                        let (chunks, _) = coded_rows.as_chunks::<CODE_BLOCK_ROWS>();
+                        let t = top.threshold;
+                        for (c, chunk) in chunks.iter().enumerate() {
+                            // No branch per lane: most blocks are below.
+                            if chunk.iter().fold(true, |all, &b| all & (b < t)) {
+                                continue;
+                            }
+                            for (g, group) in chunk.chunks_exact(GROUP).enumerate() {
+                                if !group.iter().all(|&b| b < t) {
+                                    let lo = c * CODE_BLOCK_ROWS + g * GROUP;
+                                    open.push((s, lo..lo + GROUP));
+                                }
+                            }
+                        }
+                    }
+                    prefetch_groups(shards, dim, &open);
+                    for (s, rows) in open {
+                        let t = top.threshold;
+                        let at = row_base[s] + rows.start;
+                        if !bounds[at..at + GROUP].iter().all(|&b| b < t) {
+                            exact(q, top, &mut counts, s, rows);
+                        }
+                    }
+                }
+            }
+        });
+        for (shard, ns) in shards.iter().zip(shard_ns) {
+            if shard.len() > 0 {
+                gw2v_obs::observe("serve.shard_scan_ns", ns);
+            }
+        }
+        counts
     }
 
     /// Answers one query; equivalent to a batch of size one.
@@ -1310,9 +1598,10 @@ mod tests {
 
     #[test]
     fn coded_bound_is_never_below_the_exact_score() {
-        // Row by row and query by query: the bound the filter tests is
+        // Row by row and query by query: the bound the kernel returns is
         // at least the f32 score the scan would offer, and at least the
-        // score recomputed in f64 — or it is NaN, which survives too.
+        // score recomputed in f64 — or it is +∞ (in place of a NaN),
+        // which survives too.
         let mut rng = TestRng::from_seed(0x5EED_C0DE);
         let (mut coded, mut sharp) = (0usize, 0usize);
         for dim in [1usize, 7, 8, 9, 63, 64, 65, 300] {
@@ -1327,13 +1616,13 @@ mod tests {
                     continue;
                 };
                 for shard in store.shards() {
-                    let (n, c) = (shard.len(), shard.coded());
-                    let mut code_dots = vec![0i32; n];
+                    let (n, c) = (shard.coded().len(), shard.coded());
+                    let mut bounds = vec![0.0f32; n];
+                    bound_rows(&moments, c, 0..n, &mut vec![0; n], &mut bounds);
                     let mut dots = vec![0.0f32; n];
-                    fvec::dot_codes(&moments.q16, &c.codes, &mut code_dots);
-                    fvec::gemm_nt(1, n, dim, q, shard.rows().as_slice(), &mut dots);
+                    fvec::gemm_nt(1, n, dim, q, &shard.rows().as_slice()[..n * dim], &mut dots);
                     for j in 0..n {
-                        let ub = moments.bound(c.a[j], code_dots[j], c.b[j], c.slack[j]);
+                        let ub = bounds[j];
                         let inv = shard.inv_norms()[j];
                         let exact = dots[j] * inv;
                         let real: f64 = q
@@ -1344,8 +1633,8 @@ mod tests {
                             * inv as f64;
                         let at = format!("dim {dim} id {}: bound {ub}", shard.ids()[j]);
                         // A NaN score needs a bound nothing is above.
-                        let covers =
-                            |score: f64| ub.is_nan() || ub == f32::INFINITY || ub as f64 >= score;
+                        let covers = |score: f64| ub == f32::INFINITY || ub as f64 >= score;
+                        assert!(!ub.is_nan(), "{at}");
                         assert!(covers(exact as f64), "{at} under the f32 score {exact}");
                         assert!(covers(real), "{at} under the f64 score {real}");
                         coded += c.slack[j].is_finite() as usize;
@@ -1359,7 +1648,7 @@ mod tests {
     }
 
     #[test]
-    fn quantized_query_fits_i16_and_its_lift_covers_the_rounding() {
+    fn quantized_query_fits_i8_and_its_lift_covers_the_rounding() {
         let scaled = |q: Vec<f32>, norm: f32| -> Vec<f32> {
             let n = q.iter().map(|&x| x as f64 * x as f64).sum::<f64>().sqrt();
             q.iter()
@@ -1370,16 +1659,16 @@ mod tests {
         for dim in [1usize, 15, 16, 17, 64, 257, 300] {
             let one_hot = |x: f32| (0..dim).map(|i| if i == 0 { x } else { 0.0 }).collect();
             let equal = |norm: f32| scaled(vec![1.0; dim], norm);
-            // The largest coordinate is 32766.5 steps of 2^-shift, the
-            // rest alternate in sign on half-steps: every coordinate is a
-            // tie, and the largest is the last to round into i16.
+            // The largest coordinate is 126.5 steps of 2^-shift, the rest
+            // half a step, alternating in sign: every coordinate is a
+            // tie, and the largest is the last to round into ±127.
             let half_steps = |shift: i32| -> Vec<f32> {
                 let step = 2f32.powi(-shift);
                 (0..dim)
                     .map(|i| match i {
-                        0 => 32766.5 * step,
-                        _ if i % 2 == 0 => (i % 9) as f32 * step + 0.5 * step,
-                        _ => -((i % 9) as f32 * step + 0.5 * step),
+                        0 => 126.5 * step,
+                        _ if i % 2 == 0 => 0.5 * step,
+                        _ => -0.5 * step,
                     })
                     .collect()
             };
@@ -1390,8 +1679,8 @@ mod tests {
                 ("equal", equal(1.0)),
                 ("equal ½", equal(0.5)),
                 ("equal 2", equal(2.0)),
-                ("half-steps 14", half_steps(14)),
-                ("half-steps 15", half_steps(15)),
+                ("half-steps 6", half_steps(6)),
+                ("half-steps 7", half_steps(7)),
                 ("zero", vec![0.0; dim]),
             ];
             for (name, q) in queries {
@@ -1404,48 +1693,43 @@ mod tests {
                 checked += 1;
                 let shift = -(m.unscale.log2() as i32);
                 assert_eq!(m.unscale, 2f32.powi(-shift), "{at}: a power of two");
-                assert_eq!(m.q16.len(), dim);
-                let l1: i64 = m.q16.iter().map(|&x| (x as i64).abs()).sum();
-                assert!(m.q16.iter().all(|&x| x != i16::MIN), "{at}: |q̃| ≤ 32767");
-                assert!(255 * l1 < 1 << 31, "{at}: 255·‖q̃‖₁ = {}", 255 * l1);
+                assert_eq!(m.q8.len(), dim);
+                let l1: i64 = m.q8.iter().map(|&x| (x as i64).abs()).sum();
+                assert!(m.q8.iter().all(|&x| x != i8::MIN), "{at}: |q̃| ≤ 127");
+                assert!(15 * l1 < 1 << 31, "{at}: 15·‖q̃‖₁ = {}", 15 * l1);
                 let mut loss = 0.0f64;
-                for (&x, &r) in q.iter().zip(&m.q16) {
+                for (&x, &r) in q.iter().zip(&m.q8) {
                     let steps = x as f64 * 2f64.powi(shift);
                     assert!((steps - r as f64).abs() <= 0.5, "{at}: {x} rounds to {r}");
                     loss += (steps - r as f64).abs() * m.unscale as f64;
                 }
                 assert!(
-                    m.lift as f64 >= 255.0 * loss,
+                    m.lift as f64 >= 15.0 * loss,
                     "{at}: lift {} < {}",
                     m.lift,
-                    255.0 * loss
+                    15.0 * loss
                 );
                 // And no finer scale would have fitted: one more bit
-                // breaks the i16 range or the L1 limit.
-                let finer: Vec<f64> = q
+                // breaks the ±127 range.
+                let finer = q
                     .iter()
-                    .map(|&x| (x as f64 * 2f64.powi(shift + 1)).round())
-                    .collect();
-                let fits = finer.iter().all(|x| x.abs() <= i16::MAX as f64)
-                    && 255.0 * finer.iter().map(|x| x.abs()).sum::<f64>() < (1u64 << 31) as f64;
+                    .all(|&x| (x as f64 * 2f64.powi(shift + 1)).round().abs() <= 127.0);
                 assert!(
-                    !fits || name == "zero",
+                    !finer || name == "zero",
                     "{at}: shift {shift} is not the finest"
                 );
                 if name.starts_with("half-steps") {
-                    // Every coordinate is a tie, and the lift is the
-                    // loss to within its few ulps of headroom.
+                    // Every coordinate is a tie, the largest rounds to
+                    // 127, and the lift is the loss to within its few
+                    // ulps of headroom.
+                    assert_eq!(m.q8[0], 127, "{at}");
                     assert_eq!(loss, dim as f64 * 0.5 * m.unscale as f64, "{at}");
                     assert!(
-                        m.lift as f64 <= 255.0 * loss * (1.0 + 1e-6),
+                        m.lift as f64 <= 15.0 * loss * (1.0 + 1e-6),
                         "{at}: {}",
                         m.lift
                     );
                     on_half_steps += 1;
-                }
-                if name == "equal" && dim == 300 {
-                    // The L1 limit, not the i16 range, set the scale.
-                    assert!(m.q16[0] < 1 << 14, "{at}: {}", m.q16[0]);
                 }
             }
         }
@@ -1487,6 +1771,84 @@ mod tests {
             // Both scans, and the largest batch each side of the switch.
             for m in [1, CODED_MAX_QUERIES, CODED_MAX_QUERIES + 1, 33] {
                 assert_scan_matches_oracle(&store, &batch[..m], 10);
+            }
+        }
+    }
+
+    #[test]
+    fn coded_scan_edges_keep_the_materialised_pools() {
+        // The best rows in the last tile of the last shard: copies of the
+        // query's row, found only after every other tile was bounded.
+        let (rows, dim) = (2100usize, 24usize);
+        let mut t = random_table(rows, dim);
+        let store = ShardedStore::from_matrix(&t, 3);
+        let last = store.shards().last().unwrap();
+        let coded = last.coded().len();
+        let tail_tile = &last.ids()[(coded - 1) / SCAN_TILE * SCAN_TILE..coded];
+        let probe = t.row(5).to_vec();
+        let planted: Vec<u32> = tail_tile.iter().rev().take(3).copied().collect();
+        for (r, &id) in planted.iter().enumerate() {
+            let near: Vec<f32> = probe.iter().map(|x| x * (2.0 + r as f32)).collect();
+            t.row_mut(id as usize).copy_from_slice(&near);
+        }
+        let store = ShardedStore::from_matrix(&t, 3);
+        let vocab = vocab_of(rows);
+        let engine = QueryEngine::new(&store, &vocab);
+        let q = Query::Similar { word: "w5".into() };
+        let hits = engine.answer(&q, 10).hits.unwrap();
+        let mut best: Vec<u32> = hits[..3].iter().map(|h| h.id).collect();
+        best.sort_unstable();
+        let mut want = planted.clone();
+        want.sort_unstable();
+        assert_eq!(best, want, "the planted rows of the last tile win");
+        // The excluded words hold the largest bounds: a similarity
+        // query's own row, an analogy whose second and third words are
+        // one, and a planted copy asked for by name.
+        let w = |id: u32| format!("w{id}");
+        let excluded = [
+            q.clone(),
+            Query::Similar {
+                word: w(planted[0]),
+            },
+            Query::Analogy {
+                a: "w9".into(),
+                b: w(planted[1]),
+                c: w(planted[1]),
+            },
+            Query::Analogy {
+                a: w(planted[0]),
+                b: w(planted[1]),
+                c: w(planted[2]),
+            },
+        ];
+        for k in [1, 10, rows - 20, rows, rows + 5] {
+            // `k + POOL_SLACK`, and so the seeds, at or above the store.
+            assert_scan_matches_oracle(&store, &excluded, k);
+            for q in &excluded {
+                assert_scan_matches_oracle(&store, std::slice::from_ref(q), k);
+            }
+        }
+        // Shards of 1–7 rows, all of them uncoded tails, and shards of
+        // one block and a tail.
+        for (rows, n_shards) in [
+            (1, 1),
+            (2, 1),
+            (5, 1),
+            (7, 1),
+            (9, 1),
+            (15, 1),
+            (20, 8),
+            (40, 8),
+        ] {
+            let store = ShardedStore::from_matrix(&random_table(rows, 9), n_shards);
+            let queries: Vec<Query> = (0..rows.min(5))
+                .map(|i| Query::Similar {
+                    word: format!("w{i}"),
+                })
+                .collect();
+            for k in [1, 3, rows, rows + 5] {
+                assert_scan_matches_oracle(&store, &queries, k);
+                assert_scan_matches_oracle(&store, &queries[..1], k);
             }
         }
     }

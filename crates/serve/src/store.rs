@@ -24,15 +24,15 @@
 //! slot).
 //!
 //! Every shard also carries a coded twin of its rows (`CodedRows`):
-//! one `u8` per element plus three `f32` per row, a quarter of the bytes,
-//! from which a small batch's scan bounds every cosine from above before
-//! it reads an `f32` row. docs/SERVING.md § "Coded scan" is the one
+//! one 4-bit code per element plus three `f32` per row, an eighth of the
+//! bytes, from which the scan bounds every cosine from above before it
+//! reads an `f32` row. docs/SERVING.md § "Coded scan" is the one
 //! statement of the layout and of why the bound holds.
 
 use gw2v_core::checkpoint::{Checkpoint, CheckpointError};
 use gw2v_gluon::sync::assemble_canonical_layers;
 use gw2v_util::fvec::FlatMatrix;
-use gw2v_util::simd::{kernels, scalar};
+use gw2v_util::simd::{code_block_bytes, kernels, pack_code_block, scalar, CODE_BLOCK_ROWS};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -100,20 +100,24 @@ pub struct CheckpointSummary {
     pub fingerprint: u64,
 }
 
-/// The coded twin of a shard's rows, aligned with [`Shard::ids`]: row `j`
-/// is `codes[j·dim..(j + 1)·dim]` and, for every query `q` of norm 0 or
-/// in `[½, 2]`, every backend and every kernel the scan scores with,
+/// The coded twin of a shard's first `8·⌊n/8⌋` rows, aligned with
+/// [`Shard::ids`]: row `j`'s 4-bit codes `code_j` sit in block `j / 8` of
+/// `codes` ([`pack_code_block`]'s layout) and, for every query `q` of
+/// norm 0 or in `[½, 2]`, every backend and every kernel the scan scores
+/// with,
 ///
 /// ```text
-/// f32 score of row j  ≤  a[j]·fl(q·codes_j) + b[j]·Σq + slack[j]·‖q‖₂
+/// f32 score of row j  ≤  a[j]·fl(q·code_j) + b[j]·Σq + slack[j]·‖q‖₂
 /// ```
 ///
 /// evaluated in `f32` — or the right-hand side is NaN. The derivation is
 /// docs/SERVING.md § "Coded scan"; `query.rs` holds the test that
-/// recomputes it row by row.
+/// recomputes it row by row. The shard's `n % 8` last rows have no
+/// codes: the scan always scores them exactly.
 #[derive(Clone, Debug)]
 pub(crate) struct CodedRows {
-    /// `quantize_rows` codes, row-major; all zero for an uncoded row.
+    /// `⌊n/8⌋` blocks of `code_block_bytes(dim)` bytes; all-zero codes
+    /// for an uncoded row.
     pub(crate) codes: Vec<u8>,
     /// `inv_norm · scale`, rounded to nearest; 0 for an uncoded row.
     pub(crate) a: Vec<f32>,
@@ -139,28 +143,41 @@ pub(crate) fn round_up(x: f64) -> f32 {
 /// stored norm is the true one to within `γ`.
 const MAX_CODED_INV_NORM: f64 = (1u64 << 48) as f64;
 
+/// The largest 4-bit code.
+pub(crate) const CODE_MAX: f64 = 15.0;
+
 /// Rows reconstructed at a time while a shard's coding error is
 /// measured: 64 KB of dim-64 scratch.
 const MEASURE_TILE: usize = 256;
+const _: () = assert!(MEASURE_TILE.is_multiple_of(CODE_BLOCK_ROWS));
 
 impl CodedRows {
-    /// Codes `rows` with the wire codec's kernel, then measures what
-    /// each row's bound has to allow for: the rows are reconstructed by
-    /// the codec's own decoder, subtracted, and the residual's norm
+    /// Codes the whole blocks of `rows` with the wire codec's kernel and
+    /// folds each 8-bit code onto 4 bits (`(code + 8) / 17`, the scale
+    /// times 17, the offset kept), then measures what each row's bound
+    /// has to allow for: the rows are reconstructed from the 4-bit codes
+    /// by the codec's own decoder, subtracted, and the residual's norm
     /// taken, tile by tile through the dispatched kernels. A row is left
     /// uncoded when its inverse norm is 0 (zero, NaN, ±∞ rows; norms
     /// that overflowed or underflowed) or above 2⁴⁸ (squares near the
     /// subnormal range, where the stored norm says little about the
     /// row), or when a measured quantity is not finite.
     fn build(rows: &FlatMatrix, inv_norms: &[f32]) -> Self {
-        let (n, dim) = (rows.rows(), rows.dim());
+        let dim = rows.dim();
+        let n = rows.rows() / CODE_BLOCK_ROWS * CODE_BLOCK_ROWS;
         let k = kernels();
         let mut codes = vec![0u8; n * dim];
         let (mut a, mut b) = (vec![0.0f32; n], vec![0.0f32; n]);
         let mut slack = vec![f32::INFINITY; n];
         // The kernels leave and read scale and offset where `a` and `b`
         // will go.
-        (k.quantize_rows)(rows.as_slice(), dim, &mut a, &mut b, &mut codes);
+        (k.quantize_rows)(&rows.as_slice()[..n * dim], dim, &mut a, &mut b, &mut codes);
+        for c in &mut codes {
+            *c = ((*c as u16 + 8) / 17) as u8;
+        }
+        for scale in &mut a {
+            *scale *= 17.0;
+        }
         // γ = (dim + 8)·2⁻²³, twice the textbook γ_n = n·u/(1 − n·u) of
         // an n-term f32 sum while n·u ≤ ¼ (u = 2⁻²⁴).
         let gamma = (dim + 8) as f64 * (0.5f64).powi(23);
@@ -184,7 +201,8 @@ impl CodedRows {
                 let r = &residual[(j - start) * dim..(j - start + 1) * dim];
                 let err = inv * ((k.dot)(r, r) as f64).sqrt();
                 // With `inv` in range, inv·‖row‖ ≤ 1 + γ.
-                let scores = (aj.abs() as f64 * 255.0 + bj.abs() as f64) * sqrt_dim + 1.0 + gamma;
+                let scores =
+                    (aj.abs() as f64 * CODE_MAX + bj.abs() as f64) * sqrt_dim + 1.0 + gamma;
                 let bound = round_up((err + gamma * scores) * (1.0 + gamma));
                 if inv > 0.0 && inv <= MAX_CODED_INV_NORM && gamma <= 0.5 && bound.is_finite() {
                     (a[j], b[j], slack[j]) = (aj, bj, bound);
@@ -194,7 +212,25 @@ impl CodedRows {
                 }
             }
         }
-        Self { codes, a, b, slack }
+        let block = code_block_bytes(dim);
+        let mut packed = vec![0u8; n / CODE_BLOCK_ROWS * block];
+        for (rows, out) in codes
+            .chunks_exact(CODE_BLOCK_ROWS * dim.max(1))
+            .zip(packed.chunks_exact_mut(block.max(1)))
+        {
+            pack_code_block(rows, dim, out);
+        }
+        Self {
+            codes: packed,
+            a,
+            b,
+            slack,
+        }
+    }
+
+    /// Rows with codes: the shard's first `8·⌊n/8⌋`.
+    pub(crate) fn len(&self) -> usize {
+        self.a.len()
     }
 }
 
@@ -456,6 +492,44 @@ mod tests {
         assert_eq!(store.inv_norm(2), Some(0.0), "NaN row");
         let n0 = store.inv_norm(0).unwrap();
         assert!(n0 > 0.0 && n0.is_finite());
+    }
+
+    #[test]
+    fn coded_rows_fold_the_wire_codes_onto_nibbles() {
+        // Whole blocks of eight rows only, each row's wire codes folded
+        // to (code + 8) / 17 with 17 times the wire scale, and packed.
+        for (rows, dim) in [(7usize, 5usize), (8, 8), (23, 9), (40, 67)] {
+            let t = table(rows, dim);
+            let store = ShardedStore::from_matrix(&t, 1);
+            let shard = &store.shards()[0];
+            let coded = shard.coded();
+            let n = rows / 8 * 8;
+            assert_eq!(coded.len(), n);
+            let (mut scale, mut offset) = (vec![0.0f32; n], vec![0.0f32; n]);
+            let mut codes = vec![0u8; n * dim];
+            scalar::quantize_rows(
+                &t.as_slice()[..n * dim],
+                dim,
+                &mut scale,
+                &mut offset,
+                &mut codes,
+            );
+            let folded: Vec<u8> = codes.iter().map(|&c| ((c as u16 + 8) / 17) as u8).collect();
+            assert!(folded.iter().all(|&c| c <= 15));
+            let block = code_block_bytes(dim);
+            assert_eq!(coded.codes.len(), n / 8 * block, "{rows} × {dim}");
+            for (b, packed) in coded.codes.chunks_exact(block).enumerate() {
+                let mut want = vec![0u8; block];
+                pack_code_block(&folded[b * 8 * dim..(b + 1) * 8 * dim], dim, &mut want);
+                assert_eq!(packed, &want[..], "{rows} × {dim} block {b}");
+            }
+            for (j, &scale) in scale.iter().enumerate() {
+                let inv = shard.inv_norms()[j] as f64;
+                let a = (inv * (17.0 * scale) as f64) as f32;
+                assert_eq!(coded.a[j].to_bits(), a.to_bits(), "{rows} × {dim} row {j}");
+                assert!(coded.slack[j].is_finite() && coded.slack[j] > 0.0);
+            }
+        }
     }
 
     #[test]

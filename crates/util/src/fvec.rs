@@ -9,7 +9,7 @@
 //! model-combiner math (projections, norms) reuses the same kernels.
 
 use crate::sigmoid::SigmoidTable;
-use crate::simd::{kernels, WindowRoom, WindowRows};
+use crate::simd::{kernels, CodeBound, WindowRoom, WindowRows, CODE_BLOCK_ROWS};
 
 /// Dot product `x · y`. Panics in debug builds on length mismatch.
 #[inline]
@@ -134,6 +134,26 @@ pub fn normalize(x: &mut [f32]) {
     }
 }
 
+/// Asks for the cache lines of `x` ahead of a read: a caller that knows
+/// the scattered rows it will score next overlaps their misses instead
+/// of waiting on each in turn. A hint only: it changes no value and
+/// never faults; a no-op off x86.
+#[inline]
+pub fn prefetch(x: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in x.chunks(16) {
+        // SAFETY: a prefetch reads nothing architecturally and cannot
+        // fault; the pointer is in bounds of `x` anyway.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                line.as_ptr() as *const i8
+            )
+        };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = x;
+}
+
 /// Small-matrix GEMM, "NT" shape: `C[m×n] += A[m×k] · B[n×k]ᵀ`, all
 /// row-major. `C[i][j]` accumulates `row_i(A) · row_j(B)` — the serve
 /// scan, and the scores [`sgns_window`] is held to, where `A` holds
@@ -153,13 +173,20 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     (kernels().gemm_tn)(m, n, k, a, b, c)
 }
 
-/// One `i16` vector against rows of `u8` codes: `out[j] = Σ_i q[i] ·
-/// codes[j·q.len() + i]` in wrapping `i32`, overwriting `out` (see
+/// One `i8` query against blocks of 4-bit codes: each row's integer
+/// dot, its coded-scan bound and each lane's largest bound (see
 /// [`Kernels::dot_codes`](crate::simd::Kernels::dot_codes) for the
-/// cross-backend contract).
+/// layout and the cross-backend contract).
 #[inline]
-pub fn dot_codes(q: &[i16], codes: &[u8], out: &mut [i32]) {
-    (kernels().dot_codes)(q, codes, out)
+pub fn dot_codes(
+    q: &[i8],
+    codes: &[u8],
+    bound: &CodeBound<'_>,
+    dots: &mut [i32],
+    bounds: &mut [f32],
+    lane_max: &mut [f32; CODE_BLOCK_ROWS],
+) {
+    (kernels().dot_codes)(q, codes, bound, dots, bounds, lane_max)
 }
 
 /// A flat matrix of `rows` vectors of dimension `dim`, stored row-major in

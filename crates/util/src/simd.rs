@@ -190,10 +190,111 @@ pub(crate) type QuantizeFn =
 pub(crate) type DequantizeFn =
     fn(packed: &[u8], dim: usize, scales: &[f32], offsets: &[f32], values: &mut [f32]);
 
-/// Signature of the coded-scan kernel: `out[j] = Σ_i q[i] ·
-/// codes[j·dim + i]` in wrapping `i32` arithmetic, with `dim = q.len()`
-/// and `codes` holding `out.len()` rows of `dim` `u8` codes back to back.
-pub(crate) type DotCodesFn = fn(q: &[i16], codes: &[u8], out: &mut [i32]);
+/// Signature of the coded-scan kernel: one `i8` query against rows of
+/// 4-bit codes in [`CODE_BLOCK_ROWS`]-row blocks (see
+/// [`pack_code_block`]), writing each row's integer dot to `dots`, its
+/// [`CodeBound::row`] to `bounds` and folding the bounds into
+/// `lane_max` (see [`Kernels::dot_codes`]).
+pub(crate) type DotCodesFn = fn(
+    q: &[i8],
+    codes: &[u8],
+    bound: &CodeBound<'_>,
+    dots: &mut [i32],
+    bounds: &mut [f32],
+    lane_max: &mut [f32; CODE_BLOCK_ROWS],
+);
+
+/// Rows in one block of 4-bit codes: one per 32-bit lane of a 256-bit
+/// register.
+pub const CODE_BLOCK_ROWS: usize = 8;
+
+/// Bytes of one block of [`CODE_BLOCK_ROWS`] rows of `dim` 4-bit codes:
+/// a 32-byte group per eight coordinates, the last group zero-padded.
+pub const fn code_block_bytes(dim: usize) -> usize {
+    32 * dim.div_ceil(8)
+}
+
+/// Packs [`CODE_BLOCK_ROWS`] rows of `dim` codes, each at most 15 and
+/// one per byte, row-major, into one block: group `g` holds 32 bytes,
+/// row `r`'s four at `32·g + 4·r`, coordinate `8·g + t` in the low
+/// nibble of byte `t` and `8·g + 4 + t` in its high nibble (`t < 4`).
+/// Coordinates past `dim` are zero codes.
+pub fn pack_code_block(codes: &[u8], dim: usize, block: &mut [u8]) {
+    assert_eq!(codes.len(), CODE_BLOCK_ROWS * dim);
+    assert_eq!(block.len(), code_block_bytes(dim));
+    block.fill(0);
+    for (r, row) in codes.chunks_exact(dim.max(1)).enumerate() {
+        for (i, &c) in row.iter().enumerate() {
+            debug_assert!(c <= 15, "code {c} does not fit a nibble");
+            block[32 * (i / 8) + 4 * r + i % 4] |= c << (4 * (i % 8 / 4));
+        }
+    }
+}
+
+/// What turns a row's integer dot `I` with the codes into the coded
+/// scan's upper bound on its cosine (docs/SERVING.md § "The bound"):
+/// per-row `a`, `b` and `slack`, aligned with the rows of a
+/// [`Kernels::dot_codes`] call, and the query's four scalars.
+#[derive(Clone, Copy, Debug)]
+pub struct CodeBound<'a> {
+    /// Per row: the slope from a dot with the codes to a cosine.
+    pub a: &'a [f32],
+    /// Per row: the intercept, times the query's sum.
+    pub b: &'a [f32],
+    /// Per row: what the bound allows for, times the query's norm.
+    pub slack: &'a [f32],
+    /// The query's `2^-shift`: its integer dot times this is a dot of
+    /// the unrounded query, give or take `lift`.
+    pub unscale: f32,
+    /// What the query's rounding can hide of a dot with the codes.
+    pub lift: f32,
+    /// The query's coordinate sum.
+    pub sum: f32,
+    /// The query's Euclidean norm.
+    pub norm: f32,
+}
+
+impl CodeBound<'_> {
+    /// The bound of row `j` given its integer dot: `a·(fl(I)·unscale +
+    /// lift) + b·sum + slack·norm`, in that operation order, every
+    /// operation one `f32` rounding (no FMA), and `+∞` in place of NaN.
+    #[inline(always)]
+    pub fn row(&self, j: usize, dot: i32) -> f32 {
+        let ub = self.a[j] * (dot as f32 * self.unscale + self.lift)
+            + self.b[j] * self.sum
+            + self.slack[j] * self.norm;
+        if ub.is_nan() {
+            f32::INFINITY
+        } else {
+            ub
+        }
+    }
+
+    /// The same bound over rows `from..` of this one.
+    fn from(&self, from: usize) -> Self {
+        Self {
+            a: &self.a[from..],
+            b: &self.b[from..],
+            slack: &self.slack[from..],
+            ..*self
+        }
+    }
+}
+
+/// Panics unless a [`Kernels::dot_codes`] call's slices agree: `dots`
+/// rows, the codes of their blocks (the last one whole), and one `a`,
+/// `b`, `slack` and bound per row.
+fn check_codes(dim: usize, codes: &[u8], bound: &CodeBound<'_>, dots: &[i32], bounds: &[f32]) {
+    let n = dots.len();
+    assert_eq!(
+        codes.len(),
+        n.div_ceil(CODE_BLOCK_ROWS) * code_block_bytes(dim)
+    );
+    assert!(
+        bounds.len() == n && bound.a.len() == n && bound.b.len() == n && bound.slack.len() == n,
+        "one bound, a, b and slack per row"
+    );
+}
 
 /// The per-backend kernel function table.
 ///
@@ -301,12 +402,15 @@ pub struct Kernels {
     /// FMA). Both tables hold the scalar entry, so reconstruction is
     /// backend-bit-identical too.
     pub dequantize_rows: DequantizeFn,
-    /// One `i16` query against rows of `u8` codes: `out[j] = Σ_i q[i] ·
-    /// codes[j·dim + i]` in wrapping `i32` arithmetic, overwriting
-    /// `out`; any `dim`, any row count, including zero.
-    /// **Backend-bit-identical by contract**, and exact when `255·Σ_i
-    /// |q[i]| < 2³¹` — docs/SERVING.md § "Coded scan" states the
-    /// contract and the serve bound built on it.
+    /// One `i8` query against rows of 4-bit codes laid out in blocks of
+    /// [`CODE_BLOCK_ROWS`] by [`pack_code_block`], `dim = q.len()`:
+    /// `dots[j] = Σ_i q[i] · code_j[i]` in wrapping `i32` arithmetic,
+    /// `bounds[j] = bound.row(j, dots[j])`, and `lane_max[j % 8]` raised
+    /// to each `bounds[j]` in row order as `if m > x { m } else { x }`;
+    /// any `dim`, any row count (the codes of a last partial block are
+    /// still a whole block). **Backend-bit-identical by contract**, and
+    /// the dots are exact when `15·Σ_i |q[i]| < 2³¹` — docs/SERVING.md
+    /// § "Coded scan" states the contract and the bound built on it.
     pub dot_codes: DotCodesFn,
     /// CRC-32 (IEEE) state update behind [`crate::crc32::Crc32::update`]:
     /// absorbs `bytes` into the raw (pre-inversion) `state` and returns
@@ -359,7 +463,9 @@ static AVX2_KERNELS: Kernels = Kernels {
     // One entry on both tables: an AVX2 loop measured no faster than
     // the scalar one.
     dequantize_rows: scalar::dequantize_rows,
-    dot_codes: |q, codes, out| unsafe { avx2::dot_codes(q, codes, out) },
+    dot_codes: |q, codes, bound, dots, bounds, lane_max| unsafe {
+        avx2::dot_codes(q, codes, bound, dots, bounds, lane_max)
+    },
     // SAFETY: needs two CPUID bits the table's avx2+fma test does not
     // imply; `select` keeps this entry only where `clmul::supported()`
     // and installs slice-by-8 otherwise.
@@ -718,23 +824,35 @@ pub mod scalar {
         }
     }
 
-    /// `out[j] = Σ_i q[i] · codes[j·dim + i]`, `dim = q.len()`, summed in
-    /// increasing `i` with wrapping `i32` adds.
-    #[inline]
-    pub fn dot_codes(q: &[i16], codes: &[u8], out: &mut [i32]) {
+    /// `dots[j] = Σ_i q[i] · code_j[i]`, `dim = q.len()`, row by row,
+    /// reading each code from its nibble; then the row's bound and its
+    /// lane's maximum (see [`Kernels::dot_codes`](super::Kernels::dot_codes)).
+    pub fn dot_codes(
+        q: &[i8],
+        codes: &[u8],
+        bound: &super::CodeBound<'_>,
+        dots: &mut [i32],
+        bounds: &mut [f32],
+        lane_max: &mut [f32; super::CODE_BLOCK_ROWS],
+    ) {
         let dim = q.len();
-        debug_assert_eq!(codes.len(), out.len() * dim);
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = dot_codes_row(q, &codes[j * dim..(j + 1) * dim]);
+        super::check_codes(dim, codes, bound, dots, bounds);
+        let block = super::code_block_bytes(dim);
+        for (j, (dot, ub)) in dots.iter_mut().zip(bounds.iter_mut()).enumerate() {
+            let lane = j % super::CODE_BLOCK_ROWS;
+            let blk = &codes[j / super::CODE_BLOCK_ROWS * block..][..block];
+            let mut s = 0i32;
+            for (g, group) in q.chunks(8).enumerate() {
+                for (t, &x) in group.iter().enumerate() {
+                    let code = (blk[32 * g + 4 * lane + t % 4] >> (4 * (t / 4))) & 15;
+                    s = s.wrapping_add(x as i32 * code as i32);
+                }
+            }
+            *dot = s;
+            *ub = bound.row(j, s);
+            let m = &mut lane_max[lane];
+            *m = if *m > *ub { *m } else { *ub };
         }
-    }
-
-    /// One row of [`dot_codes`].
-    #[inline]
-    pub(crate) fn dot_codes_row(q: &[i16], row: &[u8]) -> i32 {
-        q.iter()
-            .zip(row)
-            .fold(0i32, |s, (&x, &c)| s.wrapping_add(x as i32 * c as i32))
     }
 
     /// `C[m×n] += A[m×k] · B[n×k]ᵀ`, row-major. Each output element is
@@ -1123,74 +1241,167 @@ mod avx2 {
         }
     }
 
-    /// `out[j] = Σ_i q[i] · codes[j·dim + i]`: eight rows per pass share
-    /// each load of 16 query words; each row's 16 codes are widened to
-    /// `i16` (`vpmovzxbw`) and multiplied into eight `i32` lanes of
-    /// adjacent pairs (`vpmaddwd`, exact: a pair is at most 2·2¹⁵·255 in
-    /// size), the codes 1 KB ahead prefetched. The `dim % 16` tail and
-    /// the `out.len() % 8` last rows are the scalar reference's. Every
-    /// add wraps, so the order does not matter and each value is the
-    /// scalar kernel's, bit for bit.
+    /// `dots[j] = Σ_i q[i] · code_j[i]` eight rows at a time, one row
+    /// per 32-bit lane: each 32-byte group of a block splits into its
+    /// low and its high nibbles (`vpand`, `vpsrlw`), each half is
+    /// multiplied by four query words broadcast to every lane and summed
+    /// in pairs (`vpmaddubsw`: codes ≤ 15 and `|q| ≤ 127` keep a pair
+    /// within 3 810 and the two halves' sum within 7 620, so nothing
+    /// saturates), and `vpmaddwd` by ones adds each lane's two pairs into
+    /// its `i32` sum. No horizontal add: the accumulator's lanes are the
+    /// rows. The bound follows in the same registers, in
+    /// [`CodeBound::row`](super::CodeBound::row)'s operation order with
+    /// no FMA. A last partial block is the scalar reference's. Every
+    /// integer add wraps, so each dot is the scalar kernel's, and so is
+    /// each bound and each lane's maximum, bit for bit.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2. The slice lengths are checked.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_codes(q: &[i16], codes: &[u8], out: &mut [i32]) {
-        const ROWS: usize = 8;
-        const PREFETCH_AHEAD: usize = 1024;
-        let (dim, n) = (q.len(), out.len());
-        assert_eq!(codes.len(), n * dim);
-        let qp = q.as_ptr();
-        let body = dim - dim % 16;
-        let whole = n - n % ROWS;
-        for j in (0..whole).step_by(ROWS) {
-            // SAFETY: rows `j..j + 8` are `codes[j * dim..(j + 8) * dim]`,
-            // in bounds by the assertion above for `j + 8 <= n`; the
-            // 16-byte code loads and 32-byte query loads stop at `body <=
-            // dim`, the store writes `out[j..j + 8]`, and none of them
-            // needs alignment.
-            unsafe {
-                let r = codes.as_ptr().add(j * dim);
-                // A single query streams the codes once, faster than the
-                // hardware prefetcher alone keeps up with: ask for the
-                // lines 1 KB ahead, past the slice's end too: a prefetch
-                // never faults, and a `wrapping_add` pointer past the
-                // allocation is never dereferenced.
-                let ahead = r.wrapping_add(PREFETCH_AHEAD);
-                for line in (0..ROWS * dim).step_by(64) {
-                    _mm_prefetch(ahead.wrapping_add(line) as *const i8, _MM_HINT_T0);
+    pub unsafe fn dot_codes(
+        q: &[i8],
+        codes: &[u8],
+        bound: &super::CodeBound<'_>,
+        dots: &mut [i32],
+        bounds: &mut [f32],
+        lane_max: &mut [f32; super::CODE_BLOCK_ROWS],
+    ) {
+        const ROWS: usize = super::CODE_BLOCK_ROWS;
+        let (dim, n) = (q.len(), dots.len());
+        super::check_codes(dim, codes, bound, dots, bounds);
+        let block = super::code_block_bytes(dim);
+        let (full, whole) = (dim / 8, n / ROWS);
+        // The last group's query words, zero past `dim` (its codes are
+        // zero there too).
+        let mut last = [0u8; 8];
+        for (l, &x) in last.iter_mut().zip(&q[full * 8..]) {
+            *l = x as u8;
+        }
+        let word = |w: &[u8]| i32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let (last_lo, last_hi) = (
+            _mm256_set1_epi32(word(&last[..4])),
+            _mm256_set1_epi32(word(&last[4..])),
+        );
+        let unscale = _mm256_set1_ps(bound.unscale);
+        let lift = _mm256_set1_ps(bound.lift);
+        let sum = _mm256_set1_ps(bound.sum);
+        let norm = _mm256_set1_ps(bound.norm);
+        let inf = _mm256_set1_ps(f32::INFINITY);
+        // SAFETY: block `k < whole` is `codes[k·block..(k + 1)·block]`,
+        // in bounds by `check_codes`; group loads stop at `block`, the
+        // query words read stop at `8·full <= dim`, and rows `8k..8k + 8`
+        // of `dots`, `bounds`, `a`, `b` and `slack` are in bounds for
+        // `k < whole`. No access needs alignment.
+        unsafe {
+            let mut max = _mm256_loadu_ps(lane_max.as_ptr());
+            let qp = q.as_ptr();
+            let mut epilogue = |r: usize, acc: __m256i, max: &mut __m256| {
+                _mm256_storeu_si256(dots.as_mut_ptr().add(r) as *mut __m256i, acc);
+                let d = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc), unscale), lift);
+                let ub = _mm256_add_ps(
+                    _mm256_add_ps(
+                        _mm256_mul_ps(_mm256_loadu_ps(bound.a.as_ptr().add(r)), d),
+                        _mm256_mul_ps(_mm256_loadu_ps(bound.b.as_ptr().add(r)), sum),
+                    ),
+                    _mm256_mul_ps(_mm256_loadu_ps(bound.slack.as_ptr().add(r)), norm),
+                );
+                let ub = _mm256_blendv_ps(ub, inf, _mm256_cmp_ps::<_CMP_UNORD_Q>(ub, ub));
+                _mm256_storeu_ps(bounds.as_mut_ptr().add(r), ub);
+                *max = _mm256_max_ps(*max, ub);
+            };
+            let last = (last_lo, last_hi);
+            let mut k = 0;
+            while k + 2 <= whole {
+                let base = codes.as_ptr().add(k * block);
+                let [a0, a1] = block_dots::<2>(base, block, qp, dim, last);
+                epilogue(k * ROWS, a0, &mut max);
+                epilogue((k + 1) * ROWS, a1, &mut max);
+                k += 2;
+            }
+            if k < whole {
+                let [a0] = block_dots::<1>(codes.as_ptr().add(k * block), block, qp, dim, last);
+                epilogue(k * ROWS, a0, &mut max);
+            }
+            _mm256_storeu_ps(lane_max.as_mut_ptr(), max);
+        }
+        let r = whole * ROWS;
+        super::scalar::dot_codes(
+            q,
+            &codes[whole * block..],
+            &bound.from(r),
+            &mut dots[r..],
+            &mut bounds[r..],
+            lane_max,
+        );
+    }
+
+    /// The integer dots of `B` consecutive code blocks (`block` bytes
+    /// each, from `base`) with the query at `qp` (`dim` words, the last
+    /// partial group's in `last`), one row per lane: each group's query
+    /// words are broadcast once for all `B` blocks, and four groups'
+    /// pair sums add up in `i16` (4·7 620 < 2¹⁵) before they widen.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; `B` whole blocks at `base` and `dim / 8 · 8` words at `qp`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn block_dots<const B: usize>(
+        base: *const u8,
+        block: usize,
+        qp: *const i8,
+        dim: usize,
+        last: (__m256i, __m256i),
+    ) -> [__m256i; B] {
+        let full = dim / 8;
+        let ones = _mm256_set1_epi16(1);
+        let mut acc = [_mm256_setzero_si256(); B];
+        // SAFETY: group `g < full` of block `b < B` is in bounds, and so
+        // are query words `8g..8g + 8`, by the caller's contract.
+        unsafe {
+            let mut pairs = [_mm256_setzero_si256(); B];
+            let add_group = |pairs: &mut [__m256i; B], g: usize, lo: __m256i, hi: __m256i| {
+                for (b, pairs) in pairs.iter_mut().enumerate() {
+                    let v = _mm256_loadu_si256(base.add(b * block + 32 * g) as *const __m256i);
+                    *pairs = _mm256_add_epi16(*pairs, nibble_pairs(v, lo, hi));
                 }
-                let mut acc = [_mm256_setzero_si256(); ROWS];
-                for p in (0..body).step_by(16) {
-                    let vq = _mm256_loadu_si256(qp.add(p) as *const __m256i);
-                    for (k, acc) in acc.iter_mut().enumerate() {
-                        let codes = _mm_loadu_si128(r.add(k * dim + p) as *const __m128i);
-                        let pairs = _mm256_madd_epi16(vq, _mm256_cvtepu8_epi16(codes));
-                        *acc = _mm256_add_epi32(*acc, pairs);
+            };
+            for g in 0..full {
+                let lo = _mm256_set1_epi32((qp.add(8 * g) as *const i32).read_unaligned());
+                let hi = _mm256_set1_epi32((qp.add(8 * g + 4) as *const i32).read_unaligned());
+                add_group(&mut pairs, g, lo, hi);
+                if g % 4 == 3 {
+                    for (acc, pairs) in acc.iter_mut().zip(&mut pairs) {
+                        *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(*pairs, ones));
+                        *pairs = _mm256_setzero_si256();
                     }
                 }
-                // Lane k of `lo` / `hi` is row k's sum over the low / the
-                // high half of its accumulator (rows 0–3, then 4–7).
-                let quad = |a: &[__m256i]| {
-                    _mm256_hadd_epi32(_mm256_hadd_epi32(a[0], a[1]), _mm256_hadd_epi32(a[2], a[3]))
-                };
-                let (a, b) = (quad(&acc[..4]), quad(&acc[4..]));
-                let lo = _mm256_permute2x128_si256(a, b, 0x20);
-                let hi = _mm256_permute2x128_si256(a, b, 0x31);
-                _mm256_storeu_si256(
-                    out.as_mut_ptr().add(j) as *mut __m256i,
-                    _mm256_add_epi32(lo, hi),
-                );
             }
-            if body < dim {
-                for (k, o) in out[j..j + ROWS].iter_mut().enumerate() {
-                    let row = &codes[(j + k) * dim..(j + k + 1) * dim];
-                    *o = o.wrapping_add(super::scalar::dot_codes_row(&q[body..], &row[body..]));
-                }
+            if full * 8 < dim {
+                add_group(&mut pairs, full, last.0, last.1);
+            }
+            for (acc, pairs) in acc.iter_mut().zip(pairs) {
+                *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(pairs, ones));
             }
         }
-        super::scalar::dot_codes(q, &codes[whole * dim..], &mut out[whole..]);
+        acc
+    }
+
+    /// One 32-byte group of a code block against its eight query words,
+    /// `lo` (the low nibbles') and `hi` (the high nibbles') four each,
+    /// broadcast: per 32-bit lane, the row's two `i16` pair sums over the
+    /// group, each at most 7 620 in size.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn nibble_pairs(v: __m256i, lo: __m256i, hi: __m256i) -> __m256i {
+        let nibble = _mm256_set1_epi8(15);
+        let low = _mm256_and_si256(v, nibble);
+        let high = _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble);
+        _mm256_add_epi16(
+            _mm256_maddubs_epi16(low, lo),
+            _mm256_maddubs_epi16(high, hi),
+        )
     }
 
     /// Horizontal sums of four accumulators at once, one per lane of the

@@ -162,58 +162,105 @@ fn crc32_update_matches_scalar_bitwise_all_lengths_0_to_512() {
 
 #[test]
 fn dot_codes_is_exact_and_backend_identical_all_dims_0_to_300() {
-    // The serve quantizer admits any i16 query with 255·‖q‖₁ < 2³¹:
-    // then no i32 partial sum can overflow, in any order. Queries at the
-    // i16 extremes, filled up to that L1 norm, against all-255 codes
-    // put every sum at the edge of i32; the dispatched kernel must equal
-    // the scalar one and an i64 reference, bit for bit.
-    const MAX_L1: i64 = ((1i64 << 31) - 1) / 255;
-    let extremes = |dim: usize, cycle: &[i16]| -> Vec<i16> {
-        let mut room = MAX_L1;
-        (0..dim)
-            .map(|i| {
-                let x = cycle[i % cycle.len()] as i64;
-                let v = x.signum() * x.abs().min(room);
-                room -= v.abs();
-                v as i16
-            })
-            .collect()
-    };
-    let mixed: Vec<u8> = (0..9 * 300u32 + 3)
+    // The serve quantizer rounds a query into `|q| ≤ 127`, so 15·‖q‖₁
+    // stays far below 2³¹ at every dim here: no i32 partial sum can
+    // overflow, in any order. Queries of ±127 throughout (the largest L1
+    // norm admitted) against all-15 codes put every pair sum at its
+    // 3 810 limit and every group at 7 620. The dispatched kernel must
+    // equal the scalar one and an i64 sum of the unpacked nibbles, bit
+    // for bit, and so must the bounds and each lane's maximum, with NaN
+    // and ±∞ rows among the finite ones.
+    let cycles: [&[i8]; 4] = [&[127], &[-127], &[127, -127, -127], &[3, -1, 0, 127, -64]];
+    let mixed: Vec<u8> = (0..3 * 32 * 38 + 3u32)
         .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
         .collect();
-    let full = vec![255u8; 9 * 300 + 3];
+    let full = vec![0xFFu8; mixed.len()];
+    let per_row = |i: usize, special: f32| match i % 7 {
+        3 => special,
+        _ => (i % 5) as f32 * 0.125 - 0.25,
+    };
+    let (a, b, slack): (Vec<f32>, Vec<f32>, Vec<f32>) = (
+        (0..17).map(|i| per_row(i, f32::NAN)).collect(),
+        (0..17).map(|i| per_row(i + 1, f32::NEG_INFINITY)).collect(),
+        (0..17).map(|i| per_row(i + 2, f32::INFINITY)).collect(),
+    );
     for dim in 0..=300usize {
-        let queries = [
-            extremes(dim, &[32767]),
-            extremes(dim, &[-32768]),
-            extremes(dim, &[32767, -32768, -32767]),
-        ];
-        for q in &queries {
-            let l1: i64 = q.iter().map(|&x| (x as i64).abs()).sum();
-            assert!(
-                255 * l1 < 1 << 31,
-                "dim={dim}: query outside the admitted range"
-            );
+        let block = simd::code_block_bytes(dim);
+        for cycle in cycles {
+            let q: Vec<i8> = (0..dim).map(|i| cycle[i % cycle.len()]).collect();
+            let bound = |rows: usize| simd::CodeBound {
+                a: &a[..rows],
+                b: &b[..rows],
+                slack: &slack[..rows],
+                unscale: 2f32.powi(-7),
+                lift: 0.375,
+                sum: -1.5,
+                norm: 1.25,
+            };
             for codes in [&mixed, &full] {
-                for rows in [0usize, 1, 3, 4, 5, 9] {
+                for rows in [0usize, 1, 7, 8, 9, 17] {
                     for offset in [0usize, 1, 3] {
-                        let codes = &codes[offset..offset + rows * dim];
-                        let mut got = vec![i32::MIN; rows];
-                        let mut want = vec![i32::MAX; rows];
-                        fvec::dot_codes(q, codes, &mut got);
-                        scalar::dot_codes(q, codes, &mut want);
+                        let codes = &codes[offset..offset + rows.div_ceil(8) * block];
+                        let bound = bound(rows);
+                        let (mut dots, mut want_dots) = (vec![i32::MIN; rows], vec![0; rows]);
+                        let (mut ubs, mut want_ubs) = (vec![0.0f32; rows], vec![1.0f32; rows]);
+                        let mut lanes = [-1.0f32, 0.0, -0.0, 2.0, 0.5, -0.5, 1.0, -3.0];
+                        let mut want_lanes = lanes;
+                        fvec::dot_codes(&q, codes, &bound, &mut dots, &mut ubs, &mut lanes);
+                        scalar::dot_codes(
+                            &q,
+                            codes,
+                            &bound,
+                            &mut want_dots,
+                            &mut want_ubs,
+                            &mut want_lanes,
+                        );
+                        let at = format!("dim={dim} q={cycle:?} rows={rows} offset={offset}");
                         for j in 0..rows {
-                            let row = &codes[j * dim..(j + 1) * dim];
-                            let exact: i64 =
-                                q.iter().zip(row).map(|(&x, &c)| x as i64 * c as i64).sum();
-                            let at = format!("dim={dim} rows={rows} offset={offset} row {j}");
-                            assert_eq!(got[j] as i64, exact, "dispatched {at}");
-                            assert_eq!(want[j] as i64, exact, "scalar {at}");
+                            let blk = &codes[j / 8 * block..(j / 8 + 1) * block];
+                            let exact: i64 = (0..dim)
+                                .map(|i| {
+                                    let byte = blk[32 * (i / 8) + 4 * (j % 8) + i % 4];
+                                    let code = if i % 8 < 4 { byte & 15 } else { byte >> 4 };
+                                    q[i] as i64 * code as i64
+                                })
+                                .sum();
+                            assert_eq!(dots[j] as i64, exact, "dispatched {at} row {j}");
+                            assert_eq!(want_dots[j] as i64, exact, "scalar {at} row {j}");
+                            let ub = bound.row(j, exact as i32);
+                            assert!(!ub.is_nan(), "{at} row {j}: a NaN bound");
+                            assert_eq!(ubs[j].to_bits(), ub.to_bits(), "dispatched {at} row {j}");
+                            assert_eq!(want_ubs[j].to_bits(), ub.to_bits(), "scalar {at} row {j}");
                         }
+                        let bits = |l: &[f32; 8]| l.map(f32::to_bits);
+                        assert_eq!(bits(&lanes), bits(&want_lanes), "lane maxima {at}");
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn packed_code_blocks_hold_each_code_in_its_documented_nibble() {
+    for dim in [0usize, 1, 4, 7, 8, 9, 16, 67] {
+        let codes: Vec<u8> = (0..8 * dim).map(|i| (i * 7 % 16) as u8).collect();
+        let mut block = vec![0xAAu8; simd::code_block_bytes(dim)];
+        simd::pack_code_block(&codes, dim, &mut block);
+        let mut seen = vec![0u8; block.len() * 2];
+        for r in 0..8 {
+            for i in 0..dim {
+                let byte = 32 * (i / 8) + 4 * r + i % 4;
+                let nibble = 2 * byte + i % 8 / 4;
+                let got = (block[byte] >> (4 * (i % 8 / 4))) & 15;
+                assert_eq!(got, codes[r * dim + i], "dim {dim} row {r} coordinate {i}");
+                seen[nibble] = 1;
+            }
+        }
+        // Every nibble no coordinate owns is a zero code.
+        for (nibble, &owned) in seen.iter().enumerate() {
+            let value = (block[nibble / 2] >> (4 * (nibble % 2))) & 15;
+            assert!(owned == 1 || value == 0, "dim {dim} nibble {nibble}");
         }
     }
 }

@@ -28,8 +28,8 @@ GW2V_FORCE_SCALAR=1 $serve --queries queries.txt --out answers_scalar.jsonl
 cmp answers.jsonl answers_scalar.jsonl
 echo "serve output is backend-invariant"
 
-# `--batch 1` scans every query from the u8 codes; a batch of more than
-# sixteen is scored by GEMM: coded == GEMM == scalar, byte for byte.
+# `--batch 1` scans every query from the 4-bit codes, and so does a batch
+# of at most 32: the same bytes either way, and from the scalar backend.
 step "One query at a time serves the same bytes as a batch"
 printf 'sim mk0_a0\nsim tp0_0_0\nanalogy mk0_a0 mk0_a1 mk0_a2\nsim mk0_a3\nsim zz_not_a_word\n' > mixed.txt
 for batch in 32 1; do
@@ -41,26 +41,28 @@ cmp mixed_32.jsonl mixed_scalar_32.jsonl
 cmp mixed_32.jsonl mixed_scalar_1.jsonl
 echo "coded scan == GEMM scan == scalar"
 
-# dim 300: not a multiple of the integer kernel's 16 codes, and past the
-# 257 coordinates beyond which the quantized query's L1 limit, not its i16
-# range, can set its scale. Eight epochs, so that the coded filter skips
-# most rows rather than scoring them all. A batch of at most 16 queries
-# takes the coded scan, so the query files here hold more than 16
-# resolvable lines: `--batch 32` is the GEMM scan at both dims.
-step "A dim-300 model serves the same bytes coded, by GEMM and scalar"
-"$G" train --input corpus.txt --out model300.txt --trainer seq \
-    --dim 300 --epochs 8 --negative 5 --seed 1
-for m in model300 model; do
-    awk 'NR > 1 && NR <= 25 { print "sim " $1 }' $m.txt > many_$m.txt
+# dims 300 and 67: not multiples of the integer kernel's groups of eight
+# codes, so the last group of every block is padded (four and three
+# coordinates). Eight epochs, so that the coded filter skips most rows
+# rather than scoring them all. A batch of at most 32 queries takes the
+# coded scan, so the query files here hold more than 32 resolvable
+# lines: `--batch 64` is the GEMM scan at every dim.
+step "Dim-300 and dim-67 models serve the same bytes coded, by GEMM and scalar"
+for dim in 300 67; do
+    "$G" train --input corpus.txt --out model$dim.txt --trainer seq \
+        --dim $dim --epochs 8 --negative 5 --seed 1
+done
+for m in model300 model67 model; do
+    awk 'NR > 1 && NR <= 41 { print "sim " $1 }' $m.txt > many_$m.txt
     cat mixed.txt >> many_$m.txt
     serve="$G serve --model $m.txt --queries many_$m.txt --k 10"
-    $serve --out ${m}_32.jsonl --batch 32
+    $serve --out ${m}_64.jsonl --batch 64
     $serve --out ${m}_1.jsonl --batch 1
     GW2V_FORCE_SCALAR=1 $serve --out ${m}_scalar_1.jsonl --batch 1
-    cmp ${m}_32.jsonl ${m}_1.jsonl
-    cmp ${m}_32.jsonl ${m}_scalar_1.jsonl
+    cmp ${m}_64.jsonl ${m}_1.jsonl
+    cmp ${m}_64.jsonl ${m}_scalar_1.jsonl
 done
-echo "dims 300 and 48: coded scan == GEMM scan == scalar"
+echo "dims 300, 67 and 48: coded scan == GEMM scan == scalar"
 
 # The tokenizer splits on ASCII whitespace only, so a no-break space is
 # part of a word: the model reader and the query parser must agree, or

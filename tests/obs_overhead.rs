@@ -284,8 +284,10 @@ fn round_counters_reconcile_with_comm_stats_on_both_engines() {
 /// reconcile with the scans they describe: `rows_scored` = resolved
 /// queries × rows, a candidate is a scored row, the pools alone need
 /// `k + POOL_SLACK` of them; on the coded scan a candidate is a code
-/// survivor is a coded row; and a batch's pack, scan and rescore spans
-/// fit inside its `serve.batch` span.
+/// survivor is a coded row, and a query's seeds are at most
+/// `k + POOL_SLACK + 3` and at most its survivors; a batch's pack, scan
+/// and rescore spans fit inside its `serve.batch` span, and a coded
+/// scan's bounds, seeds and revisit spans inside its `serve.scan` span.
 #[test]
 fn metrics_do_not_perturb_serving() {
     use graph_word2vec::serve::query::{CODED_MAX_QUERIES, POOL_SLACK};
@@ -369,13 +371,14 @@ fn metrics_do_not_perturb_serving() {
         (resolved * (k + POOL_SLACK)) as u64 <= candidates && candidates < scored / 4,
         "{candidates} candidates of {scored} scored rows"
     );
-    // The 32 singles took the coded scan, the batch of 32 did not.
-    const { assert!(CODED_MAX_QUERIES < 32) };
+    // The 32 singles and the batch of 32 resolved queries all took the
+    // coded scan.
+    const { assert!(CODED_MAX_QUERIES >= 32) };
     let coded = snap.counters["serve.coded_rows"];
     let survivors = snap.counters["serve.code_survivors"];
-    assert_eq!(coded, (32 * rows) as u64);
+    assert_eq!(coded, scored);
     assert!(
-        (32 * (k + POOL_SLACK)) as u64 <= survivors && survivors < coded / 4,
+        (resolved * (k + POOL_SLACK)) as u64 <= survivors && survivors < coded / 4,
         "{survivors} survivors of {coded} coded rows"
     );
     assert_eq!(single["serve.coded_rows"], rows as u64);
@@ -383,6 +386,14 @@ fn metrics_do_not_perturb_serving() {
         single["serve.scan_candidates"] <= single["serve.code_survivors"]
             && single["serve.code_survivors"] <= single["serve.coded_rows"],
         "{single:?}"
+    );
+    let seeds = snap.counters["serve.code_seeds"];
+    assert!(
+        single["serve.code_seeds"] <= (k + POOL_SLACK + 3) as u64
+            && single["serve.code_seeds"] <= single["serve.code_survivors"]
+            && seeds <= (resolved * (k + POOL_SLACK + 3)) as u64
+            && seeds <= survivors,
+        "{seeds} seeds of {survivors} survivors, {single:?}"
     );
     assert_eq!(snap.counters["serve.oov"], 2);
     assert_eq!(
@@ -395,15 +406,40 @@ fn metrics_do_not_perturb_serving() {
         (1 + 32) * 3,
         "one per batch with a resolved query × shard"
     );
-    // In order of completion: pack, scan, rescore, then their batch.
-    assert_eq!(spans.len(), 4 * (1 + 33));
-    for batch in spans.chunks(4) {
+    // In order of completion: pack, scan (after its bounds, seeds and
+    // revisit passes, once per chunk of eight coded queries), rescore,
+    // then their batch.
+    let batches: Vec<&[obs::TraceEvent]> =
+        spans.split_inclusive(|s| s.name == "serve.batch").collect();
+    assert_eq!(batches.len(), 1 + 33);
+    let passes = [
+        "serve.scan.bounds",
+        "serve.scan.seeds",
+        "serve.scan.revisit",
+    ];
+    let mut chunks = 0;
+    for batch in batches {
         let names: Vec<&str> = batch.iter().map(|s| s.name.as_str()).collect();
+        let n = names.len();
+        assert_eq!(names[0], "serve.pack", "{names:?}");
         assert_eq!(
-            names,
-            ["serve.pack", "serve.scan", "serve.rescore", "serve.batch"]
+            names[n - 3..],
+            ["serve.scan", "serve.rescore", "serve.batch"]
         );
-        let children: f64 = batch[..3].iter().map(|s| s.wall_s).sum();
-        assert!(children <= batch[3].wall_s, "{children} s of {batch:?}");
+        let inner = &names[1..n - 3];
+        assert!(
+            inner.len().is_multiple_of(3) && inner.chunks(3).all(|c| c == passes),
+            "{names:?}"
+        );
+        chunks += inner.len() / 3;
+        let in_scan: f64 = batch[1..n - 3].iter().map(|s| s.wall_s).sum();
+        assert!(in_scan <= batch[n - 3].wall_s, "{in_scan} s of {batch:?}");
+        let children = batch[0].wall_s + batch[n - 3].wall_s + batch[n - 2].wall_s;
+        assert!(children <= batch[n - 1].wall_s, "{children} s of {batch:?}");
     }
+    assert_eq!(
+        chunks,
+        32 / 8 + 32,
+        "the batch's four chunks, one per single"
+    );
 }
