@@ -110,7 +110,10 @@ fn main() {
         .map(|n| n.parse().expect("N is a pass count"))
         .unwrap_or(15)
         .max(1);
-    println!("backend {}, best of {passes}", gw2v_util::simd::backend_name());
+    println!(
+        "backend {}, best of {passes}",
+        gw2v_util::simd::backend_name()
+    );
     println!("{:<15} {:<10} {:>9} {:>9}", "input", "pass", "ms", "rate");
 
     let preset = DatasetPreset::by_name("1-billion").expect("preset exists");
@@ -134,7 +137,12 @@ fn main() {
             seed: 1,
         },
     );
-    corpus_passes("graph-cluster2", &walks.text, &scratch_file("walks"), passes);
+    corpus_passes(
+        "graph-cluster2",
+        &walks.text,
+        &scratch_file("walks"),
+        passes,
+    );
 
     let path = scratch_file("model");
     write_serve_model(&path);

@@ -9,6 +9,7 @@
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec::FlatMatrix;
 use gw2v_util::rng::{Rng64, SplitMix64, Xoshiro256};
+use gw2v_util::split;
 use std::io::{BufRead, Write};
 
 /// Rows [`Word2VecModel::load_text`] reserves on a header's word.
@@ -85,8 +86,9 @@ impl Word2VecModel {
     /// Loads embeddings from the word2vec text format, returning the
     /// words (in file order) and a model whose `syn1neg` is zero.
     ///
-    /// Fields are split on ASCII whitespace, as the tokenizer that made
-    /// the words splits them, so any word a trainer saved loads back.
+    /// Fields are split on ASCII whitespace by the splitter the corpus
+    /// tokenizer runs ([`gw2v_util::split`]), so any word a trainer
+    /// saved loads back.
     /// Rows are read through one reused line buffer; each word is the
     /// only allocation a row makes.
     pub fn load_text<R: BufRead>(mut input: R) -> std::io::Result<(Vec<String>, Word2VecModel)> {
@@ -97,7 +99,7 @@ impl Word2VecModel {
                 "empty file",
             ));
         }
-        let mut it = line.split_ascii_whitespace();
+        let mut it = split::str_words(&line);
         let parse_err =
             |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_owned());
         let rows: usize = it
@@ -125,7 +127,7 @@ impl Word2VecModel {
             if input.read_line(&mut line)? == 0 {
                 return Err(parse_err("truncated file"));
             }
-            let mut parts = line.split_ascii_whitespace();
+            let mut parts = split::str_words(&line);
             let word = parts.next().ok_or_else(|| parse_err("missing word"))?;
             words.push(word.to_owned());
             for i in 0..dim {

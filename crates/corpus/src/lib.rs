@@ -9,7 +9,8 @@
 //! * [`vocab`] — vocabulary construction (unique words + frequencies),
 //!   a streaming builder, `min_count`
 //!   filtering and frequency-descending id assignment, exactly as the
-//!   Word2Vec C implementation does.
+//!   Word2Vec C implementation does. Both count and look words up in
+//!   one keyed word table that holds short words in its slots.
 //! * [`subsample`] — frequent-word down-sampling probabilities
 //!   (Mikolov et al. 2013, threshold `t = 1e-4` by default).
 //! * [`unigram`] — negative-sampling distributions (`count^0.75`),
@@ -52,6 +53,7 @@ pub mod tokenizer;
 pub mod unigram;
 pub mod vocab;
 pub mod walks;
+mod word_table;
 pub mod zipf;
 
 pub use vocab::Vocabulary;

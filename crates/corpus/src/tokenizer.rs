@@ -15,6 +15,7 @@
 //! per sentence, never per token.
 
 use crate::vocab::Vocabulary;
+use gw2v_util::split;
 use std::io::{BufRead, ErrorKind};
 
 /// Tokenizer configuration.
@@ -53,9 +54,10 @@ const CHUNK: usize = 1 << 16;
 ///   windows.
 ///
 /// Tokens are read in place: the part of the reader's buffer up to its
-/// last whitespace byte is checked as UTF-8 once and split as a `&str`.
-/// Only a token cut by the end of the buffer is copied, into a reused
-/// buffer, and checked on its own.
+/// last whitespace byte is checked as UTF-8 once and split as a `&str`
+/// by [`split::str_words`], 64 bytes a whitespace mask. Only a token cut
+/// by the end of the buffer is copied, into a reused buffer, and checked
+/// on its own.
 pub(crate) struct Tokens<R> {
     reader: R,
     lowercase: bool,
@@ -149,7 +151,7 @@ impl<R: BufRead> Tokens<R> {
                 }
             };
             let mut used = text.len();
-            for word in text.split_ascii_whitespace() {
+            for word in split::str_words(text) {
                 feed(word, self.lowercase, &mut self.lower, &mut sink);
                 self.in_window += 1;
                 if self.in_window == self.max_sentence_len {
@@ -348,6 +350,37 @@ mod tests {
                 .map(|s| s.map_err(|e| e.kind()))
                 .collect();
             assert_eq!(got, want, "buffer of {capacity}");
+        }
+    }
+
+    #[test]
+    fn tokens_across_the_chunk_edge_and_mask_blocks_equal_the_oracle() {
+        // Tokens of every length from 1 to 70 laid end to end, so tokens
+        // start and end at every offset of a 64-byte block, and the
+        // 64 KB edge of the whole-text reader falls inside one of them,
+        // an upper-case one and a non-ASCII one.
+        let mut text = String::new();
+        let mut len = 0;
+        while text.len() < 2 * CHUNK + 500 {
+            len = len % 70 + 1;
+            let word = match text.len() % 3 {
+                0 => "w".repeat(len),
+                1 => "É".repeat(len.div_ceil(2)),
+                _ => "Ab".repeat(len.div_ceil(2)),
+            };
+            text.push_str(&word);
+            text.push(if len % 5 == 0 { '\n' } else { ' ' });
+        }
+        let bytes = text.as_bytes();
+        // A token runs across the edge.
+        assert!(!bytes[CHUNK - 1].is_ascii_whitespace() && !bytes[CHUNK].is_ascii_whitespace());
+        for config in [cfg(false, 10_000), cfg(true, 7)] {
+            let want = oracle_sentences(&text, &config);
+            let got = sentences_from_text(&text, config.clone());
+            assert_eq!(got, want);
+            let vocab = oracle_vocab(&want, 1);
+            let corpus = Corpus::from_text(&text, &vocab, config);
+            assert_eq!(corpus.sentences(), oracle_encode(&want, &vocab).as_slice());
         }
     }
 

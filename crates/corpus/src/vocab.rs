@@ -11,7 +11,7 @@
 //! *nodes* of the training graph; the id assigned here is the node id used
 //! by the partitioner and the communication substrate.
 
-use std::collections::HashMap;
+use crate::word_table::WordTable;
 
 /// One vocabulary entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,7 +27,7 @@ pub struct VocabWord {
 #[derive(Clone, Debug, Default)]
 pub struct Vocabulary {
     words: Vec<VocabWord>,
-    index: HashMap<String, u32>,
+    index: WordTable,
     total_words: u64,
 }
 
@@ -45,11 +45,12 @@ impl Vocabulary {
             .map(|(word, count)| VocabWord { word, count })
             .collect();
         words.sort_unstable_by(|a, b| b.count.cmp(&a.count).then_with(|| a.word.cmp(&b.word)));
-        let index = words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.word.clone(), i as u32))
-            .collect();
+        // A word listed twice keeps its last id, as a map collected from
+        // the list would.
+        let mut index = WordTable::with_capacity(words.len());
+        for (i, w) in words.iter().enumerate() {
+            index.insert(w.word.as_bytes(), i as u32);
+        }
         let total_words = words.iter().map(|w| w.count).sum();
         Self {
             words,
@@ -75,7 +76,7 @@ impl Vocabulary {
 
     /// Id of `word`, if present.
     pub fn id_of(&self, word: &str) -> Option<u32> {
-        self.index.get(word).copied()
+        self.index.get(word.as_bytes())
     }
 
     /// Surface form of id `id`.
@@ -106,9 +107,14 @@ impl Vocabulary {
 
 /// Streaming vocabulary builder: feed tokens, then
 /// [`VocabBuilder::build`].
+///
+/// Each distinct word is interned once into a word table whose value is
+/// its slot in `counts`; a token seen before costs one lookup and one
+/// add, with no allocation.
 #[derive(Default, Debug)]
 pub struct VocabBuilder {
-    counts: HashMap<String, u64>,
+    table: WordTable,
+    counts: Vec<u64>,
 }
 
 impl VocabBuilder {
@@ -118,12 +124,14 @@ impl VocabBuilder {
     }
 
     /// Counts one token occurrence.
+    #[inline]
     pub fn add_token(&mut self, token: &str) {
-        match self.counts.get_mut(token) {
-            Some(c) => *c += 1,
-            None => {
-                self.counts.insert(token.to_owned(), 1);
-            }
+        let next = u32::try_from(self.counts.len()).expect("fewer than 2^32 distinct words");
+        let slot = self.table.get_or_insert(token.as_bytes(), next);
+        if slot == next {
+            self.counts.push(1);
+        } else {
+            self.counts[slot as usize] += 1;
         }
     }
 
@@ -142,13 +150,19 @@ impl VocabBuilder {
 
     /// Finalizes into a [`Vocabulary`].
     pub fn build(self, min_count: u64) -> Vocabulary {
-        Vocabulary::from_counts(self.counts, min_count)
+        let mut counts = Vec::with_capacity(self.counts.len());
+        self.table.for_each(|word, slot| {
+            let word = std::str::from_utf8(word).expect("words are interned from &str");
+            counts.push((word.to_owned(), self.counts[slot as usize]));
+        });
+        Vocabulary::from_counts(counts, min_count)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn vocab_from_text(text: &str, min_count: u64) -> Vocabulary {
         let mut b = VocabBuilder::new();
@@ -201,5 +215,121 @@ mod tests {
         assert_eq!(ids.len(), 2);
         assert_eq!(v.word_of(ids[0]), "a");
         assert_eq!(v.word_of(ids[1]), "c");
+    }
+
+    /// The counting and the index as they were before the word table:
+    /// a `HashMap<String, _>` under SipHash, one owned key per distinct
+    /// word, and the index collected from the sorted entries.
+    fn oracle(tokens: &[&str], min_count: u64) -> (Vec<VocabWord>, HashMap<String, u32>) {
+        let mut counts: HashMap<String, u64> = HashMap::new();
+        for &t in tokens {
+            *counts.entry(t.to_owned()).or_default() += 1;
+        }
+        let mut words: Vec<VocabWord> = counts
+            .into_iter()
+            .filter(|(_, c)| *c >= min_count)
+            .map(|(word, count)| VocabWord { word, count })
+            .collect();
+        words.sort_unstable_by(|a, b| b.count.cmp(&a.count).then_with(|| a.word.cmp(&b.word)));
+        let index = words
+            .iter()
+            .enumerate()
+            .map(|(i, w)| (w.word.clone(), i as u32))
+            .collect();
+        (words, index)
+    }
+
+    /// Words around the inline bound and the ways two keys can nearly
+    /// agree: every length 0–100, words sharing a 32-byte prefix, words
+    /// that differ only in length (trailing NULs look like the inline
+    /// padding), non-ASCII words, and 100 000 distinct short words.
+    fn hard_words() -> Vec<String> {
+        let mut words = Vec::new();
+        for len in 0..=100usize {
+            words.push("x".repeat(len));
+            words.push(
+                (0..len)
+                    .map(|i| (b'a' + (i * 7 % 26) as u8) as char)
+                    .collect(),
+            );
+            words.push(format!("{}\0", "y".repeat(len)));
+            words.push(format!("{}\0\0", "y".repeat(len)));
+        }
+        let prefix = "p".repeat(32);
+        for i in 0..300 {
+            words.push(format!("{prefix}{i}"));
+        }
+        for w in [
+            "ünï",
+            "Ünï",
+            "a\u{a0}b",
+            "x\u{3000}y",
+            "日本語の単語",
+            "𝄞𝄞𝄞𝄞𝄞𝄞𝄞",
+        ] {
+            words.push(w.to_owned());
+            words.push(w.repeat(5));
+        }
+        for i in 0..100_000 {
+            words.push(format!("w{i}"));
+        }
+        words
+    }
+
+    #[test]
+    fn the_word_table_counts_and_looks_up_like_the_hash_map_it_replaced() {
+        let words = hard_words();
+        // Each word occurs 1 to 4 times, interleaved, so the counts give
+        // ids with ties broken by the words.
+        let mut tokens: Vec<&str> = Vec::new();
+        for round in 0..4 {
+            for (i, w) in words.iter().enumerate() {
+                if i % 4 >= round {
+                    tokens.push(w);
+                }
+            }
+        }
+        let unknown: Vec<String> = (0..=60usize)
+            .map(|len| "z".repeat(len))
+            .chain((0..1000).map(|i| format!("w{i}_")))
+            .chain((100_000..101_000).map(|i| format!("w{i}")))
+            .chain([format!("{}x", "p".repeat(32)), "y\0\0\0".to_owned()])
+            .collect();
+        for min_count in [1, 3] {
+            let mut b = VocabBuilder::new();
+            b.add_sentence(&tokens);
+            let vocab = b.build(min_count);
+            let (want, index) = oracle(&tokens, min_count);
+            assert_eq!(vocab.entries(), want.as_slice(), "min_count {min_count}");
+            assert_eq!(
+                vocab.total_words(),
+                want.iter().map(|w| w.count).sum::<u64>()
+            );
+            for w in words.iter().chain(&unknown) {
+                assert_eq!(vocab.id_of(w), index.get(w).copied(), "{w:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_word_listed_twice_keeps_its_last_id_as_a_collected_map_would() {
+        let counts = [
+            ("b", 5),
+            ("a", 9),
+            ("b", 7),
+            ("long_".repeat(9).as_str(), 1),
+        ]
+        .map(|(w, c)| (w.to_owned(), c));
+        let vocab = Vocabulary::from_counts(counts.clone(), 1);
+        let index: HashMap<String, u32> = vocab
+            .entries()
+            .iter()
+            .enumerate()
+            .map(|(i, w)| (w.word.clone(), i as u32))
+            .collect();
+        for (w, _) in &counts {
+            assert_eq!(vocab.id_of(w), index.get(w).copied(), "{w:?}");
+        }
+        assert_eq!(vocab.id_of("b"), Some(2));
     }
 }

@@ -22,6 +22,9 @@
 //!   otherwise (or when `GW2V_FORCE_SCALAR=1`).
 //! * [`sigmoid`] — the C implementation's precomputed sigmoid table,
 //!   here because the per-pair kernel in [`simd`] looks gradients up in it.
+//! * [`split`] — the one token splitter under every text reader:
+//!   ASCII-whitespace tokens found 64 bytes at a time from [`simd`]'s
+//!   whitespace mask.
 //! * [`stats`] — the geometric mean the figure binaries report.
 //! * [`table`] — a tiny fixed-width table printer for harness output.
 
@@ -34,5 +37,6 @@ pub mod fvec;
 pub mod rng;
 pub mod sigmoid;
 pub mod simd;
+pub mod split;
 pub mod stats;
 pub mod table;

@@ -204,6 +204,11 @@ pub(crate) type DotCodesFn = fn(
     lane_max: &mut [f32; CODE_BLOCK_ROWS],
 );
 
+/// Signature of the whitespace-mask kernel: bit `i` of the result is
+/// set iff `block[i]` is ASCII whitespace (see
+/// [`Kernels::ascii_whitespace`]).
+pub type WhitespaceMaskFn = fn(block: &[u8; 64]) -> u64;
+
 /// Rows in one block of 4-bit codes: one per 32-bit lane of a 256-bit
 /// register.
 pub const CODE_BLOCK_ROWS: usize = 8;
@@ -420,6 +425,13 @@ pub struct Kernels {
     /// checkpoint trailers and fingerprints must not depend on which
     /// backend wrote them.
     pub crc32_update: fn(state: u32, bytes: &[u8]) -> u32,
+    /// The ASCII-whitespace mask of a 64-byte block: bit `i` is set iff
+    /// `block[i].is_ascii_whitespace()` — space, `\t`, `\n`, `\x0C` and
+    /// `\r`, never `\x0B` or a byte of a non-ASCII space. The one byte
+    /// classifier under [`crate::split`], so every text reader cuts
+    /// tokens where `str::split_ascii_whitespace` does.
+    /// **Backend-bit-identical by contract.**
+    pub ascii_whitespace: WhitespaceMaskFn,
 }
 
 static SCALAR_KERNELS: Kernels = Kernels {
@@ -438,6 +450,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
     dequantize_rows: scalar::dequantize_rows,
     dot_codes: scalar::dot_codes,
     crc32_update: scalar::crc32_update,
+    ascii_whitespace: scalar::ascii_whitespace,
 };
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -470,6 +483,7 @@ static AVX2_KERNELS: Kernels = Kernels {
     // imply; `select` keeps this entry only where `clmul::supported()`
     // and installs slice-by-8 otherwise.
     crc32_update: |state, bytes| unsafe { crate::crc32::clmul::update(state, bytes) },
+    ascii_whitespace: |block| unsafe { avx2::ascii_whitespace(block) },
 };
 
 struct Selected {
@@ -740,6 +754,15 @@ pub mod scalar {
         crate::crc32::update_slice8(state, bytes)
     }
 
+    /// ASCII-whitespace mask of a 64-byte block, one byte at a time with
+    /// `u8::is_ascii_whitespace`.
+    #[inline]
+    pub fn ascii_whitespace(block: &[u8; 64]) -> u64 {
+        block.iter().enumerate().fold(0, |mask, (i, b)| {
+            mask | u64::from(b.is_ascii_whitespace()) << i
+        })
+    }
+
     /// Per-row affine u8 quantization (see [`crate::simd::Kernels`] for
     /// the cross-backend bit-identity contract).
     ///
@@ -910,6 +933,33 @@ mod avx2 {
         let duo = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
         let one = _mm_add_ss(duo, _mm_movehdup_ps(duo));
         _mm_cvtss_f32(one)
+    }
+
+    /// ASCII-whitespace mask of a 64-byte block, 32 bytes a compare. A
+    /// byte `b` is whitespace iff `T[b & 15] == b` for the table `T`
+    /// below: `vpshufb` looks `T` up by the low nibble (and yields 0
+    /// for a byte with its high bit set, which equals no such byte).
+    /// `T` holds `0x20` at 0, itself at 9, 10, 12 and 13, and `0xFF`,
+    /// whose low nibble is none of theirs, everywhere else.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn ascii_whitespace(block: &[u8; 64]) -> u64 {
+        const FF: i8 = -1;
+        let table = _mm256_setr_epi8(
+            0x20, FF, FF, FF, FF, FF, FF, FF, FF, 0x09, 0x0A, FF, 0x0C, 0x0D, FF, FF, //
+            0x20, FF, FF, FF, FF, FF, FF, FF, FF, 0x09, 0x0A, FF, 0x0C, 0x0D, FF, FF,
+        );
+        let p = block.as_ptr();
+        // SAFETY: both 32-byte loads lie inside the 64-byte block.
+        let (lo, hi) = unsafe {
+            (
+                _mm256_loadu_si256(p.cast()),
+                _mm256_loadu_si256(p.add(32).cast()),
+            )
+        };
+        let lo = _mm256_cmpeq_epi8(_mm256_shuffle_epi8(table, lo), lo);
+        let hi = _mm256_cmpeq_epi8(_mm256_shuffle_epi8(table, hi), hi);
+        u64::from(_mm256_movemask_epi8(lo) as u32)
+            | u64::from(_mm256_movemask_epi8(hi) as u32) << 32
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]

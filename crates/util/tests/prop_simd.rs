@@ -22,6 +22,7 @@
 use gw2v_util::fvec;
 use gw2v_util::sigmoid::SigmoidTable;
 use gw2v_util::simd::{self, scalar, WindowRoom, WindowRows};
+use gw2v_util::split;
 use proptest::prelude::*;
 
 /// Relative closeness for element-wise FMA-vs-mul+add differences:
@@ -1224,5 +1225,141 @@ proptest! {
         fvec::add_assign(&mut t, &y);
         scalar::add_assign(&mut t_ref, &y);
         prop_assert_eq!(t, t_ref);
+    }
+}
+
+/// The two whitespace-mask entries: the scalar reference and the
+/// dispatched one (AVX2 where the host has it).
+fn mask_backends() -> [(&'static str, simd::WhitespaceMaskFn); 2] {
+    [
+        ("scalar", scalar::ascii_whitespace),
+        ("dispatched", simd::kernels().ascii_whitespace),
+    ]
+}
+
+fn per_byte_mask(block: &[u8; 64]) -> u64 {
+    (0..64).fold(0, |m, i| m | u64::from(block[i].is_ascii_whitespace()) << i)
+}
+
+#[test]
+fn ascii_whitespace_mask_is_u8_is_ascii_whitespace_for_every_byte_at_every_position() {
+    // Exactly five bytes: not `\x0B`, not a byte of U+00A0 or U+3000.
+    let ws: Vec<u8> = (0..=255u8).filter(u8::is_ascii_whitespace).collect();
+    assert_eq!(ws, b"\t\n\x0C\r ");
+    for (name, mask) in mask_backends() {
+        for b in 0..=255u8 {
+            let want = if b.is_ascii_whitespace() { u64::MAX } else { 0 };
+            assert_eq!(mask(&[b; 64]), want, "{name}: byte {b:#04x}");
+        }
+        // Each byte value visits every position against a changing
+        // background.
+        for salt in 0..256usize {
+            let block: [u8; 64] = std::array::from_fn(|i| (i * 37 + salt * 101) as u8);
+            assert_eq!(mask(&block), per_byte_mask(&block), "{name}: salt {salt}");
+        }
+    }
+}
+
+/// What `str::split_ascii_whitespace` yields, on bytes that need not be
+/// UTF-8.
+fn split_oracle(bytes: &[u8]) -> Vec<&[u8]> {
+    bytes
+        .split(u8::is_ascii_whitespace)
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
+/// Checks both backends' splitters, and `str_words` where the input is
+/// text, against `split_ascii_whitespace`.
+fn check_words(bytes: &[u8]) {
+    let want = split_oracle(bytes);
+    for (name, mask) in mask_backends() {
+        let got: Vec<&[u8]> = split::Words::with_mask(bytes, mask).collect();
+        assert_eq!(got, want, "{name}: {} bytes", bytes.len());
+        for word in &got {
+            // Subslices of the input, not copies.
+            let offset = word.as_ptr() as usize - bytes.as_ptr() as usize;
+            assert!(offset + word.len() <= bytes.len());
+        }
+    }
+    if let Ok(text) = std::str::from_utf8(bytes) {
+        let got: Vec<&str> = split::str_words(text).collect();
+        let want: Vec<&str> = text.split_ascii_whitespace().collect();
+        assert_eq!(got, want);
+    }
+}
+
+#[test]
+fn words_split_like_split_ascii_whitespace_across_blocks_and_chunks() {
+    check_words(b"");
+    check_words(b" ");
+    check_words(&[b' '; 64]);
+    check_words(&b"\t\n\x0C\r ".repeat(60));
+    check_words(b"a");
+    check_words(&[b'x'; 64]);
+    check_words(&[b'x'; 200]);
+    // A token ending on, before and after each block edge, with and
+    // without whitespace after it, and one that fills a block exactly.
+    for len in 1..200usize {
+        for lead in [0usize, 1, 63, 64, 65] {
+            let mut bytes = vec![b' '; lead];
+            bytes.extend(std::iter::repeat_n(b'w', len));
+            check_words(&bytes);
+            bytes.push(b'\n');
+            bytes.extend_from_slice(b"tail");
+            check_words(&bytes);
+        }
+    }
+    // Tokens across the 64 KB edge the corpus reader splits its buffer
+    // at, and non-ASCII spaces inside tokens.
+    let mut big = "ab\u{a0}c \x0Bv\u{3000}x\r\n".repeat(6_000).into_bytes();
+    big.truncate(65_530);
+    big.extend_from_slice(b"straddles_the_edge tail");
+    check_words(&big);
+}
+
+/// Piece table for the splitter's inputs: the five whitespace bytes
+/// twice over, `\x0B`, U+00A0, two- to four-byte characters, and ASCII
+/// letters.
+const SPLIT_PIECES: [&[u8]; 16] = [
+    b" ",
+    b"\t",
+    b"\n",
+    b"\x0C",
+    b"\r",
+    b" ",
+    b"\t",
+    b"\n",
+    b"\x0C",
+    b"\r",
+    b"\x0B",
+    b"\xC2\xA0",
+    "é".as_bytes(),
+    "\u{3000}".as_bytes(),
+    "𝄞".as_bytes(),
+    b"q",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn prop_words_split_like_split_ascii_whitespace(
+        pieces in proptest::collection::vec((0usize..SPLIT_PIECES.len() + 6, any::<u8>()), 0..300),
+        len in 0usize..=300,
+    ) {
+        // An index past the table is one byte: a random one a third of
+        // the time, so some inputs are not UTF-8, else a letter, so
+        // tokens run long.
+        let mut bytes = Vec::new();
+        for (i, byte) in pieces {
+            match SPLIT_PIECES.get(i) {
+                Some(piece) => bytes.extend_from_slice(piece),
+                None if i % 3 == 0 => bytes.push(byte),
+                None => bytes.push(b'a' + byte % 26),
+            }
+        }
+        bytes.truncate(len);
+        check_words(&bytes);
     }
 }
