@@ -66,8 +66,8 @@ fn load_le(b: &[u8]) -> u64 {
     if n >= 4 {
         // Two 4-byte reads that overlap where `n < 8`; the overlapping
         // bytes are the same in both.
-        let lo = u32::from_le_bytes(b[..4].try_into().unwrap());
-        let hi = u32::from_le_bytes(b[n - 4..].try_into().unwrap());
+        let lo = u32::from_le_bytes(b[..4].try_into().expect("four bytes"));
+        let hi = u32::from_le_bytes(b[n - 4..].try_into().expect("four bytes"));
         u64::from(lo) | u64::from(hi) << (8 * (n - 4))
     } else if n > 0 {
         u64::from(b[0])
@@ -213,24 +213,26 @@ impl WordTable {
     /// The value of `word`, inserting it with `value` if it is not held.
     #[inline]
     pub(crate) fn get_or_insert(&mut self, word: &[u8], value: u32) -> u32 {
-        self.reserve_one();
-        let key = self.key(word);
-        let i = self.find(&key);
-        if self.slots[i].tag == EMPTY {
-            self.fill(i, &key, value);
-        }
+        let i = self.slot_or_insert(word, value);
         self.slots[i].value
     }
 
     /// Sets the value of `word`, inserting it if it is not held.
     pub(crate) fn insert(&mut self, word: &[u8], value: u32) {
+        let i = self.slot_or_insert(word, value);
+        self.slots[i].value = value;
+    }
+
+    /// The slot of `word`, filled with it and `value` if it was empty.
+    #[inline]
+    fn slot_or_insert(&mut self, word: &[u8], value: u32) -> usize {
         self.reserve_one();
         let key = self.key(word);
         let i = self.find(&key);
         if self.slots[i].tag == EMPTY {
             self.fill(i, &key, value);
         }
-        self.slots[i].value = value;
+        i
     }
 
     /// Puts `key` in empty slot `i`.

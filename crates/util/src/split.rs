@@ -18,7 +18,6 @@ const BLOCK: usize = 64;
 ///
 /// The last block is padded with spaces, so a token never runs past the
 /// end of the slice and the walk needs no end test inside a token.
-#[derive(Clone)]
 pub struct Words<'a> {
     bytes: &'a [u8],
     mask: WhitespaceMaskFn,
@@ -89,20 +88,16 @@ impl<'a> Iterator for Words<'a> {
     }
 }
 
-/// The tokens of `bytes` under the process's kernel table.
-#[inline]
-pub fn words(bytes: &[u8]) -> Words<'_> {
-    Words::with_mask(bytes, kernels().ascii_whitespace)
-}
-
 /// The tokens of `text`, as `str::split_ascii_whitespace` yields them.
 #[inline]
 pub fn str_words(text: &str) -> StrWords<'_> {
-    StrWords(words(text.as_bytes()))
+    StrWords(Words::with_mask(
+        text.as_bytes(),
+        kernels().ascii_whitespace,
+    ))
 }
 
 /// The tokens of a `&str`, as `&str`s: see [`str_words`].
-#[derive(Clone)]
 pub struct StrWords<'a>(Words<'a>);
 
 impl<'a> Iterator for StrWords<'a> {
