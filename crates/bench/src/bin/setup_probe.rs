@@ -17,11 +17,14 @@
 //! (`build_vocab_from_path`) and the encode pass (`Corpus::from_text`
 //! over the text in memory), in ms and Mtok/s of raw tokens; for the
 //! model, `Word2VecModel::load_text` over a buffered file, in ms and
-//! MB/s. Each figure is the best of N passes (default 15).
+//! MB/s, and the parse of its float fields alone (`parse_f32_at` over
+//! fields split beforehand, each with the 16 bytes after its start a
+//! loaded line holds), in ms and Mtok/s. Each figure is the best of N
+//! passes (default 15).
 //!
 //! Usage: `cargo run --release -p gw2v-bench --bin setup_probe [N]`.
 
-use gw2v_core::model::Word2VecModel;
+use gw2v_core::model::{parse_f32_at, Word2VecModel};
 use gw2v_corpus::datasets::{DatasetPreset, Scale};
 use gw2v_corpus::file::build_vocab_from_path;
 use gw2v_corpus::graphs::{even_blocks, holdout_split, sbm};
@@ -104,6 +107,20 @@ fn write_serve_model(path: &Path) {
     w.flush().expect("write the model");
 }
 
+/// The model file's text, 16 spaces appended, and the offset and length
+/// of every float field in it.
+fn float_fields(path: &Path) -> (String, Vec<(usize, usize)>) {
+    let mut text = std::fs::read_to_string(path).expect("read the model");
+    let mut fields = Vec::new();
+    for line in text.lines().skip(1) {
+        for tok in line.split_ascii_whitespace().skip(1) {
+            fields.push((tok.as_ptr() as usize - text.as_ptr() as usize, tok.len()));
+        }
+    }
+    text.push_str(&" ".repeat(16));
+    (text, fields)
+}
+
 fn main() {
     let passes: usize = std::env::args()
         .nth(1)
@@ -156,6 +173,20 @@ fn main() {
         "serve-mixed",
         "load_text",
         mb / (ms / 1e3)
+    );
+    let (text, fields) = float_fields(&path);
+    let ms = best_ms(passes, || {
+        let mut bits = 0u32;
+        for &(at, len) in &fields {
+            bits ^= parse_f32_at(&text[at..], len).expect("a float").to_bits();
+        }
+        black_box(bits);
+    });
+    println!(
+        "{:<15} {:<10} {ms:>9.2} {:>9.1} Mtok/s",
+        "serve-mixed",
+        "parse",
+        fields.len() as f64 / 1e6 / (ms / 1e3)
     );
     std::fs::remove_file(&path).ok();
 }

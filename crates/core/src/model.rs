@@ -143,6 +143,14 @@ impl Word2VecModel {
     }
 }
 
+/// The `f32` of the token of `len` bytes at the start of `tail`, bit for
+/// bit as `str::parse` reads it (`None` where that fails or `len` does
+/// not end on a character): the parse [`Word2VecModel::load_text`]
+/// gives each float field.
+pub fn parse_f32_at(tail: &str, len: usize) -> Option<f32> {
+    tail.get(..len).and_then(parse_f32)
+}
+
 /// `tok.parse::<f32>()`, bit for bit, with a fast path for the forms
 /// [`Word2VecModel::save_text`] writes.
 fn parse_f32(tok: &str) -> Option<f32> {
