@@ -361,6 +361,111 @@ mod tests {
         assert_parses_like_str(tok);
     }
 
+    /// Every float form a model file may hold, loaded through rows of
+    /// four fields: tokens of 15–18 bytes either side of the 16 bytes a
+    /// field is read in, signs, forms outside the fast path, and 22 and 23
+    /// fraction digits.
+    const FLOAT_FORMS: [&str; 36] = [
+        "0.1234567890123",
+        "-0.123456789012",
+        "123456789012345",
+        "-12345678901234",
+        "0.12345678901234",
+        "-0.1234567890123",
+        "1234567890123456",
+        "-123456789012345",
+        "9007199254740991",
+        "9007199254740992",
+        "-9007199254740993",
+        "0.123456789012345",
+        "-0.12345678901234",
+        "12345678901234567",
+        "0.1234567890123456",
+        "-0.123456789012345",
+        "-12345678901234567",
+        "-0.00000000000001",
+        "-0",
+        "0",
+        "7",
+        "+1",
+        "1e-5",
+        ".5",
+        "5.",
+        "-0.0",
+        "0.0000000000000000000001",
+        "0.00000000000000000000001",
+        "0.001003017823677510",
+        "-1.000000059604644775390625",
+        "3.4028235e38",
+        "1E-45",
+        "inf",
+        "-inf",
+        "NaN",
+        "12345678.1234567",
+    ];
+
+    #[test]
+    fn load_text_reads_every_float_form_like_str_parse() {
+        // Rows end in `\n`, `\r\n` or nothing (the last); fields are cut by
+        // spaces, tabs, form feeds and runs of them; fields after the
+        // fourth are ignored, whatever they hold.
+        let rows: Vec<&[&str]> = FLOAT_FORMS.chunks(4).collect();
+        let mut text = format!("{} 4\n", rows.len());
+        for (r, fields) in rows.iter().enumerate() {
+            let sep = [" ", "\t", " \t ", "\x0C"][r % 4];
+            text += &format!("w{r}{sep}{}", fields.join(sep));
+            if r % 3 == 1 {
+                text += " 1 x \u{e9}";
+            }
+            if r + 1 < rows.len() {
+                text += ["\n", "\r\n"][r % 2];
+            }
+        }
+        let (words, model) = Word2VecModel::load_text(text.as_bytes()).unwrap();
+        assert_eq!(words.len(), rows.len());
+        assert!(words.iter().enumerate().all(|(r, w)| *w == format!("w{r}")));
+        let want: Vec<u32> = FLOAT_FORMS
+            .iter()
+            .map(|tok| tok.parse::<f32>().unwrap().to_bits())
+            .collect();
+        let got: Vec<u32> = model.syn0.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
+        // Each form alone, as the last field of a last row with no `\n`.
+        for tok in FLOAT_FORMS {
+            let (_, model) = Word2VecModel::load_text(format!("1 1\nw {tok}").as_bytes()).unwrap();
+            let want = tok.parse::<f32>().unwrap().to_bits();
+            assert_eq!(model.syn0.as_slice()[0].to_bits(), want, "{tok:?}");
+        }
+    }
+
+    #[test]
+    fn load_text_errors_keep_their_kinds_and_messages() {
+        let err = |text: &[u8]| {
+            let e = Word2VecModel::load_text(text).unwrap_err();
+            (e.kind(), e.to_string())
+        };
+        let bad = |m: &str| (std::io::ErrorKind::InvalidData, m.to_owned());
+        // `read_line` checks the whole line, so a non-UTF-8 byte fails the
+        // load wherever it stands: in a word, a float, or a field past the
+        // last one read.
+        let utf8 = bad("stream did not contain valid UTF-8");
+        assert_eq!(err(b"1 2\nw\xff 1 2\n"), utf8);
+        assert_eq!(err(b"1 2\nw 1\xff 2\n"), utf8);
+        assert_eq!(err(b"1 2\nw 1 2 \xff\n"), utf8);
+        assert_eq!(err(b"1 2\nw 1 2 3\xff"), utf8);
+        assert_eq!(err(b"2 3\na 1 2 3\nb 1 2\n"), bad("row 1 short at 2"));
+        assert_eq!(err(b"1 3\na\n"), bad("row 0 short at 0"));
+        for tok in [
+            "x", "1..5", "1.5.", "--1", "0x1", "1,5", "\u{e9}", "1\u{e9}",
+        ] {
+            let text = format!("1 2\nw 1 {tok}\n");
+            assert_eq!(err(text.as_bytes()), bad("bad float"), "{tok:?}");
+        }
+        assert_eq!(err(b"2 2\na 1 2\n"), bad("truncated file"));
+        assert_eq!(err(b"2 2\na 1 2"), bad("truncated file"));
+        assert_eq!(err(b"1 2\n\n"), bad("missing word"));
+    }
+
     #[test]
     fn load_rejects_garbage() {
         assert!(Word2VecModel::load_text("".as_bytes()).is_err());
