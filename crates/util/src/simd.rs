@@ -1,5 +1,6 @@
-//! Runtime-dispatched SIMD kernels for the dense `f32` hot paths and
-//! the CRC-32 that guards their wire form.
+//! Runtime-dispatched SIMD kernels for the dense `f32` hot paths, the
+//! CRC-32 that guards their wire form, and the byte kernels under the
+//! text readers (the whitespace mask and the decimal parse).
 //!
 //! Every kernel exists twice: a portable scalar reference in [`scalar`]
 //! (the exact 4-way-unrolled code the workspace shipped with, kept
@@ -208,6 +209,10 @@ pub(crate) type DotCodesFn = fn(
 /// set iff `block[i]` is ASCII whitespace (see
 /// [`Kernels::ascii_whitespace`]).
 pub type WhitespaceMaskFn = fn(block: &[u8; 64]) -> u64;
+
+/// Signature of the decimal-parse kernel: the `f32` of the `len`-byte
+/// token at the start of `tail` (see [`Kernels::parse_f32`]).
+pub type ParseF32Fn = fn(tail: &[u8], len: usize) -> Option<f32>;
 
 /// Rows in one block of 4-bit codes: one per 32-bit lane of a 256-bit
 /// register.
@@ -428,10 +433,22 @@ pub struct Kernels {
     /// The ASCII-whitespace mask of a 64-byte block: bit `i` is set iff
     /// `block[i].is_ascii_whitespace()` — space, `\t`, `\n`, `\x0C` and
     /// `\r`, never `\x0B` or a byte of a non-ASCII space. The one byte
-    /// classifier under [`crate::split`], so every text reader cuts
+    /// classifier under [`crate::split`], so the readers that split
+    /// through it (the corpus token loop and the text model loader) cut
     /// tokens where `str::split_ascii_whitespace` does.
     /// **Backend-bit-identical by contract.**
     pub ascii_whitespace: WhitespaceMaskFn,
+    /// The `f32` of the `len`-byte token at the start of `tail`, bit for
+    /// bit as `str::parse::<f32>` reads it: `None` where that fails,
+    /// where the token is not UTF-8 or where `len > tail.len()`. The
+    /// scalar entry reads `-?[0-9]+(\.[0-9]+)?` one byte at a time; the
+    /// AVX2 entry reads a token of at most 16 bytes in one 16-byte load,
+    /// so it wants `tail` to hold 16 bytes from the token's first byte
+    /// on (the scalar entry reads anything else). Both round a decimal
+    /// of mantissa `m < 2^53` and `k ≤ 22` fraction digits with one
+    /// `f64` division (see [`scalar::parse_f32`]) and hand every other
+    /// form to `str::parse`. **Backend-bit-identical by contract.**
+    pub parse_f32: ParseF32Fn,
 }
 
 static SCALAR_KERNELS: Kernels = Kernels {
@@ -451,6 +468,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
     dot_codes: scalar::dot_codes,
     crc32_update: scalar::crc32_update,
     ascii_whitespace: scalar::ascii_whitespace,
+    parse_f32: scalar::parse_f32,
 };
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -484,6 +502,7 @@ static AVX2_KERNELS: Kernels = Kernels {
     // and installs slice-by-8 otherwise.
     crc32_update: |state, bytes| unsafe { crate::crc32::clmul::update(state, bytes) },
     ascii_whitespace: |block| unsafe { avx2::ascii_whitespace(block) },
+    parse_f32: |tail, len| unsafe { avx2::parse_f32(tail, len) },
 };
 
 struct Selected {
@@ -537,6 +556,35 @@ pub fn kernels() -> &'static Kernels {
 /// Human-readable name of the selected backend.
 pub fn backend_name() -> &'static str {
     SELECTED.get_or_init(select).name
+}
+
+/// Exact powers of ten in `f64`: 10²² is the last one.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// The correctly rounded `f32` of `±mantissa / 10^k`, or `None` where
+/// one `f64` division does not settle it: see [`scalar::parse_f32`].
+#[inline]
+fn round_decimal(mantissa: u64, k: usize, negative: bool) -> Option<f32> {
+    if mantissa >= 1 << 53 || k >= POW10.len() {
+        return None;
+    }
+    let quotient = mantissa as f64 / POW10[k];
+    const LOW: u64 = (1 << 29) - 1;
+    if quotient.to_bits() & LOW == 1 << 28 {
+        return None;
+    }
+    // The sign set without a branch: a model's signs are coin flips.
+    let x = (quotient as f32).to_bits() | u32::from(negative) << 31;
+    Some(f32::from_bits(x))
+}
+
+/// `str::parse::<f32>` of a token, where it is UTF-8: every form the
+/// decimal fast paths leave.
+fn parse_f32_str(token: &[u8]) -> Option<f32> {
+    std::str::from_utf8(token).ok()?.parse().ok()
 }
 
 /// Portable scalar reference kernels.
@@ -763,6 +811,55 @@ pub mod scalar {
         })
     }
 
+    /// The `f32` of the `len`-byte token at the start of `tail`, as
+    /// `str::parse` reads it, with a fast path for `[-]digits[.digits]`,
+    /// the forms a saved model holds: one byte at a time, one dependent
+    /// multiply-add per digit.
+    ///
+    /// With a mantissa `m < 2^53` and `k ≤ 22` fraction digits, `m` and
+    /// `10^k` are exact in `f64`, so one division rounds `m / 10^k` to
+    /// the nearest `f64`. Rounding that to `f32` is rounding the decimal
+    /// to `f32` unless an `f32` midpoint lies between the decimal and the
+    /// `f64`; the `f64` is the nearest one to the decimal and midpoints
+    /// are `f64`s, so the only such case is an `f64` exactly on a
+    /// midpoint, and that goes to `str::parse`. A midpoint is an `f64`
+    /// whose 29 low fraction bits are `1 << 28`: every nonzero quotient
+    /// lies in `[10^-22, 2^53)`, inside the normal `f32` range.
+    pub fn parse_f32(tail: &[u8], len: usize) -> Option<f32> {
+        let token = tail.get(..len)?;
+        parse_decimal(token).or_else(|| super::parse_f32_str(token))
+    }
+
+    /// [`parse_f32`]'s fast path: `None` for every other form, and for
+    /// a decimal one `f64` division does not settle.
+    pub(super) fn parse_decimal(bytes: &[u8]) -> Option<f32> {
+        let (negative, digits) = match bytes {
+            [b'-', rest @ ..] => (true, rest),
+            _ => (false, bytes),
+        };
+        let (mut mantissa, mut int_digits, mut fraction_digits) = (0u64, 0usize, None::<usize>);
+        for &b in digits {
+            match b {
+                b'0'..=b'9' => {
+                    mantissa = mantissa * 10 + u64::from(b - b'0');
+                    if mantissa >= 1 << 53 {
+                        return None;
+                    }
+                    match &mut fraction_digits {
+                        Some(k) => *k += 1,
+                        None => int_digits += 1,
+                    }
+                }
+                b'.' if fraction_digits.is_none() => fraction_digits = Some(0),
+                _ => return None,
+            }
+        }
+        if int_digits == 0 || fraction_digits == Some(0) {
+            return None;
+        }
+        super::round_decimal(mantissa, fraction_digits.unwrap_or(0), negative)
+    }
+
     /// Per-row affine u8 quantization (see [`crate::simd::Kernels`] for
     /// the cross-backend bit-identity contract).
     ///
@@ -960,6 +1057,71 @@ mod avx2 {
         let hi = _mm256_cmpeq_epi8(_mm256_shuffle_epi8(table, hi), hi);
         u64::from(_mm256_movemask_epi8(lo) as u32)
             | u64::from(_mm256_movemask_epi8(hi) as u32) << 32
+    }
+
+    /// The `f32` of a token of at most 16 bytes read in one 16-byte load
+    /// (any other call is the scalar entry's). Masks of the digit and
+    /// dot bytes check the token against `-?[0-9]+(\.[0-9]+)?` (a
+    /// mismatch goes to `str::parse`); one `pshufb` squeezes out the dot
+    /// and right-aligns the digits behind zeros, and
+    /// `pmaddubsw`, `pmaddwd`, `packusdw` and `pmaddwd` fold them into
+    /// two 8-digit halves, `m = hi · 10^8 + lo`. The token's `m` and `k`
+    /// are then exactly those of the scalar loop, and so is the rounding.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn parse_f32(tail: &[u8], len: usize) -> Option<f32> {
+        let block = match tail.first_chunk::<16>() {
+            Some(block) if len <= 16 => block,
+            _ => return super::scalar::parse_f32(tail, len),
+        };
+        // SAFETY: the load lies inside the 16-byte block.
+        let v = unsafe { _mm_loadu_si128(block.as_ptr().cast()) };
+        let d = _mm_sub_epi8(v, _mm_set1_epi8(b'0' as i8));
+        let digits = _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_min_epu8(d, _mm_set1_epi8(9)), d)) as u32;
+        let dots = _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_set1_epi8(b'.' as i8))) as u32;
+        let len = len as u32;
+        let sign = u32::from(block[0] == b'-');
+        // The token's bytes after the sign (`sign` is bit 0 or nothing):
+        // digits and at most one dot, with a digit on each side of it.
+        let body = ((1u32 << len) - 1) & !sign;
+        let dot = dots & body;
+        let at = dot.trailing_zeros();
+        let valid = (digits | dot) & body == body
+            && if dot == 0 {
+                body != 0
+            } else {
+                dot & (dot - 1) == 0 && at > sign && at + 1 < len
+            };
+        if !valid {
+            return super::parse_f32_str(&block[..len as usize]);
+        }
+        // The digits end at `end` once the dot is squeezed out. Output
+        // byte `j` takes byte `j + end - 16` (a zero where that is
+        // negative: `pshufb` reads an index with its top bit set as 0),
+        // one further on in the last `k` bytes, which hold the fraction;
+        // `subs` then turns the digits into 0–9 and the sign into 0.
+        let (end, k) = if dot == 0 {
+            (len, 0)
+        } else {
+            (len - 1, len - 1 - at)
+        };
+        let iota = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let from = _mm_add_epi8(iota, _mm_set1_epi8(end as i8 - 16));
+        let fraction = _mm_cmpgt_epi8(iota, _mm_set1_epi8(15 - k as i8));
+        let idx = _mm_sub_epi8(from, fraction);
+        let x = _mm_subs_epu8(_mm_shuffle_epi8(v, idx), _mm_set1_epi8(b'0' as i8));
+        let x = _mm_maddubs_epi16(
+            x,
+            _mm_setr_epi8(10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1),
+        );
+        let x = _mm_madd_epi16(x, _mm_setr_epi16(100, 1, 100, 1, 100, 1, 100, 1));
+        let x = _mm_packus_epi32(x, x);
+        let x = _mm_madd_epi16(x, _mm_setr_epi16(10000, 1, 10000, 1, 10000, 1, 10000, 1));
+        let hi = u64::from(_mm_cvtsi128_si32(x) as u32);
+        let lo = u64::from(_mm_extract_epi32::<1>(x) as u32);
+        match super::round_decimal(hi * 100_000_000 + lo, k as usize, sign == 1) {
+            Some(x) => Some(x),
+            None => super::parse_f32_str(&block[..len as usize]),
+        }
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -2539,6 +2701,97 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The scalar `parse_f32` entry, and the AVX2 one where the host
+    /// has it.
+    fn parse_entries() -> Vec<(&'static str, ParseF32Fn)> {
+        let mut entries = vec![("scalar", SCALAR_KERNELS.parse_f32)];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            entries.push(("avx2", AVX2_KERNELS.parse_f32));
+        }
+        entries
+    }
+
+    /// Both `parse_f32` entries against `str::parse`, bit for bit (NaN
+    /// payloads too), on the token alone and with 16 bytes after it.
+    fn assert_parses_like_str(tok: &str) {
+        let want = tok.parse::<f32>().ok().map(f32::to_bits);
+        let padded = format!("{tok}{:16}", "");
+        for tail in [tok, &padded] {
+            for (name, parse) in parse_entries() {
+                let got = parse(tail.as_bytes(), tok.len()).map(f32::to_bits);
+                assert_eq!(got, want, "{name}: {tok:?} in {tail:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn float_fast_path_equals_str_parse_on_strided_bit_patterns() {
+        // A prime stride visits every exponent and scatters mantissas;
+        // each pattern in the three forms a model file may hold.
+        let (mut fast, mut all) = (0, 0);
+        for bits in (0..=u32::MAX).step_by(10_007) {
+            let x = f32::from_bits(bits);
+            for tok in [format!("{x}"), format!("{x:.6}"), format!("{x:.9}")] {
+                assert_parses_like_str(&tok);
+                fast += scalar::parse_decimal(tok.as_bytes()).is_some() as usize;
+                all += 1;
+            }
+        }
+        // Not vacuously: most of them take the fast path.
+        assert!(fast > all / 3, "{fast} of {all}");
+    }
+
+    #[test]
+    fn float_forms_outside_the_fast_path_parse_like_str() {
+        for tok in [
+            "-0", "0", "0.", ".5", "-.5", "+1", "1e5", "1E-3", "inf", "-inf", "NaN", "nan", "-",
+            "", ".", "1.2.3", "0x10", "1_0", " 1", "١",
+        ] {
+            assert_parses_like_str(tok);
+        }
+        assert_eq!(
+            scalar::parse_f32(b"-0", 2).map(f32::to_bits),
+            Some((-0.0f32).to_bits())
+        );
+        // 17- and 20-digit mantissas: below and above 2^53.
+        for tok in [
+            "1.2345678901234567",
+            "-9007199254740991",
+            "9007199254740992",
+            "12345678901234567890",
+            "0.12345678901234567890",
+        ] {
+            assert_parses_like_str(tok);
+        }
+        assert!(scalar::parse_decimal(b"-9007199254740991").is_some());
+        assert!(scalar::parse_decimal(b"9007199254740992").is_none());
+        // 22 fraction digits take the fast path, 23 do not.
+        let (k22, k23) = ("0.0000000000000000000001", "0.00000000000000000000001");
+        assert!(scalar::parse_decimal(k22.as_bytes()).is_some());
+        assert!(scalar::parse_decimal(k23.as_bytes()).is_none());
+        for tok in [k22, k23, "1.000000059604644775390625"] {
+            assert_parses_like_str(tok);
+        }
+    }
+
+    #[test]
+    fn an_f64_on_an_f32_midpoint_takes_the_slow_path() {
+        // Found by search over decimals of f32 midpoints: the quotient
+        // rounds to the midpoint exactly, and rounding that again to f32
+        // goes the wrong way.
+        let tok = "0.001003017823677510";
+        let quotient = 1_003_017_823_677_510_f64 / 1e18;
+        let (lo, hi) = (0.0010030178_f32, 0.0010030178_f32.next_up());
+        let midpoint = (f64::from(lo) + f64::from(hi)) / 2.0;
+        assert_eq!(quotient, midpoint);
+        let exact: f32 = tok.parse().unwrap();
+        assert_ne!((quotient as f32).to_bits(), exact.to_bits());
+        assert_eq!(scalar::parse_decimal(tok.as_bytes()), None);
+        assert_parses_like_str(tok);
     }
 
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]

@@ -1363,3 +1363,125 @@ proptest! {
         check_words(&bytes);
     }
 }
+
+/// The two decimal-parse entries: the scalar reference and the
+/// dispatched one (AVX2 where the host has it).
+fn parse_backends() -> [(&'static str, simd::ParseF32Fn); 2] {
+    [
+        ("scalar", scalar::parse_f32),
+        ("dispatched", simd::kernels().parse_f32),
+    ]
+}
+
+/// What `str::parse::<f32>` reads from a token that need not be UTF-8,
+/// as bits.
+fn parse_oracle(token: &[u8]) -> Option<u32> {
+    let text = std::str::from_utf8(token).ok()?;
+    text.parse::<f32>().ok().map(f32::to_bits)
+}
+
+/// Checks both entries on `token` with `after` behind it (at least 16
+/// bytes from the token's start once `after` is long enough).
+fn check_parse(token: &[u8], after: &[u8]) {
+    let want = parse_oracle(token);
+    let mut tail = token.to_vec();
+    tail.extend_from_slice(after);
+    for (name, parse) in parse_backends() {
+        let got = parse(&tail, token.len()).map(f32::to_bits);
+        assert_eq!(
+            got,
+            want,
+            "{name}: {:?} followed by {after:?}",
+            String::from_utf8_lossy(token)
+        );
+    }
+}
+
+#[test]
+fn parse_f32_is_str_parse_on_strided_bit_patterns_in_four_forms() {
+    // A prime stride visits every exponent and scatters mantissas; the
+    // bytes after each token are digits, a dot and a sign, which a
+    // token read past its end would swallow.
+    for bits in (0..=u32::MAX).step_by(100_003) {
+        let x = f32::from_bits(bits);
+        for tok in [
+            format!("{x}"),
+            format!("{x:.6}"),
+            format!("{x:.9}"),
+            format!("{x:e}"),
+        ] {
+            check_parse(tok.as_bytes(), b"");
+            check_parse(tok.as_bytes(), b"9.-8e7 6543210123456789");
+            check_parse(tok.as_bytes(), b"\n                ");
+        }
+    }
+}
+
+#[test]
+fn parse_f32_reads_a_token_of_each_length_at_the_end_of_the_input() {
+    // Tokens of 1–20 bytes, the last byte of `tail` their last, so the
+    // AVX2 entry's 16-byte read is there for some and not for others.
+    for len in 1..=20usize {
+        let digits: String = (0..len).map(|i| char::from(b'1' + (i % 9) as u8)).collect();
+        for tok in [
+            digits.clone(),
+            format!("-{}", &digits[1..]),
+            format!("{}.{}", &digits[..len / 2], &digits[len / 2 + 1..]),
+        ] {
+            for pad in 0..=17 {
+                check_parse(tok.as_bytes(), &b"7".repeat(pad));
+            }
+        }
+    }
+}
+
+/// Bytes a random token is drawn from: digits twice over so numbers
+/// come often, the dot, the signs, both exponent letters, whitespace
+/// and one non-ASCII byte.
+const PARSE_BYTES: &[u8] = b"01234567890123456789.-+eE \t\n\xC3";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn prop_parse_f32_is_str_parse_on_random_tokens(
+        picks in proptest::collection::vec(0usize..PARSE_BYTES.len(), 0..=20),
+        after in proptest::collection::vec(any::<u8>(), 0..=20),
+    ) {
+        let token: Vec<u8> = picks.iter().map(|&i| PARSE_BYTES[i]).collect();
+        check_parse(&token, &after);
+    }
+}
+
+#[test]
+#[ignore = "about 15 minutes on two cores: every f32 bit pattern"]
+fn parse_f32_is_str_parse_on_every_f32_display_string() {
+    use std::fmt::Write;
+    let workers = 2u64;
+    let span = (1u64 << 32) / workers;
+    let checked: u64 = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                s.spawn(move || {
+                    let mut text = String::new();
+                    let mut tail = [b' '; 64];
+                    for bits in w * span..(w + 1) * span {
+                        let x = f32::from_bits(bits as u32);
+                        text.clear();
+                        write!(text, "{x}").unwrap();
+                        let want = text.parse::<f32>().ok().map(f32::to_bits);
+                        tail[..text.len()].copy_from_slice(text.as_bytes());
+                        for (name, parse) in parse_backends() {
+                            let got = parse(&tail, text.len()).map(f32::to_bits);
+                            assert_eq!(got, want, "{name}: {text:?}");
+                        }
+                        tail[..text.len()].fill(b' ');
+                    }
+                    span
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    assert_eq!(checked, 1 << 32);
+}

@@ -64,6 +64,29 @@ for m in model300 model67 model; do
 done
 echo "dims 300, 67 and 48: coded scan == GEMM scan == scalar"
 
+# Every float form a model file may hold, rows ending in CRLF and the
+# last in nothing: the AVX2 decimal parse reads tokens of at most 16
+# bytes in one load and hands the rest to `str::parse`, so tokens of
+# 15-18 bytes with and without a sign, forms outside the fast path
+# (`+1`, `1e-5`, `.5`, `5.`), 22 and 23 fraction digits and a decimal
+# on an f32 midpoint must load to the same bits on both backends.
+step "A hand-written model with every float form serves the same bytes on both backends"
+{
+    printf '6 4\r\n'
+    printf 'f0 -0 0 7 +1\r\n'
+    printf 'f1 1e-5 .5 5. 0.0000000000000000000001\r\n'
+    printf 'f2 0.00000000000000000000001 0.1234567890123 -0.123456789012 0.12345678901234\r\n'
+    printf 'f3 -0.1234567890123 0.123456789012345 -0.12345678901234 0.1234567890123456\r\n'
+    printf 'f4 -0.123456789012345 1234567890123456 -9007199254740993 0.25\r\n'
+    printf 'f5 0.5 -0.75 0.001003017823677510 -1.5'
+} > forms_model.txt
+printf 'sim f0\nsim f1\nsim f2\nsim f3\nsim f4\nsim f5\nanalogy f0 f1 f2\n' > forms_queries.txt
+serve="$G serve --model forms_model.txt --queries forms_queries.txt --k 3"
+$serve --out forms_answers.jsonl
+GW2V_FORCE_SCALAR=1 $serve --out forms_answers_scalar.jsonl
+cmp forms_answers.jsonl forms_answers_scalar.jsonl
+echo "every float form loads alike on both backends"
+
 # The tokenizer splits on ASCII whitespace only, so a no-break space is
 # part of a word: the model reader and the query parser must agree, or
 # the trained file cannot be served.
