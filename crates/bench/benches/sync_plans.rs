@@ -6,9 +6,7 @@ use gw2v_combiner::CombinerKind;
 use gw2v_gluon::plan::{AccessSets, SyncConfig, SyncPlan};
 use gw2v_gluon::sync::sync_round;
 use gw2v_gluon::volume::CommStats;
-use gw2v_gluon::wire::{
-    mask_bytes, Channel, DeltaShadow, QuantDecoder, RowDecoder, RowEncoder, ValueDecoder,
-};
+use gw2v_gluon::wire::{mask_bytes, Channel, DeltaShadow, QuantDecoder, RowDecoder, RowEncoder};
 use gw2v_gluon::ModelReplica;
 use gw2v_util::fvec::FlatMatrix;
 use gw2v_util::rng::{Rng64, Xoshiro256};
@@ -107,26 +105,6 @@ fn bench_wire_codec(c: &mut Criterion) {
             black_box(sum)
         });
     });
-    // Memoized value-only format: the cache-hit fast path of wire=memo.
-    group.bench_function("encode_values_500x64", |b| {
-        let mut enc = RowEncoder::new(DIM);
-        for (n, r) in &rows {
-            enc.push(*n, r);
-        }
-        b.iter(|| black_box(enc.finish_values()));
-    });
-    let ids: Vec<u32> = enc.ids().to_vec();
-    let vbuf = enc.finish_values();
-    group.bench_function("decode_values_500x64", |b| {
-        b.iter(|| {
-            let mut dec = ValueDecoder::new(vbuf.clone(), DIM, &ids).expect("cache matches");
-            let mut sum = 0.0f32;
-            while let Some((_, row)) = dec.next_entry() {
-                sum += row[0];
-            }
-            black_box(sum)
-        });
-    });
     // Delta format: steady-state payload with ~1-in-8 rows changed
     // (mask + changed rows only), and its shadow-side reconstruction.
     let mut mask = vec![0u8; mask_bytes(rows.len())];
@@ -143,7 +121,7 @@ fn bench_wire_codec(c: &mut Criterion) {
         1,
         0,
         Channel::Reduce,
-        ids.clone(),
+        enc.ids().to_vec(),
         rows.iter().flat_map(|(_, r)| r.iter().copied()).collect(),
     );
     group.bench_function("delta_decode_500x64", |b| {

@@ -76,10 +76,9 @@ fn main() {
         });
     }
 
-    // Study 3: wire payload mode. Memo drops the 4-byte id per entry on
-    // a cache hit; delta ships a changed-row bitmask plus changed rows
-    // against a per-key shadow; quant ships u8 codes with a per-row
-    // scale/offset pair. Id+value, memo, and delta must be bit-identical
+    // Study 3: wire payload mode. Delta ships a changed-row bitmask plus
+    // changed rows against a per-key shadow; quant ships u8 codes with a
+    // per-row scale/offset pair. Id+value and delta must be bit-identical
     // in accuracy — they change bytes, never arithmetic — while quant is
     // deterministically lossy (bounded accuracy delta, biggest byte cut).
     for plan in [
@@ -87,12 +86,7 @@ fn main() {
         SyncPlan::RepModelOpt,
         SyncPlan::PullModel,
     ] {
-        for wire in [
-            WireMode::IdValue,
-            WireMode::Memo,
-            WireMode::Delta,
-            WireMode::Quant,
-        ] {
+        for wire in [WireMode::IdValue, WireMode::Delta, WireMode::Quant] {
             eprintln!("[ablation] wire {}/{} ...", plan.label(), wire.label());
             let params = bench_params(scale, epochs, 1);
             let mut config = DistConfig::paper_default(hosts);
@@ -129,7 +123,7 @@ fn main() {
     }
     print!("{table}");
     println!("\nExpected: MC ≈ MC-PW ≫ AVG; SUM degraded or diverged; Table ≈ Alias accuracy;");
-    println!("memo/delta wire == id-value accuracy at ≤ volume (strictly lower for naive);");
+    println!("delta wire == id-value accuracy at ≤ volume (strictly lower for naive);");
     println!("quant wire: every plan cut to the (12+dim)/(4+4dim) fraction of id-value volume,");
     println!("accuracy within a few points (lossy). Delta can undercut quant on the naive plan,");
     println!("whose dense lists are mostly unchanged rows.");

@@ -30,6 +30,7 @@ use gw2v_gluon::plan::SyncPlan;
 use gw2v_gluon::wire::WireMode;
 use gw2v_gluon::ClusterConfig;
 use gw2v_serve::{Query, QueryEngine, ServeError, ShardedStore};
+use gw2v_util::split::str_words;
 use std::error::Error;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -50,7 +51,7 @@ USAGE:
                  [--hosts 8] [--sync-rounds N] [--dim 200] [--epochs 16]
                  [--negative 15] [--window 5] [--alpha 0.025]
                  [--combiner mc|avg|sum|mc-pairwise]
-                 [--plan opt|naive|pull] [--wire id-value|memo|delta|quant]
+                 [--plan opt|naive|pull] [--wire id-value|delta|quant]
                  [--sgns per-pair|hogbatch] [--threads 4] [--seed 1]
                  [--min-count 1] [--subsample 1e-4]
                  [--fault-plan 'seed=7,drop=0.02,crash=1@3']
@@ -148,7 +149,7 @@ pub fn phrases(raw: &[String]) -> CmdResult {
     let text = std::fs::read_to_string(input)?;
     let sentences: Vec<Vec<String>> = text
         .lines()
-        .map(|l| l.split_whitespace().map(str::to_owned).collect())
+        .map(|l| str_words(l).map(str::to_owned).collect())
         .collect();
     let joined = detect_phrases(&sentences, &config);
     let mut out_text = String::with_capacity(text.len());
@@ -443,7 +444,11 @@ fn dist_config_from(args: &Args) -> Result<DistConfig, ArgError> {
         config.plan = SyncPlan::parse(p).ok_or_else(|| ArgError(format!("bad plan {p:?}")))?;
     }
     if let Some(w) = args.get("wire") {
-        config.wire = WireMode::parse(w).ok_or_else(|| ArgError(format!("bad wire mode {w:?}")))?;
+        config.wire = WireMode::parse(w).ok_or_else(|| {
+            ArgError(format!(
+                "bad wire mode {w:?}: expected id-value, delta or quant"
+            ))
+        })?;
     }
     if let Some(s) = args.get("sgns") {
         config.sgns = match s {

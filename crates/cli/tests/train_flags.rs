@@ -121,6 +121,26 @@ fn cluster_flags_the_trainers_cannot_run_with_are_typed_errors() {
     std::fs::remove_dir_all(&ckpt).ok();
 }
 
+/// `--wire memo` and `--wire memoized` name no mode: a typed error that
+/// names the modes there are, and no model is written.
+#[test]
+fn a_memoized_wire_mode_is_a_typed_error_naming_the_modes_there_are() {
+    let corpus = tmp("wire_corpus.txt");
+    let out = tmp("wire_model.txt");
+    write_corpus(&corpus);
+    for trainer in ["dist", "threaded"] {
+        for mode in ["memo", "memoized"] {
+            let run = train(&corpus, &out, &["--trainer", trainer, "--wire", mode]);
+            let what = format!("{trainer} --wire {mode}");
+            assert_eq!(run.status.code(), Some(1), "{what}");
+            for needle in ["delta", "id-value"] {
+                assert_typed_failure(&run, &out, needle, &what);
+            }
+        }
+    }
+    std::fs::remove_file(&corpus).ok();
+}
+
 #[test]
 fn a_min_count_that_empties_the_vocabulary_is_a_typed_error() {
     let corpus = tmp("min_count_corpus.txt");
@@ -169,7 +189,7 @@ fn a_flag_the_trainer_never_reads_is_a_typed_error() {
         &["--hosts", "2"],
         &["--sync-rounds", "2"],
         &["--plan", "pull"],
-        &["--wire", "memo"],
+        &["--wire", "delta"],
         &["--combiner", "avg"],
         &["--sgns", "hogbatch"],
         &["--fault-plan", "seed=1,drop=0.1"],

@@ -78,8 +78,8 @@ pub struct DistConfig {
     /// Network model for virtual communication time.
     pub cost: CostModel,
     /// Wire payload mode (§4.4 / Table 3): classic id+value entries,
-    /// the id-memoized value-only format, shadow-diffed delta payloads,
-    /// or u8-quantized rows. See docs/WIRE.md.
+    /// shadow-diffed delta payloads, or u8-quantized rows. See
+    /// docs/WIRE.md.
     pub wire: WireMode,
     /// SGNS inner loop: classic per-pair or shared-negative minibatch
     /// (HogBatch). Part of the checkpoint fingerprint — the RNG streams

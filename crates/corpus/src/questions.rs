@@ -12,6 +12,7 @@
 //! starts with `gram` are syntactic, the rest semantic.
 
 use crate::synth::{AnalogyCategory, AnalogyQuestion, AnalogySet, CategoryKind};
+use gw2v_util::split::str_words;
 use std::io::{BufRead, Write};
 
 /// Writes an analogy set in `question-words.txt` format.
@@ -27,18 +28,20 @@ pub fn write_questions<W: Write>(set: &AnalogySet, out: &mut W) -> std::io::Resu
 
 /// Reads an analogy set from `question-words.txt` format.
 ///
-/// Lines with fewer or more than 4 words under a category header are
+/// Words are split on ASCII whitespace, as the tokenizer splits the
+/// corpus, so a word with a non-ASCII space in it stays one word. Lines
+/// with fewer or more than 4 words under a category header are
 /// rejected; questions before any header are rejected.
 pub fn read_questions<R: BufRead>(input: R) -> std::io::Result<AnalogySet> {
     let mut categories: Vec<AnalogyCategory> = Vec::new();
     for (lineno, line) in input.lines().enumerate() {
         let line = line?;
-        let trimmed = line.trim();
+        let trimmed = line.trim_ascii();
         if trimmed.is_empty() {
             continue;
         }
         if let Some(name) = trimmed.strip_prefix(':') {
-            let name = name.trim().to_owned();
+            let name = name.trim_ascii().to_owned();
             let kind = if name.starts_with("gram") {
                 CategoryKind::Syntactic
             } else {
@@ -51,7 +54,7 @@ pub fn read_questions<R: BufRead>(input: R) -> std::io::Result<AnalogySet> {
             });
             continue;
         }
-        let words: Vec<&str> = trimmed.split_whitespace().collect();
+        let words: Vec<&str> = str_words(trimmed).collect();
         let err = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
         if words.len() != 4 {
             return Err(err(format!(
@@ -111,6 +114,23 @@ bad worse big bigger
         assert_eq!(set.categories[0].questions.len(), 2);
         assert_eq!(set.categories[1].kind, CategoryKind::Syntactic);
         assert_eq!(set.categories[1].questions[0].expected, "bigger");
+    }
+
+    #[test]
+    fn a_non_ascii_space_stays_inside_a_word() {
+        // The tokenizer keeps `a\u{a0}b` as one token, so a question
+        // naming it must too.
+        let set = read_questions(": cat\u{a0}\na\u{a0}b c d e\u{3000}\n".as_bytes()).unwrap();
+        assert_eq!(set.categories[0].name, "cat\u{a0}");
+        assert_eq!(
+            set.categories[0].questions,
+            [AnalogyQuestion {
+                a: "a\u{a0}b".into(),
+                b: "c".into(),
+                c: "d".into(),
+                expected: "e\u{3000}".into(),
+            }]
+        );
     }
 
     #[test]

@@ -227,9 +227,7 @@ pub(crate) struct Message {
     /// Data or NAK.
     pub kind: MsgKind,
     /// True when the payload is a compact form only the receiver's wire
-    /// state can expand: a memoized value-only buffer
-    /// ([`crate::wire::WireMode::Memo`] cache hit, decoded against the
-    /// receiver's cached id list) or a delta mask + changed-rows buffer
+    /// state can expand: a delta mask + changed-rows buffer
     /// ([`crate::wire::WireMode::Delta`], replayed against the
     /// receiver's shadow copy). Metadata, not payload: it rides outside
     /// the CRC-sealed frame (like `from`/`layer`/`seq`) so byte
@@ -452,8 +450,8 @@ impl HostCtx {
     }
 
     /// Buffers `payload` for NAK service, then delivers it (attempt 0)
-    /// through the fault injector. `value_only` tags memoized payloads
-    /// ([`crate::wire::WireMode::Memo`] cache hits).
+    /// through the fault injector. `value_only` tags delta payloads
+    /// ([`crate::wire::WireMode::Delta`] shadow hits).
     fn ship(
         &self,
         to: usize,

@@ -8,7 +8,7 @@
 //!
 //! # Payload modes
 //!
-//! Four payload layouts exist, selected per run by [`WireMode`] (the
+//! Three payload layouts exist, selected per run by [`WireMode`] (the
 //! full byte-layout reference lives in `docs/WIRE.md`):
 //!
 //! * **Id+value** ([`WireMode::IdValue`], the default) — every entry
@@ -17,26 +17,15 @@
 //!   Self-describing: the receiver learns *which* rows it got from the
 //!   payload itself. Encoded by [`RowEncoder::finish`], decoded by
 //!   [`RowDecoder`].
-//! * **Memoized value-only** ([`WireMode::Memo`]) — the Gluon
-//!   memoization optimization: node-id lists for a given
-//!   (sender, receiver, layer, channel) key are invariant whenever the
-//!   same rows are exchanged again, so after the first exchange both
-//!   ends cache the id list ([`WireMemo`]) and later rounds ship bare
-//!   `dim` `f32`s per entry ([`value_bytes`] bytes, a
-//!   `4 / (4 + 4·dim)`-fraction saving). Encoded by
-//!   [`RowEncoder::finish_values`], decoded by [`ValueDecoder`] against
-//!   the cached id list. The sender decides per payload: a cache *hit*
-//!   (list unchanged since last send) ships value-only; a *miss* ships
-//!   id+value and both ends update their cache. Caches clear at every
-//!   epoch start and on any liveness change (crash, adoption, rejoin),
-//!   so fault recovery never decodes against a stale list.
 //! * **Delta** ([`WireMode::Delta`]) — row-change shipping: both ends
-//!   keep a shadow of the last exchanged payload per key
-//!   ([`DeltaShadow`], ids *and* values, invalidated exactly like the
-//!   memo). When the id list repeats, the sender ships only a changed-
+//!   keep a shadow of the last exchanged payload per
+//!   (sender, receiver, layer, channel) key ([`DeltaShadow`], ids *and*
+//!   values). When the id list repeats, the sender ships only a changed-
 //!   row bitmask plus the rows whose bits actually changed
 //!   ([`delta_bytes`]); the receiver reconstructs the untouched rows
-//!   bit-exactly from its shadow. Lossless — like memo, delta changes
+//!   bit-exactly from its shadow. Shadows clear at every epoch start and
+//!   on any liveness change (crash, adoption, rejoin), so fault recovery
+//!   never decodes against a stale shadow. Lossless: delta changes
 //!   bytes moved, never training results.
 //! * **Quantized** ([`WireMode::Quant`]) — each row crosses the wire as
 //!   `dim` `u8` codes plus one `f32` scale/offset pair
@@ -47,7 +36,7 @@
 //!   [`QuantDecoder`]. **Lossy** (values snap to a per-row 256-point
 //!   grid) but stateless: nothing to invalidate.
 //!
-//! Id+value, memo, and delta carry bit-identical `f32` row values — the
+//! Id+value and delta carry bit-identical `f32` row values — the
 //! mode changes bytes moved, never training results; quant trades a
 //! bounded accuracy delta for the biggest byte cut.
 //!
@@ -55,13 +44,12 @@
 //!
 //! The sync round (`round.rs`) never looks at the mode. It hands
 //! every outgoing batch to [`WireState::encode`], which picks the form
-//! (full, value-only, mask + changed rows, quantized) and advances the
-//! sender's cache or shadow, and every incoming payload to
-//! [`WireState::decode`], which accepts whatever form arrived, checks it
-//! before indexing anything, advances the receiver's cache or shadow and
-//! yields `(node, row)` pairs in payload order. A payload that passes
-//! its frame CRC but does not fit the receiver's state is a
-//! [`WireError`], never a panic. `WireState::encode_dense_reduce` is
+//! (full, mask + changed rows, quantized) and advances the sender's
+//! shadow, and every incoming payload to [`WireState::decode`], which
+//! accepts whatever form arrived, checks it before indexing anything,
+//! advances the receiver's shadow and yields `(node, row)` pairs in
+//! payload order. A payload that passes its frame CRC but does not fit
+//! the receiver's state is a [`WireError`], never a panic. `WireState::encode_dense_reduce` is
 //! the one extra mode-aware entry: RepModelNaive's reduce, whose
 //! accounted payload (every mirror row) is not the one it ships.
 //!
@@ -72,22 +60,21 @@
 //!   `f32`s in the same order — `n` is self-describing
 //!   (`buf.len() / entry_bytes(dim)`), and the total is still
 //!   [`entry_bytes`]`(dim)` per entry, so byte accounting is unchanged
-//!   from the historical interleaved layout. Value-only: `4·dim` bytes
-//!   per entry ([`value_bytes`]), the `f32`s alone in cached-id-list
-//!   order. No header, no padding, no alignment requirement. Keeping
-//!   the two regions contiguous is what lets the encoder run as two bulk
-//!   passes (the ids, then the whole value region as one little-endian
-//!   copy — a `memcpy` on little-endian targets, no kernel dispatch)
-//!   instead of `n` interleaved gather/scatter steps.
+//!   from the historical interleaved layout. No header, no padding, no
+//!   alignment requirement. Keeping the two regions contiguous is what
+//!   lets the encoder run as two bulk passes (the ids, then the whole
+//!   value region as one little-endian copy — a `memcpy` on
+//!   little-endian targets, no kernel dispatch) instead of `n`
+//!   interleaved gather/scatter steps.
 //! * **Self-describing length** — `buf.len()` must be an exact multiple
-//!   of the entry size and [`ValueDecoder`] additionally requires the
-//!   length to match the cached id list exactly, so a truncated,
-//!   mis-dimensioned, or stale-cache buffer is a [`WireError`] at the
+//!   of the entry size, and a delta payload must carry exactly the mask
+//!   and changed rows its shadow calls for, so a truncated,
+//!   mis-dimensioned, or stale-shadow buffer is a [`WireError`] at the
 //!   seam instead of a desynchronization.
 //! * **Order-preserving** — entries decode in the order they were
 //!   pushed. Determinism of the sync protocol relies on this: receivers
 //!   fold messages in host-id order and entries in push order, and the
-//!   memoized mode relies on it twice over (the cached id list *is* the
+//!   delta mode relies on it twice over (the shadowed id list *is* the
 //!   push order).
 //! * **Bit-exact round-trip** — `f32` bits pass through unchanged
 //!   (including NaN payloads and negative zero), so a serialize →
@@ -102,8 +89,7 @@
 //! * id+value entries count [`entry_bytes`]`(dim)` each — this is the
 //!   figure the paper reports for RepModelNaive / RepModelOpt /
 //!   PullModel;
-//! * compact payloads count the bytes they occupy
-//!   ([`value_bytes`]`(dim)` per memoized entry, [`delta_bytes`] per
+//! * compact payloads count the bytes they occupy ([`delta_bytes`] per
 //!   delta payload, [`quant_entry_bytes`]`(dim)` per quantized entry);
 //!   both engines count the payloads [`WireState::encode`] built, so
 //!   they agree to the byte;
@@ -178,11 +164,11 @@ pub const fn entry_bytes(dim: usize) -> usize {
     4 + 4 * dim
 }
 
-/// Serialized bytes for one memoized value-only entry at dimension
-/// `dim` (the row values alone; the node id lives in the receiver's
-/// [`WireMemo`] cache).
+/// Serialized bytes of one row's values at dimension `dim`: what a
+/// delta payload ships for each changed row (the node id lives in the
+/// receiver's [`DeltaShadow`]).
 #[inline]
-pub const fn value_bytes(dim: usize) -> usize {
+pub(crate) const fn value_bytes(dim: usize) -> usize {
     4 * dim
 }
 
@@ -216,9 +202,6 @@ pub enum WireMode {
     /// Self-describing id+value entries every round (the default).
     #[default]
     IdValue,
-    /// Gluon-style id-list memoization: id+value on the first exchange
-    /// (and after any cache invalidation), bare values afterwards.
-    Memo,
     /// Row-change shipping against a per-key shadow: id+value on the
     /// first exchange (and after any invalidation), bitmask + changed
     /// rows afterwards. Lossless.
@@ -229,12 +212,10 @@ pub enum WireMode {
 }
 
 impl WireMode {
-    /// Parses a CLI spelling (`"id-value"` / `"memo"` / `"delta"` /
-    /// `"quant"`).
+    /// Parses a CLI spelling (`"id-value"` / `"delta"` / `"quant"`).
     pub fn parse(s: &str) -> Option<WireMode> {
         match s {
             "id-value" | "idvalue" => Some(WireMode::IdValue),
-            "memo" | "memoized" => Some(WireMode::Memo),
             "delta" => Some(WireMode::Delta),
             "quant" | "quantized" => Some(WireMode::Quant),
             _ => None,
@@ -245,7 +226,6 @@ impl WireMode {
     pub fn label(self) -> &'static str {
         match self {
             WireMode::IdValue => "id-value",
-            WireMode::Memo => "memo",
             WireMode::Delta => "delta",
             WireMode::Quant => "quant",
         }
@@ -256,7 +236,6 @@ impl WireMode {
 ///
 /// Ids and values are staged separately so one encoder can serve every
 /// payload layout: [`finish`](RowEncoder::finish) emits id+value,
-/// [`finish_values`](RowEncoder::finish_values) the values alone,
 /// [`finish_delta`](RowEncoder::finish_delta) a mask plus changed rows
 /// and [`finish_quant`](RowEncoder::finish_quant) the quantized form.
 /// The finishers are non-consuming and build a fresh buffer on every
@@ -270,14 +249,13 @@ pub struct RowEncoder {
     values: Vec<f32>,
     /// Peer-independent forms already built for the staged batch,
     /// indexed by [`SharedForm`]; emptied by [`push`](RowEncoder::push).
-    built: [OnceCell<Bytes>; 3],
+    built: [OnceCell<Bytes>; 2],
 }
 
 /// The payload forms that are the same bytes for every peer.
 #[derive(Clone, Copy)]
 enum SharedForm {
     Full,
-    Values,
     Quant,
 }
 
@@ -316,7 +294,6 @@ impl RowEncoder {
         self.built[form as usize]
             .get_or_init(|| match form {
                 SharedForm::Full => self.finish(),
-                SharedForm::Values => self.finish_values(),
                 SharedForm::Quant => self.finish_quant(),
             })
             .clone()
@@ -328,13 +305,8 @@ impl RowEncoder {
     }
 
     /// Id+value payload size in bytes ([`entry_bytes`] per entry).
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.ids.len() * entry_bytes(self.dim)
-    }
-
-    /// Value-only payload size in bytes ([`value_bytes`] per entry).
-    pub(crate) fn value_byte_len(&self) -> usize {
-        self.ids.len() * value_bytes(self.dim)
     }
 
     /// The node ids pushed so far, in push order.
@@ -350,14 +322,6 @@ impl RowEncoder {
         for &node in &self.ids {
             buf.put_u32_le(node);
         }
-        buf.put_slice(&le_bytes(&self.values));
-        buf.freeze()
-    }
-
-    /// Serializes the staged batch as a value-only buffer (one bulk
-    /// copy over all rows). Non-consuming.
-    pub fn finish_values(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.value_byte_len());
         buf.put_slice(&le_bytes(&self.values));
         buf.freeze()
     }
@@ -480,51 +444,6 @@ impl RowDecoder {
     }
 }
 
-/// Iterator decoding a memoized value-only buffer produced by
-/// [`RowEncoder::finish_values`], pairing each row with the
-/// corresponding id from the receiver's cached list.
-#[derive(Debug)]
-pub struct ValueDecoder<'a> {
-    ids: &'a [u32],
-    buf: Bytes,
-    next: usize,
-    row: Vec<f32>,
-}
-
-impl<'a> ValueDecoder<'a> {
-    /// Creates a decoder pairing `buf`'s rows with `ids`; fails with
-    /// [`WireError::BadLength`] when the payload does not carry exactly
-    /// one row per cached id (a stale or mismatched cache).
-    pub fn new(buf: Bytes, dim: usize, ids: &'a [u32]) -> Result<Self, WireError> {
-        let claimed = ids.len() * value_bytes(dim);
-        if buf.len() != claimed {
-            return Err(WireError::BadLength {
-                claimed,
-                actual: buf.len(),
-            });
-        }
-        Ok(Self {
-            ids,
-            buf,
-            next: 0,
-            row: vec![0.0; dim],
-        })
-    }
-
-    /// Decodes the next entry, exposing the row as a borrowed slice
-    /// (valid until the next call).
-    pub fn next_entry(&mut self) -> Option<(u32, &[f32])> {
-        let node = *self.ids.get(self.next)?;
-        let at = self.next * 4 * self.row.len();
-        get_f32s_le(
-            &self.buf.as_slice()[at..at + 4 * self.row.len()],
-            &mut self.row,
-        );
-        self.next += 1;
-        Some((node, &self.row))
-    }
-}
-
 /// Iterator decoding a quantized buffer produced by
 /// [`RowEncoder::finish_quant`].
 ///
@@ -589,11 +508,11 @@ impl QuantDecoder {
 }
 
 // ---------------------------------------------------------------------------
-// Id-list memoization
+// Row-change shadows (delta mode)
 // ---------------------------------------------------------------------------
 
 /// Which protocol phase a payload belongs to; reduce and broadcast
-/// traffic between the same host pair memoize independently.
+/// traffic between the same host pair are shadowed independently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Channel {
     /// Mirror deltas shipped to the (effective) master.
@@ -603,117 +522,9 @@ pub enum Channel {
     Broadcast,
 }
 
-/// What a cache or shadow entry is keyed by: `(sender, receiver, layer,
+/// What a shadow entry is keyed by: `(sender, receiver, layer,
 /// channel)`.
 type LinkKey = (usize, usize, usize, Channel);
-
-/// Per-(sender, receiver, layer, channel) node-id-list cache driving
-/// [`WireMode::Memo`].
-///
-/// Both ends of a link hold one: the **sender** calls
-/// `submit` with the id list it is about to ship —
-/// a hit (list identical to the cached one) means the receiver already
-/// knows the ids, so a value-only payload suffices; a miss updates the
-/// cache and ships id+value. The **receiver** calls
-/// `store` with the ids it decodes from every
-/// id+value payload and `cached` to resolve
-/// value-only payloads. Because both sides derive their updates from
-/// the same payload sequence, the caches stay in lockstep without any
-/// extra coordination traffic.
-///
-/// Invalidation keeps fault plans exact: `begin_epoch`
-/// clears everything at each epoch start (checkpoints cut at epoch
-/// boundaries, so a resumed run and an uninterrupted run see identical
-/// cache states), and `observe_liveness`
-/// clears on any alive-set change (crash, adoption, rejoin) since
-/// routing — and therefore every id list — changes with it.
-#[derive(Debug, Default)]
-pub struct WireMemo {
-    cache: HashMap<LinkKey, Vec<u32>>,
-    live: Option<Liveness>,
-}
-
-impl WireMemo {
-    /// An empty cache.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears every cached list (call at each epoch start, both
-    /// engines).
-    pub(crate) fn begin_epoch(&mut self) {
-        self.cache.clear();
-        self.live = None;
-    }
-
-    /// Clears every cached list if the alive set changed since the last
-    /// observation. Call once per sync round before any submit/store.
-    pub(crate) fn observe_liveness(&mut self, live: &Liveness) {
-        if self.live.as_ref() != Some(live) {
-            self.cache.clear();
-            self.live = Some(live.clone());
-        }
-    }
-
-    /// Sender side: decides the layout for the payload `from` is about
-    /// to ship `to` on `(layer, channel)`. Returns `true` (hit: ship
-    /// value-only) when `ids` matches the cached list; otherwise caches
-    /// `ids` and returns `false` (miss: ship id+value).
-    pub(crate) fn submit(
-        &mut self,
-        from: usize,
-        to: usize,
-        layer: usize,
-        channel: Channel,
-        ids: &[u32],
-    ) -> bool {
-        let key = (from, to, layer, channel);
-        match self.cache.get_mut(&key) {
-            Some(cached) if cached.as_slice() == ids => true,
-            Some(cached) => {
-                cached.clear();
-                cached.extend_from_slice(ids);
-                false
-            }
-            None => {
-                self.cache.insert(key, ids.to_vec());
-                false
-            }
-        }
-    }
-
-    /// Receiver side: records the id list decoded from an id+value
-    /// payload so a later value-only payload on the same key can be
-    /// resolved.
-    pub(crate) fn store(
-        &mut self,
-        from: usize,
-        to: usize,
-        layer: usize,
-        channel: Channel,
-        ids: Vec<u32>,
-    ) {
-        self.cache.insert((from, to, layer, channel), ids);
-    }
-
-    /// Receiver side: the cached id list for a value-only payload, if
-    /// one exists.
-    pub(crate) fn cached(
-        &self,
-        from: usize,
-        to: usize,
-        layer: usize,
-        channel: Channel,
-    ) -> Option<&[u32]> {
-        self.cache
-            .get(&(from, to, layer, channel))
-            .map(Vec::as_slice)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Row-change shadows (delta mode)
-// ---------------------------------------------------------------------------
 
 /// The sender-side outcome of a [`DeltaShadow::submit`]: which layout a
 /// payload must use and what it costs on the wire.
@@ -761,12 +572,13 @@ impl DeltaForm {
 /// sequence, the shadows stay in lockstep without extra coordination
 /// traffic.
 ///
-/// Invalidation is identical to [`WireMemo`]:
-/// `begin_epoch` clears everything at each
-/// epoch start and `observe_liveness`
-/// clears on any alive-set change, so the first post-fault (and
-/// post-checkpoint-resume) exchange on every key is always a full
-/// payload.
+/// Invalidation keeps fault plans exact: `begin_epoch` clears
+/// everything at each epoch start (checkpoints cut at epoch boundaries,
+/// so a resumed run and an uninterrupted run see identical shadows), and
+/// `observe_liveness` clears on any alive-set change (crash, adoption,
+/// rejoin) since routing — and therefore every id list — changes with
+/// it. The first post-fault (and post-checkpoint-resume) exchange on
+/// every key is always a full payload.
 #[derive(Debug, Default)]
 pub struct DeltaShadow {
     cache: HashMap<LinkKey, (Vec<u32>, Vec<f32>)>,
@@ -926,8 +738,6 @@ impl DeltaShadow {
 pub enum WireState {
     /// [`WireMode::IdValue`]: stateless.
     Classic,
-    /// [`WireMode::Memo`]: id-list caches.
-    Memo(WireMemo),
     /// [`WireMode::Delta`]: last-sent row shadows.
     Delta(DeltaShadow),
     /// [`WireMode::Quant`]: stateless.
@@ -939,28 +749,25 @@ impl WireState {
     pub fn for_mode(mode: WireMode) -> Self {
         match mode {
             WireMode::IdValue => WireState::Classic,
-            WireMode::Memo => WireState::Memo(WireMemo::new()),
             WireMode::Delta => WireState::Delta(DeltaShadow::new()),
             WireMode::Quant => WireState::Quant,
         }
     }
 
-    /// Clears stateful caches at an epoch start (no-op for the
+    /// Clears the delta shadows at an epoch start (no-op for the
     /// stateless modes).
     pub fn begin_epoch(&mut self) {
         match self {
-            WireState::Memo(m) => m.begin_epoch(),
             WireState::Delta(d) => d.begin_epoch(),
             WireState::Classic | WireState::Quant => {}
         }
     }
 
-    /// Invalidates stateful caches on any alive-set change (no-op for
+    /// Invalidates the delta shadows on any alive-set change (no-op for
     /// the stateless modes). Call once per sync round before any
     /// encode/decode.
     pub(crate) fn observe_liveness(&mut self, live: &Liveness) {
         match self {
-            WireState::Memo(m) => m.observe_liveness(live),
             WireState::Delta(d) => d.observe_liveness(live),
             WireState::Classic | WireState::Quant => {}
         }
@@ -968,11 +775,11 @@ impl WireState {
 
     /// Sender side: serializes the batch `from` ships `to` on
     /// `(layer, channel)` in the form the mode and this state call for,
-    /// advancing the cache or shadow. Returns the payload and its
-    /// `value_only` tag — true for the two compact forms (memoized
-    /// values, delta mask + changed rows) that only the receiver's state
-    /// can expand. A form that is the same bytes for every peer is built
-    /// once per staged batch, however many peers it goes to.
+    /// advancing the shadow. Returns the payload and its `value_only`
+    /// tag — true for the compact form (delta mask + changed rows) that
+    /// only the receiver's shadow can expand. A form that is the same
+    /// bytes for every peer is built once per staged batch, however many
+    /// peers it goes to.
     pub fn encode(
         &mut self,
         from: usize,
@@ -984,13 +791,6 @@ impl WireState {
         match self {
             WireState::Classic => (enc.shared(SharedForm::Full), false),
             WireState::Quant => (enc.shared(SharedForm::Quant), false),
-            WireState::Memo(m) => {
-                if m.submit(from, to, layer, channel, enc.ids()) {
-                    (enc.shared(SharedForm::Values), true)
-                } else {
-                    (enc.shared(SharedForm::Full), false)
-                }
-            }
             WireState::Delta(d) => {
                 match d.submit(from, to, layer, channel, enc.ids(), enc.values(), enc.dim) {
                     DeltaForm::Full => (enc.shared(SharedForm::Full), false),
@@ -1005,8 +805,8 @@ impl WireState {
     /// `dense_ids` (all rows `to` masters, ascending), zero for the rows
     /// absent from `touched` — but ships `touched` alone: a zero delta
     /// must not reach the combiner (`Avg` divides by the number of
-    /// touching hosts). Advances the cache or shadow with the dense
-    /// image and returns the physical payload (never a compact form, the
+    /// touching hosts). Advances the shadow with the dense image and
+    /// returns the physical payload (never a compact form, the
     /// receiver holds no dense state) with the bytes to account.
     pub(crate) fn encode_dense_reduce(
         &mut self,
@@ -1020,15 +820,6 @@ impl WireState {
         match self {
             WireState::Classic => (touched.finish(), n * entry_bytes(dim)),
             WireState::Quant => (touched.finish_quant(), n * quant_entry_bytes(dim)),
-            WireState::Memo(m) => {
-                let hit = m.submit(from, to, layer, Channel::Reduce, dense_ids);
-                let per = if hit {
-                    value_bytes(dim)
-                } else {
-                    entry_bytes(dim)
-                };
-                (touched.finish(), n * per)
-            }
             WireState::Delta(d) => {
                 let mut dense = vec![0.0f32; n * dim];
                 for (i, node) in touched.ids.iter().enumerate() {
@@ -1046,15 +837,15 @@ impl WireState {
 
     /// Receiver side: expands the payload `from` shipped `to` on
     /// `(layer, channel)`, whichever form it came in, into `(node, row)`
-    /// pairs handed to `sink` in payload order, and advances the cache
-    /// or shadow exactly as the sender's `encode` did.
+    /// pairs handed to `sink` in payload order, and advances the shadow
+    /// exactly as the sender's `encode` did.
     ///
     /// Everything is checked before `sink` sees a row or the state
     /// changes: the length against the form, the form against the mode,
-    /// a compact payload against the cached list or shadow, and every
-    /// node id against `n_nodes` — so `sink` may index by node, and a
-    /// payload that passed its frame CRC but does not fit is a typed
-    /// error that leaves this state as it was.
+    /// a compact payload against the shadow, and every node id against
+    /// `n_nodes` — so `sink` may index by node, and a payload that
+    /// passed its frame CRC but does not fit is a typed error that
+    /// leaves this state as it was.
     #[allow(clippy::too_many_arguments)]
     pub fn decode(
         &mut self,
@@ -1069,15 +860,6 @@ impl WireState {
         mut sink: impl FnMut(u32, &[f32]),
     ) -> Result<(), WireError> {
         match (self, value_only) {
-            (WireState::Memo(m), true) => {
-                let ids = m
-                    .cached(from, to, layer, channel)
-                    .ok_or(WireError::NoCachedIds)?;
-                let mut dec = ValueDecoder::new(payload.clone(), dim, ids)?;
-                while let Some((node, row)) = dec.next_entry() {
-                    sink(node, row);
-                }
-            }
             (WireState::Delta(d), true) => {
                 let (ids, vals) = d.apply_delta(from, to, layer, channel, payload, dim)?;
                 for (i, &node) in ids.iter().enumerate() {
@@ -1105,15 +887,11 @@ impl WireState {
                 let n = payload.len() / per;
                 let (id_region, values) = payload.as_slice().split_at(n * 4);
                 check_ids(id_region, n_nodes)?;
-                let ids = || (0..n).map(|i| id_at(id_region, i)).collect();
-                match state {
-                    WireState::Memo(m) => m.store(from, to, layer, channel, ids()),
-                    WireState::Delta(d) => {
-                        let mut rows = vec![0.0f32; n * dim];
-                        get_f32s_le(values, &mut rows);
-                        d.store(from, to, layer, channel, ids(), rows);
-                    }
-                    WireState::Classic | WireState::Quant => {}
+                if let WireState::Delta(d) = state {
+                    let ids = (0..n).map(|i| id_at(id_region, i)).collect();
+                    let mut rows = vec![0.0f32; n * dim];
+                    get_f32s_le(values, &mut rows);
+                    d.store(from, to, layer, channel, ids, rows);
                 }
                 let mut dec = RowDecoder::new(payload.clone(), dim);
                 while let Some((node, row)) = dec.next_entry() {
@@ -1179,10 +957,10 @@ pub const FRAME_HEADER_BYTES: usize = 12;
 pub enum WireError {
     /// The buffer is shorter than a frame header, the header's length
     /// field disagrees with the actual payload size, a payload is not a
-    /// whole number of entries, or a compact payload does not match its
-    /// cached id list or shadow.
+    /// whole number of entries, or a delta payload does not match its
+    /// shadow.
     BadLength {
-        /// Bytes the header (or cached id list) claims the payload has
+        /// Bytes the header (or shadow) claims the payload has
         /// (0 if no header fit).
         claimed: usize,
         /// Bytes actually present.
@@ -1202,9 +980,6 @@ pub enum WireError {
         /// Payload size in bytes.
         len: usize,
     },
-    /// A memoized value-only payload arrived on a key with no cached id
-    /// list.
-    NoCachedIds,
     /// A delta payload arrived on a key with no shadow entry.
     NoShadow,
     /// A payload tagged compact (`value_only`) arrived in a mode that
@@ -1241,7 +1016,6 @@ impl fmt::Display for WireError {
                     "payload of {len} bytes exceeds the frame header's u32 length field"
                 )
             }
-            WireError::NoCachedIds => write!(f, "value-only payload with no cached id list"),
             WireError::NoShadow => write!(f, "delta payload with no shadow entry"),
             WireError::UnexpectedForm => {
                 write!(f, "compact payload in a mode that ships none")
@@ -1352,8 +1126,6 @@ mod tests {
         assert_eq!(&b[12..16], &2.0f32.to_le_bytes());
         assert_eq!(&b[16..20], &3.0f32.to_le_bytes());
         assert_eq!(&b[20..24], &4.0f32.to_le_bytes());
-        // The value region is byte-identical to the value-only payload.
-        assert_eq!(&b[8..], enc.finish_values().as_slice());
     }
 
     #[test]
@@ -1429,96 +1201,16 @@ mod tests {
     }
 
     #[test]
-    fn value_only_roundtrip_against_cached_ids() {
-        let mut enc = RowEncoder::new(2);
-        enc.push(5, &[1.5, -2.0]);
-        enc.push(9, &[f32::NAN, 0.25]);
-        assert_eq!(enc.value_byte_len(), 2 * value_bytes(2));
-        assert_eq!(enc.ids(), &[5, 9]);
-        // Non-consuming: both layouts come off the same staged batch.
-        let full = enc.finish();
-        let vo = enc.finish_values();
-        assert_eq!(full.len(), 2 * entry_bytes(2));
-        assert_eq!(vo.len(), 2 * value_bytes(2));
-        let mut dec = ValueDecoder::new(vo, 2, enc.ids()).unwrap();
-        let (n, r) = dec.next_entry().unwrap();
-        assert_eq!((n, r[0], r[1]), (5, 1.5, -2.0));
-        let (n, r) = dec.next_entry().unwrap();
-        assert_eq!(n, 9);
-        assert!(r[0].is_nan() && r[1] == 0.25);
-        assert!(dec.next_entry().is_none());
-    }
-
-    #[test]
-    fn value_only_length_mismatch_rejected() {
-        let mut enc = RowEncoder::new(2);
-        enc.push(5, &[1.0, 2.0]);
-        let vo = enc.finish_values();
-        // Cached list claims two entries; payload has one.
-        let err = ValueDecoder::new(vo, 2, &[5, 9]).unwrap_err();
-        assert_eq!(
-            err,
-            WireError::BadLength {
-                claimed: 2 * value_bytes(2),
-                actual: value_bytes(2)
-            }
-        );
-    }
-
-    #[test]
-    fn memo_hit_miss_lifecycle() {
-        let mut memo = WireMemo::new();
-        let live3 = Liveness::all(3);
-        memo.observe_liveness(&live3);
-        // First submit is a miss; an identical resubmit hits.
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[1, 2, 3]));
-        assert!(memo.submit(0, 1, 0, Channel::Reduce, &[1, 2, 3]));
-        // Different key dimensions miss independently.
-        assert!(!memo.submit(0, 1, 1, Channel::Reduce, &[1, 2, 3]));
-        assert!(!memo.submit(0, 1, 0, Channel::Broadcast, &[1, 2, 3]));
-        assert!(!memo.submit(1, 0, 0, Channel::Reduce, &[1, 2, 3]));
-        // A changed list misses and re-caches.
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[1, 2]));
-        assert!(memo.submit(0, 1, 0, Channel::Reduce, &[1, 2]));
-        // Receiver-side store resolves value-only payloads.
-        memo.store(2, 0, 0, Channel::Broadcast, vec![7, 8]);
-        assert_eq!(memo.cached(2, 0, 0, Channel::Broadcast), Some(&[7, 8][..]));
-        assert_eq!(memo.cached(2, 0, 1, Channel::Broadcast), None);
-        // Liveness change clears everything …
-        let mut live2 = live3.clone();
-        live2.mark_dead(2);
-        memo.observe_liveness(&live2);
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[1, 2]));
-        assert_eq!(memo.cached(2, 0, 0, Channel::Broadcast), None);
-        // … an unchanged observation does not.
-        memo.observe_liveness(&live2);
-        assert!(memo.submit(0, 1, 0, Channel::Reduce, &[1, 2]));
-        // Epoch start clears too.
-        memo.begin_epoch();
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[1, 2]));
-    }
-
-    #[test]
-    fn memo_empty_lists_memoize_like_any_other() {
-        let mut memo = WireMemo::new();
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[]));
-        assert!(memo.submit(0, 1, 0, Channel::Reduce, &[]));
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[4]));
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[]));
-    }
-
-    #[test]
     fn wire_mode_parse_and_label() {
         assert_eq!(WireMode::parse("id-value"), Some(WireMode::IdValue));
-        assert_eq!(WireMode::parse("memo"), Some(WireMode::Memo));
-        assert_eq!(WireMode::parse("memoized"), Some(WireMode::Memo));
+        assert_eq!(WireMode::parse("memo"), None);
+        assert_eq!(WireMode::parse("memoized"), None);
         assert_eq!(WireMode::parse("delta"), Some(WireMode::Delta));
         assert_eq!(WireMode::parse("quant"), Some(WireMode::Quant));
         assert_eq!(WireMode::parse("quantized"), Some(WireMode::Quant));
         assert_eq!(WireMode::parse("zip"), None);
         assert_eq!(WireMode::default(), WireMode::IdValue);
         assert_eq!(WireMode::IdValue.label(), "id-value");
-        assert_eq!(WireMode::Memo.label(), "memo");
         assert_eq!(WireMode::Delta.label(), "delta");
         assert_eq!(WireMode::Quant.label(), "quant");
     }
@@ -1599,7 +1291,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_shadow_invalidation_matches_memo_rules() {
+    fn delta_shadow_clears_on_epoch_start_and_liveness_change() {
         let mut shadow = DeltaShadow::new();
         let live3 = Liveness::all(3);
         shadow.observe_liveness(&live3);
@@ -1643,20 +1335,15 @@ mod tests {
     }
 
     #[test]
-    fn shadow_and_memo_invalidate_when_alive_set_grows_midepoch() {
-        // The rejoin=H@E case PR 5 left unpinned: a host coming *back*
-        // changes the alive set just like a crash does, and every
-        // cached id list / shadow row is stale the moment routing
-        // changes. Both caches must flush on the grow transition.
+    fn shadow_invalidates_when_alive_set_grows_midepoch() {
+        // A host coming *back* changes the alive set just like a crash
+        // does, and every shadow row is stale the moment routing
+        // changes: the shadow must flush on the grow transition.
         let mut live = Liveness::all(3);
         live.mark_dead(1);
 
-        let mut memo = WireMemo::new();
         let mut shadow = DeltaShadow::new();
-        memo.observe_liveness(&live);
         shadow.observe_liveness(&live);
-        assert!(!memo.submit(0, 2, 0, Channel::Reduce, &[4, 5]));
-        assert!(memo.submit(0, 2, 0, Channel::Reduce, &[4, 5]));
         let v = [1.0f32, 2.0, 3.0, 4.0];
         assert_eq!(
             shadow.submit(0, 2, 0, Channel::Reduce, &[4, 5], &v, 2),
@@ -1670,42 +1357,12 @@ mod tests {
         // Host 1 rejoins mid-epoch: alive set grows 2 → 3.
         let mut rejoined = live.clone();
         rejoined.mark_alive(1);
-        memo.observe_liveness(&rejoined);
         shadow.observe_liveness(&rejoined);
-        assert!(
-            !memo.submit(0, 2, 0, Channel::Reduce, &[4, 5]),
-            "memo must miss after a rejoin grows the alive set"
-        );
         assert_eq!(
             shadow.submit(0, 2, 0, Channel::Reduce, &[4, 5], &v, 2),
             DeltaForm::Full,
             "shadow must go full after a rejoin grows the alive set"
         );
-    }
-
-    #[test]
-    fn corrupted_value_only_frame_rejected_by_crc() {
-        // A value-only payload has no ids of its own — corruption can
-        // only be caught by the frame CRC (the length still matches the
-        // cached list). Pin that the typed Corrupt error fires before
-        // any decode against the cache could run.
-        let mut enc = RowEncoder::new(2);
-        enc.push(5, &[1.5, -2.0]);
-        enc.push(9, &[0.25, 4.0]);
-        let vo = enc.finish_values();
-        let frame = seal_frame(&vo).unwrap();
-        // Flip one payload bit; the frame length stays valid.
-        let mut bytes = frame.as_slice().to_vec();
-        bytes[FRAME_HEADER_BYTES + 3] ^= 0x10;
-        let err = open_frame(&Bytes::from(bytes)).unwrap_err();
-        assert!(
-            matches!(err, WireError::Corrupt { expected, computed } if expected != computed),
-            "payload corruption must surface as WireError::Corrupt, got {err:?}"
-        );
-        // The pristine frame still decodes against the cached ids.
-        let payload = open_frame(&frame).unwrap();
-        let mut dec = ValueDecoder::new(payload, 2, enc.ids()).unwrap();
-        assert_eq!(dec.next_entry().unwrap().0, 5);
     }
 
     #[test]
@@ -1819,12 +1476,7 @@ mod tests {
         assert!(matches!(err, WireError::BadLength { .. }));
     }
 
-    const MODES: [WireMode; 4] = [
-        WireMode::IdValue,
-        WireMode::Memo,
-        WireMode::Delta,
-        WireMode::Quant,
-    ];
+    const MODES: [WireMode; 3] = [WireMode::IdValue, WireMode::Delta, WireMode::Quant];
 
     /// Three rows of dimension 2 at nodes 5, 9 and 11; `salt` moves the
     /// middle row only.
@@ -1882,11 +1534,6 @@ mod tests {
             let want = match mode {
                 WireMode::IdValue => [(full, false); 3],
                 WireMode::Quant => [(3 * quant_entry_bytes(2), false); 3],
-                WireMode::Memo => [
-                    (full, false),
-                    (3 * value_bytes(2), true),
-                    (3 * value_bytes(2), true),
-                ],
                 WireMode::Delta => [
                     (full, false),
                     (delta_bytes(2, 3, 1), true),
@@ -1947,20 +1594,20 @@ mod tests {
             );
             let compact_too_early = match mode {
                 WireMode::IdValue | WireMode::Quant => WireError::UnexpectedForm,
-                WireMode::Memo => WireError::NoCachedIds,
                 WireMode::Delta => WireError::NoShadow,
             };
+            let compact = enc.finish_delta(&[0b111]);
             assert_eq!(
-                decode_all(&mut receiver, &enc.finish_values(), true, 12),
+                decode_all(&mut receiver, &compact, true, 12),
                 Err(compact_too_early),
                 "{mode:?}: compact flag with nothing to expand it against"
             );
             // None of that stored anything: a compact payload still has
             // nothing to expand against.
             assert_eq!(
-                decode_all(&mut receiver, &enc.finish_values(), true, 12),
+                decode_all(&mut receiver, &compact, true, 12),
                 Err(compact_too_early),
-                "{mode:?}: failed decodes must not seed the cache"
+                "{mode:?}: failed decodes must not seed the shadow"
             );
 
             // After one good exchange: a bad compact payload fails and
@@ -2040,7 +1687,6 @@ mod tests {
             let want = match mode {
                 WireMode::IdValue => [6 * entry_bytes(2); 2],
                 WireMode::Quant => [6 * quant_entry_bytes(2); 2],
-                WireMode::Memo => [6 * entry_bytes(2), 6 * value_bytes(2)],
                 // Round two: only row 9's delta differs from the shadow;
                 // the four untouched rows are zero both times.
                 WireMode::Delta => [6 * entry_bytes(2), delta_bytes(2, 6, 1)],

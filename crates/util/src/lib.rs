@@ -22,8 +22,8 @@
 //!   otherwise (or when `GW2V_FORCE_SCALAR=1`).
 //! * [`sigmoid`] — the C implementation's precomputed sigmoid table,
 //!   here because the per-pair kernel in [`simd`] looks gradients up in it.
-//! * [`split`] — the token splitter under the corpus token loop and the
-//!   text model loader: ASCII-whitespace tokens found 64 bytes at a time
+//! * [`split`] — the token splitter under the text readers (its module
+//!   doc lists them): ASCII-whitespace tokens found 64 bytes at a time
 //!   from [`simd`]'s whitespace mask.
 //! * [`stats`] — the geometric mean the figure binaries report.
 //! * [`table`] — a tiny fixed-width table printer for harness output.

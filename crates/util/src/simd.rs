@@ -434,8 +434,8 @@ pub struct Kernels {
     /// `block[i].is_ascii_whitespace()` — space, `\t`, `\n`, `\x0C` and
     /// `\r`, never `\x0B` or a byte of a non-ASCII space. The one byte
     /// classifier under [`crate::split`], so the readers that split
-    /// through it (the corpus token loop and the text model loader) cut
-    /// tokens where `str::split_ascii_whitespace` does.
+    /// through it (listed there) cut tokens where
+    /// `str::split_ascii_whitespace` does.
     /// **Backend-bit-identical by contract.**
     pub ascii_whitespace: WhitespaceMaskFn,
     /// The `f32` of the `len`-byte token at the start of `tail`, bit for

@@ -6,13 +6,13 @@
 //! [`Kernels::ascii_whitespace`](crate::simd::Kernels::ascii_whitespace)
 //! call per 64-byte block and finds each token's ends from the block's
 //! mask with `trailing_zeros`, instead of testing byte after byte.
-//! Two readers split through it: the corpus token loop (under every
-//! vocabulary and encode pass) and the word2vec text model loader
-//! (`Word2VecModel::load_text`). The other line readers split with `str`
-//! methods: `parse_edge_list` (`trim`, then `split_ascii_whitespace`),
-//! `Query::parse` (`split_ascii_whitespace`), and `read_questions` and
-//! the `gw2v phrases` command (`split_whitespace`, which also cuts at
-//! non-ASCII spaces).
+//! Every text reader splits on these bytes. The corpus token loop (under
+//! every vocabulary and encode pass), the word2vec text model loader
+//! (`Word2VecModel::load_text`), the analogy question reader
+//! (`read_questions`) and the `gw2v phrases` command split through it;
+//! `parse_edge_list` (`trim`, then `split_ascii_whitespace`) and
+//! `Query::parse` (`split_ascii_whitespace`) split with the `str` method
+//! it matches. None splits a token at a non-ASCII space such as U+00A0.
 
 use crate::simd::{kernels, WhitespaceMaskFn};
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Conformance: the differential and golden suites that hold both cluster
 # engines and every trainer to the same bits, then the release CLI driven
-# through the parities those suites cannot reach from inside one process.
+# through the parities those suites cannot reach from inside one process,
+# the compact wire modes and the refusal of `--wire memo` among them.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 ROOT=$PWD
@@ -71,6 +72,29 @@ for shape in "--dim 67" "--window 9 --dim 67 --negative 40"; do
     $train $shape --out hogbatch-threaded.txt --trainer threaded
     cmp hogbatch-dist.txt hogbatch-threaded.txt
 done
+
+# The compact wire modes go through each engine's own transport: the
+# simulator hands payloads over in process, the threaded engine ships them
+# in CRC-sealed frames between threads. Under the dense plan both must
+# write the same model. `--wire memo` is no mode: a typed error that names
+# the modes there are, and no model.
+step "Compact wire modes through the CLI (naive; delta, quant; memo refused)"
+train="$G train --input corpus.txt --hosts 3 --sync-rounds 2 --dim 16 --epochs 2 --negative 3 --plan naive"
+for wire in delta quant; do
+    $train --out wire-dist.txt --trainer dist --wire $wire
+    $train --out wire-threaded.txt --trainer threaded --wire $wire
+    cmp wire-dist.txt wire-threaded.txt
+    echo "--wire $wire: dist and threaded write the same bytes"
+done
+rm -f wire-memo.txt
+status=0
+$train --out wire-memo.txt --trainer dist --wire memo 2> memo.err || status=$?
+cat memo.err
+if [ "$status" -ne 1 ] || ! grep -q delta memo.err || ! grep -q id-value memo.err \
+    || [ -e wire-memo.txt ]; then
+    echo "--wire memo: want exit 1 naming delta and id-value and no model, got exit $status" >&2
+    exit 1
+fi
 
 step "Threaded chaos-rejoin smoke: at least one host rejoined and training converged"
 GW2V_METRICS=1 GW2V_METRICS_OUT=metrics.json "$G" train \

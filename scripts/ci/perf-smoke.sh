@@ -9,10 +9,10 @@
 #      its kernel does real arithmetic (u8 quantize), so SIMD losing to
 #      scalar means the dispatch table regressed. Healthy runs: ~8x.
 #      Decoding runs the one scalar `dequantize_rows` on both backends,
-#      and the id-value, value-only and delta codecs are one plain
-#      little-endian copy, so there is nothing to compare for them.
-#   3. Compressed payloads must stay ordered on a repeat-heavy Naive
-#      workload: delta <= memo <= classic total bytes, pinned by the
+#      and the id-value and delta codecs are one plain little-endian
+#      copy, so there is nothing to compare for them.
+#   3. Delta must ship strictly fewer total bytes than classic id-value
+#      on a repeat-heavy Naive workload, pinned by the
 #      `conformance_naive_wire_bytes_ordering` test.
 #
 # Parses the vendored criterion stub's output:
@@ -68,7 +68,7 @@ awk -v simd="$SIMD" -v scalar="$SCALAR" -v floor="$QUANT_MIN_SPEEDUP" 'BEGIN {
     }
 }'
 
-echo "running wire byte-ordering assertion (delta <= memo <= classic, Naive plan)..." >&2
+echo "running wire byte-ordering assertion (delta < classic, Naive plan)..." >&2
 cargo test --release -q -p graph-word2vec --test conformance \
     conformance_naive_wire_bytes_ordering
 

@@ -312,76 +312,6 @@ fn threaded_resume_with_dormant_rejoin_is_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Memoized wire mode, faultless: the id-list caches on both ends must
-/// make identical hit/miss decisions in the analytic simulator and the
-/// threaded engine (analytic == measured bytes), training must stay
-/// bit-identical to the classic id+value mode, and the mode must never
-/// cost more bytes than classic. RepModel-Naive repeats its dense id
-/// lists every round, so from the second round of each epoch every
-/// payload is value-only — a strictly lower byte total.
-#[test]
-fn conformance_memo_faultless_all_plans() {
-    for sync in PLANS {
-        let (sim, thr) = run_pair_wire(sync, WireMode::Memo, "seed=7");
-        assert_eq!(
-            sim.stats, thr.stats,
-            "[{sync:?}] memoized counters must agree across engines"
-        );
-
-        let (vocab, corpus, params) = prepare();
-        let classic = DistributedTrainer::new(params, dist_cfg(sync)).train(&corpus, &vocab);
-        assert_eq!(
-            sim.model, classic.model,
-            "[{sync:?}] the wire mode must not change training arithmetic"
-        );
-        assert!(
-            sim.stats.total_bytes() <= classic.stats.total_bytes(),
-            "[{sync:?}] memoized mode must never ship more than classic"
-        );
-        if sync == SyncPlan::RepModelNaive {
-            assert!(
-                sim.stats.total_bytes() < classic.stats.total_bytes(),
-                "[{sync:?}] dense id lists repeat — memoization must save bytes"
-            );
-        }
-    }
-}
-
-/// Memoized mode under message corruption: drops and bit-flips hit the
-/// CRC-framed transport, not the caches (the `value_only` flag rides in
-/// the message metadata), so repair via NAK/resend leaves the decisions
-/// and the model untouched.
-#[test]
-fn conformance_memo_drops_and_flips_all_plans() {
-    for sync in PLANS {
-        let (sim, thr) = run_pair_wire(sync, WireMode::Memo, "seed=7,drop=0.03,flip=0.02");
-        assert_eq!(sim.stats.total_bytes(), thr.stats.total_bytes());
-    }
-}
-
-/// Memoized mode across a crash: the liveness change must invalidate
-/// every cache in both engines at the same round boundary.
-#[test]
-fn conformance_memo_crash_all_plans() {
-    for sync in PLANS {
-        let (sim, thr) = run_pair_wire(sync, WireMode::Memo, "seed=7,crash=1@2");
-        assert_eq!(sim.stats, thr.stats);
-        assert!(!sim.killed && !thr.killed);
-    }
-}
-
-/// Memoized mode across crash + re-admission: the rejoin flips liveness
-/// a second time (and re-enters the epoch loop on the rejoiner), so the
-/// caches are invalidated twice and rebuilt — both engines must land on
-/// identical bytes and bits.
-#[test]
-fn conformance_memo_rejoin_all_plans() {
-    for sync in PLANS {
-        let (sim, thr) = run_pair_wire(sync, WireMode::Memo, "seed=7,crash=1@1,rejoin=1@2");
-        assert_eq!(sim.stats, thr.stats);
-    }
-}
-
 /// Delta wire mode, faultless: shadow copies on both ends must make
 /// identical full/delta decisions in the analytic simulator and the
 /// threaded engine (analytic == measured bytes), training must stay
@@ -481,17 +411,17 @@ fn conformance_quant_chaos_all_plans() {
     }
 }
 
-/// The dense plan's byte totals must order delta ≤ memo ≤ classic:
-/// memo strips repeated id lists, delta additionally strips repeated
-/// row values. Invoked from scripts/ci/perf-smoke.sh as the CI bytes
+/// On the dense plan delta must ship strictly fewer bytes than classic:
+/// an unchanged row repeated on a key costs one mask bit in place of its
+/// id and values. Invoked from scripts/ci/perf-smoke.sh as the CI bytes
 /// assertion for the compressed wire modes.
 #[test]
 fn conformance_naive_wire_bytes_ordering() {
-    // Delta's edge over memo needs rows that repeat *unchanged*: a large
-    // vocabulary touched only sparsely per round. The shared `prepare`
-    // corpus is built on a ~200-word synthetic vocabulary that negative
-    // sampling covers almost entirely every round (changed ≈ n, where a
-    // change mask costs more than it saves), so this cell builds its
+    // The workload is repeat-heavy: a large vocabulary touched only
+    // sparsely per round, so most dense rows repeat *unchanged* and cost
+    // a mask bit alone. The shared `prepare` corpus is built on a
+    // ~200-word synthetic vocabulary that negative sampling covers
+    // almost entirely every round (changed ≈ n), so this cell builds its
     // own: 1500 words in the vocabulary, training sentences drawing on a
     // 40-word pool.
     let mut text = String::new();
@@ -541,20 +471,11 @@ fn conformance_naive_wire_bytes_ordering() {
             .total_bytes()
     };
     let classic = total(WireMode::IdValue);
-    let memo = total(WireMode::Memo);
     let delta = total(WireMode::Delta);
     assert!(
-        memo <= classic,
-        "memo ({memo}) must not exceed classic ({classic})"
-    );
-    assert!(
-        delta <= memo,
-        "delta ({delta}) must not exceed memo ({memo}): unchanged dense \
-         rows cost a mask bit, not a full value row"
-    );
-    assert!(
         delta < classic,
-        "delta ({delta}) must strictly beat classic ({classic}) on the dense plan"
+        "delta ({delta}) must strictly beat classic ({classic}) on the dense plan: \
+         unchanged dense rows cost a mask bit, not an id and a value row"
     );
 }
 

@@ -9,8 +9,8 @@
 //! backends by contract.
 //!
 //! The id-value frame and the checkpoint were cut when the CRC-32 kernel
-//! was replaced; the three compact frames (memo value-only, delta
-//! mask + changed rows, quant) were cut from the low-level finishers
+//! was replaced; the two compact frames (delta mask + changed rows,
+//! quant) were cut from the low-level finishers
 //! before the `WireState::encode`/`decode` seam existed, and are now
 //! produced and consumed through it.
 //!
@@ -22,8 +22,8 @@ use graph_word2vec::core::distributed::DistConfig;
 use graph_word2vec::core::params::Hyperparams;
 use graph_word2vec::gluon::volume::CommStats;
 use graph_word2vec::gluon::wire::{
-    delta_bytes, entry_bytes, open_frame, quant_entry_bytes, seal_frame, value_bytes, Channel,
-    RowDecoder, RowEncoder, WireMode, WireState, FRAME_HEADER_BYTES,
+    delta_bytes, entry_bytes, open_frame, quant_entry_bytes, seal_frame, Channel, RowDecoder,
+    RowEncoder, WireMode, WireState, FRAME_HEADER_BYTES,
 };
 use graph_word2vec::util::fvec::FlatMatrix;
 use std::path::PathBuf;
@@ -111,8 +111,8 @@ fn compact_encoder(changed: bool) -> RowEncoder {
 }
 
 /// What a sender in `mode` puts on the wire for the second of two
-/// batches over [`COMPACT_IDS`] (the first exchange of memo and delta is
-/// always a full id-value payload), sealed; plus the receiver state that
+/// batches over [`COMPACT_IDS`] (the first exchange of delta is always a
+/// full id-value payload), sealed; plus the receiver state that
 /// saw the first batch and the second batch's `value_only` tag.
 fn golden_compact_frame(mode: WireMode) -> (Vec<u8>, WireState, bool) {
     let mut sender = WireState::for_mode(mode);
@@ -241,24 +241,6 @@ fn sealed_frame_matches_committed_bytes_and_opens() {
 }
 
 #[test]
-fn memo_value_only_frame_matches_committed_bytes_and_decodes() {
-    let committed = std::fs::read(fixture("memo_values_frame.bin")).expect("memo fixture");
-    let (frame, mut receiver, value_only) = golden_compact_frame(WireMode::Memo);
-    assert!(value_only, "a repeated id list ships value-only");
-    assert_eq!(frame, committed, "memo value-only bytes changed");
-    assert_eq!(
-        committed.len(),
-        FRAME_HEADER_BYTES + COMPACT_IDS.len() * value_bytes(FRAME_DIM)
-    );
-    let rows = decode_compact(&committed, &mut receiver, value_only);
-    assert_eq!(rows.len(), COMPACT_IDS.len());
-    for ((node, row), (want_node, want_row)) in rows.iter().zip(compact_rows(false)) {
-        assert_eq!(*node, want_node);
-        assert_eq!(bits(row), bits(&want_row), "row of node {node}");
-    }
-}
-
-#[test]
 fn delta_mask_frame_matches_committed_bytes_and_decodes() {
     let committed = std::fs::read(fixture("delta_mask_frame.bin")).expect("delta fixture");
     let (frame, mut receiver, value_only) = golden_compact_frame(WireMode::Delta);
@@ -364,7 +346,6 @@ fn regenerate_fixtures() {
     std::fs::create_dir_all(fixture("")).expect("fixture dir");
     std::fs::write(fixture("idvalue_frame.bin"), golden_frame()).expect("write frame");
     for (name, mode) in [
-        ("memo_values_frame.bin", WireMode::Memo),
         ("delta_mask_frame.bin", WireMode::Delta),
         ("quant_frame.bin", WireMode::Quant),
     ] {
