@@ -19,8 +19,13 @@
 //! model, `Word2VecModel::load_text` over a buffered file, in ms and
 //! MB/s, and the parse of its float fields alone (`parse_f32_at` over
 //! fields split beforehand, each with the 16 bytes after its start a
-//! loaded line holds), in ms and Mtok/s. Each figure is the best of N
-//! passes (default 15).
+//! loaded line holds), in ms and Mtok/s. On the save side it times
+//! `Word2VecModel::save_text` into a buffered file for a model of
+//! text-shm's size (2 500 × 64, drawn as the serve model is) and for the
+//! serve model, in ms and MB/s, and the formatting of the serve model's
+//! floats alone (`format`: each float's `{}` form into one reused
+//! buffer), in ms and Mtok/s. Each figure is the best of N passes
+//! (default 15).
 //!
 //! Usage: `cargo run --release -p gw2v-bench --bin setup_probe [N]`.
 
@@ -43,6 +48,8 @@ use std::time::Instant;
 
 const SEED: u64 = 1;
 const SERVE_ROWS: usize = 50_000;
+/// Rows of a text-shm-sized model: the corpus's vocabulary.
+const TEXT_SHM_ROWS: usize = 2_500;
 const SERVE_CLUSTERS: usize = 500;
 const DIM: usize = 64;
 
@@ -82,29 +89,66 @@ fn corpus_passes(name: &str, text: &str, path: &Path, passes: usize) {
     std::fs::remove_file(path).ok();
 }
 
-/// The serve-mixed model as the benchmark harness writes it.
-fn write_serve_model(path: &Path) {
+/// The first `rows` rows of the serve-mixed model as the benchmark
+/// harness draws it, and their vocabulary.
+fn serve_model(rows: usize) -> (Word2VecModel, Vocabulary) {
     let mut rng = Xoshiro256::new(SplitMix64::new(SEED).derive(1));
     let mut centres = FlatMatrix::zeros(SERVE_CLUSTERS, DIM);
     for v in centres.as_mut_slice() {
         *v = rng.next_f32() - 0.5;
     }
-    let mut table = FlatMatrix::zeros(SERVE_ROWS, DIM);
-    for r in 0..SERVE_ROWS {
+    let mut table = FlatMatrix::zeros(rows, DIM);
+    for r in 0..rows {
         let c = (rng.next_u64() % SERVE_CLUSTERS as u64) as usize;
         for (v, centre) in table.row_mut(r).iter_mut().zip(centres.row(c)) {
             *v = centre + 0.6 * (rng.next_f32() - 0.5);
         }
     }
-    let n = SERVE_ROWS as u64;
-    let vocab = Vocabulary::from_counts(
-        (0..SERVE_ROWS).map(|i| (format!("w{i:05}"), n - i as u64)),
-        1,
-    );
-    let model = Word2VecModel::from_layers(table, FlatMatrix::zeros(SERVE_ROWS, DIM));
+    let n = rows as u64;
+    let vocab = Vocabulary::from_counts((0..rows).map(|i| (format!("w{i:05}"), n - i as u64)), 1);
+    let model = Word2VecModel::from_layers(table, FlatMatrix::zeros(rows, DIM));
+    (model, vocab)
+}
+
+/// Writes `model` to `path` as the harness does: `save_text` through a
+/// `BufWriter`.
+fn write_model(model: &Word2VecModel, vocab: &Vocabulary, path: &Path) {
     let mut w = BufWriter::new(File::create(path).expect("create the model file"));
-    model.save_text(&vocab, &mut w).expect("write the model");
+    model.save_text(vocab, &mut w).expect("write the model");
     w.flush().expect("write the model");
+}
+
+/// Times `save_text` of `model` into `path`, best of `passes`.
+fn save_pass(name: &str, model: &Word2VecModel, vocab: &Vocabulary, path: &Path, passes: usize) {
+    let ms = best_ms(passes, || write_model(model, vocab, path));
+    let mb = std::fs::metadata(path).expect("model file").len() as f64 / 1e6;
+    println!(
+        "{name:<15} {:<10} {ms:>9.2} {:>9.1} MB/s",
+        "save_text",
+        mb / (ms / 1e3)
+    );
+}
+
+/// Times the formatting of `model`'s floats alone, one row at a time
+/// into a reused buffer, best of `passes`.
+fn format_pass(name: &str, model: &Word2VecModel, passes: usize) {
+    let mut buf = Vec::with_capacity(64 << 10);
+    let ms = best_ms(passes, || {
+        let mut bytes = 0;
+        for r in 0..model.n_words() {
+            buf.clear();
+            for v in model.syn0.row(r) {
+                write!(buf, " {v}").expect("format into memory");
+            }
+            bytes += buf.len();
+        }
+        black_box(bytes);
+    });
+    println!(
+        "{name:<15} {:<10} {ms:>9.2} {:>9.1} Mtok/s",
+        "format",
+        model.syn0.as_slice().len() as f64 / 1e6 / (ms / 1e3)
+    );
 }
 
 /// The model file's text, 16 spaces appended, and the offset and length
@@ -162,7 +206,11 @@ fn main() {
     );
 
     let path = scratch_file("model");
-    write_serve_model(&path);
+    let (small, small_vocab) = serve_model(TEXT_SHM_ROWS);
+    save_pass("text-shm", &small, &small_vocab, &path, passes);
+    let (serve, serve_vocab) = serve_model(SERVE_ROWS);
+    save_pass("serve-mixed", &serve, &serve_vocab, &path, passes);
+    format_pass("serve-mixed", &serve, passes);
     let mb = std::fs::metadata(&path).expect("model file").len() as f64 / 1e6;
     let ms = best_ms(passes, || {
         let file = File::open(&path).expect("open the model");

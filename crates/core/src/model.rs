@@ -352,6 +352,126 @@ mod tests {
     }
 
     #[test]
+    fn bytes_after_the_last_counted_row_are_never_read() {
+        for tail in [
+            &b"x\xff\xfe 1..5\n"[..],
+            b"\xff",
+            b"w 1 2\n\xc3",
+            b"   \n\n",
+            b"\xe2\x82",
+        ] {
+            let mut text = b"2 2\na 1 2\r\nb 3 4\n".to_vec();
+            text.extend_from_slice(tail);
+            let (words, model) = Word2VecModel::load_text(text.as_slice()).unwrap();
+            assert_eq!(words, ["a", "b"], "{tail:?}");
+            assert_eq!(model.syn0.as_slice(), [1.0, 2.0, 3.0, 4.0], "{tail:?}");
+        }
+    }
+
+    #[test]
+    fn a_last_line_of_only_whitespace_is_a_missing_word() {
+        for text in ["1 2\n   ", "1 2\n \t\r", "2 2\na 1 2\n \x0C "] {
+            let e = Word2VecModel::load_text(text.as_bytes()).unwrap_err();
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{text:?}");
+            assert_eq!(e.to_string(), "missing word", "{text:?}");
+        }
+    }
+
+    #[test]
+    fn a_word_and_a_row_longer_than_the_read_buffer_load() {
+        // A 300 000-byte word, then a 40 000-float row of about 440 KB
+        // with runs of whitespace between its fields, then a short row.
+        let word = "x".repeat(300_000);
+        let dim = 40_000;
+        let floats: Vec<f32> = (0..dim).map(|i| (i as f32 - 20_000.5) / 7.0).collect();
+        let mut text = format!("3 {dim}\n{word}");
+        for v in &floats {
+            text += &format!(" {v}");
+        }
+        text += "\nlong";
+        for (i, v) in floats.iter().enumerate() {
+            text += [" ", "\t", "   "][i % 3];
+            text += &format!("{v}");
+        }
+        text += "\r\nshort";
+        for i in 0..dim {
+            text += &format!(" {}", i % 10);
+        }
+        let (words, model) = Word2VecModel::load_text(text.as_bytes()).unwrap();
+        assert_eq!(words, [word.as_str(), "long", "short"]);
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(model.syn0.row(0)), bits(&floats));
+        assert_eq!(bits(model.syn0.row(1)), bits(&floats));
+        let digits: Vec<f32> = (0..dim).map(|i| (i % 10) as f32).collect();
+        assert_eq!(model.syn0.row(2), digits.as_slice());
+    }
+
+    /// A reader that hands out 1–7 bytes a call, cycling through them.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    impl std::io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let n = (self.calls % 7 + 1).min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn trickled(text: &[u8]) -> std::io::Result<(Vec<String>, Word2VecModel)> {
+        Word2VecModel::load_text(std::io::BufReader::new(Trickle {
+            bytes: text,
+            calls: 0,
+        }))
+    }
+
+    #[test]
+    fn a_reader_of_a_few_bytes_a_call_loads_the_same_model() {
+        let vocab = tiny_vocab();
+        let mut saved = Vec::new();
+        Word2VecModel::init(vocab.len(), 37, 5)
+            .save_text(&vocab, &mut saved)
+            .unwrap();
+        let mut forms = String::from("9 4\n");
+        for (r, fields) in FLOAT_FORMS.chunks(4).enumerate() {
+            forms += &format!("w{r}\u{e9} {}{}", fields.join("\t"), ["\n", "\r\n"][r % 2]);
+        }
+        for text in [saved, forms.into_bytes()] {
+            let whole = Word2VecModel::load_text(text.as_slice()).unwrap();
+            let (words, model) = trickled(&text).unwrap();
+            assert_eq!(words, whole.0);
+            let bits = |m: &Word2VecModel| {
+                m.syn0
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&model), bits(&whole.1));
+        }
+        // The same errors, from the same rows.
+        for text in [
+            &b""[..],
+            b"1 2\nw 1\xff 2\n",
+            b"2 3\na 1 2 3\nb 1 2\n",
+            b"2 2\na 1 2",
+            b"1 2\n   ",
+            b"1 2\nw 1 x\n",
+        ] {
+            let whole = Word2VecModel::load_text(text).unwrap_err();
+            let got = trickled(text).unwrap_err();
+            assert_eq!(
+                (got.kind(), got.to_string()),
+                (whole.kind(), whole.to_string())
+            );
+        }
+    }
+
+    #[test]
     fn load_rejects_garbage() {
         assert!(Word2VecModel::load_text("".as_bytes()).is_err());
         assert!(Word2VecModel::load_text("2 3\nw 1.0 2.0".as_bytes()).is_err());

@@ -1,11 +1,13 @@
-//! Heap allocations of `Word2VecModel::load_text`, counted exactly.
+//! Heap allocations of `Word2VecModel::load_text` and `save_text`,
+//! counted exactly.
 //!
-//! Loading is deterministic, so its allocation count repeats to the unit
-//! and a limit on it is a regression test with no noise: one `String`
-//! per row for its word, and a constant number of buffers besides.
+//! Both are deterministic, so their allocation counts repeat to the unit
+//! and a limit on them is a regression test with no noise: a load makes
+//! one `String` per row for its word and a constant number of buffers
+//! besides, a save a constant number whatever the row count.
 //!
-//! This binary holds one `#[test]` and counts on the calling thread
-//! only, so nothing else the test harness runs reaches the counter.
+//! The counter counts on the calling thread only, so nothing else the
+//! test harness runs reaches it.
 
 use gw2v_core::model::Word2VecModel;
 use gw2v_corpus::vocab::Vocabulary;
@@ -60,9 +62,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, COUNT.with(Cell::get))
 }
 
-#[test]
-fn load_text_allocates_one_word_per_row() {
-    let (rows, dim) = (5_000usize, 64usize);
+/// A `rows × dim` model of uniform floats in `[-0.5, 0.5)` and its
+/// vocabulary.
+fn model(rows: usize, dim: usize) -> (Word2VecModel, Vocabulary) {
     let mut rng = Xoshiro256::new(SplitMix64::new(3).derive(1));
     let mut table = FlatMatrix::zeros(rows, dim);
     for v in table.as_mut_slice() {
@@ -71,6 +73,33 @@ fn load_text_allocates_one_word_per_row() {
     let n = rows as u64;
     let vocab = Vocabulary::from_counts((0..n).map(|i| (format!("w{i:04}"), n - i)), 1);
     let model = Word2VecModel::from_layers(table, FlatMatrix::zeros(rows, dim));
+    (model, vocab)
+}
+
+#[test]
+fn save_text_allocates_a_constant() {
+    let mut counts = Vec::new();
+    for rows in [10, 1_000, 5_000] {
+        let (model, vocab) = model(rows, 64);
+        let mut text = Vec::new();
+        model.save_text(&vocab, &mut text).expect("save");
+        // Into room reserved beforehand, so the sink never grows.
+        let mut out = Vec::with_capacity(text.len());
+        let ((), n) = counted(|| model.save_text(&vocab, &mut out).expect("save"));
+        assert_eq!(out, text);
+        eprintln!("save_text: {n} allocations for {rows} rows");
+        counts.push(n);
+    }
+    assert!(
+        counts.iter().all(|&n| n == counts[0] && n <= 16),
+        "save_text: {counts:?} allocations for 10, 1 000 and 5 000 rows"
+    );
+}
+
+#[test]
+fn load_text_allocates_one_word_per_row() {
+    let (rows, dim) = (5_000usize, 64usize);
+    let (model, vocab) = model(rows, dim);
     let mut text = Vec::new();
     model.save_text(&vocab, &mut text).expect("save");
 

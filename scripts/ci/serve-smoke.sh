@@ -23,6 +23,15 @@ $serve --queries queries.txt --out answers.jsonl
 step "Served neighbours match the planted corpus structure"
 python3 "$ROOT/scripts/ci/check.py" planted answers.jsonl
 
+# `model.txt` holds the final epoch's embeddings as text and `ckpts` the
+# same floats as bits. Each float's text is the shortest decimal that
+# reads back to it, so the text round trip must lose no bit the answers
+# could show.
+step "The text model serves the same bytes as the checkpoint"
+$G serve --model model.txt --queries queries.txt --k 10 --out answers_text.jsonl
+cmp answers.jsonl answers_text.jsonl
+echo "model.txt == ckpts"
+
 step "Scalar and dispatched backends serve byte-identical answers"
 GW2V_FORCE_SCALAR=1 $serve --queries queries.txt --out answers_scalar.jsonl
 cmp answers.jsonl answers_scalar.jsonl

@@ -10,7 +10,8 @@
 //!   p 0.2 / 0.0005 and seed 1, holdout 0.2 with seed 7, walks 10 × 20
 //!   with seed 1.
 //! - The bytes `save_text` writes for a 5 000 × 64 model and the f32
-//!   bits `load_text` reads back from them.
+//!   bits `load_text` reads back from them, and the bytes it writes for
+//!   a model holding one float of every class `{}` lays out apart.
 //!
 //! Set-up is scalar code, so one column serves both kernel backends. A
 //! changed value means set-up changed what training or serving sees.
@@ -194,11 +195,92 @@ fn model_cells(out: &mut BTreeMap<String, String>) {
     );
 }
 
+/// One float of every class `{}` lays out differently: signed zeros,
+/// the ends of the subnormals and of the normals, powers of 2 and 10
+/// either side of 1e7 (where `{}` stops printing a fraction for every
+/// float) and of 1e-5, nine-digit values, exact decimal ties (the
+/// shortest digits end in a 5 that `{}` rounds up), NaN and infinities.
+fn f32_classes() -> Vec<f32> {
+    let mut v = vec![
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::from_bits(0x007f_ffff),
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+        f32::EPSILON,
+        1.0,
+        -1.0,
+        0.1,
+        123_456_789.0,
+        0.123_456_79,
+        1.234_567_9e-6,
+        -9.876_543e12,
+        3.402_823_4e37,
+        f32::from_bits(0x40bf_2000),
+        f32::from_bits(0x3f80_0001),
+        f32::from_bits(0x4b7f_ffff),
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    // Each power read from its decimal, so the bits are the correctly
+    // rounded ones whatever the platform's `powi`.
+    let pow10 = |e: i32| format!("1e{e}").parse::<f32>().expect("a power of 10");
+    for e in -3..=3 {
+        let (hi, lo) = (pow10(7 + e), pow10(-5 + e));
+        v.extend([
+            hi.next_down(),
+            hi,
+            hi.next_up(),
+            lo.next_down(),
+            lo,
+            -lo.next_up(),
+        ]);
+    }
+    for e in -30..=30 {
+        v.extend([
+            f32::from_bits(((127 + 24 + e) as u32) << 23),
+            f32::from_bits(((127 - 17 + e) as u32) << 23),
+        ]);
+    }
+    // Ties: a 24-bit mantissa over 2^k, k ≥ 1, holds a 5 in its last
+    // exact decimal digit, and some of these are their shortest form's.
+    for m in [0x00bf_2000u32, 0x00c0_0001, 0x00ff_fffd, 0x0080_0003] {
+        for k in [1, 3, 11, 17, 23] {
+            v.push(m as f32 / (1u32 << k) as f32);
+        }
+    }
+    v
+}
+
+fn classes_cell(out: &mut BTreeMap<String, String>) {
+    let mut values = f32_classes();
+    let dim = 8;
+    values.resize(values.len().next_multiple_of(dim), 0.5);
+    let rows = values.len() / dim;
+    let table = FlatMatrix::from_vec(values, rows, dim);
+    let n = rows as u64;
+    let vocab = Vocabulary::from_counts((0..n).map(|i| (format!("c{i:03}"), n - i)), 1);
+    let model = Word2VecModel::from_layers(table, FlatMatrix::zeros(rows, dim));
+    let mut text = Vec::new();
+    model.save_text(&vocab, &mut text).expect("save");
+    out.insert(
+        "model save_text f32 classes".to_owned(),
+        format!("{:08x}:{}", crc32(&text), text.len()),
+    );
+}
+
 fn run_all() -> BTreeMap<String, String> {
     let mut out = BTreeMap::new();
     corpus_cells(&mut out);
     walks_cell(&mut out);
     model_cells(&mut out);
+    classes_cell(&mut out);
     out
 }
 
