@@ -17,14 +17,14 @@
 //! (`build_vocab_from_path`) and the encode pass (`Corpus::from_text`
 //! over the text in memory), in ms and Mtok/s of raw tokens; for the
 //! model, `Word2VecModel::load_text` over a buffered file, in ms and
-//! MB/s, and the parse of its float fields alone (`parse_f32_at` over
-//! fields split beforehand, each with the 16 bytes after its start a
-//! loaded line holds), in ms and Mtok/s. On the save side it times
+//! MB/s, and the parse of its float fields alone (`parse_f32_at` at
+//! each field's start, found beforehand, in the file's text with 16
+//! spaces after it), in ms and Mtok/s. On the save side it times
 //! `Word2VecModel::save_text` into a buffered file for a model of
 //! text-shm's size (2 500 × 64, drawn as the serve model is) and for the
 //! serve model, in ms and MB/s, and the formatting of the serve model's
-//! floats alone (`format`: each float's `{}` form into one reused
-//! buffer), in ms and Mtok/s. Each figure is the best of N passes
+//! floats alone into one reused buffer, in ms and Mtok/s: by `push_f32`,
+//! as `save_text` formats them (`format`), and by `{}` (`display`). Each figure is the best of N passes
 //! (default 15).
 //!
 //! Usage: `cargo run --release -p gw2v-bench --bin setup_probe [N]`.
@@ -40,6 +40,7 @@ use gw2v_corpus::vocab::Vocabulary;
 use gw2v_corpus::walks::{generate_walks, WalkParams};
 use gw2v_util::fvec::FlatMatrix;
 use gw2v_util::rng::{Rng64, SplitMix64, Xoshiro256};
+use gw2v_util::shortest::push_f32;
 use std::fs::File;
 use std::hint::black_box;
 use std::io::{BufReader, BufWriter, Write};
@@ -129,36 +130,42 @@ fn save_pass(name: &str, model: &Word2VecModel, vocab: &Vocabulary, path: &Path,
     );
 }
 
-/// Times the formatting of `model`'s floats alone, one row at a time
-/// into a reused buffer, best of `passes`.
-fn format_pass(name: &str, model: &Word2VecModel, passes: usize) {
+/// Times the formatting of `model`'s floats alone by `push`, one row at
+/// a time into a reused buffer, best of `passes`.
+fn format_pass(
+    name: &str,
+    pass: &str,
+    model: &Word2VecModel,
+    passes: usize,
+    push: impl Fn(&mut Vec<u8>, f32),
+) {
     let mut buf = Vec::with_capacity(64 << 10);
     let ms = best_ms(passes, || {
         let mut bytes = 0;
         for r in 0..model.n_words() {
             buf.clear();
-            for v in model.syn0.row(r) {
-                write!(buf, " {v}").expect("format into memory");
+            for &v in model.syn0.row(r) {
+                buf.push(b' ');
+                push(&mut buf, v);
             }
             bytes += buf.len();
         }
         black_box(bytes);
     });
     println!(
-        "{name:<15} {:<10} {ms:>9.2} {:>9.1} Mtok/s",
-        "format",
+        "{name:<15} {pass:<10} {ms:>9.2} {:>9.1} Mtok/s",
         model.syn0.as_slice().len() as f64 / 1e6 / (ms / 1e3)
     );
 }
 
-/// The model file's text, 16 spaces appended, and the offset and length
-/// of every float field in it.
-fn float_fields(path: &Path) -> (String, Vec<(usize, usize)>) {
+/// The model file's text, 16 spaces appended, and the offset of every
+/// float field in it.
+fn float_fields(path: &Path) -> (String, Vec<usize>) {
     let mut text = std::fs::read_to_string(path).expect("read the model");
     let mut fields = Vec::new();
     for line in text.lines().skip(1) {
         for tok in line.split_ascii_whitespace().skip(1) {
-            fields.push((tok.as_ptr() as usize - text.as_ptr() as usize, tok.len()));
+            fields.push(tok.as_ptr() as usize - text.as_ptr() as usize);
         }
     }
     text.push_str(&" ".repeat(16));
@@ -210,7 +217,10 @@ fn main() {
     save_pass("text-shm", &small, &small_vocab, &path, passes);
     let (serve, serve_vocab) = serve_model(SERVE_ROWS);
     save_pass("serve-mixed", &serve, &serve_vocab, &path, passes);
-    format_pass("serve-mixed", &serve, passes);
+    format_pass("serve-mixed", "format", &serve, passes, push_f32);
+    format_pass("serve-mixed", "display", &serve, passes, |buf, v| {
+        write!(buf, "{v}").expect("format into memory")
+    });
     let mb = std::fs::metadata(&path).expect("model file").len() as f64 / 1e6;
     let ms = best_ms(passes, || {
         let file = File::open(&path).expect("open the model");
@@ -224,11 +234,13 @@ fn main() {
     );
     let (text, fields) = float_fields(&path);
     let ms = best_ms(passes, || {
-        let mut bits = 0u32;
-        for &(at, len) in &fields {
-            bits ^= parse_f32_at(&text[at..], len).expect("a float").to_bits();
+        let (mut bits, mut bytes) = (0u32, 0usize);
+        for &at in &fields {
+            let (x, len) = parse_f32_at(&text.as_bytes()[at..]);
+            bits ^= x.expect("a float").to_bits();
+            bytes += len;
         }
-        black_box(bits);
+        black_box((bits, bytes));
     });
     println!(
         "{:<15} {:<10} {ms:>9.2} {:>9.1} Mtok/s",

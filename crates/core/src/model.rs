@@ -9,18 +9,26 @@
 use gw2v_corpus::vocab::Vocabulary;
 use gw2v_util::fvec::FlatMatrix;
 use gw2v_util::rng::{Rng64, SplitMix64, Xoshiro256};
+use gw2v_util::shortest::push_f32;
 use gw2v_util::simd::kernels;
-use gw2v_util::split;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 
 /// Rows [`Word2VecModel::load_text`] reserves on a header's word.
 const PREALLOC_ROWS: usize = 1 << 16;
 /// Floats per row it reserves for them.
 const PREALLOC_DIM: usize = 256;
-/// What it appends to each row's line: the bytes
+/// Bytes it asks of its reader at a time: more than a `BufReader`'s
+/// buffer, which hands so large a read straight to the file.
+const READ_CHUNK: usize = 256 << 10;
+/// Bytes it keeps readable past the last one read: what
 /// [`Kernels::parse_f32`](gw2v_util::simd::Kernels::parse_f32) reads in
 /// one load.
-const FIELD_PAD: &str = "                ";
+const FIELD_PAD: usize = 16;
+/// Bytes [`Word2VecModel::save_text`] gathers before each write.
+const WRITE_CHUNK: usize = 64 << 10;
+/// Room it leaves for a space and one float's text: `{}` writes at
+/// most 48 bytes for an `f32`.
+const FIELD_MAX: usize = 64;
 
 /// A trained (or in-training) Word2Vec model.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,39 +84,54 @@ impl Word2VecModel {
     /// Writes the embeddings in the word2vec *text* format: a `rows dim`
     /// header line, then one `word v1 v2 …` line per word, in id order —
     /// loadable by gensim's `KeyedVectors.load_word2vec_format`.
+    ///
+    /// Each float is the text `{}` gives it (the shortest decimal that
+    /// reads back to it), written by [`push_f32`]. Rows are formatted
+    /// into one buffer of about 64 KB, written whole each time the next
+    /// row might not fit.
     pub fn save_text<W: Write>(&self, vocab: &Vocabulary, out: &mut W) -> std::io::Result<()> {
-        writeln!(out, "{} {}", self.n_words(), self.dim())?;
+        let mut buf = Vec::with_capacity(WRITE_CHUNK);
+        writeln!(buf, "{} {}", self.n_words(), self.dim())?;
+        let fields = self.dim() * FIELD_MAX;
         for id in 0..self.n_words() as u32 {
-            write!(out, "{}", vocab.word_of(id))?;
-            for v in self.embedding(id) {
-                write!(out, " {v}")?;
+            let word = vocab.word_of(id);
+            if buf.len() + word.len() + fields + 1 > buf.capacity() {
+                out.write_all(&buf)?;
+                buf.clear();
             }
-            writeln!(out)?;
+            buf.extend_from_slice(word.as_bytes());
+            for &v in self.embedding(id) {
+                buf.push(b' ');
+                push_f32(&mut buf, v);
+            }
+            buf.push(b'\n');
         }
-        Ok(())
+        out.write_all(&buf)
     }
 
     /// Loads embeddings from the word2vec text format, returning the
     /// words (in file order) and a model whose `syn1neg` is zero.
     ///
-    /// Fields are split on ASCII whitespace by the splitter the corpus
-    /// tokenizer runs ([`gw2v_util::split`]), so any word a trainer
-    /// saved loads back, and each float field is read in place by
-    /// [`Kernels::parse_f32`](gw2v_util::simd::Kernels::parse_f32): the
-    /// bits `str::parse` reads.
-    /// Rows are read through one reused line buffer; each word is the
-    /// only allocation a row makes.
-    pub fn load_text<R: BufRead>(mut input: R) -> std::io::Result<(Vec<String>, Word2VecModel)> {
-        let mut line = String::new();
-        if input.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "empty file",
-            ));
+    /// The file is read 256 KB at a time into one reused buffer, and
+    /// every complete row is parsed where it lies; only a row the
+    /// buffer's end cuts moves to its front before the next read.
+    /// Fields end at ASCII whitespace, as `str::split_ascii_whitespace`
+    /// ends them, so any word a trainer saved loads back. Each float
+    /// field is read by
+    /// [`Kernels::parse_f32`](gw2v_util::simd::Kernels::parse_f32), which
+    /// finds the field's end itself: the bits `str::parse` reads. Fields
+    /// past the `dim`-th are ignored, and bytes after the last counted
+    /// row are never read or checked. A row holding a byte that is not
+    /// UTF-8 fails as `read_line` fails it. Each word is the only
+    /// allocation a row makes.
+    pub fn load_text<R: BufRead>(input: R) -> std::io::Result<(Vec<String>, Word2VecModel)> {
+        let mut text = Rows::new(input);
+        if !text.next_row()? {
+            return Err(std::io::Error::new(ErrorKind::UnexpectedEof, "empty file"));
         }
-        let mut it = split::str_words(&line);
-        let parse_err =
-            |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_owned());
+        let parse_err = |m: &str| std::io::Error::new(ErrorKind::InvalidData, m.to_owned());
+        let header = text.take_line();
+        let mut it = header.split_ascii_whitespace();
         let rows: usize = it
             .next()
             .ok_or_else(|| parse_err("missing row count"))?
@@ -130,25 +153,46 @@ impl Word2VecModel {
         let mut words = Vec::with_capacity(rows.min(PREALLOC_ROWS));
         let mut data: Vec<f32> = Vec::with_capacity((rows * dim).min(PREALLOC_ROWS * PREALLOC_DIM));
         let parse = kernels().parse_f32;
+        // Space, `\t`, `\x0C` and `\r`: the ASCII whitespace that does
+        // not end a row.
+        let blank = |b: u8| b != b'\n' && b.is_ascii_whitespace();
         for r in 0..rows {
-            line.clear();
-            if input.read_line(&mut line)? == 0 {
+            if !text.next_row()? {
                 return Err(parse_err("truncated file"));
             }
-            // Whitespace the split ignores, so the 16 bytes from any
-            // field's start lie inside the line.
-            line.push_str(FIELD_PAD);
-            let bytes = line.as_bytes();
-            let mut parts = split::str_words(&line);
-            let word = parts.next().ok_or_else(|| parse_err("missing word"))?;
+            // The row ends in a `\n` inside `buf`, and 16 bytes past any
+            // of its bytes are readable.
+            let buf = &text.buf[..];
+            let mut at = text.pos;
+            while blank(buf[at]) {
+                at += 1;
+            }
+            let start = at;
+            while !buf[at].is_ascii_whitespace() {
+                at += 1;
+            }
+            if at == start {
+                return Err(parse_err("missing word"));
+            }
+            // `next_row` checked the row, so this never fails.
+            let word = std::str::from_utf8(&buf[start..at]).map_err(|_| invalid_utf8())?;
             words.push(word.to_owned());
             for i in 0..dim {
-                let tok = parts
-                    .next()
-                    .ok_or_else(|| parse_err(&format!("row {r} short at {i}")))?;
-                let at = tok.as_ptr() as usize - bytes.as_ptr() as usize;
-                data.push(parse(&bytes[at..], tok.len()).ok_or_else(|| parse_err("bad float"))?);
+                while blank(buf[at]) {
+                    at += 1;
+                }
+                if buf[at] == b'\n' {
+                    return Err(parse_err(&format!("row {r} short at {i}")));
+                }
+                let (x, len) = parse(&buf[at..]);
+                data.push(x.ok_or_else(|| parse_err("bad float"))?);
+                at += len;
             }
+            // Past any further fields to the row's `\n`.
+            while buf[at] != b'\n' {
+                at += 1;
+            }
+            text.pos = at + 1;
         }
         let syn0 = FlatMatrix::from_vec(data, rows, dim);
         let syn1neg = FlatMatrix::zeros(rows, dim);
@@ -156,12 +200,127 @@ impl Word2VecModel {
     }
 }
 
-/// The `f32` of the token of `len` bytes at the start of `tail`, bit for
-/// bit as `str::parse` reads it (`None` where that fails or `len` does
-/// not end on a character): the parse [`Word2VecModel::load_text`]
-/// gives each float field.
-pub fn parse_f32_at(tail: &str, len: usize) -> Option<f32> {
-    (kernels().parse_f32)(tail.as_bytes(), len)
+/// The error `read_line` gives a line that is not UTF-8.
+fn invalid_utf8() -> std::io::Error {
+    std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+}
+
+/// The rows of a text file, read in chunks into one buffer and handed
+/// out where they lie.
+///
+/// `buf[pos..rows_end]` holds complete rows, each ending in `\n` (the
+/// last row of a file that does not end in one gets a `\n` written past
+/// its end), `buf[rows_end..end]` the start of a row not yet complete,
+/// and at least [`FIELD_PAD`] bytes follow `end`.
+struct Rows<R> {
+    input: R,
+    buf: Vec<u8>,
+    /// Start of the next row.
+    pos: usize,
+    /// End of the complete rows.
+    rows_end: usize,
+    /// End of the bytes read.
+    end: usize,
+    /// Start of the first complete row that is not UTF-8, if any.
+    bad_row: Option<usize>,
+    /// True once the reader has returned 0.
+    eof: bool,
+}
+
+impl<R: Read> Rows<R> {
+    fn new(input: R) -> Self {
+        Self {
+            input,
+            buf: vec![0; READ_CHUNK + FIELD_PAD],
+            pos: 0,
+            rows_end: 0,
+            end: 0,
+            bad_row: None,
+            eof: false,
+        }
+    }
+
+    /// Makes `pos` the start of a complete row, reading on where the
+    /// buffer holds none: false at the end of the input, the UTF-8 error
+    /// for a row that is not UTF-8.
+    fn next_row(&mut self) -> std::io::Result<bool> {
+        if self.pos == self.rows_end && !self.fill()? {
+            return Ok(false);
+        }
+        if self.bad_row == Some(self.pos) {
+            return Err(invalid_utf8());
+        }
+        Ok(true)
+    }
+
+    /// Moves the cut row to the front and reads until a row is complete;
+    /// false if the input ends first with no byte of one.
+    fn fill(&mut self) -> std::io::Result<bool> {
+        if self.eof {
+            return Ok(false);
+        }
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        loop {
+            let room = self.buf.len() - FIELD_PAD;
+            if self.end == room {
+                // A row longer than the buffer: double it.
+                self.buf.resize(2 * room + FIELD_PAD, 0);
+                continue;
+            }
+            let n = match self.input.read(&mut self.buf[self.end..room]) {
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let new = self.end..self.end + n;
+            self.end += n;
+            if n == 0 {
+                self.eof = true;
+                if self.end == 0 {
+                    return Ok(false);
+                }
+                self.buf[self.end] = b'\n';
+                self.rows_end = self.end + 1;
+                break;
+            }
+            if let Some(i) = self.buf[new.clone()].iter().rposition(|&b| b == b'\n') {
+                self.rows_end = new.start + i + 1;
+                break;
+            }
+        }
+        // One check of the new rows; a failure is reported when the row
+        // that holds it is reached, so rows before it load as they would.
+        let rows = &self.buf[..self.rows_end];
+        self.bad_row = std::str::from_utf8(rows).err().map(|e| {
+            let bad = e.valid_up_to();
+            rows[..bad]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1)
+        });
+        Ok(true)
+    }
+
+    /// The row at `pos` without its line ending's `\n`, moving past it.
+    fn take_line(&mut self) -> &str {
+        let start = self.pos;
+        let len = self.buf[start..self.rows_end]
+            .iter()
+            .position(|&b| b == b'\n')
+            .expect("a complete row ends in a newline");
+        self.pos = start + len + 1;
+        std::str::from_utf8(&self.buf[start..start + len]).expect("next_row checked the row")
+    }
+}
+
+/// The `f32` of the token at the start of `tail` (its bytes up to the
+/// first ASCII whitespace), bit for bit as `str::parse` reads it (`None`
+/// where that fails), and the token's length: the parse
+/// [`Word2VecModel::load_text`] gives each float field.
+pub fn parse_f32_at(tail: &[u8]) -> (Option<f32>, usize) {
+    (kernels().parse_f32)(tail)
 }
 
 #[cfg(test)]
@@ -477,5 +636,32 @@ mod tests {
         assert!(Word2VecModel::load_text("2 3\nw 1.0 2.0".as_bytes()).is_err());
         assert!(Word2VecModel::load_text("1 2\nw 1.0".as_bytes()).is_err());
         assert!(Word2VecModel::load_text("1 2\nw x y".as_bytes()).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any finite float, subnormals and signed zeros included, comes
+        /// back bit for bit through `save_text` → `load_text` on the
+        /// backend the environment selects.
+        #[test]
+        fn prop_save_load_keeps_every_finite_bit_pattern(
+            bits in proptest::collection::vec(proptest::prelude::any::<u32>(), 3 * 16),
+        ) {
+            let values: Vec<f32> = bits
+                .iter()
+                .map(|&b| f32::from_bits(b))
+                .map(|x| if x.is_finite() { x } else { -0.0 })
+                .collect();
+            let vocab = tiny_vocab();
+            let syn0 = FlatMatrix::from_vec(values, vocab.len(), 16);
+            let model = Word2VecModel::from_layers(syn0, FlatMatrix::zeros(vocab.len(), 16));
+            let mut text = Vec::new();
+            model.save_text(&vocab, &mut text).unwrap();
+            let (_, loaded) = Word2VecModel::load_text(text.as_slice()).unwrap();
+            let got: Vec<u32> = loaded.syn0.as_slice().iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = model.syn0.as_slice().iter().map(|x| x.to_bits()).collect();
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

@@ -25,6 +25,9 @@
 //! * [`split`] — the token splitter under the text readers (its module
 //!   doc lists them): ASCII-whitespace tokens found 64 bytes at a time
 //!   from [`simd`]'s whitespace mask.
+//! * [`shortest`] — [`shortest::push_f32`], the shortest decimal that
+//!   reads back to an `f32`, laid out as `{}` lays it out: the float
+//!   formatter under the word2vec text writer.
 //! * [`stats`] — the geometric mean the figure binaries report.
 //! * [`table`] — a tiny fixed-width table printer for harness output.
 
@@ -35,6 +38,7 @@ pub mod bitvec;
 pub mod crc32;
 pub mod fvec;
 pub mod rng;
+pub mod shortest;
 pub mod sigmoid;
 pub mod simd;
 pub mod split;

@@ -210,9 +210,10 @@ pub(crate) type DotCodesFn = fn(
 /// [`Kernels::ascii_whitespace`]).
 pub type WhitespaceMaskFn = fn(block: &[u8; 64]) -> u64;
 
-/// Signature of the decimal-parse kernel: the `f32` of the `len`-byte
-/// token at the start of `tail` (see [`Kernels::parse_f32`]).
-pub type ParseF32Fn = fn(tail: &[u8], len: usize) -> Option<f32>;
+/// Signature of the decimal-parse kernel: the `f32` of the token at the
+/// start of `tail`, which ends at the first ASCII-whitespace byte, and
+/// the token's length (see [`Kernels::parse_f32`]).
+pub type ParseF32Fn = fn(tail: &[u8]) -> (Option<f32>, usize);
 
 /// Rows in one block of 4-bit codes: one per 32-bit lane of a 256-bit
 /// register.
@@ -438,16 +439,20 @@ pub struct Kernels {
     /// `str::split_ascii_whitespace` does.
     /// **Backend-bit-identical by contract.**
     pub ascii_whitespace: WhitespaceMaskFn,
-    /// The `f32` of the `len`-byte token at the start of `tail`, bit for
-    /// bit as `str::parse::<f32>` reads it: `None` where that fails,
-    /// where the token is not UTF-8 or where `len > tail.len()`. The
-    /// scalar entry reads `-?[0-9]+(\.[0-9]+)?` one byte at a time; the
-    /// AVX2 entry reads a token of at most 16 bytes in one 16-byte load,
-    /// so it wants `tail` to hold 16 bytes from the token's first byte
-    /// on (the scalar entry reads anything else). Both round a decimal
-    /// of mantissa `m < 2^53` and `k ≤ 22` fraction digits with one
-    /// `f64` division (see [`scalar::parse_f32`]) and hand every other
-    /// form to `str::parse`. **Backend-bit-identical by contract.**
+    /// The token at the start of `tail` — its bytes up to the first
+    /// ASCII-whitespace byte (space, `\t`, `\n`, `\x0C`, `\r`) or the
+    /// end of `tail` — read as `str::parse::<f32>` reads it, bit for bit,
+    /// and its length: the kernel finds the token's end itself. The value
+    /// is `None` where `str::parse` fails or the token is not UTF-8;
+    /// an empty token (`tail` empty or starting with whitespace) is
+    /// `(None, 0)`. The scalar entry finds the end and reads
+    /// `-?[0-9]+(\.[0-9]+)?` one byte at a time. The AVX2 entry classifies
+    /// the first 16 bytes and reads a token of at most 16 bytes in that
+    /// one load, so it wants `tail` to hold 16 bytes (the scalar entry
+    /// reads anything else). Both round a decimal of mantissa `m < 2^53`
+    /// and `k ≤ 22` fraction digits with one `f64` division (see
+    /// [`scalar::parse_f32`]) and hand every other form to `str::parse`.
+    /// **Backend-bit-identical by contract**, the length too.
     pub parse_f32: ParseF32Fn,
 }
 
@@ -502,7 +507,7 @@ static AVX2_KERNELS: Kernels = Kernels {
     // and installs slice-by-8 otherwise.
     crc32_update: |state, bytes| unsafe { crate::crc32::clmul::update(state, bytes) },
     ascii_whitespace: |block| unsafe { avx2::ascii_whitespace(block) },
-    parse_f32: |tail, len| unsafe { avx2::parse_f32(tail, len) },
+    parse_f32: |tail| unsafe { avx2::parse_f32(tail) },
 };
 
 struct Selected {
@@ -811,10 +816,11 @@ pub mod scalar {
         })
     }
 
-    /// The `f32` of the `len`-byte token at the start of `tail`, as
-    /// `str::parse` reads it, with a fast path for `[-]digits[.digits]`,
-    /// the forms a saved model holds: one byte at a time, one dependent
-    /// multiply-add per digit.
+    /// The `f32` of the token at the start of `tail` (up to its first
+    /// ASCII-whitespace byte), as `str::parse` reads it, and the token's
+    /// length, with a fast path for `[-]digits[.digits]`, the forms a
+    /// saved model holds: one byte at a time, one dependent multiply-add
+    /// per digit.
     ///
     /// With a mantissa `m < 2^53` and `k ≤ 22` fraction digits, `m` and
     /// `10^k` are exact in `f64`, so one division rounds `m / 10^k` to
@@ -825,9 +831,16 @@ pub mod scalar {
     /// midpoint, and that goes to `str::parse`. A midpoint is an `f64`
     /// whose 29 low fraction bits are `1 << 28`: every nonzero quotient
     /// lies in `[10^-22, 2^53)`, inside the normal `f32` range.
-    pub fn parse_f32(tail: &[u8], len: usize) -> Option<f32> {
-        let token = tail.get(..len)?;
-        parse_decimal(token).or_else(|| super::parse_f32_str(token))
+    pub fn parse_f32(tail: &[u8]) -> (Option<f32>, usize) {
+        let len = tail
+            .iter()
+            .position(u8::is_ascii_whitespace)
+            .unwrap_or(tail.len());
+        let token = &tail[..len];
+        (
+            parse_decimal(token).or_else(|| super::parse_f32_str(token)),
+            len,
+        )
     }
 
     /// [`parse_f32`]'s fast path: `None` for every other form, and for
@@ -1060,25 +1073,38 @@ mod avx2 {
     }
 
     /// The `f32` of a token of at most 16 bytes read in one 16-byte load
-    /// (any other call is the scalar entry's). Masks of the digit and
-    /// dot bytes check the token against `-?[0-9]+(\.[0-9]+)?` (a
-    /// mismatch goes to `str::parse`); one `pshufb` squeezes out the dot
+    /// (any other call is the scalar entry's). The load's whitespace
+    /// mask (the `pshufb` table of [`ascii_whitespace`]) ends the token
+    /// at its lowest bit, or at byte 16 where that one is whitespace or
+    /// past the end. Masks of the digit and dot bytes check the token
+    /// against `-?[0-9]+(\.[0-9]+)?` (a mismatch goes to `str::parse`);
+    /// one `pshufb` squeezes out the dot
     /// and right-aligns the digits behind zeros, and
     /// `pmaddubsw`, `pmaddwd`, `packusdw` and `pmaddwd` fold them into
     /// two 8-digit halves, `m = hi · 10^8 + lo`. The token's `m` and `k`
     /// are then exactly those of the scalar loop, and so is the rounding.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn parse_f32(tail: &[u8], len: usize) -> Option<f32> {
-        let block = match tail.first_chunk::<16>() {
-            Some(block) if len <= 16 => block,
-            _ => return super::scalar::parse_f32(tail, len),
+    pub unsafe fn parse_f32(tail: &[u8]) -> (Option<f32>, usize) {
+        let Some(block) = tail.first_chunk::<16>() else {
+            return super::scalar::parse_f32(tail);
         };
         // SAFETY: the load lies inside the 16-byte block.
         let v = unsafe { _mm_loadu_si128(block.as_ptr().cast()) };
+        const FF: i8 = -1;
+        let table = _mm_setr_epi8(
+            0x20, FF, FF, FF, FF, FF, FF, FF, FF, 0x09, 0x0A, FF, 0x0C, 0x0D, FF, FF,
+        );
+        let ws = _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_shuffle_epi8(table, v), v)) as u32;
+        let len = if ws != 0 {
+            ws.trailing_zeros()
+        } else if tail.get(16).is_none_or(u8::is_ascii_whitespace) {
+            16
+        } else {
+            return super::scalar::parse_f32(tail);
+        };
         let d = _mm_sub_epi8(v, _mm_set1_epi8(b'0' as i8));
         let digits = _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_min_epu8(d, _mm_set1_epi8(9)), d)) as u32;
         let dots = _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_set1_epi8(b'.' as i8))) as u32;
-        let len = len as u32;
         let sign = u32::from(block[0] == b'-');
         // The token's bytes after the sign (`sign` is bit 0 or nothing):
         // digits and at most one dot, with a digit on each side of it.
@@ -1091,8 +1117,9 @@ mod avx2 {
             } else {
                 dot & (dot - 1) == 0 && at > sign && at + 1 < len
             };
+        let token = &block[..len as usize];
         if !valid {
-            return super::parse_f32_str(&block[..len as usize]);
+            return (super::parse_f32_str(token), token.len());
         }
         // The digits end at `end` once the dot is squeezed out. Output
         // byte `j` takes byte `j + end - 16` (a zero where that is
@@ -1118,10 +1145,9 @@ mod avx2 {
         let x = _mm_madd_epi16(x, _mm_setr_epi16(10000, 1, 10000, 1, 10000, 1, 10000, 1));
         let hi = u64::from(_mm_cvtsi128_si32(x) as u32);
         let lo = u64::from(_mm_extract_epi32::<1>(x) as u32);
-        match super::round_decimal(hi * 100_000_000 + lo, k as usize, sign == 1) {
-            Some(x) => Some(x),
-            None => super::parse_f32_str(&block[..len as usize]),
-        }
+        let x = super::round_decimal(hi * 100_000_000 + lo, k as usize, sign == 1)
+            .or_else(|| super::parse_f32_str(token));
+        (x, token.len())
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -2715,15 +2741,21 @@ mod tests {
         entries
     }
 
-    /// Both `parse_f32` entries against `str::parse`, bit for bit (NaN
-    /// payloads too), on the token alone and with 16 bytes after it.
-    fn assert_parses_like_str(tok: &str) {
-        let want = tok.parse::<f32>().ok().map(f32::to_bits);
-        let padded = format!("{tok}{:16}", "");
-        for tail in [tok, &padded] {
+    /// Both `parse_f32` entries against `str::parse` of the text before
+    /// the first ASCII whitespace, bit for bit (NaN payloads too) and
+    /// with that text's length, on the text alone and with 16 spaces
+    /// after it.
+    fn assert_parses_like_str(text: &str) {
+        let tok = text
+            .split(|c: char| c.is_ascii_whitespace())
+            .next()
+            .unwrap();
+        let want = (tok.parse::<f32>().ok().map(f32::to_bits), tok.len());
+        let padded = format!("{text}{:16}", "");
+        for tail in [text, &padded] {
             for (name, parse) in parse_entries() {
-                let got = parse(tail.as_bytes(), tok.len()).map(f32::to_bits);
-                assert_eq!(got, want, "{name}: {tok:?} in {tail:?}");
+                let (x, len) = parse(tail.as_bytes());
+                assert_eq!((x.map(f32::to_bits), len), want, "{name}: {tail:?}");
             }
         }
     }
@@ -2754,7 +2786,7 @@ mod tests {
             assert_parses_like_str(tok);
         }
         assert_eq!(
-            scalar::parse_f32(b"-0", 2).map(f32::to_bits),
+            scalar::parse_f32(b"-0").0.map(f32::to_bits),
             Some((-0.0f32).to_bits())
         );
         // 17- and 20-digit mantissas: below and above 2^53.

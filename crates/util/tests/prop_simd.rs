@@ -1380,28 +1380,37 @@ fn parse_oracle(token: &[u8]) -> Option<u32> {
     text.parse::<f32>().ok().map(f32::to_bits)
 }
 
-/// Checks both entries on `token` with `after` behind it (at least 16
-/// bytes from the token's start once `after` is long enough).
-fn check_parse(token: &[u8], after: &[u8]) {
-    let want = parse_oracle(token);
-    let mut tail = token.to_vec();
-    tail.extend_from_slice(after);
+/// Checks both entries on `tail`: the token is its bytes up to the
+/// first ASCII whitespace (or all of it), and each entry must return
+/// that token's `str::parse` bits and its length.
+fn check_parse(tail: &[u8]) {
+    let len = tail
+        .iter()
+        .position(u8::is_ascii_whitespace)
+        .unwrap_or(tail.len());
+    let want = (parse_oracle(&tail[..len]), len);
     for (name, parse) in parse_backends() {
-        let got = parse(&tail, token.len()).map(f32::to_bits);
+        let (x, got_len) = parse(tail);
         assert_eq!(
-            got,
+            (x.map(f32::to_bits), got_len),
             want,
-            "{name}: {:?} followed by {after:?}",
-            String::from_utf8_lossy(token)
+            "{name}: {:?}",
+            String::from_utf8_lossy(tail)
         );
     }
 }
 
+/// `a` then `b`.
+fn cat(a: &[u8], b: &[u8]) -> Vec<u8> {
+    [a, b].concat()
+}
+
 #[test]
 fn parse_f32_is_str_parse_on_strided_bit_patterns_in_four_forms() {
-    // A prime stride visits every exponent and scatters mantissas; the
-    // bytes after each token are digits, a dot and a sign, which a
-    // token read past its end would swallow.
+    // A prime stride visits every exponent and scatters mantissas. After
+    // each token: nothing, a field behind each kind of whitespace, and
+    // digits, a dot and a sign with no whitespace between, which are then
+    // the token's.
     for bits in (0..=u32::MAX).step_by(100_003) {
         let x = f32::from_bits(bits);
         for tok in [
@@ -1410,17 +1419,23 @@ fn parse_f32_is_str_parse_on_strided_bit_patterns_in_four_forms() {
             format!("{x:.9}"),
             format!("{x:e}"),
         ] {
-            check_parse(tok.as_bytes(), b"");
-            check_parse(tok.as_bytes(), b"9.-8e7 6543210123456789");
-            check_parse(tok.as_bytes(), b"\n                ");
+            let tok = tok.as_bytes();
+            check_parse(tok);
+            check_parse(&cat(tok, b" 9.-8e7 6543210123456789"));
+            check_parse(&cat(tok, b"\n                "));
+            check_parse(&cat(tok, b"\r\n-1.5"));
+            check_parse(&cat(tok, b"\t0.25\x0C"));
+            check_parse(&cat(tok, b"9.-8e7 6543210123456789"));
         }
     }
 }
 
 #[test]
 fn parse_f32_reads_a_token_of_each_length_at_the_end_of_the_input() {
-    // Tokens of 1–20 bytes, the last byte of `tail` their last, so the
-    // AVX2 entry's 16-byte read is there for some and not for others.
+    // Tokens of 1–20 bytes, alone at the end of `tail` or followed by a
+    // space and digits, so the AVX2 entry's 16-byte read is there for
+    // some and not for others, and its whitespace mask ends some and
+    // not others.
     for len in 1..=20usize {
         let digits: String = (0..len).map(|i| char::from(b'1' + (i % 9) as u8)).collect();
         for tok in [
@@ -1428,8 +1443,11 @@ fn parse_f32_reads_a_token_of_each_length_at_the_end_of_the_input() {
             format!("-{}", &digits[1..]),
             format!("{}.{}", &digits[..len / 2], &digits[len / 2 + 1..]),
         ] {
+            check_parse(tok.as_bytes());
             for pad in 0..=17 {
-                check_parse(tok.as_bytes(), &b"7".repeat(pad));
+                let sevens = b"7".repeat(pad);
+                check_parse(&cat(tok.as_bytes(), &cat(b" ", &sevens)));
+                check_parse(&cat(tok.as_bytes(), &cat(b"\n", &sevens)));
             }
         }
     }
@@ -1449,7 +1467,7 @@ proptest! {
         after in proptest::collection::vec(any::<u8>(), 0..=20),
     ) {
         let token: Vec<u8> = picks.iter().map(|&i| PARSE_BYTES[i]).collect();
-        check_parse(&token, &after);
+        check_parse(&cat(&token, &after));
     }
 }
 
@@ -1472,8 +1490,12 @@ fn parse_f32_is_str_parse_on_every_f32_display_string() {
                         let want = text.parse::<f32>().ok().map(f32::to_bits);
                         tail[..text.len()].copy_from_slice(text.as_bytes());
                         for (name, parse) in parse_backends() {
-                            let got = parse(&tail, text.len()).map(f32::to_bits);
-                            assert_eq!(got, want, "{name}: {text:?}");
+                            let (x, len) = parse(&tail);
+                            assert_eq!(
+                                (x.map(f32::to_bits), len),
+                                (want, text.len()),
+                                "{name}: {text:?}"
+                            );
                         }
                         tail[..text.len()].fill(b' ');
                     }
