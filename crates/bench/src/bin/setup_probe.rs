@@ -24,8 +24,8 @@
 //! text-shm's size (2 500 × 64, drawn as the serve model is) and for the
 //! serve model, in ms and MB/s, and the formatting of the serve model's
 //! floats alone into one reused buffer, in ms and Mtok/s: by `push_f32`,
-//! as `save_text` formats them (`format`), and by `{}` (`display`). Each figure is the best of N passes
-//! (default 15).
+//! as `save_text` formats them (`format`), and by `{}` (`display`).
+//! Each figure is the best of N passes (default 15).
 //!
 //! Usage: `cargo run --release -p gw2v-bench --bin setup_probe [N]`.
 

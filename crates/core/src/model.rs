@@ -26,8 +26,9 @@ const READ_CHUNK: usize = 256 << 10;
 const FIELD_PAD: usize = 16;
 /// Bytes [`Word2VecModel::save_text`] gathers before each write.
 const WRITE_CHUNK: usize = 64 << 10;
-/// Room it leaves for a space and one float's text: `{}` writes at
-/// most 48 bytes for an `f32`.
+/// Room it leaves for a space and one float's text (`{}` writes fewer
+/// than 50 bytes for any `f32`), so a row that fits never grows the
+/// buffer.
 const FIELD_MAX: usize = 64;
 
 /// A trained (or in-training) Word2Vec model.
@@ -489,7 +490,7 @@ mod tests {
             (e.kind(), e.to_string())
         };
         let bad = |m: &str| (std::io::ErrorKind::InvalidData, m.to_owned());
-        // `read_line` checks the whole line, so a non-UTF-8 byte fails the
+        // A counted row is checked whole, so a non-UTF-8 byte fails the
         // load wherever it stands: in a word, a float, or a field past the
         // last one read.
         let utf8 = bad("stream did not contain valid UTF-8");

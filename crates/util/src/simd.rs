@@ -1078,10 +1078,9 @@ mod avx2 {
     /// at its lowest bit, or at byte 16 where that one is whitespace or
     /// past the end. Masks of the digit and dot bytes check the token
     /// against `-?[0-9]+(\.[0-9]+)?` (a mismatch goes to `str::parse`);
-    /// one `pshufb` squeezes out the dot
-    /// and right-aligns the digits behind zeros, and
-    /// `pmaddubsw`, `pmaddwd`, `packusdw` and `pmaddwd` fold them into
-    /// two 8-digit halves, `m = hi · 10^8 + lo`. The token's `m` and `k`
+    /// one `pshufb` squeezes out the dot and right-aligns the digits
+    /// behind zeros, and `pmaddubsw`, `pmaddwd`, `packusdw` and
+    /// `pmaddwd` fold them into two 8-digit halves, `m = hi · 10^8 + lo`. The token's `m` and `k`
     /// are then exactly those of the scalar loop, and so is the rounding.
     #[target_feature(enable = "avx2")]
     pub unsafe fn parse_f32(tail: &[u8]) -> (Option<f32>, usize) {

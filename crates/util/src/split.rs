@@ -7,12 +7,14 @@
 //! call per 64-byte block and finds each token's ends from the block's
 //! mask with `trailing_zeros`, instead of testing byte after byte.
 //! Every text reader splits on these bytes. The corpus token loop (under
-//! every vocabulary and encode pass), the word2vec text model loader
-//! (`Word2VecModel::load_text`), the analogy question reader
+//! every vocabulary and encode pass), the analogy question reader
 //! (`read_questions`) and the `gw2v phrases` command split through it;
 //! `parse_edge_list` (`trim`, then `split_ascii_whitespace`) and
 //! `Query::parse` (`split_ascii_whitespace`) split with the `str` method
-//! it matches. None splits a token at a non-ASCII space such as U+00A0.
+//! it matches, and the word2vec text model loader
+//! (`Word2VecModel::load_text`) walks its rows byte by byte between
+//! fields whose ends the float parse finds. None splits a token at a
+//! non-ASCII space such as U+00A0.
 
 use crate::simd::{kernels, WhitespaceMaskFn};
 
