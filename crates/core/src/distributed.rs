@@ -12,14 +12,17 @@
 //!     decay α
 //! ```
 //!
-//! Hosts are simulated deterministically in id order within one OS
-//! thread (DESIGN.md §1/§3): the simulator walks the epoch loop of
-//! `host::run` over all of them, the loop each thread of
-//! [`crate::trainer_threaded::ThreadedTrainer`] walks over its one host.
+//! Hosts are simulated deterministically (DESIGN.md §1/§3): the
+//! simulator walks the epoch loop of `host::run` over all of them, the
+//! loop each thread of [`crate::trainer_threaded::ThreadedTrainer`] walks
+//! over its one host. A round's compute runs the hosts on the box's
+//! cores, each against its own replica; the sync's sender-major
+//! exchange runs on one thread, in host order.
 //! What it supplies is what a simulation does differently: a rejoiner's
 //! replica is a copy, a death is known at once, and stragglers and the
 //! network cost *virtual* time. Each host's compute phase is wall-clock
-//! timed individually, so per-round virtual time is
+//! timed individually, beside the hosts the other cores train, so
+//! per-round virtual time is
 //! `max_h(compute_h) + cost_model(volume)`, which is what a BSP cluster
 //! would experience.
 //!
@@ -271,7 +274,7 @@ impl DistributedTrainer {
     }
 }
 
-/// The simulator's side of the epoch loop: every host in one thread,
+/// The simulator's side of the epoch loop: every host in one process,
 /// deaths learned at once, stragglers and the network priced on virtual
 /// clocks, tallies in hand.
 struct Simulator<'e, F> {
@@ -420,9 +423,17 @@ impl<F: FnMut(&EpochSnapshot, &Word2VecModel)> Engine for Simulator<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::with_lanes;
     use crate::trainer_seq::SequentialTrainer;
-    use crate::trainer_shared::{dist_config, toy_corpus};
+    use crate::trainer_shared::{dist_config, fault_counters, toy_corpus};
     use gw2v_util::fvec;
+    use std::collections::BTreeMap;
+
+    fn fault_counts() -> BTreeMap<String, u64> {
+        let mut counts = gw2v_obs::snapshot().counters;
+        counts.retain(|name, _| name.starts_with("faults."));
+        counts.into_iter().collect()
+    }
 
     #[test]
     fn paper_sync_rounds_rule() {
@@ -590,8 +601,70 @@ mod tests {
         assert!(r4.comm_time > 0.0);
     }
 
+    /// The compute phase's lanes cannot change a bit: eight hosts on
+    /// 1, 2, 3 and 8 lanes, with a host crashing, adopted as a ward,
+    /// rejoining, and a fourth straggling.
+    #[test]
+    fn the_lane_count_changes_no_bit() {
+        let _counters = fault_counters();
+        let (corpus, vocab) = toy_corpus(160);
+        let params = Hyperparams {
+            epochs: 3,
+            subsample: 0.0,
+            ..Hyperparams::test_scale()
+        };
+        let plan: FaultPlan = "crash=2@1,rejoin=2@2,straggle=6@3x5ms".parse().unwrap();
+        let bits = |m: &Word2VecModel| -> Vec<u32> {
+            let rows = m.syn0.as_slice().iter().chain(m.syn1neg.as_slice());
+            rows.map(|x| x.to_bits()).collect()
+        };
+        gw2v_obs::set_enabled(true);
+        for sync in [SyncPlan::RepModelOpt, SyncPlan::PullModel] {
+            let runs: Vec<_> = [1, 2, 3, 8]
+                .into_iter()
+                .map(|lanes| {
+                    let before = fault_counts();
+                    let r = with_lanes(lanes, || {
+                        DistributedTrainer::new(
+                            params.clone(),
+                            dist_config(8, 2, sync, CombinerKind::ModelCombiner),
+                        )
+                        .with_faults(plan.clone())
+                        .train(&corpus, &vocab)
+                    });
+                    let mut faults = fault_counts();
+                    for (name, n) in &mut faults {
+                        *n -= before.get(name).copied().unwrap_or(0);
+                    }
+                    (lanes, bits(&r.model), r.stats, r.pairs_trained, faults)
+                })
+                .collect();
+            let (_, model, stats, pairs, faults) = &runs[0];
+            assert!(*pairs > 5_000, "{sync:?}: {pairs} pairs trained");
+            for name in [
+                "injected.crash",
+                "recovered.adopt",
+                "recovered.rejoin",
+                "injected.straggle",
+            ] {
+                assert!(
+                    faults[&format!("faults.{name}")] > 0,
+                    "{sync:?}: the plan fires {name}"
+                );
+            }
+            for (lanes, m, st, p, f) in &runs[1..] {
+                assert!(m == model, "{sync:?}, {lanes} lanes: model bits");
+                assert_eq!(st, stats, "{sync:?}, {lanes} lanes");
+                assert_eq!(p, pairs, "{sync:?}, {lanes} lanes");
+                assert_eq!(f, faults, "{sync:?}, {lanes} lanes");
+            }
+        }
+        gw2v_obs::set_enabled(false);
+    }
+
     #[test]
     fn crash_degrades_gracefully_and_still_learns() {
+        let _counters = fault_counters();
         let (corpus, vocab) = toy_corpus(180);
         let params = Hyperparams {
             dim: 24,
@@ -617,6 +690,7 @@ mod tests {
 
     #[test]
     fn degraded_runs_are_deterministic() {
+        let _counters = fault_counters();
         let (corpus, vocab) = toy_corpus(90);
         let params = Hyperparams {
             epochs: 2,
@@ -642,6 +716,7 @@ mod tests {
 
     #[test]
     fn stragglers_inflate_virtual_time_only() {
+        let _counters = fault_counters();
         let (corpus, vocab) = toy_corpus(60);
         let params = Hyperparams {
             epochs: 1,

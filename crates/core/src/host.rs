@@ -3,7 +3,12 @@
 //! Algorithm 1 is a per-host loop: train this round's chunk, then
 //! synchronize. [`run`] is that loop over the [`Hosts`] one process
 //! holds: all of them in [`crate::distributed::DistributedTrainer`], one
-//! per thread in [`crate::trainer_threaded::ThreadedTrainer`]. Every
+//! per thread in [`crate::trainer_threaded::ThreadedTrainer`]. A host's
+//! round shares nothing with the others until the sync, so the compute
+//! phase trains the held live hosts on the cores the process may run on,
+//! one contiguous group of hosts a thread, and the sync runs on the
+//! calling thread after the join; a process holding one host spawns
+//! nothing. Every
 //! process walks every round and replays the plan's crashes and rejoins
 //! into its own [`Liveness`] view, so no view is ever sent. A dead host's
 //! thread walks the loop too: it trains, syncs and confirms nothing, and
@@ -40,6 +45,8 @@ use gw2v_gluon::wire::{WireMode, WireState};
 use gw2v_gluon::ModelReplica;
 use gw2v_util::fvec::FlatMatrix;
 use gw2v_util::rng::{SplitMix64, Xoshiro256};
+#[cfg(test)]
+use std::cell::Cell;
 use std::iter::once;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -456,6 +463,7 @@ pub(crate) fn run<E: Engine>(
 ) -> Result<(), ClusterError> {
     let epochs = env.params.epochs;
     let mut compute = vec![0.0f64; hosts.work.len()];
+    let cores = lane_budget();
     for epoch in env.start_epoch..epochs {
         hosts.wire.iter_mut().for_each(WireState::begin_epoch);
         // ---- Epoch-boundary re-admission (rejoin=H@E). ----
@@ -499,6 +507,9 @@ pub(crate) fn run<E: Engine>(
                 continue;
             }
             // ---- Compute phase (each host timed individually). ----
+            // A host's round reads only the shared `env` and writes only
+            // its own replica, streams, scratch and compute slot, so the
+            // lanes cannot change a bit.
             compute.fill(0.0);
             let Hosts {
                 live,
@@ -507,23 +518,37 @@ pub(crate) fn run<E: Engine>(
                 pairs,
                 ..
             } = &mut *hosts;
-            let alive = |(_, w): &(usize, &mut HostWork<'_>)| live.is_alive(w.host);
-            for (i, w) in work.iter_mut().enumerate().filter(alive) {
+            let mut held: Vec<_> = work
+                .iter_mut()
+                .zip(replicas.iter_mut())
+                .zip(compute.iter_mut())
+                .filter(|((w, _), _)| live.is_alive(w.host))
+                .collect();
+            let trained = on_lanes(&mut held, cores, |((w, replica), t)| {
                 let t0 = Instant::now();
-                *pairs += w.train_round(&mut replicas[i], s);
-                compute[i] = t0.elapsed().as_secs_f64();
+                let trained = w.train_round(replica, s);
+                **t = t0.elapsed().as_secs_f64();
+                trained
+            });
+            *pairs += trained.iter().sum::<u64>();
+            for ((w, _), t) in &mut held {
                 if let Some(delay) = env.faults.straggler_delay(w.host, g) {
                     counters::bump(counters::INJECTED_STRAGGLE);
-                    compute[i] += engine.straggle(delay);
+                    **t += engine.straggle(delay);
                 }
             }
             // ---- PullModel inspection of the *next* round (§4.4). ----
             let access = env.access_sets(epoch, s, |next_s, sets| {
-                for (i, w) in work.iter_mut().enumerate().filter(alive) {
+                let seen = on_lanes(&mut held, cores, |((w, _), t)| {
                     let t0 = Instant::now();
-                    w.inspect(next_s, sets);
+                    let recorder = w.inspect(next_s);
                     // Inspection is real per-host work: charge it.
-                    compute[i] += t0.elapsed().as_secs_f64();
+                    **t += t0.elapsed().as_secs_f64();
+                    (w.host, recorder)
+                });
+                for (h, recorder) in seen {
+                    *sets.get_mut(h, 0) = recorder.syn0_access;
+                    *sets.get_mut(h, 1) = recorder.syn1_access;
                 }
             });
             // ---- Synchronize (reduce + broadcast). ----
@@ -550,6 +575,55 @@ pub(crate) fn run<E: Engine>(
         }
     }
     Ok(())
+}
+
+/// Threads the compute phase may use: the cores this process may run on.
+fn lane_budget() -> usize {
+    #[cfg(test)]
+    if let Some(lanes) = LANES.with(Cell::get) {
+        return lanes;
+    }
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// A test's lane count, in place of the cores.
+    static LANES: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with the compute phase on `lanes` threads.
+#[cfg(test)]
+pub(crate) fn with_lanes<R>(lanes: usize, f: impl FnOnce() -> R) -> R {
+    LANES.with(|l| l.set(Some(lanes)));
+    let out = f();
+    LANES.with(|l| l.set(None));
+    out
+}
+
+/// `f` of every job, in job order, on up to `lanes` threads: each lane
+/// takes a contiguous group of the jobs, the calling thread the first.
+/// One lane spawns nothing.
+fn on_lanes<T: Send, R: Send>(
+    jobs: &mut [T],
+    lanes: usize,
+    f: impl Fn(&mut T) -> R + Sync,
+) -> Vec<R> {
+    let run = |group: &mut [T]| group.iter_mut().map(&f).collect::<Vec<R>>();
+    let mut groups = jobs.chunks_mut(jobs.len().div_ceil(lanes.max(1)).max(1));
+    let Some(first) = groups.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = groups
+            .map(|group| scope.spawn(move || run(group)))
+            .collect();
+        let mut out = run(first);
+        for lane in rest {
+            out.extend(lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        out
+    })
 }
 
 /// One host's side of the epoch loop: its stream, schedule position and
@@ -658,8 +732,8 @@ impl<'a> HostWork<'a> {
 
     /// PullModel inspection (§4.4): replays round `next_s` — own chunk,
     /// then the wards' — on copies of the streams against a recorder,
-    /// and writes the rows it will touch into this host's access sets.
-    fn inspect(&mut self, next_s: usize, sets: &mut AccessSets) {
+    /// which holds the rows it will touch.
+    fn inspect(&mut self, next_s: usize) -> RecordingStore {
         let (env, ctx) = (self.env, self.env.ctx());
         let mut recorder = RecordingStore::new(env.n_words, env.params.dim);
         let streams = once((self.host, self.rng)).chain(self.wards.iter().map(|w| (w.host, w.rng)));
@@ -675,8 +749,7 @@ impl<'a> HostWork<'a> {
                 );
             }
         }
-        *sets.get_mut(self.host, 0) = recorder.syn0_access;
-        *sets.get_mut(self.host, 1) = recorder.syn1_access;
+        recorder
     }
 
     /// `(shard, rng state, processed)` of the own shard and each ward:
@@ -694,7 +767,7 @@ impl<'a> HostWork<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer_shared::{dist_config, toy_corpus};
+    use crate::trainer_shared::{dist_config, fault_counters, toy_corpus};
     use gw2v_combiner::CombinerKind;
 
     #[test]
@@ -729,6 +802,7 @@ mod tests {
 
     #[test]
     fn wards_follow_the_adoption_map() {
+        let _counters = fault_counters();
         let (corpus, vocab) = toy_corpus(60);
         let cfg = dist_config(3, 2, SyncPlan::RepModelOpt, CombinerKind::ModelCombiner);
         let params = Hyperparams::test_scale();

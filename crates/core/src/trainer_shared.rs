@@ -326,6 +326,14 @@ pub(crate) fn dist_config(
     }
 }
 
+/// The `faults.*` counters are process-wide: a test that reads them
+/// and every test that bumps them hold this.
+#[cfg(test)]
+pub(crate) fn fault_counters() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,13 +29,16 @@ pub struct DeltaTracker {
 }
 
 impl DeltaTracker {
-    /// Creates a tracker for `n_nodes` rows of length `dim`.
+    /// Creates a tracker for `n_nodes` rows of length `dim`, with room
+    /// for every row's base: no round reallocates it, on whichever thread
+    /// the round trains (a worker thread that grew it would take a heap
+    /// arena of its own).
     pub(crate) fn new(n_nodes: usize, dim: usize) -> Self {
         Self {
             dim,
             slot_of: vec![NO_SLOT; n_nodes],
-            nodes: Vec::new(),
-            base: Vec::new(),
+            nodes: Vec::with_capacity(n_nodes),
+            base: Vec::with_capacity(n_nodes * dim),
             touched: BitVec::new(n_nodes),
         }
     }
@@ -275,6 +278,22 @@ mod tests {
         // New round: base re-snapshots the *current* value.
         r.row_mut(0, 1)[0] = 5.0;
         assert_eq!(r.tracker(0).base_of(1), &[1.0, 0.0]);
+    }
+
+    #[test]
+    fn no_round_reallocates_the_bases() {
+        let mut r = replica(6, 3);
+        let t = |r: &ModelReplica| (r.tracker(1).base.as_ptr(), r.tracker(1).base.capacity());
+        let before = t(&r);
+        for _ in 0..2 {
+            for n in (0..6).rev() {
+                r.row_mut(1, n)[0] += 1.0;
+            }
+            assert_eq!(r.tracker(1).touched_count(), 6);
+            assert_eq!(t(&r), before, "every row touched");
+            r.clear_tracking();
+        }
+        assert_eq!(t(&r), before, "cleared");
     }
 
     #[test]

@@ -122,3 +122,19 @@ for engines in "dist threaded" "threaded dist"; do
     cmp resumed.txt full.txt
     echo "killed on $1, resumed on $2: the uninterrupted bytes"
 done
+
+# The simulator trains its hosts' rounds on every core this process may
+# run on, each host on one thread against its own replica. Pinned to one
+# core it trains them all on one thread, and must write the same bytes.
+step "One core is the same run (dist --hosts 8: opt, pull, crash/rejoin)"
+if ! command -v taskset > /dev/null; then
+    echo "taskset is missing: this step needs it to pin a run to one core" >&2
+    exit 1
+fi
+train="$G train --input corpus.txt --trainer dist --hosts 8 --sync-rounds 2 --dim 16 --epochs 3 --negative 3 --seed 5"
+for args in "--plan opt" "--plan pull" "--plan opt --fault-plan seed=7,crash=2@1,rejoin=2@2"; do
+    $train $args --out cores.txt
+    taskset -c 0 $train $args --out one-core.txt
+    cmp cores.txt one-core.txt
+    echo "$args: one core writes the bytes of $(nproc) cores"
+done
